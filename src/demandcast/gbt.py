@@ -1,14 +1,39 @@
 """Gradient-boosted regression trees with Poisson and squared losses.
 
-Trees are grown depth-first with exact greedy splits on presorted columns:
-every midpoint between distinct feature values is scored by the second-order
-gain, with missing values tried on both sides of each candidate split. The
-Poisson loss uses a log link, so raw scores live in log space and forecasts
-exp(raw) are strictly positive.
+Trees are grown depth-first with exact greedy splits: every midpoint between
+distinct feature values is scored by the second-order gain, with missing
+values tried on both sides of each candidate split. The Poisson loss uses a
+log link, so raw scores live in log space and forecasts exp(raw) are
+strictly positive.
+
+Split search follows the column block of XGBoost's exact greedy algorithm
+(Chen & Guestrin 2016). Each column of the training matrix is stable-sorted
+once into an int32 (p, n) array of row indices, NaN last: once per train()
+call, reused by every boosting round, and once per forest tree. A tree
+grows on a working copy of that array plus one row holding the row indices
+in ascending order. Every node owns one contiguous range of positions in
+it, so each row of the range lists the node's rows sorted by that feature;
+a split stably partitions the range in place, which keeps both children
+sorted. No node sorts anything.
+
+Exactness: the search scores the node's block for all candidate features at
+once, but every sum it forms is a sequential sum in the order the one-column
+scan uses: left sums are np.cumsum along each sorted row (ties in row
+order), missing-value sums run over the NaN tail in row order, and node
+totals run over the rows in ascending order. The gains are therefore bit
+for bit those of a scalar scan, which tests/oracles.py checks.
+
+Memory: besides the presort and the per-tree working copy, the grower's
+temporaries are a small multiple of max(SCRATCH_ELEMENTS, rows in the
+node) elements, never features x rows, and none outlives its node. The
+grower keeps its state in a loop with an explicit stack, not in recursive
+frames or a recursive closure, so a fit leaves no reference cycle behind.
 
 Determinism contract: ties between candidate splits break toward the lowest
 feature index, then the lowest threshold, then routing missing values left.
-Training is strictly sequential over rounds.
+Nodes are numbered depth-first in pre-order, which is also the order in
+which a forest's feature sampler is called. Training is strictly sequential
+over rounds.
 """
 
 from __future__ import annotations
@@ -23,6 +48,9 @@ import numpy as np
 from .features import FeatureMatrix
 
 BASE_EPS = 1e-8
+# elements per chunk of the split search and partition: chunks hold as many
+# features (or working rows) as fit, and at least one
+SCRATCH_ELEMENTS = 1 << 15
 
 
 def grad_hess(loss: str, y: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,28 +110,73 @@ def best_split(
     values/g/h are the node's rows in row order; NaN values are missing and
     are routed left or right, whichever scores better (left on ties). The
     returned gain already has min_split_loss subtracted; None when it is
-    not positive.
+    not positive. This is the tree grower's block scorer applied to a
+    one-feature block.
     """
-    g_total = float(np.cumsum(g)[-1])
-    h_total = float(np.cumsum(h)[-1])
-    present = np.isfinite(values)
-    if not present.any():
+    if len(values) == 0:
         return None
-    g_miss = float(np.cumsum(g[~present])[-1]) if not present.all() else 0.0
-    h_miss = float(np.cumsum(h[~present])[-1]) if not present.all() else 0.0
-    vals = values[present]
-    order = np.argsort(vals, kind="stable")
-    sv = vals[order]
-    cg = np.cumsum(g[present][order])
-    ch = np.cumsum(h[present][order])
-    boundary = np.flatnonzero(sv[:-1] < sv[1:])
-    if boundary.size == 0:
+    order = np.argsort(values, kind="stable")
+    found = _score_block(
+        values[order][None],
+        g[order][None],
+        h[order][None],
+        float(np.cumsum(g)[-1]),
+        float(np.cumsum(h)[-1]),
+        reg_lambda,
+        min_split_loss,
+    )
+    if found is None:
         return None
-    thresholds = (sv[boundary] + sv[boundary + 1]) / 2.0
-    ok = sv[boundary] < thresholds  # midpoint can collapse onto the left value
-    boundary, thresholds = boundary[ok], thresholds[ok]
-    if boundary.size == 0:
+    gain, _, threshold, default_left = found
+    return SplitCandidate(threshold=threshold, gain=gain, default_left=default_left)
+
+
+def _score_block(
+    xv: np.ndarray,
+    gv: np.ndarray,
+    hv: np.ndarray,
+    g_total: float,
+    h_total: float,
+    reg_lambda: float,
+    min_split_loss: float,
+) -> tuple[float, int, float, bool] | None:
+    """Best split over a block of sorted feature rows, or None if none helps.
+
+    Row r of xv holds one feature's values for a node's rows in stable
+    ascending order with NaN last; gv/hv hold those rows' gradients and
+    hessians in the same order. g_total/h_total are the node's sequential
+    sums in row order. Returns (net gain, block row, threshold, missing
+    left) for the first maximum in (row, threshold, missing-left) order.
+    """
+    m = xv.shape[1]
+    flat = xv.ravel()
+    # a candidate lies between adjacent values of one row; NaN compares false
+    between = flat[:-1] < flat[1:]
+    between[m - 1 :: m] = False  # pairs that straddle two rows
+    pair = np.flatnonzero(between)
+    lo_v = flat[pair]
+    thresholds = (lo_v + flat[pair + 1]) / 2.0
+    ok = lo_v < thresholds  # midpoint can collapse onto the left value
+    if not ok.all():
+        pair, thresholds = pair[ok], thresholds[ok]
+    if pair.size == 0:
         return None
+
+    gl = gv.cumsum(axis=1).ravel()[pair]
+    hl = hv.cumsum(axis=1).ravel()[pair]
+    g_miss = 0.0
+    h_miss = 0.0
+    tail = np.isnan(xv[:, -1])  # rows with missing values
+    if tail.any():
+        nan = np.isnan(xv[tail])
+        rows = pair // m
+        g_miss = np.zeros(xv.shape[0])
+        h_miss = np.zeros(xv.shape[0])
+        # -0.0 is the exact additive identity, so these are the tail's own sums
+        g_miss[tail] = np.where(nan, gv[tail], -0.0).cumsum(axis=1)[:, -1]
+        h_miss[tail] = np.where(nan, hv[tail], -0.0).cumsum(axis=1)[:, -1]
+        g_miss = g_miss[rows]
+        h_miss = h_miss[rows]
 
     base = g_total * g_total / (h_total + reg_lambda)
 
@@ -115,23 +188,18 @@ def best_split(
             - min_split_loss
         )
 
+    interleaved = np.empty(2 * pair.size)
     with np.errstate(invalid="ignore", divide="ignore"):
-        gain_left = net_gain(cg[boundary] + g_miss, ch[boundary] + h_miss)
-        gain_right = net_gain(cg[boundary], ch[boundary])
-    interleaved = np.empty(2 * boundary.size)
-    interleaved[0::2] = gain_left
-    interleaved[1::2] = gain_right
+        interleaved[0::2] = net_gain(gl + g_miss, hl + h_miss)
+        interleaved[1::2] = net_gain(gl, hl)
     # hessian sums can underflow to 0 with reg_lambda 0; those candidates are
     # undefined and must not shadow finite ones in the argmax
     interleaved[np.isnan(interleaved)] = -np.inf
     best = int(np.argmax(interleaved))
     if not interleaved[best] > 0:
         return None
-    return SplitCandidate(
-        threshold=float(thresholds[best // 2]),
-        gain=float(interleaved[best]),
-        default_left=best % 2 == 0,
-    )
+    c = best // 2
+    return float(interleaved[best]), int(pair[c] // m), float(thresholds[c]), best % 2 == 0
 
 
 @dataclass
@@ -171,18 +239,6 @@ class Tree:
             stack.append((node.right, rows[~go_left]))
         return out
 
-    @property
-    def depth(self) -> int:
-        depths = {0: 0}
-        best = 0
-        for idx, node in enumerate(self.nodes):
-            d = depths[idx]
-            best = max(best, d)
-            if not node.is_leaf:
-                depths[node.left] = d + 1
-                depths[node.right] = d + 1
-        return best
-
 
 @dataclass
 class TrainParams:
@@ -207,6 +263,19 @@ class TrainParams:
         )
 
 
+def presort_columns(x: np.ndarray) -> np.ndarray:
+    """Row indices of each column of x in stable ascending order, NaN last.
+
+    Returns an int32 (p, n) array; one column is sorted at a time, so no
+    (n, p) index temporary is made.
+    """
+    n, p = x.shape
+    order = np.empty((p, n), dtype=np.int32)
+    for j in range(p):
+        order[j] = np.argsort(x[:, j], kind="stable")
+    return order
+
+
 def fit_tree(
     x: np.ndarray,
     g: np.ndarray,
@@ -215,47 +284,122 @@ def fit_tree(
     reg_lambda: float,
     min_split_loss: float,
     feature_sampler=None,
+    order: np.ndarray | None = None,
+    leaf_values: np.ndarray | None = None,
 ) -> Tree:
     """Grow one tree depth-first on the given gradients.
 
     feature_sampler, when set, returns the (ascending) candidate feature
     indices for each split; bagging uses it for per-split column subsampling.
+    It is called once per node that may split, in pre-order.
+
+    order is x's presort from presort_columns(x), sorted here when None;
+    train() passes one presort to every round. The tree grows on a working
+    copy of it, extended by a row of row indices in ascending order: each
+    node is a position range [lo, hi) of that copy, whose rows list the
+    node's rows sorted by each feature, and a split partitions the range
+    stably in place. The search then scores the node's presorted block with
+    sequential sums in the stable order, so trees equal those of a
+    brute-force scan bit for bit. Memory is the presort, the working copy,
+    one flag per row, and temporaries of a small multiple of
+    max(SCRATCH_ELEMENTS, hi - lo) elements.
+
+    leaf_values, when given, is a float array of len(x) that receives each
+    row's leaf weight: tree.apply(x) without walking the tree again.
     """
-    n_features = x.shape[1]
+    x = np.ascontiguousarray(x)  # the search gathers values by flat index
+    n, p = x.shape
+    if order is None:
+        order = presort_columns(x)
+    elif order.shape != (p, n):
+        raise ValueError(f"presort has shape {order.shape}, expected {(p, n)}")
+    work = np.empty((p + 1, n), dtype=np.int32)
+    work[:p] = order
+    work[p] = np.arange(n)  # the node's rows in ascending order
+    goes_left = np.empty(n, dtype=bool)
+    all_features = np.arange(p)
     tree = Tree()
-
-    def grow(rows: np.ndarray, depth: int) -> int:
-        idx = len(tree.nodes)
-        tree.nodes.append(TreeNode())
-        node = tree.nodes[idx]
-        g_sum = float(np.cumsum(g[rows])[-1])
-        h_sum = float(np.cumsum(h[rows])[-1])
-        best: SplitCandidate | None = None
-        best_feature = -1
-        if depth < max_depth and rows.size >= 2:
-            features = range(n_features) if feature_sampler is None else feature_sampler(n_features)
-            for j in features:
-                cand = best_split(x[rows, j], g[rows], h[rows], reg_lambda, min_split_loss)
-                if cand is not None and (best is None or cand.gain > best.gain):
-                    best = cand
-                    best_feature = j
-        if best is None:
+    nodes = tree.nodes
+    # (lo, hi, depth, parent); a parent index marks a right child to link
+    stack = [(0, n, 0, -1)]
+    while stack:
+        lo, hi, depth, parent = stack.pop()
+        idx = len(nodes)
+        node = TreeNode()
+        nodes.append(node)
+        if parent >= 0:
+            nodes[parent].right = idx
+        rows = work[p, lo:hi]
+        g_sum = float(g.take(rows).cumsum()[-1])
+        h_sum = float(h.take(rows).cumsum()[-1])
+        split = None
+        if depth < max_depth and hi - lo >= 2:
+            features = all_features if feature_sampler is None else np.asarray(feature_sampler(p))
+            split = _search_node(
+                x, g, h, work, lo, hi, features, g_sum, h_sum, reg_lambda, min_split_loss
+            )
+        if split is None:
             node.weight = leaf_weight(g_sum, h_sum, reg_lambda)
-            return idx
-        node.feature = best_feature
-        node.threshold = best.threshold
-        node.default_left = best.default_left
-        node.gain = best.gain + min_split_loss
-        col = x[rows, best_feature]
-        go_left = col < best.threshold
-        if best.default_left:
-            go_left |= np.isnan(col)
-        node.left = grow(rows[go_left], depth + 1)
-        node.right = grow(rows[~go_left], depth + 1)
-        return idx
-
-    grow(np.arange(x.shape[0]), 0)
+            if leaf_values is not None:
+                leaf_values[rows] = node.weight
+            continue
+        gain, feature, threshold, default_left = split
+        node.feature = feature
+        node.threshold = threshold
+        node.default_left = default_left
+        node.gain = gain + min_split_loss
+        col = x[rows, feature]
+        left = col < threshold
+        if default_left:
+            left |= np.isnan(col)
+        goes_left[rows] = left
+        n_left = int(np.count_nonzero(left))
+        _partition(work, lo, hi, goes_left, n_left)
+        node.left = idx + 1  # pre-order: the left child is numbered next
+        stack.append((lo + n_left, hi, depth + 1, idx))
+        stack.append((lo, lo + n_left, depth + 1, -1))
     return tree
+
+
+def _search_node(
+    x, g, h, work, lo, hi, features, g_total, h_total, reg_lambda, min_split_loss
+) -> tuple[float, int, float, bool] | None:
+    """Best (net gain, feature, threshold, missing left) for one node, or None.
+
+    Scores the features in chunks of at most SCRATCH_ELEMENTS block
+    elements (at least one feature); a later chunk wins only with a
+    strictly larger gain, so the first maximum in feature order is kept.
+    """
+    step = max(1, SCRATCH_ELEMENTS // (hi - lo))
+    best = None
+    for start in range(0, len(features), step):
+        chunk = features[start : start + step]
+        idx = work[chunk, lo:hi]
+        flat = np.multiply(idx, x.shape[1], dtype=np.intp)
+        flat += chunk[:, None]
+        found = _score_block(
+            x.take(flat), g.take(idx), h.take(idx), g_total, h_total, reg_lambda, min_split_loss
+        )
+        if found is not None and (best is None or found[0] > best[0]):
+            gain, r, threshold, default_left = found
+            best = (gain, int(chunk[r]), threshold, default_left)
+    return best
+
+
+def _partition(work: np.ndarray, lo: int, hi: int, goes_left: np.ndarray, n_left: int) -> None:
+    """Stable in-place partition of columns lo:hi of every row of work.
+
+    Rows flagged in goes_left move to lo:lo + n_left, the rest follow; each
+    side keeps its order, so each row stays sorted by its feature.
+    """
+    step = max(1, SCRATCH_ELEMENTS // (hi - lo))
+    for start in range(0, work.shape[0], step):
+        seg = work[start : start + step, lo:hi]
+        mask = goes_left[seg]
+        left = seg[mask]
+        right = seg[~mask]
+        seg[:, :n_left] = left.reshape(seg.shape[0], n_left)
+        seg[:, n_left:] = right.reshape(seg.shape[0], hi - lo - n_left)
 
 
 @dataclass
@@ -318,13 +462,16 @@ def train(
     best_valid = valid_hist[0] if valid_hist else math.inf
     best_round = 0
     stale = 0
+    order = presort_columns(matrix.X)
+    leaf_values = np.empty(matrix.n_rows)
     for _ in range(params.rounds):
         g, h = grad_hess(params.loss, y, raw)
         tree = fit_tree(
-            matrix.X, g, h, params.max_depth, params.reg_lambda, params.min_split_loss
+            matrix.X, g, h, params.max_depth, params.reg_lambda, params.min_split_loss,
+            order=order, leaf_values=leaf_values,
         )
         trees.append(tree)
-        raw = raw + params.learning_rate * tree.apply(matrix.X)
+        raw = raw + params.learning_rate * leaf_values
         train_hist.append(loss_value(params.loss, y, raw))
         if valid is not None:
             raw_valid = raw_valid + params.learning_rate * tree.apply(valid.X)

@@ -123,8 +123,12 @@ def oracle_best_split(values, g, h, reg_lambda, min_split_loss):
     return best
 
 
-def oracle_fit_tree(x, g, h, max_depth, reg_lambda, min_split_loss):
-    """Depth-first brute-force tree build mirroring the documented tie-breaks."""
+def oracle_fit_tree(x, g, h, max_depth, reg_lambda, min_split_loss, feature_sampler=None):
+    """Depth-first brute-force tree build mirroring the documented tie-breaks.
+
+    feature_sampler, when set, picks each node's candidate features; it is
+    called in pre-order at every node that may split, as the grower does.
+    """
     nodes: list[OracleNode] = []
 
     def grow(rows, depth):
@@ -136,7 +140,8 @@ def oracle_fit_tree(x, g, h, max_depth, reg_lambda, min_split_loss):
         best = None
         best_feature = -1
         if depth < max_depth and len(rows) >= 2:
-            for j in range(x.shape[1]):
+            features = range(x.shape[1]) if feature_sampler is None else feature_sampler(x.shape[1])
+            for j in features:
                 cand = oracle_best_split(
                     [x[k, j] for k in rows],
                     [g[k] for k in rows],

@@ -1,8 +1,10 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
+from demandcast import gbt
 from demandcast.features import FeatureMatrix
 from demandcast.gbt import (
     BoostedModel,
@@ -191,6 +193,38 @@ class TestTrain:
         diffs = np.diff(model.train_loss)
         assert (diffs <= 1e-9).all()
 
+    def test_train_loss_tracks_round_by_round_scores(self):
+        # train() adds each tree's leaf weights from the grower, not from
+        # tree.apply; the recorded losses must equal the applied model's
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(90, 4))
+        x[:, 1] = np.round(x[:, 1])
+        x[rng.random(x.shape) < 0.1] = np.nan
+        y = rng.poisson(np.exp(0.4 + 0.6 * np.nan_to_num(x[:, 0]))).astype(float)
+        matrix = matrix_of(x, y=y)
+        params = TrainParams(loss="poisson", learning_rate=0.3, max_depth=4, rounds=12)
+        model = train(matrix, params)
+        raw = np.full(len(y), model.base_score)
+        assert model.train_loss[0] == loss_value("poisson", y, raw)
+        for k, tree in enumerate(model.trees, start=1):
+            raw = raw + params.learning_rate * tree.apply(x)
+            assert model.train_loss[k] == loss_value("poisson", y, raw)
+        assert len(model.train_loss) == len(model.trees) + 1
+
+    def test_fit_tree_leaves_no_reference_cycles(self):
+        # cyclic garbage would keep each fit's buffers alive until the
+        # collector runs, which the training loop cannot afford
+        rng = np.random.default_rng(15)
+        x, y = random_matrix(rng, max_rows=40)
+        g, h = grad_hess("squared", y, np.zeros(len(y)))
+        gc.disable()
+        try:
+            gc.collect()
+            fit_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_empty_matrix_rejected(self):
         matrix = matrix_of(np.empty((0, 2)), y=[])
         with pytest.raises(ValueError, match="empty"):
@@ -322,6 +356,24 @@ class TestForest:
         p2 = train_forest(matrix, ForestParams(n_trees=8, max_depth=6), seed=42).predict_array(x)
         assert np.array_equal(p1, p2)
 
+    def test_predictions_pinned(self):
+        # NaNs, tied values and per-split sampling: any change to the
+        # generator's draw order or to a tie-break moves these values
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(30, 5))
+        x[:, :3] = np.round(x[:, :3] * 2) / 2
+        x[rng.random(x.shape) < 0.15] = np.nan
+        y = rng.poisson(3.0, size=30).astype(float)
+        forest = train_forest(matrix_of(x, y=y), ForestParams(n_trees=4, max_depth=6), seed=3)
+        assert forest.predict_array(x).tolist() == [
+            3.0, 2.4166666666666665, 1.25, 5.05, 0.25, 2.75, 2.75, 3.0, 1.75,
+            2.2083333333333335, 3.1666666666666665, 4.666666666666666, 5.8,
+            1.6666666666666665, 3.0, 2.0, 1.5, 2.9583333333333335,
+            2.9583333333333335, 1.9583333333333335, 3.1666666666666665,
+            2.4583333333333335, 3.0, 1.5, 2.9583333333333335, 4.0, 2.25, 4.55,
+            2.75, 5.0,
+        ]
+
     def test_leaf_means_keep_count_targets_nonnegative(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(50, 3))
@@ -329,6 +381,15 @@ class TestForest:
         matrix = matrix_of(x, y=y)
         forest = train_forest(matrix, ForestParams(n_trees=10, max_depth=8), seed=2)
         assert (forest.predict_array(x) >= 0).all()
+
+
+def tree_depth(tree):
+    """Longest root-to-leaf path, following the node links."""
+    depth = {0: 0}
+    for idx, node in enumerate(tree.nodes):
+        if not node.is_leaf:
+            depth[node.left] = depth[node.right] = depth[idx] + 1
+    return max(depth.values())
 
 
 def random_matrix(rng, max_rows=32, max_features=3):
@@ -386,13 +447,62 @@ class TestOracleEquivalence:
             g, h = grad_hess("squared", y, np.zeros(len(y)))
             depth_cap = int(rng.integers(1, 5))
             tree = fit_tree(x, g, h, max_depth=depth_cap, reg_lambda=0.5, min_split_loss=0.0)
-            assert tree.depth <= depth_cap
+            assert tree_depth(tree) <= depth_cap
             n = len(tree.nodes)
             for node in tree.nodes:
                 if node.is_leaf:
                     assert np.isfinite(node.weight)
                 else:
                     assert 0 < node.left < n and 0 < node.right < n
+
+    def test_chunked_search_and_partition_match_brute_force(self, monkeypatch):
+        # a tiny scratch cap splits every node's features and work rows into
+        # several chunks, which the small matrices above never do
+        monkeypatch.setattr(gbt, "SCRATCH_ELEMENTS", 7)
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            x, y = random_matrix(rng, max_rows=40, max_features=5)
+            g, h = grad_hess("squared", y, np.zeros(len(y)))
+            tree = fit_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
+            oracle = oracle_fit_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
+            self.assert_same_tree(tree, oracle)
+
+    def test_infinite_values_split_like_finite_ones(self):
+        # only NaN is missing: +-inf are ordinary values that take part in
+        # candidate thresholds and are routed by comparison, as in apply()
+        rng = np.random.default_rng(16)
+        for _ in range(6):
+            x, y = random_matrix(rng, max_rows=40)
+            x[rng.random(x.shape) < 0.1] = np.inf
+            x[rng.random(x.shape) < 0.05] = -np.inf
+            g, h = grad_hess("squared", y, np.zeros(len(y)))
+            tree = fit_tree(x, g, h, max_depth=3, reg_lambda=1.0, min_split_loss=0.0)
+            oracle = oracle_fit_tree(x, g, h, max_depth=3, reg_lambda=1.0, min_split_loss=0.0)
+            self.assert_same_tree(tree, oracle)
+
+    def test_forest_trees_match_brute_force(self):
+        # bootstrap-duplicated rows and per-split feature sampling, as
+        # train_forest grows them: both growers draw from equally seeded
+        # generators, so they agree only if they call the sampler at the
+        # same nodes in the same order
+        rng = np.random.default_rng(13)
+        for trial in range(8):
+            base, target = random_matrix(rng, max_rows=40, max_features=5)
+            rows = np.sort(rng.integers(0, len(target), size=len(target)))
+            x, y = base[rows], target[rows]
+            p = x.shape[1]
+            n_sub = max(1, p // 2)
+
+            def sampler_from(seed):
+                draws = np.random.default_rng(seed)
+                return lambda n_features: np.sort(draws.choice(n_features, size=n_sub, replace=False))
+
+            depth = int(rng.integers(2, 7))
+            tree = fit_tree(x, -y, np.ones_like(y), depth, 0.0, 0.0, feature_sampler=sampler_from(trial))
+            oracle = oracle_fit_tree(
+                x, -y, np.ones_like(y), depth, 0.0, 0.0, feature_sampler=sampler_from(trial)
+            )
+            self.assert_same_tree(tree, oracle)
 
 
 class TestLossValue:
