@@ -1,7 +1,7 @@
 """Global demand forecasting for short, volatile weekly sales series."""
 
 from .baselines import ESBaseline, es_fit_forecast, es_grid_select
-from .core import Catalog, SalesPanel, life_length, slice_history
+from .core import Catalog, SalesPanel, weeks_on_sale
 from .evaluation import (
     EvalReport,
     SplitSpec,

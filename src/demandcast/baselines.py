@@ -15,7 +15,7 @@ ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 SELECT_HOLDOUT = 4
 
 
-def es_fit_forecast(series: Sequence[float], alpha: float, horizon: int = 1) -> float:
+def es_fit_forecast(series: Sequence[float], alpha: float) -> float:
     """Flat forecast from a simple-exponential-smoothing level.
 
     l_0 is the first observation; l_t = alpha*y_t + (1-alpha)*l_{t-1}.
@@ -24,8 +24,6 @@ def es_fit_forecast(series: Sequence[float], alpha: float, horizon: int = 1) -> 
         raise ValueError("cannot fit exponential smoothing on an empty series")
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     level = float(series[0])
     for value in series[1:]:
         level = alpha * float(value) + (1.0 - alpha) * level

@@ -4,6 +4,12 @@ Commands: synth, preprocess, train, predict, evaluate, and pipeline (the
 full chain: data -> repair/smooth -> seasonality -> features -> boosted
 model with early stopping -> test-window forecasts -> weighted report).
 
+Each stage of that chain is one function here (`write_synth`,
+`load_inputs`, `preprocess`, `fit_seasonal`, `split_matrices`,
+`fit_forecast` with `fit_boosted` and `forecast_es`, `score`), and every
+command that runs a stage calls it; the acceptance study calls the same
+functions on its in-memory panel.
+
 Every stage is a pure function of (inputs, config, seed); running the same
 command twice produces byte-identical artifacts. Exit codes: 0 success,
 1 usage error, 2 data error, 3 internal error.
@@ -22,17 +28,22 @@ import numpy as np
 
 from . import evaluation, gbt, ingest, synth
 from .baselines import ESBaseline
-from .core import SalesPanel
-from .evaluation import SplitSpec, cold_start_filter, evaluate, format_report, write_report
-from .features import build_matrix
-from .ingest import RunConfig, SchemaError
-from .preprocess import preprocess_panel, write_smoothed
-from .seasonal import fit_seasonality, write_seasonality
+from .core import Catalog, SalesPanel, weeks_on_sale
+from .evaluation import (
+    EvalReport, SplitSpec, cold_start_filter, evaluate, format_report, write_report,
+)
+from .features import FeatureMatrix, build_matrix
+from .ingest import CovariateTable, RunConfig, SchemaError
+from .preprocess import SmoothedPanel, preprocess_panel, write_smoothed
+from .seasonal import SeasonalityModel, fit_seasonality, write_seasonality
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+
+# SchemaError is a ValueError
+DATA_ERRORS = (ValueError, FileNotFoundError, KeyError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,7 +56,6 @@ class _Parser(argparse.ArgumentParser):
 class StageError(Exception):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage}: {cause}")
-        self.stage = stage
         self.cause = cause
 
 
@@ -57,11 +67,11 @@ def _load_config(path: str | None) -> RunConfig:
     return ingest.load_config(path)
 
 
-def _write_predictions(rows: list[tuple[str, int, float]], path: Path) -> None:
+def _write_predictions(predictions: dict[tuple[str, int], float], path: Path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["product_id", "week", "forecast"])
-        for pid, week, value in sorted(rows):
+        for (pid, week), value in sorted(predictions.items()):
             writer.writerow([pid, week, repr(float(value))])
 
 
@@ -86,11 +96,144 @@ def _read_predictions(path: Path) -> dict[tuple[str, int], float]:
     return out
 
 
-def _life_at_forecast(panel: SalesPanel, pid: str, feature_week: int) -> int:
-    if feature_week < 0:
-        return 0
-    i = panel.row(pid)
-    return int(panel.on_sale_mask[i, : feature_week + 1].sum())
+def write_synth(spec: synth.SynthSpec, out: Path) -> tuple[str, str, str]:
+    """Generate a synthetic panel into out; returns the sales, catalog and covariates paths."""
+    panel, catalog, covariates, truth = synth.generate_panel(spec)
+    out.mkdir(parents=True, exist_ok=True)
+    ingest.write_sales(panel, out / "sales.csv")
+    ingest.write_catalog(catalog, out / "catalog.csv")
+    ingest.write_covariates(covariates, out / "covariates.csv")
+    synth.write_ground_truth(truth, panel, out / "ground_truth.csv")
+    synth.write_ground_truth_curves(truth, out / "ground_truth_curves.csv")
+    return str(out / "sales.csv"), str(out / "catalog.csv"), str(out / "covariates.csv")
+
+
+def load_inputs(
+    sales_path: str, catalog_path: str, covariates_path: str | None
+) -> tuple[SalesPanel, Catalog, CovariateTable | None]:
+    """Load the sales panel, a catalog covering it, and the optional covariates."""
+    panel = ingest.load_sales(sales_path)
+    catalog = ingest.load_catalog(catalog_path)
+    catalog.validate_covers(panel)
+    covariates = ingest.load_covariates(covariates_path, panel) if covariates_path else None
+    return panel, catalog, covariates
+
+
+def preprocess(panel: SalesPanel, config: RunConfig) -> tuple[SalesPanel, SmoothedPanel]:
+    """Repair fake zeros and cap spikes; returns (repaired, smoothed)."""
+    return preprocess_panel(panel, config.smooth_window, config.cap_gamma)
+
+
+def fit_seasonal(
+    smoothed: SmoothedPanel, repaired: SalesPanel, catalog: Catalog, config: RunConfig
+) -> SeasonalityModel | None:
+    """Category seasonality fitted on the training weeks; None when disabled."""
+    if not config.with_seasonality:
+        return None
+    return fit_seasonality(
+        smoothed, repaired, catalog, config.season_period,
+        config.n_patterns, config.seed, end_week=config.train_len,
+    )
+
+
+def split_matrices(
+    repaired: SalesPanel,
+    smoothed: SmoothedPanel,
+    catalog: Catalog,
+    seasonal: SeasonalityModel | None,
+    covariates: CovariateTable | None,
+    config: RunConfig,
+) -> tuple[FeatureMatrix, FeatureMatrix, FeatureMatrix]:
+    """One global matrix over the split's weeks, cut by target week into (train, valid, test)."""
+    spec = SplitSpec(config.train_len, config.valid_len, config.test_len)
+    evaluation.temporal_split(repaired, spec)
+    full = build_matrix(
+        repaired, smoothed, catalog, seasonal, covariates, config,
+        t_end=spec.test_end - 1 - config.horizon, mode="train",
+    )
+    target = np.array([week for _, week in full.keys])
+    return (
+        full.select(target < spec.train_end),
+        full.select((target >= spec.valid_start) & (target < spec.test_start)),
+        full.select(target >= spec.test_start),
+    )
+
+
+def forecast_es(
+    rows: FeatureMatrix, repaired: SalesPanel, catalog: Catalog, config: RunConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-series ES forecasts for the rows, each issued horizon weeks before its target.
+
+    Returns (forecasts, per-row flags of the category-mean fallback).
+    """
+    baseline = ESBaseline(repaired, catalog, train_end=config.train_len)
+    forecasts = np.empty(rows.n_rows)
+    fallback = np.zeros(rows.n_rows, dtype=bool)
+    for idx, (pid, week) in enumerate(rows.keys):
+        forecasts[idx], fallback[idx] = baseline.forecast(pid, week - config.horizon)
+    return forecasts, fallback
+
+
+def fit_boosted(
+    train_rows: FeatureMatrix, valid_rows: FeatureMatrix, config: RunConfig
+) -> tuple[gbt.BoostedModel, dict]:
+    """Boosted model early-stopped on the valid rows, with its manifest details."""
+    booster = gbt.train(train_rows, gbt.TrainParams.from_config(config), valid_rows)
+    return booster, {"best_round": booster.best_round, "rounds_run": len(booster.trees)}
+
+
+def fit_forecast(
+    kind: str,
+    forest_trees: int,
+    config: RunConfig,
+    train_rows: FeatureMatrix,
+    valid_rows: FeatureMatrix,
+    test_rows: FeatureMatrix,
+    repaired: SalesPanel,
+    catalog: Catalog,
+) -> tuple[np.ndarray, gbt.BoostedModel | None, dict]:
+    """Fit the requested model and forecast the test rows.
+
+    forest_trees is read only by kind "forest". Returns (per-row forecasts,
+    fitted booster or None, manifest details).
+    """
+    if kind == "gbt":
+        booster, details = fit_boosted(train_rows, valid_rows, config)
+        return gbt.predict(booster, test_rows), booster, details
+    if kind == "forest":
+        params = gbt.ForestParams(n_trees=forest_trees, max_depth=min(config.max_depth * 4, 64))
+        forest = gbt.train_forest(train_rows, params, config.seed)
+        return forest.predict_array(test_rows.X), None, {"n_trees": forest_trees}
+    if kind == "es":
+        forecasts, fallback = forecast_es(test_rows, repaired, catalog, config)
+        return forecasts, None, {"es_fallback_rows": int(fallback.sum())}
+    raise ValueError(f"unknown model kind {kind!r}")
+
+
+def score(
+    predictions: dict[tuple[str, int], float],
+    repaired: SalesPanel,
+    catalog: Catalog,
+    config: RunConfig,
+) -> EvalReport:
+    """Price-weighted report of forecasts against repaired actuals.
+
+    A forecast for week w was issued at week w - horizon; the product's life
+    at that week buckets the row (0 when issued before the panel began).
+    """
+    life_so_far = weeks_on_sale(repaired.on_sale_mask)
+    actuals: dict[tuple[str, int], float] = {}
+    life: dict[tuple[str, int], int] = {}
+    for key in predictions:
+        pid, week = key
+        if pid not in repaired.index or not 0 <= week < repaired.n_weeks:
+            raise SchemaError(f"prediction key ({pid}, {week}) has no actual in the panel")
+        i = repaired.index[pid]
+        issued = week - config.horizon
+        actuals[key] = float(repaired.y[i, week])
+        life[key] = int(life_so_far[i, issued]) if issued >= 0 else 0
+    segments = evaluation.segment_products(repaired, catalog, train_end=config.train_len)
+    return evaluate(predictions, actuals, catalog, segments, life)
 
 
 def cmd_synth(args) -> int:
@@ -100,22 +243,15 @@ def cmd_synth(args) -> int:
         n_weeks=args.weeks,
         seed=args.seed,
     )
-    panel, catalog, covariates, truth = synth.generate_panel(spec)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    ingest.write_sales(panel, out / "sales.csv")
-    ingest.write_catalog(catalog, out / "catalog.csv")
-    ingest.write_covariates(covariates, out / "covariates.csv")
-    synth.write_ground_truth(truth, panel, out / "ground_truth.csv")
-    synth.write_ground_truth_curves(truth, out / "ground_truth_curves.csv")
+    write_synth(spec, out)
     print(f"wrote synthetic panel ({spec.n_products} products, {spec.n_weeks} weeks) to {out}")
     return EXIT_OK
 
 
 def cmd_preprocess(args) -> int:
     config = _load_config(args.config)
-    panel = ingest.load_sales(args.sales)
-    repaired, smoothed = preprocess_panel(panel, config.smooth_window, config.cap_gamma)
+    repaired, smoothed = preprocess(ingest.load_sales(args.sales), config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_smoothed(repaired, smoothed, out / "smoothed.csv")
@@ -126,57 +262,23 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _prepare(args, config: RunConfig):
-    """Shared data path: load inputs, preprocess, fit seasonality on train weeks."""
-    panel = ingest.load_sales(args.sales)
-    catalog = ingest.load_catalog(args.catalog)
-    catalog.validate_covers(panel)
-    covariates = ingest.load_covariates(args.covariates, panel) if args.covariates else None
-    repaired, smoothed = preprocess_panel(panel, config.smooth_window, config.cap_gamma)
-    model = None
-    if config.with_seasonality:
-        model = fit_seasonality(
-            smoothed,
-            repaired,
-            catalog,
-            config.season_period,
-            config.n_patterns,
-            config.seed,
-            end_week=min(config.train_len, panel.n_weeks),
-        )
-    return panel, catalog, covariates, repaired, smoothed, model
-
-
-def _split_matrices(repaired, smoothed, catalog, model, covariates, config):
-    spec = SplitSpec(config.train_len, config.valid_len, config.test_len, config.horizon)
-    evaluation.temporal_split(repaired, spec)
-    full = build_matrix(
-        repaired, smoothed, catalog, model, covariates, config,
-        t_end=spec.test_end - 1 - config.horizon, mode="train",
-    )
-    target = np.array([week for _, week in full.keys])
-    train = full.select(target < spec.train_end)
-    valid = full.select((target >= spec.valid_start) & (target < spec.test_start))
-    test = full.select(target >= spec.test_start)
-    return spec, train, valid, test
-
-
 def cmd_train(args) -> int:
     config = _load_config(args.config)
-    panel, catalog, covariates, repaired, smoothed, model = _prepare(args, config)
-    _, train_rows, valid_rows, _ = _split_matrices(
-        repaired, smoothed, catalog, model, covariates, config
+    panel, catalog, covariates = load_inputs(args.sales, args.catalog, args.covariates)
+    repaired, smoothed = preprocess(panel, config)
+    seasonal = fit_seasonal(smoothed, repaired, catalog, config)
+    train_rows, valid_rows, _ = split_matrices(
+        repaired, smoothed, catalog, seasonal, covariates, config
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    booster = gbt.train(train_rows, gbt.TrainParams.from_config(config), valid_rows)
+    booster, details = fit_boosted(train_rows, valid_rows, config)
     gbt.save_model(booster, out / "model.json")
     manifest = {
         "config": asdict(config),
-        "best_round": booster.best_round,
-        "rounds_run": len(booster.trees),
         "train_rows": train_rows.n_rows,
         "valid_rows": valid_rows.n_rows,
+        **details,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
     print(f"trained {len(booster.trees)} rounds, best_round={booster.best_round}")
@@ -186,69 +288,32 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     config = _load_config(args.config)
     booster = gbt.load_model(args.model_file)
-    panel, catalog, covariates, repaired, smoothed, model = _prepare(args, config)
+    panel, catalog, covariates = load_inputs(args.sales, args.catalog, args.covariates)
+    repaired, smoothed = preprocess(panel, config)
+    seasonal = fit_seasonal(smoothed, repaired, catalog, config)
     matrix = build_matrix(
-        repaired, smoothed, catalog, model, covariates, config,
+        repaired, smoothed, catalog, seasonal, covariates, config,
         t_end=panel.n_weeks - 1, mode="predict",
     )
-    forecasts = gbt.predict(booster, matrix)
+    predictions = dict(zip(matrix.keys, gbt.predict(booster, matrix)))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [(pid, week, float(v)) for (pid, week), v in zip(matrix.keys, forecasts)]
-    _write_predictions(rows, out / "predictions.csv")
-    print(f"wrote {len(rows)} forecasts to {out / 'predictions.csv'}")
+    _write_predictions(predictions, out / "predictions.csv")
+    print(f"wrote {len(predictions)} forecasts to {out / 'predictions.csv'}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
     predictions = _read_predictions(Path(args.predictions))
-    panel = ingest.load_sales(args.sales)
-    catalog = ingest.load_catalog(args.catalog)
-    repaired, _ = preprocess_panel(panel, config.smooth_window, config.cap_gamma)
-    actuals = {}
-    life = {}
-    for pid, week in predictions:
-        if pid not in panel.index or not 0 <= week < panel.n_weeks:
-            raise SchemaError(f"prediction key ({pid}, {week}) has no actual in the panel")
-        actuals[(pid, week)] = float(repaired.y[panel.row(pid), week])
-        life[(pid, week)] = _life_at_forecast(panel, pid, week - config.horizon)
-    segments = evaluation.segment_products(
-        repaired, catalog, train_end=min(config.train_len, panel.n_weeks)
-    )
-    report = evaluate(predictions, actuals, catalog, segments, life)
+    panel, catalog, _ = load_inputs(args.sales, args.catalog, None)
+    repaired, _ = preprocess(panel, config)
+    report = score(predictions, repaired, catalog, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_report(report, out / "report.csv")
     print(format_report(report))
     return EXIT_OK
-
-
-def _forecast_test_rows(kind, config, args, train_rows, valid_rows, test_rows, repaired, catalog):
-    """Fit the requested model and forecast the test rows.
-
-    Returns (per-row forecasts, fitted booster or None, manifest details).
-    """
-    if kind == "gbt":
-        booster = gbt.train(train_rows, gbt.TrainParams.from_config(config), valid_rows)
-        return gbt.predict(booster, test_rows), booster, {
-            "best_round": booster.best_round,
-            "rounds_run": len(booster.trees),
-        }
-    if kind == "forest":
-        params = gbt.ForestParams(n_trees=args.forest_trees, max_depth=min(config.max_depth * 4, 64))
-        forest = gbt.train_forest(train_rows, params, config.seed)
-        return forest.predict_array(test_rows.X), None, {"n_trees": args.forest_trees}
-    if kind == "es":
-        baseline = ESBaseline(repaired, catalog, train_end=config.train_len)
-        out = np.empty(test_rows.n_rows)
-        fallbacks = 0
-        for idx, (pid, week) in enumerate(test_rows.keys):
-            value, used_fallback = baseline.forecast(pid, week - config.horizon)
-            out[idx] = value
-            fallbacks += used_fallback
-        return out, None, {"es_fallback_rows": fallbacks}
-    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def cmd_pipeline(args) -> int:
@@ -266,44 +331,30 @@ def cmd_pipeline(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
 
         stage = "synth"
+        sources = (args.sales, args.catalog, args.covariates)
         if args.sales is None:
-            spec = synth.SynthSpec(seed=config.seed)
-            panel_mem, catalog_mem, covariates_mem, truth = synth.generate_panel(spec)
-            ingest.write_sales(panel_mem, out / "sales.csv")
-            ingest.write_catalog(catalog_mem, out / "catalog.csv")
-            ingest.write_covariates(covariates_mem, out / "covariates.csv")
-            synth.write_ground_truth(truth, panel_mem, out / "ground_truth.csv")
-            synth.write_ground_truth_curves(truth, out / "ground_truth_curves.csv")
-            args.sales = str(out / "sales.csv")
-            args.catalog = str(out / "catalog.csv")
-            args.covariates = str(out / "covariates.csv")
+            sources = write_synth(synth.SynthSpec(seed=config.seed), out)
 
         stage = "ingest"
-        panel = ingest.load_sales(args.sales)
-        catalog = ingest.load_catalog(args.catalog)
-        catalog.validate_covers(panel)
-        covariates = ingest.load_covariates(args.covariates, panel) if args.covariates else None
+        panel, catalog, covariates = load_inputs(*sources)
 
         stage = "preprocess"
-        repaired, smoothed = preprocess_panel(panel, config.smooth_window, config.cap_gamma)
+        repaired, smoothed = preprocess(panel, config)
 
         stage = "seasonal"
-        model = None
-        if config.with_seasonality:
-            model = fit_seasonality(
-                smoothed, repaired, catalog, config.season_period,
-                config.n_patterns, config.seed, end_week=config.train_len,
-            )
-            write_seasonality(model, out / "seasonality.csv")
+        seasonal = fit_seasonal(smoothed, repaired, catalog, config)
+        if seasonal is not None:
+            write_seasonality(seasonal, out / "seasonality.csv")
 
         stage = "features"
-        _, train_rows, valid_rows, test_rows = _split_matrices(
-            repaired, smoothed, catalog, model, covariates, config
+        train_rows, valid_rows, test_rows = split_matrices(
+            repaired, smoothed, catalog, seasonal, covariates, config
         )
 
         stage = "train"
-        forecasts, booster, details = _forecast_test_rows(
-            args.model_kind, config, args, train_rows, valid_rows, test_rows, repaired, catalog
+        forecasts, booster, details = fit_forecast(
+            args.model_kind, args.forest_trees, config,
+            train_rows, valid_rows, test_rows, repaired, catalog,
         )
         if booster is not None:
             gbt.save_model(booster, out / "model.json")
@@ -315,20 +366,11 @@ def cmd_pipeline(args) -> int:
             )
             test_rows = test_rows.select(keep)
             forecasts = forecasts[keep]
-        rows = [(pid, week, float(v)) for (pid, week), v in zip(test_rows.keys, forecasts)]
-        _write_predictions(rows, out / "predictions.csv")
+        predictions = {key: float(value) for key, value in zip(test_rows.keys, forecasts)}
+        _write_predictions(predictions, out / "predictions.csv")
 
         stage = "evaluate"
-        predictions = {(pid, week): v for pid, week, v in rows}
-        actuals = {
-            key: float(value) for key, value in zip(test_rows.keys, test_rows.targets)
-        }
-        life = {
-            key: int(value)
-            for key, value in zip(test_rows.keys, test_rows.life_at_forecast)
-        }
-        segments = evaluation.segment_products(repaired, catalog, train_end=config.train_len)
-        report = evaluate(predictions, actuals, catalog, segments, life)
+        report = score(predictions, repaired, catalog, config)
         write_report(report, out / "report.csv")
 
         manifest = {
@@ -420,18 +462,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--sales and --catalog must be given together")
     try:
         return args.func(args)
-    except StageError as err:
-        print(f"error in {err}", file=sys.stderr)
-        cause = err.cause
-        if isinstance(cause, (SchemaError, FileNotFoundError, ValueError, KeyError)):
-            return EXIT_DATA
-        return EXIT_INTERNAL
-    except (SchemaError, FileNotFoundError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - last-resort diagnostic
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        staged = isinstance(exc, StageError)
+        data_error = isinstance(exc.cause if staged else exc, DATA_ERRORS)
+        if staged:
+            print(f"error in {exc}", file=sys.stderr)
+        else:
+            print(f"{'error' if data_error else 'internal error'}: {exc}", file=sys.stderr)
+        return EXIT_DATA if data_error else EXIT_INTERNAL
 
 
 if __name__ == "__main__":

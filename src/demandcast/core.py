@@ -111,21 +111,13 @@ class Catalog:
             raise ValueError(f"panel products missing from catalog: {missing[:5]}")
 
 
-def life_length(panel: SalesPanel, product_id: ProductId) -> int:
-    """Weeks between the first and last on-sale week, inclusive; 0 if never on sale."""
-    i = panel.row(product_id)
-    weeks = np.flatnonzero(panel.on_sale_mask[i])
-    if weeks.size == 0:
-        return 0
-    return int(weeks[-1] - weeks[0] + 1)
+def weeks_on_sale(on_sale: np.ndarray) -> np.ndarray:
+    """On-sale weeks up to and including each week, along the last axis.
 
-
-def slice_history(panel: SalesPanel, product_id: ProductId, t: int) -> np.ndarray:
-    """Counts y_{i,0..t} inclusive."""
-    i = panel.row(product_id)
-    if not 0 <= t < panel.n_weeks:
-        raise ValueError(f"week {t} outside panel range [0, {panel.n_weeks})")
-    return panel.y[i, : t + 1]
+    This is a product's life at a forecast issued that week: what the
+    feature rows carry and what the life-length report buckets.
+    """
+    return np.cumsum(on_sale, axis=-1)
 
 
 def launch_week(panel: SalesPanel, row: int) -> int:

@@ -2,8 +2,7 @@
 
 Both metrics weight by product price, so errors on expensive products count
 more. The MAE variant normalizes by the price-weighted forecast volume (its
-printed form); normalize_by_actuals switches the denominator to actuals for
-sanity analysis, but the forecast-normalized form is the reported default.
+printed form).
 """
 
 from __future__ import annotations
@@ -31,19 +30,14 @@ def weighted_rmse(y: np.ndarray, y_hat: np.ndarray, prices: np.ndarray) -> float
     return float(np.sqrt(np.mean(prices**2 * (y - y_hat) ** 2)))
 
 
-def weighted_mae(
-    y: np.ndarray,
-    y_hat: np.ndarray,
-    prices: np.ndarray,
-    normalize_by_actuals: bool = False,
-) -> float:
+def weighted_mae(y: np.ndarray, y_hat: np.ndarray, prices: np.ndarray) -> float:
     """sum(p_i |y_i - y_hat_i|) / sum(p_i y_hat_i); denominator is forecasts."""
     y, y_hat, prices = (np.asarray(a, dtype=float) for a in (y, y_hat, prices))
     if not (y.shape == y_hat.shape == prices.shape):
         raise ValueError("weighted_mae: length mismatch")
     if y.size == 0:
         raise ValueError("weighted_mae: empty input")
-    denom = float(np.sum(prices * (y if normalize_by_actuals else y_hat)))
+    denom = float(np.sum(prices * y_hat))
     if denom <= 0:
         raise ValueError("weighted_mae: non-positive weighted volume in denominator")
     return float(np.sum(prices * np.abs(y - y_hat))) / denom
@@ -54,7 +48,6 @@ class SplitSpec:
     train_end: int
     valid_len: int
     test_len: int
-    horizon: int
 
     def __post_init__(self) -> None:
         if min(self.train_end, self.valid_len, self.test_len) < 1:

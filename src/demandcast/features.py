@@ -13,14 +13,12 @@ filler.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import Catalog, SalesPanel, launch_week
+from .core import Catalog, SalesPanel, launch_week, weeks_on_sale
 from .ingest import CovariateTable, RunConfig
 from .preprocess import SmoothedPanel
 from .seasonal import SeasonalityModel, trend_features
@@ -126,27 +124,6 @@ class CovariateView:
         return float("nan")
 
 
-def impute_future_covariates(
-    table: CovariateTable,
-    product_id: str,
-    target_week: int,
-    tau: int,
-    known_until: int | None = None,
-) -> dict[str, float]:
-    """Feature values usable for a forecast of target_week.
-
-    known_until bounds the observations imputation may draw on (defaults to
-    the week before the target).
-    """
-    if known_until is None:
-        known_until = target_week - 1
-    view = CovariateView(table, tau)
-    return {
-        key: view.value(key, product_id, target_week, known_until)
-        for key in table.feature_names()
-    }
-
-
 @dataclass
 class FeatureMatrix:
     """Rows keyed by (product_id, target_week); NaN marks missing cells."""
@@ -245,7 +222,7 @@ def build_matrix(
         if launch < 0 or launch > t_end:
             continue
         on_sale = panel.on_sale_mask[i]
-        sale_count = np.cumsum(on_sale)
+        sale_count = weeks_on_sale(on_sale)
         if mode == "train":
             weeks = [t for t in range(launch, t_end + 1) if on_sale[t]]
         else:
@@ -288,18 +265,3 @@ def build_matrix(
         targets=targets,
         life_at_forecast=np.array(life, dtype=np.int64),
     )
-
-
-def write_features(matrix: FeatureMatrix, path: str | Path) -> None:
-    """Audit dump of the assembled matrix."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["product_id", "target_week"] + matrix.columns
-        if matrix.targets is not None:
-            header.append("target")
-        writer.writerow(header)
-        for idx, (pid, week) in enumerate(matrix.keys):
-            row = [pid, week] + [repr(float(v)) for v in matrix.X[idx]]
-            if matrix.targets is not None:
-                row.append(repr(float(matrix.targets[idx])))
-            writer.writerow(row)

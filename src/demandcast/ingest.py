@@ -13,6 +13,7 @@ listed". Loading is deterministic and insensitive to row order.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -59,8 +60,19 @@ class RunConfig:
     override_bounds: bool = False
 
     def validate(self) -> None:
-        if self.horizon < 1:
-            raise SchemaError("horizon must be >= 1")
+        for name in ("cap_gamma", "learning_rate", "min_split_loss", "reg_lambda"):
+            if not math.isfinite(getattr(self, name)):
+                raise SchemaError(f"{name} must be finite")
+        for name in (
+            "horizon", "n_patterns", "early_stop_patience", "train_len", "valid_len",
+            "test_len", "rounds", "max_depth",
+        ):
+            if getattr(self, name) < 1:
+                raise SchemaError(f"{name} must be >= 1")
+        if self.learning_rate <= 0:
+            raise SchemaError("learning_rate must be positive")
+        if self.reg_lambda < 0:
+            raise SchemaError("reg_lambda must be >= 0")
         if self.season_period < 2:
             raise SchemaError("season_period must be >= 2")
         if self.hash_buckets < 2:
@@ -183,8 +195,8 @@ def load_catalog(path: str | Path) -> Catalog:
                 p = float(price_s)
             except ValueError:
                 raise SchemaError(f"{path}:{line_no}: bad price {price_s!r}") from None
-            if not p > 0:
-                raise SchemaError(f"{path}:{line_no}: non-positive price {price_s}")
+            if not 0 < p < math.inf:
+                raise SchemaError(f"{path}:{line_no}: price {price_s} is not positive and finite")
             if pid in category_of:
                 raise SchemaError(f"{path}:{line_no}: duplicate product {pid!r}")
             category_of[pid] = category
@@ -211,6 +223,8 @@ def load_covariates(path: str | Path, panel: SalesPanel | None = None) -> Covari
                 value = float(value_s)
             except ValueError:
                 raise SchemaError(f"{path}:{line_no}: bad week or value") from None
+            if not math.isfinite(value):
+                raise SchemaError(f"{path}:{line_no}: non-finite value {value_s!r}")
             predictable = _parse_bool(pred_s, str(path), line_no, "predictable")
             if key in table.predictable and table.predictable[key] != predictable:
                 raise SchemaError(f"{path}:{line_no}: inconsistent predictable flag for {key!r}")

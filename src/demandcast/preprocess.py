@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,8 +109,8 @@ def smooth_panel(panel: SalesPanel, window: int, gamma: float) -> SmoothedPanel:
 
     Statistics use the on-sale weeks among the window weeks t-window..t-1;
     with fewer than two such weeks no cap is applied and x = y. The panel
-    should already be fake-zero repaired. repaired_mask is left empty here;
-    preprocess_panel fills it from detection.
+    should already be fake-zero repaired. repaired_mask is all False here;
+    preprocess_panel returns a copy carrying the detection mask.
     """
     if window < 2:
         raise ValueError(f"smoothing window must be >= 2, got {window}")
@@ -160,8 +160,7 @@ def preprocess_panel(
     mask = detect_fake_zeros(panel)
     repaired = repair_fake_zeros(panel, mask)
     smoothed = smooth_panel(repaired, window, gamma)
-    smoothed.repaired_mask[:] = mask
-    return repaired, smoothed
+    return repaired, replace(smoothed, repaired_mask=mask)
 
 
 def write_smoothed(panel: SalesPanel, smoothed: SmoothedPanel, path: str | Path) -> None:

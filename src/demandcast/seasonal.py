@@ -19,6 +19,8 @@ from .core import Catalog, SalesPanel
 from .preprocess import SmoothedPanel
 
 MIN_YEAR_WEEKS = 4      # product-years with fewer on-sale weeks are too noisy
+KMEANS_MAX_ITER = 200
+KMEANS_RESTARTS = 8
 ANNUAL_WINDOW = 52
 LOCAL_WINDOW = 8
 MIN_ANNUAL_POINTS = 8
@@ -158,17 +160,15 @@ def cluster_seasonalities(
     variances: dict[str, np.ndarray],
     k: int,
     seed: int,
-    max_iter: int = 200,
-    n_init: int = 8,
 ) -> tuple[list[np.ndarray], dict[str, int]]:
     """Weighted k-means over category curves.
 
     Assignment uses plain Euclidean distance; centroid updates weight each
     category by 1 / (1 + mean variance), so noisy categories pull less.
     Centroids are renormalized to mean 1/tau at the end. Empty clusters are
-    re-seeded from the farthest point. The best of n_init restarts (lowest
-    weighted within-cluster cost) wins; the seed fixes every draw, so the
-    result is deterministic.
+    re-seeded from the farthest point. The best of KMEANS_RESTARTS restarts
+    (lowest weighted within-cluster cost) wins; the seed fixes every draw, so
+    the result is deterministic.
     """
     cats = sorted(curves)
     n = len(cats)
@@ -180,8 +180,8 @@ def cluster_seasonalities(
     rng = np.random.default_rng(seed)
     best_cost = np.inf
     best: tuple[np.ndarray, np.ndarray] | None = None
-    for _ in range(n_init):
-        centroids, assign = _kmeans_once(matrix, weights, k, rng, max_iter)
+    for _ in range(KMEANS_RESTARTS):
+        centroids, assign = _kmeans_once(matrix, weights, k, rng)
         cost = float(
             (weights * ((matrix - centroids[assign]) ** 2).sum(axis=1)).sum()
         )
@@ -198,12 +198,11 @@ def _kmeans_once(
     weights: np.ndarray,
     k: int,
     rng: np.random.Generator,
-    max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     n = matrix.shape[0]
     centroids = _kmeanspp_init(matrix, weights, k, rng)
     assign = np.full(n, -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dist = ((matrix[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         new_assign = dist.argmin(axis=1)
         for j in range(k):

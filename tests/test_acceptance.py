@@ -9,15 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from demandcast import gbt
-from demandcast.baselines import ESBaseline
+from demandcast import cli, gbt
 from demandcast.cli import main
 from demandcast.core import SalesPanel
 from demandcast.evaluation import weighted_mae, weighted_rmse
-from demandcast.features import build_matrix
 from demandcast.ingest import RunConfig
 from demandcast.preprocess import detect_fake_zeros, preprocess_panel, smooth_panel
-from demandcast.seasonal import fit_seasonality, product_seasonality, standardize_year
+from demandcast.seasonal import fit_seasonality, standardize_year
 from demandcast.synth import SynthSpec, generate_panel
 
 from .oracles import (
@@ -53,41 +51,20 @@ def study():
     )
     config.validate()
     panel, catalog, covariates, truth = generate_panel(spec)
-    repaired, smoothed = preprocess_panel(panel, config.smooth_window, config.cap_gamma)
-    seasonal_model = fit_seasonality(
-        smoothed, repaired, catalog, config.season_period, config.n_patterns,
-        config.seed, end_week=config.train_len,
+    repaired, smoothed = cli.preprocess(panel, config)
+    seasonal_model = cli.fit_seasonal(smoothed, repaired, catalog, config)
+    train_rows, valid_rows, test_rows = cli.split_matrices(
+        repaired, smoothed, catalog, seasonal_model, covariates, config
     )
-    full = build_matrix(
-        repaired, smoothed, catalog, seasonal_model, covariates, config,
-        t_end=panel.n_weeks - 1 - config.horizon, mode="train",
+    gbt_pred, booster, _ = cli.fit_forecast(
+        "gbt", 0, config, train_rows, valid_rows, test_rows, repaired, catalog
     )
-    target_week = np.array([w for _, w in full.keys])
-    train_rows = full.select(target_week < config.train_len)
-    valid_rows = full.select(
-        (target_week >= config.train_len) & (target_week < config.train_len + config.valid_len)
-    )
-    test_rows = full.select(target_week >= config.train_len + config.valid_len)
-
-    booster = gbt.train(train_rows, gbt.TrainParams.from_config(config), valid_rows)
-    gbt_pred = gbt.predict(booster, test_rows)
-
-    baseline = ESBaseline(repaired, catalog, train_end=config.train_len)
-    es_pred = np.empty(test_rows.n_rows)
-    es_fallback = np.zeros(test_rows.n_rows, dtype=bool)
-    for idx, (pid, week) in enumerate(test_rows.keys):
-        es_pred[idx], es_fallback[idx] = baseline.forecast(pid, week - config.horizon)
+    es_pred, es_fallback = cli.forecast_es(test_rows, repaired, catalog, config)
 
     prices = np.array([catalog.price[pid] for pid, _ in test_rows.keys])
     return {
-        "spec": spec,
-        "config": config,
         "panel": panel,
-        "catalog": catalog,
         "truth": truth,
-        "repaired": repaired,
-        "smoothed": smoothed,
-        "seasonal": seasonal_model,
         "booster": booster,
         "test_rows": test_rows,
         "gbt_pred": gbt_pred,

@@ -13,8 +13,7 @@ class TestFitForecast:
 
     def test_constant_series_fixed_point(self):
         for alpha in (0.1, 0.5, 1.0):
-            for horizon in (1, 6):
-                assert es_fit_forecast([5, 5, 5], alpha, horizon) == 5
+            assert es_fit_forecast([5, 5, 5], alpha) == 5
 
     def test_half_alpha(self):
         assert es_fit_forecast([0, 4], alpha=0.5) == 2.0
@@ -26,11 +25,6 @@ class TestFitForecast:
     def test_bad_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             es_fit_forecast([1.0], alpha=0.0)
-
-    def test_flat_in_horizon(self):
-        series = [3.0, 8.0, 1.0, 4.0]
-        values = {es_fit_forecast(series, 0.4, h) for h in range(1, 10)}
-        assert len(values) == 1
 
     def test_shift_equivariance(self):
         rng = np.random.default_rng(1)

@@ -89,11 +89,14 @@ class TestPipeline:
         assert "nope.csv" in capsys.readouterr().err
 
     def test_es_and_forest_models(self, data_dir, tmp_path):
-        for kind in ("es", "forest"):
+        for kind, detail in (("es", "es_fallback_rows"), ("forest", "n_trees")):
             out = tmp_path / kind
             code = main(pipeline_args(data_dir, out, "--model", kind, "--forest-trees", "10"))
             assert code == 0
             assert (out / "predictions.csv").exists()
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert isinstance(manifest[detail], int)
+            assert not (out / "model.json").exists()
 
     def test_cold_start_filter_reduces_rows(self, data_dir, tmp_path):
         out_all = tmp_path / "all"
@@ -147,6 +150,18 @@ class TestTrainPredict:
         assert code == 0
         lines = (out / "predictions.csv").read_text().splitlines()
         assert len(lines) > 1
+
+    def test_train_fits_the_pipeline_model(self, data_dir, tmp_path):
+        trained, piped = tmp_path / "train", tmp_path / "pipe"
+        train_args = pipeline_args(data_dir, trained)
+        train_args[0] = "train"
+        assert main(train_args) == 0
+        assert main(pipeline_args(data_dir, piped)) == 0
+        assert (trained / "model.json").read_bytes() == (piped / "model.json").read_bytes()
+        trained_manifest = json.loads((trained / "manifest.json").read_text())
+        piped_manifest = json.loads((piped / "manifest.json").read_text())
+        for key in ("best_round", "rounds_run", "train_rows", "valid_rows"):
+            assert trained_manifest[key] == piped_manifest[key]
 
 
 class TestEvaluateCommand:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from demandcast.core import Catalog, SalesPanel, launch_week, life_length, slice_history
+from demandcast.core import Catalog, SalesPanel, launch_week, weeks_on_sale
 
 
 def make_panel(y, on_sale=None, stock=None):
@@ -44,45 +44,14 @@ class TestSalesPanel:
 
 
 class TestLifeLength:
-    def test_contiguous_span(self):
-        on_sale = np.zeros((1, 10), dtype=bool)
-        on_sale[0, 3:8] = True
-        panel = make_panel(np.zeros((1, 10)), on_sale=on_sale)
-        assert life_length(panel, "p0") == 5
-
-    def test_never_on_sale(self):
-        panel = make_panel(np.zeros((1, 4)), on_sale=np.zeros((1, 4), bool))
-        assert life_length(panel, "p0") == 0
-
-    def test_gap_counts_toward_span(self):
-        panel = make_panel(np.zeros((1, 4)), on_sale=[[False, True, False, True]])
-        assert life_length(panel, "p0") == 3
-
     def test_launch_week(self):
         panel = make_panel(np.zeros((1, 4)), on_sale=[[False, True, False, True]])
         assert launch_week(panel, 0) == 1
 
-
-class TestSliceHistory:
-    def test_boundaries(self):
-        panel = make_panel([[2, 5, 0, 9]])
-        assert slice_history(panel, "p0", 0).tolist() == [2]
-        assert slice_history(panel, "p0", 3).tolist() == [2, 5, 0, 9]
-        assert slice_history(panel, "p0", 2).tolist() == [2, 5, 0]
-
-    def test_out_of_range(self):
-        panel = make_panel([[2, 5]])
-        with pytest.raises(ValueError):
-            slice_history(panel, "p0", 2)
-
-    def test_prefix_property(self):
-        rng = np.random.default_rng(0)
-        panel = make_panel(rng.integers(0, 9, size=(3, 12)))
-        for pid in panel.products:
-            for t in range(11):
-                shorter = slice_history(panel, pid, t)
-                longer = slice_history(panel, pid, t + 1)
-                assert np.array_equal(longer[: t + 1], shorter)
+    def test_weeks_on_sale_counts_listed_weeks_so_far(self):
+        on_sale = np.array([[False, True, False, True], [False, False, False, False]])
+        assert weeks_on_sale(on_sale).tolist() == [[0, 1, 1, 2], [0, 0, 0, 0]]
+        assert weeks_on_sale(on_sale[0]).tolist() == [0, 1, 1, 2]
 
 
 class TestCatalog:

@@ -56,10 +56,6 @@ class TestWeightedMae:
         value = weighted_mae([2, 2], [4, 4], [1, 1])
         assert value == pytest.approx(4 / 8)
 
-    def test_normalize_by_actuals_variant(self):
-        value = weighted_mae([2, 2], [4, 4], [1, 1], normalize_by_actuals=True)
-        assert value == pytest.approx(4 / 4)
-
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError, match="denominator"):
             weighted_mae([1, 1], [0, 0], [1, 1])
@@ -75,30 +71,30 @@ class TestWeightedMae:
 class TestTemporalSplit:
     def test_published_lengths(self):
         panel = make_panel(np.zeros((1, 199), dtype=np.int64))
-        spec = SplitSpec(train_end=170, valid_len=10, test_len=19, horizon=6)
+        spec = SplitSpec(train_end=170, valid_len=10, test_len=19)
         train, valid, test = temporal_split(panel, spec)
         assert (train, valid, test) == (range(0, 170), range(170, 180), range(180, 199))
 
     def test_smaller_panel(self):
         panel = make_panel(np.zeros((1, 30), dtype=np.int64))
-        train, valid, test = temporal_split(panel, SplitSpec(20, 5, 5, horizon=2))
+        train, valid, test = temporal_split(panel, SplitSpec(20, 5, 5))
         assert (train, valid, test) == (range(0, 20), range(20, 25), range(25, 30))
 
     def test_oversized_spec_rejected(self):
         panel = make_panel(np.zeros((1, 30), dtype=np.int64))
         with pytest.raises(ValueError):
-            temporal_split(panel, SplitSpec(25, 5, 5, horizon=2))
+            temporal_split(panel, SplitSpec(25, 5, 5))
 
     def test_disjoint_cover(self):
         panel = make_panel(np.zeros((1, 40), dtype=np.int64))
-        spec = SplitSpec(25, 6, 9, horizon=3)
+        spec = SplitSpec(25, 6, 9)
         train, valid, test = temporal_split(panel, spec)
         combined = list(train) + list(valid) + list(test)
         assert combined == list(range(40))
 
     def test_bad_lengths_rejected(self):
         with pytest.raises(ValueError):
-            SplitSpec(0, 5, 5, horizon=1)
+            SplitSpec(0, 5, 5)
 
 
 def volume_catalog(n):

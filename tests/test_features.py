@@ -4,10 +4,10 @@ import pytest
 from demandcast.core import Catalog
 from demandcast.features import (
     LAG_DEPTH,
+    CovariateView,
     build_matrix,
     fnv1a64,
     hash_encode,
-    impute_future_covariates,
     ordinal_encode,
 )
 from demandcast.ingest import CovariateTable, RunConfig
@@ -68,30 +68,27 @@ class TestImputation:
             predictable={"event": True, "weather": False, "price": False},
         )
 
+    def value(self, key, pid, target_week, known_until):
+        return CovariateView(self.table(), tau=4).value(key, pid, target_week, known_until)
+
     def test_known_future_passthrough(self):
-        values = impute_future_covariates(self.table(), "p1", 10, tau=4)
-        assert values["event"] == 1.0
+        assert self.value("event", "p1", 10, known_until=9) == 1.0
 
     def test_price_mean_of_past(self):
-        values = impute_future_covariates(self.table(), "p1", 8, tau=4)
-        assert values["price"] == pytest.approx(32 / 3)
+        assert self.value("price", "p1", 8, known_until=7) == pytest.approx(32 / 3)
 
     def test_weather_single_seasonal_observation(self):
-        values = impute_future_covariates(self.table(), "p1", 6, tau=4)  # position 2
-        assert values["weather"] == 20.0
+        assert self.value("weather", "p1", 6, known_until=5) == 20.0  # position 2
 
     def test_seasonal_mean_of_two(self):
         # target week 8 sits at position 0; weeks 0 and 4 are the past observations there
-        values = impute_future_covariates(self.table(), "p1", 8, tau=4)
-        assert values["weather"] == pytest.approx((12.0 + 14.0) / 2)
+        assert self.value("weather", "p1", 8, known_until=7) == pytest.approx((12.0 + 14.0) / 2)
 
     def test_cutoff_respected(self):
-        values = impute_future_covariates(self.table(), "p1", 8, tau=4, known_until=1)
-        assert values["price"] == pytest.approx(10.0)
+        assert self.value("price", "p1", 8, known_until=1) == pytest.approx(10.0)
 
     def test_absent_everything_is_nan(self):
-        values = impute_future_covariates(self.table(), "p9", 8, tau=4)
-        assert np.isnan(values["price"])
+        assert np.isnan(self.value("price", "p9", 8, known_until=7))
 
 
 def pipeline_inputs(n_weeks=30, n_products=3, seed=0, launches=None):
@@ -215,22 +212,6 @@ class TestBuildMatrix:
                 continue
             expected += int(on_sale[i, launches[0] : t_end + 1].sum())
         assert matrix.n_rows == expected
-
-    def test_audit_dump_round_trips_values(self, tmp_path):
-        from demandcast.features import write_features
-
-        _, repaired, smoothed, catalog, model = pipeline_inputs(n_weeks=20, n_products=2)
-        matrix = build_matrix(
-            repaired, smoothed, catalog, model, None, self.config(), t_end=13, mode="train"
-        )
-        path = tmp_path / "features.csv"
-        write_features(matrix, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].split(",") == ["product_id", "target_week"] + matrix.columns + ["target"]
-        assert len(lines) == matrix.n_rows + 1
-        first = lines[1].split(",")
-        assert first[0] == matrix.keys[0][0]
-        assert float(first[-1]) == matrix.targets[0]
 
     def test_no_leakage_under_truncation(self):
         """Features for week t rebuilt from data up to t match the full build."""

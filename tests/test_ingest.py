@@ -77,6 +77,11 @@ class TestLoadCatalog:
         with pytest.raises(SchemaError, match="price"):
             ingest.load_catalog(path)
 
+    def test_infinite_price_rejected(self, tmp_path):
+        path = write(tmp_path, "catalog.csv", "product_id,category_id,price\np1,toys,3\np2,toys,inf\n")
+        with pytest.raises(SchemaError, match=r"catalog\.csv:3: price inf"):
+            ingest.load_catalog(path)
+
     def test_missing_category_rejected(self, tmp_path):
         path = write(tmp_path, "catalog.csv", "product_id,category_id,price\np1,,3\n")
         with pytest.raises(SchemaError, match="category"):
@@ -96,6 +101,14 @@ class TestLoadCovariates:
         assert table.temporal["event"][3] == 1.0
         assert table.mixed["price"][("p1", 2)] == 9.5
         assert table.predictable == {"event": True, "price": False}
+
+    @pytest.mark.parametrize(
+        "row", ["temporal,event,3,,nan,1", "temporal,event,3,,inf,0", "mixed,price,2,p1,-inf,0"]
+    )
+    def test_non_finite_value_rejected(self, tmp_path, row):
+        path = write(tmp_path, "cov.csv", self.HEADER + "temporal,event,1,,1.0,1\n" + row + "\n")
+        with pytest.raises(SchemaError, match=r"cov\.csv:3: non-finite value"):
+            ingest.load_covariates(path)
 
     def test_temporal_with_product_rejected(self, tmp_path):
         path = write(tmp_path, "cov.csv", self.HEADER + "temporal,event,3,p1,1.0,1\n")
@@ -124,6 +137,29 @@ class TestLoadConfig:
     def test_override_allows_wide_values(self, tmp_path):
         path = write(tmp_path, "c.cfg", "learning_rate = 0.5\noverride_bounds = true\n")
         assert ingest.load_config(path).learning_rate == 0.5
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "cap_gamma = nan",
+            "reg_lambda = inf",
+            "learning_rate = nan\noverride_bounds = true",
+            "min_split_loss = nan\noverride_bounds = true",
+            "reg_lambda = -5",
+            "n_patterns = 0",
+            "early_stop_patience = 0",
+            "train_len = 0",
+            "valid_len = -1",
+            "test_len = 0",
+            "rounds = 0\noverride_bounds = true",
+            "max_depth = 0\noverride_bounds = true",
+            "learning_rate = 0\noverride_bounds = true",
+        ],
+    )
+    def test_bad_values_rejected(self, tmp_path, text):
+        key = text.split(" ", 1)[0]
+        with pytest.raises(SchemaError, match=key):
+            ingest.load_config(write(tmp_path, "c.cfg", text + "\n"))
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(SchemaError, match="unknown config key"):
