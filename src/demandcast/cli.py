@@ -460,6 +460,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "pipeline" and (args.sales is None) != (args.catalog is None):
         parser.error("--sales and --catalog must be given together")
+    if args.command == "pipeline" and args.forest_trees < 1:
+        parser.error(f"--forest-trees must be >= 1, got {args.forest_trees}")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - last-resort diagnostic

@@ -7,6 +7,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,8 +89,8 @@ class Catalog:
 
     def __post_init__(self) -> None:
         for pid, p in self.price.items():
-            if not p > 0:
-                raise ValueError(f"non-positive price for product {pid!r}: {p}")
+            if not (p > 0 and math.isfinite(p)):
+                raise ValueError(f"non-positive or non-finite price for product {pid!r}: {p}")
         missing = set(self.price) - set(self.category_of)
         if missing:
             raise ValueError(f"products without a category: {sorted(missing)[:5]}")
@@ -120,7 +121,6 @@ def weeks_on_sale(on_sale: np.ndarray) -> np.ndarray:
     return np.cumsum(on_sale, axis=-1)
 
 
-def launch_week(panel: SalesPanel, row: int) -> int:
-    """First on-sale week index for a panel row, or -1 if never on sale."""
-    weeks = np.flatnonzero(panel.on_sale_mask[row])
-    return int(weeks[0]) if weeks.size else -1
+def launch_weeks(on_sale: np.ndarray) -> np.ndarray:
+    """First on-sale week along the last axis, -1 where never on sale."""
+    return np.where(on_sale.any(axis=-1), on_sale.argmax(axis=-1), -1)

@@ -9,16 +9,29 @@ the gap that promotions and events explain on top of the normal level.
 Missing values are carried as NaN and resolved by the trees' per-split
 default direction; zero is a meaningful sales value and is never used as a
 filler.
+
+The matrix is built in whole-panel array passes, never row by row. Rows are
+the on-sale (product, week) cells up to the cutoff, product-major and week
+ascending, taken from np.nonzero of the on-sale mask. Lags are gathers
+masked by the launch week; season, price and categorical codes are looked
+up once per product and broadcast; covariates are searchsorted lookups into
+sorted (group, week) keys, with imputed means taken from running sums that
+add each group's values in week order. Trend slopes reduce C-contiguous
+(rows, window length) blocks along their last axis (seasonal.trend_features).
+Every cell equals the one-row-at-a-time definition in tests/oracles.py
+(rowwise_build_matrix) bit for bit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
-from .core import Catalog, SalesPanel, launch_week, weeks_on_sale
+from .core import Catalog, SalesPanel, launch_weeks, weeks_on_sale
 from .ingest import CovariateTable, RunConfig
 from .preprocess import SmoothedPanel
 from .seasonal import SeasonalityModel, trend_features
@@ -59,69 +72,108 @@ def hash_encode(value: str, buckets: int) -> int:
     return fnv1a64(value.encode("utf-8")) % buckets
 
 
+class _KeyedSeries:
+    """Values keyed by (group, week), with each group's running sum in week order.
+
+    Weeks are unique within a group. Keys are group * stride + week rank + 1,
+    so one sorted key array serves every group and a group's keys stay in
+    (group * stride, (group + 1) * stride).
+    """
+
+    def __init__(self, groups: np.ndarray, weeks: np.ndarray, values: np.ndarray):
+        ordered = np.sort(weeks)  # distinct weeks; np.unique would import numpy.ma
+        self.week_ids = np.concatenate((ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]))
+        self.stride = self.week_ids.size + 1
+        keys = groups * self.stride + np.searchsorted(self.week_ids, weeks) + 1
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        self.values = values[order]
+        self._groups = groups[order]
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        """Running sum within each group; np.cumsum adds sequentially, so
+        these are the sums of a cumsum over that group alone."""
+        bounds = np.flatnonzero(np.diff(self._groups)) + 1
+        return np.concatenate([np.cumsum(part) for part in np.split(self.values, bounds)])
+
+    def at(self, groups: np.ndarray, weeks: np.ndarray) -> np.ndarray:
+        """The value recorded at each (group, week); NaN where none is."""
+        out = np.full(groups.size, np.nan)
+        if not self.keys.size:
+            return out
+        rank = np.searchsorted(self.week_ids, weeks)
+        known = self.week_ids[np.minimum(rank, self.week_ids.size - 1)] == weeks
+        keys = groups * self.stride + rank + 1
+        pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        found = known & (self.keys[pos] == keys)
+        out[found] = self.values[pos[found]]
+        return out
+
+    def mean_upto(self, groups: np.ndarray, cutoffs: np.ndarray) -> np.ndarray:
+        """Mean of each group's values at weeks <= cutoff; NaN where there are none."""
+        out = np.full(groups.size, np.nan)
+        base = groups * self.stride
+        end = np.searchsorted(
+            self.keys, base + np.searchsorted(self.week_ids, cutoffs, side="right"), side="right"
+        )
+        count = end - np.searchsorted(self.keys, base, side="right")
+        seen = count > 0
+        out[seen] = self.sums[end[seen] - 1] / count[seen]
+        return out
+
+
 class CovariateView:
-    """Covariate lookups with leakage-safe imputation.
+    """Covariate columns with leakage-safe imputation.
 
     known_future features pass through their recorded value at the target
     week. Unpredictable temporal features take the mean of values observed
     at the same seasonal position up to the knowledge cutoff (falling back
     to the overall observed mean); unpredictable mixed features take the
     mean of the product's own observed past. NaN when nothing is observed.
+    Products are addressed by their position in `products`; mixed entries
+    of other products are ignored.
     """
 
-    def __init__(self, table: CovariateTable, tau: int):
+    def __init__(self, table: CovariateTable, tau: int, products: Sequence[str]):
         self.table = table
         self.tau = tau
-        self._temporal: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._temporal_by_pos: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
+        self._temporal: dict[str, tuple[_KeyedSeries, _KeyedSeries | None]] = {}
         for key, series in table.temporal.items():
-            weeks = np.array(sorted(series), dtype=np.int64)
-            values = np.array([series[w] for w in weeks])
-            self._temporal[key] = (weeks, np.cumsum(values))
-            by_pos: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            for pos in set(weeks % tau):
-                sel = weeks % tau == pos
-                by_pos[int(pos)] = (weeks[sel], np.cumsum(values[sel]))
-            self._temporal_by_pos[key] = by_pos
-        self._mixed: dict[str, dict[str, tuple[np.ndarray, np.ndarray]]] = {}
+            weeks = np.fromiter(series, np.int64, len(series))
+            values = np.fromiter(series.values(), float, len(series))
+            overall = _KeyedSeries(np.zeros_like(weeks), weeks, values)
+            by_pos = None
+            if not table.predictable.get(key, True):
+                by_pos = _KeyedSeries(weeks % tau, weeks, values)
+            self._temporal[key] = (overall, by_pos)
+        index = {pid: i for i, pid in enumerate(products)}
+        self._mixed: dict[str, _KeyedSeries] = {}
         for key, series in table.mixed.items():
-            per_pid: dict[str, list[tuple[int, float]]] = {}
-            for (pid, week), value in series.items():
-                per_pid.setdefault(pid, []).append((week, value))
-            self._mixed[key] = {}
-            for pid, pairs in per_pid.items():
-                pairs.sort()
-                weeks = np.array([w for w, _ in pairs], dtype=np.int64)
-                values = np.array([v for _, v in pairs])
-                self._mixed[key][pid] = (weeks, np.cumsum(values))
+            rows = np.fromiter((index.get(pid, -1) for pid, _ in series), np.int64, len(series))
+            weeks = np.fromiter((week for _, week in series), np.int64, len(series))
+            values = np.fromiter(series.values(), float, len(series))
+            keep = rows >= 0
+            self._mixed[key] = _KeyedSeries(rows[keep], weeks[keep], values[keep])
 
-    @staticmethod
-    def _mean_upto(weeks: np.ndarray, sums: np.ndarray, cutoff: int) -> float:
-        idx = bisect_right(weeks, cutoff)
-        if idx == 0:
-            return float("nan")
-        return float(sums[idx - 1]) / idx
-
-    def value(self, key: str, product_id: str, target_week: int, known_until: int) -> float:
-        predictable = self.table.predictable.get(key, True)
-        if key in self.table.temporal:
-            if predictable:
-                return self.table.temporal[key].get(target_week, float("nan"))
-            by_pos = self._temporal_by_pos[key].get(target_week % self.tau)
-            if by_pos is not None:
-                mean = self._mean_upto(by_pos[0], by_pos[1], known_until)
-                if not np.isnan(mean):
-                    return mean
-            weeks, sums = self._temporal[key]
-            return self._mean_upto(weeks, sums, known_until)
-        if key in self.table.mixed:
-            if predictable:
-                return self.table.mixed[key].get((product_id, target_week), float("nan"))
-            entry = self._mixed[key].get(product_id)
-            if entry is None:
-                return float("nan")
-            return self._mean_upto(entry[0], entry[1], known_until)
-        return float("nan")
+    def column(
+        self, key: str, rows: np.ndarray, target_weeks: np.ndarray, known_until: np.ndarray
+    ) -> np.ndarray:
+        """Feature `key` for product rows[k] at target_weeks[k], knowing weeks <= known_until[k]."""
+        if key in self._temporal:
+            overall, by_pos = self._temporal[key]
+            if by_pos is None:  # known future
+                return overall.at(np.zeros_like(target_weeks), target_weeks)
+            out = by_pos.mean_upto(target_weeks % self.tau, known_until)
+            unseen = np.isnan(out)
+            out[unseen] = overall.mean_upto(np.zeros(int(unseen.sum()), np.int64), known_until[unseen])
+            return out
+        if key in self._mixed:
+            series = self._mixed[key]
+            if self.table.predictable.get(key, True):
+                return series.at(rows, target_weeks)
+            return series.mean_upto(rows, known_until)
+        return np.full(rows.size, np.nan)
 
 
 @dataclass
@@ -143,9 +195,8 @@ class FeatureMatrix:
         return self.X.shape[0]
 
     def select(self, mask: np.ndarray) -> "FeatureMatrix":
-        keys = [k for k, keep in zip(self.keys, mask) if keep]
         return FeatureMatrix(
-            keys=keys,
+            keys=list(compress(self.keys, mask.tolist())),
             columns=self.columns,
             X=self.X[mask],
             targets=None if self.targets is None else self.targets[mask],
@@ -182,6 +233,8 @@ def build_matrix(
     if mode == "predict" and not 0 <= t_end < t_count:
         raise ValueError(f"t_end {t_end} outside the panel")
     catalog.validate_covers(panel)
+    if config.with_seasonality and seasonal_model is None:
+        raise ValueError("seasonality enabled but no model supplied")
 
     attr_cols = _categorical_columns(catalog)
     cov_names = covariates.feature_names() if covariates is not None else []
@@ -212,56 +265,52 @@ def build_matrix(
         def encode(column: str, value: str) -> float:
             return float(hash_encode(f"{column}={value}", config.hash_buckets))
 
-    view = CovariateView(covariates, config.season_period) if covariates is not None else None
-
-    rows: list[list[float]] = []
-    keys: list[tuple[str, int]] = []
-    life: list[int] = []
-    for i, pid in enumerate(panel.products):
-        launch = launch_week(panel, i)
-        if launch < 0 or launch > t_end:
-            continue
-        on_sale = panel.on_sale_mask[i]
-        sale_count = weeks_on_sale(on_sale)
-        if mode == "train":
-            weeks = [t for t in range(launch, t_end + 1) if on_sale[t]]
-        else:
-            weeks = [t_end] if on_sale[t_end] else []
-        cat_value = encode("category", catalog.category_of[pid])
-        attr_values = [
-            encode(f"attr_{name}", catalog.attributes.get(pid, {}).get(name, ""))
-            for name in attr_cols
-        ]
-        price = catalog.price[pid]
-        for t in weeks:
-            target_week = t + h
-            row = [
-                float(smoothed.x[i, t - j]) if t - j >= launch else float("nan")
-                for j in range(LAG_DEPTH)
-            ]
-            row.extend(trend_features(smoothed, panel, pid, t))
-            if config.with_seasonality:
-                if seasonal_model is None:
-                    raise ValueError("seasonality enabled but no model supplied")
-                row.append(seasonal_model.value_at(pid, target_week))
-            row.append(float(t - launch))
-            row.append(price)
-            row.append(cat_value)
-            row.extend(attr_values)
-            if view is not None:
-                row.extend(view.value(name, pid, target_week, t) for name in cov_names)
-            rows.append(row)
-            keys.append((pid, target_week))
-            life.append(int(sale_count[t]))
-
-    x = np.array(rows, dtype=float) if rows else np.empty((0, len(columns)))
-    targets: np.ndarray | None = None
+    on_sale = panel.on_sale_mask
     if mode == "train":
-        targets = np.array([panel.y[panel.row(pid), tw] for pid, tw in keys], dtype=float)
+        rows, weeks = np.nonzero(on_sale[:, : t_end + 1])
+    else:
+        rows = np.flatnonzero(on_sale[:, t_end])
+        weeks = np.full(rows.size, t_end)
+    target_weeks = weeks + h
+    launch = launch_weeks(on_sale)[rows]
+
+    x = np.empty((rows.size, len(columns)))
+    for j in range(LAG_DEPTH):
+        lagged = weeks - j
+        kept = lagged >= launch
+        x[:, j] = np.nan
+        x[kept, j] = smoothed.x[rows[kept], lagged[kept]]
+    col = LAG_DEPTH
+    annual, local = trend_features(smoothed, panel, rows, weeks)
+    x[:, col] = annual
+    x[:, col + 1] = local
+    col += 2
+    if config.with_seasonality:
+        x[:, col] = seasonal_model.values_at(panel.products, rows, target_weeks)
+        col += 1
+    x[:, col] = weeks - launch
+    x[:, col + 1] = np.array([catalog.price[pid] for pid in panel.products], dtype=float)[rows]
+    col += 2
+    categorical = {"category": [catalog.category_of[pid] for pid in panel.products]}
+    for name in attr_cols:
+        categorical[f"attr_{name}"] = [
+            catalog.attributes.get(pid, {}).get(name, "") for pid in panel.products
+        ]
+    for column, values in categorical.items():
+        codes = {value: encode(column, value) for value in set(values)}
+        x[:, col] = np.array([codes[value] for value in values])[rows]
+        col += 1
+    if covariates is not None:
+        view = CovariateView(covariates, config.season_period, panel.products)
+        for name in cov_names:
+            x[:, col] = view.column(name, rows, target_weeks, weeks)
+            col += 1
+
+    products = np.array(panel.products, dtype=object)
     return FeatureMatrix(
-        keys=keys,
+        keys=list(zip(products[rows].tolist(), target_weeks.tolist())),
         columns=columns,
         X=x,
-        targets=targets,
-        life_at_forecast=np.array(life, dtype=np.int64),
+        targets=panel.y[rows, target_weeks].astype(float) if mode == "train" else None,
+        life_at_forecast=weeks_on_sale(on_sale)[rows, weeks],
     )

@@ -538,6 +538,8 @@ def train_forest(matrix: FeatureMatrix, params: ForestParams, seed: int) -> Fore
     split; both draws come from one seeded generator, so results are
     reproducible.
     """
+    if params.n_trees < 1:
+        raise ValueError(f"a forest needs at least one tree, got n_trees={params.n_trees}")
     if matrix.n_rows == 0:
         raise ValueError("cannot train on an empty matrix")
     if matrix.targets is None:

@@ -73,6 +73,8 @@ class RunConfig:
             raise SchemaError("learning_rate must be positive")
         if self.reg_lambda < 0:
             raise SchemaError("reg_lambda must be >= 0")
+        if self.min_split_loss < 0:
+            raise SchemaError("min_split_loss must be >= 0")
         if self.season_period < 2:
             raise SchemaError("season_period must be >= 2")
         if self.hash_buckets < 2:

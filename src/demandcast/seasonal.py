@@ -10,12 +10,13 @@ seasonal feature available from the first week a product is listed.
 from __future__ import annotations
 
 import csv
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import Catalog, SalesPanel
+from .core import Catalog, SalesPanel, weeks_on_sale
 from .preprocess import SmoothedPanel
 
 MIN_YEAR_WEEKS = 4      # product-years with fewer on-sale weeks are too noisy
@@ -25,6 +26,7 @@ ANNUAL_WINDOW = 52
 LOCAL_WINDOW = 8
 MIN_ANNUAL_POINTS = 8
 MIN_LOCAL_POINTS = 3
+GATHER_ELEMENTS = 1 << 14  # cells per gathered trend-window block; bounds its temporaries
 
 
 def standardize_year(x_year: np.ndarray, on_sale: np.ndarray) -> np.ndarray:
@@ -242,9 +244,14 @@ class SeasonalityModel:
             return self.global_pattern
         return self.patterns[idx]
 
-    def value_at(self, product_id: str, week: int) -> float:
-        pattern = product_seasonality(product_id, self)
-        return float(pattern[week % self.tau])
+    def values_at(
+        self, products: Sequence[str], rows: np.ndarray, weeks: np.ndarray
+    ) -> np.ndarray:
+        """Pattern value of products[rows[k]] at week weeks[k], wrapping with the period."""
+        table = np.empty((len(products), self.tau))
+        for i, pid in enumerate(products):
+            table[i] = product_seasonality(pid, self)
+        return table[rows, weeks % self.tau]
 
 
 def product_seasonality(product_id: str, model: SeasonalityModel) -> np.ndarray:
@@ -289,40 +296,70 @@ def fit_seasonality(
 
 
 def trend_features(
-    smoothed: SmoothedPanel, panel: SalesPanel, product_id: str, t: int
-) -> tuple[float, float]:
-    """Normalized (annual, local) level slopes at week t.
+    smoothed: SmoothedPanel, panel: SalesPanel, rows: np.ndarray, weeks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized (annual, local) level slopes of panel row rows[k] at week weeks[k].
 
     Each slope is the least-squares slope of x over the on-sale weeks in the
     trailing window, divided by the mean level there; 0 when the window has
     too few points or a zero mean. Units are fraction of level per week.
     """
-    i = panel.row(product_id)
-    if not 0 <= t < smoothed.n_weeks:
-        raise ValueError(f"week {t} outside panel range")
-    annual = _window_slope(smoothed.x[i], panel.on_sale_mask[i], t, ANNUAL_WINDOW, MIN_ANNUAL_POINTS)
-    local = _window_slope(smoothed.x[i], panel.on_sale_mask[i], t, LOCAL_WINDOW, MIN_LOCAL_POINTS)
+    rows = np.asarray(rows, dtype=np.int64)
+    weeks = np.asarray(weeks, dtype=np.int64)
+    if weeks.size and not (0 <= weeks.min() and weeks.max() < smoothed.n_weeks):
+        raise ValueError("week outside panel range")
+    on_sale = panel.on_sale_mask
+    annual = _window_slopes(smoothed.x, on_sale, rows, weeks, ANNUAL_WINDOW, MIN_ANNUAL_POINTS)
+    local = _window_slopes(smoothed.x, on_sale, rows, weeks, LOCAL_WINDOW, MIN_LOCAL_POINTS)
     return annual, local
 
 
-def _window_slope(
-    x: np.ndarray, on_sale: np.ndarray, t: int, window: int, min_points: int
-) -> float:
-    lo = max(0, t - window)
-    weeks = np.flatnonzero(on_sale[lo : t + 1]) + lo
-    if weeks.size < min_points:
-        return 0.0
-    values = x[weeks]
-    mean_level = float(values.mean())
-    if mean_level == 0.0:
-        return 0.0
+def _window_slopes(
+    x: np.ndarray,
+    on_sale: np.ndarray,
+    rows: np.ndarray,
+    weeks: np.ndarray,
+    window: int,
+    min_points: int,
+) -> np.ndarray:
+    """Slope over the on-sale weeks in [t - window, t] for each (row, t).
+
+    Rows are grouped by how many weeks their window holds, so each group is a
+    C-contiguous (rows, k) block and every reduction runs along its last
+    axis: numpy then sums each row exactly as it sums a length-k vector, and
+    the slopes match a one-window-at-a-time evaluation bit for bit.
+    Prefix-sum differences would be cheaper but round differently, and
+    would turn exact-zero slopes into +-1e-17.
+    """
+    out = np.zeros(rows.size)
+    if not rows.size:
+        return out
+    counts = weeks_on_sale(on_sale)
+    listed = np.nonzero(on_sale)[1]  # on-sale weeks, product-major
+    first = np.cumsum(counts[:, -1]) - counts[:, -1]  # where each product's weeks begin
+    lo = np.maximum(weeks - window, 0)
+    before = np.where(lo > 0, counts[rows, lo - 1], 0)
+    sizes = counts[rows, weeks] - before
+    starts = first[rows] + before
+    for k in range(min_points, window + 2):
+        group = np.flatnonzero(sizes == k)
+        step = max(1, GATHER_ELEMENTS // k)
+        for offset in range(0, group.size, step):
+            part = group[offset : offset + step]
+            window_weeks = listed[starts[part, None] + np.arange(k)]
+            out[part] = _block_slopes(window_weeks, x[rows[part, None], window_weeks])
+    return out
+
+
+def _block_slopes(weeks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    mean_level = values.mean(axis=1)
     w = weeks.astype(float)
-    w_centered = w - w.mean()
-    denom = float((w_centered**2).sum())
-    if denom == 0.0:
-        return 0.0
-    slope = float((w_centered * (values - values.mean())).sum()) / denom
-    return slope / mean_level
+    w_centered = w - w.mean(axis=1, keepdims=True)
+    denom = (w_centered**2).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = (w_centered * (values - mean_level[:, None])).sum(axis=1) / denom
+        normalized = slope / mean_level
+    return np.where((mean_level == 0.0) | (denom == 0.0), 0.0, normalized)
 
 
 def write_seasonality(model: SeasonalityModel, path: str | Path) -> None:

@@ -17,9 +17,17 @@ def scalar_smooth(y, on_sale, window, gamma):
     Returns (x, capped) lists. Statistics cover the on-sale weeks among the
     window weeks strictly before t; fewer than two such weeks means no cap.
     """
+    x, capped, _, _ = scalar_smooth_stats(y, on_sale, window, gamma)
+    return x, capped
+
+
+def scalar_smooth_stats(y, on_sale, window, gamma):
+    """scalar_smooth plus the rolling mean and std lists (NaN where undefined)."""
     t_count = len(y)
     x = [float(v) for v in y]
     capped = [False] * t_count
+    means = [math.nan] * t_count
+    stds = [math.nan] * t_count
     for t in range(t_count):
         obs = []
         for s in range(max(0, t - window), t):
@@ -29,11 +37,14 @@ def scalar_smooth(y, on_sale, window, gamma):
             continue
         mean = sum(obs) / len(obs)
         var = sum((v - mean) ** 2 for v in obs) / len(obs)
-        cap = mean + gamma * math.sqrt(var)
+        std = math.sqrt(var)
+        means[t] = mean
+        stds[t] = std
+        cap = mean + gamma * std
         if float(y[t]) > cap:
             x[t] = cap
             capped[t] = True
-    return x, capped
+    return x, capped, means, stds
 
 
 def finite_diff_grad_hess(loss_fn, y, raw, eps=1e-5, eps_h=1e-3):
@@ -208,3 +219,130 @@ def brute_force_two_partition(curves: np.ndarray, weights: np.ndarray):
             best_cost = cost
             best_mask = mask
     return best_mask
+
+
+def _running_mean(pairs, cutoff):
+    """Mean of the values whose week is <= cutoff, added in week order; NaN if none."""
+    values = [value for week, value in sorted(pairs) if week <= cutoff]
+    if not values:
+        return math.nan
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    return total / len(values)
+
+
+def rowwise_covariate(table, key, pid, target_week, known_until, tau):
+    """One covariate cell by the documented imputation rule."""
+    predictable = table.predictable.get(key, True)
+    if key in table.temporal:
+        series = table.temporal[key]
+        if predictable:
+            return series.get(target_week, math.nan)
+        same_position = [(w, v) for w, v in series.items() if w % tau == target_week % tau]
+        mean = _running_mean(same_position, known_until)
+        if math.isnan(mean):
+            mean = _running_mean(series.items(), known_until)
+        return mean
+    if key in table.mixed:
+        series = table.mixed[key]
+        if predictable:
+            return series.get((pid, target_week), math.nan)
+        return _running_mean([(w, v) for (p, w), v in series.items() if p == pid], known_until)
+    return math.nan
+
+
+def rowwise_window_slope(x_row, on_sale_row, t, window, min_points):
+    """Normalized trend slope at week t, one window at a time.
+
+    The reductions are numpy's 1-D ones on purpose: they define the values
+    the whole-panel trend features must reproduce bit for bit.
+    """
+    lo = max(0, t - window)
+    weeks = np.flatnonzero(on_sale_row[lo : t + 1]) + lo
+    if weeks.size < min_points:
+        return 0.0
+    values = x_row[weeks]
+    mean_level = float(values.mean())
+    if mean_level == 0.0:
+        return 0.0
+    w = weeks.astype(float)
+    w_centered = w - w.mean()
+    denom = float((w_centered**2).sum())
+    if denom == 0.0:
+        return 0.0
+    slope = float((w_centered * (values - values.mean())).sum()) / denom
+    return slope / mean_level
+
+
+def rowwise_build_matrix(
+    panel, smoothed, catalog, seasonal_model, covariates, config, t_end, mode,
+    lag_depth, annual=(52, 8), local=(8, 3),
+):
+    """Per-row feature matrix: (keys, columns, X, targets, life_at_forecast).
+
+    Rows are (product, on-sale week t <= t_end) in product-major, week
+    ascending order (predict mode: week t_end only). Categorical codes come
+    from sorted distinct values (unseen value -> count) or FNV-1a buckets;
+    annual/local are (window, min points) of the two trend slopes.
+    """
+    h = config.horizon
+    attr_names = sorted({k for attrs in catalog.attributes.values() for k in attrs})
+    cov_names = sorted(covariates.temporal) + sorted(covariates.mixed) if covariates else []
+    columns = [f"lag_{j}" for j in range(lag_depth)] + ["trend_annual", "trend_local"]
+    if config.with_seasonality:
+        columns.append("season")
+    columns += ["weeks_since_launch", "price", "category"]
+    columns += [f"attr_{name}" for name in attr_names] + [f"cov_{name}" for name in cov_names]
+
+    def attr_value(pid, name):
+        return catalog.attributes.get(pid, {}).get(name, "")
+
+    ordinal = {"category": sorted(set(catalog.category_of.values()))}
+    for name in attr_names:
+        ordinal[f"attr_{name}"] = sorted({attr_value(pid, name) for pid in catalog.price})
+
+    def encode(column, value):
+        if config.encoding == "hashing":
+            return float(fnv1a64_reference(f"{column}={value}".encode()) % config.hash_buckets)
+        ids = ordinal[column]
+        return float(ids.index(value) if value in ids else len(ids))
+
+    def season(pid, week):
+        cat = seasonal_model.category_of.get(pid)
+        if cat is None or cat not in seasonal_model.assignment:
+            pattern = seasonal_model.global_pattern
+        else:
+            pattern = seasonal_model.patterns[seasonal_model.assignment[cat]]
+        return float(pattern[week % seasonal_model.tau])
+
+    keys, rows, targets, life = [], [], [], []
+    for i, pid in enumerate(panel.products):
+        listed = [t for t in range(panel.n_weeks) if panel.on_sale_mask[i, t]]
+        if not listed or listed[0] > t_end:
+            continue
+        launch = listed[0]
+        weeks = [t for t in listed if t <= t_end] if mode == "train" else [t_end] if t_end in listed else []
+        for t in weeks:
+            row = [
+                float(smoothed.x[i, t - j]) if t - j >= launch else math.nan
+                for j in range(lag_depth)
+            ]
+            for window, min_points in (annual, local):
+                row.append(rowwise_window_slope(smoothed.x[i], panel.on_sale_mask[i], t, window, min_points))
+            if config.with_seasonality:
+                row.append(season(pid, t + h))
+            row += [float(t - launch), float(catalog.price[pid])]
+            row.append(encode("category", catalog.category_of[pid]))
+            row += [encode(f"attr_{name}", attr_value(pid, name)) for name in attr_names]
+            row += [
+                rowwise_covariate(covariates, name, pid, t + h, t, config.season_period)
+                for name in cov_names
+            ]
+            rows.append(row)
+            keys.append((pid, t + h))
+            life.append(sum(1 for s in listed if s <= t))
+            if mode == "train":
+                targets.append(float(panel.y[i, t + h]))
+    x = np.array(rows, dtype=float).reshape(len(rows), len(columns))
+    return keys, columns, x, np.array(targets) if mode == "train" else None, np.array(life)

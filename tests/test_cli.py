@@ -227,3 +227,11 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["synth"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("trees", ["0", "-3"])
+    def test_forest_without_trees_exits_one(self, tmp_path, trees):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["pipeline", "--out-dir", str(out), "--model", "forest", "--forest-trees", trees])
+        assert err.value.code == 1
+        assert not out.exists()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from demandcast.core import Catalog, SalesPanel, launch_week, weeks_on_sale
+from demandcast.core import Catalog, SalesPanel, launch_weeks, weeks_on_sale
 
 
 def make_panel(y, on_sale=None, stock=None):
@@ -45,8 +45,9 @@ class TestSalesPanel:
 
 class TestLifeLength:
     def test_launch_week(self):
-        panel = make_panel(np.zeros((1, 4)), on_sale=[[False, True, False, True]])
-        assert launch_week(panel, 0) == 1
+        on_sale = np.array([[False, True, False, True], [False, False, False, False]])
+        assert launch_weeks(on_sale).tolist() == [1, -1]
+        assert launch_weeks(on_sale[0]) == 1
 
     def test_weeks_on_sale_counts_listed_weeks_so_far(self):
         on_sale = np.array([[False, True, False, True], [False, False, False, False]])
@@ -64,6 +65,11 @@ class TestCatalog:
     def test_nonpositive_price(self):
         with pytest.raises(ValueError, match="price"):
             Catalog({"a": "x"}, {"a": 0.0}, {})
+
+    @pytest.mark.parametrize("price", [float("inf"), float("nan")])
+    def test_nonfinite_price(self, price):
+        with pytest.raises(ValueError, match="price"):
+            Catalog({"a": "x"}, {"a": price}, {})
 
     def test_missing_category(self):
         with pytest.raises(ValueError, match="category"):

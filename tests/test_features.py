@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from demandcast import seasonal
 from demandcast.core import Catalog
 from demandcast.features import (
     LAG_DEPTH,
@@ -14,7 +15,7 @@ from demandcast.ingest import CovariateTable, RunConfig
 from demandcast.preprocess import preprocess_panel
 from demandcast.seasonal import fit_seasonality
 
-from .oracles import fnv1a64_reference
+from .oracles import fnv1a64_reference, rowwise_build_matrix
 from .test_core import make_panel
 
 # frozen reference: independent FNV-1a implementation, computed once
@@ -69,7 +70,9 @@ class TestImputation:
         )
 
     def value(self, key, pid, target_week, known_until):
-        return CovariateView(self.table(), tau=4).value(key, pid, target_week, known_until)
+        view = CovariateView(self.table(), tau=4, products=("p1", "p9"))
+        row = np.array([("p1", "p9").index(pid)])
+        return view.column(key, row, np.array([target_week]), np.array([known_until]))[0]
 
     def test_known_future_passthrough(self):
         assert self.value("event", "p1", 10, known_until=9) == 1.0
@@ -259,3 +262,117 @@ class TestBuildMatrix:
         rebuilt = again.X
         original = full.X[rows_at_t]
         assert np.array_equal(original, rebuilt, equal_nan=True)
+
+
+def exactness_inputs(seed=3):
+    """A small panel built to reach every branch of the feature definitions.
+
+    Rows 0-2 sell with random off-sale gaps, row 3 is constant (exact-zero
+    slopes), row 4 sells nothing while listed (zero mean level), rows 5-7
+    launch late enough that their windows hold fewer than MIN_ANNUAL_POINTS
+    or MIN_LOCAL_POINTS weeks, row 8 launches after the training cutoff and
+    row 9 is never listed. All four covariate kinds have holes.
+    """
+    rng = np.random.default_rng(seed)
+    n_products, n_weeks = 10, 70
+    levels = rng.uniform(0.5, 20.0, size=(n_products, 1))
+    y = rng.poisson(levels, size=(n_products, n_weeks)).astype(np.int64)
+    y[rng.random(y.shape) < 0.05] *= 6  # spikes for the smoother to cap
+    on_sale = rng.random((n_products, n_weeks)) > 0.25
+    y[3] = 7
+    on_sale[3] = True
+    y[4] = 0
+    for row, launch in {5: 50, 6: 58, 7: 62, 8: 66}.items():
+        on_sale[row, :launch] = False
+    on_sale[9] = False
+    y[~on_sale] = 0
+    panel = make_panel(y, on_sale=on_sale)
+    products = panel.products
+    catalog = Catalog(
+        {pid: f"c{i % 3}" for i, pid in enumerate(products + ("p_extra",))},
+        {pid: 1.5 + i for i, pid in enumerate(products + ("p_extra",))},
+        {
+            pid: ({"brand": f"b{i % 4}", "size": "L"} if i % 3 else {"brand": "b9"})
+            for i, pid in enumerate(products + ("p_extra",))
+        },
+    )
+    weeks = range(-3, n_weeks + 10)
+    covariates = CovariateTable(
+        temporal={
+            "event": {w: float(rng.random() < 0.3) for w in weeks if rng.random() < 0.8},
+            "weather": {w: float(rng.normal(15, 5)) for w in weeks if rng.random() < 0.4},
+        },
+        mixed={
+            "promo": {
+                (pid, w): float(rng.random() < 0.2)
+                for pid in products[:6] + ("p_extra",)
+                for w in range(n_weeks)
+                if rng.random() < 0.7
+            },
+            "price_week": {
+                (pid, w): float(rng.uniform(1, 3))
+                for pid in products[1:7]
+                for w in range(n_weeks)
+                if w > 20 and rng.random() < 0.5
+            },
+        },
+        predictable={"event": True, "weather": False, "promo": True, "price_week": False},
+    )
+    repaired, smoothed = preprocess_panel(panel, window=8, gamma=2.0)
+    model = fit_seasonality(smoothed, repaired, catalog, tau=13, k=2, seed=0)
+    return repaired, smoothed, catalog, model, covariates
+
+
+class TestMatchesRowwiseReference:
+    """build_matrix must equal the per-row reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "encoding, with_seasonality, mode",
+        [
+            ("ordinal", True, "train"),
+            ("hashing", False, "train"),
+            ("ordinal", False, "predict"),
+            ("hashing", True, "predict"),
+        ],
+    )
+    def test_bit_identical(self, encoding, with_seasonality, mode):
+        self.check(encoding, with_seasonality, mode)
+
+    def test_bit_identical_in_small_gather_chunks(self, monkeypatch):
+        monkeypatch.setattr(seasonal, "GATHER_ELEMENTS", 10)  # 1 to 3 rows a block
+        self.check("ordinal", True, "train")
+
+    def check(self, encoding, with_seasonality, mode):
+        repaired, smoothed, catalog, model, covariates = exactness_inputs()
+        config = RunConfig(
+            horizon=6, season_period=13, encoding=encoding, hash_buckets=16,
+            with_seasonality=with_seasonality,
+        )
+        t_end = repaired.n_weeks - 1 - (6 if mode == "train" else 0)
+        matrix = build_matrix(
+            repaired, smoothed, catalog, model if with_seasonality else None,
+            covariates, config, t_end=t_end, mode=mode,
+        )
+        keys, columns, x, targets, life = rowwise_build_matrix(
+            repaired, smoothed, catalog, model, covariates, config, t_end, mode,
+            lag_depth=LAG_DEPTH,
+            annual=(seasonal.ANNUAL_WINDOW, seasonal.MIN_ANNUAL_POINTS),
+            local=(seasonal.LOCAL_WINDOW, seasonal.MIN_LOCAL_POINTS),
+        )
+        assert matrix.keys == keys
+        assert matrix.columns == columns
+        assert matrix.X.shape == x.shape
+        assert matrix.X.tobytes() == x.tobytes()
+        assert matrix.life_at_forecast.tolist() == life.tolist()
+        if mode == "train":
+            assert matrix.targets.tobytes() == targets.tobytes()
+            # the panel reaches every branch: zero and nonzero slopes, present and missing covariates
+            for name in ("trend_annual", "trend_local"):
+                values = matrix.X[:, columns.index(name)]
+                assert (values == 0.0).any() and (values != 0.0).any()
+            for name in covariates.feature_names():
+                values = matrix.X[:, columns.index(f"cov_{name}")]
+                assert np.isnan(values).any() and not np.isnan(values).all()
+        else:
+            assert matrix.targets is None
+            assert matrix.n_rows > 0

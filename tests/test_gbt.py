@@ -342,6 +342,12 @@ class TestForest:
         reference = fit_tree(x, -y, np.ones(40), max_depth=4, reg_lambda=0.0, min_split_loss=0.0)
         assert np.array_equal(forest.predict_array(x), reference.apply(x))
 
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_no_trees_rejected(self, n_trees):
+        matrix = matrix_of(np.arange(20).reshape(10, 2), y=[3.0] * 10)
+        with pytest.raises(ValueError, match="n_trees"):
+            train_forest(matrix, ForestParams(n_trees=n_trees), seed=0)
+
     def test_constant_target(self):
         matrix = matrix_of(np.arange(20).reshape(10, 2), y=[3.0] * 10)
         forest = train_forest(matrix, ForestParams(n_trees=5), seed=1)

@@ -154,6 +154,7 @@ class TestLoadConfig:
             "rounds = 0\noverride_bounds = true",
             "max_depth = 0\noverride_bounds = true",
             "learning_rate = 0\noverride_bounds = true",
+            "min_split_loss = -1.0\noverride_bounds = true",
         ],
     )
     def test_bad_values_rejected(self, tmp_path, text):

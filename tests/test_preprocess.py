@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from demandcast import preprocess
 from demandcast.preprocess import (
     detect_fake_zeros,
     preprocess_panel,
@@ -8,7 +9,7 @@ from demandcast.preprocess import (
     smooth_panel,
 )
 
-from .oracles import scalar_smooth
+from .oracles import scalar_smooth, scalar_smooth_stats
 from .test_core import make_panel
 
 
@@ -142,6 +143,46 @@ class TestSmooth:
             x_ref, capped_ref = scalar_smooth(y[0], on_sale[0], window, gamma)
             assert smoothed.x[0].tolist() == x_ref
             assert smoothed.capped_mask[0].tolist() == capped_ref
+
+    @pytest.mark.parametrize("block_cells", [None, 50])
+    def test_multi_product_panel_matches_scalar_oracle_exactly(self, monkeypatch, block_cells):
+        """Each product of a whole panel, statistics included, against the scalar rule.
+
+        The first panel's week 7 has a window whose variance differs in the
+        last bit between libm pow (Python's `d ** 2`) and d * d. With 50
+        cells a block, most panels are smoothed a few products at a time.
+        """
+        if block_cells is not None:
+            monkeypatch.setattr(preprocess, "SMOOTH_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(20)
+        cases = [
+            (
+                np.array([[34613, 87533, 66440, 16685, 77723, 22628, 10665, 90000], [5] * 8]),
+                np.ones((2, 8), dtype=bool),
+                7,
+                3.0,
+            )
+        ]
+        for _ in range(40):
+            n_products = int(rng.integers(2, 9))
+            n_weeks = int(rng.integers(2, 40))
+            levels = np.exp(rng.uniform(np.log(0.5), np.log(1e5), size=(n_products, 1)))
+            y = rng.poisson(levels, size=(n_products, n_weeks))
+            y[rng.random(y.shape) < 0.08] *= 5
+            on_sale = rng.random((n_products, n_weeks)) > rng.uniform(0.0, 0.5)
+            y[~on_sale] = 0
+            cases.append((y, on_sale, int(rng.integers(2, 12)), float(rng.uniform(0.5, 4.0))))
+        capped = 0
+        for y, on_sale, window, gamma in cases:
+            smoothed = smooth_panel(make_panel(y, on_sale=on_sale), window, gamma)
+            for i in range(y.shape[0]):
+                x, cap, mean, std = scalar_smooth_stats(y[i], on_sale[i], window, gamma)
+                assert smoothed.x[i].tobytes() == np.array(x).tobytes()
+                assert smoothed.capped_mask[i].tolist() == cap
+                assert smoothed.rolling_mean[i].tobytes() == np.array(mean).tobytes()
+                assert smoothed.rolling_std[i].tobytes() == np.array(std).tobytes()
+            capped += int(smoothed.capped_mask.sum())
+        assert capped > 0
 
 
 class TestPreprocessPanel:

@@ -228,7 +228,8 @@ class TestProductSeasonality:
 class TestTrendFeatures:
     def test_constant_series_zero(self):
         panel, smoothed, _ = full_year_setup([[5] * TAU], ["a"])
-        assert trend_features(smoothed, panel, "p0", 40) == (0.0, 0.0)
+        annual, local = trend_features(smoothed, panel, np.array([0]), np.array([40]))
+        assert (annual.tolist(), local.tolist()) == ([0.0], [0.0])
 
     def test_linear_series_annual_slope(self):
         values = list(range(TAU))
@@ -236,9 +237,9 @@ class TestTrendFeatures:
         on_sale[0, 0] = True
         panel = make_panel(np.array([values]), on_sale=on_sale)
         smoothed = smooth_panel(panel, window=8, gamma=1000.0)
-        annual, local = trend_features(smoothed, panel, "p0", TAU - 1)
-        assert annual == pytest.approx(1 / 25.5, rel=1e-9)
-        assert local > 0
+        annual, local = trend_features(smoothed, panel, np.array([0]), np.array([TAU - 1]))
+        assert annual[0] == pytest.approx(1 / 25.5, rel=1e-9)
+        assert local[0] > 0
 
     def test_too_few_points(self):
         on_sale = np.zeros((1, 20), dtype=bool)
@@ -246,9 +247,9 @@ class TestTrendFeatures:
         y = np.where(on_sale, np.arange(20) + 1, 0).astype(np.int64)
         panel = make_panel(y, on_sale=on_sale)
         smoothed = smooth_panel(panel, window=8, gamma=1000.0)
-        annual, local = trend_features(smoothed, panel, "p0", 19)
-        assert annual == 0.0  # 5 on-sale weeks < 8
-        assert local != 0.0
+        annual, local = trend_features(smoothed, panel, np.array([0]), np.array([19]))
+        assert annual[0] == 0.0  # 5 on-sale weeks < 8
+        assert local[0] != 0.0
 
 
 class TestFitSeasonality:
@@ -263,5 +264,6 @@ class TestFitSeasonality:
         model = fit_seasonality(smoothed, panel, catalog, TAU, k=2, seed=0)
         assert set(model.assignment) == {"early", "late"}
         assert model.assignment["early"] != model.assignment["late"]
-        value = model.value_at("p0", TAU + 3)  # wraps around the period
+        # wraps around the period
+        value = model.values_at(panel.products, np.array([0]), np.array([TAU + 3]))[0]
         assert value == pytest.approx(model.patterns[model.assignment["early"]][3])
