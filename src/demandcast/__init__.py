@@ -4,19 +4,15 @@ from .baselines import ESBaseline, es_fit_forecast, es_grid_select
 from .core import Catalog, SalesPanel, weeks_on_sale
 from .evaluation import (
     EvalReport,
-    SplitSpec,
     cold_start_filter,
     evaluate,
     segment_products,
-    temporal_split,
     weighted_mae,
     weighted_rmse,
 )
 from .features import FeatureMatrix, build_matrix, hash_encode, ordinal_encode
 from .gbt import (
     BoostedModel,
-    ForestParams,
-    TrainParams,
     best_split,
     grad_hess,
     leaf_weight,

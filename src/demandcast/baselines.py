@@ -30,22 +30,19 @@ def es_fit_forecast(series: Sequence[float], alpha: float) -> float:
     return level
 
 
-def es_grid_select(
-    series: Sequence[float],
-    alphas: Sequence[float] = ALPHA_GRID,
-    holdout: int = SELECT_HOLDOUT,
-) -> float:
-    """Pick the alpha minimizing squared 1-step error over the trailing holdout.
+def es_grid_select(series: Sequence[float]) -> float:
+    """The ALPHA_GRID alpha minimizing squared 1-step error over the holdout.
 
-    Ties go to the smallest alpha; series no longer than the holdout fall
-    back to the default alpha 0.3.
+    The holdout is the trailing SELECT_HOLDOUT observations. Ties go to the
+    smallest alpha; series no longer than the holdout fall back to the
+    default alpha 0.3.
     """
-    if len(series) <= holdout:
+    if len(series) <= SELECT_HOLDOUT:
         return DEFAULT_ALPHA
     best_alpha = None
     best_err = np.inf
-    start = len(series) - holdout
-    for alpha in alphas:
+    start = len(series) - SELECT_HOLDOUT
+    for alpha in ALPHA_GRID:
         err = 0.0
         for t in range(start, len(series)):
             forecast = es_fit_forecast(series[:t], alpha)

@@ -29,9 +29,7 @@ import numpy as np
 from . import evaluation, gbt, ingest, synth
 from .baselines import ESBaseline
 from .core import Catalog, SalesPanel, weeks_on_sale
-from .evaluation import (
-    EvalReport, SplitSpec, cold_start_filter, evaluate, format_report, write_report,
-)
+from .evaluation import EvalReport, cold_start_filter, evaluate, format_report, write_report
 from .features import FeatureMatrix, build_matrix
 from .ingest import CovariateTable, RunConfig, SchemaError
 from .preprocess import SmoothedPanel, preprocess_panel, write_smoothed
@@ -144,18 +142,25 @@ def split_matrices(
     covariates: CovariateTable | None,
     config: RunConfig,
 ) -> tuple[FeatureMatrix, FeatureMatrix, FeatureMatrix]:
-    """One global matrix over the split's weeks, cut by target week into (train, valid, test)."""
-    spec = SplitSpec(config.train_len, config.valid_len, config.test_len)
-    evaluation.temporal_split(repaired, spec)
+    """One global matrix over the split's weeks, cut by target week into (train, valid, test).
+
+    Target weeks [0, train_len) train, the next valid_len weeks validate and
+    the test_len weeks after those test.
+    """
+    valid_start = config.train_len
+    test_start = valid_start + config.valid_len
+    test_end = test_start + config.test_len
+    if test_end > repaired.n_weeks:
+        raise ValueError(f"split needs {test_end} weeks but panel has {repaired.n_weeks}")
     full = build_matrix(
         repaired, smoothed, catalog, seasonal, covariates, config,
-        t_end=spec.test_end - 1 - config.horizon, mode="train",
+        t_end=test_end - 1 - config.horizon, mode="train",
     )
     target = np.array([week for _, week in full.keys])
     return (
-        full.select(target < spec.train_end),
-        full.select((target >= spec.valid_start) & (target < spec.test_start)),
-        full.select(target >= spec.test_start),
+        full.select(target < valid_start),
+        full.select((target >= valid_start) & (target < test_start)),
+        full.select(target >= test_start),
     )
 
 
@@ -178,7 +183,7 @@ def fit_boosted(
     train_rows: FeatureMatrix, valid_rows: FeatureMatrix, config: RunConfig
 ) -> tuple[gbt.BoostedModel, dict]:
     """Boosted model early-stopped on the valid rows, with its manifest details."""
-    booster = gbt.train(train_rows, gbt.TrainParams.from_config(config), valid_rows)
+    booster = gbt.train(train_rows, config, valid_rows)
     return booster, {"best_round": booster.best_round, "rounds_run": len(booster.trees)}
 
 
@@ -201,8 +206,8 @@ def fit_forecast(
         booster, details = fit_boosted(train_rows, valid_rows, config)
         return gbt.predict(booster, test_rows), booster, details
     if kind == "forest":
-        params = gbt.ForestParams(n_trees=forest_trees, max_depth=min(config.max_depth * 4, 64))
-        forest = gbt.train_forest(train_rows, params, config.seed)
+        max_depth = min(config.max_depth * 4, 64)
+        forest = gbt.train_forest(train_rows, forest_trees, max_depth, config.seed)
         return forest.predict_array(test_rows.X), None, {"n_trees": forest_trees}
     if kind == "es":
         forecasts, fallback = forecast_es(test_rows, repaired, catalog, config)

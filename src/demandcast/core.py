@@ -1,8 +1,10 @@
 """Core data model: weekly sales panel and product catalog.
 
 Weeks are dense integer offsets 0..T-1 from the panel origin; calendar
-alignment is the caller's concern at ingestion time. All types here are
-immutable after construction and safe to share across threads.
+alignment is the caller's concern at ingestion time. A SalesPanel's arrays
+are read-only after construction. A Catalog is checked once, when it is
+built; its dicts stay plain mutable dicts, so code that shares one must not
+change it.
 """
 
 from __future__ import annotations
@@ -94,16 +96,6 @@ class Catalog:
         missing = set(self.price) - set(self.category_of)
         if missing:
             raise ValueError(f"products without a category: {sorted(missing)[:5]}")
-
-    @property
-    def n_categories(self) -> int:
-        return len(set(self.category_of.values()))
-
-    def categories(self) -> list[CategoryId]:
-        return sorted(set(self.category_of.values()))
-
-    def members(self, category: CategoryId) -> list[ProductId]:
-        return sorted(p for p, c in self.category_of.items() if c == category)
 
     def validate_covers(self, panel: SalesPanel) -> None:
         """Every panel product must have a catalog entry."""

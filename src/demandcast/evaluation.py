@@ -1,8 +1,9 @@
-"""Weighted accuracy metrics, temporal splits, and stratified reporting.
+"""Weighted accuracy metrics and stratified reporting.
 
 Both metrics weight by product price, so errors on expensive products count
 more. The MAE variant normalizes by the price-weighted forecast volume (its
-printed form).
+printed form). The train/valid/test weeks come from the run config's split
+lengths; cli.split_matrices cuts the feature rows by them.
 """
 
 from __future__ import annotations
@@ -43,52 +44,13 @@ def weighted_mae(y: np.ndarray, y_hat: np.ndarray, prices: np.ndarray) -> float:
     return float(np.sum(prices * np.abs(y - y_hat))) / denom
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_end: int
-    valid_len: int
-    test_len: int
-
-    def __post_init__(self) -> None:
-        if min(self.train_end, self.valid_len, self.test_len) < 1:
-            raise ValueError("all split lengths must be >= 1")
-
-    @property
-    def valid_start(self) -> int:
-        return self.train_end
-
-    @property
-    def test_start(self) -> int:
-        return self.train_end + self.valid_len
-
-    @property
-    def test_end(self) -> int:
-        return self.test_start + self.test_len
-
-
-def temporal_split(panel: SalesPanel, spec: SplitSpec) -> tuple[range, range, range]:
-    """Contiguous disjoint (train, valid, test) week ranges."""
-    if spec.test_end > panel.n_weeks:
-        raise ValueError(
-            f"split needs {spec.test_end} weeks but panel has {panel.n_weeks}"
-        )
-    return (
-        range(0, spec.train_end),
-        range(spec.valid_start, spec.test_start),
-        range(spec.test_start, spec.test_end),
-    )
-
-
 def segment_products(
-    panel: SalesPanel,
-    catalog: Catalog,
-    quantiles: tuple[float, float] = SEGMENT_QUANTILES,
-    train_end: int | None = None,
+    panel: SalesPanel, catalog: Catalog, train_end: int | None = None
 ) -> dict[str, str]:
     """A/B/C assignment by price-weighted training-period volume.
 
-    Top quantiles[0] share of products go to A, the next slice up to
-    quantiles[1] to B, the rest to C. Ties break by product id.
+    The top SEGMENT_QUANTILES[0] share of products go to A, the next slice
+    up to SEGMENT_QUANTILES[1] to B, the rest to C. Ties break by product id.
     """
     n = panel.n_products
     if n < 3:
@@ -99,8 +61,8 @@ def segment_products(
         for pid in panel.products
     }
     ranked = sorted(panel.products, key=lambda pid: (-volume[pid], pid))
-    n_a = max(1, int(n * quantiles[0]))
-    n_b = max(1, int(n * quantiles[1]) - n_a)
+    n_a = max(1, int(n * SEGMENT_QUANTILES[0]))
+    n_b = max(1, int(n * SEGMENT_QUANTILES[1]) - n_a)
     segments = {}
     for rank, pid in enumerate(ranked):
         if rank < n_a:

@@ -29,6 +29,13 @@ node) elements, never features x rows, and none outlives its node. The
 grower keeps its state in a loop with an explicit stack, not in recursive
 frames or a recursive closure, so a fit leaves no reference cycle behind.
 
+Settings: train() reads the boosting settings (loss, learning rate, depth,
+rounds, min_split_loss, lambda, early-stopping patience) from the run's
+RunConfig; train_forest() takes only a tree count, a depth and a seed.
+
+Model files: model_from_json() accepts only pre-order trees over the
+model's features, so a malformed file is a SchemaError, never a hang.
+
 Determinism contract: ties between candidate splits break toward the lowest
 feature index, then the lowest threshold, then routing missing values left.
 Nodes are numbered depth-first in pre-order, which is also the order in
@@ -46,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import FeatureMatrix
+from .ingest import RunConfig, SchemaError
 
 BASE_EPS = 1e-8
 # elements per chunk of the split search and partition: chunks hold as many
@@ -240,29 +248,6 @@ class Tree:
         return out
 
 
-@dataclass
-class TrainParams:
-    loss: str = "poisson"
-    learning_rate: float = 0.1
-    max_depth: int = 6
-    rounds: int = 100
-    min_split_loss: float = 0.0
-    reg_lambda: float = 1.0
-    early_stop_patience: int = 50
-
-    @classmethod
-    def from_config(cls, config) -> "TrainParams":
-        return cls(
-            loss=config.loss,
-            learning_rate=config.learning_rate,
-            max_depth=config.max_depth,
-            rounds=config.rounds,
-            min_split_loss=config.min_split_loss,
-            reg_lambda=config.reg_lambda,
-            early_stop_patience=config.early_stop_patience,
-        )
-
-
 def presort_columns(x: np.ndarray) -> np.ndarray:
     """Row indices of each column of x in stable ascending order, NaN last.
 
@@ -428,12 +413,15 @@ class BoostedModel:
 
 def train(
     matrix: FeatureMatrix,
-    params: TrainParams,
+    config: RunConfig,
     valid: FeatureMatrix | None = None,
 ) -> BoostedModel:
-    """Boost up to params.rounds trees with early stopping on valid loss.
+    """Boost up to config.rounds trees with early stopping on valid loss.
 
-    Loss histories are recorded per round starting from the base-only model;
+    Reads the config's loss, learning_rate, max_depth, rounds,
+    min_split_loss, reg_lambda and early_stop_patience; bounds are checked
+    where the config is loaded (RunConfig.validate), not here. Loss
+    histories are recorded per round starting from the base-only model;
     best_round is the first round attaining the minimum validation loss.
     """
     if matrix.n_rows == 0:
@@ -445,7 +433,7 @@ def train(
     if valid is not None and valid.targets is None:
         raise ValueError("validation matrix has no targets")
     y = matrix.targets
-    if params.loss == "poisson":
+    if config.loss == "poisson":
         if (y < 0).any():
             raise ValueError("poisson loss requires non-negative targets")
         base = math.log(float(y.mean()) + BASE_EPS)
@@ -454,28 +442,28 @@ def train(
 
     raw = np.full(matrix.n_rows, base)
     raw_valid = np.full(valid.n_rows, base) if valid is not None else None
-    train_hist = [loss_value(params.loss, y, raw)]
+    train_hist = [loss_value(config.loss, y, raw)]
     valid_hist = []
     if valid is not None:
-        valid_hist.append(loss_value(params.loss, valid.targets, raw_valid))
+        valid_hist.append(loss_value(config.loss, valid.targets, raw_valid))
     trees: list[Tree] = []
     best_valid = valid_hist[0] if valid_hist else math.inf
     best_round = 0
     stale = 0
     order = presort_columns(matrix.X)
     leaf_values = np.empty(matrix.n_rows)
-    for _ in range(params.rounds):
-        g, h = grad_hess(params.loss, y, raw)
+    for _ in range(config.rounds):
+        g, h = grad_hess(config.loss, y, raw)
         tree = fit_tree(
-            matrix.X, g, h, params.max_depth, params.reg_lambda, params.min_split_loss,
+            matrix.X, g, h, config.max_depth, config.reg_lambda, config.min_split_loss,
             order=order, leaf_values=leaf_values,
         )
         trees.append(tree)
-        raw = raw + params.learning_rate * leaf_values
-        train_hist.append(loss_value(params.loss, y, raw))
+        raw = raw + config.learning_rate * leaf_values
+        train_hist.append(loss_value(config.loss, y, raw))
         if valid is not None:
-            raw_valid = raw_valid + params.learning_rate * tree.apply(valid.X)
-            current = loss_value(params.loss, valid.targets, raw_valid)
+            raw_valid = raw_valid + config.learning_rate * tree.apply(valid.X)
+            current = loss_value(config.loss, valid.targets, raw_valid)
             valid_hist.append(current)
             if current < best_valid:
                 best_valid = current
@@ -483,14 +471,14 @@ def train(
                 stale = 0
             else:
                 stale += 1
-                if stale >= params.early_stop_patience:
+                if stale >= config.early_stop_patience:
                     break
     if valid is None:
         best_round = len(trees)
     return BoostedModel(
-        loss=params.loss,
+        loss=config.loss,
         base_score=base,
-        learning_rate=params.learning_rate,
+        learning_rate=config.learning_rate,
         feature_names=list(matrix.columns),
         trees=trees,
         best_round=best_round,
@@ -510,16 +498,6 @@ def predict(model: BoostedModel, matrix: FeatureMatrix) -> np.ndarray:
 
 
 @dataclass
-class ForestParams:
-    n_trees: int = 100
-    max_depth: int = 64
-    bootstrap: bool = True
-    feature_subsample: bool = True
-    reg_lambda: float = 0.0
-    min_split_loss: float = 0.0
-
-
-@dataclass
 class ForestModel:
     feature_names: list[str]
     trees: list[Tree]
@@ -531,15 +509,16 @@ class ForestModel:
         return total / len(self.trees)
 
 
-def train_forest(matrix: FeatureMatrix, params: ForestParams, seed: int) -> ForestModel:
-    """Bagged full-depth regression trees (squared loss, mean leaves).
+def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int) -> ForestModel:
+    """Bagged regression trees up to max_depth (squared loss, mean leaves).
 
     Each tree sees a bootstrap resample and sqrt(p) random features per
     split; both draws come from one seeded generator, so results are
-    reproducible.
+    reproducible. Leaves are unregularized (lambda 0) and any split that
+    lowers the loss is taken (min_split_loss 0).
     """
-    if params.n_trees < 1:
-        raise ValueError(f"a forest needs at least one tree, got n_trees={params.n_trees}")
+    if n_trees < 1:
+        raise ValueError(f"a forest needs at least one tree, got n_trees={n_trees}")
     if matrix.n_rows == 0:
         raise ValueError("cannot train on an empty matrix")
     if matrix.targets is None:
@@ -549,24 +528,15 @@ def train_forest(matrix: FeatureMatrix, params: ForestParams, seed: int) -> Fore
     p = matrix.X.shape[1]
     n_sub = max(1, int(math.isqrt(p)))
     trees: list[Tree] = []
-    for _ in range(params.n_trees):
-        rows = np.sort(rng.integers(0, n, size=n)) if params.bootstrap else np.arange(n)
-        x = matrix.X[rows]
+    sampler = None
+    if n_sub < p:
+        def sampler(n_features):
+            return np.sort(rng.choice(n_features, size=n_sub, replace=False))
+    for _ in range(n_trees):
+        rows = np.sort(rng.integers(0, n, size=n))
         y = matrix.targets[rows]
-        sampler = None
-        if params.feature_subsample and n_sub < p:
-            def sampler(n_features, _rng=rng):
-                return np.sort(_rng.choice(n_features, size=n_sub, replace=False))
         trees.append(
-            fit_tree(
-                x,
-                -y,
-                np.ones_like(y),
-                params.max_depth,
-                params.reg_lambda,
-                params.min_split_loss,
-                feature_sampler=sampler,
-            )
+            fit_tree(matrix.X[rows], -y, np.ones_like(y), max_depth, 0.0, 0.0, feature_sampler=sampler)
         )
     return ForestModel(feature_names=list(matrix.columns), trees=trees)
 
@@ -594,35 +564,63 @@ def model_to_json(model: BoostedModel) -> str:
     return json.dumps(doc)
 
 
-def model_from_json(text: str) -> BoostedModel:
+def model_from_json(text: str, source: str = "model") -> BoostedModel:
+    """Parse model_to_json output; source names the file in errors.
+
+    Every tree is checked to be a pre-order tree over the model's features
+    (a left child follows its parent, a right child lies further on, every
+    node but the root has one parent), so apply() walks each tree forward
+    and visits each node at most once per call.
+    """
     doc = json.loads(text)
     if doc.get("version") != SERIAL_VERSION:
         raise ValueError(f"unsupported model version: {doc.get('version')}")
+    n_features = len(doc["feature_names"])
     trees = [
-        Tree(
-            nodes=[
-                TreeNode(
-                    feature=n[0],
-                    threshold=n[1],
-                    default_left=bool(n[2]),
-                    left=n[3],
-                    right=n[4],
-                    weight=n[5],
-                    gain=n[6],
-                )
-                for n in tree_nodes
-            ]
-        )
-        for tree_nodes in doc["trees"]
+        _tree_from_json(nodes, n_features, f"{source}: tree {t}")
+        for t, nodes in enumerate(doc["trees"])
     ]
+    best_round = doc["best_round"]
+    if type(best_round) is not int or not 0 <= best_round <= len(trees):
+        raise SchemaError(f"{source}: best_round {best_round!r} outside [0, {len(trees)}]")
     return BoostedModel(
         loss=doc["loss"],
         base_score=doc["base_score"],
         learning_rate=doc["learning_rate"],
         feature_names=list(doc["feature_names"]),
         trees=trees,
-        best_round=doc["best_round"],
+        best_round=best_round,
     )
+
+
+def _tree_from_json(rows: list, n_features: int, where: str) -> Tree:
+    if not rows:
+        raise SchemaError(f"{where}: no nodes")
+    parents = [0] * len(rows)
+    nodes = []
+    for idx, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != 7:
+            raise SchemaError(f"{where} node {idx}: expected 7 fields")
+        feature, threshold, default_left, left, right, weight, gain = row
+        if {type(feature), type(left), type(right)} != {int}:
+            problem = "feature and child indices must be integers"
+        elif feature == -1:
+            problem = None if left == right == -1 else f"a leaf has children {left}/{right}"
+        elif not 0 <= feature < n_features:
+            problem = f"feature {feature} outside [0, {n_features})"
+        elif left != idx + 1 or not idx + 1 < right < len(rows):
+            problem = f"children {left}/{right} do not follow the node in pre-order"
+        else:
+            problem = None
+            parents[left] += 1
+            parents[right] += 1
+        if problem:
+            raise SchemaError(f"{where} node {idx}: {problem}")
+        nodes.append(TreeNode(feature, threshold, bool(default_left), left, right, weight, gain))
+    shared = next((j for j in range(1, len(rows)) if parents[j] != 1), None)
+    if shared is not None:
+        raise SchemaError(f"{where} node {shared}: has {parents[shared]} parents, expected 1")
+    return Tree(nodes=nodes)
 
 
 def save_model(model: BoostedModel, path: str | Path) -> None:
@@ -630,4 +628,4 @@ def save_model(model: BoostedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BoostedModel:
-    return model_from_json(Path(path).read_text())
+    return model_from_json(Path(path).read_text(), str(path))

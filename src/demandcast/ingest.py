@@ -7,7 +7,13 @@ CSV schemas are fixed so round-trips are bit-exact:
   config          flat ``key = value`` lines, ``#`` comments
 
 Missing (product, week) sales rows mean "not listed", not "zero sales while
-listed". Loading is deterministic and insensitive to row order.
+listed". Loading is deterministic and insensitive to row order: each CSV
+loader rejects duplicate keys, so no row can overwrite another.
+
+RunConfig is the one place a run setting is declared: its fields name,
+type and default every setting, load_config parses each key by its field's
+type, and validate checks the bounds. Stages read their settings from one
+RunConfig; gbt.train takes it whole.
 """
 
 from __future__ import annotations
@@ -60,9 +66,9 @@ class RunConfig:
     override_bounds: bool = False
 
     def validate(self) -> None:
-        for name in ("cap_gamma", "learning_rate", "min_split_loss", "reg_lambda"):
-            if not math.isfinite(getattr(self, name)):
-                raise SchemaError(f"{name} must be finite")
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise SchemaError(f"{f.name} must be finite")
         for name in (
             "horizon", "n_patterns", "early_stop_patience", "train_len", "valid_len",
             "test_len", "rounds", "max_depth",
@@ -208,7 +214,10 @@ def load_catalog(path: str | Path) -> Catalog:
 
 
 def load_covariates(path: str | Path, panel: SalesPanel | None = None) -> CovariateTable:
-    """Load covariates.csv; mixed rows are validated against the panel if given."""
+    """Load covariates.csv; mixed rows are validated against the panel if given.
+
+    A key belongs to one scope, and each (key, week[, product]) has one row.
+    """
     path = Path(path)
     table = CovariateTable()
     with path.open(newline="") as fh:
@@ -234,7 +243,7 @@ def load_covariates(path: str | Path, panel: SalesPanel | None = None) -> Covari
             if scope == "temporal":
                 if pid:
                     raise SchemaError(f"{path}:{line_no}: temporal row must have empty product_id")
-                table.temporal.setdefault(key, {})[week] = value
+                series, other, at = table.temporal, table.mixed, week
             elif scope == "mixed":
                 if not pid:
                     raise SchemaError(f"{path}:{line_no}: mixed row needs a product_id")
@@ -243,26 +252,37 @@ def load_covariates(path: str | Path, panel: SalesPanel | None = None) -> Covari
                         raise SchemaError(f"{path}:{line_no}: unknown product {pid!r}")
                     if not 0 <= week < panel.n_weeks:
                         raise SchemaError(f"{path}:{line_no}: week {week} outside panel")
-                table.mixed.setdefault(key, {})[(pid, week)] = value
+                series, other, at = table.mixed, table.temporal, (pid, week)
             else:
                 raise SchemaError(f"{path}:{line_no}: unknown scope {scope!r}")
+            values = series.get(key)
+            if values is None:
+                if key in other:
+                    raise SchemaError(f"{path}:{line_no}: key {key!r} used with both scopes")
+                values = series[key] = {}
+            if at in values:
+                raise SchemaError(f"{path}:{line_no}: duplicate row for {(scope, key, week, pid)}")
+            values[at] = value
     return table
 
 
-_BOOL_KEYS = {"with_seasonality", "override_bounds"}
-_INT_KEYS = {
-    "horizon", "smooth_window", "season_period", "n_patterns", "hash_buckets",
-    "max_depth", "rounds", "early_stop_patience", "train_len", "valid_len",
-    "test_len", "seed",
-}
-_FLOAT_KEYS = {"cap_gamma", "learning_rate", "min_split_loss", "reg_lambda"}
-_STR_KEYS = {"encoding", "loss"}
+def _config_bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "false"):
+        raise ValueError(raw)
+    return raw.lower() == "true"
+
+
+# parser per declared RunConfig field type (annotations are strings here)
+_CONFIG_PARSERS = {"bool": _config_bool, "int": int, "float": float, "str": str}
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse a flat ``key = value`` config file; unset keys keep defaults."""
+    """Parse a flat ``key = value`` config file; unset keys keep defaults.
+
+    Each value is parsed by the declared type of its RunConfig field.
+    """
     path = Path(path)
-    known = {f.name for f in fields(RunConfig)}
+    types = {f.name: f.type for f in fields(RunConfig)}
     values: dict[str, object] = {}
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -271,19 +291,10 @@ def load_config(path: str | Path) -> RunConfig:
         if "=" not in line:
             raise SchemaError(f"{path}:{line_no}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in known:
+        if key not in types:
             raise SchemaError(f"{path}:{line_no}: unknown config key {key!r}")
         try:
-            if key in _BOOL_KEYS:
-                if value.lower() not in ("true", "false"):
-                    raise ValueError
-                values[key] = value.lower() == "true"
-            elif key in _INT_KEYS:
-                values[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = _CONFIG_PARSERS[types[key]](value)
         except ValueError:
             raise SchemaError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
     config = RunConfig(**values)

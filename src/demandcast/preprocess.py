@@ -42,8 +42,8 @@ class SmoothedPanel:
     """Smoothed series x plus the diagnostics behind each adjustment.
 
     rolling_mean/rolling_std are NaN where fewer than two prior on-sale
-    weeks exist (no cap is applied there). residual = y - x for the panel
-    the smoothing ran on, nonzero only at capped weeks.
+    weeks exist (no cap is applied there); x differs from the panel's
+    counts only where capped_mask is set.
     """
 
     products: tuple[str, ...]
@@ -52,7 +52,6 @@ class SmoothedPanel:
     rolling_std: np.ndarray   # (N, T) float64, NaN where undefined
     repaired_mask: np.ndarray  # (N, T) bool
     capped_mask: np.ndarray    # (N, T) bool
-    residual: np.ndarray       # (N, T) float64
 
     @property
     def n_weeks(self) -> int:
@@ -139,7 +138,6 @@ def smooth_panel(panel: SalesPanel, window: int, gamma: float) -> SmoothedPanel:
             panel.y[rows], panel.on_sale_mask[rows], window, gamma,
             x[rows], rolling_mean[rows], rolling_std[rows], capped[rows],
         )
-    residual = panel.y - x
     return SmoothedPanel(
         products=panel.products,
         x=x,
@@ -147,7 +145,6 @@ def smooth_panel(panel: SalesPanel, window: int, gamma: float) -> SmoothedPanel:
         rolling_std=rolling_std,
         repaired_mask=np.zeros((n, t_count), dtype=bool),
         capped_mask=capped,
-        residual=residual,
     )
 
 

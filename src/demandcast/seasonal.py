@@ -231,8 +231,6 @@ class SeasonalityModel:
     """Fitted seasonal patterns plus the category bookkeeping to apply them."""
 
     tau: int
-    category_curve: dict[str, np.ndarray]
-    category_variance: dict[str, np.ndarray]
     patterns: list[np.ndarray]
     assignment: dict[str, int]
     category_of: dict[str, str]
@@ -286,8 +284,6 @@ def fit_seasonality(
         global_pattern = np.full(tau, 1.0 / tau)
     return SeasonalityModel(
         tau=tau,
-        category_curve=curves,
-        category_variance=variances,
         patterns=patterns,
         assignment=assignment,
         category_of=dict(catalog.category_of),

@@ -61,7 +61,10 @@ class TestGridSelect:
         assert chosen >= 0.5
 
     def test_short_series_default(self):
-        assert es_grid_select([1.0, 2.0, 3.0], holdout=4) == 0.3
+        # no longer than the SELECT_HOLDOUT (4) weeks: nothing to score on
+        assert es_grid_select([1.0, 2.0, 3.0, 4.0]) == 0.3
+        # one week more and the grid is searched: a steady climb wants the fastest alpha
+        assert es_grid_select([1.0, 2.0, 3.0, 4.0, 5.0]) == 0.9
 
 
 class TestESBaseline:

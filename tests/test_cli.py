@@ -151,6 +151,29 @@ class TestTrainPredict:
         lines = (out / "predictions.csv").read_text().splitlines()
         assert len(lines) > 1
 
+    def test_malformed_model_file_is_data_error(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "model"
+        train_args = pipeline_args(data_dir, out)
+        train_args[0] = "train"
+        assert main(train_args) == 0
+        model_file = out / "model.json"
+        doc = json.loads(model_file.read_text())
+        doc["trees"][0][0] = doc["trees"][0][0][:3]
+        model_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(
+            [
+                "predict",
+                "--model-file", str(model_file),
+                "--sales", str(data_dir / "sales.csv"),
+                "--catalog", str(data_dir / "catalog.csv"),
+                "--config", str(data_dir / "run.cfg"),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert f"error: {model_file}: tree 0 node 0: expected 7 fields" in capsys.readouterr().err
+
     def test_train_fits_the_pipeline_model(self, data_dir, tmp_path):
         trained, piped = tmp_path / "train", tmp_path / "pipe"
         train_args = pipeline_args(data_dir, trained)

@@ -56,12 +56,6 @@ class TestLifeLength:
 
 
 class TestCatalog:
-    def test_partition(self):
-        catalog = Catalog({"a": "x", "b": "y", "c": "x"}, {"a": 1.0, "b": 2.0, "c": 3.0}, {})
-        assert catalog.n_categories == 2
-        assert catalog.members("x") == ["a", "c"]
-        assert sorted(sum((catalog.members(c) for c in catalog.categories()), [])) == ["a", "b", "c"]
-
     def test_nonpositive_price(self):
         with pytest.raises(ValueError, match="price"):
             Catalog({"a": "x"}, {"a": 0.0}, {})

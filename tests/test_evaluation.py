@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from demandcast import cli
 from demandcast.core import Catalog
 from demandcast.evaluation import (
-    SplitSpec,
     cold_start_filter,
     evaluate,
     segment_products,
-    temporal_split,
     weighted_mae,
     weighted_rmse,
 )
+from demandcast.ingest import RunConfig
 
 from .test_core import make_panel
 
@@ -68,33 +68,45 @@ class TestWeightedMae:
         assert weighted_mae(y, y_hat, 3.0 * p) == pytest.approx(base)
 
 
+def split_weeks(n_weeks, train_len, valid_len, test_len):
+    """Target weeks of the (train, valid, test) rows that cli.split_matrices cuts.
+
+    Two products on sale every week, horizon 6: each part must hold both
+    products' rows for each of its weeks.
+    """
+    panel = make_panel(np.random.default_rng(0).poisson(4.0, size=(2, n_weeks)))
+    catalog = Catalog({"p0": "c", "p1": "c"}, {"p0": 1.0, "p1": 2.0}, {})
+    config = RunConfig(
+        train_len=train_len, valid_len=valid_len, test_len=test_len, with_seasonality=False
+    )
+    repaired, smoothed = cli.preprocess(panel, config)
+    parts = cli.split_matrices(repaired, smoothed, catalog, None, None, config)
+    weeks = [sorted({week for _, week in part.keys}) for part in parts]
+    assert [part.n_rows for part in parts] == [2 * len(w) for w in weeks]
+    return weeks
+
+
 class TestTemporalSplit:
+    """The run's train/valid/test weeks, as split_matrices cuts the feature rows."""
+
     def test_published_lengths(self):
-        panel = make_panel(np.zeros((1, 199), dtype=np.int64))
-        spec = SplitSpec(train_end=170, valid_len=10, test_len=19)
-        train, valid, test = temporal_split(panel, spec)
-        assert (train, valid, test) == (range(0, 170), range(170, 180), range(180, 199))
+        train, valid, test = split_weeks(199, 170, 10, 19)
+        assert (train, valid, test) == (
+            list(range(6, 170)), list(range(170, 180)), list(range(180, 199))
+        )
 
     def test_smaller_panel(self):
-        panel = make_panel(np.zeros((1, 30), dtype=np.int64))
-        train, valid, test = temporal_split(panel, SplitSpec(20, 5, 5))
-        assert (train, valid, test) == (range(0, 20), range(20, 25), range(25, 30))
+        train, valid, test = split_weeks(30, 20, 5, 5)
+        assert (train, valid, test) == (list(range(6, 20)), list(range(20, 25)), list(range(25, 30)))
 
     def test_oversized_spec_rejected(self):
-        panel = make_panel(np.zeros((1, 30), dtype=np.int64))
-        with pytest.raises(ValueError):
-            temporal_split(panel, SplitSpec(25, 5, 5))
+        for lengths, needed in (((25, 5, 5), 35), ((20, 5, 6), 31)):
+            with pytest.raises(ValueError, match=rf"^split needs {needed} weeks but panel has 30$"):
+                split_weeks(30, *lengths)
 
     def test_disjoint_cover(self):
-        panel = make_panel(np.zeros((1, 40), dtype=np.int64))
-        spec = SplitSpec(25, 6, 9)
-        train, valid, test = temporal_split(panel, spec)
-        combined = list(train) + list(valid) + list(test)
-        assert combined == list(range(40))
-
-    def test_bad_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            SplitSpec(0, 5, 5)
+        train, valid, test = split_weeks(40, 25, 6, 9)
+        assert train + valid + test == list(range(6, 40))
 
 
 def volume_catalog(n):

@@ -1,15 +1,16 @@
 import gc
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from demandcast import gbt
 from demandcast.features import FeatureMatrix
+from demandcast.ingest import RunConfig, SchemaError
 from demandcast.gbt import (
     BoostedModel,
-    ForestParams,
-    TrainParams,
     Tree,
     TreeNode,
     best_split,
@@ -169,13 +170,13 @@ class TestTieBreaking:
 class TestTrain:
     def test_depth_zero_single_leaf_predicts_mean(self):
         matrix = matrix_of(np.arange(8).reshape(4, 2), y=[1.0, 2.0, 3.0, 6.0])
-        params = TrainParams(loss="squared", learning_rate=1.0, max_depth=0, rounds=1)
+        params = RunConfig(loss="squared", learning_rate=1.0, max_depth=0, rounds=1, min_split_loss=0.0)
         model = train(matrix, params)
         assert np.allclose(model.predict_array(matrix.X), 3.0)
 
     def test_poisson_constant_target_first_tree_noop(self):
         matrix = matrix_of(np.arange(12).reshape(6, 2), y=[4.0] * 6)
-        params = TrainParams(loss="poisson", learning_rate=1.0, max_depth=3, rounds=1)
+        params = RunConfig(loss="poisson", learning_rate=1.0, max_depth=3, rounds=1, min_split_loss=0.0)
         model = train(matrix, params)
         assert model.base_score == pytest.approx(math.log(4.0), abs=1e-8)
         g, _ = grad_hess("poisson", matrix.targets, np.full(6, model.base_score))
@@ -188,7 +189,10 @@ class TestTrain:
         lam = np.exp(0.5 + 0.8 * x[:, 0] - 0.5 * x[:, 2])
         y = rng.poisson(lam).astype(float)
         matrix = matrix_of(x, y=y)
-        params = TrainParams(loss="poisson", learning_rate=0.3, max_depth=3, rounds=30, reg_lambda=1.0)
+        params = RunConfig(
+            loss="poisson", learning_rate=0.3, max_depth=3, rounds=30, reg_lambda=1.0,
+            min_split_loss=0.0,
+        )
         model = train(matrix, params)
         diffs = np.diff(model.train_loss)
         assert (diffs <= 1e-9).all()
@@ -202,7 +206,7 @@ class TestTrain:
         x[rng.random(x.shape) < 0.1] = np.nan
         y = rng.poisson(np.exp(0.4 + 0.6 * np.nan_to_num(x[:, 0]))).astype(float)
         matrix = matrix_of(x, y=y)
-        params = TrainParams(loss="poisson", learning_rate=0.3, max_depth=4, rounds=12)
+        params = RunConfig(loss="poisson", learning_rate=0.3, max_depth=4, rounds=12, min_split_loss=0.0)
         model = train(matrix, params)
         raw = np.full(len(y), model.base_score)
         assert model.train_loss[0] == loss_value("poisson", y, raw)
@@ -228,12 +232,12 @@ class TestTrain:
     def test_empty_matrix_rejected(self):
         matrix = matrix_of(np.empty((0, 2)), y=[])
         with pytest.raises(ValueError, match="empty"):
-            train(matrix, TrainParams())
+            train(matrix, RunConfig(rounds=100, min_split_loss=0.0))
 
     def test_poisson_negative_targets_rejected(self):
         matrix = matrix_of([[0.0], [1.0]], y=[-1.0, 2.0])
         with pytest.raises(ValueError, match="non-negative"):
-            train(matrix, TrainParams(loss="poisson"))
+            train(matrix, RunConfig(loss="poisson", rounds=100, min_split_loss=0.0))
 
 
 class TestEarlyStopping:
@@ -245,9 +249,9 @@ class TestEarlyStopping:
 
     def test_best_round_is_argmin_of_valid_loss(self):
         train_m, valid_m = self.build()
-        params = TrainParams(
+        params = RunConfig(
             loss="squared", learning_rate=0.3, max_depth=3, rounds=200,
-            reg_lambda=0.0, early_stop_patience=10,
+            reg_lambda=0.0, early_stop_patience=10, min_split_loss=0.0,
         )
         model = train(train_m, params, valid_m)
         losses = np.array(model.valid_loss)
@@ -259,9 +263,9 @@ class TestEarlyStopping:
 
     def test_prediction_uses_best_prefix(self):
         train_m, valid_m = self.build(seed=2)
-        params = TrainParams(
+        params = RunConfig(
             loss="squared", learning_rate=0.3, max_depth=3, rounds=60,
-            reg_lambda=0.0, early_stop_patience=8,
+            reg_lambda=0.0, early_stop_patience=8, min_split_loss=0.0,
         )
         model = train(train_m, params, valid_m)
         manual = np.full(valid_m.n_rows, model.base_score)
@@ -281,7 +285,7 @@ class TestPredict:
 
     def test_exact_fit_toy_model(self):
         matrix = matrix_of([[0.0], [0.0], [1.0], [1.0]], y=[0.0, 0.0, 10.0, 10.0])
-        params = TrainParams(
+        params = RunConfig(
             loss="squared", learning_rate=1.0, max_depth=1, rounds=1, reg_lambda=0.0,
             min_split_loss=0.0,
         )
@@ -308,7 +312,8 @@ class TestPredict:
         x = rng.normal(size=(60, 3))
         y = rng.poisson(np.exp(0.3 * x[:, 0])).astype(float)
         matrix = matrix_of(x, y=y)
-        model = train(matrix, TrainParams(loss="poisson", rounds=20, learning_rate=0.3, max_depth=3))
+        params = RunConfig(loss="poisson", rounds=20, learning_rate=0.3, max_depth=3, min_split_loss=0.0)
+        model = train(matrix, params)
         assert (predict(model, matrix) > 0).all()
 
 
@@ -319,7 +324,8 @@ class TestSerialization:
         x[rng.random(x.shape) < 0.15] = np.nan
         y = rng.poisson(3.0, size=50).astype(float)
         matrix = matrix_of(x, y=y)
-        model = train(matrix, TrainParams(loss="poisson", rounds=10, learning_rate=0.2, max_depth=4))
+        params = RunConfig(loss="poisson", rounds=10, learning_rate=0.2, max_depth=4, min_split_loss=0.0)
+        model = train(matrix, params)
         text = model_to_json(model)
         loaded = model_from_json(text)
         assert model_to_json(loaded) == text
@@ -331,26 +337,114 @@ class TestSerialization:
             model_from_json('{"version": 99}')
 
 
+def small_model_doc():
+    """A two-round model whose first tree splits at its root."""
+    x = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
+    params = RunConfig(loss="squared", learning_rate=1.0, max_depth=2, rounds=2, min_split_loss=0.0)
+    model = train(matrix_of(x, y=[0.0, 0.0, 10.0, 10.0]), params)
+    doc = json.loads(model_to_json(model))
+    assert doc["trees"][0][0][0] >= 0 and len(doc["trees"][0]) >= 3
+    return doc
+
+
+def set_root_loop(doc):
+    doc["trees"][0][0][3] = 0  # the root's left child is the root itself
+    doc["trees"][0][0][1] = 1e308  # so every finite value goes left, forever
+
+
+def set_short_node(doc):
+    doc["trees"][0][1] = doc["trees"][0][1][:3]
+
+
+def set_unknown_feature(doc):
+    doc["trees"][0][0][0] = 999
+
+
+def set_feature_past_end(doc):
+    doc["trees"][0][0][0] = len(doc["feature_names"])
+
+
+def set_negative_feature(doc):
+    doc["trees"][0][0][0] = -2
+
+
+def set_float_feature(doc):
+    doc["trees"][0][0][0] = 0.0  # numpy cannot index a column with a float
+
+
+def set_right_past_end(doc):
+    doc["trees"][0][0][4] = len(doc["trees"][0])
+
+
+def set_negative_best_round(doc):
+    doc["best_round"] = -1
+
+
+def set_large_best_round(doc):
+    doc["best_round"] = len(doc["trees"]) + 1
+
+
+def set_leaf_with_children(doc):
+    doc["trees"][0][1][0] = -1
+    doc["trees"][0][1][3:5] = [2, 2]
+
+
+def set_shared_child(doc):
+    # every link points forward, but node 2 is the child of nodes 0 and 1:
+    # a chain of such nodes multiplies the paths apply() walks
+    doc["trees"][0] = [
+        [0, 0.5, 1, 1, 2, 0.0, 1.0],
+        [1, 2.5, 1, 2, 3, 0.0, 1.0],
+        [-1, 0.0, 1, -1, -1, 1.0, 0.0],
+        [-1, 0.0, 1, -1, -1, 2.0, 0.0],
+    ]
+
+
+class TestModelFileChecks:
+    @pytest.mark.parametrize("corrupt", [
+        set_root_loop, set_short_node, set_unknown_feature, set_feature_past_end,
+        set_negative_feature, set_float_feature, set_right_past_end, set_negative_best_round,
+        set_large_best_round, set_leaf_with_children, set_shared_child,
+    ])
+    def test_malformed_model_rejected_naming_file(self, tmp_path, corrupt):
+        doc = small_model_doc()
+        corrupt(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=re.escape(str(path))):
+            gbt.load_model(path)
+
+    def test_infinite_threshold_accepted(self):
+        doc = small_model_doc()
+        doc["trees"][0][0][1] = math.inf
+        model = model_from_json(json.dumps(doc))
+        assert model.trees[0].nodes[0].threshold == math.inf
+        assert model.predict_array(np.array([[5.0, 5.0]])).shape == (1,)
+
+
 class TestForest:
     def test_single_plain_tree_equals_regression_fit(self):
+        # one feature leaves nothing to sample, so a one-tree forest is the
+        # plain regression tree on the seed's bootstrap rows
         rng = np.random.default_rng(5)
-        x = rng.normal(size=(40, 3))
+        x = rng.normal(size=(40, 1))
         y = rng.normal(size=40) + 3.0
-        matrix = matrix_of(x, y=y)
-        params = ForestParams(n_trees=1, bootstrap=False, feature_subsample=False, max_depth=4)
-        forest = train_forest(matrix, params, seed=0)
-        reference = fit_tree(x, -y, np.ones(40), max_depth=4, reg_lambda=0.0, min_split_loss=0.0)
+        forest = train_forest(matrix_of(x, y=y), 1, 4, seed=0)
+        rows = np.sort(np.random.default_rng(0).integers(0, 40, 40))
+        reference = fit_tree(
+            x[rows], -y[rows], np.ones(40), max_depth=4, reg_lambda=0.0, min_split_loss=0.0
+        )
         assert np.array_equal(forest.predict_array(x), reference.apply(x))
 
     @pytest.mark.parametrize("n_trees", [0, -1])
     def test_no_trees_rejected(self, n_trees):
         matrix = matrix_of(np.arange(20).reshape(10, 2), y=[3.0] * 10)
         with pytest.raises(ValueError, match="n_trees"):
-            train_forest(matrix, ForestParams(n_trees=n_trees), seed=0)
+            train_forest(matrix, n_trees, 64, seed=0)
 
     def test_constant_target(self):
         matrix = matrix_of(np.arange(20).reshape(10, 2), y=[3.0] * 10)
-        forest = train_forest(matrix, ForestParams(n_trees=5), seed=1)
+        forest = train_forest(matrix, 5, 64, seed=1)
         assert np.allclose(forest.predict_array(matrix.X), 3.0)
 
     def test_deterministic_given_seed(self):
@@ -358,8 +452,8 @@ class TestForest:
         x = rng.normal(size=(60, 4))
         y = rng.normal(size=60)
         matrix = matrix_of(x, y=y)
-        p1 = train_forest(matrix, ForestParams(n_trees=8, max_depth=6), seed=42).predict_array(x)
-        p2 = train_forest(matrix, ForestParams(n_trees=8, max_depth=6), seed=42).predict_array(x)
+        p1 = train_forest(matrix, 8, 6, seed=42).predict_array(x)
+        p2 = train_forest(matrix, 8, 6, seed=42).predict_array(x)
         assert np.array_equal(p1, p2)
 
     def test_predictions_pinned(self):
@@ -370,7 +464,7 @@ class TestForest:
         x[:, :3] = np.round(x[:, :3] * 2) / 2
         x[rng.random(x.shape) < 0.15] = np.nan
         y = rng.poisson(3.0, size=30).astype(float)
-        forest = train_forest(matrix_of(x, y=y), ForestParams(n_trees=4, max_depth=6), seed=3)
+        forest = train_forest(matrix_of(x, y=y), 4, 6, seed=3)
         assert forest.predict_array(x).tolist() == [
             3.0, 2.4166666666666665, 1.25, 5.05, 0.25, 2.75, 2.75, 3.0, 1.75,
             2.2083333333333335, 3.1666666666666665, 4.666666666666666, 5.8,
@@ -385,7 +479,7 @@ class TestForest:
         x = rng.normal(size=(50, 3))
         y = rng.poisson(4.0, size=50).astype(float)
         matrix = matrix_of(x, y=y)
-        forest = train_forest(matrix, ForestParams(n_trees=10, max_depth=8), seed=2)
+        forest = train_forest(matrix, 10, 8, seed=2)
         assert (forest.predict_array(x) >= 0).all()
 
 

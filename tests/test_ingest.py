@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,38 @@ class TestLoadCovariates:
         with pytest.raises(SchemaError, match="empty product_id"):
             ingest.load_covariates(path)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["temporal,event,3,,1.0,1", "temporal,event,4,,1.0,1", "temporal,event,3,,2.0,1"],
+            ["mixed,price,2,p1,9.5,0", "mixed,price,2,p2,9.5,0", "mixed,price,2,p1,8.0,0"],
+        ],
+    )
+    def test_duplicate_row_rejected(self, tmp_path, rows):
+        path = write(tmp_path, "cov.csv", self.HEADER + "\n".join(rows) + "\n")
+        with pytest.raises(SchemaError, match=r"cov\.csv:4: duplicate row"):
+            ingest.load_covariates(path)
+
+    @pytest.mark.parametrize("first,second", [("temporal", "mixed"), ("mixed", "temporal")])
+    def test_key_in_both_scopes_rejected(self, tmp_path, first, second):
+        row = {"temporal": "temporal,price,2,,9.5,0", "mixed": "mixed,price,2,p1,9.5,0"}
+        path = write(tmp_path, "cov.csv", self.HEADER + row[first] + "\n" + row[second] + "\n")
+        with pytest.raises(SchemaError, match=r"cov\.csv:3: key 'price' used with both scopes"):
+            ingest.load_covariates(path)
+
+    def test_row_permutation_insensitive(self, tmp_path):
+        rows = [
+            "temporal,event,3,,1.0,1", "temporal,event,1,,0.5,1", "mixed,price,2,p1,9.5,0",
+            "mixed,price,2,p2,7.0,0", "mixed,price,1,p1,9.0,0", "mixed,promo,2,p1,1.0,1",
+        ]
+        tables = []
+        for seed in range(4):
+            order = np.random.default_rng(seed).permutation(len(rows))
+            text = self.HEADER + "".join(rows[k] + "\n" for k in order)
+            tables.append(ingest.load_covariates(write(tmp_path, f"cov{seed}.csv", text)))
+        for table in tables[1:]:
+            assert table == tables[0]
+
 
 class TestLoadConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
@@ -165,6 +199,25 @@ class TestLoadConfig:
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(SchemaError, match="unknown config key"):
             ingest.load_config(write(tmp_path, "c.cfg", "nope = 3\n"))
+
+    def test_every_field_round_trips(self, tmp_path):
+        # one non-default value per field, written as text and parsed back by
+        # the field's declared type
+        changed = {
+            "horizon": 4, "smooth_window": 5, "cap_gamma": 2.5, "season_period": 26,
+            "n_patterns": 3, "hash_buckets": 32, "encoding": "hashing", "loss": "squared",
+            "learning_rate": 0.5, "min_split_loss": 0.25, "max_depth": 3, "rounds": 40,
+            "reg_lambda": 0.5, "early_stop_patience": 7, "train_len": 50, "valid_len": 8,
+            "test_len": 12, "seed": 9, "with_seasonality": False, "override_bounds": True,
+        }
+        assert set(changed) == {f.name for f in fields(RunConfig)}
+        text = "".join(f"{key} = {str(value).lower()}\n" for key, value in changed.items())
+        config = ingest.load_config(write(tmp_path, "c.cfg", text))
+        default = RunConfig()
+        for f in fields(RunConfig):
+            value = getattr(config, f.name)
+            assert value == changed[f.name] != getattr(default, f.name), f.name
+            assert type(value).__name__ == f.type, f.name
 
     def test_comments_and_blanks(self, tmp_path):
         config = ingest.load_config(write(tmp_path, "c.cfg", "\n# x\nhorizon = 4  # inline\n"))

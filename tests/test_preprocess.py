@@ -96,7 +96,6 @@ class TestSmooth:
         smoothed = smooth_panel(panel, window=4, gamma=2.0)
         assert smoothed.x[0, 4] == 10.0  # window mean 10, std 0
         assert smoothed.capped_mask.tolist() == [[False, False, False, False, True]]
-        assert smoothed.residual[0, 4] == 90.0
 
     def test_window_too_small(self):
         panel = panel_from([1, 2, 3])

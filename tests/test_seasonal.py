@@ -198,8 +198,6 @@ class TestProductSeasonality:
         patterns = [bump_curve(10), bump_curve(40)]
         return SeasonalityModel(
             tau=TAU,
-            category_curve={},
-            category_variance={},
             patterns=patterns,
             assignment={"toys": 0, "garden": 1},
             category_of={"p0": "toys", "p_new": "toys", "p_odd": "mystery"},

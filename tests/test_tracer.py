@@ -42,12 +42,16 @@ def test_install_wraps_real_modules_and_restore_undoes_it(tmp_path):
         assert patched
         for owner, attr, original in patched:
             assert getattr(owner, attr) is not original
-        code = cli.main(
-            ["pipeline", "--config", str(data / "run.cfg"),
-             "--sales", str(data / "sales.csv"), "--catalog", str(data / "catalog.csv"),
-             "--covariates", str(data / "covariates.csv"), "--out-dir", str(tmp_path / "out")]
-        )
-        assert code == 0
+        # every model kind, so the train_forest and ESBaseline.forecast
+        # observers read real results too
+        for kind in ("gbt", "forest", "es"):
+            code = cli.main(
+                ["pipeline", "--config", str(data / "run.cfg"),
+                 "--sales", str(data / "sales.csv"), "--catalog", str(data / "catalog.csv"),
+                 "--covariates", str(data / "covariates.csv"), "--out-dir", str(tmp_path / kind),
+                 "--model", kind, "--forest-trees", "2"]
+            )
+            assert code == 0, kind
     finally:
         tracer.restore()
     for owner, attr, original in patched:
@@ -56,5 +60,10 @@ def test_install_wraps_real_modules_and_restore_undoes_it(tmp_path):
     metrics, problems = tracing.layer_metrics(tracer)
     assert problems == []
     assert set(metrics) == {name for name, _ in tracing.LAYER_METRICS} - {"trace.overhead_s"}
-    for name in ("features.rows", "features.trend_calls", "gbt.rounds", "evaluation.rows"):
+    for name in (
+        "features.rows", "features.trend_calls", "gbt.rounds", "baselines.es_rows",
+        "evaluation.rows",
+    ):
         assert metrics[name] > 0, name
+    # 3 boosting rounds (patience 8 never stops them early) plus the forest's 2 trees
+    assert metrics["gbt.rounds"] == 5
