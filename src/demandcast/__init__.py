@@ -4,7 +4,6 @@ from .baselines import ESBaseline, es_fit_forecast, es_grid_select
 from .core import Catalog, SalesPanel, weeks_on_sale
 from .evaluation import (
     EvalReport,
-    cold_start_filter,
     evaluate,
     segment_products,
     weighted_mae,

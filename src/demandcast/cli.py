@@ -10,6 +10,13 @@ Each stage of that chain is one function here (`write_synth`,
 command that runs a stage calls it; the acceptance study calls the same
 functions on its in-memory panel.
 
+Forecast rows stay aligned arrays from the feature matrix to the report:
+the matrix's product ids and target weeks, and the forecasts, go to the
+predictions writer and to `score`, which checks every key against the
+panel, sorts the rows into (product id, week) order once and passes aligned
+arrays to evaluation.evaluate. `evaluate` reads its CSV into the same three
+arrays, so a file's row order does not change its report.
+
 Every stage is a pure function of (inputs, config, seed); running the same
 command twice produces byte-identical artifacts. Exit codes: 0 success,
 1 usage error, 2 data error, 3 internal error.
@@ -29,7 +36,7 @@ import numpy as np
 from . import evaluation, gbt, ingest, synth
 from .baselines import ESBaseline
 from .core import Catalog, SalesPanel, weeks_on_sale
-from .evaluation import EvalReport, cold_start_filter, evaluate, format_report, write_report
+from .evaluation import EvalReport, evaluate, format_report, write_report
 from .features import FeatureMatrix, build_matrix
 from .ingest import CovariateTable, RunConfig, SchemaError
 from .preprocess import SmoothedPanel, preprocess_panel, write_smoothed
@@ -65,16 +72,23 @@ def _load_config(path: str | None) -> RunConfig:
     return ingest.load_config(path)
 
 
-def _write_predictions(predictions: dict[tuple[str, int], float], path: Path) -> None:
+def _write_predictions(
+    pids: np.ndarray, weeks: np.ndarray, forecasts: np.ndarray, path: Path
+) -> None:
+    """Write forecasts[k] for (pids[k], weeks[k]) in (product id, week) order."""
+    order = np.lexsort((weeks, pids))
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["product_id", "week", "forecast"])
-        for (pid, week), value in sorted(predictions.items()):
-            writer.writerow([pid, week, repr(float(value))])
+        writer.writerows(
+            zip(pids[order], weeks[order].tolist(), map(repr, forecasts[order].tolist()))
+        )
 
 
-def _read_predictions(path: Path) -> dict[tuple[str, int], float]:
-    out: dict[tuple[str, int], float] = {}
+def _read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(product ids, weeks, forecasts) of a predictions file, in file order."""
+    pids, weeks, forecasts = [], [], []
+    seen: set[tuple[str, int]] = set()
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -88,10 +102,15 @@ def _read_predictions(path: Path) -> dict[tuple[str, int], float]:
                 value = float(row[2])
             except ValueError:
                 raise SchemaError(f"{path}:{line_no}: bad week or forecast") from None
-            if key in out:
+            if key[1] not in ingest.INT64_WEEKS:
+                raise SchemaError(f"{path}:{line_no}: week {key[1]} outside the int64 range")
+            if key in seen:
                 raise SchemaError(f"{path}:{line_no}: duplicate key {key}")
-            out[key] = value
-    return out
+            seen.add(key)
+            pids.append(row[0])
+            weeks.append(key[1])
+            forecasts.append(value)
+    return np.array(pids, dtype=object), np.array(weeks, dtype=np.int64), np.array(forecasts)
 
 
 def write_synth(spec: synth.SynthSpec, out: Path) -> tuple[str, str, str]:
@@ -156,7 +175,7 @@ def split_matrices(
         repaired, smoothed, catalog, seasonal, covariates, config,
         t_end=test_end - 1 - config.horizon, mode="train",
     )
-    target = np.array([week for _, week in full.keys])
+    target = full.target_weeks
     return (
         full.select(target < valid_start),
         full.select((target >= valid_start) & (target < test_start)),
@@ -174,8 +193,9 @@ def forecast_es(
     baseline = ESBaseline(repaired, catalog, train_end=config.train_len)
     forecasts = np.empty(rows.n_rows)
     fallback = np.zeros(rows.n_rows, dtype=bool)
-    for idx, (pid, week) in enumerate(rows.keys):
-        forecasts[idx], fallback[idx] = baseline.forecast(pid, week - config.horizon)
+    issued = (rows.target_weeks - config.horizon).tolist()
+    for idx, (pid, t) in enumerate(zip(rows.product_ids, issued)):
+        forecasts[idx], fallback[idx] = baseline.forecast(pid, t)
     return forecasts, fallback
 
 
@@ -216,29 +236,33 @@ def fit_forecast(
 
 
 def score(
-    predictions: dict[tuple[str, int], float],
+    pids: np.ndarray, weeks: np.ndarray, forecasts: np.ndarray,
     repaired: SalesPanel,
     catalog: Catalog,
     config: RunConfig,
 ) -> EvalReport:
-    """Price-weighted report of forecasts against repaired actuals.
+    """Price-weighted report of forecasts[k] for (pids[k], weeks[k]) against repaired actuals.
 
-    A forecast for week w was issued at week w - horizon; the product's life
-    at that week buckets the row (0 when issued before the panel began).
+    Rows are scored in (product id, week) order, whatever order they come
+    in. A forecast for week w was issued at week w - horizon; the product's
+    life at that week buckets the row (0 when issued before the panel began).
     """
-    life_so_far = weeks_on_sale(repaired.on_sale_mask)
-    actuals: dict[tuple[str, int], float] = {}
-    life: dict[tuple[str, int], int] = {}
-    for key in predictions:
-        pid, week = key
-        if pid not in repaired.index or not 0 <= week < repaired.n_weeks:
-            raise SchemaError(f"prediction key ({pid}, {week}) has no actual in the panel")
-        i = repaired.index[pid]
-        issued = week - config.horizon
-        actuals[key] = float(repaired.y[i, week])
-        life[key] = int(life_so_far[i, issued]) if issued >= 0 else 0
+    rows = np.array([repaired.index.get(pid, -1) for pid in pids], dtype=np.int64)
+    unknown = (rows < 0) | (weeks < 0) | (weeks >= repaired.n_weeks)
+    if unknown.any():
+        k = int(np.argmax(unknown))
+        raise SchemaError(f"prediction key ({pids[k]}, {weeks[k]}) has no actual in the panel")
+    order = np.lexsort((weeks, pids))
+    rows, weeks = rows[order], weeks[order]
+    issued = weeks - config.horizon
+    life_so_far = weeks_on_sale(repaired.on_sale_mask)[rows, np.maximum(issued, 0)]
     segments = evaluation.segment_products(repaired, catalog, train_end=config.train_len)
-    return evaluate(predictions, actuals, catalog, segments, life)
+    prices = np.array([catalog.price[pid] for pid in repaired.products])
+    labels = np.array([segments[pid] for pid in repaired.products])
+    return evaluate(
+        repaired.y[rows, weeks].astype(float), forecasts[order], prices[rows], labels[rows],
+        np.where(issued >= 0, life_so_far, 0),
+    )
 
 
 def cmd_synth(args) -> int:
@@ -300,20 +324,20 @@ def cmd_predict(args) -> int:
         repaired, smoothed, catalog, seasonal, covariates, config,
         t_end=panel.n_weeks - 1, mode="predict",
     )
-    predictions = dict(zip(matrix.keys, gbt.predict(booster, matrix)))
+    forecasts = gbt.predict(booster, matrix)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_predictions(predictions, out / "predictions.csv")
-    print(f"wrote {len(predictions)} forecasts to {out / 'predictions.csv'}")
+    _write_predictions(matrix.product_ids, matrix.target_weeks, forecasts, out / "predictions.csv")
+    print(f"wrote {matrix.n_rows} forecasts to {out / 'predictions.csv'}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
-    predictions = _read_predictions(Path(args.predictions))
+    pids, weeks, forecasts = _read_predictions(Path(args.predictions))
     panel, catalog, _ = load_inputs(args.sales, args.catalog, None)
     repaired, _ = preprocess(panel, config)
-    report = score(predictions, repaired, catalog, config)
+    report = score(pids, weeks, forecasts, repaired, catalog, config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_report(report, out / "report.csv")
@@ -366,16 +390,14 @@ def cmd_pipeline(args) -> int:
 
         stage = "predict"
         if args.cold_start_filter > 0:
-            keep = cold_start_filter(
-                test_rows.keys, test_rows.life_at_forecast, args.cold_start_filter
-            )
+            keep = test_rows.life_at_forecast >= args.cold_start_filter
             test_rows = test_rows.select(keep)
             forecasts = forecasts[keep]
-        predictions = {key: float(value) for key, value in zip(test_rows.keys, forecasts)}
-        _write_predictions(predictions, out / "predictions.csv")
+        keys = (test_rows.product_ids, test_rows.target_weeks)
+        _write_predictions(*keys, forecasts, out / "predictions.csv")
 
         stage = "evaluate"
-        report = score(predictions, repaired, catalog, config)
+        report = score(*keys, forecasts, repaired, catalog, config)
         write_report(report, out / "report.csv")
 
         manifest = {

@@ -4,6 +4,11 @@ Both metrics weight by product price, so errors on expensive products count
 more. The MAE variant normalizes by the price-weighted forecast volume (its
 printed form). The train/valid/test weeks come from the run config's split
 lengths; cli.split_matrices cuts the feature rows by them.
+
+evaluate takes one aligned array per quantity (actual, forecast, price,
+segment label, life at forecast), one entry per scored row. cli.score
+builds them in (product id, week) order, so a report does not depend on
+the order its rows arrived in.
 """
 
 from __future__ import annotations
@@ -74,24 +79,6 @@ def segment_products(
     return segments
 
 
-def cold_start_filter(
-    keys: list[tuple[str, int]],
-    life_at_forecast: np.ndarray,
-    min_life: int,
-) -> np.ndarray:
-    """Keep-mask for rows whose product had >= min_life on-sale weeks of history.
-
-    life_at_forecast counts the on-sale weeks available when the forecast was
-    issued (up to and including the feature week). min_life=0 keeps all rows,
-    the cold-start showcase mode; min_life=6 reproduces the fair-comparison
-    mode where benchmarks have enough history to run.
-    """
-    life = np.asarray(life_at_forecast)
-    if life.shape[0] != len(keys):
-        raise ValueError("life metadata must align with row keys")
-    return life >= min_life
-
-
 @dataclass
 class MetricCell:
     rmse: float
@@ -115,33 +102,26 @@ def _cell(y, y_hat, prices) -> MetricCell:
 
 
 def evaluate(
-    predictions: dict[tuple[str, int], float],
-    actuals: dict[tuple[str, int], float],
-    catalog: Catalog,
-    segments: dict[str, str],
-    life_at_forecast: dict[tuple[str, int], int],
+    y: np.ndarray,
+    y_hat: np.ndarray,
+    prices: np.ndarray,
+    segments: np.ndarray,
+    life: np.ndarray,
 ) -> EvalReport:
     """Weighted metrics overall, per segment, and per life-length bucket.
 
-    Buckets follow the early-product-cycle breakdown: exact life lengths
-    8..12 plus a 13+ aggregate; shorter lives only count toward overall and
-    segment rows.
+    The arguments are aligned per row: actual, forecast, product price,
+    product segment label and life at forecast. Buckets follow the
+    early-product-cycle breakdown: exact life lengths 8..12 plus a 13+
+    aggregate; shorter lives only count toward overall and segment rows.
     """
-    if set(predictions) != set(actuals):
-        raise ValueError("prediction and actual keys do not match")
-    keys = sorted(predictions)
-    y = np.array([actuals[k] for k in keys])
-    y_hat = np.array([predictions[k] for k in keys])
-    prices = np.array([catalog.price[k[0]] for k in keys])
-    life = np.array([life_at_forecast[k] for k in keys])
     report = EvalReport(
         overall=_cell(y, y_hat, prices),
         segments={},
         life_buckets={},
     )
-    seg = np.array([segments.get(k[0], "C") for k in keys])
     for name in ("A", "B", "C"):
-        mask = seg == name
+        mask = segments == name
         if mask.any():
             report.segments[name] = _cell(y[mask], y_hat[mask], prices[mask])
     for bucket in LIFE_BUCKETS:

@@ -20,6 +20,12 @@ add each group's values in week order. Trend slopes reduce C-contiguous
 (rows, window length) blocks along their last axis (seasonal.trend_features).
 Every cell equals the one-row-at-a-time definition in tests/oracles.py
 (rowwise_build_matrix) bit for bit.
+
+A row's key, its (product id, target week) pair, is held as two aligned
+arrays: product_ids, an object array of the panel's own id strings, and the
+int64 target_weeks. np.nonzero makes the keys unique. The split, the
+forecasts, the predictions file and the report all index these arrays; no
+per-row key object is built.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -178,17 +183,14 @@ class CovariateView:
 
 @dataclass
 class FeatureMatrix:
-    """Rows keyed by (product_id, target_week); NaN marks missing cells."""
+    """Rows keyed by (product_ids[k], target_weeks[k]); NaN marks missing cells."""
 
-    keys: list[tuple[str, int]]
+    product_ids: np.ndarray       # (n,) object, the panel's id strings
+    target_weeks: np.ndarray      # (n,) int64
     columns: list[str]
     X: np.ndarray                 # (n, p) float64
     targets: np.ndarray | None    # (n,) float64, None for prediction rows
     life_at_forecast: np.ndarray  # on-sale weeks up to and including week t
-
-    def __post_init__(self) -> None:
-        if len(self.keys) != len(set(self.keys)):
-            raise ValueError("duplicate (product, target week) keys")
 
     @property
     def n_rows(self) -> int:
@@ -196,7 +198,8 @@ class FeatureMatrix:
 
     def select(self, mask: np.ndarray) -> "FeatureMatrix":
         return FeatureMatrix(
-            keys=list(compress(self.keys, mask.tolist())),
+            product_ids=self.product_ids[mask],
+            target_weeks=self.target_weeks[mask],
             columns=self.columns,
             X=self.X[mask],
             targets=None if self.targets is None else self.targets[mask],
@@ -306,9 +309,9 @@ def build_matrix(
             x[:, col] = view.column(name, rows, target_weeks, weeks)
             col += 1
 
-    products = np.array(panel.products, dtype=object)
     return FeatureMatrix(
-        keys=list(zip(products[rows].tolist(), target_weeks.tolist())),
+        product_ids=np.array(panel.products, dtype=object)[rows],
+        target_weeks=target_weeks,
         columns=columns,
         X=x,
         targets=panel.y[rows, target_weeks].astype(float) if mode == "train" else None,

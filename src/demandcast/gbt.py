@@ -570,11 +570,20 @@ def model_from_json(text: str, source: str = "model") -> BoostedModel:
     Every tree is checked to be a pre-order tree over the model's features
     (a left child follows its parent, a right child lies further on, every
     node but the root has one parent), so apply() walks each tree forward
-    and visits each node at most once per call.
+    and visits each node at most once per call. The loss must be one train
+    knows, the learning rate a finite number above 0, the base score and
+    node weights finite numbers, and thresholds numbers other than NaN.
     """
     doc = json.loads(text)
     if doc.get("version") != SERIAL_VERSION:
         raise ValueError(f"unsupported model version: {doc.get('version')}")
+    loss, rate, base = doc["loss"], doc["learning_rate"], doc["base_score"]
+    if loss not in ("poisson", "squared"):
+        raise SchemaError(f"{source}: unknown loss {loss!r}")
+    if not (_finite(rate) and rate > 0):
+        raise SchemaError(f"{source}: learning_rate {rate!r} is not a finite number above 0")
+    if not _finite(base):
+        raise SchemaError(f"{source}: base_score {base!r} is not a finite number")
     n_features = len(doc["feature_names"])
     trees = [
         _tree_from_json(nodes, n_features, f"{source}: tree {t}")
@@ -584,13 +593,17 @@ def model_from_json(text: str, source: str = "model") -> BoostedModel:
     if type(best_round) is not int or not 0 <= best_round <= len(trees):
         raise SchemaError(f"{source}: best_round {best_round!r} outside [0, {len(trees)}]")
     return BoostedModel(
-        loss=doc["loss"],
-        base_score=doc["base_score"],
-        learning_rate=doc["learning_rate"],
+        loss=loss,
+        base_score=base,
+        learning_rate=rate,
         feature_names=list(doc["feature_names"]),
         trees=trees,
         best_round=best_round,
     )
+
+
+def _finite(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
 
 
 def _tree_from_json(rows: list, n_features: int, where: str) -> Tree:
@@ -604,6 +617,10 @@ def _tree_from_json(rows: list, n_features: int, where: str) -> Tree:
         feature, threshold, default_left, left, right, weight, gain = row
         if {type(feature), type(left), type(right)} != {int}:
             problem = "feature and child indices must be integers"
+        elif not _finite(weight):
+            problem = f"weight {weight!r} is not a finite number"
+        elif type(threshold) not in (int, float) or math.isnan(threshold):
+            problem = f"threshold {threshold!r} is not a number"
         elif feature == -1:
             problem = None if left == right == -1 else f"a leaf has children {left}/{right}"
         elif not 0 <= feature < n_features:

@@ -32,6 +32,9 @@ class SchemaError(ValueError):
     """Malformed or out-of-contract input data."""
 
 
+# Weeks a numpy int64 array can hold; files with weeks outside it are rejected.
+INT64_WEEKS = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
+
 # Search bounds for tree hyperparameters; values outside them are rejected
 # unless the config sets override_bounds.
 PARAM_BOUNDS = {
@@ -217,6 +220,7 @@ def load_covariates(path: str | Path, panel: SalesPanel | None = None) -> Covari
     """Load covariates.csv; mixed rows are validated against the panel if given.
 
     A key belongs to one scope, and each (key, week[, product]) has one row.
+    Weeks must fit in int64, the type the feature builder holds them in.
     """
     path = Path(path)
     table = CovariateTable()
@@ -234,6 +238,8 @@ def load_covariates(path: str | Path, panel: SalesPanel | None = None) -> Covari
                 value = float(value_s)
             except ValueError:
                 raise SchemaError(f"{path}:{line_no}: bad week or value") from None
+            if week not in INT64_WEEKS:
+                raise SchemaError(f"{path}:{line_no}: week {week} outside the int64 range")
             if not math.isfinite(value):
                 raise SchemaError(f"{path}:{line_no}: non-finite value {value_s!r}")
             predictable = _parse_bool(pred_s, str(path), line_no, "predictable")
@@ -279,7 +285,8 @@ _CONFIG_PARSERS = {"bool": _config_bool, "int": int, "float": float, "str": str}
 def load_config(path: str | Path) -> RunConfig:
     """Parse a flat ``key = value`` config file; unset keys keep defaults.
 
-    Each value is parsed by the declared type of its RunConfig field.
+    Each value is parsed by the declared type of its RunConfig field. A key
+    may be set once.
     """
     path = Path(path)
     types = {f.name: f.type for f in fields(RunConfig)}
@@ -293,6 +300,8 @@ def load_config(path: str | Path) -> RunConfig:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in types:
             raise SchemaError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key in values:
+            raise SchemaError(f"{path}:{line_no}: repeated config key {key!r}")
         try:
             values[key] = _CONFIG_PARSERS[types[key]](value)
         except ValueError:

@@ -61,7 +61,7 @@ def study():
     )
     es_pred, es_fallback = cli.forecast_es(test_rows, repaired, catalog, config)
 
-    prices = np.array([catalog.price[pid] for pid, _ in test_rows.keys])
+    prices = np.array([catalog.price[pid] for pid in test_rows.product_ids])
     return {
         "panel": panel,
         "truth": truth,

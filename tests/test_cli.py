@@ -1,4 +1,6 @@
+import csv
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -103,9 +105,35 @@ class TestPipeline:
         out_filtered = tmp_path / "filtered"
         assert main(pipeline_args(data_dir, out_all)) == 0
         assert main(pipeline_args(data_dir, out_filtered, "--cold-start-filter", "6")) == 0
-        n_all = len((out_all / "predictions.csv").read_text().splitlines())
-        n_filtered = len((out_filtered / "predictions.csv").read_text().splitlines())
-        assert n_filtered <= n_all
+        # keep exactly the rows whose product was on sale >= 6 weeks up to the
+        # issue week (target week - horizon 6), counted from sales.csv
+        with (data_dir / "sales.csv").open(newline="") as fh:
+            rows = csv.DictReader(fh)
+            listed = [(row["product_id"], int(row["week"])) for row in rows if row["on_sale"] == "1"]
+
+        def life(pid, week):
+            return sum(1 for p, w in listed if p == pid and w <= week - 6)
+
+        lines_all = (out_all / "predictions.csv").read_text().splitlines()
+        expected = [lines_all[0]] + [
+            line for line in lines_all[1:]
+            if life(line.split(",")[0], int(line.split(",")[1])) >= 6
+        ]
+        assert 1 < len(expected) < len(lines_all)
+        assert (out_filtered / "predictions.csv").read_text().splitlines() == expected
+
+    def test_covariate_week_outside_int64_is_data_error(self, data_dir, tmp_path, capsys):
+        covariates = tmp_path / "covariates.csv"
+        text = (data_dir / "covariates.csv").read_text()
+        covariates.write_text(text + "temporal,event,100000000000000000000,,1.0,1\n")
+        line = len(text.splitlines()) + 1
+        args = pipeline_args(data_dir, tmp_path / "out")
+        args[args.index("--covariates") + 1] = str(covariates)
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error in stage ingest: {covariates}:{line}: "
+            "week 100000000000000000000 outside the int64 range\n"
+        )
 
     def test_no_seasonality_flag(self, data_dir, tmp_path):
         out = tmp_path / "noseas"
@@ -151,16 +179,15 @@ class TestTrainPredict:
         lines = (out / "predictions.csv").read_text().splitlines()
         assert len(lines) > 1
 
-    def test_malformed_model_file_is_data_error(self, data_dir, tmp_path, capsys):
-        out = tmp_path / "model"
+    def predict_with_corrupt_model(self, data_dir, out, corrupt):
+        """Train on the CLI panel, apply corrupt to model.json's document, then predict."""
         train_args = pipeline_args(data_dir, out)
         train_args[0] = "train"
         assert main(train_args) == 0
         model_file = out / "model.json"
         doc = json.loads(model_file.read_text())
-        doc["trees"][0][0] = doc["trees"][0][0][:3]
+        corrupt(doc)
         model_file.write_text(json.dumps(doc))
-        capsys.readouterr()
         code = main(
             [
                 "predict",
@@ -171,8 +198,31 @@ class TestTrainPredict:
                 "--out-dir", str(out),
             ]
         )
+        return code, model_file
+
+    def test_malformed_model_file_is_data_error(self, data_dir, tmp_path, capsys):
+        def cut_root(doc):
+            doc["trees"][0][0] = doc["trees"][0][0][:3]
+
+        code, model_file = self.predict_with_corrupt_model(data_dir, tmp_path / "model", cut_root)
         assert code == 2
         assert f"error: {model_file}: tree 0 node 0: expected 7 fields" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("loss", "poison", "unknown loss 'poison'"),
+            ("learning_rate", float("nan"), "learning_rate nan is not a finite number above 0"),
+        ],
+    )
+    def test_bad_model_scalar_is_data_error(self, data_dir, tmp_path, capsys, field, value, message):
+        out = tmp_path / "model"
+        code, model_file = self.predict_with_corrupt_model(
+            data_dir, out, lambda doc: doc.update({field: value})
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {model_file}: {message}\n"
+        assert not (out / "predictions.csv").exists()
 
     def test_train_fits_the_pipeline_model(self, data_dir, tmp_path):
         trained, piped = tmp_path / "train", tmp_path / "pipe"
@@ -238,6 +288,29 @@ class TestEvaluateCommand:
         )
         assert code == 0
         assert (out / "report.csv").read_text() == (run / "report.csv").read_text()
+
+    def test_row_order_does_not_change_the_report(self, data_dir, tmp_path):
+        run = tmp_path / "run"
+        assert main(pipeline_args(data_dir, run)) == 0
+        header, *rows = (run / "predictions.csv").read_text().splitlines()
+        shuffled = rows[:]
+        random.Random(0).shuffle(shuffled)
+        assert shuffled != rows
+        predictions = tmp_path / "shuffled.csv"
+        predictions.write_text("\n".join([header, *shuffled]) + "\n")
+        out = tmp_path / "eval"
+        code = main(
+            [
+                "evaluate",
+                "--predictions", str(predictions),
+                "--sales", str(data_dir / "sales.csv"),
+                "--catalog", str(data_dir / "catalog.csv"),
+                "--config", str(data_dir / "run.cfg"),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 0
+        assert (out / "report.csv").read_bytes() == (run / "report.csv").read_bytes()
 
 
 class TestUsage:

@@ -6,13 +6,12 @@ import pytest
 from demandcast import cli
 from demandcast.core import Catalog
 from demandcast.evaluation import (
-    cold_start_filter,
     evaluate,
     segment_products,
     weighted_mae,
     weighted_rmse,
 )
-from demandcast.ingest import RunConfig
+from demandcast.ingest import RunConfig, SchemaError
 
 from .test_core import make_panel
 
@@ -81,7 +80,7 @@ def split_weeks(n_weeks, train_len, valid_len, test_len):
     )
     repaired, smoothed = cli.preprocess(panel, config)
     parts = cli.split_matrices(repaired, smoothed, catalog, None, None, config)
-    weeks = [sorted({week for _, week in part.keys}) for part in parts]
+    weeks = [sorted(set(part.target_weeks.tolist())) for part in parts]
     assert [part.n_rows for part in parts] == [2 * len(w) for w in weeks]
     return weeks
 
@@ -156,40 +155,14 @@ class TestSegmentation:
             segment_products(panel, volume_catalog(2))
 
 
-class TestColdStartFilter:
-    def test_zero_min_life_is_identity(self):
-        keys = [("a", 5), ("b", 6)]
-        keep = cold_start_filter(keys, np.array([1, 30]), min_life=0)
-        assert keep.tolist() == [True, True]
-
-    def test_short_history_rows_dropped(self):
-        keys = [("a", 10), ("a", 11), ("b", 10)]
-        keep = cold_start_filter(keys, np.array([3, 6, 12]), min_life=6)
-        assert keep.tolist() == [False, True, True]
-
-    def test_matches_brute_force_recount(self):
-        rng = np.random.default_rng(3)
-        keys = [(f"p{i}", int(w)) for i, w in enumerate(rng.integers(0, 40, size=50))]
-        life = rng.integers(0, 20, size=50)
-        keep = cold_start_filter(keys, life, min_life=6)
-        manual = [bool(v >= 6) for v in life]
-        assert keep.tolist() == manual
-        assert keep.sum() == sum(manual)
-
-
 class TestEvaluate:
     def setup_inputs(self):
-        catalog = Catalog(
-            {"a": "c1", "b": "c1", "c": "c2"},
-            {"a": 2.0, "b": 1.0, "c": 4.0},
-            {},
-        )
-        keys = [("a", 10), ("b", 10), ("c", 10), ("a", 11)]
-        predictions = {k: 5.0 for k in keys}
-        actuals = {k: 5.0 for k in keys}
-        segments = {"a": "A", "b": "B", "c": "C"}
-        life = {("a", 10): 8, ("b", 10): 10, ("c", 10): 25, ("a", 11): 9}
-        return predictions, actuals, catalog, segments, life
+        # rows (a, 10), (b, 10), (c, 10), (a, 11); prices a 2, b 1, c 4
+        y = np.full(4, 5.0)
+        prices = np.array([2.0, 1.0, 4.0, 2.0])
+        segments = np.array(["A", "B", "C", "A"])
+        life = np.array([8, 10, 25, 9])
+        return y, y.copy(), prices, segments, life
 
     def test_perfect_predictions_zero_everywhere(self):
         report = evaluate(*self.setup_inputs())
@@ -205,15 +178,56 @@ class TestEvaluate:
         assert report.life_buckets["13+"].rows == 1
 
     def test_degenerate_single_cell_matches_overall(self):
-        catalog = Catalog({"a": "c"}, {"a": 3.0}, {})
-        predictions = {("a", 5): 4.0}
-        actuals = {("a", 5): 6.0}
-        report = evaluate(predictions, actuals, catalog, {"a": "A"}, {("a", 5): 9})
+        report = evaluate(
+            np.array([6.0]), np.array([4.0]), np.array([3.0]), np.array(["A"]), np.array([9])
+        )
         assert report.overall.rmse == report.segments["A"].rmse
         assert report.overall.rmse == report.life_buckets["9"].rmse
 
-    def test_key_mismatch_rejected(self):
-        predictions, actuals, catalog, segments, life = self.setup_inputs()
-        actuals.pop(("a", 11))
-        with pytest.raises(ValueError, match="keys"):
-            evaluate(predictions, actuals, catalog, segments, life)
+
+class TestScore:
+    """cli.score on a 12-product panel, whose ids p10 and p11 sort before p2."""
+
+    def setup_rows(self):
+        rng = np.random.default_rng(4)
+        panel = make_panel(rng.poisson(5.0, size=(12, 30)))
+        catalog = Catalog(
+            {f"p{i}": "c" for i in range(12)}, {f"p{i}": 1.0 + i for i in range(12)}, {}
+        )
+        config = RunConfig(horizon=6, train_len=20, valid_len=4, test_len=6)
+        pids = np.repeat(np.array(panel.products, dtype=object), 17)
+        weeks = np.tile(np.arange(13, 30), 12)
+        forecasts = rng.uniform(1.0, 9.0, pids.size)
+        return panel, catalog, config, pids, weeks, forecasts
+
+    def test_rows_grouped_by_their_product_segment_and_life(self):
+        panel, catalog, config, pids, weeks, forecasts = self.setup_rows()
+        report = cli.score(pids, weeks, forecasts, panel, catalog, config)
+        y = panel.y[[panel.index[pid] for pid in pids], weeks]
+        prices = np.array([catalog.price[pid] for pid in pids])
+        segments = segment_products(panel, catalog, train_end=config.train_len)
+        labels = np.array([segments[pid] for pid in pids])
+        life = weeks - config.horizon + 1  # every week is on sale
+        groups = {name: labels == name for name in ("A", "B", "C")}
+        groups.update({str(k): life == k for k in (8, 9, 10, 11, 12)})
+        groups["13+"] = life > 12
+        cells = {**report.segments, **report.life_buckets}
+        assert set(cells) == set(groups)
+        for name, mask in groups.items():
+            assert cells[name].rows == mask.sum()
+            expected = weighted_rmse(y[mask], forecasts[mask], prices[mask])
+            assert cells[name].rmse == pytest.approx(expected, rel=1e-12)
+
+    def test_row_order_does_not_matter(self):
+        panel, catalog, config, pids, weeks, forecasts = self.setup_rows()
+        report = cli.score(pids, weeks, forecasts, panel, catalog, config)
+        perm = np.random.default_rng(5).permutation(pids.size)
+        shuffled = cli.score(pids[perm], weeks[perm], forecasts[perm], panel, catalog, config)
+        assert shuffled == report
+
+    @pytest.mark.parametrize("pid,week", [("ghost", 20), ("p3", -1), ("p3", 30)])
+    def test_key_outside_the_panel_rejected(self, pid, week):
+        panel, catalog, config, pids, weeks, forecasts = self.setup_rows()
+        pids[5], weeks[5] = pid, week
+        with pytest.raises(SchemaError, match=rf"^prediction key \({pid}, {week}\) has no actual"):
+            cli.score(pids, weeks, forecasts, panel, catalog, config)

@@ -22,6 +22,11 @@ from .test_core import make_panel
 TOYS_FNV1A64 = 4977285706153611356
 
 
+def keys_of(matrix):
+    """The matrix's (product id, target week) row keys as a list of tuples."""
+    return list(zip(matrix.product_ids.tolist(), matrix.target_weeks.tolist()))
+
+
 class TestOrdinalEncode:
     def test_sorted_ids(self):
         mapping = ordinal_encode(["B", "A", "A"])
@@ -123,7 +128,7 @@ class TestBuildMatrix:
             repaired, smoothed, catalog, model, None, self.config(), t_end=13, mode="train"
         )
         assert matrix.n_rows == 14
-        assert [week for _, week in matrix.keys] == list(range(6, 20))
+        assert matrix.target_weeks.tolist() == list(range(6, 20))
 
     def test_cold_start_rows_have_missing_lags(self):
         _, repaired, smoothed, catalog, model = pipeline_inputs(
@@ -132,8 +137,8 @@ class TestBuildMatrix:
         matrix = build_matrix(
             repaired, smoothed, catalog, model, None, self.config(), t_end=13, mode="train"
         )
-        rows_p1 = [idx for idx, (pid, _) in enumerate(matrix.keys) if pid == "p1"]
-        assert [matrix.keys[idx][1] for idx in rows_p1] == [18, 19]  # t = 12, 13
+        rows_p1 = np.flatnonzero(matrix.product_ids == "p1")
+        assert matrix.target_weeks[rows_p1].tolist() == [18, 19]  # t = 12, 13
         first = matrix.X[rows_p1[0]]
         lag_cols = matrix.columns[:LAG_DEPTH]
         assert np.isnan(first[lag_cols.index("lag_1") :  LAG_DEPTH]).all()
@@ -147,7 +152,7 @@ class TestBuildMatrix:
         )
         assert matrix.n_rows == 3
         assert matrix.targets is None
-        assert all(week == 25 for _, week in matrix.keys)
+        assert (matrix.target_weeks == 25).all()
 
     def test_t_end_out_of_range(self):
         _, repaired, smoothed, catalog, model = pipeline_inputs(n_weeks=20, n_products=1)
@@ -161,8 +166,9 @@ class TestBuildMatrix:
         matrix = build_matrix(
             repaired, smoothed, catalog, model, None, self.config(), t_end=22, mode="train"
         )
-        assert len(set(matrix.keys)) == matrix.n_rows
-        for idx, (pid, week) in enumerate(matrix.keys):
+        keys = keys_of(matrix)
+        assert len(set(keys)) == matrix.n_rows
+        for idx, (pid, week) in enumerate(keys):
             assert matrix.targets[idx] == repaired.y[repaired.index[pid], week]
 
     def test_targets_are_repaired_not_smoothed(self):
@@ -174,7 +180,7 @@ class TestBuildMatrix:
         repaired, smoothed = preprocess_panel(panel, window=4, gamma=1.0)
         config = RunConfig(horizon=2, with_seasonality=False)
         matrix = build_matrix(repaired, smoothed, catalog, None, None, config, t_end=9, mode="train")
-        by_key = dict(zip(matrix.keys, matrix.targets))
+        by_key = dict(zip(keys_of(matrix), matrix.targets))
         assert by_key[("p0", 2)] == 5.0   # repaired fake zero
         assert by_key[("p0", 9)] == 80.0  # spike target kept, not capped
         assert smoothed.x[0, 9] < 80.0
@@ -239,7 +245,7 @@ class TestBuildMatrix:
         full = build_matrix(
             repaired, smoothed, catalog, model, covariates, config, t_end=t, mode="train"
         )
-        rows_at_t = [idx for idx, (_, week) in enumerate(full.keys) if week == t + config.horizon]
+        rows_at_t = np.flatnonzero(full.target_weeks == t + config.horizon)
 
         truncated = make_panel(y[:, : t + 1])
         cov_trunc = CovariateTable(
@@ -258,7 +264,7 @@ class TestBuildMatrix:
         again = build_matrix(
             repaired_t, smoothed_t, catalog, model, cov_trunc, config, t_end=t, mode="predict"
         )
-        assert [k for k in again.keys] == [full.keys[idx] for idx in rows_at_t]
+        assert keys_of(again) == [keys_of(full)[idx] for idx in rows_at_t]
         rebuilt = again.X
         original = full.X[rows_at_t]
         assert np.array_equal(original, rebuilt, equal_nan=True)
@@ -359,7 +365,7 @@ class TestMatchesRowwiseReference:
             annual=(seasonal.ANNUAL_WINDOW, seasonal.MIN_ANNUAL_POINTS),
             local=(seasonal.LOCAL_WINDOW, seasonal.MIN_LOCAL_POINTS),
         )
-        assert matrix.keys == keys
+        assert keys_of(matrix) == keys
         assert matrix.columns == columns
         assert matrix.X.shape == x.shape
         assert matrix.X.tobytes() == x.tobytes()

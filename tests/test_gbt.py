@@ -36,9 +36,9 @@ from .oracles import (
 def matrix_of(x, y=None, columns=None):
     x = np.asarray(x, dtype=float)
     columns = columns or [f"f{j}" for j in range(x.shape[1])]
-    keys = [(f"r{i}", i) for i in range(x.shape[0])]
     return FeatureMatrix(
-        keys=keys,
+        product_ids=np.array([f"r{i}" for i in range(x.shape[0])], dtype=object),
+        target_weeks=np.arange(x.shape[0]),
         columns=columns,
         X=x,
         targets=None if y is None else np.asarray(y, dtype=float),
@@ -400,11 +400,63 @@ def set_shared_child(doc):
     ]
 
 
+def set_unknown_loss(doc):
+    doc["loss"] = "poison"  # predict_array would skip exp and return log-scale scores
+
+
+def set_nan_learning_rate(doc):
+    doc["learning_rate"] = math.nan
+
+
+def set_zero_learning_rate(doc):
+    doc["learning_rate"] = 0.0
+
+
+def set_negative_learning_rate(doc):
+    doc["learning_rate"] = -0.1
+
+
+def set_infinite_learning_rate(doc):
+    doc["learning_rate"] = math.inf
+
+
+def set_string_learning_rate(doc):
+    doc["learning_rate"] = "0.1"
+
+
+def set_nan_base_score(doc):
+    doc["base_score"] = math.nan
+
+
+def set_infinite_base_score(doc):
+    doc["base_score"] = -math.inf
+
+
+def set_bool_base_score(doc):
+    doc["base_score"] = True
+
+
+def set_nan_leaf_weight(doc):
+    doc["trees"][0][-1][5] = math.nan
+
+
+def set_infinite_leaf_weight(doc):
+    doc["trees"][1][-1][5] = math.inf
+
+
+def set_nan_threshold(doc):
+    doc["trees"][0][0][1] = math.nan
+
+
 class TestModelFileChecks:
     @pytest.mark.parametrize("corrupt", [
         set_root_loop, set_short_node, set_unknown_feature, set_feature_past_end,
         set_negative_feature, set_float_feature, set_right_past_end, set_negative_best_round,
-        set_large_best_round, set_leaf_with_children, set_shared_child,
+        set_large_best_round, set_leaf_with_children, set_shared_child, set_unknown_loss,
+        set_nan_learning_rate, set_zero_learning_rate, set_negative_learning_rate,
+        set_infinite_learning_rate, set_string_learning_rate, set_nan_base_score,
+        set_infinite_base_score, set_bool_base_score, set_nan_leaf_weight,
+        set_infinite_leaf_weight, set_nan_threshold,
     ])
     def test_malformed_model_rejected_naming_file(self, tmp_path, corrupt):
         doc = small_model_doc()
@@ -417,8 +469,10 @@ class TestModelFileChecks:
     def test_infinite_threshold_accepted(self):
         doc = small_model_doc()
         doc["trees"][0][0][1] = math.inf
+        doc["trees"][1][0][1] = -math.inf
         model = model_from_json(json.dumps(doc))
         assert model.trees[0].nodes[0].threshold == math.inf
+        assert model.trees[1].nodes[0].threshold == -math.inf
         assert model.predict_array(np.array([[5.0, 5.0]])).shape == (1,)
 
 

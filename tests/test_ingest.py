@@ -112,6 +112,25 @@ class TestLoadCovariates:
         with pytest.raises(SchemaError, match=r"cov\.csv:3: non-finite value"):
             ingest.load_covariates(path)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "temporal,event,100000000000000000000,,1.0,1",
+            "temporal,event,9223372036854775808,,1.0,1",
+            "temporal,event,-9223372036854775809,,1.0,1",
+            "mixed,price,100000000000000000000,p1,9.5,0",
+        ],
+    )
+    def test_week_outside_int64_rejected(self, tmp_path, row):
+        path = write(tmp_path, "cov.csv", self.HEADER + "temporal,event,1,,1.0,1\n" + row + "\n")
+        with pytest.raises(SchemaError, match=r"cov\.csv:3: week -?\d+ outside the int64 range"):
+            ingest.load_covariates(path)
+
+    def test_int64_extreme_weeks_accepted(self, tmp_path):
+        rows = "temporal,event,9223372036854775807,,1.0,1\ntemporal,event,-9223372036854775808,,2.0,1\n"
+        table = ingest.load_covariates(write(tmp_path, "cov.csv", self.HEADER + rows))
+        assert table.temporal["event"] == {2**63 - 1: 1.0, -(2**63): 2.0}
+
     def test_temporal_with_product_rejected(self, tmp_path):
         path = write(tmp_path, "cov.csv", self.HEADER + "temporal,event,3,p1,1.0,1\n")
         with pytest.raises(SchemaError, match="empty product_id"):
@@ -195,6 +214,11 @@ class TestLoadConfig:
         key = text.split(" ", 1)[0]
         with pytest.raises(SchemaError, match=key):
             ingest.load_config(write(tmp_path, "c.cfg", text + "\n"))
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = write(tmp_path, "c.cfg", "rounds = 3\nhorizon = 4\nrounds = 5\n")
+        with pytest.raises(SchemaError, match=r"c\.cfg:3: repeated config key 'rounds'"):
+            ingest.load_config(path)
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(SchemaError, match="unknown config key"):
