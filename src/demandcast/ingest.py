@@ -35,6 +35,11 @@ class SchemaError(ValueError):
 # Weeks a numpy int64 array can hold; files with weeks outside it are rejected.
 INT64_WEEKS = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 
+# The last week a sales.csv row may carry. The panel is dense, one column
+# per week up to the largest one, so this caps its width: 10,000 weeks is
+# about 190 years of weekly data.
+LAST_WEEK = 9_999
+
 # Search bounds for tree hyperparameters; values outside them are rejected
 # unless the config sets override_bounds.
 PARAM_BOUNDS = {
@@ -135,7 +140,8 @@ def load_sales(path: str | Path) -> SalesPanel:
     """Load sales.csv into a dense panel.
 
     Weeks absent from the file default to count 0, not listed, in stock.
-    Duplicate (product, week) rows are rejected.
+    Duplicate (product, week) rows and weeks outside [0, LAST_WEEK] are
+    rejected.
     """
     path = Path(path)
     rows: dict[tuple[str, int], tuple[int, bool, bool]] = {}
@@ -156,6 +162,10 @@ def load_sales(path: str | Path) -> SalesPanel:
                 raise SchemaError(f"{path}:{line_no}: non-integer week or units") from None
             if week < 0:
                 raise SchemaError(f"{path}:{line_no}: negative week {week}")
+            if week > LAST_WEEK:
+                raise SchemaError(
+                    f"{path}:{line_no}: week {week} beyond the last supported week {LAST_WEEK}"
+                )
             if units < 0:
                 raise SchemaError(f"{path}:{line_no}: negative units {units}")
             key = (pid, week)

@@ -1,10 +1,38 @@
+import csv
+
 import numpy as np
 import pytest
 
-from demandcast.baselines import ESBaseline, es_fit_forecast, es_grid_select
+from demandcast import cli
+from demandcast.baselines import ALPHA_GRID, ESBaseline, es_fit_forecast, es_grid_select
 from demandcast.core import Catalog
+from demandcast.ingest import load_config
+from demandcast.synth import SynthSpec, generate_panel
 
+from .test_cli import CONFIG
 from .test_core import make_panel
+
+
+def scalar_forecast(baseline, product_id, t):
+    """ESBaseline.forecast as a grid selection over the prefix up to t, per call."""
+    i = baseline.panel.row(product_id)
+    weeks = np.flatnonzero(baseline.panel.on_sale_mask[i, : max(t + 1, 0)])
+    if weeks.size < ESBaseline.MIN_OBS:
+        cat = baseline.catalog.category_of.get(product_id)
+        return baseline.category_mean.get(cat, baseline.global_mean), True
+    series = baseline.panel.y[i, weeks].astype(float)
+    return es_fit_forecast(series, es_grid_select(series)), False
+
+
+def bits(values):
+    """The float64 bit patterns of values, so equality admits no rounding."""
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+def one_product(values, on_sale=None):
+    """A baseline over one product, p0, in category c."""
+    panel = make_panel([values], on_sale=None if on_sale is None else [on_sale])
+    return ESBaseline(panel, Catalog({"p0": "c"}, {"p0": 1.0}, {}), train_end=len(values))
 
 
 class TestFitForecast:
@@ -90,3 +118,130 @@ class TestESBaseline:
         value, used_fallback = baseline.forecast("p1", 0)
         assert used_fallback
         assert value == pytest.approx(baseline.global_mean)
+
+
+class TestForecastTable:
+    """The one-pass table equals the per-origin scalar grid search bit for bit."""
+
+    def check_every_origin(self, panel, catalog):
+        baseline = ESBaseline(panel, catalog, train_end=panel.n_weeks)
+        origins = [(pid, t) for pid in panel.products for t in range(-1, panel.n_weeks + 1)]
+        got = [baseline.forecast(pid, t) for pid, t in origins]
+        expected = [scalar_forecast(baseline, pid, t) for pid, t in origins]
+        assert [flag for _, flag in got] == [flag for _, flag in expected]
+        assert np.array_equal(bits([v for v, _ in got]), bits([v for v, _ in expected]))
+
+    def test_synth_panel_with_gaps(self):
+        panel, catalog, _, _ = generate_panel(
+            SynthSpec(n_products=30, n_categories=3, n_weeks=60, seed=11)
+        )
+        rng = np.random.default_rng(4)
+        on_sale = panel.on_sale_mask & (rng.random(panel.y.shape) > 0.2)
+        y = np.where(on_sale, panel.y, 0)
+        gapped = type(panel)(panel.products, y, on_sale, panel.stock_flag)
+        assert (gapped.on_sale_mask != panel.on_sale_mask).any()
+        self.check_every_origin(gapped, catalog)
+
+    def test_random_panel(self):
+        rng = np.random.default_rng(9)
+        on_sale = rng.random((25, 40)) < 0.6
+        y = np.where(on_sale, rng.poisson(6.0, on_sale.shape), 0)
+        panel = make_panel(y, on_sale=on_sale)
+        catalog = Catalog(
+            {p: "c" for p in panel.products}, {p: 1.0 for p in panel.products}, {}
+        )
+        self.check_every_origin(panel, catalog)
+
+    def test_one_observation_falls_back(self):
+        baseline = one_product([0, 7, 0], on_sale=[False, True, False])
+        assert baseline.forecast("p0", 2) == (7.0, True)  # the category mean
+        assert baseline.forecast("p0", 0)[1]
+        assert baseline.forecast("p0", -1)[1]
+
+    @pytest.mark.parametrize("values", [[2, 8], [2, 8, 3, 11]])
+    def test_two_to_four_observations_use_the_default_alpha(self, values):
+        baseline = one_product(values)
+        expected = es_fit_forecast([float(v) for v in values], 0.3)
+        assert baseline.forecast("p0", len(values) - 1) == (expected, False)
+
+    def test_five_observations_search_the_grid(self):
+        series = [1.0, 2.0, 3.0, 4.0, 5.0]
+        baseline = one_product(series)
+        # a steady climb wants the fastest alpha, not the default
+        assert baseline.forecast("p0", 4) == (es_fit_forecast(series, 0.9), False)
+        assert es_fit_forecast(series, 0.9) != es_fit_forecast(series, 0.3)
+        assert baseline.forecast("p0", 3) == (es_fit_forecast(series[:4], 0.3), False)
+
+    def test_tie_goes_to_the_smaller_alpha(self):
+        series = [4.0, 4.0, 4.0, 0.0, 1.0]
+
+        def holdout_err(alpha):
+            err = 0.0
+            for t in range(1, 5):
+                err += (series[t] - es_fit_forecast(series[:t], alpha)) ** 2
+            return err
+
+        errs = {alpha: holdout_err(alpha) for alpha in ALPHA_GRID}
+        assert errs[0.7] == errs[0.8] == min(errs.values())
+        assert sorted(errs.values())[2] > errs[0.7]
+        assert es_fit_forecast(series, 0.7) != es_fit_forecast(series, 0.8)
+        assert one_product(series).forecast("p0", 4) == (es_fit_forecast(series, 0.7), False)
+
+    def test_holdout_errors_summed_oldest_first(self):
+        # 0.6 and 0.7 tie exactly when the four errors are summed oldest
+        # first; newest first, 0.7's sum rounds one bit lower
+        series = [19.0, 19.0, 3.0, 3.0, 13.0]
+        assert es_grid_select(series) == 0.6
+        assert one_product(series).forecast("p0", 4) == (es_fit_forecast(series, 0.6), False)
+        assert es_fit_forecast(series, 0.6) != es_fit_forecast(series, 0.7)
+
+    def test_constant_series(self):
+        # 0.3 * 6 + 0.7 * 6 rounds below 6, so the chosen alpha shows in the level
+        series = [6.0] * 9
+        assert es_fit_forecast(series, 0.3) != es_fit_forecast(series, 0.1)
+        baseline = one_product([6] * 9)
+        for t in range(1, 9):
+            prefix = series[: t + 1]
+            alpha = 0.3 if len(prefix) <= 4 else 0.1
+            assert es_grid_select(prefix) == alpha
+            assert baseline.forecast("p0", t) == (es_fit_forecast(prefix, alpha), False)
+
+    def test_origin_beyond_the_last_week(self):
+        series = [3, 0, 5, 9, 1, 4, 4]
+        on_sale = [True, False, True, True, True, True, True]
+        baseline = one_product(series, on_sale=on_sale)
+        last = baseline.forecast("p0", 6)
+        assert not last[1]
+        assert baseline.forecast("p0", 7) == last
+        assert baseline.forecast("p0", 100) == last
+        listed = [3.0, 5.0, 9.0, 1.0, 4.0, 4.0]
+        assert last[0] == es_fit_forecast(listed, es_grid_select(listed))
+
+
+def test_pipeline_es_predictions_equal_the_scalar_path(tmp_path):
+    data = tmp_path / "data"
+    assert cli.main(
+        ["synth", "--out-dir", str(data), "--products", "15", "--categories", "3",
+         "--weeks", "80", "--seed", "8"]
+    ) == 0
+    (data / "run.cfg").write_text(CONFIG)
+    out = tmp_path / "es"
+    sources = [str(data / name) for name in ("sales.csv", "catalog.csv", "covariates.csv")]
+    assert cli.main(
+        ["pipeline", "--config", str(data / "run.cfg"), "--sales", sources[0],
+         "--catalog", sources[1], "--covariates", sources[2], "--out-dir", str(out),
+         "--model", "es"]
+    ) == 0
+
+    config = load_config(data / "run.cfg")
+    panel, catalog, _ = cli.load_inputs(*sources)
+    repaired, _ = cli.preprocess(panel, config)
+    reference = ESBaseline(repaired, catalog, train_end=config.train_len)
+    with (out / "predictions.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) > 100
+    expected = [
+        scalar_forecast(reference, row["product_id"], int(row["week"]) - config.horizon)[0]
+        for row in rows
+    ]
+    assert np.array_equal(bits([float(row["forecast"]) for row in rows]), bits(expected))

@@ -135,6 +135,19 @@ class TestPipeline:
             "week 100000000000000000000 outside the int64 range\n"
         )
 
+    def test_sales_week_beyond_the_last_supported_is_data_error(self, data_dir, tmp_path, capsys):
+        sales = tmp_path / "sales.csv"
+        text = (data_dir / "sales.csv").read_text()
+        sales.write_text(text + "p0000,100000000000000000000,1,1,1\n")
+        line = len(text.splitlines()) + 1
+        args = pipeline_args(data_dir, tmp_path / "out")
+        args[args.index("--sales") + 1] = str(sales)
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error in stage ingest: {sales}:{line}: week 100000000000000000000 "
+            "beyond the last supported week 9999\n"
+        )
+
     def test_no_seasonality_flag(self, data_dir, tmp_path):
         out = tmp_path / "noseas"
         assert main(pipeline_args(data_dir, out, "--no-seasonality")) == 0

@@ -48,6 +48,22 @@ class TestLoadSales:
         with pytest.raises(SchemaError, match="duplicate"):
             ingest.load_sales(path)
 
+    @pytest.mark.parametrize("week", [10**20, ingest.LAST_WEEK + 1])
+    def test_week_beyond_the_last_supported_rejected(self, tmp_path, week):
+        # rejected while reading rows, before a panel that wide is allocated
+        path = write(tmp_path, "sales.csv", SALES_HEADER + f"a,0,3,1,1\na,{week},1,1,1\n")
+        with pytest.raises(SchemaError) as err:
+            ingest.load_sales(path)
+        assert str(err.value) == (
+            f"{path}:3: week {week} beyond the last supported week {ingest.LAST_WEEK}"
+        )
+
+    def test_last_supported_week_accepted(self, tmp_path):
+        path = write(tmp_path, "sales.csv", SALES_HEADER + f"a,{ingest.LAST_WEEK},2,1,1\n")
+        panel = ingest.load_sales(path)
+        assert panel.n_weeks == ingest.LAST_WEEK + 1
+        assert panel.y[0, -1] == 2
+
     def test_bad_header(self, tmp_path):
         path = write(tmp_path, "sales.csv", "pid,week\n")
         with pytest.raises(SchemaError, match="header"):
