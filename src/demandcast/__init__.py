@@ -33,7 +33,6 @@ from .seasonal import (
     category_seasonality,
     cluster_seasonalities,
     fit_seasonality,
-    product_seasonality,
     standardize_year,
     trend_features,
 )

@@ -17,7 +17,9 @@ panel, sorts the rows into (product id, week) order once and passes aligned
 arrays to evaluation.evaluate. `evaluate` reads its CSV into the same three
 arrays, so a file's row order does not change its report.
 
-Every stage is a pure function of (inputs, config, seed); running the same
+Run settings come only from the --config file's RunConfig, so the config
+that manifest.json records is the whole run's. Every stage is a pure
+function of its inputs and that config, seed included; running the same
 command twice produces byte-identical artifacts. Exit codes: 0 success,
 1 usage error, 2 data error, 3 internal error.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -102,6 +105,8 @@ def _read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 value = float(row[2])
             except ValueError:
                 raise SchemaError(f"{path}:{line_no}: bad week or forecast") from None
+            if not math.isfinite(value):
+                raise SchemaError(f"{path}:{line_no}: non-finite forecast {row[2]!r}")
             if key[1] not in ingest.INT64_WEEKS:
                 raise SchemaError(f"{path}:{line_no}: week {key[1]} outside the int64 range")
             if key in seen:
@@ -349,13 +354,6 @@ def cmd_pipeline(args) -> int:
     stage = "config"
     try:
         config = _load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.encoding:
-            config.encoding = args.encoding
-        if args.seasonality is not None:
-            config.with_seasonality = args.seasonality
-        config.validate()
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
 
@@ -465,18 +463,8 @@ def build_parser() -> _Parser:
     p_pipe.add_argument("--catalog")
     p_pipe.add_argument("--covariates")
     p_pipe.add_argument("--out-dir", required=True)
-    p_pipe.add_argument("--seed", type=int)
     p_pipe.add_argument("--model", dest="model_kind", choices=("gbt", "forest", "es"), default="gbt")
     p_pipe.add_argument("--forest-trees", type=int, default=100)
-    p_pipe.add_argument("--encoding", choices=("ordinal", "hashing"))
-    seasonality = p_pipe.add_mutually_exclusive_group()
-    seasonality.add_argument(
-        "--with-seasonality", dest="seasonality", action="store_const", const=True
-    )
-    seasonality.add_argument(
-        "--no-seasonality", dest="seasonality", action="store_const", const=False
-    )
-    p_pipe.set_defaults(seasonality=None)
     p_pipe.add_argument("--cold-start-filter", type=int, default=0)
     p_pipe.set_defaults(func=cmd_pipeline)
     return parser

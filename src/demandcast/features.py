@@ -288,13 +288,13 @@ def build_matrix(
     x[:, col] = annual
     x[:, col + 1] = local
     col += 2
+    categorical = {"category": [catalog.category_of[pid] for pid in panel.products]}
     if config.with_seasonality:
-        x[:, col] = seasonal_model.values_at(panel.products, rows, target_weeks)
+        x[:, col] = seasonal_model.values_at(categorical["category"], rows, target_weeks)
         col += 1
     x[:, col] = weeks - launch
     x[:, col + 1] = np.array([catalog.price[pid] for pid in panel.products], dtype=float)[rows]
     col += 2
-    categorical = {"category": [catalog.category_of[pid] for pid in panel.products]}
     for name in attr_cols:
         categorical[f"attr_{name}"] = [
             catalog.attributes.get(pid, {}).get(name, "") for pid in panel.products

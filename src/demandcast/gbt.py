@@ -564,8 +564,11 @@ def model_to_json(model: BoostedModel) -> str:
     return json.dumps(doc)
 
 
-def model_from_json(text: str, source: str = "model") -> BoostedModel:
+def model_from_json(text: str | bytes, source: str = "model") -> BoostedModel:
     """Parse model_to_json output; source names the file in errors.
+
+    Anything else is a SchemaError naming source: not JSON, not an object,
+    another version, a missing key or a key of the wrong type.
 
     Every tree is checked to be a pre-order tree over the model's features
     (a left child follows its parent, a right child lies further on, every
@@ -574,29 +577,41 @@ def model_from_json(text: str, source: str = "model") -> BoostedModel:
     knows, the learning rate a finite number above 0, the base score and
     node weights finite numbers, and thresholds numbers other than NaN.
     """
-    doc = json.loads(text)
-    if doc.get("version") != SERIAL_VERSION:
-        raise ValueError(f"unsupported model version: {doc.get('version')}")
-    loss, rate, base = doc["loss"], doc["learning_rate"], doc["base_score"]
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # also undecodable bytes
+        raise SchemaError(f"{source}: not a JSON document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{source}: expected a JSON object, got {type(doc).__name__}")
+    version = doc.get("version")
+    if type(version) is not int or version != SERIAL_VERSION:
+        raise SchemaError(f"{source}: unsupported model version {version!r}")
+    keys = ("loss", "learning_rate", "base_score", "best_round", "feature_names", "trees")
+    try:
+        loss, rate, base, best_round, names, tree_docs = (doc[key] for key in keys)
+    except KeyError as exc:
+        raise SchemaError(f"{source}: missing key {exc}") from None
     if loss not in ("poisson", "squared"):
         raise SchemaError(f"{source}: unknown loss {loss!r}")
     if not (_finite(rate) and rate > 0):
         raise SchemaError(f"{source}: learning_rate {rate!r} is not a finite number above 0")
     if not _finite(base):
         raise SchemaError(f"{source}: base_score {base!r} is not a finite number")
-    n_features = len(doc["feature_names"])
+    if not (isinstance(names, list) and all(type(name) is str for name in names)):
+        raise SchemaError(f"{source}: feature_names is not a list of strings")
+    if not isinstance(tree_docs, list):
+        raise SchemaError(f"{source}: trees is not a list")
     trees = [
-        _tree_from_json(nodes, n_features, f"{source}: tree {t}")
-        for t, nodes in enumerate(doc["trees"])
+        _tree_from_json(nodes, len(names), f"{source}: tree {t}")
+        for t, nodes in enumerate(tree_docs)
     ]
-    best_round = doc["best_round"]
     if type(best_round) is not int or not 0 <= best_round <= len(trees):
         raise SchemaError(f"{source}: best_round {best_round!r} outside [0, {len(trees)}]")
     return BoostedModel(
         loss=loss,
         base_score=base,
         learning_rate=rate,
-        feature_names=list(doc["feature_names"]),
+        feature_names=names,
         trees=trees,
         best_round=best_round,
     )
@@ -607,8 +622,8 @@ def _finite(value) -> bool:
 
 
 def _tree_from_json(rows: list, n_features: int, where: str) -> Tree:
-    if not rows:
-        raise SchemaError(f"{where}: no nodes")
+    if not isinstance(rows, list) or not rows:
+        raise SchemaError(f"{where}: expected a non-empty list of nodes")
     parents = [0] * len(rows)
     nodes = []
     for idx, row in enumerate(rows):
@@ -645,4 +660,4 @@ def save_model(model: BoostedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> BoostedModel:
-    return model_from_json(Path(path).read_text(), str(path))
+    return model_from_json(Path(path).read_bytes(), str(path))

@@ -13,7 +13,9 @@ loader rejects duplicate keys, so no row can overwrite another.
 RunConfig is the one place a run setting is declared: its fields name,
 type and default every setting, load_config parses each key by its field's
 type, and validate checks the bounds. Stages read their settings from one
-RunConfig; gbt.train takes it whole.
+RunConfig; gbt.train takes it whole. The config file is its only source: no
+command-line option overrides a field. The only settings the CLI still owns
+are pipeline's --model, --forest-trees and --cold-start-filter.
 """
 
 from __future__ import annotations

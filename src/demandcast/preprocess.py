@@ -41,12 +41,12 @@ SMOOTH_BLOCK_CELLS = 1 << 14  # (products x weeks) cells smoothed per block
 class SmoothedPanel:
     """Smoothed series x plus the diagnostics behind each adjustment.
 
+    Row i of every array is product i of the panel that was smoothed.
     rolling_mean/rolling_std are NaN where fewer than two prior on-sale
     weeks exist (no cap is applied there); x differs from the panel's
     counts only where capped_mask is set.
     """
 
-    products: tuple[str, ...]
     x: np.ndarray             # (N, T) float64
     rolling_mean: np.ndarray  # (N, T) float64, NaN where undefined
     rolling_std: np.ndarray   # (N, T) float64, NaN where undefined
@@ -139,7 +139,6 @@ def smooth_panel(panel: SalesPanel, window: int, gamma: float) -> SmoothedPanel:
             x[rows], rolling_mean[rows], rolling_std[rows], capped[rows],
         )
     return SmoothedPanel(
-        products=panel.products,
         x=x,
         rolling_mean=rolling_mean,
         rolling_std=rolling_std,

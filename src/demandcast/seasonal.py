@@ -3,8 +3,11 @@
 Individual series are too short to estimate a seasonal profile, so yearly
 sales are standardized to a common level, averaged within each category,
 and the category curves are clustered into a small set of shared patterns.
-Every product inherits its category's pattern, which is what makes the
-seasonal feature available from the first week a product is listed.
+The fitted model is keyed by category, not by product: every product
+inherits its category's pattern, which is what makes the seasonal feature
+available from the first week a product is listed. A category the fit
+never saw gets the global pattern: the renormalized mean of the fitted
+patterns, or a flat one when none were fitted.
 """
 
 from __future__ import annotations
@@ -228,39 +231,26 @@ def _kmeans_once(
 
 @dataclass(frozen=True)
 class SeasonalityModel:
-    """Fitted seasonal patterns plus the category bookkeeping to apply them."""
+    """Fitted seasonal patterns keyed by category.
+
+    assignment maps each category the fit saw to its pattern's index;
+    global_pattern is the pattern of every other category.
+    """
 
     tau: int
     patterns: list[np.ndarray]
     assignment: dict[str, int]
-    category_of: dict[str, str]
     global_pattern: np.ndarray
 
-    def pattern_for_category(self, category: str) -> np.ndarray:
-        idx = self.assignment.get(category)
-        if idx is None:
-            return self.global_pattern
-        return self.patterns[idx]
-
     def values_at(
-        self, products: Sequence[str], rows: np.ndarray, weeks: np.ndarray
+        self, categories: Sequence[str], rows: np.ndarray, weeks: np.ndarray
     ) -> np.ndarray:
-        """Pattern value of products[rows[k]] at week weeks[k], wrapping with the period."""
-        table = np.empty((len(products), self.tau))
-        for i, pid in enumerate(products):
-            table[i] = product_seasonality(pid, self)
+        """Pattern value of categories[rows[k]] at week weeks[k], wrapping with the period."""
+        table = np.empty((len(categories), self.tau))
+        for i, category in enumerate(categories):
+            idx = self.assignment.get(category)
+            table[i] = self.global_pattern if idx is None else self.patterns[idx]
         return table[rows, weeks % self.tau]
-
-
-def product_seasonality(product_id: str, model: SeasonalityModel) -> np.ndarray:
-    """The pattern assigned to the product's category (cold-start friendly).
-
-    Products in categories the model never saw get the global mean pattern.
-    """
-    category = model.category_of.get(product_id)
-    if category is None:
-        return model.global_pattern
-    return model.pattern_for_category(category)
 
 
 def fit_seasonality(
@@ -286,7 +276,6 @@ def fit_seasonality(
         tau=tau,
         patterns=patterns,
         assignment=assignment,
-        category_of=dict(catalog.category_of),
         global_pattern=global_pattern,
     )
 

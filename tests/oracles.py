@@ -309,8 +309,8 @@ def rowwise_build_matrix(
         return float(ids.index(value) if value in ids else len(ids))
 
     def season(pid, week):
-        cat = seasonal_model.category_of.get(pid)
-        if cat is None or cat not in seasonal_model.assignment:
+        cat = catalog.category_of[pid]
+        if cat not in seasonal_model.assignment:
             pattern = seasonal_model.global_pattern
         else:
             pattern = seasonal_model.patterns[seasonal_model.assignment[cat]]

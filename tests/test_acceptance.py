@@ -189,7 +189,7 @@ def test_criterion_5_seasonality_recovery():
     for category, count in sorted(members.items()):
         if count < 20:
             continue
-        pattern = model.pattern_for_category(category)
+        pattern = model.patterns[model.assignment[category]]
         true_curve = truth.category_curve[category]
         r = float(np.corrcoef(pattern, true_curve)[0, 1])
         worst = min(worst, r)
@@ -261,7 +261,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
     cfg.write_text(
         "train_len = 60\nvalid_len = 10\ntest_len = 20\nrounds = 40\n"
         "learning_rate = 0.2\nearly_stop_patience = 10\nn_patterns = 3\n"
-        "override_bounds = true\n"
+        "override_bounds = true\nseed = 11\n"
     )
     outputs = []
     for name in ("r1", "r2"):
@@ -272,7 +272,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
                 "--sales", str(data / "sales.csv"),
                 "--catalog", str(data / "catalog.csv"),
                 "--covariates", str(data / "covariates.csv"),
-                "--out-dir", str(out), "--seed", "11",
+                "--out-dir", str(out),
             ]
         )
         assert code == 0

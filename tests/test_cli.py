@@ -1,11 +1,13 @@
 import csv
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
 
-from demandcast.cli import main
+from demandcast.cli import build_parser, main
+from demandcast.ingest import RunConfig, load_config
 
 CONFIG = """
 train_len = 50
@@ -33,10 +35,25 @@ def data_dir(tmp_path_factory):
     return path
 
 
-def pipeline_args(data_dir, out_dir, *extra):
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def subcommands():
+    """Each command's name and subparser."""
+    return build_parser()._subparsers._group_actions[0].choices
+
+
+def config_file(tmp_path, *settings):
+    """CONFIG plus the given `key = value` lines, written to tmp_path/run.cfg."""
+    path = tmp_path / "run.cfg"
+    path.write_text(CONFIG + "".join(f"{line}\n" for line in settings))
+    return path
+
+
+def pipeline_args(data_dir, out_dir, *extra, config=None):
     return [
         "pipeline",
-        "--config", str(data_dir / "run.cfg"),
+        "--config", str(config or data_dir / "run.cfg"),
         "--sales", str(data_dir / "sales.csv"),
         "--catalog", str(data_dir / "catalog.csv"),
         "--covariates", str(data_dir / "covariates.csv"),
@@ -66,8 +83,9 @@ class TestPreprocessCommand:
 class TestPipeline:
     def test_run_twice_byte_identical(self, data_dir, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(pipeline_args(data_dir, out1, "--seed", "7")) == 0
-        assert main(pipeline_args(data_dir, out2, "--seed", "7")) == 0
+        config = config_file(tmp_path, "seed = 7")
+        assert main(pipeline_args(data_dir, out1, config=config)) == 0
+        assert main(pipeline_args(data_dir, out2, config=config)) == 0
         for name in ("predictions.csv", "report.csv", "model.json", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -150,16 +168,30 @@ class TestPipeline:
 
     def test_no_seasonality_flag(self, data_dir, tmp_path):
         out = tmp_path / "noseas"
-        assert main(pipeline_args(data_dir, out, "--no-seasonality")) == 0
+        config = config_file(tmp_path, "with_seasonality = false")
+        assert main(pipeline_args(data_dir, out, config=config)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["with_seasonality"] is False
+        assert not (out / "seasonality.csv").exists()
 
     def test_hashing_encoding(self, data_dir, tmp_path):
         out = tmp_path / "hashed"
-        assert main(pipeline_args(data_dir, out, "--encoding", "hashing")) == 0
+        config = config_file(tmp_path, "encoding = hashing")
+        assert main(pipeline_args(data_dir, out, config=config)) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["encoding"] == "hashing"
         assert (out / "predictions.csv").exists()
+
+
+# a loadable model.json: no trees, so every forecast is exp(base_score)
+VALID_MODEL = {
+    "version": 1, "loss": "poisson", "base_score": 0.0, "learning_rate": 0.1,
+    "best_round": 0, "feature_names": ["lag_0"], "trees": [],
+}
+
+
+def model_text(**changes):
+    return json.dumps({**VALID_MODEL, **changes})
 
 
 class TestTrainPredict:
@@ -237,6 +269,42 @@ class TestTrainPredict:
         assert capsys.readouterr().err == f"error: {model_file}: {message}\n"
         assert not (out / "predictions.csv").exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            "5",
+            model_text(trees=5),
+            model_text(trees=[5]),
+            model_text(feature_names=5),
+            "{not json",
+            json.dumps({k: v for k, v in VALID_MODEL.items() if k != "loss"}),
+            model_text(version=2),
+            b"\xff{}",
+        ],
+        ids=[
+            "list", "number", "trees-number", "tree-number", "feature-names-number",
+            "invalid-json", "no-loss", "version-2", "not-utf-8",
+        ],
+    )
+    def test_malformed_model_document_is_data_error(self, data_dir, tmp_path, capsys, text):
+        model_file = tmp_path / "model.json"
+        model_file.write_bytes(text if isinstance(text, bytes) else text.encode())
+        out = tmp_path / "out"
+        code = main(
+            [
+                "predict",
+                "--model-file", str(model_file),
+                "--sales", str(data_dir / "sales.csv"),
+                "--catalog", str(data_dir / "catalog.csv"),
+                "--config", str(data_dir / "run.cfg"),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {model_file}: ")
+        assert not (out / "predictions.csv").exists()
+
     def test_train_fits_the_pipeline_model(self, data_dir, tmp_path):
         trained, piped = tmp_path / "train", tmp_path / "pipe"
         train_args = pipeline_args(data_dir, trained)
@@ -265,6 +333,27 @@ class TestEvaluateCommand:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("forecast", ["nan", "inf", "-1e400"])
+    def test_non_finite_forecast_rejected(self, data_dir, tmp_path, capsys, forecast):
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text(f"product_id,week,forecast\np0000,20,1.0\np0000,21,{forecast}\n")
+        out = tmp_path / "eval"
+        code = main(
+            [
+                "evaluate",
+                "--predictions", str(predictions),
+                "--sales", str(data_dir / "sales.csv"),
+                "--catalog", str(data_dir / "catalog.csv"),
+                "--config", str(data_dir / "run.cfg"),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {predictions}:3: non-finite forecast {forecast!r}\n"
+        )
+        assert not (out / "report.csv").exists()
 
     def test_prediction_week_inside_horizon_gets_zero_life(self, data_dir, tmp_path):
         # a forecast for week 2 at horizon 6 was issued before the panel began
@@ -337,6 +426,27 @@ class TestUsage:
             main(["synth"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize(
+        "flag",
+        [["--seed", "7"], ["--encoding", "hashing"], ["--with-seasonality"], ["--no-seasonality"]],
+    )
+    def test_run_settings_are_not_pipeline_options(self, tmp_path, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["pipeline", "--out-dir", str(out), *flag])
+        assert err.value.code == 1
+        assert not out.exists()
+
+    def test_no_option_overrides_a_config_field(self):
+        # the --config file is the only source of a RunConfig field
+        settings = set(RunConfig.__dataclass_fields__)
+        for name, command in subcommands().items():
+            if name == "synth":  # takes no config; its --seed seeds the generated panel
+                continue
+            dests = {action.dest for action in command._actions}
+            assert "config" in dests
+            assert not dests & settings, name
+
     @pytest.mark.parametrize("trees", ["0", "-3"])
     def test_forest_without_trees_exits_one(self, tmp_path, trees):
         out = tmp_path / "out"
@@ -344,3 +454,32 @@ class TestUsage:
             main(["pipeline", "--out-dir", str(out), "--model", "forest", "--forest-trees", trees])
         assert err.value.code == 1
         assert not out.exists()
+
+
+def readme_blocks(language):
+    """Bodies of the README's fenced blocks of the given language."""
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(), re.S | re.M)
+
+
+class TestReadme:
+    def test_config_block_sets_every_field_to_its_default(self, tmp_path):
+        (block,) = readme_blocks("ini")
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        assert load_config(path) == RunConfig()
+        keys = [line.split("#")[0].split("=")[0].strip() for line in block.splitlines()]
+        assert sorted(filter(None, keys)) == sorted(RunConfig.__dataclass_fields__)
+
+    def test_command_lines_use_existing_options(self):
+        commands = subcommands()
+        lines = "\n".join(readme_blocks("sh")).replace("\\\n", " ").splitlines()
+        checked = 0
+        for line in lines:
+            words = line.split("#")[0].split()
+            if words[:1] != ["demandcast"]:
+                continue
+            options = commands[words[1]]._option_string_actions
+            unknown = [word for word in words[2:] if word.startswith("--") and word not in options]
+            assert not unknown, line
+            checked += 1
+        assert checked >= len(commands)

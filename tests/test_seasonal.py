@@ -8,7 +8,6 @@ from demandcast.seasonal import (
     category_seasonality,
     cluster_seasonalities,
     fit_seasonality,
-    product_seasonality,
     standardize_year,
     trend_features,
 )
@@ -194,33 +193,38 @@ class TestClustering:
 
 
 class TestProductSeasonality:
+    """A product's seasonal values are its category's pattern, read by values_at."""
+
     def model(self):
         patterns = [bump_curve(10), bump_curve(40)]
         return SeasonalityModel(
             tau=TAU,
             patterns=patterns,
             assignment={"toys": 0, "garden": 1},
-            category_of={"p0": "toys", "p_new": "toys", "p_odd": "mystery"},
             global_pattern=np.full(TAU, 1.0 / TAU),
         )
 
+    def period_of(self, model, categories, row):
+        """Row `row`'s values over one period, starting a period late to show the wrap."""
+        weeks = np.arange(TAU, 2 * TAU)
+        return model.values_at(categories, np.full(TAU, row), weeks)
+
     def test_lookup(self):
         model = self.model()
-        assert np.array_equal(product_seasonality("p0", model), model.patterns[0])
+        categories = ["garden", "toys"]
+        assert np.array_equal(self.period_of(model, categories, 0), model.patterns[1])
+        assert np.array_equal(self.period_of(model, categories, 1), model.patterns[0])
 
     def test_cold_start_same_pattern(self):
+        # the last product is new to the catalog; its category is known
         model = self.model()
-        assert np.array_equal(
-            product_seasonality("p_new", model), product_seasonality("p0", model)
-        )
+        categories = ["toys", "garden", "toys"]
+        assert np.array_equal(self.period_of(model, categories, 2), model.patterns[0])
 
     def test_unknown_category_falls_back(self):
         model = self.model()
-        assert np.array_equal(product_seasonality("p_odd", model), model.global_pattern)
-
-    def test_unknown_product_falls_back(self):
-        model = self.model()
-        assert np.array_equal(product_seasonality("stranger", model), model.global_pattern)
+        categories = ["toys", "mystery"]
+        assert np.array_equal(self.period_of(model, categories, 1), model.global_pattern)
 
 
 class TestTrendFeatures:
@@ -263,5 +267,6 @@ class TestFitSeasonality:
         assert set(model.assignment) == {"early", "late"}
         assert model.assignment["early"] != model.assignment["late"]
         # wraps around the period
-        value = model.values_at(panel.products, np.array([0]), np.array([TAU + 3]))[0]
+        categories = [catalog.category_of[pid] for pid in panel.products]
+        value = model.values_at(categories, np.array([0]), np.array([TAU + 3]))[0]
         assert value == pytest.approx(model.patterns[model.assignment["early"]][3])
