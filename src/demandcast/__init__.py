@@ -20,6 +20,7 @@ from .gbt import (
     train_forest,
 )
 from .ingest import (
+    Covariate,
     CovariateTable,
     RunConfig,
     load_catalog,

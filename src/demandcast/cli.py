@@ -107,7 +107,7 @@ def _read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 raise SchemaError(f"{path}:{line_no}: bad week or forecast") from None
             if not math.isfinite(value):
                 raise SchemaError(f"{path}:{line_no}: non-finite forecast {row[2]!r}")
-            if key[1] not in ingest.INT64_WEEKS:
+            if key[1] not in ingest.INT64_RANGE:
                 raise SchemaError(f"{path}:{line_no}: week {key[1]} outside the int64 range")
             if key in seen:
                 raise SchemaError(f"{path}:{line_no}: duplicate key {key}")

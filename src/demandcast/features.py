@@ -16,8 +16,11 @@ ascending, taken from np.nonzero of the on-sale mask. Lags are gathers
 masked by the launch week; season, price and categorical codes are looked
 up once per product and broadcast; covariates are searchsorted lookups into
 sorted (group, week) keys, with imputed means taken from running sums that
-add each group's values in week order. Trend slopes reduce C-contiguous
-(rows, window length) blocks along their last axis (seasonal.trend_features).
+add each group's values in week order. Those keys are made from the
+columnar CovariateTable's week, panel-row and value arrays as they are: no
+covariate entry is converted or looked up by product id. Trend slopes
+reduce C-contiguous (rows, window length) blocks along their last axis
+(seasonal.trend_features).
 Every cell equals the one-row-at-a-time definition in tests/oracles.py
 (rowwise_build_matrix) bit for bit.
 
@@ -30,7 +33,6 @@ per-row key object is built.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -136,30 +138,27 @@ class CovariateView:
     at the same seasonal position up to the knowledge cutoff (falling back
     to the overall observed mean); unpredictable mixed features take the
     mean of the product's own observed past. NaN when nothing is observed.
-    Products are addressed by their position in `products`; mixed entries
-    of other products are ignored.
+    The view reads the table's arrays as they are, converting nothing: a
+    mixed entry's product is its row of the table's panel, so the view
+    serves that panel's products only.
     """
 
-    def __init__(self, table: CovariateTable, tau: int, products: Sequence[str]):
+    def __init__(self, table: CovariateTable, tau: int, products: tuple[str, ...]):
+        if table.products != products:
+            raise ValueError("covariates were loaded against another panel's products")
         self.table = table
         self.tau = tau
         self._temporal: dict[str, tuple[_KeyedSeries, _KeyedSeries | None]] = {}
-        for key, series in table.temporal.items():
-            weeks = np.fromiter(series, np.int64, len(series))
-            values = np.fromiter(series.values(), float, len(series))
-            overall = _KeyedSeries(np.zeros_like(weeks), weeks, values)
-            by_pos = None
-            if not table.predictable.get(key, True):
-                by_pos = _KeyedSeries(weeks % tau, weeks, values)
-            self._temporal[key] = (overall, by_pos)
-        index = {pid: i for i, pid in enumerate(products)}
         self._mixed: dict[str, _KeyedSeries] = {}
-        for key, series in table.mixed.items():
-            rows = np.fromiter((index.get(pid, -1) for pid, _ in series), np.int64, len(series))
-            weeks = np.fromiter((week for _, week in series), np.int64, len(series))
-            values = np.fromiter(series.values(), float, len(series))
-            keep = rows >= 0
-            self._mixed[key] = _KeyedSeries(rows[keep], weeks[keep], values[keep])
+        for key, cov in table.series.items():
+            if cov.rows is not None:
+                self._mixed[key] = _KeyedSeries(cov.rows, cov.weeks, cov.values)
+                continue
+            overall = _KeyedSeries(np.zeros_like(cov.weeks), cov.weeks, cov.values)
+            by_pos = None
+            if not cov.predictable:
+                by_pos = _KeyedSeries(cov.weeks % tau, cov.weeks, cov.values)
+            self._temporal[key] = (overall, by_pos)
 
     def column(
         self, key: str, rows: np.ndarray, target_weeks: np.ndarray, known_until: np.ndarray
@@ -175,7 +174,7 @@ class CovariateView:
             return out
         if key in self._mixed:
             series = self._mixed[key]
-            if self.table.predictable.get(key, True):
+            if self.table.series[key].predictable:
                 return series.at(rows, target_weeks)
             return series.mean_upto(rows, known_until)
         return np.full(rows.size, np.nan)
@@ -231,6 +230,8 @@ def build_matrix(
     t_count = panel.n_weeks
     if mode not in ("train", "predict"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "train" and t_end < 0:
+        raise ValueError(f"horizon {h} leaves no week to forecast target week {t_end + h} from")
     if mode == "train" and not 0 <= t_end + h < t_count:
         raise ValueError(f"t_end {t_end} leaves target {t_end + h} outside the panel")
     if mode == "predict" and not 0 <= t_end < t_count:

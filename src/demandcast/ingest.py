@@ -10,6 +10,18 @@ Missing (product, week) sales rows mean "not listed", not "zero sales while
 listed". Loading is deterministic and insensitive to row order: each CSV
 loader rejects duplicate keys, so no row can overwrite another.
 
+sales.csv and covariates.csv are read column-wise, one block of about
+BLOCK_CHARS characters at a time. A block without a quote or a carriage
+return is split on "\n" and "," directly, others go through csv.reader; the
+records are the same either way, so quoted fields and CRLF line ends keep
+their csv-module meaning. Numbers are parsed by Python's int and float into
+numpy arrays, and every check is an array check over the rows. A bad file
+is rejected with the error a row-by-row reader would raise first: the one on
+the earliest line and, on that line, the first in the loader's order of
+checks. No Python object per row outlives its block: load_sales scatters the
+rows into the dense panel, and load_covariates returns a columnar
+CovariateTable, each key's sorted week, panel-row and value arrays.
+
 RunConfig is the one place a run setting is declared: its fields name,
 type and default every setting, load_config parses each key by its field's
 type, and validate checks the bounds. Stages read their settings from one
@@ -21,8 +33,11 @@ are pipeline's --model, --forest-trees and --cold-start-filter.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass, field, fields
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, fields
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +49,22 @@ class SchemaError(ValueError):
     """Malformed or out-of-contract input data."""
 
 
-# Weeks a numpy int64 array can hold; files with weeks outside it are rejected.
-INT64_WEEKS = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
+# The integers a numpy int64 array can hold; weeks and units outside it are rejected.
+INT64_RANGE = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 
 # The last week a sales.csv row may carry. The panel is dense, one column
 # per week up to the largest one, so this caps its width: 10,000 weeks is
 # about 190 years of weekly data.
 LAST_WEEK = 9_999
+
+# Characters of a CSV tokenized at a time: the loaders hold one block's
+# tokens as Python strings, and keep only numpy arrays of the rows.
+BLOCK_CHARS = 1 << 20
+
+SALES_HEADER = ["product_id", "week", "units", "on_sale", "in_stock"]
+COVARIATES_HEADER = ["scope", "key", "week", "product_id", "value", "predictable"]
+_FLAG_CODES = {"0": 0, "1": 1}
+_SCOPE_CODES = {"temporal": 0, "mixed": 1}
 
 # Search bounds for tree hyperparameters; values outside them are rejected
 # unless the config sets override_bounds.
@@ -89,6 +113,8 @@ class RunConfig:
             raise SchemaError("learning_rate must be positive")
         if self.reg_lambda < 0:
             raise SchemaError("reg_lambda must be >= 0")
+        if self.seed < 0:
+            raise SchemaError("seed must be >= 0")
         if self.min_split_loss < 0:
             raise SchemaError("min_split_loss must be >= 0")
         if self.season_period < 2:
@@ -113,87 +139,264 @@ class RunConfig:
                     )
 
 
-@dataclass
-class CovariateTable:
-    """External features keyed by week (temporal) or (product, week) (mixed).
+@dataclass(frozen=True, eq=False)
+class Covariate:
+    """One covariate key's entries, sorted by (row, week), each pair once.
 
-    predictable[key] is True for known-future features (planned events,
-    scheduled promotions) and False for features that must be imputed at
-    prediction time (weather, realized prices).
+    rows is None for a temporal key (one value per week); for a mixed key it
+    holds each entry's product as a row of the table's panel. predictable is
+    True for known-future features (planned events, scheduled promotions)
+    and False for features that must be imputed at prediction time
+    (weather, realized prices).
     """
 
-    temporal: dict[str, dict[int, float]] = field(default_factory=dict)
-    mixed: dict[str, dict[tuple[str, int], float]] = field(default_factory=dict)
-    predictable: dict[str, bool] = field(default_factory=dict)
+    weeks: np.ndarray         # (n,) int64
+    rows: np.ndarray | None   # (n,) int64 panel rows; None for a temporal key
+    values: np.ndarray        # (n,) float64, finite
+    predictable: bool
+
+
+@dataclass(frozen=True, eq=False)
+class CovariateTable:
+    """External features by key; mixed entries index the rows of `products`."""
+
+    products: tuple[str, ...]  # the ids of the panel the table was loaded against
+    series: dict[str, Covariate]
 
     def feature_names(self) -> list[str]:
-        return sorted(self.temporal) + sorted(self.mixed)
+        """Temporal keys, then mixed keys, each in sorted order."""
+        return sorted(self.series, key=lambda key: (self.series[key].rows is not None, key))
 
 
-def _parse_bool(raw: str, path: str, line_no: int, column: str) -> bool:
-    if raw == "1":
-        return True
-    if raw == "0":
-        return False
-    raise SchemaError(f"{path}:{line_no}: {column} must be 0 or 1, got {raw!r}")
+class _FirstFault:
+    """The fault a row-by-row reader would have raised first.
+
+    That is the one on the earliest line and, on one line, the one whose
+    check comes first (the lower order).
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.at: tuple[int, int] | None = None
+        self.error: Exception | None = None
+
+    def add(self, line: int, order: int, fault: str | Exception) -> None:
+        if self.at is None or (line, order) < self.at:
+            self.at = (line, order)
+            self.error = fault if isinstance(fault, Exception) else SchemaError(
+                f"{self.path}:{line}: {fault}"
+            )
+
+    def first(self, mask: np.ndarray, line: int, order: int, describe) -> None:
+        """Add the first True entry of mask, row i being on line + i; describe(i) says what."""
+        hits = np.flatnonzero(mask)
+        if hits.size:
+            i = int(hits[0])
+            self.add(line + i, order, describe(i))
+
+    def raise_first(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+def _line_blocks(fh) -> Iterator[str]:
+    r"""The text of fh in pieces of about BLOCK_CHARS, each ending with "\n" but the last."""
+    rest = ""
+    while chunk := fh.read(BLOCK_CHARS):
+        text = rest + chunk
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield text[:cut]
+        rest = text[cut:]
+    if rest:
+        yield rest
+
+
+def _csv_records(blocks: Iterable[str]) -> Iterator[tuple[list[str], list[int], Exception | None]]:
+    """_records of the blocks, read by csv.reader in batches of records."""
+    reader = csv.reader(
+        chain.from_iterable(io.StringIO(block, newline="") for block in blocks)
+    )
+    batch = max(1, BLOCK_CHARS // 40)  # about 40 characters a record
+    while True:
+        rows: list[list[str]] = []
+        error = None
+        try:
+            for row in reader:
+                rows.append(row)
+                if len(rows) == batch:
+                    break
+        except csv.Error as exc:
+            error = exc
+        yield list(chain.from_iterable(rows)), [len(row) - 1 for row in rows], error
+        if error is not None or len(rows) < batch:
+            return
+
+
+def _records(fh) -> Iterator[tuple[list[str], list[int], Exception | None]]:
+    r"""The CSV records of fh a block at a time, as csv.reader reads them.
+
+    Yields (fields, commas, error): the block's fields in one flat list, the
+    field count less one of each record (-1 for a blank line, which csv
+    reads as no fields), and what csv.reader raised on the record after the
+    block's last one, which ends the stream. Blocks without '"',
+    "\r" or a line longer than the csv field limit are split on "\n" and ","
+    directly, which gives the same records; from the first other block on,
+    csv.reader reads.
+    """
+    blocks = _line_blocks(fh)
+    limit = csv.field_size_limit()
+    for block in blocks:
+        lines = block.split("\n")
+        if block.endswith("\n"):
+            lines.pop()
+        if '"' in block or "\r" in block or max(map(len, lines)) > limit:
+            yield from _csv_records(chain([block], blocks))
+            return
+        commas = list(map(str.count, lines, repeat(",")))
+        if "" in lines:
+            commas = [count if line else -1 for count, line in zip(commas, lines)]
+        yield block.replace("\n", ",").split(","), commas, None
+
+
+def _read_columns(path: Path, what: str, header: list[str]):
+    """Yield (line, columns, fault) for each block of path's data records.
+
+    columns holds one token list per header field, for the block's records
+    up to the first with another field count; line is the block's first
+    record's line (the header is line 1, and a record is one line however
+    many physical lines a quoted field spans). fault is None, or the field
+    count of that malformed record, or the error csv.reader raised on it,
+    and ends the stream. The first block is yielded even when empty.
+    """
+    n = len(header)
+    with path.open(newline="") as fh:
+        records = _records(fh)
+        fields, commas, error = next(records, ([], [], None))
+        if not commas and error is not None:
+            raise error
+        found = fields[: commas[0] + 1] if commas else None
+        if found != header:
+            raise SchemaError(f"{path}: unexpected {what} header {found}")
+        del fields[:n], commas[0]
+        line = 2
+        while True:
+            stop = len(commas)
+            fault = error
+            if commas.count(n - 1) != stop:
+                stop = next(i for i, count in enumerate(commas) if count != n - 1)
+                fault = commas[stop] + 1
+            yield line, [fields[k : stop * n : n] for k in range(n)], fault
+            batch = None if fault is not None else next(records, None)
+            if batch is None:
+                return
+            line += stop
+            fields, commas, error = batch
+
+
+def _parse(tokens: list[str], kind) -> tuple[np.ndarray, int, int]:
+    """The tokens parsed by kind, int or float, into an int64 or float64 array.
+
+    Returns (values, bad, wide): bad is the index of the first token kind
+    rejects and wide that of the first int outside int64, len(tokens) when
+    there is none. Values from bad on are 0; ints outside int64 are clipped
+    to its bounds.
+    """
+    n = len(tokens)
+    dtype = np.int64 if kind is int else np.float64
+    try:
+        return np.fromiter(map(kind, tokens), dtype, n), n, n
+    except (ValueError, OverflowError):
+        pass
+    values = np.zeros(n, dtype)
+    wide = n
+    for i, token in enumerate(tokens):
+        try:
+            value = kind(token)
+        except ValueError:
+            return values, i, wide
+        if kind is int and value not in INT64_RANGE:
+            wide = min(wide, i)
+            value = min(max(value, INT64_RANGE.start), INT64_RANGE.stop - 1)
+        values[i] = value
+    return values, n, wide
+
+
+def _flags(tokens: list[str]) -> np.ndarray:
+    """0 and 1 for the tokens "0" and "1", 2 for any other."""
+    return np.fromiter(map(_FLAG_CODES.get, tokens, repeat(2)), np.int8, len(tokens))
 
 
 def load_sales(path: str | Path) -> SalesPanel:
     """Load sales.csv into a dense panel.
 
     Weeks absent from the file default to count 0, not listed, in stock.
-    Duplicate (product, week) rows and weeks outside [0, LAST_WEEK] are
-    rejected.
+    Duplicate (product, week) rows, weeks outside [0, LAST_WEEK] and units
+    outside int64 are rejected.
     """
     path = Path(path)
-    rows: dict[tuple[str, int], tuple[int, bool, bool]] = {}
-    max_week = -1
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["product_id", "week", "units", "on_sale", "in_stock"]:
-            raise SchemaError(f"{path}: unexpected sales header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise SchemaError(f"{path}:{line_no}: expected 5 fields, got {len(row)}")
-            pid, week_s, units_s, on_sale_s, stock_s = row
-            try:
-                week = int(week_s)
-                units = int(units_s)
-            except ValueError:
-                raise SchemaError(f"{path}:{line_no}: non-integer week or units") from None
-            if week < 0:
-                raise SchemaError(f"{path}:{line_no}: negative week {week}")
-            if week > LAST_WEEK:
-                raise SchemaError(
-                    f"{path}:{line_no}: week {week} beyond the last supported week {LAST_WEEK}"
-                )
-            if units < 0:
-                raise SchemaError(f"{path}:{line_no}: negative units {units}")
-            key = (pid, week)
-            if key in rows:
-                raise SchemaError(f"{path}:{line_no}: duplicate row for {key}")
-            rows[key] = (
-                units,
-                _parse_bool(on_sale_s, str(path), line_no, "on_sale"),
-                _parse_bool(stock_s, str(path), line_no, "in_stock"),
-            )
-            max_week = max(max_week, week)
-    if max_week < 0:
+    faults = _FirstFault(path)
+    product_ids: dict[str, int] = {}  # id -> order of first appearance
+    parts = []
+    for line, (pid_s, week_s, units_s, sale_s, stock_s), fault in _read_columns(
+        path, "sales", SALES_HEADER
+    ):
+        n = len(pid_s)
+        if fault is not None:
+            message = f"expected 5 fields, got {fault}" if isinstance(fault, int) else fault
+            faults.add(line + n, 0, message)
+        weeks, bad_week, _ = _parse(week_s, int)
+        units, bad_units, wide = _parse(units_s, int)
+        if min(bad_week, bad_units) < n:
+            faults.add(line + min(bad_week, bad_units), 1, "non-integer week or units")
+        faults.first(weeks < 0, line, 2, lambda i: f"negative week {int(week_s[i])}")
+        faults.first(
+            weeks > LAST_WEEK, line, 3,
+            lambda i: f"week {int(week_s[i])} beyond the last supported week {LAST_WEEK}",
+        )
+        faults.first(units < 0, line, 4, lambda i: f"negative units {int(units_s[i])}")
+        if wide < n:
+            faults.add(line + wide, 5, f"units {int(units_s[wide])} outside the int64 range")
+        # order 6 is the duplicate check, made on all rows below
+        on_sale, stock = _flags(sale_s), _flags(stock_s)
+        faults.first(on_sale == 2, line, 7, lambda i: f"on_sale must be 0 or 1, got {sale_s[i]!r}")
+        faults.first(stock == 2, line, 8, lambda i: f"in_stock must be 0 or 1, got {stock_s[i]!r}")
+        for pid in dict.fromkeys(pid_s):
+            product_ids.setdefault(pid, len(product_ids))
+        pids = np.fromiter(map(product_ids.__getitem__, pid_s), np.int64, n)
+        keep = n if faults.at is None else faults.at[0] - line + 1
+        parts.append((pids[:keep], weeks[:keep], units[:keep], on_sale[:keep], stock[:keep]))
+        if faults.at is not None:
+            break
+    pids, weeks, units, on_sale, stock = map(np.concatenate, zip(*parts))
+    # a bad row's week may be out of range; its own fault comes first
+    cells = pids * (LAST_WEEK + 1) + np.clip(weeks, 0, LAST_WEEK)
+    names = list(product_ids)
+    faults.first(
+        _repeats(cells), 2, 6, lambda i: f"duplicate row for {(names[pids[i]], int(weeks[i]))}"
+    )
+    faults.raise_first()
+    if not pids.size:
         raise SchemaError(f"{path}: no data rows")
-    products = tuple(sorted({pid for pid, _ in rows}))
-    t_count = max_week + 1
-    n = len(products)
-    y = np.zeros((n, t_count), dtype=np.int64)
-    on_sale = np.zeros((n, t_count), dtype=bool)
-    stock = np.ones((n, t_count), dtype=bool)  # missing stock info defaults to in stock
-    row_of = {p: i for i, p in enumerate(products)}
-    for (pid, week), (units, listed, in_stock) in rows.items():
-        i = row_of[pid]
-        y[i, week] = units
-        on_sale[i, week] = listed
-        stock[i, week] = in_stock
-    return SalesPanel(products, y, on_sale, stock)
+    products = tuple(sorted(names))
+    rank = {pid: r for r, pid in enumerate(products)}
+    rows = np.array([rank[pid] for pid in names], dtype=np.int64)[pids]
+    shape = (len(products), int(weeks.max()) + 1)
+    y = np.zeros(shape, dtype=np.int64)
+    on_sale_mask = np.zeros(shape, dtype=bool)
+    stock_flag = np.ones(shape, dtype=bool)  # missing stock info defaults to in stock
+    y[rows, weeks] = units
+    on_sale_mask[rows, weeks] = on_sale == 1
+    stock_flag[rows, weeks] = stock == 1
+    return SalesPanel(products, y, on_sale_mask, stock_flag)
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """True at each entry whose key an earlier entry already has."""
+    order = np.argsort(keys, kind="stable")
+    repeat_mask = np.zeros(keys.size, dtype=bool)
+    repeat_mask[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    return repeat_mask
 
 
 def load_catalog(path: str | Path) -> Catalog:
@@ -228,60 +431,106 @@ def load_catalog(path: str | Path) -> Catalog:
     return Catalog(category_of, price, attributes)
 
 
-def load_covariates(path: str | Path, panel: SalesPanel | None = None) -> CovariateTable:
-    """Load covariates.csv; mixed rows are validated against the panel if given.
+def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
+    """Load covariates.csv against the panel its mixed rows describe.
 
-    A key belongs to one scope, and each (key, week[, product]) has one row.
-    Weeks must fit in int64, the type the feature builder holds them in.
+    A key belongs to one scope and has one predictable flag, and each
+    (key, week[, product]) has one row. Weeks must fit in int64, the type
+    the feature builder holds them in; a mixed row's product must be in the
+    panel, and its week inside it.
     """
     path = Path(path)
-    table = CovariateTable()
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["scope", "key", "week", "product_id", "value", "predictable"]:
-            raise SchemaError(f"{path}: unexpected covariates header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 6:
-                raise SchemaError(f"{path}:{line_no}: expected 6 fields")
-            scope, key, week_s, pid, value_s, pred_s = row
-            try:
-                week = int(week_s)
-                value = float(value_s)
-            except ValueError:
-                raise SchemaError(f"{path}:{line_no}: bad week or value") from None
-            if week not in INT64_WEEKS:
-                raise SchemaError(f"{path}:{line_no}: week {week} outside the int64 range")
-            if not math.isfinite(value):
-                raise SchemaError(f"{path}:{line_no}: non-finite value {value_s!r}")
-            predictable = _parse_bool(pred_s, str(path), line_no, "predictable")
-            if key in table.predictable and table.predictable[key] != predictable:
-                raise SchemaError(f"{path}:{line_no}: inconsistent predictable flag for {key!r}")
-            table.predictable[key] = predictable
-            if scope == "temporal":
-                if pid:
-                    raise SchemaError(f"{path}:{line_no}: temporal row must have empty product_id")
-                series, other, at = table.temporal, table.mixed, week
-            elif scope == "mixed":
-                if not pid:
-                    raise SchemaError(f"{path}:{line_no}: mixed row needs a product_id")
-                if panel is not None:
-                    if pid not in panel.index:
-                        raise SchemaError(f"{path}:{line_no}: unknown product {pid!r}")
-                    if not 0 <= week < panel.n_weeks:
-                        raise SchemaError(f"{path}:{line_no}: week {week} outside panel")
-                series, other, at = table.mixed, table.temporal, (pid, week)
-            else:
-                raise SchemaError(f"{path}:{line_no}: unknown scope {scope!r}")
-            values = series.get(key)
-            if values is None:
-                if key in other:
-                    raise SchemaError(f"{path}:{line_no}: key {key!r} used with both scopes")
-                values = series[key] = {}
-            if at in values:
-                raise SchemaError(f"{path}:{line_no}: duplicate row for {(scope, key, week, pid)}")
-            values[at] = value
-    return table
+    faults = _FirstFault(path)
+    key_ids: dict[str, int] = {}  # key -> order of first appearance
+    panel_rows = {**panel.index, "": -1}  # ids the panel lacks map to -2
+    parts = []
+    for line, (scope_s, key_s, week_s, pid_s, value_s, flag_s), fault in _read_columns(
+        path, "covariates", COVARIATES_HEADER
+    ):
+        n = len(scope_s)
+        if fault is not None:
+            faults.add(line + n, 0, "expected 6 fields" if isinstance(fault, int) else fault)
+        weeks, bad_week, wide = _parse(week_s, int)
+        values, bad_value, _ = _parse(value_s, float)
+        if min(bad_week, bad_value) < n:
+            faults.add(line + min(bad_week, bad_value), 1, "bad week or value")
+        if wide < n:
+            faults.add(line + wide, 2, f"week {int(week_s[wide])} outside the int64 range")
+        faults.first(~np.isfinite(values), line, 3, lambda i: f"non-finite value {value_s[i]!r}")
+        flags = _flags(flag_s)
+        faults.first(
+            flags == 2, line, 4, lambda i: f"predictable must be 0 or 1, got {flag_s[i]!r}"
+        )
+        # order 5 is the predictable flag's consistency, checked on all rows below
+        scopes = np.fromiter(map(_SCOPE_CODES.get, scope_s, repeat(2)), np.int8, n)
+        rows = np.fromiter(map(panel_rows.get, pid_s, repeat(-2)), np.int64, n)
+        outside = (weeks < 0) | (weeks >= panel.n_weeks)
+
+        def scope_fault(i):
+            if scopes[i] == 0:
+                return "temporal row must have empty product_id"
+            if scopes[i] == 2:
+                return f"unknown scope {scope_s[i]!r}"
+            if rows[i] == -1:
+                return "mixed row needs a product_id"
+            if rows[i] == -2:
+                return f"unknown product {pid_s[i]!r}"
+            return f"week {weeks[i]} outside panel"
+
+        temporal, mixed = scopes == 0, scopes == 1
+        faults.first(
+            (temporal & (rows != -1)) | (mixed & ((rows < 0) | outside)) | (scopes == 2),
+            line, 6, scope_fault,
+        )
+        for key in dict.fromkeys(key_s):
+            key_ids.setdefault(key, len(key_ids))
+        keys = np.fromiter(map(key_ids.__getitem__, key_s), np.int64, n)
+        keep = n if faults.at is None else faults.at[0] - line + 1
+        parts.append(
+            (keys[:keep], scopes[:keep], rows[:keep], weeks[:keep], values[:keep], flags[:keep])
+        )
+        if faults.at is not None:
+            break
+    keys, scopes, rows, weeks, values, flags = map(np.concatenate, zip(*parts))
+    names = list(key_ids)
+    # rows by (key, row, week); a temporal row's row is -1
+    order = np.lexsort((weeks, rows, keys))
+    keys_s, rows_s, weeks_s = keys[order], rows[order], weeks[order]
+    starts = np.flatnonzero(np.diff(keys_s, prepend=-1))
+    first = np.zeros(len(names), dtype=np.int64)  # each key's first row in the file
+    if order.size:
+        first[keys_s[starts]] = np.minimum.reduceat(order, starts)
+    faults.first(
+        flags != flags[first[keys]], 2, 5,
+        lambda i: f"inconsistent predictable flag for {names[keys[i]]!r}",
+    )
+    faults.first(
+        scopes != scopes[first[keys]], 2, 7,
+        lambda i: f"key {names[keys[i]]!r} used with both scopes",
+    )
+    repeated = np.zeros(order.size, dtype=bool)
+    same = (keys_s[1:] == keys_s[:-1]) & (rows_s[1:] == rows_s[:-1]) & (weeks_s[1:] == weeks_s[:-1])
+    repeated[order[1:][same]] = True
+
+    def duplicate(i):
+        scope = "mixed" if scopes[i] == 1 else "temporal"
+        pid = panel.products[rows[i]] if scopes[i] == 1 else ""
+        return f"duplicate row for {(scope, names[keys[i]], int(weeks[i]), pid)}"
+
+    faults.first(repeated, 2, 8, duplicate)
+    faults.raise_first()
+    values_s = values[order]
+    series = {}
+    for start, end in zip(starts.tolist(), [*starts[1:].tolist(), order.size]):
+        key = int(keys_s[start])
+        mixed = scopes[first[key]] == 1
+        series[names[key]] = Covariate(
+            weeks=weeks_s[start:end],
+            rows=rows_s[start:end] if mixed else None,
+            values=values_s[start:end],
+            predictable=bool(flags[first[key]]),
+        )
+    return CovariateTable(panel.products, series)
 
 
 def _config_bool(raw: str) -> bool:
@@ -357,14 +606,20 @@ def write_catalog(catalog: Catalog, path: str | Path) -> None:
 
 
 def write_covariates(table: CovariateTable, path: str | Path) -> None:
+    """Write covariates.csv: temporal keys, then mixed keys, each in sorted
+    order; a key's rows in (product row, week) order."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["scope", "key", "week", "product_id", "value", "predictable"])
-        for key in sorted(table.temporal):
-            flag = int(table.predictable.get(key, True))
-            for week in sorted(table.temporal[key]):
-                writer.writerow(["temporal", key, week, "", repr(table.temporal[key][week]), flag])
-        for key in sorted(table.mixed):
-            flag = int(table.predictable.get(key, True))
-            for pid, week in sorted(table.mixed[key]):
-                writer.writerow(["mixed", key, week, pid, repr(table.mixed[key][(pid, week)]), flag])
+        writer.writerow(COVARIATES_HEADER)
+        for key in table.feature_names():
+            cov = table.series[key]
+            if cov.rows is None:
+                scope, pids = "temporal", repeat("")
+            else:
+                scope, pids = "mixed", map(table.products.__getitem__, cov.rows.tolist())
+            writer.writerows(
+                zip(
+                    repeat(scope), repeat(key), cov.weeks.tolist(), pids,
+                    map(repr, cov.values.tolist()), repeat(int(cov.predictable)),
+                )
+            )

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Catalog, SalesPanel
-from .ingest import CovariateTable
+from .ingest import Covariate, CovariateTable
 
 BRANDS = ("acme", "blue", "corex", "dune", "ember", "flux")
 
@@ -150,12 +150,6 @@ def generate_panel(
     level = np.zeros(n)
     launch = np.zeros(n, dtype=np.int64)
     end = np.zeros(n, dtype=np.int64)
-    covariates = CovariateTable(
-        temporal={"event": {t: float(event_week[t]) for t in range(t_count)}},
-        mixed={"promo": {}, "price_week": {}},
-        predictable={"event": True, "promo": True, "price_week": False},
-    )
-
     for i, pid in enumerate(products):
         level[i] = float(np.exp(rng.normal(np.log(spec.level_median), spec.level_sigma)))
         launch[i] = int(rng.integers(0, max(1, t_count - 8 + 1)))
@@ -199,12 +193,20 @@ def generate_panel(
         y[i, weeks] = sales
         stock[i, weeks] = ~stockout
 
-        week_price = price[pid] * np.where(promo, 1.0 - spec.promo_discount, 1.0)
-        for idx, t in enumerate(weeks):
-            covariates.mixed["promo"][(pid, int(t))] = float(promo[idx])
-            covariates.mixed["price_week"][(pid, int(t))] = float(week_price[idx])
-
     panel = SalesPanel(products, y, on_sale, stock)
+    rows, live = np.nonzero(on_sale)  # every live (product, week), in (row, week) order
+    promo_live = promo_mask[rows, live]
+    week_price = np.array([price[pid] for pid in products])[rows] * np.where(
+        promo_live, 1.0 - spec.promo_discount, 1.0
+    )
+    covariates = CovariateTable(
+        products,
+        {
+            "event": Covariate(np.arange(t_count), None, event_week.astype(float), True),
+            "promo": Covariate(live, rows, promo_live.astype(float), True),
+            "price_week": Covariate(live, rows, week_price, False),
+        },
+    )
     truth = GroundTruth(
         lam=lam,
         stockout_mask=stockout_mask,

@@ -1,14 +1,24 @@
 """Independent reference implementations the tests check production code against.
 
 Everything here is written for clarity over speed: plain loops, brute-force
-enumeration, no shared code with the package internals beyond numpy.
+enumeration, no shared code with the package internals beyond numpy. The
+row-by-row CSV loaders build the package's SalesPanel and raise its
+SchemaError, so their results and errors compare with the loaders' directly.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from demandcast.core import SalesPanel
+from demandcast.ingest import LAST_WEEK, Covariate, CovariateTable, SchemaError
+
+INT64_WEEKS = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 
 
 def scalar_smooth(y, on_sale, window, gamma):
@@ -233,7 +243,7 @@ def _running_mean(pairs, cutoff):
 
 
 def rowwise_covariate(table, key, pid, target_week, known_until, tau):
-    """One covariate cell by the documented imputation rule."""
+    """One covariate cell by the documented imputation rule; table is a RowwiseCovariates."""
     predictable = table.predictable.get(key, True)
     if key in table.temporal:
         series = table.temporal[key]
@@ -288,7 +298,8 @@ def rowwise_build_matrix(
     """
     h = config.horizon
     attr_names = sorted({k for attrs in catalog.attributes.values() for k in attrs})
-    cov_names = sorted(covariates.temporal) + sorted(covariates.mixed) if covariates else []
+    covariates = covariate_dicts(covariates) if covariates else None
+    cov_names = covariates.feature_names() if covariates else []
     columns = [f"lag_{j}" for j in range(lag_depth)] + ["trend_annual", "trend_local"]
     if config.with_seasonality:
         columns.append("season")
@@ -346,3 +357,178 @@ def rowwise_build_matrix(
                 targets.append(float(panel.y[i, t + h]))
     x = np.array(rows, dtype=float).reshape(len(rows), len(columns))
     return keys, columns, x, np.array(targets) if mode == "train" else None, np.array(life)
+
+
+@dataclass
+class RowwiseCovariates:
+    """A covariates file as dicts: week -> value (temporal) or (product, week) -> value (mixed)."""
+
+    temporal: dict[str, dict[int, float]] = field(default_factory=dict)
+    mixed: dict[str, dict[tuple[str, int], float]] = field(default_factory=dict)
+    predictable: dict[str, bool] = field(default_factory=dict)
+
+    def feature_names(self) -> list[str]:
+        return sorted(self.temporal) + sorted(self.mixed)
+
+
+def _parse_bool(raw: str, path: str, line_no: int, column: str) -> bool:
+    if raw == "1":
+        return True
+    if raw == "0":
+        return False
+    raise SchemaError(f"{path}:{line_no}: {column} must be 0 or 1, got {raw!r}")
+
+
+def rowwise_load_sales(path):
+    """sales.csv read one csv.reader row at a time, each row checked as it comes."""
+    path = Path(path)
+    rows: dict[tuple[str, int], tuple[int, bool, bool]] = {}
+    max_week = -1
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["product_id", "week", "units", "on_sale", "in_stock"]:
+            raise SchemaError(f"{path}: unexpected sales header {header}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 5:
+                raise SchemaError(f"{path}:{line_no}: expected 5 fields, got {len(row)}")
+            pid, week_s, units_s, on_sale_s, stock_s = row
+            try:
+                week = int(week_s)
+                units = int(units_s)
+            except ValueError:
+                raise SchemaError(f"{path}:{line_no}: non-integer week or units") from None
+            if week < 0:
+                raise SchemaError(f"{path}:{line_no}: negative week {week}")
+            if week > LAST_WEEK:
+                raise SchemaError(
+                    f"{path}:{line_no}: week {week} beyond the last supported week {LAST_WEEK}"
+                )
+            if units < 0:
+                raise SchemaError(f"{path}:{line_no}: negative units {units}")
+            key = (pid, week)
+            if key in rows:
+                raise SchemaError(f"{path}:{line_no}: duplicate row for {key}")
+            rows[key] = (
+                units,
+                _parse_bool(on_sale_s, str(path), line_no, "on_sale"),
+                _parse_bool(stock_s, str(path), line_no, "in_stock"),
+            )
+            max_week = max(max_week, week)
+    if max_week < 0:
+        raise SchemaError(f"{path}: no data rows")
+    products = tuple(sorted({pid for pid, _ in rows}))
+    t_count = max_week + 1
+    n = len(products)
+    y = np.zeros((n, t_count), dtype=np.int64)
+    on_sale = np.zeros((n, t_count), dtype=bool)
+    stock = np.ones((n, t_count), dtype=bool)  # missing stock info defaults to in stock
+    row_of = {p: i for i, p in enumerate(products)}
+    for (pid, week), (units, listed, in_stock) in rows.items():
+        i = row_of[pid]
+        y[i, week] = units
+        on_sale[i, week] = listed
+        stock[i, week] = in_stock
+    return SalesPanel(products, y, on_sale, stock)
+
+
+def rowwise_load_covariates(path, panel=None) -> RowwiseCovariates:
+    """covariates.csv read one csv.reader row at a time, each row checked as it comes."""
+    path = Path(path)
+    table = RowwiseCovariates()
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["scope", "key", "week", "product_id", "value", "predictable"]:
+            raise SchemaError(f"{path}: unexpected covariates header {header}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 6:
+                raise SchemaError(f"{path}:{line_no}: expected 6 fields")
+            scope, key, week_s, pid, value_s, pred_s = row
+            try:
+                week = int(week_s)
+                value = float(value_s)
+            except ValueError:
+                raise SchemaError(f"{path}:{line_no}: bad week or value") from None
+            if week not in INT64_WEEKS:
+                raise SchemaError(f"{path}:{line_no}: week {week} outside the int64 range")
+            if not math.isfinite(value):
+                raise SchemaError(f"{path}:{line_no}: non-finite value {value_s!r}")
+            predictable = _parse_bool(pred_s, str(path), line_no, "predictable")
+            if key in table.predictable and table.predictable[key] != predictable:
+                raise SchemaError(f"{path}:{line_no}: inconsistent predictable flag for {key!r}")
+            table.predictable[key] = predictable
+            if scope == "temporal":
+                if pid:
+                    raise SchemaError(f"{path}:{line_no}: temporal row must have empty product_id")
+                series, other, at = table.temporal, table.mixed, week
+            elif scope == "mixed":
+                if not pid:
+                    raise SchemaError(f"{path}:{line_no}: mixed row needs a product_id")
+                if panel is not None:
+                    if pid not in panel.index:
+                        raise SchemaError(f"{path}:{line_no}: unknown product {pid!r}")
+                    if not 0 <= week < panel.n_weeks:
+                        raise SchemaError(f"{path}:{line_no}: week {week} outside panel")
+                series, other, at = table.mixed, table.temporal, (pid, week)
+            else:
+                raise SchemaError(f"{path}:{line_no}: unknown scope {scope!r}")
+            values = series.get(key)
+            if values is None:
+                if key in other:
+                    raise SchemaError(f"{path}:{line_no}: key {key!r} used with both scopes")
+                values = series[key] = {}
+            if at in values:
+                raise SchemaError(f"{path}:{line_no}: duplicate row for {(scope, key, week, pid)}")
+            values[at] = value
+    return table
+
+
+def covariate_dicts(table: CovariateTable) -> RowwiseCovariates:
+    """The columnar table as dicts, after checking its layout: each key's
+    arrays aligned, int64 weeks and rows, float64 values, and (row, week)
+    pairs strictly increasing."""
+    out = RowwiseCovariates()
+    for key, cov in table.series.items():
+        assert cov.weeks.dtype == np.int64 and cov.values.dtype == np.float64
+        assert cov.weeks.shape == cov.values.shape == (cov.weeks.size,) and cov.weeks.size
+        rows = np.full(cov.weeks.size, -1) if cov.rows is None else cov.rows
+        assert rows.dtype == np.int64 and rows.shape == cov.weeks.shape
+        pairs = list(zip(rows.tolist(), cov.weeks.tolist()))
+        assert all(a < b for a, b in zip(pairs, pairs[1:])), key
+        values = cov.values.tolist()
+        if cov.rows is None:
+            out.temporal[key] = dict(zip(cov.weeks.tolist(), values))
+        else:
+            out.mixed[key] = {
+                (table.products[row], week): value for (row, week), value in zip(pairs, values)
+            }
+        out.predictable[key] = cov.predictable
+    return out
+
+
+def columnar_covariates(temporal, mixed, predictable, products) -> CovariateTable:
+    """A CovariateTable of dict-shaped covariates for the panel products.
+
+    Mixed entries of other products are left out: the table holds panel
+    rows, and the loader rejects any other product.
+    """
+    row_of = {pid: i for i, pid in enumerate(products)}
+    series = {}
+    for key, entries in temporal.items():
+        weeks = sorted(entries)
+        series[key] = Covariate(
+            np.array(weeks, dtype=np.int64), None,
+            np.array([entries[w] for w in weeks], dtype=float), predictable[key],
+        )
+    for key, entries in mixed.items():
+        kept = sorted(
+            (row_of[pid], week, value) for (pid, week), value in entries.items() if pid in row_of
+        )
+        series[key] = Covariate(
+            np.array([week for _, week, _ in kept], dtype=np.int64),
+            np.array([row for row, _, _ in kept], dtype=np.int64),
+            np.array([value for _, _, value in kept], dtype=float),
+            predictable[key],
+        )
+    return CovariateTable(tuple(products), series)

@@ -153,6 +153,16 @@ class TestPipeline:
             "week 100000000000000000000 outside the int64 range\n"
         )
 
+    @pytest.mark.parametrize("horizon", [80, 200])
+    def test_horizon_beyond_the_split_is_data_error(self, data_dir, tmp_path, capsys, horizon):
+        # the split spans 80 weeks, so no week is left to forecast from
+        config = config_file(tmp_path, f"horizon = {horizon}")
+        assert main(pipeline_args(data_dir, tmp_path / "out", config=config)) == 2
+        assert capsys.readouterr().err == (
+            f"error in stage features: horizon {horizon} leaves no week to forecast "
+            f"target week 79 from\n"
+        )
+
     def test_sales_week_beyond_the_last_supported_is_data_error(self, data_dir, tmp_path, capsys):
         sales = tmp_path / "sales.csv"
         text = (data_dir / "sales.csv").read_text()

@@ -11,11 +11,11 @@ from demandcast.features import (
     hash_encode,
     ordinal_encode,
 )
-from demandcast.ingest import CovariateTable, RunConfig
+from demandcast.ingest import RunConfig
 from demandcast.preprocess import preprocess_panel
 from demandcast.seasonal import fit_seasonality
 
-from .oracles import fnv1a64_reference, rowwise_build_matrix
+from .oracles import columnar_covariates, fnv1a64_reference, rowwise_build_matrix
 from .test_core import make_panel
 
 # frozen reference: independent FNV-1a implementation, computed once
@@ -65,13 +65,14 @@ class TestHashEncode:
 
 class TestImputation:
     def table(self):
-        return CovariateTable(
+        return columnar_covariates(
             temporal={
                 "event": {0: 0.0, 1: 1.0, 2: 0.0, 10: 1.0},
                 "weather": {0: 12.0, 2: 20.0, 4: 14.0},
             },
             mixed={"price": {("p1", 0): 10.0, ("p1", 1): 10.0, ("p1", 2): 12.0}},
             predictable={"event": True, "weather": False, "price": False},
+            products=("p1", "p9"),
         )
 
     def value(self, key, pid, target_week, known_until):
@@ -233,11 +234,10 @@ class TestBuildMatrix:
             {f"p{i}": 5.0 for i in range(n_products)},
             {},
         )
-        covariates = CovariateTable(
-            temporal={"event": {t: float(t % 7 == 0) for t in range(n_weeks + 6)}},
-            mixed={"price_week": {(f"p{i}", t): 5.0 + (t % 3) for i in range(n_products) for t in range(n_weeks)}},
-            predictable={"event": True, "price_week": False},
-        )
+        temporal = {"event": {t: float(t % 7 == 0) for t in range(n_weeks + 6)}}
+        mixed = {"price_week": {(f"p{i}", t): 5.0 + (t % 3) for i in range(n_products) for t in range(n_weeks)}}
+        predictable = {"event": True, "price_week": False}
+        covariates = columnar_covariates(temporal, mixed, predictable, panel.products)
         config = RunConfig(train_len=30, valid_len=4, test_len=6)
         repaired, smoothed = preprocess_panel(panel, 8, 3.0)
         model = fit_seasonality(smoothed, repaired, catalog, 52, 1, seed=0, end_week=28)
@@ -248,16 +248,11 @@ class TestBuildMatrix:
         rows_at_t = np.flatnonzero(full.target_weeks == t + config.horizon)
 
         truncated = make_panel(y[:, : t + 1])
-        cov_trunc = CovariateTable(
-            temporal=covariates.temporal,  # known future stays available
-            mixed={
-                "price_week": {
-                    key: value
-                    for key, value in covariates.mixed["price_week"].items()
-                    if key[1] <= t
-                }
-            },
-            predictable=covariates.predictable,
+        cov_trunc = columnar_covariates(
+            temporal,  # known future stays available
+            {"price_week": {key: value for key, value in mixed["price_week"].items() if key[1] <= t}},
+            predictable,
+            truncated.products,
         )
         repaired_t, smoothed_t = preprocess_panel(truncated, 8, 3.0)
         assert np.array_equal(smoothed_t.x, smoothed.x[:, : t + 1])
@@ -303,7 +298,7 @@ def exactness_inputs(seed=3):
         },
     )
     weeks = range(-3, n_weeks + 10)
-    covariates = CovariateTable(
+    covariates = columnar_covariates(
         temporal={
             "event": {w: float(rng.random() < 0.3) for w in weeks if rng.random() < 0.8},
             "weather": {w: float(rng.normal(15, 5)) for w in weeks if rng.random() < 0.4},
@@ -323,6 +318,7 @@ def exactness_inputs(seed=3):
             },
         },
         predictable={"event": True, "weather": False, "promo": True, "price_week": False},
+        products=products,  # p_extra's promo entries are left out: it is not a panel product
     )
     repaired, smoothed = preprocess_panel(panel, window=8, gamma=2.0)
     model = fit_seasonality(smoothed, repaired, catalog, tau=13, k=2, seed=0)

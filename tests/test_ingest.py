@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from demandcast import ingest
+from demandcast.core import SalesPanel
 from demandcast.ingest import RunConfig, SchemaError
 from demandcast.synth import SynthSpec, generate_panel
+
+from .oracles import covariate_dicts
 
 
 def write(tmp_path, name, text):
@@ -58,6 +61,23 @@ class TestLoadSales:
             f"{path}:3: week {week} beyond the last supported week {ingest.LAST_WEEK}"
         )
 
+    def test_units_outside_int64_rejected(self, tmp_path):
+        # a data error naming the line, not an overflow while filling the panel
+        path = write(tmp_path, "sales.csv", SALES_HEADER + "a,0,3,1,1\na,1,9223372036854775808,1,1\n")
+        with pytest.raises(SchemaError) as err:
+            ingest.load_sales(path)
+        assert str(err.value) == f"{path}:3: units 9223372036854775808 outside the int64 range"
+
+    def test_quoted_fields_and_crlf_read_as_csv(self, tmp_path):
+        text = SALES_HEADER + 'a,0,3,1,1\n"a",1,"4",1,1\n"b,c",0,2,1,0\n'
+        plain = ingest.load_sales(write(tmp_path, "s1.csv", text))
+        crlf = tmp_path / "s2.csv"
+        crlf.write_text(text.replace("\n", "\r\n"), newline="")
+        for panel in (plain, ingest.load_sales(crlf)):
+            assert panel.products == ("a", "b,c")
+            assert panel.y.tolist() == [[3, 4], [2, 0]]
+            assert panel.stock_flag.tolist() == [[True, True], [False, True]]
+
     def test_last_supported_week_accepted(self, tmp_path):
         path = write(tmp_path, "sales.csv", SALES_HEADER + f"a,{ingest.LAST_WEEK},2,1,1\n")
         panel = ingest.load_sales(path)
@@ -108,6 +128,14 @@ class TestLoadCatalog:
 
 class TestLoadCovariates:
     HEADER = "scope,key,week,product_id,value,predictable\n"
+    # the panel the mixed rows describe: products p1 and p2, weeks 0-5
+    PANEL = SalesPanel(
+        ("p1", "p2"), np.zeros((2, 6), dtype=np.int64), np.zeros((2, 6), dtype=bool),
+        np.ones((2, 6), dtype=bool),
+    )
+
+    def load(self, path):
+        return ingest.load_covariates(path, self.PANEL)
 
     def test_temporal_and_mixed(self, tmp_path):
         path = write(
@@ -115,7 +143,7 @@ class TestLoadCovariates:
             "cov.csv",
             self.HEADER + "temporal,event,3,,1.0,1\nmixed,price,2,p1,9.5,0\n",
         )
-        table = ingest.load_covariates(path)
+        table = covariate_dicts(self.load(path))
         assert table.temporal["event"][3] == 1.0
         assert table.mixed["price"][("p1", 2)] == 9.5
         assert table.predictable == {"event": True, "price": False}
@@ -126,7 +154,7 @@ class TestLoadCovariates:
     def test_non_finite_value_rejected(self, tmp_path, row):
         path = write(tmp_path, "cov.csv", self.HEADER + "temporal,event,1,,1.0,1\n" + row + "\n")
         with pytest.raises(SchemaError, match=r"cov\.csv:3: non-finite value"):
-            ingest.load_covariates(path)
+            self.load(path)
 
     @pytest.mark.parametrize(
         "row",
@@ -140,17 +168,17 @@ class TestLoadCovariates:
     def test_week_outside_int64_rejected(self, tmp_path, row):
         path = write(tmp_path, "cov.csv", self.HEADER + "temporal,event,1,,1.0,1\n" + row + "\n")
         with pytest.raises(SchemaError, match=r"cov\.csv:3: week -?\d+ outside the int64 range"):
-            ingest.load_covariates(path)
+            self.load(path)
 
     def test_int64_extreme_weeks_accepted(self, tmp_path):
         rows = "temporal,event,9223372036854775807,,1.0,1\ntemporal,event,-9223372036854775808,,2.0,1\n"
-        table = ingest.load_covariates(write(tmp_path, "cov.csv", self.HEADER + rows))
+        table = covariate_dicts(self.load(write(tmp_path, "cov.csv", self.HEADER + rows)))
         assert table.temporal["event"] == {2**63 - 1: 1.0, -(2**63): 2.0}
 
     def test_temporal_with_product_rejected(self, tmp_path):
         path = write(tmp_path, "cov.csv", self.HEADER + "temporal,event,3,p1,1.0,1\n")
         with pytest.raises(SchemaError, match="empty product_id"):
-            ingest.load_covariates(path)
+            self.load(path)
 
     @pytest.mark.parametrize(
         "rows",
@@ -162,14 +190,14 @@ class TestLoadCovariates:
     def test_duplicate_row_rejected(self, tmp_path, rows):
         path = write(tmp_path, "cov.csv", self.HEADER + "\n".join(rows) + "\n")
         with pytest.raises(SchemaError, match=r"cov\.csv:4: duplicate row"):
-            ingest.load_covariates(path)
+            self.load(path)
 
     @pytest.mark.parametrize("first,second", [("temporal", "mixed"), ("mixed", "temporal")])
     def test_key_in_both_scopes_rejected(self, tmp_path, first, second):
         row = {"temporal": "temporal,price,2,,9.5,0", "mixed": "mixed,price,2,p1,9.5,0"}
         path = write(tmp_path, "cov.csv", self.HEADER + row[first] + "\n" + row[second] + "\n")
         with pytest.raises(SchemaError, match=r"cov\.csv:3: key 'price' used with both scopes"):
-            ingest.load_covariates(path)
+            self.load(path)
 
     def test_row_permutation_insensitive(self, tmp_path):
         rows = [
@@ -180,7 +208,7 @@ class TestLoadCovariates:
         for seed in range(4):
             order = np.random.default_rng(seed).permutation(len(rows))
             text = self.HEADER + "".join(rows[k] + "\n" for k in order)
-            tables.append(ingest.load_covariates(write(tmp_path, f"cov{seed}.csv", text)))
+            tables.append(covariate_dicts(self.load(write(tmp_path, f"cov{seed}.csv", text))))
         for table in tables[1:]:
             assert table == tables[0]
 
@@ -224,6 +252,8 @@ class TestLoadConfig:
             "max_depth = 0\noverride_bounds = true",
             "learning_rate = 0\noverride_bounds = true",
             "min_split_loss = -1.0\noverride_bounds = true",
+            "seed = -1",
+            "seed = -1\noverride_bounds = true",
         ],
     )
     def test_bad_values_rejected(self, tmp_path, text):
@@ -283,6 +313,7 @@ class TestRoundTrip:
         assert catalog2.category_of == catalog.category_of
         assert catalog2.price == catalog.price
         assert catalog2.attributes == catalog.attributes
+        cov2, covariates = covariate_dicts(cov2), covariate_dicts(covariates)
         assert cov2.temporal == covariates.temporal
         assert cov2.mixed == covariates.mixed
         assert cov2.predictable == covariates.predictable

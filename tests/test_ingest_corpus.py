@@ -1,0 +1,230 @@
+"""Seeded mutation corpus: the columnar loaders against the row-by-row ones.
+
+Small valid sales and covariates files are mutated with numpy's RNG (bad
+field counts, blank lines, bad numbers, out-of-range weeks, bad flags and
+scopes, unknown products, duplicate and conflicting keys, quoted fields,
+CRLF line ends, shuffled rows). On every file the loader must return what
+tests/oracles.py's row-by-row loader returns, or raise the same exception
+type with the same message. The corpus runs once with the default block
+size and once with blocks of a line or two, so that duplicates and faults
+straddle block boundaries.
+"""
+
+import numpy as np
+import pytest
+
+from demandcast import ingest
+from demandcast.core import SalesPanel
+
+from .oracles import covariate_dicts, rowwise_load_covariates, rowwise_load_sales
+
+FILES = 500
+PRODUCTS = ("p0", "p1", "p2", "p3")
+WEEKS = 8
+PANEL = SalesPanel(
+    PRODUCTS, np.zeros((4, WEEKS), dtype=np.int64), np.zeros((4, WEEKS), dtype=bool),
+    np.ones((4, WEEKS), dtype=bool),
+)
+INT64_EDGES = [
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "-9223372036854775809", "100000000000000000000",
+]
+NOT_INTEGERS = ["1.5", "x", "", "0x1", "1e3", " 7", "+2", "1_0"]
+NOT_FINITE = ["nan", "inf", "-inf", "1e400", "NaN", "abc", ""]
+BAD_FLAGS = ["2", "", "yes", "01", "-1", "1.0"]
+
+# every check each loader makes, as a piece of its message
+SALES_FAULTS = (
+    "expected 5 fields", "non-integer week or units", "negative week", "beyond the last supported",
+    "negative units", "duplicate row", "on_sale must be", "in_stock must be", "positive sales",
+)
+COVARIATE_FAULTS = (
+    "expected 6 fields", "bad week or value", "outside the int64 range", "non-finite value",
+    "predictable must be", "inconsistent predictable flag", "temporal row must have empty",
+    "mixed row needs", "unknown product", "outside panel", "unknown scope",
+    "used with both scopes", "duplicate row",
+)
+
+
+def valid_sales(rng):
+    rows = []
+    for pid in PRODUCTS:
+        for week in np.flatnonzero(rng.random(WEEKS) < 0.7).tolist():
+            listed = int(rng.random() < 0.8)
+            units = int(rng.integers(0, 9)) * listed
+            rows.append([pid, str(week), str(units), str(listed), str(int(rng.random() < 0.9))])
+    return ["product_id,week,units,on_sale,in_stock"], rows
+
+
+def valid_covariates(rng):
+    rows = []
+    for key, flag in (("event", "1"), ("weather", "0")):
+        for week in np.flatnonzero(rng.random(WEEKS + 4) < 0.6).tolist():
+            rows.append(["temporal", key, str(week - 2), "", repr(float(rng.normal())), flag])
+    for key, flag in (("promo", "1"), ("price", "0")):
+        for pid in PRODUCTS:
+            for week in np.flatnonzero(rng.random(WEEKS) < 0.5).tolist():
+                rows.append(["mixed", key, str(week), pid, repr(float(rng.uniform(1, 9))), flag])
+    return ["scope,key,week,product_id,value,predictable"], rows
+
+
+def mutate_sales_field(rng, row, kind):
+    if kind == "not_integer":
+        row[int(rng.choice([1, 2]))] = str(rng.choice(NOT_INTEGERS))
+    elif kind == "negative_week":
+        row[1] = str(-int(rng.integers(1, 5)))
+    elif kind == "late_week":
+        row[1] = str(ingest.LAST_WEEK + int(rng.integers(1, 3)))
+    elif kind == "wide_week":
+        row[1] = str(rng.choice(INT64_EDGES))
+    elif kind == "negative_units":
+        row[2] = str(-int(rng.integers(1, 5)))
+    elif kind == "bad_flag":
+        row[int(rng.choice([3, 4]))] = str(rng.choice(BAD_FLAGS))
+    elif kind == "bad_flags":
+        row[3:5] = rng.choice(BAD_FLAGS, size=2).tolist()
+    elif kind == "flip_flag":
+        column = int(rng.choice([3, 4]))
+        row[column] = "1" if row[column] == "0" else "0"
+    elif kind == "new_product":
+        row[0] = str(rng.choice(["p9", "a", ""]))
+
+
+def mutate_covariate_field(rng, row, kind):
+    if kind == "not_integer":
+        row[2] = str(rng.choice(NOT_INTEGERS))
+    elif kind == "not_finite":
+        row[4] = str(rng.choice(NOT_FINITE))
+    elif kind == "negative_week":
+        row[2] = str(-int(rng.integers(1, 5)))
+    elif kind == "late_week":
+        row[2] = str(WEEKS + int(rng.integers(0, 3)))
+    elif kind == "wide_week":
+        row[2] = str(rng.choice(INT64_EDGES))
+    elif kind == "bad_flag":
+        row[5] = str(rng.choice(BAD_FLAGS))
+    elif kind == "flip_flag":
+        row[5] = "1" if row[5] == "0" else "0"
+    elif kind == "bad_scope":
+        row[0] = str(rng.choice(["Temporal", "", "both"]))
+    elif kind == "unknown_product":
+        row[3] = "p9"
+    elif kind == "empty_or_extra_product":
+        row[3] = "" if row[3] else "p1"
+    elif kind == "other_scope":
+        row[0], row[3] = ("mixed", "p2") if row[0] == "temporal" else ("temporal", "")
+    elif kind == "quoted_comma_key":
+        row[1] = '"ev,ent"'
+
+
+SALES_KINDS = (
+    "not_integer", "negative_week", "late_week", "wide_week", "negative_units", "bad_flag",
+    "bad_flags", "flip_flag", "new_product",
+)
+COVARIATE_KINDS = (
+    "not_integer", "not_finite", "negative_week", "late_week", "wide_week", "bad_flag",
+    "flip_flag", "bad_scope", "unknown_product", "empty_or_extra_product", "other_scope",
+    "quoted_comma_key",
+)
+LINE_KINDS = ("truncate", "extra_field", "blank", "duplicate", "duplicate_changed", "quote")
+
+
+def mutated_text(rng, header, rows, field_kinds, mutate_field):
+    """One corpus file: none (a quarter of files) or 1 to 6 field or line
+    mutations, maybe shuffled rows, then the line ends.
+
+    Most mutations hit the line the one before hit (a duplicate's copy), so
+    one line can fail several checks and their order shows.
+    """
+    lines = [list(row) for row in rows]
+    j = 0
+    for _ in range(0 if rng.random() < 0.25 else int(rng.integers(1, 7))):
+        if rng.random() < 0.3:
+            j = int(rng.integers(0, len(lines)))
+        kind = str(rng.choice(field_kinds + LINE_KINDS))
+        if kind in field_kinds:
+            if len(lines[j]) == header[0].count(",") + 1:
+                mutate_field(rng, lines[j], kind)
+        elif kind == "truncate":
+            text = ",".join(lines[j])
+            lines[j] = text[: int(rng.integers(0, len(text) + 1))].split(",")
+        elif kind == "extra_field":
+            lines[j].append("x")
+        elif kind == "blank":
+            lines.insert(j, [""])
+        elif kind in ("duplicate", "duplicate_changed"):
+            copy = list(lines[j])
+            if kind == "duplicate_changed" and len(copy) > 3:
+                copy[-2] = str(int(rng.integers(0, 5)))
+            j = int(rng.integers(0, len(lines) + 1))
+            lines.insert(j, copy)
+        elif kind == "quote":  # a quoted field keeps its value
+            k = int(rng.integers(0, len(lines[j])))
+            if '"' not in lines[j][k]:
+                lines[j][k] = f'"{lines[j][k]}"'
+    if rng.random() < 0.3:
+        lines = [lines[k] for k in rng.permutation(len(lines))]
+    end = "\r\n" if rng.random() < 0.2 else "\n"
+    text = end.join(header + [",".join(line) for line in lines])
+    return text + (end if rng.random() < 0.9 else "")
+
+
+def outcome(load, *args):
+    try:
+        return None, load(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is what is compared
+        return (type(exc), str(exc)), None
+
+
+def sales_equal(a, b):
+    return a.products == b.products and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("y", "on_sale_mask", "stock_flag")
+    )
+
+
+@pytest.fixture(params=[None, 24], ids=["default_blocks", "tiny_blocks"])
+def block_chars(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(ingest, "BLOCK_CHARS", request.param)  # one or two lines a block
+    return request.param
+
+
+def test_sales_match_rowwise_loader(tmp_path, block_chars):
+    rng = np.random.default_rng(20240901)
+    faults, valid, csv_path_valid = set(), 0, 0
+    for k in range(FILES):
+        text = mutated_text(rng, *valid_sales(rng), SALES_KINDS, mutate_sales_field)
+        path = tmp_path / f"sales{k}.csv"
+        path.write_text(text, newline="")
+        error, panel = outcome(ingest.load_sales, path)
+        expected_error, expected = outcome(rowwise_load_sales, path)
+        assert error == expected_error, text
+        if error is None:
+            assert sales_equal(panel, expected), text
+            valid += 1
+            csv_path_valid += '"' in text or "\r" in text
+        else:
+            faults.update(f for f in SALES_FAULTS if f in error[1])
+    assert faults == set(SALES_FAULTS)
+    assert valid > FILES // 5 and csv_path_valid > 5
+
+
+def test_covariates_match_rowwise_loader(tmp_path, block_chars):
+    rng = np.random.default_rng(20240902)
+    faults, valid, csv_path_valid = set(), 0, 0
+    for k in range(FILES):
+        text = mutated_text(rng, *valid_covariates(rng), COVARIATE_KINDS, mutate_covariate_field)
+        path = tmp_path / f"cov{k}.csv"
+        path.write_text(text, newline="")
+        error, table = outcome(ingest.load_covariates, path, PANEL)
+        expected_error, expected = outcome(rowwise_load_covariates, path, PANEL)
+        assert error == expected_error, text
+        if error is None:
+            assert covariate_dicts(table) == expected, text
+            valid += 1
+            csv_path_valid += '"' in text or "\r" in text
+        else:
+            faults.update(f for f in COVARIATE_FAULTS if f in error[1])
+    assert faults == set(COVARIATE_FAULTS)
+    assert valid > FILES // 5 and csv_path_valid > 5

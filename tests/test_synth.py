@@ -5,6 +5,8 @@ from demandcast import ingest
 from demandcast.preprocess import detect_fake_zeros
 from demandcast.synth import SynthSpec, generate_panel
 
+from .oracles import covariate_dicts
+
 
 def flat_spec(**kw):
     """No promos, no stockouts, no seasonality, no trend: pure Poisson."""
@@ -33,7 +35,7 @@ class TestDeterminism:
         assert np.array_equal(a_panel.y, b_panel.y)
         assert np.array_equal(a_panel.stock_flag, b_panel.stock_flag)
         assert a_cat.price == b_cat.price
-        assert a_cov.mixed == b_cov.mixed
+        assert covariate_dicts(a_cov) == covariate_dicts(b_cov)
         assert np.array_equal(a_truth.lam, b_truth.lam)
 
     def test_different_seed_differs(self):
@@ -104,6 +106,7 @@ class TestStructure:
 
     def test_covariates_cover_live_weeks(self):
         panel, _, covariates, truth = generate_panel(SynthSpec(n_products=25, n_weeks=60, seed=10))
+        covariates = covariate_dicts(covariates)
         for i, pid in enumerate(panel.products):
             for t in range(int(truth.launch[i]), int(truth.end[i])):
                 assert (pid, t) in covariates.mixed["promo"]
