@@ -14,8 +14,9 @@ Forecast rows stay aligned arrays from the feature matrix to the report:
 the matrix's product ids and target weeks, and the forecasts, go to the
 predictions writer and to `score`, which checks every key against the
 panel, sorts the rows into (product id, week) order once and passes aligned
-arrays to evaluation.evaluate. `evaluate` reads its CSV into the same three
-arrays, so a file's row order does not change its report.
+arrays to evaluation.evaluate. `evaluate` reads its predictions file through
+`ingest.load_predictions`, the block reader every input CSV goes through,
+into the same three arrays, so a file's row order does not change its report.
 
 Run settings come only from the --config file's RunConfig, so the config
 that manifest.json records is the whole run's. Every stage is a pure
@@ -29,7 +30,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -86,36 +86,6 @@ def _write_predictions(
         writer.writerows(
             zip(pids[order], weeks[order].tolist(), map(repr, forecasts[order].tolist()))
         )
-
-
-def _read_predictions(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(product ids, weeks, forecasts) of a predictions file, in file order."""
-    pids, weeks, forecasts = [], [], []
-    seen: set[tuple[str, int]] = set()
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["product_id", "week", "forecast"]:
-            raise SchemaError(f"{path}: unexpected predictions header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 3:
-                raise SchemaError(f"{path}:{line_no}: expected 3 fields")
-            try:
-                key = (row[0], int(row[1]))
-                value = float(row[2])
-            except ValueError:
-                raise SchemaError(f"{path}:{line_no}: bad week or forecast") from None
-            if not math.isfinite(value):
-                raise SchemaError(f"{path}:{line_no}: non-finite forecast {row[2]!r}")
-            if key[1] not in ingest.INT64_RANGE:
-                raise SchemaError(f"{path}:{line_no}: week {key[1]} outside the int64 range")
-            if key in seen:
-                raise SchemaError(f"{path}:{line_no}: duplicate key {key}")
-            seen.add(key)
-            pids.append(row[0])
-            weeks.append(key[1])
-            forecasts.append(value)
-    return np.array(pids, dtype=object), np.array(weeks, dtype=np.int64), np.array(forecasts)
 
 
 def write_synth(spec: synth.SynthSpec, out: Path) -> tuple[str, str, str]:
@@ -339,7 +309,7 @@ def cmd_predict(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
-    pids, weeks, forecasts = _read_predictions(Path(args.predictions))
+    pids, weeks, forecasts = ingest.load_predictions(args.predictions)
     panel, catalog, _ = load_inputs(args.sales, args.catalog, None)
     repaired, _ = preprocess(panel, config)
     report = score(pids, weeks, forecasts, repaired, catalog, config)
@@ -477,6 +447,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--sales and --catalog must be given together")
     if args.command == "pipeline" and args.forest_trees < 1:
         parser.error(f"--forest-trees must be >= 1, got {args.forest_trees}")
+    if args.command == "pipeline" and args.cold_start_filter < 0:
+        parser.error(f"--cold-start-filter must be >= 0, got {args.cold_start_filter}")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - last-resort diagnostic

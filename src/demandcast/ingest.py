@@ -1,26 +1,33 @@
-"""File ingestion: sales, catalog, covariates, and run configuration.
+"""File ingestion: sales, catalog, covariates, predictions, and run configuration.
 
 CSV schemas are fixed so round-trips are bit-exact:
   sales.csv       product_id,week,units,on_sale,in_stock
   catalog.csv     product_id,category_id,price[,extra attribute columns...]
   covariates.csv  scope,key,week,product_id,value,predictable
+  predictions     product_id,week,forecast
   config          flat ``key = value`` lines, ``#`` comments
 
 Missing (product, week) sales rows mean "not listed", not "zero sales while
 listed". Loading is deterministic and insensitive to row order: each CSV
 loader rejects duplicate keys, so no row can overwrite another.
 
-sales.csv and covariates.csv are read column-wise, one block of about
-BLOCK_CHARS characters at a time. A block without a quote or a carriage
-return is split on "\n" and "," directly, others go through csv.reader; the
-records are the same either way, so quoted fields and CRLF line ends keep
-their csv-module meaning. Numbers are parsed by Python's int and float into
-numpy arrays, and every check is an array check over the rows. A bad file
-is rejected with the error a row-by-row reader would raise first: the one on
-the earliest line and, on that line, the first in the loader's order of
-checks. No Python object per row outlives its block: load_sales scatters the
-rows into the dense panel, and load_covariates returns a columnar
-CovariateTable, each key's sorted week, panel-row and value arrays.
+All four CSV inputs (sales.csv, catalog.csv, covariates.csv and the
+predictions file `evaluate` scores) go through one block reader, which
+reads a file column-wise, one block of about BLOCK_CHARS characters at a
+time, and hands each loader the header it found to check. Files are UTF-8.
+A block without a quote, a carriage return, a byte that is not UTF-8 or an
+over-long line is split on "\n" and "," directly, others go through
+csv.reader; the records are the same either way, so quoted fields and CRLF
+line ends keep their csv-module meaning. The reader alone turns what
+csv.reader raises (a field longer than its limit) and bytes that are not
+UTF-8 into a SchemaError naming the line. Numbers are parsed by Python's int
+and float into numpy arrays, and every check is an array check over the
+rows. A bad file is rejected with the error a row-by-row reader would raise
+first: the one on the earliest line and, on that line, the first in the
+loader's order of checks, whatever the block size. No Python object per row
+outlives its block in load_sales, which scatters the rows into the dense
+panel, or in load_covariates, which returns a columnar CovariateTable, each
+key's sorted week, panel-row and value arrays.
 
 RunConfig is the one place a run setting is declared: its fields name,
 type and default every setting, load_config parses each key by its field's
@@ -35,6 +42,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from itertools import chain, repeat
@@ -178,14 +186,12 @@ class _FirstFault:
     def __init__(self, path: Path):
         self.path = path
         self.at: tuple[int, int] | None = None
-        self.error: Exception | None = None
+        self.error: SchemaError | None = None
 
-    def add(self, line: int, order: int, fault: str | Exception) -> None:
+    def add(self, line: int, order: int, fault: str) -> None:
         if self.at is None or (line, order) < self.at:
             self.at = (line, order)
-            self.error = fault if isinstance(fault, Exception) else SchemaError(
-                f"{self.path}:{line}: {fault}"
-            )
+            self.error = SchemaError(f"{self.path}:{line}: {fault}")
 
     def first(self, mask: np.ndarray, line: int, order: int, describe) -> None:
         """Add the first True entry of mask, row i being on line + i; describe(i) says what."""
@@ -197,6 +203,11 @@ class _FirstFault:
     def raise_first(self) -> None:
         if self.error is not None:
             raise self.error
+
+
+def _undecoded(text: str) -> bool:
+    """Whether text holds a byte that is not UTF-8, read as errors="surrogateescape" reads one."""
+    return not text.isascii() and re.search("[\udc80-\udcff]", text) is not None
 
 
 def _line_blocks(fh) -> Iterator[str]:
@@ -212,11 +223,17 @@ def _line_blocks(fh) -> Iterator[str]:
         yield rest
 
 
-def _csv_records(blocks: Iterable[str]) -> Iterator[tuple[list[str], list[int], Exception | None]]:
+def _csv_records(blocks: Iterable[str]) -> Iterator[tuple[list[str], list[int], str | None]]:
     """_records of the blocks, read by csv.reader in batches of records."""
-    reader = csv.reader(
-        chain.from_iterable(io.StringIO(block, newline="") for block in blocks)
-    )
+    undecoded = False  # whether a block read so far holds a byte that is not UTF-8
+
+    def texts():
+        nonlocal undecoded
+        for block in blocks:
+            undecoded = undecoded or _undecoded(block)
+            yield io.StringIO(block, newline="")
+
+    reader = csv.reader(chain.from_iterable(texts()))
     batch = max(1, BLOCK_CHARS // 40)  # about 40 characters a record
     while True:
         rows: list[list[str]] = []
@@ -227,22 +244,28 @@ def _csv_records(blocks: Iterable[str]) -> Iterator[tuple[list[str], list[int], 
                 if len(rows) == batch:
                     break
         except csv.Error as exc:
-            error = exc
+            error = str(exc)
+        if undecoded:  # csv.reader reads a record's text before it returns the record
+            bad = next((i for i, row in enumerate(rows) if _undecoded(",".join(row))), None)
+            if bad is not None:
+                del rows[bad:]
+                error = "not valid UTF-8"
         yield list(chain.from_iterable(rows)), [len(row) - 1 for row in rows], error
         if error is not None or len(rows) < batch:
             return
 
 
-def _records(fh) -> Iterator[tuple[list[str], list[int], Exception | None]]:
+def _records(fh) -> Iterator[tuple[list[str], list[int], str | None]]:
     r"""The CSV records of fh a block at a time, as csv.reader reads them.
 
     Yields (fields, commas, error): the block's fields in one flat list, the
     field count less one of each record (-1 for a blank line, which csv
-    reads as no fields), and what csv.reader raised on the record after the
-    block's last one, which ends the stream. Blocks without '"',
-    "\r" or a line longer than the csv field limit are split on "\n" and ","
-    directly, which gives the same records; from the first other block on,
-    csv.reader reads.
+    reads as no fields), and None or what is wrong with the record after the
+    block's last one, which ends the stream: the error csv.reader raised on
+    it, or that it holds a byte that is not UTF-8. Blocks without '"', "\r",
+    such a byte, or a line longer than the csv field limit are split on "\n"
+    and "," directly, which gives the same records; from the first other
+    block on, csv.reader reads.
     """
     blocks = _line_blocks(fh)
     limit = csv.field_size_limit()
@@ -250,7 +273,7 @@ def _records(fh) -> Iterator[tuple[list[str], list[int], Exception | None]]:
         lines = block.split("\n")
         if block.endswith("\n"):
             lines.pop()
-        if '"' in block or "\r" in block or max(map(len, lines)) > limit:
+        if '"' in block or "\r" in block or max(map(len, lines)) > limit or _undecoded(block):
             yield from _csv_records(chain([block], blocks))
             return
         commas = list(map(str.count, lines, repeat(",")))
@@ -259,35 +282,42 @@ def _records(fh) -> Iterator[tuple[list[str], list[int], Exception | None]]:
         yield block.replace("\n", ",").split(","), commas, None
 
 
-def _read_columns(path: Path, what: str, header: list[str]):
-    """Yield (line, columns, fault) for each block of path's data records.
+def _read_columns(path: Path, faults: _FirstFault):
+    """Yield path's header record, then (line, columns, count) for each block of data records.
 
-    columns holds one token list per header field, for the block's records
-    up to the first with another field count; line is the block's first
-    record's line (the header is line 1, and a record is one line however
-    many physical lines a quoted field spans). fault is None, or the field
-    count of that malformed record, or the error csv.reader raised on it,
-    and ends the stream. The first block is yielded even when empty.
+    The header is None for an empty file; the caller checks it, and the data
+    records are read as rows of as many fields as it has. columns holds one
+    token list per field, for the block's records up to the first with
+    another field count; line is the block's first record's line (the
+    header is line 1, and a record is one line however many physical lines
+    a quoted field spans). count is None, or the field count of that
+    malformed record, and ends the stream. A record csv.reader fails on, or
+    that holds a byte that is not UTF-8, is a fault on its line: on line 1
+    it is raised, on a later line it is added to faults and ends the stream.
+    The first block is yielded even when empty.
     """
-    n = len(header)
-    with path.open(newline="") as fh:
+    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
         records = _records(fh)
         fields, commas, error = next(records, ([], [], None))
-        if not commas and error is not None:
-            raise error
-        found = fields[: commas[0] + 1] if commas else None
-        if found != header:
-            raise SchemaError(f"{path}: unexpected {what} header {found}")
+        if not commas:
+            if error is not None:
+                raise SchemaError(f"{path}:1: {error}")
+            yield None
+            return
+        n = commas[0] + 1
+        yield fields[:n]
         del fields[:n], commas[0]
         line = 2
         while True:
             stop = len(commas)
-            fault = error
+            count = None
             if commas.count(n - 1) != stop:
-                stop = next(i for i, count in enumerate(commas) if count != n - 1)
-                fault = commas[stop] + 1
-            yield line, [fields[k : stop * n : n] for k in range(n)], fault
-            batch = None if fault is not None else next(records, None)
+                stop = next(i for i, width in enumerate(commas) if width != n - 1)
+                count = commas[stop] + 1
+            elif error is not None:
+                faults.add(line + stop, 0, error)
+            yield line, [fields[k : stop * n : n] for k in range(n)], count
+            batch = None if count is not None or error is not None else next(records, None)
             if batch is None:
                 return
             line += stop
@@ -327,6 +357,13 @@ def _flags(tokens: list[str]) -> np.ndarray:
     return np.fromiter(map(_FLAG_CODES.get, tokens, repeat(2)), np.int8, len(tokens))
 
 
+def _codes(tokens: list[str], codes: dict[str, int]) -> np.ndarray:
+    """Each token's code in codes, which gives a new token the next code."""
+    for token in dict.fromkeys(tokens):
+        codes.setdefault(token, len(codes))
+    return np.fromiter(map(codes.__getitem__, tokens), np.int64, len(tokens))
+
+
 def load_sales(path: str | Path) -> SalesPanel:
     """Load sales.csv into a dense panel.
 
@@ -336,34 +373,34 @@ def load_sales(path: str | Path) -> SalesPanel:
     """
     path = Path(path)
     faults = _FirstFault(path)
+    blocks = _read_columns(path, faults)
+    if (header := next(blocks)) != SALES_HEADER:
+        raise SchemaError(f"{path}: unexpected sales header {header}")
     product_ids: dict[str, int] = {}  # id -> order of first appearance
     parts = []
-    for line, (pid_s, week_s, units_s, sale_s, stock_s), fault in _read_columns(
-        path, "sales", SALES_HEADER
-    ):
+    for line, (pid_s, week_s, units_s, sale_s, stock_s), count in blocks:
         n = len(pid_s)
-        if fault is not None:
-            message = f"expected 5 fields, got {fault}" if isinstance(fault, int) else fault
-            faults.add(line + n, 0, message)
+        if count is not None:
+            faults.add(line + n, 0, f"expected 5 fields, got {count}")
+        pids = _codes(pid_s, product_ids)
+        if "" in product_ids:
+            faults.first(pids == product_ids[""], line, 1, lambda i: "empty product_id")
         weeks, bad_week, _ = _parse(week_s, int)
         units, bad_units, wide = _parse(units_s, int)
         if min(bad_week, bad_units) < n:
-            faults.add(line + min(bad_week, bad_units), 1, "non-integer week or units")
-        faults.first(weeks < 0, line, 2, lambda i: f"negative week {int(week_s[i])}")
+            faults.add(line + min(bad_week, bad_units), 2, "non-integer week or units")
+        faults.first(weeks < 0, line, 3, lambda i: f"negative week {int(week_s[i])}")
         faults.first(
-            weeks > LAST_WEEK, line, 3,
+            weeks > LAST_WEEK, line, 4,
             lambda i: f"week {int(week_s[i])} beyond the last supported week {LAST_WEEK}",
         )
-        faults.first(units < 0, line, 4, lambda i: f"negative units {int(units_s[i])}")
+        faults.first(units < 0, line, 5, lambda i: f"negative units {int(units_s[i])}")
         if wide < n:
-            faults.add(line + wide, 5, f"units {int(units_s[wide])} outside the int64 range")
-        # order 6 is the duplicate check, made on all rows below
+            faults.add(line + wide, 6, f"units {int(units_s[wide])} outside the int64 range")
+        # order 7 is the duplicate check, made on all rows below
         on_sale, stock = _flags(sale_s), _flags(stock_s)
-        faults.first(on_sale == 2, line, 7, lambda i: f"on_sale must be 0 or 1, got {sale_s[i]!r}")
-        faults.first(stock == 2, line, 8, lambda i: f"in_stock must be 0 or 1, got {stock_s[i]!r}")
-        for pid in dict.fromkeys(pid_s):
-            product_ids.setdefault(pid, len(product_ids))
-        pids = np.fromiter(map(product_ids.__getitem__, pid_s), np.int64, n)
+        faults.first(on_sale == 2, line, 8, lambda i: f"on_sale must be 0 or 1, got {sale_s[i]!r}")
+        faults.first(stock == 2, line, 9, lambda i: f"in_stock must be 0 or 1, got {stock_s[i]!r}")
         keep = n if faults.at is None else faults.at[0] - line + 1
         parts.append((pids[:keep], weeks[:keep], units[:keep], on_sale[:keep], stock[:keep]))
         if faults.at is not None:
@@ -373,7 +410,7 @@ def load_sales(path: str | Path) -> SalesPanel:
     cells = pids * (LAST_WEEK + 1) + np.clip(weeks, 0, LAST_WEEK)
     names = list(product_ids)
     faults.first(
-        _repeats(cells), 2, 6, lambda i: f"duplicate row for {(names[pids[i]], int(weeks[i]))}"
+        _repeats(cells), 2, 7, lambda i: f"duplicate row for {(names[pids[i]], int(weeks[i]))}"
     )
     faults.raise_first()
     if not pids.size:
@@ -400,35 +437,101 @@ def _repeats(keys: np.ndarray) -> np.ndarray:
 
 
 def load_catalog(path: str | Path) -> Catalog:
-    """Load catalog.csv; extra columns become named categorical attributes."""
+    """Load catalog.csv; extra columns become named categorical attributes.
+
+    Column names must be unique and not empty. Each product has one row, a
+    non-empty id and category, and a positive, finite price.
+    """
     path = Path(path)
-    category_of: dict[str, str] = {}
-    price: dict[str, float] = {}
-    attributes: dict[str, dict[str, str]] = {}
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["product_id", "category_id", "price"]:
-            raise SchemaError(f"{path}: unexpected catalog header {header}")
-        extra_cols = header[3:]
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise SchemaError(f"{path}:{line_no}: expected {len(header)} fields")
-            pid, category, price_s = row[0], row[1], row[2]
-            if not category:
-                raise SchemaError(f"{path}:{line_no}: product {pid!r} has no category")
-            try:
-                p = float(price_s)
-            except ValueError:
-                raise SchemaError(f"{path}:{line_no}: bad price {price_s!r}") from None
-            if not 0 < p < math.inf:
-                raise SchemaError(f"{path}:{line_no}: price {price_s} is not positive and finite")
-            if pid in category_of:
-                raise SchemaError(f"{path}:{line_no}: duplicate product {pid!r}")
-            category_of[pid] = category
-            price[pid] = p
-            attributes[pid] = dict(zip(extra_cols, row[3:]))
-    return Catalog(category_of, price, attributes)
+    faults = _FirstFault(path)
+    blocks = _read_columns(path, faults)
+    header = next(blocks)
+    if header is None or header[:3] != ["product_id", "category_id", "price"]:
+        raise SchemaError(f"{path}: unexpected catalog header {header}")
+    if bad_names := [name for name in header if not name or header.count(name) > 1]:
+        raise SchemaError(f"{path}:1: catalog column name {bad_names[0]!r} is empty or repeated")
+    product_ids: dict[str, int] = {}  # id -> order of first appearance
+    codes, prices, table = [], [], [[] for _ in header]
+    for line, columns, count in blocks:
+        pid_s, category_s, price_s = columns[:3]
+        n = len(pid_s)
+        if count is not None:
+            faults.add(line + n, 0, f"expected {len(header)} fields")
+        pids = _codes(pid_s, product_ids)
+        if "" in product_ids:
+            faults.first(pids == product_ids[""], line, 1, lambda i: "empty product_id")
+        faults.first(
+            [not category for category in category_s], line, 2,
+            lambda i: f"product {pid_s[i]!r} has no category",
+        )
+        price, bad, _ = _parse(price_s, float)
+        if bad < n:
+            faults.add(line + bad, 3, f"bad price {price_s[bad]!r}")
+        faults.first(
+            ~((price > 0) & (price < np.inf)), line, 4,
+            lambda i: f"price {price_s[i]} is not positive and finite",
+        )
+        # order 5 is the duplicate check, made on all rows below
+        keep = n if faults.at is None else faults.at[0] - line + 1
+        codes.append(pids[:keep])
+        prices.append(price[:keep])
+        for rows, column in zip(table, columns):
+            rows += column[:keep]
+        if faults.at is not None:
+            break
+    pids = np.concatenate(codes)
+    names = list(product_ids)
+    faults.first(_repeats(pids), 2, 5, lambda i: f"duplicate product {names[pids[i]]!r}")
+    faults.raise_first()
+    pid_s, category_s, _, *extra = table
+    return Catalog(
+        dict(zip(pid_s, category_s)),
+        dict(zip(pid_s, np.concatenate(prices).tolist())),
+        {pid: dict(zip(header[3:], values)) for pid, *values in zip(pid_s, *extra)},
+    )
+
+
+def load_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(product ids, weeks, forecasts) of a predictions file, in file order.
+
+    Forecasts must be finite, weeks must fit in int64, and each
+    (product, week) has one row.
+    """
+    path = Path(path)
+    faults = _FirstFault(path)
+    blocks = _read_columns(path, faults)
+    if (header := next(blocks)) != ["product_id", "week", "forecast"]:
+        raise SchemaError(f"{path}: unexpected predictions header {header}")
+    product_ids: dict[str, int] = {}  # id -> order of first appearance
+    ids: list[str] = []
+    parts = []
+    for line, (pid_s, week_s, value_s), count in blocks:
+        n = len(pid_s)
+        if count is not None:
+            faults.add(line + n, 0, "expected 3 fields")
+        weeks, bad_week, wide = _parse(week_s, int)
+        forecasts, bad_value, _ = _parse(value_s, float)
+        if min(bad_week, bad_value) < n:
+            faults.add(line + min(bad_week, bad_value), 1, "bad week or forecast")
+        faults.first(
+            ~np.isfinite(forecasts), line, 2, lambda i: f"non-finite forecast {value_s[i]!r}"
+        )
+        if wide < n:
+            faults.add(line + wide, 3, f"week {int(week_s[wide])} outside the int64 range")
+        # order 4 is the duplicate check, made on all rows below
+        keep = n if faults.at is None else faults.at[0] - line + 1
+        ids += pid_s[:keep]
+        parts.append((_codes(pid_s[:keep], product_ids), weeks[:keep], forecasts[:keep]))
+        if faults.at is not None:
+            break
+    pids, weeks, forecasts = map(np.concatenate, zip(*parts))
+    _, week_codes = np.unique(weeks, return_inverse=True)
+    faults.first(
+        _repeats(pids * (week_codes.max(initial=0) + 1) + week_codes), 2, 4,
+        lambda i: f"duplicate key {(ids[i], int(weeks[i]))}",
+    )
+    faults.raise_first()
+    return np.array(ids, dtype=object), weeks, forecasts
 
 
 def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
@@ -441,15 +544,16 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
     """
     path = Path(path)
     faults = _FirstFault(path)
+    blocks = _read_columns(path, faults)
+    if (header := next(blocks)) != COVARIATES_HEADER:
+        raise SchemaError(f"{path}: unexpected covariates header {header}")
     key_ids: dict[str, int] = {}  # key -> order of first appearance
     panel_rows = {**panel.index, "": -1}  # ids the panel lacks map to -2
     parts = []
-    for line, (scope_s, key_s, week_s, pid_s, value_s, flag_s), fault in _read_columns(
-        path, "covariates", COVARIATES_HEADER
-    ):
+    for line, (scope_s, key_s, week_s, pid_s, value_s, flag_s), count in blocks:
         n = len(scope_s)
-        if fault is not None:
-            faults.add(line + n, 0, "expected 6 fields" if isinstance(fault, int) else fault)
+        if count is not None:
+            faults.add(line + n, 0, "expected 6 fields")
         weeks, bad_week, wide = _parse(week_s, int)
         values, bad_value, _ = _parse(value_s, float)
         if min(bad_week, bad_value) < n:
@@ -482,9 +586,7 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
             (temporal & (rows != -1)) | (mixed & ((rows < 0) | outside)) | (scopes == 2),
             line, 6, scope_fault,
         )
-        for key in dict.fromkeys(key_s):
-            key_ids.setdefault(key, len(key_ids))
-        keys = np.fromiter(map(key_ids.__getitem__, key_s), np.int64, n)
+        keys = _codes(key_s, key_ids)
         keep = n if faults.at is None else faults.at[0] - line + 1
         parts.append(
             (keys[:keep], scopes[:keep], rows[:keep], weeks[:keep], values[:keep], flags[:keep])
@@ -552,7 +654,10 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     types = {f.name: f.type for f in fields(RunConfig)}
     values: dict[str, object] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if _undecoded(raw):
+            raise SchemaError(f"{path}:{line_no}: not valid UTF-8")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -2,8 +2,9 @@
 
 Everything here is written for clarity over speed: plain loops, brute-force
 enumeration, no shared code with the package internals beyond numpy. The
-row-by-row CSV loaders build the package's SalesPanel and raise its
-SchemaError, so their results and errors compare with the loaders' directly.
+row-by-row CSV loaders build the package's SalesPanel and Catalog and raise
+its SchemaError, so their results and errors compare with the loaders'
+directly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from demandcast.core import SalesPanel
+from demandcast.core import Catalog, SalesPanel
 from demandcast.ingest import LAST_WEEK, Covariate, CovariateTable, SchemaError
 
 INT64_WEEKS = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
@@ -393,6 +394,8 @@ def rowwise_load_sales(path):
             if len(row) != 5:
                 raise SchemaError(f"{path}:{line_no}: expected 5 fields, got {len(row)}")
             pid, week_s, units_s, on_sale_s, stock_s = row
+            if not pid:
+                raise SchemaError(f"{path}:{line_no}: empty product_id")
             try:
                 week = int(week_s)
                 units = int(units_s)
@@ -430,6 +433,73 @@ def rowwise_load_sales(path):
         on_sale[i, week] = listed
         stock[i, week] = in_stock
     return SalesPanel(products, y, on_sale, stock)
+
+
+def rowwise_load_catalog(path) -> Catalog:
+    """catalog.csv read one csv.reader row at a time, each row checked as it comes."""
+    path = Path(path)
+    category_of: dict[str, str] = {}
+    price: dict[str, float] = {}
+    attributes: dict[str, dict[str, str]] = {}
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:3] != ["product_id", "category_id", "price"]:
+            raise SchemaError(f"{path}: unexpected catalog header {header}")
+        for name in header:
+            if not name or header.count(name) > 1:
+                raise SchemaError(f"{path}:1: catalog column name {name!r} is empty or repeated")
+        extra_cols = header[3:]
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise SchemaError(f"{path}:{line_no}: expected {len(header)} fields")
+            pid, category, price_s = row[0], row[1], row[2]
+            if not pid:
+                raise SchemaError(f"{path}:{line_no}: empty product_id")
+            if not category:
+                raise SchemaError(f"{path}:{line_no}: product {pid!r} has no category")
+            try:
+                p = float(price_s)
+            except ValueError:
+                raise SchemaError(f"{path}:{line_no}: bad price {price_s!r}") from None
+            if not 0 < p < math.inf:
+                raise SchemaError(f"{path}:{line_no}: price {price_s} is not positive and finite")
+            if pid in category_of:
+                raise SchemaError(f"{path}:{line_no}: duplicate product {pid!r}")
+            category_of[pid] = category
+            price[pid] = p
+            attributes[pid] = dict(zip(extra_cols, row[3:]))
+    return Catalog(category_of, price, attributes)
+
+
+def rowwise_load_predictions(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A predictions file read one csv.reader row at a time, each row checked as it comes."""
+    pids, weeks, forecasts = [], [], []
+    seen: set[tuple[str, int]] = set()
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["product_id", "week", "forecast"]:
+            raise SchemaError(f"{path}: unexpected predictions header {header}")
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != 3:
+                raise SchemaError(f"{path}:{line_no}: expected 3 fields")
+            try:
+                key = (row[0], int(row[1]))
+                value = float(row[2])
+            except ValueError:
+                raise SchemaError(f"{path}:{line_no}: bad week or forecast") from None
+            if not math.isfinite(value):
+                raise SchemaError(f"{path}:{line_no}: non-finite forecast {row[2]!r}")
+            if key[1] not in INT64_WEEKS:
+                raise SchemaError(f"{path}:{line_no}: week {key[1]} outside the int64 range")
+            if key in seen:
+                raise SchemaError(f"{path}:{line_no}: duplicate key {key}")
+            seen.add(key)
+            pids.append(row[0])
+            weeks.append(key[1])
+            forecasts.append(value)
+    return np.array(pids, dtype=object), np.array(weeks, dtype=np.int64), np.array(forecasts)
 
 
 def rowwise_load_covariates(path, panel=None) -> RowwiseCovariates:

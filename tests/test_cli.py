@@ -192,6 +192,67 @@ class TestPipeline:
         assert manifest["config"]["encoding"] == "hashing"
         assert (out / "predictions.csv").exists()
 
+    def test_empty_product_id_is_data_error(self, data_dir, tmp_path, capsys):
+        sales, catalog = tmp_path / "sales.csv", tmp_path / "catalog.csv"
+        text = (data_dir / "sales.csv").read_text()
+        sales.write_text(text + ",5,3,1,1\n")
+        catalog.write_text((data_dir / "catalog.csv").read_text() + ",c0,1.0\n")
+        args = pipeline_args(data_dir, tmp_path / "out")
+        args[args.index("--sales") + 1] = str(sales)
+        args[args.index("--catalog") + 1] = str(catalog)
+        assert main(args) == 2
+        line = len(text.splitlines()) + 1
+        assert capsys.readouterr().err == (
+            f"error in stage ingest: {sales}:{line}: empty product_id\n"
+        )
+
+    def test_config_not_utf8_is_data_error(self, data_dir, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(CONFIG.encode() + b"# caf\xe9\n")
+        assert main(pipeline_args(data_dir, tmp_path / "out", config=config)) == 2
+        line = len(CONFIG.splitlines()) + 1
+        assert capsys.readouterr().err == (
+            f"error in stage config: {config}:{line}: not valid UTF-8\n"
+        )
+
+
+class TestInputFaults:
+    """A field longer than csv's limit, or a byte that is not UTF-8, in any
+    input CSV is a data error naming the file and line."""
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [(b"x" * 200_000, "field larger than field limit (131072)"), (b"\xff", "not valid UTF-8")],
+        ids=["long_field", "byte_0xff"],
+    )
+    @pytest.mark.parametrize("name", ["sales", "catalog", "covariates", "predictions"])
+    def test_fault_exits_two_naming_the_line(
+        self, data_dir, tmp_path, capsys, name, fault, message
+    ):
+        if name == "predictions":
+            source = b"product_id,week,forecast\r\np0000,20,1.0\r\np0000,21,1.0\r\n"
+        else:
+            source = (data_dir / f"{name}.csv").read_bytes()  # CRLF, as synth writes it
+        lines = source.split(b"\r\n")
+        lines[2] = fault + lines[2]
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(b"\r\n".join(lines))
+        if name == "predictions":
+            args = [
+                "evaluate", "--predictions", str(path),
+                "--sales", str(data_dir / "sales.csv"),
+                "--catalog", str(data_dir / "catalog.csv"),
+                "--config", str(data_dir / "run.cfg"),
+                "--out-dir", str(tmp_path / "eval"),
+            ]
+            prefix = "error"
+        else:
+            args = pipeline_args(data_dir, tmp_path / "out")
+            args[args.index(f"--{name}") + 1] = str(path)
+            prefix = "error in stage ingest"
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"{prefix}: {path}:3: {message}\n"
+
 
 # a loadable model.json: no trees, so every forecast is exp(base_score)
 VALID_MODEL = {
@@ -457,11 +518,19 @@ class TestUsage:
             assert "config" in dests
             assert not dests & settings, name
 
-    @pytest.mark.parametrize("trees", ["0", "-3"])
-    def test_forest_without_trees_exits_one(self, tmp_path, trees):
+    @pytest.mark.parametrize(
+        "options",
+        [
+            pytest.param(["--model", "forest", "--forest-trees", "0"], id="0"),
+            pytest.param(["--model", "forest", "--forest-trees", "-3"], id="-3"),
+            pytest.param(["--cold-start-filter", "-3"], id="cold_start_filter_-3"),
+        ],
+    )
+    def test_forest_without_trees_exits_one(self, tmp_path, options):
+        # and the other pipeline count below its floor
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as err:
-            main(["pipeline", "--out-dir", str(out), "--model", "forest", "--forest-trees", trees])
+            main(["pipeline", "--out-dir", str(out), *options])
         assert err.value.code == 1
         assert not out.exists()
 

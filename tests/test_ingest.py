@@ -1,4 +1,7 @@
+import ast
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +87,12 @@ class TestLoadSales:
         assert panel.n_weeks == ingest.LAST_WEEK + 1
         assert panel.y[0, -1] == 2
 
+    def test_empty_product_id_rejected(self, tmp_path):
+        path = write(tmp_path, "sales.csv", SALES_HEADER + "a,0,3,1,1\n,5,3,1,1\n")
+        with pytest.raises(SchemaError) as err:
+            ingest.load_sales(path)
+        assert str(err.value) == f"{path}:3: empty product_id"
+
     def test_bad_header(self, tmp_path):
         path = write(tmp_path, "sales.csv", "pid,week\n")
         with pytest.raises(SchemaError, match="header"):
@@ -124,6 +133,79 @@ class TestLoadCatalog:
         path = write(tmp_path, "catalog.csv", "product_id,category_id,price\np1,,3\n")
         with pytest.raises(SchemaError, match="category"):
             ingest.load_catalog(path)
+
+    def test_empty_product_id_rejected(self, tmp_path):
+        path = write(tmp_path, "catalog.csv", "product_id,category_id,price\np1,toys,3\n,toys,2\n")
+        with pytest.raises(SchemaError) as err:
+            ingest.load_catalog(path)
+        assert str(err.value) == f"{path}:3: empty product_id"
+
+    @pytest.mark.parametrize(
+        "extra, name", [(",brand,brand", "brand"), (",brand,", ""), (",price", "price")]
+    )
+    def test_empty_or_repeated_column_name_rejected(self, tmp_path, extra, name):
+        path = write(tmp_path, "catalog.csv", f"product_id,category_id,price{extra}\n")
+        with pytest.raises(SchemaError) as err:
+            ingest.load_catalog(path)
+        assert str(err.value) == f"{path}:1: catalog column name {name!r} is empty or repeated"
+
+
+# Each CSV input: its loader, header, a valid row per line number, and a bad row with its message.
+CSV_INPUTS = {
+    "sales": (
+        ingest.load_sales, SALES_HEADER.strip(), "p{},0,1,1,1".format,
+        "q,0,-1,1,1", "negative units -1",
+    ),
+    "catalog": (
+        ingest.load_catalog, "product_id,category_id,price,brand", "p{},toys,2.5,b".format,
+        "q,toys,0,b", "price 0 is not positive and finite",
+    ),
+    "covariates": (
+        lambda path: ingest.load_covariates(path, ingest.load_sales(path.with_name("sales.csv"))),
+        "scope,key,week,product_id,value,predictable", "temporal,event{},0,,1.0,1".format,
+        "temporal,event,0,,nan,1", "non-finite value 'nan'",
+    ),
+    "predictions": (
+        ingest.load_predictions, "product_id,week,forecast", "p0,{},1.5".format,
+        "p0,99,inf", "non-finite forecast 'inf'",
+    ),
+}
+LONG = "x" * 200_000
+LONG_FIELD = "field larger than field limit (131072)"
+
+
+class TestCsvFaults:
+    """A field longer than csv's limit and a byte that is not UTF-8 are faults
+    on their line, ordered with the loader's own by line, whatever the block size."""
+
+    @pytest.fixture(params=[None, 24], ids=["default_blocks", "tiny_blocks"])
+    def blocks(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(ingest, "BLOCK_CHARS", request.param)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("name", CSV_INPUTS)
+    def test_fault_on_the_earliest_line_wins(self, tmp_path, blocks, name, end):
+        load, header, row, bad_row, bad_message = CSV_INPUTS[name]
+        (tmp_path / "sales.csv").write_text(SALES_HEADER + "a,0,1,1,1\n")
+        path = tmp_path / f"{name}.csv"
+
+        def error(lines):  # lines 2 to 6, valid but where given; "#" becomes the byte 0xff
+            body = [lines.get(k, row(k)) for k in range(2, 7)]
+            path.write_bytes(end.join([header, *body, ""]).encode().replace(b"#", b"\xff"))
+            with pytest.raises(SchemaError) as err:
+                load(path)
+            return str(err.value)
+
+        assert error({3: f"#{row(3)}"}) == f"{path}:3: not valid UTF-8"
+        assert error({3: f"{LONG}{row(3)}"}) == f"{path}:3: {LONG_FIELD}"
+        assert error({3: f"#{bad_row}"}) == f"{path}:3: not valid UTF-8"
+        for fault, message in (("#", "not valid UTF-8"), (LONG, LONG_FIELD)):
+            assert error({3: bad_row, 5: fault + row(5)}) == f"{path}:3: {bad_message}"
+            assert error({3: fault + row(3), 5: bad_row}) == f"{path}:3: {message}"
+        path.write_bytes(f"{header}#{end}{row(2)}{end}".encode().replace(b"#", b"\xff"))
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}:1: not valid UTF-8$"):
+            load(path)
 
 
 class TestLoadCovariates:
@@ -289,6 +371,13 @@ class TestLoadConfig:
             assert value == changed[f.name] != getattr(default, f.name), f.name
             assert type(value).__name__ == f.type, f.name
 
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"horizon = 6\n# caf\xe9\n")
+        with pytest.raises(SchemaError) as err:
+            ingest.load_config(path)
+        assert str(err.value) == f"{path}:2: not valid UTF-8"
+
     def test_comments_and_blanks(self, tmp_path):
         config = ingest.load_config(write(tmp_path, "c.cfg", "\n# x\nhorizon = 4  # inline\n"))
         assert config.horizon == 4
@@ -317,3 +406,27 @@ class TestRoundTrip:
         assert cov2.temporal == covariates.temporal
         assert cov2.mixed == covariates.mixed
         assert cov2.predictable == covariates.predictable
+
+
+def test_only_the_block_reader_calls_csv_reader():
+    # one CSV parser: every input file is read by ingest's block reader
+    def readers(tree):
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("reader", "DictReader")
+            and isinstance(node.value, ast.Name) and node.value.id == "csv"
+            or isinstance(node, ast.ImportFrom) and node.module == "csv"
+        ]
+
+    trees = {
+        module.stem: ast.parse(module.read_text())
+        for module in Path(ingest.__file__).parent.glob("*.py")
+    }
+    assert {name: len(readers(tree)) for name, tree in trees.items() if readers(tree)} == {
+        "ingest": 1
+    }
+    (block_reader,) = (
+        node for node in ast.walk(trees["ingest"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_csv_records"
+    )
+    assert readers(block_reader)

@@ -1,7 +1,8 @@
 """Seeded mutation corpus: the columnar loaders against the row-by-row ones.
 
-Small valid sales and covariates files are mutated with numpy's RNG (bad
-field counts, blank lines, bad numbers, out-of-range weeks, bad flags and
+Small valid sales, catalog, covariates and predictions files are mutated
+with numpy's RNG (bad headers and field counts, blank lines, bad numbers,
+out-of-range weeks and prices, empty ids and categories, bad flags and
 scopes, unknown products, duplicate and conflicting keys, quoted fields,
 CRLF line ends, shuffled rows). On every file the loader must return what
 tests/oracles.py's row-by-row loader returns, or raise the same exception
@@ -16,7 +17,13 @@ import pytest
 from demandcast import ingest
 from demandcast.core import SalesPanel
 
-from .oracles import covariate_dicts, rowwise_load_covariates, rowwise_load_sales
+from .oracles import (
+    covariate_dicts,
+    rowwise_load_catalog,
+    rowwise_load_covariates,
+    rowwise_load_predictions,
+    rowwise_load_sales,
+)
 
 FILES = 500
 PRODUCTS = ("p0", "p1", "p2", "p3")
@@ -37,6 +44,15 @@ BAD_FLAGS = ["2", "", "yes", "01", "-1", "1.0"]
 SALES_FAULTS = (
     "expected 5 fields", "non-integer week or units", "negative week", "beyond the last supported",
     "negative units", "duplicate row", "on_sale must be", "in_stock must be", "positive sales",
+    "empty product_id",
+)
+CATALOG_FAULTS = (
+    "unexpected catalog header", "is empty or repeated", "fields", "empty product_id",
+    "has no category", "bad price", "is not positive and finite", "duplicate product",
+)
+PREDICTION_FAULTS = (
+    "unexpected predictions header", "expected 3 fields", "bad week or forecast",
+    "non-finite forecast", "outside the int64 range", "duplicate key",
 )
 COVARIATE_FAULTS = (
     "expected 6 fields", "bad week or value", "outside the int64 range", "non-finite value",
@@ -66,6 +82,32 @@ def valid_covariates(rng):
             for week in np.flatnonzero(rng.random(WEEKS) < 0.5).tolist():
                 rows.append(["mixed", key, str(week), pid, repr(float(rng.uniform(1, 9))), flag])
     return ["scope,key,week,product_id,value,predictable"], rows
+
+
+def valid_catalog(rng):
+    extra = ["brand", "color"][: int(rng.integers(0, 3))]
+    rows = []
+    for pid in PRODUCTS:
+        price = str(rng.choice(["3", "0.5", repr(float(rng.uniform(1, 9)))]))
+        attrs = rng.choice(["a", "b", ""], size=len(extra)).tolist()
+        rows.append([pid, str(rng.choice(["toys", "food"])), price, *attrs])
+    header = ",".join(["product_id", "category_id", "price", *extra])
+    if rng.random() < 0.1:  # a header with an empty, repeated or fixed column renamed
+        header = str(
+            rng.choice([header + ",", header + ",price", header + ",brand,brand", "product_id,cat"])
+        )
+    return [header], rows
+
+
+def valid_predictions(rng):
+    rows = []
+    for pid in PRODUCTS:
+        for week in np.flatnonzero(rng.random(WEEKS) < 0.6).tolist():
+            rows.append([pid, str(week - 1), repr(float(rng.uniform(0, 9)))])
+    header = "product_id,week,forecast"
+    if rng.random() < 0.05:
+        header = str(rng.choice(["product_id,week", "product_id,week,value", ""]))
+    return [header], rows
 
 
 def mutate_sales_field(rng, row, kind):
@@ -117,6 +159,38 @@ def mutate_covariate_field(rng, row, kind):
         row[1] = '"ev,ent"'
 
 
+def mutate_catalog_field(rng, row, kind):
+    if kind == "empty_id":
+        row[0] = ""
+    elif kind == "same_id":
+        row[0] = str(rng.choice(PRODUCTS))
+    elif kind == "no_category":
+        row[1] = ""
+    elif kind == "not_a_number":
+        row[2] = str(rng.choice(["x", "", "0x1", "1e", "1,5"]))
+    elif kind == "not_positive":
+        row[2] = str(rng.choice(["0", "-1", "-0.0", "0e3"]))
+    elif kind == "not_finite":
+        row[2] = str(rng.choice(NOT_FINITE))
+    elif kind == "quoted_comma_attribute" and len(row) > 3:
+        row[3] = '"x,y"'
+
+
+def mutate_prediction_field(rng, row, kind):
+    if kind == "not_integer":
+        row[1] = str(rng.choice(NOT_INTEGERS))
+    elif kind == "not_finite":
+        row[2] = str(rng.choice(NOT_FINITE))
+    elif kind == "wide_week":
+        row[1] = str(rng.choice(INT64_EDGES))
+    elif kind == "same_week":
+        row[1] = str(int(rng.integers(-1, WEEKS)))
+    elif kind == "other_product":
+        row[0] = str(rng.choice(["p0", "p9", ""]))
+    elif kind == "quoted_comma_id":
+        row[0] = '"p,1"'
+
+
 SALES_KINDS = (
     "not_integer", "negative_week", "late_week", "wide_week", "negative_units", "bad_flag",
     "bad_flags", "flip_flag", "new_product",
@@ -125,6 +199,13 @@ COVARIATE_KINDS = (
     "not_integer", "not_finite", "negative_week", "late_week", "wide_week", "bad_flag",
     "flip_flag", "bad_scope", "unknown_product", "empty_or_extra_product", "other_scope",
     "quoted_comma_key",
+)
+CATALOG_KINDS = (
+    "empty_id", "same_id", "no_category", "not_a_number", "not_positive", "not_finite",
+    "quoted_comma_attribute",
+)
+PREDICTION_KINDS = (
+    "not_integer", "not_finite", "wide_week", "same_week", "other_product", "quoted_comma_id",
 )
 LINE_KINDS = ("truncate", "extra_field", "blank", "duplicate", "duplicate_changed", "quote")
 
@@ -227,4 +308,55 @@ def test_covariates_match_rowwise_loader(tmp_path, block_chars):
         else:
             faults.update(f for f in COVARIATE_FAULTS if f in error[1])
     assert faults == set(COVARIATE_FAULTS)
+    assert valid > FILES // 5 and csv_path_valid > 5
+
+
+def catalogs_equal(a, b):
+    """Equal dicts, in the same (file) order."""
+    return all(
+        list(getattr(a, name).items()) == list(getattr(b, name).items())
+        for name in ("category_of", "price", "attributes")
+    )
+
+
+def test_catalog_matches_rowwise_loader(tmp_path, block_chars):
+    rng = np.random.default_rng(20240903)
+    faults, valid, csv_path_valid = set(), 0, 0
+    for k in range(FILES):
+        text = mutated_text(rng, *valid_catalog(rng), CATALOG_KINDS, mutate_catalog_field)
+        path = tmp_path / f"catalog{k}.csv"
+        path.write_text(text, newline="")
+        error, catalog = outcome(ingest.load_catalog, path)
+        expected_error, expected = outcome(rowwise_load_catalog, path)
+        assert error == expected_error, text
+        if error is None:
+            assert catalogs_equal(catalog, expected), text
+            valid += 1
+            csv_path_valid += '"' in text or "\r" in text
+        else:
+            faults.update(f for f in CATALOG_FAULTS if f in error[1])
+    assert faults == set(CATALOG_FAULTS)
+    assert valid > FILES // 5 and csv_path_valid > 5
+
+
+def test_predictions_match_rowwise_loader(tmp_path, block_chars):
+    rng = np.random.default_rng(20240904)
+    faults, valid, csv_path_valid = set(), 0, 0
+    for k in range(FILES):
+        text = mutated_text(
+            rng, *valid_predictions(rng), PREDICTION_KINDS, mutate_prediction_field
+        )
+        path = tmp_path / f"predictions{k}.csv"
+        path.write_text(text, newline="")
+        error, arrays = outcome(ingest.load_predictions, path)
+        expected_error, expected = outcome(rowwise_load_predictions, path)
+        assert error == expected_error, text
+        if error is None:
+            for got, want in zip(arrays, expected):
+                assert got.dtype == want.dtype and got.tolist() == want.tolist(), text
+            valid += 1
+            csv_path_valid += '"' in text or "\r" in text
+        else:
+            faults.update(f for f in PREDICTION_FAULTS if f in error[1])
+    assert faults == set(PREDICTION_FAULTS)
     assert valid > FILES // 5 and csv_path_valid > 5
