@@ -215,18 +215,24 @@ def score(
     repaired: SalesPanel,
     catalog: Catalog,
     config: RunConfig,
+    source: str = "predictions",
 ) -> EvalReport:
     """Price-weighted report of forecasts[k] for (pids[k], weeks[k]) against repaired actuals.
 
     Rows are scored in (product id, week) order, whatever order they come
     in. A forecast for week w was issued at week w - horizon; the product's
     life at that week buckets the row (0 when issued before the panel began).
+    A key without an actual is an error naming source and the line of its
+    row, counted as in a predictions file: the header is line 1, row k is
+    line k + 2.
     """
     rows = np.array([repaired.index.get(pid, -1) for pid in pids], dtype=np.int64)
     unknown = (rows < 0) | (weeks < 0) | (weeks >= repaired.n_weeks)
     if unknown.any():
         k = int(np.argmax(unknown))
-        raise SchemaError(f"prediction key ({pids[k]}, {weeks[k]}) has no actual in the panel")
+        raise SchemaError(
+            f"{source}:{k + 2}: prediction key ({pids[k]!r}, {weeks[k]}) has no actual in the panel"
+        )
     order = np.lexsort((weeks, pids))
     rows, weeks = rows[order], weeks[order]
     issued = weeks - config.horizon
@@ -312,7 +318,7 @@ def cmd_evaluate(args) -> int:
     pids, weeks, forecasts = ingest.load_predictions(args.predictions)
     panel, catalog, _ = load_inputs(args.sales, args.catalog, None)
     repaired, _ = preprocess(panel, config)
-    report = score(pids, weeks, forecasts, repaired, catalog, config)
+    report = score(pids, weeks, forecasts, repaired, catalog, config, args.predictions)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_report(report, out / "report.csv")

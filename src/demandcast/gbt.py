@@ -33,6 +33,13 @@ Settings: train() reads the boosting settings (loss, learning rate, depth,
 rounds, min_split_loss, lambda, early-stopping patience) from the run's
 RunConfig; train_forest() takes only a tree count, a depth and a seed.
 
+Trees: a fitted tree is one numpy structured array of NODE_DTYPE, one
+record per node in pre-order (feature, threshold, default_left, left,
+right, weight, gain: the order model.json stores each node in). The grower
+collects plain records and builds the array once; Tree.apply moves every
+row that has not reached a leaf down one level per step, so it loops once
+per level of depth, and makes the same comparisons as a node-by-node walk.
+
 Model files: model_from_json() accepts only pre-order trees over the
 model's features, so a malformed file is a SchemaError, never a hang.
 
@@ -47,6 +54,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -210,41 +218,55 @@ def _score_block(
     return float(interleaved[best]), int(pair[c] // m), float(thresholds[c]), best % 2 == 0
 
 
-@dataclass
-class TreeNode:
-    feature: int = -1       # -1 marks a leaf
-    threshold: float = 0.0
-    default_left: bool = True
-    left: int = -1
-    right: int = -1
-    weight: float = 0.0
-    gain: float = 0.0       # raw split gain, >= min_split_loss on internals
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+# one record per node, in pre-order; the fields in model.json's order
+NODE_DTYPE = np.dtype([
+    ("feature", np.int32),       # -1 marks a leaf
+    ("threshold", np.float64),
+    ("default_left", np.int8),   # 1 routes missing values left
+    ("left", np.int32),          # child indices, -1 on leaves
+    ("right", np.int32),
+    ("weight", np.float64),      # leaf value, 0 on internal nodes
+    ("gain", np.float64),        # raw split gain, >= min_split_loss on internals
+])
 
 
 @dataclass
 class Tree:
-    nodes: list[TreeNode] = field(default_factory=list)
+    nodes: np.ndarray  # NODE_DTYPE records in pre-order, root first
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Leaf weight reached by each row of x."""
-        out = np.empty(x.shape[0])
-        stack: list[tuple[int, np.ndarray]] = [(0, np.arange(x.shape[0]))]
-        while stack:
-            idx, rows = stack.pop()
-            node = self.nodes[idx]
-            if node.is_leaf:
-                out[rows] = node.weight
-                continue
-            col = x[rows, node.feature]
-            go_left = col < node.threshold
-            if node.default_left:
-                go_left |= np.isnan(col)
-            stack.append((node.left, rows[go_left]))
-            stack.append((node.right, rows[~go_left]))
+        """Leaf weight reached by each row of x.
+
+        The rows not yet at a leaf move down one level per step, so the loop
+        runs once per level of the tree, not once per node. A row goes left
+        when its value is below the node's threshold, and a missing value
+        goes the node's default way, as in a node-by-node walk.
+        """
+        nodes = self.nodes
+        # contiguous intp tables and 1-D takes are numpy's fastest gathers
+        feature = nodes["feature"].astype(np.intp)
+        threshold = np.ascontiguousarray(nodes["threshold"])
+        weight = np.ascontiguousarray(nodes["weight"])
+        left, right = nodes["left"], nodes["right"]
+        # child per (node, branch): branch 0 is a value below the threshold,
+        # 1 a value not below it, 2 a missing value
+        route = np.stack([left, right, np.where(nodes["default_left"] == 1, left, right)], axis=1)
+        route = route.astype(np.intp).ravel()
+        n, p = x.shape
+        flat = np.ascontiguousarray(x).ravel()
+        out = np.empty(n)
+        rows = np.arange(n)
+        node = np.zeros(n, dtype=np.intp)  # where each of rows is
+        while rows.size:
+            f = feature.take(node)
+            leaf = f < 0
+            if leaf.any():
+                out[rows[leaf]] = weight.take(node[leaf])
+                inner = np.flatnonzero(~leaf)
+                rows, node, f = rows.take(inner), node.take(inner), f.take(inner)
+            col = flat.take(rows * p + f)
+            branch = 1 + np.isnan(col) - (col < threshold.take(node))
+            node = route.take(3 * node + branch)
         return out
 
 
@@ -303,17 +325,14 @@ def fit_tree(
     work[p] = np.arange(n)  # the node's rows in ascending order
     goes_left = np.empty(n, dtype=bool)
     all_features = np.arange(p)
-    tree = Tree()
-    nodes = tree.nodes
+    records = []  # the NODE_DTYPE fields of each node, in pre-order
     # (lo, hi, depth, parent); a parent index marks a right child to link
     stack = [(0, n, 0, -1)]
     while stack:
         lo, hi, depth, parent = stack.pop()
-        idx = len(nodes)
-        node = TreeNode()
-        nodes.append(node)
+        idx = len(records)
         if parent >= 0:
-            nodes[parent].right = idx
+            records[parent][4] = idx
         rows = work[p, lo:hi]
         g_sum = float(g.take(rows).cumsum()[-1])
         h_sum = float(h.take(rows).cumsum()[-1])
@@ -324,15 +343,14 @@ def fit_tree(
                 x, g, h, work, lo, hi, features, g_sum, h_sum, reg_lambda, min_split_loss
             )
         if split is None:
-            node.weight = leaf_weight(g_sum, h_sum, reg_lambda)
+            weight = leaf_weight(g_sum, h_sum, reg_lambda)
+            records.append((-1, 0.0, 1, -1, -1, weight, 0.0))
             if leaf_values is not None:
-                leaf_values[rows] = node.weight
+                leaf_values[rows] = weight
             continue
         gain, feature, threshold, default_left = split
-        node.feature = feature
-        node.threshold = threshold
-        node.default_left = default_left
-        node.gain = gain + min_split_loss
+        # pre-order: the left child is numbered next; the right one is linked when popped
+        records.append([feature, threshold, int(default_left), idx + 1, -1, 0.0, gain + min_split_loss])
         col = x[rows, feature]
         left = col < threshold
         if default_left:
@@ -340,10 +358,9 @@ def fit_tree(
         goes_left[rows] = left
         n_left = int(np.count_nonzero(left))
         _partition(work, lo, hi, goes_left, n_left)
-        node.left = idx + 1  # pre-order: the left child is numbered next
         stack.append((lo + n_left, hi, depth + 1, idx))
         stack.append((lo, lo + n_left, depth + 1, -1))
-    return tree
+    return Tree(np.array(list(map(tuple, records)), dtype=NODE_DTYPE))
 
 
 def _search_node(
@@ -553,13 +570,7 @@ def model_to_json(model: BoostedModel) -> str:
         "learning_rate": model.learning_rate,
         "best_round": model.best_round,
         "feature_names": model.feature_names,
-        "trees": [
-            [
-                [n.feature, n.threshold, int(n.default_left), n.left, n.right, n.weight, n.gain]
-                for n in tree.nodes
-            ]
-            for tree in model.trees
-        ],
+        "trees": [tree.nodes.tolist() for tree in model.trees],
     }
     return json.dumps(doc)
 
@@ -575,11 +586,12 @@ def model_from_json(text: str | bytes, source: str = "model") -> BoostedModel:
     node but the root has one parent), so apply() walks each tree forward
     and visits each node at most once per call. The loss must be one train
     knows, the learning rate a finite number above 0, the base score and
-    node weights finite numbers, and thresholds numbers other than NaN.
+    node weights and gains finite numbers, thresholds numbers other than
+    NaN, and default_left the integer 0 or 1.
     """
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # also undecodable bytes
+    except (ValueError, RecursionError) as exc:  # also undecodable bytes, too deep nesting
         raise SchemaError(f"{source}: not a JSON document: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{source}: expected a JSON object, got {type(doc).__name__}")
@@ -618,24 +630,27 @@ def model_from_json(text: str | bytes, source: str = "model") -> BoostedModel:
 
 
 def _finite(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
+    # an int too large for a float compares above the largest float, so it fails too
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _tree_from_json(rows: list, n_features: int, where: str) -> Tree:
     if not isinstance(rows, list) or not rows:
         raise SchemaError(f"{where}: expected a non-empty list of nodes")
-    parents = [0] * len(rows)
-    nodes = []
     for idx, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 7:
             raise SchemaError(f"{where} node {idx}: expected 7 fields")
         feature, threshold, default_left, left, right, weight, gain = row
         if {type(feature), type(left), type(right)} != {int}:
             problem = "feature and child indices must be integers"
+        elif type(default_left) is not int or default_left not in (0, 1):
+            problem = f"default_left {default_left!r} is not 0 or 1"
         elif not _finite(weight):
             problem = f"weight {weight!r} is not a finite number"
-        elif type(threshold) not in (int, float) or math.isnan(threshold):
+        elif not (_finite(threshold) or type(threshold) is float and math.isinf(threshold)):
             problem = f"threshold {threshold!r} is not a number"
+        elif not _finite(gain):
+            problem = f"gain {gain!r} is not a finite number"
         elif feature == -1:
             problem = None if left == right == -1 else f"a leaf has children {left}/{right}"
         elif not 0 <= feature < n_features:
@@ -644,15 +659,16 @@ def _tree_from_json(rows: list, n_features: int, where: str) -> Tree:
             problem = f"children {left}/{right} do not follow the node in pre-order"
         else:
             problem = None
-            parents[left] += 1
-            parents[right] += 1
         if problem:
             raise SchemaError(f"{where} node {idx}: {problem}")
-        nodes.append(TreeNode(feature, threshold, bool(default_left), left, right, weight, gain))
-    shared = next((j for j in range(1, len(rows)) if parents[j] != 1), None)
-    if shared is not None:
-        raise SchemaError(f"{where} node {shared}: has {parents[shared]} parents, expected 1")
-    return Tree(nodes=nodes)
+    nodes = np.array(list(map(tuple, rows)), dtype=NODE_DTYPE)
+    internal = nodes[nodes["feature"] >= 0]
+    parents = np.bincount(np.concatenate([internal["left"], internal["right"]]), minlength=len(rows))
+    shared = np.flatnonzero(parents[1:] != 1)
+    if shared.size:
+        j = int(shared[0]) + 1
+        raise SchemaError(f"{where} node {j}: has {parents[j]} parents, expected 1")
+    return Tree(nodes)
 
 
 def save_model(model: BoostedModel, path: str | Path) -> None:

@@ -655,7 +655,9 @@ def load_config(path: str | Path) -> RunConfig:
     types = {f.name: f.type for f in fields(RunConfig)}
     values: dict[str, object] = {}
     text = path.read_text(encoding="utf-8", errors="surrogateescape")
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # read_text turns \r\n and \r into \n; splitlines would also split on
+    # form feeds and other separators, which would shift every later line number
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         if _undecoded(raw):
             raise SchemaError(f"{path}:{line_no}: not valid UTF-8")
         line = raw.split("#", 1)[0].strip()

@@ -200,6 +200,29 @@ def oracle_fit_tree(x, g, h, max_depth, reg_lambda, min_split_loss, feature_samp
     return nodes
 
 
+def oracle_apply(nodes, x):
+    """Leaf weight per row of x, walking a tree's node records one node at a time.
+
+    nodes holds (feature, threshold, default_left, left, right, weight, gain)
+    records in pre-order; a stack carries each node's rows down to a leaf.
+    """
+    out = np.empty(x.shape[0])
+    stack = [(0, np.arange(x.shape[0]))]
+    while stack:
+        idx, rows = stack.pop()
+        feature, threshold, default_left, left, right, weight, _ = nodes[idx]
+        if feature < 0:
+            out[rows] = weight
+            continue
+        col = x[rows, feature]
+        go_left = col < threshold
+        if default_left:
+            go_left |= np.isnan(col)
+        stack.append((left, rows[go_left]))
+        stack.append((right, rows[~go_left]))
+    return out
+
+
 def fnv1a64_reference(data: bytes) -> int:
     """Independent FNV-1a formulation (reduce-style) for cross-checking."""
     from functools import reduce

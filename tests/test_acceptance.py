@@ -25,6 +25,7 @@ from .oracles import (
     scalar_smooth,
     squared_pointwise,
 )
+from .test_gbt import assert_same_tree
 
 SEED = 20240901
 
@@ -112,15 +113,7 @@ def test_criterion_2_tree_oracle():
         depth = int(rng.integers(2, 5))
         tree = gbt.fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
         oracle = oracle_fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
-        assert len(tree.nodes) == len(oracle)
-        for node, ref in zip(tree.nodes, oracle):
-            assert node.feature == ref.feature
-            assert node.left == ref.left and node.right == ref.right
-            if node.is_leaf:
-                assert node.weight == ref.weight
-            else:
-                assert node.threshold == ref.threshold
-                assert node.default_left == ref.default_left
+        assert_same_tree(tree, oracle)
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     ok(f"2 exact-greedy trees match brute-force oracle on 50 matrices ({elapsed:.1f}s)")

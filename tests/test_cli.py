@@ -329,6 +329,8 @@ class TestTrainPredict:
         [
             ("loss", "poison", "unknown loss 'poison'"),
             ("learning_rate", float("nan"), "learning_rate nan is not a finite number above 0"),
+            # an int no float holds: exited 3 with the OverflowError of float()
+            ("base_score", -(10**400), f"base_score {-(10**400)} is not a finite number"),
         ],
     )
     def test_bad_model_scalar_is_data_error(self, data_dir, tmp_path, capsys, field, value, message):
@@ -338,6 +340,26 @@ class TestTrainPredict:
         )
         assert code == 2
         assert capsys.readouterr().err == f"error: {model_file}: {message}\n"
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            (2, "sideways", "default_left 'sideways' is not 0 or 1"),
+            (6, "x", "gain 'x' is not a finite number"),
+        ],
+    )
+    def test_bad_node_field_is_data_error(self, data_dir, tmp_path, capsys, field, value, message):
+        def corrupt(doc):
+            doc["trees"][-1][-1][field] = value  # the last node of the last tree
+
+        out = tmp_path / "model"
+        code, model_file = self.predict_with_corrupt_model(data_dir, out, corrupt)
+        trees = json.loads(model_file.read_text())["trees"]
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {model_file}: tree {len(trees) - 1} node {len(trees[-1]) - 1}: {message}\n"
+        )
         assert not (out / "predictions.csv").exists()
 
     @pytest.mark.parametrize(
@@ -352,10 +374,11 @@ class TestTrainPredict:
             json.dumps({k: v for k, v in VALID_MODEL.items() if k != "loss"}),
             model_text(version=2),
             b"\xff{}",
+            "[" * 100_000,  # exited 3 with json's RecursionError
         ],
         ids=[
             "list", "number", "trees-number", "tree-number", "feature-names-number",
-            "invalid-json", "no-loss", "version-2", "not-utf-8",
+            "invalid-json", "no-loss", "version-2", "not-utf-8", "deeply-nested",
         ],
     )
     def test_malformed_model_document_is_data_error(self, data_dir, tmp_path, capsys, text):
@@ -390,9 +413,9 @@ class TestTrainPredict:
 
 
 class TestEvaluateCommand:
-    def test_mismatched_keys_rejected(self, data_dir, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("product_id,week,forecast\nghost,3,4.0\n")
+    def test_mismatched_keys_rejected(self, data_dir, tmp_path, capsys):
+        bad = tmp_path / "preds.csv"
+        bad.write_text("product_id,week,forecast\np0000,20,1.0\nghost,3,4.0\n")
         code = main(
             [
                 "evaluate",
@@ -404,6 +427,10 @@ class TestEvaluateCommand:
             ]
         )
         assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:3: prediction key ('ghost', 3) has no actual in the panel\n"
+        )
+        assert not (tmp_path / "eval" / "report.csv").exists()
 
     @pytest.mark.parametrize("forecast", ["nan", "inf", "-1e400"])
     def test_non_finite_forecast_rejected(self, data_dir, tmp_path, capsys, forecast):

@@ -10,9 +10,9 @@ from demandcast import gbt
 from demandcast.features import FeatureMatrix
 from demandcast.ingest import RunConfig, SchemaError
 from demandcast.gbt import (
+    NODE_DTYPE,
     BoostedModel,
     Tree,
-    TreeNode,
     best_split,
     fit_tree,
     grad_hess,
@@ -27,6 +27,7 @@ from demandcast.gbt import (
 
 from .oracles import (
     finite_diff_grad_hess,
+    oracle_apply,
     oracle_fit_tree,
     poisson_pointwise,
     squared_pointwise,
@@ -156,7 +157,7 @@ class TestTieBreaking:
         y = np.array([0.0, 0.0, 8.0, 8.0])
         g, h = grad_hess("squared", y, np.zeros(4))
         tree = fit_tree(x, g, h, max_depth=1, reg_lambda=0.0, min_split_loss=0.0)
-        assert tree.nodes[0].feature == 0
+        assert tree.nodes["feature"][0] == 0
 
     def test_equal_gain_thresholds_pick_lowest(self):
         # symmetric integer targets: splitting at 0.5 and 2.5 give equal gain
@@ -164,7 +165,7 @@ class TestTieBreaking:
         y = np.array([8.0, 0.0, 0.0, 8.0])
         g, h = grad_hess("squared", y, np.zeros(4))
         tree = fit_tree(x, g, h, max_depth=1, reg_lambda=0.0, min_split_loss=0.0)
-        assert tree.nodes[0].threshold == 0.5
+        assert tree.nodes["threshold"][0] == 0.5
 
 
 class TestTrain:
@@ -290,12 +291,15 @@ class TestPredict:
             min_split_loss=0.0,
         )
         model = train(matrix, params)
-        assert model.trees[0].nodes[0].threshold == 0.5
+        assert model.trees[0].nodes["threshold"][0] == 0.5
         assert predict(model, matrix).tolist() == [0.0, 0.0, 10.0, 10.0]
 
     def test_missing_routed_by_stored_default(self):
-        node = TreeNode(feature=0, threshold=0.5, default_left=False, left=1, right=2)
-        tree = Tree(nodes=[node, TreeNode(weight=-1.0), TreeNode(weight=4.0)])
+        tree = Tree(np.array(
+            [(0, 0.5, 0, 1, 2, 0.0, 1.0), (-1, 0.0, 1, -1, -1, -1.0, 0.0),
+             (-1, 0.0, 1, -1, -1, 4.0, 0.0)],
+            dtype=NODE_DTYPE,
+        ))
         out = tree.apply(np.array([[np.nan], [0.0], [1.0]]))
         assert out.tolist() == [4.0, -1.0, 4.0]
 
@@ -315,6 +319,56 @@ class TestPredict:
         params = RunConfig(loss="poisson", rounds=20, learning_rate=0.3, max_depth=3, min_split_loss=0.0)
         model = train(matrix, params)
         assert (predict(model, matrix) > 0).all()
+
+
+def random_tree(rng, n_features, max_depth):
+    """A random pre-order tree; thresholds on a half-unit grid or +-inf."""
+    records = []
+
+    def grow(depth):
+        idx = len(records)
+        records.append(None)
+        if depth == max_depth or rng.random() < 0.2:
+            records[idx] = (-1, 0.0, 1, -1, -1, float(rng.normal()), 0.0)
+            return idx
+        draw = rng.random()
+        threshold = -math.inf if draw < 0.1 else math.inf if draw < 0.2 else round(rng.normal() * 2) / 2
+        feature, default_left = int(rng.integers(n_features)), int(rng.integers(2))
+        left = grow(depth + 1)
+        records[idx] = (feature, threshold, default_left, left, grow(depth + 1), 0.0, 1.0)
+        return idx
+
+    grow(0)
+    return Tree(np.array(records, dtype=NODE_DTYPE))
+
+
+class TestApply:
+    def test_matches_node_by_node_walk(self):
+        # apply moves all rows one level per step; the oracle walks one node
+        # at a time, so both must reach the same leaf for every row
+        rng = np.random.default_rng(17)
+        covered = set()
+        for trial in range(60):
+            p = int(rng.integers(1, 4))
+            tree = random_tree(rng, p, 0 if trial == 0 else int(rng.integers(1, 8)))
+            n = 0 if trial == 1 else int(rng.integers(1, 80))
+            x = np.round(rng.normal(size=(n, p)) * 2) / 2  # ties with the thresholds
+            x[rng.random(x.shape) < 0.2] = np.nan
+            x[rng.random(x.shape) < 0.05] = np.inf
+            x[rng.random(x.shape) < 0.05] = -np.inf
+            out = tree.apply(x)
+            assert out.dtype == np.float64 and out.shape == (n,)
+            assert out.tolist() == oracle_apply(tree.nodes, x).tolist()
+            internal = tree.nodes[tree.nodes["feature"] >= 0]
+            covered.update(("missing left", "missing right")[1 - d] for d in internal["default_left"])
+            covered.update(f"threshold {t}" for t in internal["threshold"] if math.isinf(t))
+            if internal.size == 0:
+                covered.add("single leaf")
+            if n == 0:
+                covered.add("no rows")
+        assert covered == {
+            "missing left", "missing right", "threshold inf", "threshold -inf", "single leaf", "no rows",
+        }
 
 
 class TestSerialization:
@@ -448,6 +502,42 @@ def set_nan_threshold(doc):
     doc["trees"][0][0][1] = math.nan
 
 
+def set_word_default_left(doc):
+    doc["trees"][0][0][2] = "sideways"
+
+
+def set_two_default_left(doc):
+    doc["trees"][0][-1][2] = 2
+
+
+def set_bool_default_left(doc):
+    doc["trees"][1][0][2] = True
+
+
+def set_word_gain(doc):
+    doc["trees"][0][0][6] = "x"
+
+
+def set_nan_gain(doc):
+    doc["trees"][0][-1][6] = math.nan
+
+
+def set_infinite_gain(doc):
+    doc["trees"][1][0][6] = math.inf
+
+
+def set_huge_int_weight(doc):
+    doc["trees"][0][-1][5] = 10**400  # a JSON integer no float holds
+
+
+def set_huge_int_threshold(doc):
+    doc["trees"][0][0][1] = 10**400
+
+
+def set_huge_int_base_score(doc):
+    doc["base_score"] = -(10**400)
+
+
 class TestModelFileChecks:
     @pytest.mark.parametrize("corrupt", [
         set_root_loop, set_short_node, set_unknown_feature, set_feature_past_end,
@@ -456,7 +546,9 @@ class TestModelFileChecks:
         set_nan_learning_rate, set_zero_learning_rate, set_negative_learning_rate,
         set_infinite_learning_rate, set_string_learning_rate, set_nan_base_score,
         set_infinite_base_score, set_bool_base_score, set_nan_leaf_weight,
-        set_infinite_leaf_weight, set_nan_threshold,
+        set_infinite_leaf_weight, set_nan_threshold, set_word_default_left,
+        set_two_default_left, set_bool_default_left, set_word_gain, set_nan_gain,
+        set_infinite_gain, set_huge_int_weight, set_huge_int_threshold, set_huge_int_base_score,
     ])
     def test_malformed_model_rejected_naming_file(self, tmp_path, corrupt):
         doc = small_model_doc()
@@ -471,8 +563,8 @@ class TestModelFileChecks:
         doc["trees"][0][0][1] = math.inf
         doc["trees"][1][0][1] = -math.inf
         model = model_from_json(json.dumps(doc))
-        assert model.trees[0].nodes[0].threshold == math.inf
-        assert model.trees[1].nodes[0].threshold == -math.inf
+        assert model.trees[0].nodes["threshold"][0] == math.inf
+        assert model.trees[1].nodes["threshold"][0] == -math.inf
         assert model.predict_array(np.array([[5.0, 5.0]])).shape == (1,)
 
 
@@ -540,9 +632,9 @@ class TestForest:
 def tree_depth(tree):
     """Longest root-to-leaf path, following the node links."""
     depth = {0: 0}
-    for idx, node in enumerate(tree.nodes):
-        if not node.is_leaf:
-            depth[node.left] = depth[node.right] = depth[idx] + 1
+    for idx, (feature, _, _, left, right, _, _) in enumerate(tree.nodes.tolist()):
+        if feature >= 0:
+            depth[left] = depth[right] = depth[idx] + 1
     return max(depth.values())
 
 
@@ -559,20 +651,22 @@ def random_matrix(rng, max_rows=32, max_features=3):
     return x, y
 
 
-class TestOracleEquivalence:
-    def assert_same_tree(self, tree, oracle_nodes):
-        assert len(tree.nodes) == len(oracle_nodes)
-        for node, ref in zip(tree.nodes, oracle_nodes):
-            assert node.feature == ref.feature
-            assert node.left == ref.left
-            assert node.right == ref.right
-            if node.is_leaf:
-                assert node.weight == ref.weight
-            else:
-                assert node.threshold == ref.threshold
-                assert node.default_left == ref.default_left
-                assert node.gain == pytest.approx(ref.gain, rel=1e-12, abs=1e-12)
+def assert_same_tree(tree, oracle_nodes):
+    """Field by field: links and features equal, leaf weights and split rules exact."""
+    nodes = tree.nodes
+    assert nodes.dtype == NODE_DTYPE
+    ref = {name: np.array([getattr(o, name) for o in oracle_nodes]) for name in NODE_DTYPE.names}
+    assert len(nodes) == len(oracle_nodes)
+    for name in ("feature", "left", "right"):
+        assert nodes[name].tolist() == ref[name].tolist(), name
+    leaf = nodes["feature"] < 0
+    assert nodes["weight"][leaf].tolist() == ref["weight"][leaf].tolist()
+    assert nodes["threshold"][~leaf].tolist() == ref["threshold"][~leaf].tolist()
+    assert nodes["default_left"][~leaf].tolist() == ref["default_left"][~leaf].astype(int).tolist()
+    assert nodes["gain"][~leaf] == pytest.approx(ref["gain"][~leaf], rel=1e-12, abs=1e-12)
 
+
+class TestOracleEquivalence:
     def test_trees_match_brute_force(self):
         rng = np.random.default_rng(8)
         for trial in range(12):
@@ -583,16 +677,15 @@ class TestOracleEquivalence:
             depth = int(rng.integers(1, 4))
             tree = fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
             oracle = oracle_fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
-            self.assert_same_tree(tree, oracle)
+            assert_same_tree(tree, oracle)
 
     def test_recorded_gains_exceed_min_split_loss(self):
         rng = np.random.default_rng(9)
         x, y = random_matrix(rng, max_rows=30)
         g, h = grad_hess("squared", y, np.zeros(len(y)))
         tree = fit_tree(x, g, h, max_depth=4, reg_lambda=0.5, min_split_loss=0.05)
-        for node in tree.nodes:
-            if not node.is_leaf:
-                assert node.gain >= 0.05
+        internal = tree.nodes[tree.nodes["feature"] >= 0]
+        assert internal.size and (internal["gain"] >= 0.05).all()
 
     def test_tree_structural_invariants(self):
         rng = np.random.default_rng(10)
@@ -602,12 +695,11 @@ class TestOracleEquivalence:
             depth_cap = int(rng.integers(1, 5))
             tree = fit_tree(x, g, h, max_depth=depth_cap, reg_lambda=0.5, min_split_loss=0.0)
             assert tree_depth(tree) <= depth_cap
-            n = len(tree.nodes)
-            for node in tree.nodes:
-                if node.is_leaf:
-                    assert np.isfinite(node.weight)
-                else:
-                    assert 0 < node.left < n and 0 < node.right < n
+            nodes = tree.nodes
+            leaf = nodes["feature"] < 0
+            assert np.isfinite(nodes["weight"][leaf]).all()
+            for link in ("left", "right"):
+                assert ((0 < nodes[link][~leaf]) & (nodes[link][~leaf] < len(nodes))).all()
 
     def test_chunked_search_and_partition_match_brute_force(self, monkeypatch):
         # a tiny scratch cap splits every node's features and work rows into
@@ -619,7 +711,7 @@ class TestOracleEquivalence:
             g, h = grad_hess("squared", y, np.zeros(len(y)))
             tree = fit_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
             oracle = oracle_fit_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
-            self.assert_same_tree(tree, oracle)
+            assert_same_tree(tree, oracle)
 
     def test_infinite_values_split_like_finite_ones(self):
         # only NaN is missing: +-inf are ordinary values that take part in
@@ -632,7 +724,7 @@ class TestOracleEquivalence:
             g, h = grad_hess("squared", y, np.zeros(len(y)))
             tree = fit_tree(x, g, h, max_depth=3, reg_lambda=1.0, min_split_loss=0.0)
             oracle = oracle_fit_tree(x, g, h, max_depth=3, reg_lambda=1.0, min_split_loss=0.0)
-            self.assert_same_tree(tree, oracle)
+            assert_same_tree(tree, oracle)
 
     def test_forest_trees_match_brute_force(self):
         # bootstrap-duplicated rows and per-split feature sampling, as
@@ -656,7 +748,7 @@ class TestOracleEquivalence:
             oracle = oracle_fit_tree(
                 x, -y, np.ones_like(y), depth, 0.0, 0.0, feature_sampler=sampler_from(trial)
             )
-            self.assert_same_tree(tree, oracle)
+            assert_same_tree(tree, oracle)
 
 
 class TestLossValue:

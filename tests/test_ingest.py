@@ -382,6 +382,22 @@ class TestLoadConfig:
         config = ingest.load_config(write(tmp_path, "c.cfg", "\n# x\nhorizon = 4  # inline\n"))
         assert config.horizon == 4
 
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_separator_in_a_comment_keeps_line_numbers(self, tmp_path, separator):
+        # only \n (and \r\n or \r, which reading turns into \n) ends a line
+        path = tmp_path / "ff.cfg"
+        path.write_bytes(f"# a{separator}b\nrounds = x\n".encode())
+        with pytest.raises(SchemaError) as err:
+            ingest.load_config(path)
+        assert str(err.value) == f"{path}:2: bad value 'x' for rounds"
+
+    def test_crlf_and_cr_line_ends(self, tmp_path):
+        path = tmp_path / "crlf.cfg"
+        path.write_bytes(b"# one\r\nhorizon = 4\rrounds = x\r\n")
+        with pytest.raises(SchemaError) as err:
+            ingest.load_config(path)
+        assert str(err.value) == f"{path}:3: bad value 'x' for rounds"
+
 
 class TestRoundTrip:
     def test_panel_write_load_identity(self, tmp_path):
