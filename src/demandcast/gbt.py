@@ -20,14 +20,19 @@ Exactness: the search scores the node's block for all candidate features at
 once, but every sum it forms is a sequential sum in the order the one-column
 scan uses: left sums are np.cumsum along each sorted row (ties in row
 order), missing-value sums run over the NaN tail in row order, and node
-totals run over the rows in ascending order. The gains are therefore bit
-for bit those of a scalar scan, which tests/oracles.py checks.
+totals run over the rows in ascending order. Gradients and hessians travel
+as one complex pair g + i*h, assigned part by part so a -0.0 keeps its
+sign; complex addition adds the two parts apart, so one gather and one
+cumsum give both sequential sums. The gains are therefore bit for bit
+those of a scalar scan, which tests/oracles.py checks.
 
-Memory: besides the presort and the per-tree working copy, the grower's
-temporaries are a small multiple of max(SCRATCH_ELEMENTS, rows in the
-node) elements, never features x rows, and none outlives its node. The
-grower keeps its state in a loop with an explicit stack, not in recursive
-frames or a recursive closure, so a fit leaves no reference cycle behind.
+Memory: besides the presort, the per-tree working copy and one complex
+g + i*h array per tree, the grower's temporaries are a small multiple of
+max(SCRATCH_ELEMENTS, rows in the node) elements, never features x rows,
+and none outlives its node; the bound holds for the split search and the
+partition alike. The grower keeps its state in a loop with an explicit
+stack, not in recursive frames or a recursive closure, so a fit leaves no
+reference cycle behind.
 
 Settings: train() reads the boosting settings (loss, learning rate, depth,
 rounds, min_split_loss, lambda, early-stopping patience) from the run's
@@ -66,7 +71,7 @@ from .ingest import RunConfig, SchemaError
 BASE_EPS = 1e-8
 # elements per chunk of the split search and partition: chunks hold as many
 # features (or working rows) as fit, and at least one
-SCRATCH_ELEMENTS = 1 << 15
+SCRATCH_ELEMENTS = 1 << 14
 
 
 def grad_hess(loss: str, y: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,20 +131,15 @@ def best_split(
     values/g/h are the node's rows in row order; NaN values are missing and
     are routed left or right, whichever scores better (left on ties). The
     returned gain already has min_split_loss subtracted; None when it is
-    not positive. This is the tree grower's block scorer applied to a
-    one-feature block.
+    not positive. This is the tree grower's block scorer, with its complex
+    g + i*h pairs, applied to a one-feature block.
     """
     if len(values) == 0:
         return None
     order = np.argsort(values, kind="stable")
+    gh = _complex_pair(g, h)
     found = _score_block(
-        values[order][None],
-        g[order][None],
-        h[order][None],
-        float(np.cumsum(g)[-1]),
-        float(np.cumsum(h)[-1]),
-        reg_lambda,
-        min_split_loss,
+        values[order][None], gh[order][None], gh.cumsum()[-1], reg_lambda, min_split_loss
     )
     if found is None:
         return None
@@ -147,21 +147,31 @@ def best_split(
     return SplitCandidate(threshold=threshold, gain=gain, default_left=default_left)
 
 
+def _complex_pair(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """g + i*h as one complex128 array, each part bit for bit its input.
+
+    Assigned part by part: g + 1j * h would add +0.0 to every real part,
+    which turns a -0.0 gradient into +0.0.
+    """
+    gh = np.empty(len(g), dtype=complex)
+    gh.real = g
+    gh.imag = h
+    return gh
+
+
 def _score_block(
     xv: np.ndarray,
-    gv: np.ndarray,
-    hv: np.ndarray,
-    g_total: float,
-    h_total: float,
+    ghv: np.ndarray,
+    gh_total: complex,
     reg_lambda: float,
     min_split_loss: float,
 ) -> tuple[float, int, float, bool] | None:
     """Best split over a block of sorted feature rows, or None if none helps.
 
     Row r of xv holds one feature's values for a node's rows in stable
-    ascending order with NaN last; gv/hv hold those rows' gradients and
-    hessians in the same order. g_total/h_total are the node's sequential
-    sums in row order. Returns (net gain, block row, threshold, missing
+    ascending order with NaN last; ghv holds those rows' gradient + i *
+    hessian pairs in the same order. gh_total is the node's sequential
+    pair sum in row order. Returns (net gain, block row, threshold, missing
     left) for the first maximum in (row, threshold, missing-left) order.
     """
     m = xv.shape[1]
@@ -178,22 +188,22 @@ def _score_block(
     if pair.size == 0:
         return None
 
-    gl = gv.cumsum(axis=1).ravel()[pair]
-    hl = hv.cumsum(axis=1).ravel()[pair]
+    # complex addition adds the real and the imaginary parts apart, so one
+    # cumsum gives the sequential g and h prefix sums of the scalar scan
+    ghl = ghv.cumsum(axis=1).ravel()[pair]
+    gl, hl = ghl.real, ghl.imag
     g_miss = 0.0
     h_miss = 0.0
     tail = np.isnan(xv[:, -1])  # rows with missing values
     if tail.any():
         nan = np.isnan(xv[tail])
-        rows = pair // m
-        g_miss = np.zeros(xv.shape[0])
-        h_miss = np.zeros(xv.shape[0])
+        gh_miss = np.zeros(xv.shape[0], dtype=complex)
         # -0.0 is the exact additive identity, so these are the tail's own sums
-        g_miss[tail] = np.where(nan, gv[tail], -0.0).cumsum(axis=1)[:, -1]
-        h_miss[tail] = np.where(nan, hv[tail], -0.0).cumsum(axis=1)[:, -1]
-        g_miss = g_miss[rows]
-        h_miss = h_miss[rows]
+        gh_miss[tail] = np.where(nan, ghv[tail], complex(-0.0, -0.0)).cumsum(axis=1)[:, -1]
+        gh_miss = gh_miss[pair // m]
+        g_miss, h_miss = gh_miss.real, gh_miss.imag
 
+    g_total, h_total = gh_total.real, gh_total.imag
     base = g_total * g_total / (h_total + reg_lambda)
 
     def net_gain(gl: np.ndarray, hl: np.ndarray) -> np.ndarray:
@@ -307,8 +317,10 @@ def fit_tree(
     node's rows sorted by each feature, and a split partitions the range
     stably in place. The search then scores the node's presorted block with
     sequential sums in the stable order, so trees equal those of a
-    brute-force scan bit for bit. Memory is the presort, the working copy,
-    one flag per row, and temporaries of a small multiple of
+    brute-force scan bit for bit. A split whose children are at max_depth
+    partitions only the row-index row, since no child is searched. Memory
+    is the presort, the working copy, one complex g + i*h pair and one flag
+    per row, and temporaries of a small multiple of
     max(SCRATCH_ELEMENTS, hi - lo) elements.
 
     leaf_values, when given, is a float array of len(x) that receives each
@@ -323,6 +335,7 @@ def fit_tree(
     work = np.empty((p + 1, n), dtype=np.int32)
     work[:p] = order
     work[p] = np.arange(n)  # the node's rows in ascending order
+    gh = _complex_pair(g, h)
     goes_left = np.empty(n, dtype=bool)
     all_features = np.arange(p)
     records = []  # the NODE_DTYPE fields of each node, in pre-order
@@ -334,16 +347,13 @@ def fit_tree(
         if parent >= 0:
             records[parent][4] = idx
         rows = work[p, lo:hi]
-        g_sum = float(g.take(rows).cumsum()[-1])
-        h_sum = float(h.take(rows).cumsum()[-1])
+        gh_sum = gh.take(rows).cumsum()[-1]
         split = None
         if depth < max_depth and hi - lo >= 2:
             features = all_features if feature_sampler is None else np.asarray(feature_sampler(p))
-            split = _search_node(
-                x, g, h, work, lo, hi, features, g_sum, h_sum, reg_lambda, min_split_loss
-            )
+            split = _search_node(x, gh, work, lo, hi, features, gh_sum, reg_lambda, min_split_loss)
         if split is None:
-            weight = leaf_weight(g_sum, h_sum, reg_lambda)
+            weight = leaf_weight(float(gh_sum.real), float(gh_sum.imag), reg_lambda)
             records.append((-1, 0.0, 1, -1, -1, weight, 0.0))
             if leaf_values is not None:
                 leaf_values[rows] = weight
@@ -357,14 +367,15 @@ def fit_tree(
             left |= np.isnan(col)
         goes_left[rows] = left
         n_left = int(np.count_nonzero(left))
-        _partition(work, lo, hi, goes_left, n_left)
+        # no child of the last level is searched: only its rows are read
+        _partition(work[p:] if depth + 1 == max_depth else work, lo, hi, goes_left, n_left)
         stack.append((lo + n_left, hi, depth + 1, idx))
         stack.append((lo, lo + n_left, depth + 1, -1))
     return Tree(np.array(list(map(tuple, records)), dtype=NODE_DTYPE))
 
 
 def _search_node(
-    x, g, h, work, lo, hi, features, g_total, h_total, reg_lambda, min_split_loss
+    x, gh, work, lo, hi, features, gh_total, reg_lambda, min_split_loss
 ) -> tuple[float, int, float, bool] | None:
     """Best (net gain, feature, threshold, missing left) for one node, or None.
 
@@ -379,9 +390,7 @@ def _search_node(
         idx = work[chunk, lo:hi]
         flat = np.multiply(idx, x.shape[1], dtype=np.intp)
         flat += chunk[:, None]
-        found = _score_block(
-            x.take(flat), g.take(idx), h.take(idx), g_total, h_total, reg_lambda, min_split_loss
-        )
+        found = _score_block(x.take(flat), gh.take(idx), gh_total, reg_lambda, min_split_loss)
         if found is not None and (best is None or found[0] > best[0]):
             gain, r, threshold, default_left = found
             best = (gain, int(chunk[r]), threshold, default_left)
@@ -392,14 +401,17 @@ def _partition(work: np.ndarray, lo: int, hi: int, goes_left: np.ndarray, n_left
     """Stable in-place partition of columns lo:hi of every row of work.
 
     Rows flagged in goes_left move to lo:lo + n_left, the rest follow; each
-    side keeps its order, so each row stays sorted by its feature.
+    side keeps its order, so each row stays sorted by its feature. Every row
+    of a chunk lists the same rows, so each keeps exactly n_left on the left
+    and one 1-D compress of the chunk, reshaped, partitions all of them.
     """
     step = max(1, SCRATCH_ELEMENTS // (hi - lo))
     for start in range(0, work.shape[0], step):
         seg = work[start : start + step, lo:hi]
-        mask = goes_left[seg]
-        left = seg[mask]
-        right = seg[~mask]
+        flat = seg.ravel()  # a view when seg is one row: compress both sides first
+        mask = goes_left.take(flat)
+        left = flat.compress(mask)
+        right = flat.compress(~mask)
         seg[:, :n_left] = left.reshape(seg.shape[0], n_left)
         seg[:, n_left:] = right.reshape(seg.shape[0], hi - lo - n_left)
 

@@ -91,7 +91,9 @@ class OracleNode:
 
 
 def _seq_sum(values) -> float:
-    total = 0.0
+    # -0.0 is the exact additive identity: a sum of -0.0 terms stays -0.0,
+    # as np.cumsum, which starts from the first term, keeps it
+    total = -0.0
     for v in values:
         total = total + float(v)
     return total
@@ -116,8 +118,8 @@ def oracle_best_split(values, g, h, reg_lambda, min_split_loss):
     order = sorted(present, key=lambda k: values[k])  # stable: ties keep row order
     base = g_total * g_total / (h_total + reg_lambda)
     best = None
-    gl = 0.0
-    hl = 0.0
+    gl = -0.0  # the identity _seq_sum starts from
+    hl = -0.0
     for pos in range(len(order) - 1):
         k = order[pos]
         gl = gl + float(g[k])
