@@ -5,16 +5,18 @@ full chain: data -> repair/smooth -> seasonality -> features -> boosted
 model with early stopping -> test-window forecasts -> weighted report).
 
 Each stage of that chain is one function here (`write_synth`,
-`load_inputs`, `preprocess`, `fit_seasonal`, `split_matrices`,
-`fit_forecast` with `fit_boosted` and `forecast_es`, `score`), and every
-command that runs a stage calls it; the acceptance study calls the same
-functions on its in-memory panel.
+`load_inputs`, `preprocess`, `fit_seasonal`, `split_matrices` or
+`split_keys`, `fit_boosted` or `forecast_es`, `score`), and every command
+that runs a stage calls it; the acceptance study calls the same functions
+on its in-memory panel. The per-series ES reference reads the split's keys
+and each product's own history, not features; it still loads and checks
+--covariates, so a bad file fails as it does for the other models.
 
-Forecast rows stay aligned arrays from the feature matrix to the report:
-the matrix's product ids and target weeks, and the forecasts, go to the
-predictions writer and to `score`, which checks every key against the
-panel, sorts the rows into (product id, week) order once and passes aligned
-arrays to evaluation.evaluate. `evaluate` reads its predictions file through
+Forecast rows stay aligned arrays from the split to the report: their
+product ids and target weeks, and the forecasts, go to the predictions
+writer and to `score`, which checks every key against the panel, sorts the
+rows into (product id, week) order once and passes aligned arrays to
+evaluation.evaluate. `evaluate` reads its predictions file through
 `ingest.load_predictions`, the block reader every input CSV goes through,
 into the same three arrays, so a file's row order does not change its report.
 
@@ -38,9 +40,9 @@ import numpy as np
 
 from . import evaluation, gbt, ingest, synth
 from .baselines import ESBaseline
-from .core import Catalog, SalesPanel, weeks_on_sale
+from .core import Catalog, SalesPanel
 from .evaluation import EvalReport, evaluate, format_report, write_report
-from .features import FeatureMatrix, build_matrix
+from .features import FeatureMatrix, build_matrix, forecast_rows, life_at_issue, temporal_split
 from .ingest import CovariateTable, RunConfig, SchemaError
 from .preprocess import SmoothedPanel, preprocess_panel, write_smoothed
 from .seasonal import SeasonalityModel, fit_seasonality, write_seasonality
@@ -136,40 +138,39 @@ def split_matrices(
     covariates: CovariateTable | None,
     config: RunConfig,
 ) -> tuple[FeatureMatrix, FeatureMatrix, FeatureMatrix]:
-    """One global matrix over the split's weeks, cut by target week into (train, valid, test).
-
-    Target weeks [0, train_len) train, the next valid_len weeks validate and
-    the test_len weeks after those test.
-    """
-    valid_start = config.train_len
-    test_start = valid_start + config.valid_len
-    test_end = test_start + config.test_len
-    if test_end > repaired.n_weeks:
-        raise ValueError(f"split needs {test_end} weeks but panel has {repaired.n_weeks}")
+    """One global matrix over the split's weeks, cut by target week into (train, valid, test)."""
+    last_issue, part_of = temporal_split(config, repaired.n_weeks)
     full = build_matrix(
-        repaired, smoothed, catalog, seasonal, covariates, config,
-        t_end=test_end - 1 - config.horizon, mode="train",
+        repaired, smoothed, catalog, seasonal, covariates, config, t_end=last_issue, mode="train"
     )
-    target = full.target_weeks
-    return (
-        full.select(target < valid_start),
-        full.select((target >= valid_start) & (target < test_start)),
-        full.select(target >= test_start),
-    )
+    part = part_of(full.target_weeks)
+    return full.select(part == 0), full.select(part == 1), full.select(part == 2)
+
+
+def split_keys(repaired: SalesPanel, config: RunConfig) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The split's test keys, without features: (product ids, target weeks, row
+    counts of the train, valid and test parts), in split_matrices' row order."""
+    last_issue, part_of = temporal_split(config, repaired.n_weeks)
+    rows, weeks = forecast_rows(repaired.on_sale_mask, last_issue, config.horizon)
+    targets = weeks + config.horizon
+    part = part_of(targets)
+    test = part == 2
+    pids = np.array(repaired.products, dtype=object)[rows[test]]
+    return pids, targets[test], np.bincount(part, minlength=3).tolist()
 
 
 def forecast_es(
-    rows: FeatureMatrix, repaired: SalesPanel, catalog: Catalog, config: RunConfig
+    pids: np.ndarray, weeks: np.ndarray, repaired: SalesPanel, catalog: Catalog, config: RunConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-series ES forecasts for the rows, each issued horizon weeks before its target.
+    """Per-series ES forecasts for target weeks[k] of pids[k], each issued horizon weeks before.
 
     Returns (forecasts, per-row flags of the category-mean fallback).
     """
     baseline = ESBaseline(repaired, catalog, train_end=config.train_len)
-    forecasts = np.empty(rows.n_rows)
-    fallback = np.zeros(rows.n_rows, dtype=bool)
-    issued = (rows.target_weeks - config.horizon).tolist()
-    for idx, (pid, t) in enumerate(zip(rows.product_ids, issued)):
+    forecasts = np.empty(len(pids))
+    fallback = np.zeros(len(pids), dtype=bool)
+    issued = (weeks - config.horizon).tolist()
+    for idx, (pid, t) in enumerate(zip(pids, issued)):
         forecasts[idx], fallback[idx] = baseline.forecast(pid, t)
     return forecasts, fallback
 
@@ -182,34 +183,6 @@ def fit_boosted(
     return booster, {"best_round": booster.best_round, "rounds_run": len(booster.trees)}
 
 
-def fit_forecast(
-    kind: str,
-    forest_trees: int,
-    config: RunConfig,
-    train_rows: FeatureMatrix,
-    valid_rows: FeatureMatrix,
-    test_rows: FeatureMatrix,
-    repaired: SalesPanel,
-    catalog: Catalog,
-) -> tuple[np.ndarray, gbt.BoostedModel | None, dict]:
-    """Fit the requested model and forecast the test rows.
-
-    forest_trees is read only by kind "forest". Returns (per-row forecasts,
-    fitted booster or None, manifest details).
-    """
-    if kind == "gbt":
-        booster, details = fit_boosted(train_rows, valid_rows, config)
-        return gbt.predict(booster, test_rows), booster, details
-    if kind == "forest":
-        max_depth = min(config.max_depth * 4, 64)
-        forest = gbt.train_forest(train_rows, forest_trees, max_depth, config.seed)
-        return forest.predict_array(test_rows.X), None, {"n_trees": forest_trees}
-    if kind == "es":
-        forecasts, fallback = forecast_es(test_rows, repaired, catalog, config)
-        return forecasts, None, {"es_fallback_rows": int(fallback.sum())}
-    raise ValueError(f"unknown model kind {kind!r}")
-
-
 def score(
     pids: np.ndarray, weeks: np.ndarray, forecasts: np.ndarray,
     repaired: SalesPanel,
@@ -220,11 +193,9 @@ def score(
     """Price-weighted report of forecasts[k] for (pids[k], weeks[k]) against repaired actuals.
 
     Rows are scored in (product id, week) order, whatever order they come
-    in. A forecast for week w was issued at week w - horizon; the product's
-    life at that week buckets the row (0 when issued before the panel began).
-    A key without an actual is an error naming source and the line of its
-    row, counted as in a predictions file: the header is line 1, row k is
-    line k + 2.
+    in; each row's life_at_issue buckets it. A key without an actual is an
+    error naming source and the line of its row, counted as in a predictions
+    file: the header is line 1, row k is line k + 2.
     """
     rows = np.array([repaired.index.get(pid, -1) for pid in pids], dtype=np.int64)
     unknown = (rows < 0) | (weeks < 0) | (weeks >= repaired.n_weeks)
@@ -235,14 +206,12 @@ def score(
         )
     order = np.lexsort((weeks, pids))
     rows, weeks = rows[order], weeks[order]
-    issued = weeks - config.horizon
-    life_so_far = weeks_on_sale(repaired.on_sale_mask)[rows, np.maximum(issued, 0)]
     segments = evaluation.segment_products(repaired, catalog, train_end=config.train_len)
     prices = np.array([catalog.price[pid] for pid in repaired.products])
     labels = np.array([segments[pid] for pid in repaired.products])
     return evaluate(
         repaired.y[rows, weeks].astype(float), forecasts[order], prices[rows], labels[rows],
-        np.where(issued >= 0, life_so_far, 0),
+        life_at_issue(repaired.on_sale_mask, rows, weeks, config.horizon),
     )
 
 
@@ -350,41 +319,56 @@ def cmd_pipeline(args) -> int:
             write_seasonality(seasonal, out / "seasonality.csv")
 
         stage = "features"
-        train_rows, valid_rows, test_rows = split_matrices(
-            repaired, smoothed, catalog, seasonal, covariates, config
-        )
+        if args.model_kind == "es":
+            pids, weeks, counts = split_keys(repaired, config)
+        else:
+            train_rows, valid_rows, test_rows = split_matrices(
+                repaired, smoothed, catalog, seasonal, covariates, config
+            )
+            pids, weeks = test_rows.product_ids, test_rows.target_weeks
+            counts = [train_rows.n_rows, valid_rows.n_rows, test_rows.n_rows]
 
         stage = "train"
-        forecasts, booster, details = fit_forecast(
-            args.model_kind, args.forest_trees, config,
-            train_rows, valid_rows, test_rows, repaired, catalog,
-        )
-        if booster is not None:
+        if args.model_kind == "gbt":
+            booster, details = fit_boosted(train_rows, valid_rows, config)
+            forecasts = gbt.predict(booster, test_rows)
             gbt.save_model(booster, out / "model.json")
+        elif args.model_kind == "forest":
+            max_depth = min(config.max_depth * 4, 64)
+            forest = gbt.train_forest(train_rows, args.forest_trees, max_depth, config.seed)
+            forecasts, details = forest.predict_array(test_rows.X), {"n_trees": args.forest_trees}
+        else:
+            forecasts, fallback = forecast_es(pids, weeks, repaired, catalog, config)
+            details = {"es_fallback_rows": int(fallback.sum())}
 
         stage = "predict"
         if args.cold_start_filter > 0:
-            keep = test_rows.life_at_forecast >= args.cold_start_filter
-            test_rows = test_rows.select(keep)
-            forecasts = forecasts[keep]
-        keys = (test_rows.product_ids, test_rows.target_weeks)
-        _write_predictions(*keys, forecasts, out / "predictions.csv")
+            rows = np.array([repaired.index[pid] for pid in pids], dtype=np.int64)
+            life = life_at_issue(repaired.on_sale_mask, rows, weeks, config.horizon)
+            keep = life >= args.cold_start_filter
+            if not keep.any():
+                raise ValueError(
+                    f"--cold-start-filter {args.cold_start_filter} leaves none of the "
+                    f"{len(pids)} test rows"
+                )
+            pids, weeks, forecasts = pids[keep], weeks[keep], forecasts[keep]
+        _write_predictions(pids, weeks, forecasts, out / "predictions.csv")
 
         stage = "evaluate"
-        report = score(*keys, forecasts, repaired, catalog, config)
+        report = score(pids, weeks, forecasts, repaired, catalog, config)
         write_report(report, out / "report.csv")
 
         manifest = {
             "config": asdict(config),
             "model": args.model_kind,
             "cold_start_filter": args.cold_start_filter,
-            "train_rows": train_rows.n_rows,
-            "valid_rows": valid_rows.n_rows,
-            "test_rows": test_rows.n_rows,
+            "train_rows": counts[0],
+            "valid_rows": counts[1],
+            "test_rows": len(pids),
             **details,
         }
         (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
-        print(format_report(report, title=f"model={args.model_kind} test rows={test_rows.n_rows}"))
+        print(format_report(report, title=f"model={args.model_kind} test rows={len(pids)}"))
         return EXIT_OK
     except Exception as exc:
         raise StageError(stage, exc) from exc

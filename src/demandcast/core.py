@@ -105,11 +105,8 @@ class Catalog:
 
 
 def weeks_on_sale(on_sale: np.ndarray) -> np.ndarray:
-    """On-sale weeks up to and including each week, along the last axis.
-
-    This is a product's life at a forecast issued that week: what the
-    feature rows carry and what the life-length report buckets.
-    """
+    """On-sale weeks up to and including each week, along the last axis: a
+    product's life at a forecast issued that week (features.life_at_issue)."""
     return np.cumsum(on_sale, axis=-1)
 
 

@@ -11,30 +11,31 @@ default direction; zero is a meaningful sales value and is never used as a
 filler.
 
 The matrix is built in whole-panel array passes, never row by row. Rows are
-the on-sale (product, week) cells up to the cutoff, product-major and week
-ascending, taken from np.nonzero of the on-sale mask. Lags are gathers
-masked by the launch week; season, price and categorical codes are looked
-up once per product and broadcast; covariates are searchsorted lookups into
-sorted (group, week) keys, with imputed means taken from running sums that
-add each group's values in week order. Those keys are made from the
-columnar CovariateTable's week, panel-row and value arrays as they are: no
-covariate entry is converted or looked up by product id. Trend slopes
-reduce C-contiguous (rows, window length) blocks along their last axis
+forecast_rows' cells, product-major and week ascending, as np.nonzero of
+the on-sale mask gives them. Lags are gathers masked by the launch week;
+season, price and categorical codes are looked up once per product and
+broadcast; covariates are searchsorted lookups into sorted (group, week)
+keys, with imputed means taken from running sums that add each group's
+values in week order. Those keys are made from the columnar
+CovariateTable's week, panel-row and value arrays as they are: no covariate
+entry is converted or looked up by product id. Trend slopes reduce
+C-contiguous (rows, window length) blocks along their last axis
 (seasonal.trend_features).
 Every cell equals the one-row-at-a-time definition in tests/oracles.py
 (rowwise_build_matrix) bit for bit.
 
-A row's key, its (product id, target week) pair, is held as two aligned
-arrays: product_ids, an object array of the panel's own id strings, and the
-int64 target_weeks. np.nonzero makes the keys unique. The split, the
-forecasts, the predictions file and the report all index these arrays; no
-per-row key object is built.
+A forecast row is a product on sale at its issue week t, targeting week
+t + horizon (forecast_rows); temporal_split cuts the rows by target week and
+life_at_issue counts a row's on-sale weeks up to t. The matrices, the ES
+reference (which reads keys only), the cold-start filter and the report
+share these. A row's key is held as two aligned arrays: product_ids, an
+object array of the panel's id strings, and the int64 target_weeks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -180,6 +181,37 @@ class CovariateView:
         return np.full(rows.size, np.nan)
 
 
+def forecast_rows(on_sale: np.ndarray, t_end: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
+    """(panel rows, issue weeks t) of the products on sale at each week t <= t_end,
+    product-major and week ascending, so no key repeats; each targets t + horizon."""
+    if t_end < 0:
+        raise ValueError(
+            f"horizon {horizon} leaves no week to forecast target week {t_end + horizon} from"
+        )
+    if not t_end + horizon < on_sale.shape[1]:
+        raise ValueError(f"t_end {t_end} leaves target {t_end + horizon} outside the panel")
+    return np.nonzero(on_sale[:, : t_end + 1])
+
+
+def temporal_split(config: RunConfig, n_weeks: int) -> tuple[int, partial]:
+    """(last issue week, part): target weeks [0, train_len) train, the next
+    valid_len weeks validate and the test_len weeks after those test;
+    part(target_weeks) is 0, 1 or 2 for each."""
+    ends = np.cumsum((config.train_len, config.valid_len, config.test_len))
+    if ends[2] > n_weeks:
+        raise ValueError(f"split needs {ends[2]} weeks but panel has {n_weeks}")
+    return int(ends[2]) - 1 - config.horizon, partial(np.searchsorted, ends[:2], side="right")
+
+
+def life_at_issue(
+    on_sale: np.ndarray, rows: np.ndarray, target_weeks: np.ndarray, horizon: int
+) -> np.ndarray:
+    """A forecast row's life: its product's on-sale weeks up to and including
+    the issue week target - horizon, or 0 when issued before the panel began."""
+    issued = target_weeks - horizon
+    return np.where(issued >= 0, weeks_on_sale(on_sale)[rows, np.maximum(issued, 0)], 0)
+
+
 @dataclass
 class FeatureMatrix:
     """Rows keyed by (product_ids[k], target_weeks[k]); NaN marks missing cells."""
@@ -189,7 +221,6 @@ class FeatureMatrix:
     columns: list[str]
     X: np.ndarray                 # (n, p) float64
     targets: np.ndarray | None    # (n,) float64, None for prediction rows
-    life_at_forecast: np.ndarray  # on-sale weeks up to and including week t
 
     @property
     def n_rows(self) -> int:
@@ -202,7 +233,6 @@ class FeatureMatrix:
             columns=self.columns,
             X=self.X[mask],
             targets=None if self.targets is None else self.targets[mask],
-            life_at_forecast=self.life_at_forecast[mask],
         )
 
 
@@ -222,20 +252,20 @@ def build_matrix(
 ) -> FeatureMatrix:
     """Assemble the global matrix from weeks 0..t_end of the repaired panel.
 
-    Train mode emits a row for every (product, week t) with the product on
-    sale at t and t <= t_end, targeting repaired sales at t+h. Predict mode
-    emits one target-less row per product live at t_end.
+    Train mode emits forecast_rows up to t_end, targeting repaired sales at
+    t+h. Predict mode emits one target-less row per product live at t_end.
     """
     h = config.horizon
-    t_count = panel.n_weeks
-    if mode not in ("train", "predict"):
+    on_sale = panel.on_sale_mask
+    if mode == "train":
+        rows, weeks = forecast_rows(on_sale, t_end, h)
+    elif mode == "predict":
+        if not 0 <= t_end < panel.n_weeks:
+            raise ValueError(f"t_end {t_end} outside the panel")
+        rows = np.flatnonzero(on_sale[:, t_end])
+        weeks = np.full(rows.size, t_end)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "train" and t_end < 0:
-        raise ValueError(f"horizon {h} leaves no week to forecast target week {t_end + h} from")
-    if mode == "train" and not 0 <= t_end + h < t_count:
-        raise ValueError(f"t_end {t_end} leaves target {t_end + h} outside the panel")
-    if mode == "predict" and not 0 <= t_end < t_count:
-        raise ValueError(f"t_end {t_end} outside the panel")
     catalog.validate_covers(panel)
     if config.with_seasonality and seasonal_model is None:
         raise ValueError("seasonality enabled but no model supplied")
@@ -269,12 +299,6 @@ def build_matrix(
         def encode(column: str, value: str) -> float:
             return float(hash_encode(f"{column}={value}", config.hash_buckets))
 
-    on_sale = panel.on_sale_mask
-    if mode == "train":
-        rows, weeks = np.nonzero(on_sale[:, : t_end + 1])
-    else:
-        rows = np.flatnonzero(on_sale[:, t_end])
-        weeks = np.full(rows.size, t_end)
     target_weeks = weeks + h
     launch = launch_weeks(on_sale)[rows]
 
@@ -316,5 +340,4 @@ def build_matrix(
         columns=columns,
         X=x,
         targets=panel.y[rows, target_weeks].astype(float) if mode == "train" else None,
-        life_at_forecast=weeks_on_sale(on_sale)[rows, weeks],
     )

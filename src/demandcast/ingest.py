@@ -15,10 +15,10 @@ All four CSV inputs (sales.csv, catalog.csv, covariates.csv and the
 predictions file `evaluate` scores) go through one block reader, which
 reads a file column-wise, one block of about BLOCK_CHARS characters at a
 time, and hands each loader the header it found to check. Files are UTF-8.
-A block without a quote, a carriage return, a byte that is not UTF-8 or an
-over-long line is split on "\n" and "," directly, others go through
-csv.reader; the records are the same either way, so quoted fields and CRLF
-line ends keep their csv-module meaning. The reader alone turns what
+A block without a quote, a byte that is not UTF-8, an over-long line or a
+"\r" outside a "\r\n" line end is split on "\n" and "," directly; others go
+through csv.reader as they are, which gives the same records, so quoted
+fields and lone "\r" keep their csv meaning. The reader alone turns what
 csv.reader raises (a field longer than its limit) and bytes that are not
 UTF-8 into a SchemaError naming the line. Numbers are parsed by Python's int
 and float into numpy arrays, and every check is an array check over the
@@ -262,24 +262,26 @@ def _records(fh) -> Iterator[tuple[list[str], list[int], str | None]]:
     field count less one of each record (-1 for a blank line, which csv
     reads as no fields), and None or what is wrong with the record after the
     block's last one, which ends the stream: the error csv.reader raised on
-    it, or that it holds a byte that is not UTF-8. Blocks without '"', "\r",
-    such a byte, or a line longer than the csv field limit are split on "\n"
-    and "," directly, which gives the same records; from the first other
-    block on, csv.reader reads.
+    it, or that it holds a byte that is not UTF-8. Blocks without '"', a "\r"
+    outside a "\r\n" line end, such a byte, or a line longer than the csv
+    field limit are split on "\n" and "," directly, which gives the same
+    records; from the first other block on, csv.reader reads the file as is.
     """
     blocks = _line_blocks(fh)
     limit = csv.field_size_limit()
     for block in blocks:
-        lines = block.split("\n")
-        if block.endswith("\n"):
+        # csv.reader ends an unquoted record at "\r\n" as at "\n"; a lone "\r" stays
+        text = block if '"' in block else block.replace("\r\n", "\n")
+        lines = text.split("\n")
+        if text.endswith("\n"):
             lines.pop()
-        if '"' in block or "\r" in block or max(map(len, lines)) > limit or _undecoded(block):
+        if '"' in text or "\r" in text or max(map(len, lines)) > limit or _undecoded(text):
             yield from _csv_records(chain([block], blocks))
             return
         commas = list(map(str.count, lines, repeat(",")))
         if "" in lines:
             commas = [count if line else -1 for count, line in zip(commas, lines)]
-        yield block.replace("\n", ",").split(","), commas, None
+        yield text.replace("\n", ",").split(","), commas, None
 
 
 def _read_columns(path: Path, faults: _FirstFault):

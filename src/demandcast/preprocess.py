@@ -65,21 +65,13 @@ def detect_fake_zeros(panel: SalesPanel) -> np.ndarray:
     nothing, and has positive sales both strictly before and strictly after
     it. Leading and trailing zeros are never flagged.
     """
-    mask = np.zeros_like(panel.on_sale_mask)
-    for i in range(panel.n_products):
-        positive = np.flatnonzero(panel.y[i] > 0)
-        if positive.size == 0:
-            continue
-        first, last = positive[0], positive[-1]
-        candidate = (
-            (panel.y[i] == 0)
-            & panel.on_sale_mask[i]
-            & ~panel.stock_flag[i]
-        )
-        candidate[: first + 1] = False
-        candidate[last:] = False
-        mask[i] = candidate
-    return mask
+    positive = panel.y > 0
+    weeks = np.broadcast_to(np.arange(panel.n_weeks), positive.shape)
+    # first and last positive week; a product that never sold has none between
+    first = weeks.min(axis=1, where=positive, initial=panel.n_weeks)
+    last = weeks.max(axis=1, where=positive, initial=-1)
+    between = (weeks > first[:, None]) & (weeks < last[:, None])
+    return ~positive & panel.on_sale_mask & ~panel.stock_flag & between
 
 
 def _repair_value(history: list[float], future: np.ndarray) -> int:

@@ -58,6 +58,22 @@ def scalar_smooth_stats(y, on_sale, window, gamma):
     return x, capped, means, stds
 
 
+def loop_detect_fake_zeros(panel: SalesPanel) -> np.ndarray:
+    """Fake-zero mask, one product at a time: zero, listed and out-of-stock
+    weeks strictly between the product's first and last positive week."""
+    mask = np.zeros_like(panel.on_sale_mask)
+    for i in range(panel.n_products):
+        positive = np.flatnonzero(panel.y[i] > 0)
+        if positive.size == 0:
+            continue
+        first, last = positive[0], positive[-1]
+        candidate = (panel.y[i] == 0) & panel.on_sale_mask[i] & ~panel.stock_flag[i]
+        candidate[: first + 1] = False
+        candidate[last:] = False
+        mask[i] = candidate
+    return mask
+
+
 def finite_diff_grad_hess(loss_fn, y, raw, eps=1e-5, eps_h=1e-3):
     """Central finite differences of a scalar loss in the raw score.
 
@@ -315,7 +331,8 @@ def rowwise_build_matrix(
     panel, smoothed, catalog, seasonal_model, covariates, config, t_end, mode,
     lag_depth, annual=(52, 8), local=(8, 3),
 ):
-    """Per-row feature matrix: (keys, columns, X, targets, life_at_forecast).
+    """Per-row feature matrix: (keys, columns, X, targets, life), where life
+    counts the product's on-sale weeks up to and including the issue week.
 
     Rows are (product, on-sale week t <= t_end) in product-major, week
     ascending order (predict mode: week t_end only). Categorical codes come

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from demandcast import cli
 from demandcast.cli import build_parser, main
 from demandcast.ingest import RunConfig, load_config
 
@@ -157,11 +158,13 @@ class TestPipeline:
     def test_horizon_beyond_the_split_is_data_error(self, data_dir, tmp_path, capsys, horizon):
         # the split spans 80 weeks, so no week is left to forecast from
         config = config_file(tmp_path, f"horizon = {horizon}")
-        assert main(pipeline_args(data_dir, tmp_path / "out", config=config)) == 2
-        assert capsys.readouterr().err == (
-            f"error in stage features: horizon {horizon} leaves no week to forecast "
-            f"target week 79 from\n"
-        )
+        for model in ("gbt", "es"):  # with features and from the split's keys alone
+            args = pipeline_args(data_dir, tmp_path / "out", "--model", model, config=config)
+            assert main(args) == 2
+            assert capsys.readouterr().err == (
+                f"error in stage features: horizon {horizon} leaves no week to forecast "
+                f"target week 79 from\n"
+            )
 
     def test_sales_week_beyond_the_last_supported_is_data_error(self, data_dir, tmp_path, capsys):
         sales = tmp_path / "sales.csv"
@@ -214,6 +217,68 @@ class TestPipeline:
         assert capsys.readouterr().err == (
             f"error in stage config: {config}:{line}: not valid UTF-8\n"
         )
+
+
+def no_matrix(*args, **kwargs):
+    raise AssertionError("the ES pipeline built a feature matrix")
+
+
+@pytest.fixture(scope="module")
+def es_runs(data_dir, tmp_path_factory):
+    """pipeline --model gbt, and --model es with cli.build_matrix raising, each
+    without and with --cold-start-filter 6; maps (model, filter) to the run's directory."""
+    out = tmp_path_factory.mktemp("es_runs")
+    runs = {}
+    for k in ("0", "6"):
+        runs["gbt", k] = out / f"gbt{k}"
+        assert main(pipeline_args(data_dir, runs["gbt", k], "--cold-start-filter", k)) == 0
+        runs["es", k] = out / f"es{k}"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "build_matrix", no_matrix)
+            args = pipeline_args(data_dir, runs["es", k], "--model", "es", "--cold-start-filter", k)
+            assert main(args) == 0
+    return runs
+
+
+def manifest_of(run):
+    return json.loads((run / "manifest.json").read_text())
+
+
+class TestEsPipeline:
+    """pipeline --model es reads the split's keys, not features, and scores the
+    same rows the feature-based models score."""
+
+    @pytest.mark.parametrize("k", ["0", "6"])
+    def test_same_keys_and_row_counts_as_gbt(self, es_runs, k):
+        def keys(run):
+            lines = (run / "predictions.csv").read_text().splitlines()
+            return [line.rsplit(",", 1)[0] for line in lines]
+
+        es, boosted = es_runs["es", k], es_runs["gbt", k]
+        assert keys(es) == keys(boosted)
+        for name in ("train_rows", "valid_rows", "test_rows"):
+            assert manifest_of(es)[name] == manifest_of(boosted)[name], name
+
+    def test_fallback_rows_counted_before_the_cold_start_filter(self, es_runs):
+        unfiltered, filtered = manifest_of(es_runs["es", "0"]), manifest_of(es_runs["es", "6"])
+        assert filtered["test_rows"] < unfiltered["test_rows"]
+        # a row falls back below two on-sale weeks at its issue week, so the
+        # filter drops every fallback row: a count after it would be 0
+        assert filtered["es_fallback_rows"] == unfiltered["es_fallback_rows"] > 0
+
+    @pytest.mark.parametrize("model", ["es", "gbt"])
+    def test_cold_start_filter_that_keeps_nothing_is_data_error(
+        self, data_dir, es_runs, tmp_path, capsys, model
+    ):
+        out = tmp_path / "out"
+        args = pipeline_args(data_dir, out, "--model", model, "--cold-start-filter", "1000")
+        assert main(args) == 2
+        test_rows = manifest_of(es_runs["es", "0"])["test_rows"]
+        assert capsys.readouterr().err == (
+            "error in stage predict: --cold-start-filter 1000 leaves none of the "
+            f"{test_rows} test rows\n"
+        )
+        assert not (out / "predictions.csv").exists()
 
 
 class TestInputFaults:

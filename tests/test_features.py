@@ -9,6 +9,7 @@ from demandcast.features import (
     build_matrix,
     fnv1a64,
     hash_encode,
+    life_at_issue,
     ordinal_encode,
 )
 from demandcast.ingest import RunConfig
@@ -25,6 +26,12 @@ TOYS_FNV1A64 = 4977285706153611356
 def keys_of(matrix):
     """The matrix's (product id, target week) row keys as a list of tuples."""
     return list(zip(matrix.product_ids.tolist(), matrix.target_weeks.tolist()))
+
+
+def life_of(matrix, panel, horizon):
+    """life_at_issue of every matrix row, its panel row looked up by product id."""
+    rows = np.array([panel.index[pid] for pid in matrix.product_ids], dtype=np.int64)
+    return life_at_issue(panel.on_sale_mask, rows, matrix.target_weeks, horizon)
 
 
 class TestOrdinalEncode:
@@ -119,6 +126,14 @@ def pipeline_inputs(n_weeks=30, n_products=3, seed=0, launches=None):
     return panel, repaired, smoothed, catalog, model
 
 
+class TestLifeAtIssue:
+    def test_on_sale_weeks_up_to_the_issue_week_or_zero_before_the_panel(self):
+        on_sale = np.array([[True, False, True, True], [False, True, True, True]])
+        rows = np.array([0, 0, 1, 0, 0])
+        targets = np.array([2, 5, 3, 1, 0])  # horizon 2: issued at weeks 0, 3, 1, -1, -2
+        assert life_at_issue(on_sale, rows, targets, 2).tolist() == [1, 3, 1, 0, 0]
+
+
 class TestBuildMatrix:
     def config(self, **kw):
         return RunConfig(train_len=20, valid_len=4, test_len=6, **kw)
@@ -144,7 +159,7 @@ class TestBuildMatrix:
         lag_cols = matrix.columns[:LAG_DEPTH]
         assert np.isnan(first[lag_cols.index("lag_1") :  LAG_DEPTH]).all()
         assert not np.isnan(first[lag_cols.index("lag_0")])
-        assert matrix.life_at_forecast[rows_p1[0]] == 1
+        assert life_of(matrix, repaired, self.config().horizon)[rows_p1[0]] == 1
 
     def test_predict_mode(self):
         _, repaired, smoothed, catalog, model = pipeline_inputs(n_weeks=20, n_products=3)
@@ -365,7 +380,7 @@ class TestMatchesRowwiseReference:
         assert matrix.columns == columns
         assert matrix.X.shape == x.shape
         assert matrix.X.tobytes() == x.tobytes()
-        assert matrix.life_at_forecast.tolist() == life.tolist()
+        assert life_of(matrix, repaired, config.horizon).tolist() == life.tolist()
         if mode == "train":
             assert matrix.targets.tobytes() == targets.tobytes()
             # the panel reaches every branch: zero and nonzero slopes, present and missing covariates

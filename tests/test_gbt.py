@@ -43,7 +43,6 @@ def matrix_of(x, y=None, columns=None):
         columns=columns,
         X=x,
         targets=None if y is None else np.asarray(y, dtype=float),
-        life_at_forecast=np.zeros(x.shape[0], dtype=np.int64),
     )
 
 

@@ -360,3 +360,67 @@ def test_predictions_match_rowwise_loader(tmp_path, block_chars):
             faults.update(f for f in PREDICTION_FAULTS if f in error[1])
     assert faults == set(PREDICTION_FAULTS)
     assert valid > FILES // 5 and csv_path_valid > 5
+
+
+def loaded(name, path):
+    """What the loader for file kind name gives for path, in a comparable form."""
+    if name == "sales":
+        panel = ingest.load_sales(path)
+        return panel.products, panel.y.tolist(), panel.on_sale_mask.tolist(), panel.stock_flag.tolist()
+    if name == "covariates":
+        return covariate_dicts(ingest.load_covariates(path, PANEL))
+    if name == "catalog":
+        catalog = ingest.load_catalog(path)
+        return [list(getattr(catalog, f).items()) for f in ("category_of", "price", "attributes")]
+    return [(a.dtype, a.tolist()) for a in ingest.load_predictions(path)]
+
+
+CORPORA = {
+    "sales": (valid_sales, SALES_KINDS, mutate_sales_field),
+    "covariates": (valid_covariates, COVARIATE_KINDS, mutate_covariate_field),
+    "catalog": (valid_catalog, CATALOG_KINDS, mutate_catalog_field),
+    "predictions": (valid_predictions, PREDICTION_KINDS, mutate_prediction_field),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_crlf_line_ends_load_as_lf(tmp_path, block_chars, name):
+    """Each corpus file gives the same result, or the same fault on the same
+    line, with its lines ending in "\\n" and in "\\r\\n"."""
+    rng = np.random.default_rng(20240905)
+    make, kinds, mutate = CORPORA[name]
+    path = tmp_path / f"{name}.csv"
+    valid = 0
+    for _ in range(FILES // 5):
+        lf = mutated_text(rng, *make(rng), kinds, mutate).replace("\r\n", "\n")
+        outcomes = []
+        for text in (lf, lf.replace("\n", "\r\n")):
+            path.write_text(text, newline="")
+            outcomes.append(outcome(loaded, name, path))
+        assert outcomes[0] == outcomes[1], lf
+        valid += outcomes[0][0] is None
+    assert 10 < valid < FILES // 5  # some files load, others fail
+
+
+def test_quoted_crlf_inside_a_field_is_kept(tmp_path, block_chars):
+    path = tmp_path / "catalog.csv"
+    path.write_text(
+        'product_id,category_id,price,brand\r\np0,toys,3,"a\r\nb"\r\np1,food,2,c\r\n', newline=""
+    )
+    catalog = ingest.load_catalog(path)
+    assert catalog.attributes == {"p0": {"brand": "a\r\nb"}, "p1": {"brand": "c"}}
+    assert catalogs_equal(catalog, rowwise_load_catalog(path))
+
+
+def test_written_files_take_the_direct_path(tmp_path, block_chars, monkeypatch):
+    rng = np.random.default_rng(5)
+    y = rng.poisson(3.0, size=(4, WEEKS))
+    panel = SalesPanel(PRODUCTS, y, y > 0, rng.random((4, WEEKS)) < 0.9)
+    ingest.write_sales(panel, tmp_path / "sales.csv")
+    assert b"\r\n" in (tmp_path / "sales.csv").read_bytes()
+
+    def refuse(blocks):
+        raise AssertionError("csv.reader path taken")
+
+    monkeypatch.setattr(ingest, "_csv_records", refuse)
+    assert sales_equal(ingest.load_sales(tmp_path / "sales.csv"), panel)

@@ -9,7 +9,7 @@ from demandcast.preprocess import (
     smooth_panel,
 )
 
-from .oracles import scalar_smooth, scalar_smooth_stats
+from .oracles import loop_detect_fake_zeros, scalar_smooth, scalar_smooth_stats
 from .test_core import make_panel
 
 
@@ -46,6 +46,30 @@ class TestDetect:
             [5, 0, 5], stock=[True, False, True], on_sale=[True, False, True]
         )
         assert not detect_fake_zeros(panel).any()
+
+    def test_matches_per_product_loop(self):
+        rng = np.random.default_rng(20240901)
+        flagged = 0
+        for _ in range(200):
+            n, t = int(rng.integers(1, 9)), int(rng.integers(1, 15))
+            y = rng.poisson(rng.uniform(0.2, 4.0), size=(n, t))
+            y[rng.random(n) < 0.2] = 0  # products that never sold
+            for i in np.flatnonzero(rng.random(n) < 0.4):  # leading and trailing zeros
+                y[i, : int(rng.integers(0, t + 1))] = 0
+                y[i, int(rng.integers(0, t + 1)) :] = 0
+            on_sale = (rng.random((n, t)) < 0.85) | (y > 0)
+            y[~on_sale] = 0
+            stock = rng.random((n, t)) < 0.6
+            panel = make_panel(y, on_sale=on_sale, stock=stock)
+            mask = detect_fake_zeros(panel)
+            assert mask.dtype == bool
+            assert mask.tolist() == loop_detect_fake_zeros(panel).tolist()
+            flagged += int(mask.sum())
+        assert flagged > 50
+
+    def test_panel_without_weeks(self):
+        panel = panel_from(np.zeros((2, 0)), stock=np.zeros((2, 0)), on_sale=np.zeros((2, 0)))
+        assert detect_fake_zeros(panel).shape == (2, 0)
 
 
 class TestRepair:
