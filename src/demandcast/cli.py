@@ -327,6 +327,17 @@ def cmd_pipeline(args) -> int:
             )
             pids, weeks = test_rows.product_ids, test_rows.target_weeks
             counts = [train_rows.n_rows, valid_rows.n_rows, test_rows.n_rows]
+        keep = None
+        if args.cold_start_filter > 0:
+            # known with the split's keys, so an empty filter fails before any fit
+            rows = np.array([repaired.index[pid] for pid in pids], dtype=np.int64)
+            life = life_at_issue(repaired.on_sale_mask, rows, weeks, config.horizon)
+            keep = life >= args.cold_start_filter
+            if not keep.any():
+                raise ValueError(
+                    f"--cold-start-filter {args.cold_start_filter} leaves none of the "
+                    f"{len(pids)} test rows"
+                )
 
         stage = "train"
         if args.model_kind == "gbt":
@@ -342,15 +353,8 @@ def cmd_pipeline(args) -> int:
             details = {"es_fallback_rows": int(fallback.sum())}
 
         stage = "predict"
-        if args.cold_start_filter > 0:
-            rows = np.array([repaired.index[pid] for pid in pids], dtype=np.int64)
-            life = life_at_issue(repaired.on_sale_mask, rows, weeks, config.horizon)
-            keep = life >= args.cold_start_filter
-            if not keep.any():
-                raise ValueError(
-                    f"--cold-start-filter {args.cold_start_filter} leaves none of the "
-                    f"{len(pids)} test rows"
-                )
+        if keep is not None:
+            # after the fit: the ES fallback count covers every test row
             pids, weeks, forecasts = pids[keep], weeks[keep], forecasts[keep]
         _write_predictions(pids, weeks, forecasts, out / "predictions.csv")
 

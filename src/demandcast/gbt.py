@@ -19,20 +19,26 @@ sorted. No node sorts anything.
 Exactness: the search scores the node's block for all candidate features at
 once, but every sum it forms is a sequential sum in the order the one-column
 scan uses: left sums are np.cumsum along each sorted row (ties in row
-order), missing-value sums run over the NaN tail in row order, and node
-totals run over the rows in ascending order. Gradients and hessians travel
-as one complex pair g + i*h, assigned part by part so a -0.0 keeps its
-sign; complex addition adds the two parts apart, so one gather and one
-cumsum give both sequential sums. The gains are therefore bit for bit
-those of a scalar scan, which tests/oracles.py checks.
+order), missing-value sums run over each row's NaN tail alone, from its
+first value on, and node totals run over the rows in ascending order.
+Gradients and hessians travel as one complex pair g + i*h, assigned part by
+part so a -0.0 keeps its sign; complex addition adds the two parts apart,
+so one gather and one cumsum give both sequential sums. A node whose block
+has at most SCAN_ELEMENTS elements is scanned in Python instead, one value
+at a time, with the same sums in the same order, the same gain expression
+and the same tie-break; where Python's division would raise (a zero hessian
+sum with lambda 0), the node goes to the numpy search, whose inf and NaN
+decide. The gains are therefore bit for bit those of a scalar scan, which
+tests/oracles.py checks, whichever path scores a node.
 
 Memory: besides the presort, the per-tree working copy and one complex
 g + i*h array per tree, the grower's temporaries are a small multiple of
 max(SCRATCH_ELEMENTS, rows in the node) elements, never features x rows,
 and none outlives its node; the bound holds for the split search and the
-partition alike. The grower keeps its state in a loop with an explicit
-stack, not in recursive frames or a recursive closure, so a fit leaves no
-reference cycle behind.
+partition alike. The scan's Python lists hold at most SCAN_ELEMENTS
+values and pairs, and the missing-value sums read only the NaN tails. The
+grower keeps its state in a loop with an explicit stack, not in recursive
+frames or a recursive closure, so a fit leaves no reference cycle behind.
 
 Settings: train() reads the boosting settings (loss, learning rate, depth,
 rounds, min_split_loss, lambda, early-stopping patience) from the run's
@@ -72,6 +78,9 @@ BASE_EPS = 1e-8
 # elements per chunk of the split search and partition: chunks hold as many
 # features (or working rows) as fit, and at least one
 SCRATCH_ELEMENTS = 1 << 14
+# a node whose search block (features x rows) has at most this many elements
+# is scanned in Python: below it, numpy's cost per call exceeds the arithmetic
+SCAN_ELEMENTS = 1 << 8
 
 
 def grad_hess(loss: str, y: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,9 +147,10 @@ def best_split(
         return None
     order = np.argsort(values, kind="stable")
     gh = _complex_pair(g, h)
-    found = _score_block(
-        values[order][None], gh[order][None], gh.cumsum()[-1], reg_lambda, min_split_loss
-    )
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        found = _score_block(
+            values[order][None], gh[order][None], gh.cumsum()[-1], reg_lambda, min_split_loss
+        )
     if found is None:
         return None
     gain, _, threshold, default_left = found
@@ -173,6 +183,8 @@ def _score_block(
     hessian pairs in the same order. gh_total is the node's sequential
     pair sum in row order. Returns (net gain, block row, threshold, missing
     left) for the first maximum in (row, threshold, missing-left) order.
+    Quotients by zero give numpy's inf or NaN, so the caller enters
+    np.errstate.
     """
     m = xv.shape[1]
     flat = xv.ravel()
@@ -191,41 +203,101 @@ def _score_block(
     # complex addition adds the real and the imaginary parts apart, so one
     # cumsum gives the sequential g and h prefix sums of the scalar scan
     ghl = ghv.cumsum(axis=1).ravel()[pair]
-    gl, hl = ghl.real, ghl.imag
-    g_miss = 0.0
-    h_miss = 0.0
-    tail = np.isnan(xv[:, -1])  # rows with missing values
-    if tail.any():
-        nan = np.isnan(xv[tail])
-        gh_miss = np.zeros(xv.shape[0], dtype=complex)
-        # -0.0 is the exact additive identity, so these are the tail's own sums
-        gh_miss[tail] = np.where(nan, ghv[tail], complex(-0.0, -0.0)).cumsum(axis=1)[:, -1]
-        gh_miss = gh_miss[pair // m]
-        g_miss, h_miss = gh_miss.real, gh_miss.imag
-
     g_total, h_total = gh_total.real, gh_total.imag
     base = g_total * g_total / (h_total + reg_lambda)
 
     def net_gain(gl: np.ndarray, hl: np.ndarray) -> np.ndarray:
         gr = g_total - gl
         hr = h_total - hl
-        return (
+        gain = (
             0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - base)
             - min_split_loss
         )
+        # hessian sums can underflow to 0 with reg_lambda 0; those candidates
+        # are undefined and must not shadow finite ones in the argmax
+        gain[np.isnan(gain)] = -np.inf
+        return gain
 
-    interleaved = np.empty(2 * pair.size)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        interleaved[0::2] = net_gain(gl + g_miss, hl + h_miss)
-        interleaved[1::2] = net_gain(gl, hl)
-    # hessian sums can underflow to 0 with reg_lambda 0; those candidates are
-    # undefined and must not shadow finite ones in the argmax
-    interleaved[np.isnan(interleaved)] = -np.inf
-    best = int(np.argmax(interleaved))
-    if not interleaved[best] > 0:
+    gains = net_gain(ghl.real, ghl.imag)  # missing values routed right
+    # a row without missing values routes them either way at the same gain
+    left = best = gains
+    row = pair // m
+    tail = np.isnan(xv[:, -1])  # rows with missing values
+    in_tail = np.flatnonzero(tail[row])
+    if in_tail.size:
+        tail_rows = np.flatnonzero(tail)
+        starts = m - np.count_nonzero(np.isnan(xv[tail_rows]), axis=1)
+        gh_miss = np.empty(xv.shape[0], dtype=complex)
+        for r, k in zip(tail_rows.tolist(), starts.tolist()):
+            gh_miss[r] = ghv[r, k:].cumsum()[-1]  # the tail's own sequential sum
+        ghl_left = ghl[in_tail] + gh_miss[row[in_tail]]  # adds the parts apart
+        left = gains.copy()
+        left[in_tail] = net_gain(ghl_left.real, ghl_left.imag)
+        best = np.maximum(left, gains)  # missing-left wins ties: it comes first in the scan
+    c = int(np.argmax(best))
+    if not best[c] > 0:
         return None
-    c = best // 2
-    return float(interleaved[best]), int(pair[c] // m), float(thresholds[c]), best % 2 == 0
+    return float(best[c]), int(row[c]), float(thresholds[c]), bool(left[c] >= gains[c])
+
+
+def _scan_block(
+    xv: list,
+    ghv: list,
+    gh_total: complex,
+    reg_lambda: float,
+    min_split_loss: float,
+) -> tuple[float, int, float, bool] | None:
+    """_score_block for a block given as nested lists, one Python step per value.
+
+    For small blocks, where numpy's cost per call outweighs the arithmetic.
+    It forms the same sums in the same order (a running complex sum along
+    each row, the NaN tail summed from its first value on) and the same gain
+    expression, and keeps the first maximum in (row, threshold,
+    missing-left) order, so it returns what _score_block returns. Sums are
+    explicit additions, never sum(), which compensates rounding from Python
+    3.12 on. Python raises ZeroDivisionError where numpy returns inf or NaN;
+    the caller then scores the block with _score_block.
+    """
+    g_total, h_total = float(gh_total.real), float(gh_total.imag)
+    base = g_total * g_total / (h_total + reg_lambda)
+    best = None
+    best_gain = 0.0
+    for r, (values, pairs) in enumerate(zip(xv, ghv)):
+        k = len(values)
+        while k and values[k - 1] != values[k - 1]:  # NaN last
+            k -= 1
+        miss = None
+        if k < len(values):
+            miss = pairs[k]
+            for pair in pairs[k + 1 :]:
+                miss = miss + pair
+        ghl = pairs[0]
+        for pos in range(1, k):
+            lo, hi = values[pos - 1], values[pos]
+            if lo < hi:
+                threshold = (lo + hi) / 2.0
+                if lo < threshold:
+                    gl, hl = ghl.real, ghl.imag
+                    # missing values left, then right; a row without any
+                    # routes them either way at the same gain, and left wins
+                    if miss is not None:
+                        gml, hml = gl + miss.real, hl + miss.imag
+                        gmr, hmr = g_total - gml, h_total - hml
+                        gain = (
+                            0.5 * (gml * gml / (hml + reg_lambda) + gmr * gmr / (hmr + reg_lambda) - base)
+                            - min_split_loss
+                        )
+                        if gain > best_gain:  # NaN never is
+                            best_gain, best = gain, (r, threshold, True)
+                    gr, hr = g_total - gl, h_total - hl
+                    gain = (
+                        0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - base)
+                        - min_split_loss
+                    )
+                    if gain > best_gain:
+                        best_gain, best = gain, (r, threshold, miss is None)
+            ghl = ghl + pairs[pos]
+    return None if best is None else (best_gain, *best)
 
 
 # one record per node, in pre-order; the fields in model.json's order
@@ -341,36 +413,38 @@ def fit_tree(
     records = []  # the NODE_DTYPE fields of each node, in pre-order
     # (lo, hi, depth, parent); a parent index marks a right child to link
     stack = [(0, n, 0, -1)]
-    while stack:
-        lo, hi, depth, parent = stack.pop()
-        idx = len(records)
-        if parent >= 0:
-            records[parent][4] = idx
-        rows = work[p, lo:hi]
-        gh_sum = gh.take(rows).cumsum()[-1]
-        split = None
-        if depth < max_depth and hi - lo >= 2:
-            features = all_features if feature_sampler is None else np.asarray(feature_sampler(p))
-            split = _search_node(x, gh, work, lo, hi, features, gh_sum, reg_lambda, min_split_loss)
-        if split is None:
-            weight = leaf_weight(float(gh_sum.real), float(gh_sum.imag), reg_lambda)
-            records.append((-1, 0.0, 1, -1, -1, weight, 0.0))
-            if leaf_values is not None:
-                leaf_values[rows] = weight
-            continue
-        gain, feature, threshold, default_left = split
-        # pre-order: the left child is numbered next; the right one is linked when popped
-        records.append([feature, threshold, int(default_left), idx + 1, -1, 0.0, gain + min_split_loss])
-        col = x[rows, feature]
-        left = col < threshold
-        if default_left:
-            left |= np.isnan(col)
-        goes_left[rows] = left
-        n_left = int(np.count_nonzero(left))
-        # no child of the last level is searched: only its rows are read
-        _partition(work[p:] if depth + 1 == max_depth else work, lo, hi, goes_left, n_left)
-        stack.append((lo + n_left, hi, depth + 1, idx))
-        stack.append((lo, lo + n_left, depth + 1, -1))
+    # a gain that divides by a zero hessian sum or overflows is inf or NaN, not a warning
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        while stack:
+            lo, hi, depth, parent = stack.pop()
+            idx = len(records)
+            if parent >= 0:
+                records[parent][4] = idx
+            rows = work[p, lo:hi]
+            gh_sum = gh.take(rows).cumsum()[-1]
+            split = None
+            if depth < max_depth and hi - lo >= 2:
+                features = all_features if feature_sampler is None else np.asarray(feature_sampler(p))
+                split = _search_node(x, gh, work, lo, hi, features, gh_sum, reg_lambda, min_split_loss)
+            if split is None:
+                weight = leaf_weight(float(gh_sum.real), float(gh_sum.imag), reg_lambda)
+                records.append((-1, 0.0, 1, -1, -1, weight, 0.0))
+                if leaf_values is not None:
+                    leaf_values[rows] = weight
+                continue
+            gain, feature, threshold, default_left = split
+            # pre-order: the left child is numbered next; the right one is linked when popped
+            records.append([feature, threshold, int(default_left), idx + 1, -1, 0.0, gain + min_split_loss])
+            col = x[rows, feature]
+            left = col < threshold
+            if default_left:
+                left |= np.isnan(col)
+            goes_left[rows] = left
+            n_left = int(np.count_nonzero(left))
+            # no child of the last level is searched: only its rows are read
+            _partition(work[p:] if depth + 1 == max_depth else work, lo, hi, goes_left, n_left)
+            stack.append((lo + n_left, hi, depth + 1, idx))
+            stack.append((lo, lo + n_left, depth + 1, -1))
     return Tree(np.array(list(map(tuple, records)), dtype=NODE_DTYPE))
 
 
@@ -379,18 +453,27 @@ def _search_node(
 ) -> tuple[float, int, float, bool] | None:
     """Best (net gain, feature, threshold, missing left) for one node, or None.
 
-    Scores the features in chunks of at most SCRATCH_ELEMENTS block
-    elements (at least one feature); a later chunk wins only with a
+    A block of at most SCAN_ELEMENTS elements goes to the scalar scan in
+    one piece. Larger ones are scored in chunks of at most SCRATCH_ELEMENTS
+    block elements (at least one feature); a later chunk wins only with a
     strictly larger gain, so the first maximum in feature order is kept.
     """
-    step = max(1, SCRATCH_ELEMENTS // (hi - lo))
+    scan = len(features) * (hi - lo) <= SCAN_ELEMENTS
+    step = len(features) if scan else max(1, SCRATCH_ELEMENTS // (hi - lo))
     best = None
     for start in range(0, len(features), step):
         chunk = features[start : start + step]
         idx = work[chunk, lo:hi]
         flat = np.multiply(idx, x.shape[1], dtype=np.intp)
         flat += chunk[:, None]
-        found = _score_block(x.take(flat), gh.take(idx), gh_total, reg_lambda, min_split_loss)
+        xv, ghv = x.take(flat), gh.take(idx)
+        if not scan:
+            found = _score_block(xv, ghv, gh_total, reg_lambda, min_split_loss)
+        else:
+            try:
+                found = _scan_block(xv.tolist(), ghv.tolist(), gh_total, reg_lambda, min_split_loss)
+            except ZeroDivisionError:  # numpy's inf and NaN quotients decide
+                found = _score_block(xv, ghv, gh_total, reg_lambda, min_split_loss)
         if found is not None and (best is None or found[0] > best[0]):
             gain, r, threshold, default_left = found
             best = (gain, int(chunk[r]), threshold, default_left)

@@ -208,8 +208,8 @@ def write_smoothed(panel: SalesPanel, smoothed: SmoothedPanel, path: str | Path)
                         t,
                         int(panel.y[i, t]),
                         repr(float(smoothed.x[i, t])),
-                        "" if math.isnan(mean) else repr(mean),
-                        "" if math.isnan(std) else repr(std),
+                        "" if math.isnan(mean) else repr(float(mean)),
+                        "" if math.isnan(std) else repr(float(std)),
                         int(smoothed.repaired_mask[i, t]),
                         int(smoothed.capped_mask[i, t]),
                     ]

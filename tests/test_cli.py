@@ -79,6 +79,13 @@ class TestPreprocessCommand:
         lines = (out / "smoothed.csv").read_text().splitlines()
         assert lines[0] == "product_id,week,y,x,rolling_mean,rolling_std,repaired,capped"
         assert len(lines) > 100
+        stats = 0
+        for line in lines[1:]:
+            fields = line.split(",")[1:]
+            for field in fields:
+                float(field or "nan")  # plain numbers, not numpy reprs
+            stats += fields[3] != ""
+        assert stats > 100  # the rolling statistics are written, not only blanks
 
 
 class TestPipeline:
@@ -275,10 +282,11 @@ class TestEsPipeline:
         assert main(args) == 2
         test_rows = manifest_of(es_runs["es", "0"])["test_rows"]
         assert capsys.readouterr().err == (
-            "error in stage predict: --cold-start-filter 1000 leaves none of the "
+            "error in stage features: --cold-start-filter 1000 leaves none of the "
             f"{test_rows} test rows\n"
         )
         assert not (out / "predictions.csv").exists()
+        assert not (out / "model.json").exists()  # no model is fitted for nothing
 
 
 class TestInputFaults:

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -667,21 +668,31 @@ def assert_same_tree(tree, oracle_nodes):
     assert bits(nodes["weight"][leaf]) == bits(ref["weight"][leaf])
     assert bits(nodes["threshold"][~leaf]) == bits(ref["threshold"][~leaf])
     assert nodes["default_left"][~leaf].tolist() == ref["default_left"][~leaf].astype(int).tolist()
-    assert nodes["gain"][~leaf] == pytest.approx(ref["gain"][~leaf], rel=1e-12, abs=1e-12)
+    assert bits(nodes["gain"][~leaf]) == bits(ref["gain"][~leaf])
+
+
+def each_search_path(monkeypatch):
+    """Yields twice: once with every node scored by the numpy block search
+    (a scan cutoff of 0), once with every node scanned in Python (a cutoff
+    above every block of these tests)."""
+    for path, cutoff in (("block", 0), ("scan", sys.maxsize)):
+        monkeypatch.setattr(gbt, "SCAN_ELEMENTS", cutoff)
+        yield path
 
 
 class TestOracleEquivalence:
-    def test_trees_match_brute_force(self):
-        rng = np.random.default_rng(8)
-        for trial in range(12):
-            x, y = random_matrix(rng)
-            g, h = grad_hess("squared", y, np.zeros(len(y)))
-            lam = float(rng.choice([0.0, 1.0]))
-            msl = float(rng.choice([0.0, 0.05]))
-            depth = int(rng.integers(1, 4))
-            tree = fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
-            oracle = oracle_fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
-            assert_same_tree(tree, oracle)
+    def test_trees_match_brute_force(self, monkeypatch):
+        for _ in each_search_path(monkeypatch):
+            rng = np.random.default_rng(8)
+            for trial in range(12):
+                x, y = random_matrix(rng)
+                g, h = grad_hess("squared", y, np.zeros(len(y)))
+                lam = float(rng.choice([0.0, 1.0]))
+                msl = float(rng.choice([0.0, 0.05]))
+                depth = int(rng.integers(1, 4))
+                tree = fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
+                oracle = oracle_fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
+                assert_same_tree(tree, oracle)
 
     def test_recorded_gains_exceed_min_split_loss(self):
         rng = np.random.default_rng(9)
@@ -707,54 +718,87 @@ class TestOracleEquivalence:
 
     def test_chunked_search_and_partition_match_brute_force(self, monkeypatch):
         # a tiny scratch cap splits every node's features and work rows into
-        # several chunks, which the small matrices above never do
+        # several chunks, which the small matrices above never do; the scan
+        # takes a node's block in one piece, so it meets only chunked partitions
         monkeypatch.setattr(gbt, "SCRATCH_ELEMENTS", 7)
-        rng = np.random.default_rng(12)
-        for _ in range(6):
-            x, y = random_matrix(rng, max_rows=40, max_features=5)
-            g, h = grad_hess("squared", y, np.zeros(len(y)))
-            tree = fit_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
-            oracle = oracle_fit_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
-            assert_same_tree(tree, oracle)
+        for _ in each_search_path(monkeypatch):
+            rng = np.random.default_rng(12)
+            for _ in range(6):
+                x, y = random_matrix(rng, max_rows=40, max_features=5)
+                g, h = grad_hess("squared", y, np.zeros(len(y)))
+                tree = fit_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
+                oracle = oracle_fit_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
+                assert_same_tree(tree, oracle)
 
-    def test_infinite_values_split_like_finite_ones(self):
+    def test_infinite_values_split_like_finite_ones(self, monkeypatch):
         # only NaN is missing: +-inf are ordinary values that take part in
         # candidate thresholds and are routed by comparison, as in apply()
-        rng = np.random.default_rng(16)
-        for _ in range(6):
-            x, y = random_matrix(rng, max_rows=40)
-            x[rng.random(x.shape) < 0.1] = np.inf
-            x[rng.random(x.shape) < 0.05] = -np.inf
-            g, h = grad_hess("squared", y, np.zeros(len(y)))
-            tree = fit_tree(x, g, h, max_depth=3, reg_lambda=1.0, min_split_loss=0.0)
-            oracle = oracle_fit_tree(x, g, h, max_depth=3, reg_lambda=1.0, min_split_loss=0.0)
-            assert_same_tree(tree, oracle)
+        for _ in each_search_path(monkeypatch):
+            rng = np.random.default_rng(16)
+            for _ in range(6):
+                x, y = random_matrix(rng, max_rows=40)
+                x[rng.random(x.shape) < 0.1] = np.inf
+                x[rng.random(x.shape) < 0.05] = -np.inf
+                g, h = grad_hess("squared", y, np.zeros(len(y)))
+                tree = fit_tree(x, g, h, max_depth=3, reg_lambda=1.0, min_split_loss=0.0)
+                oracle = oracle_fit_tree(x, g, h, max_depth=3, reg_lambda=1.0, min_split_loss=0.0)
+                assert_same_tree(tree, oracle)
 
-    def test_forest_trees_match_brute_force(self):
+    def test_forest_trees_match_brute_force(self, monkeypatch):
         # bootstrap-duplicated rows and per-split feature sampling, as
         # train_forest grows them: both growers draw from equally seeded
         # generators, so they agree only if they call the sampler at the
         # same nodes in the same order
-        rng = np.random.default_rng(13)
-        for trial in range(8):
-            base, target = random_matrix(rng, max_rows=40, max_features=5)
-            rows = np.sort(rng.integers(0, len(target), size=len(target)))
-            # count targets, as a forest fits: -y is -0.0 on a zero count, so
-            # a grower that loses the sign of a zero gradient fails here
-            x, y = base[rows], np.round(np.abs(target[rows]))
-            p = x.shape[1]
-            n_sub = max(1, p // 2)
+        for _ in each_search_path(monkeypatch):
+            rng = np.random.default_rng(13)
+            for trial in range(8):
+                base, target = random_matrix(rng, max_rows=40, max_features=5)
+                rows = np.sort(rng.integers(0, len(target), size=len(target)))
+                # count targets, as a forest fits: -y is -0.0 on a zero count, so
+                # a grower that loses the sign of a zero gradient fails here
+                x, y = base[rows], np.round(np.abs(target[rows]))
+                p = x.shape[1]
+                n_sub = max(1, p // 2)
 
-            def sampler_from(seed):
-                draws = np.random.default_rng(seed)
-                return lambda n_features: np.sort(draws.choice(n_features, size=n_sub, replace=False))
+                def sampler_from(seed):
+                    draws = np.random.default_rng(seed)
+                    return lambda n_features: np.sort(draws.choice(n_features, size=n_sub, replace=False))
 
-            depth = int(rng.integers(2, 7))
-            tree = fit_tree(x, -y, np.ones_like(y), depth, 0.0, 0.0, feature_sampler=sampler_from(trial))
-            oracle = oracle_fit_tree(
-                x, -y, np.ones_like(y), depth, 0.0, 0.0, feature_sampler=sampler_from(trial)
+                depth = int(rng.integers(2, 7))
+                tree = fit_tree(x, -y, np.ones_like(y), depth, 0.0, 0.0, feature_sampler=sampler_from(trial))
+                oracle = oracle_fit_tree(
+                    x, -y, np.ones_like(y), depth, 0.0, 0.0, feature_sampler=sampler_from(trial)
+                )
+                assert_same_tree(tree, oracle)
+
+    def test_scan_and_block_agree_where_quotients_are_not_finite(self, monkeypatch):
+        # with lambda 0, rows of zero gradient and zero hessian make 0/0 (a
+        # NaN gain, never chosen), and gradients of +-1e154 overflow their
+        # squares to inf: numpy gives NaN or inf, where Python's division
+        # raises ZeroDivisionError as the oracle does; the scan must end with
+        # the gains and splits of the block search all the same
+        rng = np.random.default_rng(22)
+        oracle_raised = infinite_gains = 0
+        for _ in range(30):
+            x, y = random_matrix(rng, max_rows=40, max_features=4)
+            empty = rng.random(len(y)) < 0.3
+            empty[0] = False  # the root has a positive hessian sum
+            g = np.where(empty, 0.0, y * rng.choice([1.0, 1e154], size=len(y)))
+            h = np.where(empty, 0.0, 1.0)
+            block, scan = (
+                fit_tree(x, g, h, max_depth=4, reg_lambda=0.0, min_split_loss=0.0).nodes
+                for _ in each_search_path(monkeypatch)
             )
-            assert_same_tree(tree, oracle)
+            for name in ("threshold", "weight", "gain"):
+                assert bits(block[name]) == bits(scan[name]), name
+            for name in ("feature", "default_left", "left", "right"):
+                assert block[name].tolist() == scan[name].tolist(), name
+            infinite_gains += np.isinf(block["gain"]).any()
+            try:
+                oracle_fit_tree(x, g, h, max_depth=4, reg_lambda=0.0, min_split_loss=0.0)
+            except ZeroDivisionError:
+                oracle_raised += 1
+        assert oracle_raised >= 10 and infinite_gains >= 5
 
 
 class TestLeafValues:
@@ -765,33 +809,34 @@ class TestLeafValues:
         # also splits every partition into chunks
         if scratch is not None:
             monkeypatch.setattr(gbt, "SCRATCH_ELEMENTS", scratch)
-        rng = np.random.default_rng(21)
-        capped = 0
-        for trial in range(20):
-            x, y = random_matrix(rng, max_rows=60, max_features=5)
-            x[rng.random(x.shape) < 0.05] = np.inf
-            x[rng.random(x.shape) < 0.05] = -np.inf
-            depth = trial % 5 + 1
-            if trial % 2:
-                # as train_forest grows a tree: resampled rows, -y, unit
-                # hessians, no regularisation and per-split feature samples
-                rows = np.sort(rng.integers(0, len(y), size=len(y)))
-                x, y = x[rows], np.round(np.abs(y[rows]))
-                draws = np.random.default_rng(trial)
-                n_sub = max(1, x.shape[1] // 2)
+        for _ in each_search_path(monkeypatch):
+            rng = np.random.default_rng(21)
+            capped = 0
+            for trial in range(20):
+                x, y = random_matrix(rng, max_rows=60, max_features=5)
+                x[rng.random(x.shape) < 0.05] = np.inf
+                x[rng.random(x.shape) < 0.05] = -np.inf
+                depth = trial % 5 + 1
+                if trial % 2:
+                    # as train_forest grows a tree: resampled rows, -y, unit
+                    # hessians, no regularisation and per-split feature samples
+                    rows = np.sort(rng.integers(0, len(y), size=len(y)))
+                    x, y = x[rows], np.round(np.abs(y[rows]))
+                    draws = np.random.default_rng(trial)
+                    n_sub = max(1, x.shape[1] // 2)
 
-                def sampler(n_features):
-                    return np.sort(draws.choice(n_features, size=n_sub, replace=False))
+                    def sampler(n_features):
+                        return np.sort(draws.choice(n_features, size=n_sub, replace=False))
 
-                args = (-y, np.ones_like(y), depth, 0.0, 0.0, sampler)
-            else:
-                g, h = grad_hess("squared", y, np.zeros(len(y)))
-                args = (g, h, depth, 1.0, 0.0, None)
-            out = np.full(len(y), np.nan)
-            tree = fit_tree(x, *args, leaf_values=out)
-            assert bits(out) == bits(tree.apply(x))
-            capped += tree_depth(tree) == depth
-        assert capped >= 10  # most trees reach the level that skips the feature rows
+                    args = (-y, np.ones_like(y), depth, 0.0, 0.0, sampler)
+                else:
+                    g, h = grad_hess("squared", y, np.zeros(len(y)))
+                    args = (g, h, depth, 1.0, 0.0, None)
+                out = np.full(len(y), np.nan)
+                tree = fit_tree(x, *args, leaf_values=out)
+                assert bits(out) == bits(tree.apply(x))
+                capped += tree_depth(tree) == depth
+            assert capped >= 10  # most trees reach the level that skips the feature rows
 
 
 class TestLossValue:
