@@ -5,12 +5,17 @@ full chain: data -> repair/smooth -> seasonality -> features -> boosted
 model with early stopping -> test-window forecasts -> weighted report).
 
 Each stage of that chain is one function here (`write_synth`,
-`load_inputs`, `preprocess`, `fit_seasonal`, `split_matrices` or
-`split_keys`, `fit_boosted` or `forecast_es`, `score`), and every command
-that runs a stage calls it; the acceptance study calls the same functions
-on its in-memory panel. The per-series ES reference reads the split's keys
-and each product's own history, not features; it still loads and checks
---covariates, so a bad file fails as it does for the other models.
+`load_inputs`, `preprocess`, `fit_seasonal`, `split_matrices`,
+`fit_boosted` or `forecast_es`, `score`), and every command that runs a
+stage calls it; the acceptance study calls the same functions on its
+in-memory panel. A run computes the split once (features.split_rows);
+`split_matrices` builds one matrix over its rows and cuts it into the
+train, valid and test parts, and `predict` builds the rows of the products
+on sale in the last week. The per-series ES reference reads the split's
+test keys and each product's own history, not features; it still loads and
+checks --covariates, so a bad file fails as it does for the other models.
+An empty test part, before or after --cold-start-filter, fails in stage
+features, before any fit or write.
 
 Forecast rows stay aligned arrays from the split to the report: their
 product ids and target weeks, and the forecasts, go to the predictions
@@ -42,7 +47,7 @@ from . import evaluation, gbt, ingest, synth
 from .baselines import ESBaseline
 from .core import Catalog, SalesPanel
 from .evaluation import EvalReport, evaluate, format_report, write_report
-from .features import FeatureMatrix, build_matrix, forecast_rows, life_at_issue, temporal_split
+from .features import FeatureMatrix, build_matrix, life_at_issue, split_rows
 from .ingest import CovariateTable, RunConfig, SchemaError
 from .preprocess import SmoothedPanel, preprocess_panel, write_smoothed
 from .seasonal import SeasonalityModel, fit_seasonality, write_seasonality
@@ -51,6 +56,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_INTERNAL = 3
+
+# synth's options and the SynthSpec field each sets
+SYNTH_OPTIONS = {
+    "--products": "n_products", "--categories": "n_categories", "--weeks": "n_weeks", "--seed": "seed"
+}
 
 # SchemaError is a ValueError
 DATA_ERRORS = (ValueError, FileNotFoundError, KeyError)
@@ -137,26 +147,14 @@ def split_matrices(
     seasonal: SeasonalityModel | None,
     covariates: CovariateTable | None,
     config: RunConfig,
+    rows: np.ndarray,
+    weeks: np.ndarray,
+    part: np.ndarray,
 ) -> tuple[FeatureMatrix, FeatureMatrix, FeatureMatrix]:
-    """One global matrix over the split's weeks, cut by target week into (train, valid, test)."""
-    last_issue, part_of = temporal_split(config, repaired.n_weeks)
-    full = build_matrix(
-        repaired, smoothed, catalog, seasonal, covariates, config, t_end=last_issue, mode="train"
-    )
-    part = part_of(full.target_weeks)
+    """split_rows' rows as (train, valid, test) matrices, cut from one global
+    matrix that does not outlive the cut."""
+    full = build_matrix(repaired, smoothed, catalog, seasonal, covariates, config, rows, weeks)
     return full.select(part == 0), full.select(part == 1), full.select(part == 2)
-
-
-def split_keys(repaired: SalesPanel, config: RunConfig) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The split's test keys, without features: (product ids, target weeks, row
-    counts of the train, valid and test parts), in split_matrices' row order."""
-    last_issue, part_of = temporal_split(config, repaired.n_weeks)
-    rows, weeks = forecast_rows(repaired.on_sale_mask, last_issue, config.horizon)
-    targets = weeks + config.horizon
-    part = part_of(targets)
-    test = part == 2
-    pids = np.array(repaired.products, dtype=object)[rows[test]]
-    return pids, targets[test], np.bincount(part, minlength=3).tolist()
 
 
 def forecast_es(
@@ -216,12 +214,7 @@ def score(
 
 
 def cmd_synth(args) -> int:
-    spec = synth.SynthSpec(
-        n_products=args.products,
-        n_categories=args.categories,
-        n_weeks=args.weeks,
-        seed=args.seed,
-    )
+    spec = synth.SynthSpec(**{name: getattr(args, name) for name in SYNTH_OPTIONS.values()})
     out = Path(args.out_dir)
     write_synth(spec, out)
     print(f"wrote synthetic panel ({spec.n_products} products, {spec.n_weeks} weeks) to {out}")
@@ -247,7 +240,8 @@ def cmd_train(args) -> int:
     repaired, smoothed = preprocess(panel, config)
     seasonal = fit_seasonal(smoothed, repaired, catalog, config)
     train_rows, valid_rows, _ = split_matrices(
-        repaired, smoothed, catalog, seasonal, covariates, config
+        repaired, smoothed, catalog, seasonal, covariates, config,
+        *split_rows(repaired.on_sale_mask, config),
     )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -270,9 +264,10 @@ def cmd_predict(args) -> int:
     panel, catalog, covariates = load_inputs(args.sales, args.catalog, args.covariates)
     repaired, smoothed = preprocess(panel, config)
     seasonal = fit_seasonal(smoothed, repaired, catalog, config)
+    rows = np.flatnonzero(repaired.on_sale_mask[:, -1])  # the products on sale in the last week
     matrix = build_matrix(
         repaired, smoothed, catalog, seasonal, covariates, config,
-        t_end=panel.n_weeks - 1, mode="predict",
+        rows, np.full(rows.size, repaired.n_weeks - 1),
     )
     forecasts = gbt.predict(booster, matrix)
     out = Path(args.out_dir)
@@ -319,25 +314,26 @@ def cmd_pipeline(args) -> int:
             write_seasonality(seasonal, out / "seasonality.csv")
 
         stage = "features"
-        if args.model_kind == "es":
-            pids, weeks, counts = split_keys(repaired, config)
-        else:
-            train_rows, valid_rows, test_rows = split_matrices(
-                repaired, smoothed, catalog, seasonal, covariates, config
+        rows, issued, part = split_rows(repaired.on_sale_mask, config)
+        test = part == 2
+        weeks = issued[test] + config.horizon
+        # known with the split's keys, so an empty test part fails before any fit
+        life = life_at_issue(repaired.on_sale_mask, rows[test], weeks, config.horizon)
+        keep = life >= args.cold_start_filter
+        if not keep.any():
+            first = config.train_len + config.valid_len
+            span = f"target weeks {first}-{first + config.test_len - 1}"
+            raise ValueError(
+                f"--cold-start-filter {args.cold_start_filter} leaves none of the "
+                f"{keep.size} test rows for {span}"
+                if keep.size
+                else f"no test rows for {span}: no product is on sale at their issue weeks"
             )
-            pids, weeks = test_rows.product_ids, test_rows.target_weeks
-            counts = [train_rows.n_rows, valid_rows.n_rows, test_rows.n_rows]
-        keep = None
-        if args.cold_start_filter > 0:
-            # known with the split's keys, so an empty filter fails before any fit
-            rows = np.array([repaired.index[pid] for pid in pids], dtype=np.int64)
-            life = life_at_issue(repaired.on_sale_mask, rows, weeks, config.horizon)
-            keep = life >= args.cold_start_filter
-            if not keep.any():
-                raise ValueError(
-                    f"--cold-start-filter {args.cold_start_filter} leaves none of the "
-                    f"{len(pids)} test rows"
-                )
+        pids = np.array(repaired.products, dtype=object)[rows[test]]
+        if args.model_kind != "es":
+            train_rows, valid_rows, test_rows = split_matrices(
+                repaired, smoothed, catalog, seasonal, covariates, config, rows, issued, part
+            )
 
         stage = "train"
         if args.model_kind == "gbt":
@@ -353,9 +349,8 @@ def cmd_pipeline(args) -> int:
             details = {"es_fallback_rows": int(fallback.sum())}
 
         stage = "predict"
-        if keep is not None:
-            # after the fit: the ES fallback count covers every test row
-            pids, weeks, forecasts = pids[keep], weeks[keep], forecasts[keep]
+        # after the fit: the ES fallback count covers every test row
+        pids, weeks, forecasts = pids[keep], weeks[keep], forecasts[keep]
         _write_predictions(pids, weeks, forecasts, out / "predictions.csv")
 
         stage = "evaluate"
@@ -366,8 +361,8 @@ def cmd_pipeline(args) -> int:
             "config": asdict(config),
             "model": args.model_kind,
             "cold_start_filter": args.cold_start_filter,
-            "train_rows": counts[0],
-            "valid_rows": counts[1],
+            "train_rows": int((part == 0).sum()),
+            "valid_rows": int((part == 1).sum()),
             "test_rows": len(pids),
             **details,
         }
@@ -384,10 +379,8 @@ def build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic panel")
     p_synth.add_argument("--out-dir", required=True)
-    p_synth.add_argument("--products", type=int, default=500)
-    p_synth.add_argument("--categories", type=int, default=20)
-    p_synth.add_argument("--weeks", type=int, default=200)
-    p_synth.add_argument("--seed", type=int, default=0)
+    for flag, name in SYNTH_OPTIONS.items():
+        p_synth.add_argument(flag, dest=name, type=int, default=getattr(synth.SynthSpec, name))
     p_synth.set_defaults(func=cmd_synth)
 
     p_pre = sub.add_parser("preprocess", help="repair fake zeros and smooth spikes")
@@ -443,6 +436,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--forest-trees must be >= 1, got {args.forest_trees}")
     if args.command == "pipeline" and args.cold_start_filter < 0:
         parser.error(f"--cold-start-filter must be >= 0, got {args.cold_start_filter}")
+    if args.command == "synth":
+        for flag, name in SYNTH_OPTIONS.items():
+            low, value = synth.MINIMUMS[name], getattr(args, name)
+            if value < low:
+                parser.error(f"{flag} must be >= {low}, got {value}")
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - last-resort diagnostic

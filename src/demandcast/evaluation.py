@@ -3,7 +3,7 @@
 Both metrics weight by product price, so errors on expensive products count
 more. The MAE variant normalizes by the price-weighted forecast volume (its
 printed form). The train/valid/test weeks come from the run config's split
-lengths; features.temporal_split cuts the forecast rows by them.
+lengths; features.split_rows cuts the forecast rows by them.
 
 evaluate takes one aligned array per quantity (actual, forecast, price,
 segment label, life at forecast), one entry per scored row. cli.score

@@ -10,32 +10,32 @@ Missing values are carried as NaN and resolved by the trees' per-split
 default direction; zero is a meaningful sales value and is never used as a
 filler.
 
-The matrix is built in whole-panel array passes, never row by row. Rows are
-forecast_rows' cells, product-major and week ascending, as np.nonzero of
-the on-sale mask gives them. Lags are gathers masked by the launch week;
-season, price and categorical codes are looked up once per product and
-broadcast; covariates are searchsorted lookups into sorted (group, week)
-keys, with imputed means taken from running sums that add each group's
-values in week order. Those keys are made from the columnar
-CovariateTable's week, panel-row and value arrays as they are: no covariate
-entry is converted or looked up by product id. Trend slopes reduce
-C-contiguous (rows, window length) blocks along their last axis
-(seasonal.trend_features).
-Every cell equals the one-row-at-a-time definition in tests/oracles.py
-(rowwise_build_matrix) bit for bit.
+The matrix is built in whole-panel array passes, never row by row, for the
+(panel row, issue week) keys the caller gives: the split's rows from
+split_rows, or the products on sale at the panel's last week for predict.
+Lags are gathers masked by the launch week; season, price and categorical
+codes are looked up once per product and broadcast; covariates are
+searchsorted lookups into sorted (group, week) keys, with imputed means
+taken from running sums that add each group's values in week order. Those
+keys are made from the columnar CovariateTable's week, panel-row and value
+arrays as they are: no covariate entry is converted or looked up by product
+id. Trend slopes reduce C-contiguous (rows, window length) blocks along
+their last axis (seasonal.trend_features). Every cell equals the one-row-at-a-time definition in tests/oracles.py
+(rowwise_build_matrix), fed the same keys, bit for bit.
 
 A forecast row is a product on sale at its issue week t, targeting week
-t + horizon (forecast_rows); temporal_split cuts the rows by target week and
-life_at_issue counts a row's on-sale weeks up to t. The matrices, the ES
+t + horizon. split_rows is the one rule for the split's rows and their part
+(train, valid or test, by target week); life_at_issue counts a row's on-sale
+weeks up to t. A run computes the split once: the matrices, the ES
 reference (which reads keys only), the cold-start filter and the report
-share these. A row's key is held as two aligned arrays: product_ids, an
-object array of the panel's id strings, and the int64 target_weeks.
+share it. A matrix row's key is held as two aligned arrays: product_ids,
+an object array of the panel's id strings, and the int64 target_weeks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -181,26 +181,27 @@ class CovariateView:
         return np.full(rows.size, np.nan)
 
 
-def forecast_rows(on_sale: np.ndarray, t_end: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """(panel rows, issue weeks t) of the products on sale at each week t <= t_end,
-    product-major and week ascending, so no key repeats; each targets t + horizon."""
-    if t_end < 0:
-        raise ValueError(
-            f"horizon {horizon} leaves no week to forecast target week {t_end + horizon} from"
-        )
-    if not t_end + horizon < on_sale.shape[1]:
-        raise ValueError(f"t_end {t_end} leaves target {t_end + horizon} outside the panel")
-    return np.nonzero(on_sale[:, : t_end + 1])
+def split_rows(
+    on_sale: np.ndarray, config: RunConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split's forecast rows: (panel rows, issue weeks t, part).
 
-
-def temporal_split(config: RunConfig, n_weeks: int) -> tuple[int, partial]:
-    """(last issue week, part): target weeks [0, train_len) train, the next
-    valid_len weeks validate and the test_len weeks after those test;
-    part(target_weeks) is 0, 1 or 2 for each."""
+    A row is a product on sale at its issue week t, targeting t + horizon;
+    rows are product-major and week ascending, as np.nonzero gives them, so
+    no key repeats. Target weeks [0, train_len) are part 0 (train), the next
+    valid_len weeks part 1 (valid) and the test_len weeks after those part 2
+    (test); the last issue week is the one that targets the last test week.
+    """
     ends = np.cumsum((config.train_len, config.valid_len, config.test_len))
-    if ends[2] > n_weeks:
-        raise ValueError(f"split needs {ends[2]} weeks but panel has {n_weeks}")
-    return int(ends[2]) - 1 - config.horizon, partial(np.searchsorted, ends[:2], side="right")
+    if ends[2] > on_sale.shape[1]:
+        raise ValueError(f"split needs {ends[2]} weeks but panel has {on_sale.shape[1]}")
+    last_issue = int(ends[2]) - 1 - config.horizon
+    if last_issue < 0:
+        raise ValueError(
+            f"horizon {config.horizon} leaves no week to forecast target week {ends[2] - 1} from"
+        )
+    rows, weeks = np.nonzero(on_sale[:, : last_issue + 1])
+    return rows, weeks, np.searchsorted(ends[:2], weeks + config.horizon, side="right")
 
 
 def life_at_issue(
@@ -247,25 +248,17 @@ def build_matrix(
     seasonal_model: SeasonalityModel | None,
     covariates: CovariateTable | None,
     config: RunConfig,
-    t_end: int,
-    mode: str = "train",
+    rows: np.ndarray,
+    weeks: np.ndarray,
 ) -> FeatureMatrix:
-    """Assemble the global matrix from weeks 0..t_end of the repaired panel.
+    """The global matrix of the forecast rows issued at weeks[k] for panel row rows[k].
 
-    Train mode emits forecast_rows up to t_end, targeting repaired sales at
-    t+h. Predict mode emits one target-less row per product live at t_end.
+    Row k targets weeks[k] + horizon, and its target is the repaired sales
+    count there. Targets are None when a target lies past the panel, as it
+    does for forecasts issued at the panel's last week.
     """
     h = config.horizon
     on_sale = panel.on_sale_mask
-    if mode == "train":
-        rows, weeks = forecast_rows(on_sale, t_end, h)
-    elif mode == "predict":
-        if not 0 <= t_end < panel.n_weeks:
-            raise ValueError(f"t_end {t_end} outside the panel")
-        rows = np.flatnonzero(on_sale[:, t_end])
-        weeks = np.full(rows.size, t_end)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     catalog.validate_covers(panel)
     if config.with_seasonality and seasonal_model is None:
         raise ValueError("seasonality enabled but no model supplied")
@@ -339,5 +332,8 @@ def build_matrix(
         target_weeks=target_weeks,
         columns=columns,
         X=x,
-        targets=panel.y[rows, target_weeks].astype(float) if mode == "train" else None,
+        targets=(
+            panel.y[rows, target_weeks].astype(float)
+            if (target_weeks < panel.n_weeks).all() else None
+        ),
     )

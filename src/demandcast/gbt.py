@@ -542,6 +542,8 @@ def train(
         raise ValueError("training matrix has no targets")
     if valid is not None and valid.columns != matrix.columns:
         raise ValueError("train and validation matrices must share the feature schema")
+    if valid is not None and valid.n_rows == 0:
+        raise ValueError("cannot validate on an empty matrix")
     if valid is not None and valid.targets is None:
         raise ValueError("validation matrix has no targets")
     y = matrix.targets

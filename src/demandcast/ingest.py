@@ -18,13 +18,15 @@ time, and hands each loader the header it found to check. Files are UTF-8.
 A block without a quote, a byte that is not UTF-8, an over-long line or a
 "\r" outside a "\r\n" line end is split on "\n" and "," directly; others go
 through csv.reader as they are, which gives the same records, so quoted
-fields and lone "\r" keep their csv meaning. The reader alone turns what
-csv.reader raises (a field longer than its limit) and bytes that are not
-UTF-8 into a SchemaError naming the line. Numbers are parsed by Python's int
-and float into numpy arrays, and every check is an array check over the
-rows. A bad file is rejected with the error a row-by-row reader would raise
-first: the one on the earliest line and, on that line, the first in the
-loader's order of checks, whatever the block size. No Python object per row
+fields and lone "\r" keep their csv meaning. The reader alone checks each
+record's field count against the header's, and turns what csv.reader
+raises (a field longer than its limit) and bytes that are not UTF-8 into a
+SchemaError naming the line; it stops after the block that holds the first
+fault, however found. Numbers are parsed by Python's int and float into
+numpy arrays, and every check is an array check over the rows. A bad file
+is rejected with the error a row-by-row reader would raise first: the one
+on the earliest line and, on that line, the first in the loader's order of
+checks, whatever the block size. No Python object per row
 outlives its block in load_sales, which scatters the rows into the dense
 panel, or in load_covariates, which returns a columnar CovariateTable, each
 key's sorted week, panel-row and value arrays.
@@ -194,10 +196,14 @@ class _FirstFault:
             self.error = SchemaError(f"{self.path}:{line}: {fault}")
 
     def first(self, mask: np.ndarray, line: int, order: int, describe) -> None:
-        """Add the first True entry of mask, row i being on line + i; describe(i) says what."""
+        """Add the first True entry of mask, row i being on line + i; describe(i) says what.
+
+        describe is called only for a fault that comes first: rows read
+        past an earlier fault may hold anything.
+        """
         hits = np.flatnonzero(mask)
-        if hits.size:
-            i = int(hits[0])
+        i = int(hits[0]) if hits.size else None
+        if i is not None and (self.at is None or (line + i, order) < self.at):
             self.add(line + i, order, describe(i))
 
     def raise_first(self) -> None:
@@ -284,46 +290,50 @@ def _records(fh) -> Iterator[tuple[list[str], list[int], str | None]]:
         yield text.replace("\n", ",").split(","), commas, None
 
 
-def _read_columns(path: Path, faults: _FirstFault):
-    """Yield path's header record, then (line, columns, count) for each block of data records.
+def _read_columns(path: Path) -> tuple[_FirstFault, Iterator]:
+    """(faults, blocks): path's first fault so far, and its records.
 
-    The header is None for an empty file; the caller checks it, and the data
-    records are read as rows of as many fields as it has. columns holds one
-    token list per field, for the block's records up to the first with
-    another field count; line is the block's first record's line (the
-    header is line 1, and a record is one line however many physical lines
-    a quoted field spans). count is None, or the field count of that
-    malformed record, and ends the stream. A record csv.reader fails on, or
-    that holds a byte that is not UTF-8, is a fault on its line: on line 1
-    it is raised, on a later line it is added to faults and ends the stream.
-    The first block is yielded even when empty.
+    blocks yields path's header record, then (line, columns) for each block
+    of data records. The header is None for an empty file; the caller checks
+    it, and the data records are read as rows of as many fields as it has.
+    columns holds one token list per field, for the block's records up to
+    the first with another field count, which is a fault on its line; line
+    is the block's first record's line (the header is line 1, and a record
+    is one line however many physical lines a quoted field spans). A record
+    csv.reader fails on, or that holds a byte that is not UTF-8, is a fault
+    on its line: on line 1 it is raised. The stream ends after the first
+    block in which a fault was added, by the reader or by the caller's
+    checks on that block. The first block is yielded even when empty.
     """
-    with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        records = _records(fh)
-        fields, commas, error = next(records, ([], [], None))
-        if not commas:
-            if error is not None:
-                raise SchemaError(f"{path}:1: {error}")
-            yield None
-            return
-        n = commas[0] + 1
-        yield fields[:n]
-        del fields[:n], commas[0]
-        line = 2
-        while True:
-            stop = len(commas)
-            count = None
-            if commas.count(n - 1) != stop:
-                stop = next(i for i, width in enumerate(commas) if width != n - 1)
-                count = commas[stop] + 1
-            elif error is not None:
-                faults.add(line + stop, 0, error)
-            yield line, [fields[k : stop * n : n] for k in range(n)], count
-            batch = None if count is not None or error is not None else next(records, None)
-            if batch is None:
+    faults = _FirstFault(path)
+
+    def blocks():
+        with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
+            records = _records(fh)
+            fields, commas, error = next(records, ([], [], None))
+            if not commas:
+                if error is not None:
+                    raise SchemaError(f"{path}:1: {error}")
+                yield None
                 return
-            line += stop
-            fields, commas, error = batch
+            n = commas[0] + 1
+            yield fields[:n]
+            del fields[:n], commas[0]
+            line = 2
+            while True:
+                stop = len(commas)
+                if commas.count(n - 1) != stop:
+                    stop = next(i for i, width in enumerate(commas) if width != n - 1)
+                    faults.add(line + stop, 0, f"expected {n} fields, got {commas[stop] + 1}")
+                elif error is not None:
+                    faults.add(line + stop, 0, error)
+                yield line, [fields[k : stop * n : n] for k in range(n)]
+                if faults.at is not None or (batch := next(records, None)) is None:
+                    return
+                line += stop
+                fields, commas, error = batch
+
+    return faults, blocks()
 
 
 def _parse(tokens: list[str], kind) -> tuple[np.ndarray, int, int]:
@@ -374,16 +384,13 @@ def load_sales(path: str | Path) -> SalesPanel:
     outside int64 are rejected.
     """
     path = Path(path)
-    faults = _FirstFault(path)
-    blocks = _read_columns(path, faults)
+    faults, blocks = _read_columns(path)
     if (header := next(blocks)) != SALES_HEADER:
         raise SchemaError(f"{path}: unexpected sales header {header}")
     product_ids: dict[str, int] = {}  # id -> order of first appearance
     parts = []
-    for line, (pid_s, week_s, units_s, sale_s, stock_s), count in blocks:
+    for line, (pid_s, week_s, units_s, sale_s, stock_s) in blocks:
         n = len(pid_s)
-        if count is not None:
-            faults.add(line + n, 0, f"expected 5 fields, got {count}")
         pids = _codes(pid_s, product_ids)
         if "" in product_ids:
             faults.first(pids == product_ids[""], line, 1, lambda i: "empty product_id")
@@ -403,10 +410,7 @@ def load_sales(path: str | Path) -> SalesPanel:
         on_sale, stock = _flags(sale_s), _flags(stock_s)
         faults.first(on_sale == 2, line, 8, lambda i: f"on_sale must be 0 or 1, got {sale_s[i]!r}")
         faults.first(stock == 2, line, 9, lambda i: f"in_stock must be 0 or 1, got {stock_s[i]!r}")
-        keep = n if faults.at is None else faults.at[0] - line + 1
-        parts.append((pids[:keep], weeks[:keep], units[:keep], on_sale[:keep], stock[:keep]))
-        if faults.at is not None:
-            break
+        parts.append((pids, weeks, units, on_sale, stock))
     pids, weeks, units, on_sale, stock = map(np.concatenate, zip(*parts))
     # a bad row's week may be out of range; its own fault comes first
     cells = pids * (LAST_WEEK + 1) + np.clip(weeks, 0, LAST_WEEK)
@@ -445,8 +449,7 @@ def load_catalog(path: str | Path) -> Catalog:
     non-empty id and category, and a positive, finite price.
     """
     path = Path(path)
-    faults = _FirstFault(path)
-    blocks = _read_columns(path, faults)
+    faults, blocks = _read_columns(path)
     header = next(blocks)
     if header is None or header[:3] != ["product_id", "category_id", "price"]:
         raise SchemaError(f"{path}: unexpected catalog header {header}")
@@ -454,11 +457,9 @@ def load_catalog(path: str | Path) -> Catalog:
         raise SchemaError(f"{path}:1: catalog column name {bad_names[0]!r} is empty or repeated")
     product_ids: dict[str, int] = {}  # id -> order of first appearance
     codes, prices, table = [], [], [[] for _ in header]
-    for line, columns, count in blocks:
+    for line, columns in blocks:
         pid_s, category_s, price_s = columns[:3]
         n = len(pid_s)
-        if count is not None:
-            faults.add(line + n, 0, f"expected {len(header)} fields")
         pids = _codes(pid_s, product_ids)
         if "" in product_ids:
             faults.first(pids == product_ids[""], line, 1, lambda i: "empty product_id")
@@ -474,13 +475,10 @@ def load_catalog(path: str | Path) -> Catalog:
             lambda i: f"price {price_s[i]} is not positive and finite",
         )
         # order 5 is the duplicate check, made on all rows below
-        keep = n if faults.at is None else faults.at[0] - line + 1
-        codes.append(pids[:keep])
-        prices.append(price[:keep])
+        codes.append(pids)
+        prices.append(price)
         for rows, column in zip(table, columns):
-            rows += column[:keep]
-        if faults.at is not None:
-            break
+            rows += column
     pids = np.concatenate(codes)
     names = list(product_ids)
     faults.first(_repeats(pids), 2, 5, lambda i: f"duplicate product {names[pids[i]]!r}")
@@ -500,17 +498,14 @@ def load_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
     (product, week) has one row.
     """
     path = Path(path)
-    faults = _FirstFault(path)
-    blocks = _read_columns(path, faults)
+    faults, blocks = _read_columns(path)
     if (header := next(blocks)) != ["product_id", "week", "forecast"]:
         raise SchemaError(f"{path}: unexpected predictions header {header}")
     product_ids: dict[str, int] = {}  # id -> order of first appearance
     ids: list[str] = []
     parts = []
-    for line, (pid_s, week_s, value_s), count in blocks:
+    for line, (pid_s, week_s, value_s) in blocks:
         n = len(pid_s)
-        if count is not None:
-            faults.add(line + n, 0, "expected 3 fields")
         weeks, bad_week, wide = _parse(week_s, int)
         forecasts, bad_value, _ = _parse(value_s, float)
         if min(bad_week, bad_value) < n:
@@ -521,11 +516,8 @@ def load_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
         if wide < n:
             faults.add(line + wide, 3, f"week {int(week_s[wide])} outside the int64 range")
         # order 4 is the duplicate check, made on all rows below
-        keep = n if faults.at is None else faults.at[0] - line + 1
-        ids += pid_s[:keep]
-        parts.append((_codes(pid_s[:keep], product_ids), weeks[:keep], forecasts[:keep]))
-        if faults.at is not None:
-            break
+        ids += pid_s
+        parts.append((_codes(pid_s, product_ids), weeks, forecasts))
     pids, weeks, forecasts = map(np.concatenate, zip(*parts))
     _, week_codes = np.unique(weeks, return_inverse=True)
     faults.first(
@@ -545,17 +537,14 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
     panel, and its week inside it.
     """
     path = Path(path)
-    faults = _FirstFault(path)
-    blocks = _read_columns(path, faults)
+    faults, blocks = _read_columns(path)
     if (header := next(blocks)) != COVARIATES_HEADER:
         raise SchemaError(f"{path}: unexpected covariates header {header}")
     key_ids: dict[str, int] = {}  # key -> order of first appearance
     panel_rows = {**panel.index, "": -1}  # ids the panel lacks map to -2
     parts = []
-    for line, (scope_s, key_s, week_s, pid_s, value_s, flag_s), count in blocks:
+    for line, (scope_s, key_s, week_s, pid_s, value_s, flag_s) in blocks:
         n = len(scope_s)
-        if count is not None:
-            faults.add(line + n, 0, "expected 6 fields")
         weeks, bad_week, wide = _parse(week_s, int)
         values, bad_value, _ = _parse(value_s, float)
         if min(bad_week, bad_value) < n:
@@ -589,12 +578,7 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
             line, 6, scope_fault,
         )
         keys = _codes(key_s, key_ids)
-        keep = n if faults.at is None else faults.at[0] - line + 1
-        parts.append(
-            (keys[:keep], scopes[:keep], rows[:keep], weeks[:keep], values[:keep], flags[:keep])
-        )
-        if faults.at is not None:
-            break
+        parts.append((keys, scopes, rows, weeks, values, flags))
     keys, scopes, rows, weeks, values, flags = map(np.concatenate, zip(*parts))
     names = list(key_ids)
     # rows by (key, row, week); a temporal row's row is -1

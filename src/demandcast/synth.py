@@ -24,6 +24,12 @@ from .ingest import Covariate, CovariateTable
 
 BRANDS = ("acme", "blue", "corex", "dune", "ember", "flux")
 
+# The least value of each integer SynthSpec field that has a floor; the
+# synth command checks its options against the same table.
+MINIMUMS = {
+    "n_products": 1, "n_categories": 1, "n_weeks": 10, "tau": 2, "min_lifetime": 4, "seed": 0,
+}
+
 
 @dataclass
 class SynthSpec:
@@ -50,12 +56,9 @@ class SynthSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_products < 1 or self.n_categories < 1:
-            raise ValueError("need at least one product and one category")
-        if self.n_weeks < 10:
-            raise ValueError("panel must span at least 10 weeks")
-        if self.tau < 2:
-            raise ValueError("seasonal period must be >= 2")
+        for name, low in MINIMUMS.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         probs = (
             ("promo_prob", self.promo_prob),
             ("stockout_prob", self.stockout_prob),
@@ -66,8 +69,6 @@ class SynthSpec:
                 raise ValueError(f"{name} must be in [0, 1], got {prob}")
         if self.level_median <= 0 or self.lifetime_median <= 0:
             raise ValueError("level and lifetime medians must be positive")
-        if self.min_lifetime < 4:
-            raise ValueError("min_lifetime must be >= 4")
 
 
 @dataclass

@@ -327,17 +327,37 @@ def rowwise_window_slope(x_row, on_sale_row, t, window, min_points):
     return slope / mean_level
 
 
+def rowwise_split_rows(on_sale, config):
+    """The split's forecast rows one at a time: [(panel row, issue week t, part)].
+
+    Products in panel order, each one's on-sale weeks t ascending up to the
+    week that targets the last test week; part is 0, 1 or 2 as t + horizon
+    falls in the train, valid or test weeks.
+    """
+    ends = [config.train_len]
+    ends.append(ends[0] + config.valid_len)
+    ends.append(ends[1] + config.test_len)
+    out = []
+    for i in range(on_sale.shape[0]):
+        for t in range(ends[2] - config.horizon):
+            if on_sale[i, t]:
+                target = t + config.horizon
+                out.append((i, t, 0 if target < ends[0] else 1 if target < ends[1] else 2))
+    return out
+
+
 def rowwise_build_matrix(
-    panel, smoothed, catalog, seasonal_model, covariates, config, t_end, mode,
+    panel, smoothed, catalog, seasonal_model, covariates, config, keys,
     lag_depth, annual=(52, 8), local=(8, 3),
 ):
-    """Per-row feature matrix: (keys, columns, X, targets, life), where life
-    counts the product's on-sale weeks up to and including the issue week.
+    """Per-row feature matrix of keys, a list of (panel row i, issue week t):
+    (keys, columns, X, targets, life), where the returned keys are the
+    (product id, target week t + h) pairs and life counts the product's
+    on-sale weeks up to and including t.
 
-    Rows are (product, on-sale week t <= t_end) in product-major, week
-    ascending order (predict mode: week t_end only). Categorical codes come
-    from sorted distinct values (unseen value -> count) or FNV-1a buckets;
-    annual/local are (window, min points) of the two trend slopes.
+    targets is None when a target week lies past the panel. Categorical codes
+    come from sorted distinct values (unseen value -> count) or FNV-1a
+    buckets; annual/local are (window, min points) of the two trend slopes.
     """
     h = config.horizon
     attr_names = sorted({k for attrs in catalog.attributes.values() for k in attrs})
@@ -370,36 +390,35 @@ def rowwise_build_matrix(
             pattern = seasonal_model.patterns[seasonal_model.assignment[cat]]
         return float(pattern[week % seasonal_model.tau])
 
-    keys, rows, targets, life = [], [], [], []
-    for i, pid in enumerate(panel.products):
-        listed = [t for t in range(panel.n_weeks) if panel.on_sale_mask[i, t]]
-        if not listed or listed[0] > t_end:
-            continue
+    out_keys, rows, targets, life = [], [], [], []
+    for i, t in keys:
+        pid = panel.products[i]
+        listed = [s for s in range(panel.n_weeks) if panel.on_sale_mask[i, s]]
         launch = listed[0]
-        weeks = [t for t in listed if t <= t_end] if mode == "train" else [t_end] if t_end in listed else []
-        for t in weeks:
-            row = [
-                float(smoothed.x[i, t - j]) if t - j >= launch else math.nan
-                for j in range(lag_depth)
-            ]
-            for window, min_points in (annual, local):
-                row.append(rowwise_window_slope(smoothed.x[i], panel.on_sale_mask[i], t, window, min_points))
-            if config.with_seasonality:
-                row.append(season(pid, t + h))
-            row += [float(t - launch), float(catalog.price[pid])]
-            row.append(encode("category", catalog.category_of[pid]))
-            row += [encode(f"attr_{name}", attr_value(pid, name)) for name in attr_names]
-            row += [
-                rowwise_covariate(covariates, name, pid, t + h, t, config.season_period)
-                for name in cov_names
-            ]
-            rows.append(row)
-            keys.append((pid, t + h))
-            life.append(sum(1 for s in listed if s <= t))
-            if mode == "train":
-                targets.append(float(panel.y[i, t + h]))
+        row = [
+            float(smoothed.x[i, t - j]) if t - j >= launch else math.nan
+            for j in range(lag_depth)
+        ]
+        for window, min_points in (annual, local):
+            row.append(rowwise_window_slope(smoothed.x[i], panel.on_sale_mask[i], t, window, min_points))
+        if config.with_seasonality:
+            row.append(season(pid, t + h))
+        row += [float(t - launch), float(catalog.price[pid])]
+        row.append(encode("category", catalog.category_of[pid]))
+        row += [encode(f"attr_{name}", attr_value(pid, name)) for name in attr_names]
+        row += [
+            rowwise_covariate(covariates, name, pid, t + h, t, config.season_period)
+            for name in cov_names
+        ]
+        rows.append(row)
+        out_keys.append((pid, t + h))
+        life.append(sum(1 for s in listed if s <= t))
+        targets.append(float(panel.y[i, t + h]) if t + h < panel.n_weeks else None)
     x = np.array(rows, dtype=float).reshape(len(rows), len(columns))
-    return keys, columns, x, np.array(targets) if mode == "train" else None, np.array(life)
+    return (
+        out_keys, columns, x,
+        None if None in targets else np.array(targets, dtype=float), np.array(life),
+    )
 
 
 @dataclass
@@ -494,7 +513,9 @@ def rowwise_load_catalog(path) -> Catalog:
         extra_cols = header[3:]
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
-                raise SchemaError(f"{path}:{line_no}: expected {len(header)} fields")
+                raise SchemaError(
+                    f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}"
+                )
             pid, category, price_s = row[0], row[1], row[2]
             if not pid:
                 raise SchemaError(f"{path}:{line_no}: empty product_id")
@@ -525,7 +546,7 @@ def rowwise_load_predictions(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise SchemaError(f"{path}: unexpected predictions header {header}")
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 3:
-                raise SchemaError(f"{path}:{line_no}: expected 3 fields")
+                raise SchemaError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
             try:
                 key = (row[0], int(row[1]))
                 value = float(row[2])
@@ -555,7 +576,7 @@ def rowwise_load_covariates(path, panel=None) -> RowwiseCovariates:
             raise SchemaError(f"{path}: unexpected covariates header {header}")
         for line_no, row in enumerate(reader, start=2):
             if len(row) != 6:
-                raise SchemaError(f"{path}:{line_no}: expected 6 fields")
+                raise SchemaError(f"{path}:{line_no}: expected 6 fields, got {len(row)}")
             scope, key, week_s, pid, value_s, pred_s = row
             try:
                 week = int(week_s)

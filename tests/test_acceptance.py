@@ -13,7 +13,7 @@ from demandcast import cli, gbt
 from demandcast.cli import main
 from demandcast.core import SalesPanel
 from demandcast.evaluation import weighted_mae, weighted_rmse
-from demandcast.features import life_at_issue
+from demandcast.features import life_at_issue, split_rows
 from demandcast.ingest import RunConfig
 from demandcast.preprocess import detect_fake_zeros, preprocess_panel, smooth_panel
 from demandcast.seasonal import fit_seasonality, standardize_year
@@ -55,25 +55,25 @@ def study():
     panel, catalog, covariates, truth = generate_panel(spec)
     repaired, smoothed = cli.preprocess(panel, config)
     seasonal_model = cli.fit_seasonal(smoothed, repaired, catalog, config)
+    rows, issued, part = split_rows(repaired.on_sale_mask, config)
     train_rows, valid_rows, test_rows = cli.split_matrices(
-        repaired, smoothed, catalog, seasonal_model, covariates, config
+        repaired, smoothed, catalog, seasonal_model, covariates, config, rows, issued, part
     )
     booster, _ = cli.fit_boosted(train_rows, valid_rows, config)
     gbt_pred = gbt.predict(booster, test_rows)
-    # the ES reference as `pipeline --model es` runs it: from the split's keys alone
-    pids, weeks, _ = cli.split_keys(repaired, config)
-    assert pids.tolist() == test_rows.product_ids.tolist()
-    assert weeks.tolist() == test_rows.target_weeks.tolist()
+    # the ES reference as `pipeline --model es` runs it: from the split's test keys alone
+    test = part == 2
+    pids = np.array(repaired.products, dtype=object)[rows[test]]
+    weeks = issued[test] + config.horizon
     es_pred, es_fallback = cli.forecast_es(pids, weeks, repaired, catalog, config)
 
-    rows = np.array([repaired.index[pid] for pid in pids], dtype=np.int64)
     prices = np.array([catalog.price[pid] for pid in pids])
     return {
         "panel": panel,
         "truth": truth,
         "booster": booster,
         "test_rows": test_rows,
-        "life": life_at_issue(repaired.on_sale_mask, rows, weeks, config.horizon),
+        "life": life_at_issue(repaired.on_sale_mask, rows[test], weeks, config.horizon),
         "gbt_pred": gbt_pred,
         "es_pred": es_pred,
         "es_fallback": es_fallback,

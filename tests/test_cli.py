@@ -283,10 +283,92 @@ class TestEsPipeline:
         test_rows = manifest_of(es_runs["es", "0"])["test_rows"]
         assert capsys.readouterr().err == (
             "error in stage features: --cold-start-filter 1000 leaves none of the "
-            f"{test_rows} test rows\n"
+            f"{test_rows} test rows for target weeks 60-79\n"
         )
         assert not (out / "predictions.csv").exists()
         assert not (out / "model.json").exists()  # no model is fitted for nothing
+
+
+def counting(patch, name):
+    """Patch cli.<name> to record its calls; returns the list each call appends to."""
+    calls = []
+    original = getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    patch.setattr(cli, name, counted)
+    return calls
+
+
+class TestSplitOnce:
+    """Each command derives the split's rows at most once and builds one matrix at most."""
+
+    @pytest.mark.parametrize(
+        "command, splits, matrices",
+        [("gbt", 1, 1), ("forest", 1, 1), ("es", 1, 0), ("train", 1, 1), ("predict", 0, 1)],
+    )
+    def test_calls(self, data_dir, tmp_path, monkeypatch, command, splits, matrices):
+        args = pipeline_args(data_dir, tmp_path, "--model", command, "--forest-trees", "2")
+        if command in ("train", "predict"):
+            args = ["train", *pipeline_args(data_dir, tmp_path)[1:]]
+        if command == "predict":
+            assert main(args) == 0
+            args = ["predict", "--model-file", str(tmp_path / "model.json"), *args[1:]]
+        split_calls = counting(monkeypatch, "split_rows")
+        matrix_calls = counting(monkeypatch, "build_matrix")
+        assert main(args) == 0
+        assert (len(split_calls), len(matrix_calls)) == (splits, matrices)
+
+
+def short_panel(tmp_path, on_sale_weeks):
+    """4 products of one category over 30 weeks, each on sale in on_sale_weeks,
+    with a config whose split (21, 4, 5) spans the panel; returns pipeline args."""
+    sales = ["product_id,week,units,on_sale,in_stock"]
+    for i in range(4):
+        for w in range(30):  # a row for each week, so the panel spans 30 weeks
+            listed = int(w in on_sale_weeks)
+            sales.append(f"p{i},{w},{(3 + (i + w) % 4) * listed},{listed},1")
+    (tmp_path / "sales.csv").write_text("\n".join(sales) + "\n")
+    catalog = ["product_id,category_id,price"] + [f"p{i},c,{1.0 + i}" for i in range(4)]
+    (tmp_path / "catalog.csv").write_text("\n".join(catalog) + "\n")
+    (tmp_path / "run.cfg").write_text(
+        "train_len = 21\nvalid_len = 4\ntest_len = 5\nrounds = 5\n"
+        "override_bounds = true\nwith_seasonality = false\n"
+    )
+    return [
+        "--config", str(tmp_path / "run.cfg"),
+        "--sales", str(tmp_path / "sales.csv"),
+        "--catalog", str(tmp_path / "catalog.csv"),
+        "--out-dir", str(tmp_path / "out"),
+    ]
+
+
+class TestEmptySplitParts:
+    @pytest.mark.parametrize("model", ["gbt", "es"])
+    def test_empty_test_part_fails_before_any_fit(self, tmp_path, capsys, model):
+        # targets 25-29 are issued at weeks 19-23, when nothing is on sale
+        args = short_panel(tmp_path, range(19))
+        assert main(["pipeline", *args, "--model", model]) == 2
+        assert capsys.readouterr().err == (
+            "error in stage features: no test rows for target weeks 25-29: "
+            "no product is on sale at their issue weeks\n"
+        )
+        assert not (tmp_path / "out" / "model.json").exists()
+        assert not (tmp_path / "out" / "predictions.csv").exists()
+
+    def test_empty_valid_part_is_data_error(self, tmp_path, capsys):
+        # valid targets 21-24 are issued at weeks 15-18, when nothing is on sale
+        args = short_panel(tmp_path, [*range(15), *range(19, 30)])
+        assert main(["pipeline", *args]) == 2
+        assert capsys.readouterr().err == (
+            "error in stage train: cannot validate on an empty matrix\n"
+        )
+        assert not (tmp_path / "out" / "model.json").exists()
+        assert main(["train", *args]) == 2
+        assert capsys.readouterr().err == "error: cannot validate on an empty matrix\n"
+        assert not (tmp_path / "out" / "model.json").exists()
 
 
 class TestInputFaults:
@@ -633,6 +715,21 @@ class TestUsage:
             main(["pipeline", "--out-dir", str(out), *options])
         assert err.value.code == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, value, low",
+    [("--products", "0", 1), ("--categories", "0", 1), ("--weeks", "5", 10), ("--seed", "-1", 0)],
+)
+def test_synth_option_below_its_floor_exits_one(tmp_path, capsys, option, value, low):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main(["synth", "--out-dir", str(out), option, value])
+    assert err.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        f"demandcast: error: {option} must be >= {low}, got {value}\n"
+    )
+    assert not out.exists()
 
 
 def readme_blocks(language):

@@ -11,6 +11,7 @@ from demandcast.evaluation import (
     weighted_mae,
     weighted_rmse,
 )
+from demandcast.features import split_rows
 from demandcast.ingest import RunConfig, SchemaError
 
 from .test_core import make_panel
@@ -71,8 +72,7 @@ def split_weeks(n_weeks, train_len, valid_len, test_len):
     """Target weeks of the (train, valid, test) rows that cli.split_matrices cuts.
 
     Two products on sale every week, horizon 6: each part must hold both
-    products' rows for each of its weeks. cli.split_keys, the split without
-    features, must give the same test keys and part sizes.
+    products' rows for each of its weeks.
     """
     panel = make_panel(np.random.default_rng(0).poisson(4.0, size=(2, n_weeks)))
     catalog = Catalog({"p0": "c", "p1": "c"}, {"p0": 1.0, "p1": 2.0}, {})
@@ -80,13 +80,10 @@ def split_weeks(n_weeks, train_len, valid_len, test_len):
         train_len=train_len, valid_len=valid_len, test_len=test_len, with_seasonality=False
     )
     repaired, smoothed = cli.preprocess(panel, config)
-    parts = cli.split_matrices(repaired, smoothed, catalog, None, None, config)
+    split = split_rows(repaired.on_sale_mask, config)
+    parts = cli.split_matrices(repaired, smoothed, catalog, None, None, config, *split)
     weeks = [sorted(set(part.target_weeks.tolist())) for part in parts]
     assert [part.n_rows for part in parts] == [2 * len(w) for w in weeks]
-    pids, test_weeks, counts = cli.split_keys(repaired, config)
-    assert counts == [part.n_rows for part in parts]
-    assert pids.tolist() == parts[2].product_ids.tolist()
-    assert test_weeks.tolist() == parts[2].target_weeks.tolist()
     return weeks
 
 

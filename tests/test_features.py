@@ -11,12 +11,18 @@ from demandcast.features import (
     hash_encode,
     life_at_issue,
     ordinal_encode,
+    split_rows,
 )
 from demandcast.ingest import RunConfig
 from demandcast.preprocess import preprocess_panel
 from demandcast.seasonal import fit_seasonality
 
-from .oracles import columnar_covariates, fnv1a64_reference, rowwise_build_matrix
+from .oracles import (
+    columnar_covariates,
+    fnv1a64_reference,
+    rowwise_build_matrix,
+    rowwise_split_rows,
+)
 from .test_core import make_panel
 
 # frozen reference: independent FNV-1a implementation, computed once
@@ -134,15 +140,53 @@ class TestLifeAtIssue:
         assert life_at_issue(on_sale, rows, targets, 2).tolist() == [1, 3, 1, 0, 0]
 
 
+def split_matrix(repaired, smoothed, catalog, model, covariates, config):
+    """build_matrix over every row of config's split."""
+    rows, weeks, _ = split_rows(repaired.on_sale_mask, config)
+    return build_matrix(repaired, smoothed, catalog, model, covariates, config, rows, weeks)
+
+
+def last_week_matrix(repaired, smoothed, catalog, model, covariates, config):
+    """build_matrix over the products on sale in the panel's last week, as predict builds it."""
+    rows = np.flatnonzero(repaired.on_sale_mask[:, -1])
+    weeks = np.full(rows.size, repaired.n_weeks - 1)
+    return build_matrix(repaired, smoothed, catalog, model, covariates, config, rows, weeks)
+
+
+class TestSplitRows:
+    def config(self, **kw):
+        return RunConfig(**{"train_len": 20, "valid_len": 4, "test_len": 6, **kw})
+
+    def test_matches_the_row_by_row_rule(self):
+        rng = np.random.default_rng(4)
+        on_sale = rng.random((6, 33)) > 0.4
+        on_sale[2] = False  # never on sale: no rows
+        on_sale[3, :29] = False  # launched after the last issue week: no rows
+        for config in (self.config(), self.config(horizon=1), self.config(horizon=29)):
+            rows, weeks, part = split_rows(on_sale, config)
+            assert list(zip(rows.tolist(), weeks.tolist(), part.tolist())) == (
+                rowwise_split_rows(on_sale, config)
+            )
+
+    def test_last_issue_week_targets_the_last_test_week(self):
+        _, weeks, part = split_rows(np.ones((1, 40), dtype=bool), self.config())
+        assert weeks.tolist() == list(range(24))  # issued at 0-23 for targets 6-29
+        assert np.bincount(part).tolist() == [14, 4, 6]
+
+    def test_horizon_beyond_the_split_rejected(self):
+        with pytest.raises(
+            ValueError, match=r"^horizon 30 leaves no week to forecast target week 29 from$"
+        ):
+            split_rows(np.ones((1, 30), dtype=bool), self.config(horizon=30))
+
+
 class TestBuildMatrix:
     def config(self, **kw):
-        return RunConfig(train_len=20, valid_len=4, test_len=6, **kw)
+        return RunConfig(**{"train_len": 10, "valid_len": 4, "test_len": 6, **kw})
 
     def test_row_count_continuous_product(self):
         _, repaired, smoothed, catalog, model = pipeline_inputs(n_weeks=20, n_products=1)
-        matrix = build_matrix(
-            repaired, smoothed, catalog, model, None, self.config(), t_end=13, mode="train"
-        )
+        matrix = split_matrix(repaired, smoothed, catalog, model, None, self.config())
         assert matrix.n_rows == 14
         assert matrix.target_weeks.tolist() == list(range(6, 20))
 
@@ -150,9 +194,7 @@ class TestBuildMatrix:
         _, repaired, smoothed, catalog, model = pipeline_inputs(
             n_weeks=20, n_products=2, launches={1: 12}
         )
-        matrix = build_matrix(
-            repaired, smoothed, catalog, model, None, self.config(), t_end=13, mode="train"
-        )
+        matrix = split_matrix(repaired, smoothed, catalog, model, None, self.config())
         rows_p1 = np.flatnonzero(matrix.product_ids == "p1")
         assert matrix.target_weeks[rows_p1].tolist() == [18, 19]  # t = 12, 13
         first = matrix.X[rows_p1[0]]
@@ -162,26 +204,17 @@ class TestBuildMatrix:
         assert life_of(matrix, repaired, self.config().horizon)[rows_p1[0]] == 1
 
     def test_predict_mode(self):
+        # rows issued at the panel's last week target weeks past it: no targets
         _, repaired, smoothed, catalog, model = pipeline_inputs(n_weeks=20, n_products=3)
-        matrix = build_matrix(
-            repaired, smoothed, catalog, model, None, self.config(), t_end=19, mode="predict"
-        )
+        matrix = last_week_matrix(repaired, smoothed, catalog, model, None, self.config())
         assert matrix.n_rows == 3
         assert matrix.targets is None
         assert (matrix.target_weeks == 25).all()
 
-    def test_t_end_out_of_range(self):
-        _, repaired, smoothed, catalog, model = pipeline_inputs(n_weeks=20, n_products=1)
-        with pytest.raises(ValueError):
-            build_matrix(
-                repaired, smoothed, catalog, model, None, self.config(), t_end=14, mode="train"
-            )
-
     def test_no_duplicate_keys_and_target_alignment(self):
         panel, repaired, smoothed, catalog, model = pipeline_inputs(n_weeks=30, n_products=3)
-        matrix = build_matrix(
-            repaired, smoothed, catalog, model, None, self.config(), t_end=22, mode="train"
-        )
+        config = self.config(train_len=20)
+        matrix = split_matrix(repaired, smoothed, catalog, model, None, config)
         keys = keys_of(matrix)
         assert len(set(keys)) == matrix.n_rows
         for idx, (pid, week) in enumerate(keys):
@@ -194,8 +227,8 @@ class TestBuildMatrix:
         panel = make_panel(y, stock=stock)
         catalog = Catalog({"p0": "c"}, {"p0": 1.0}, {})
         repaired, smoothed = preprocess_panel(panel, window=4, gamma=1.0)
-        config = RunConfig(horizon=2, with_seasonality=False)
-        matrix = build_matrix(repaired, smoothed, catalog, None, None, config, t_end=9, mode="train")
+        config = RunConfig(horizon=2, train_len=8, valid_len=2, test_len=2, with_seasonality=False)
+        matrix = split_matrix(repaired, smoothed, catalog, None, None, config)
         by_key = dict(zip(keys_of(matrix), matrix.targets))
         assert by_key[("p0", 2)] == 5.0   # repaired fake zero
         assert by_key[("p0", 9)] == 80.0  # spike target kept, not capped
@@ -203,13 +236,11 @@ class TestBuildMatrix:
 
     def test_hashing_mode_changes_encoding_only(self):
         _, repaired, smoothed, catalog, model = pipeline_inputs(n_weeks=20, n_products=2)
-        ordinal = build_matrix(
-            repaired, smoothed, catalog, model, None, self.config(encoding="ordinal"),
-            t_end=13, mode="train",
+        ordinal = split_matrix(
+            repaired, smoothed, catalog, model, None, self.config(encoding="ordinal")
         )
-        hashed = build_matrix(
-            repaired, smoothed, catalog, model, None, self.config(encoding="hashing"),
-            t_end=13, mode="train",
+        hashed = split_matrix(
+            repaired, smoothed, catalog, model, None, self.config(encoding="hashing")
         )
         assert ordinal.columns == hashed.columns
         numeric = [c for c in ordinal.columns if not (c == "category" or c.startswith("attr_"))]
@@ -228,8 +259,11 @@ class TestBuildMatrix:
             {f"p{i}": "c" for i in range(5)}, {f"p{i}": 1.0 for i in range(5)}, {}
         )
         repaired, smoothed = preprocess_panel(panel, 8, 3.0)
-        config = RunConfig(horizon=h, with_seasonality=False)
-        matrix = build_matrix(repaired, smoothed, catalog, None, None, config, t_end, "train")
+        # the split's last target week is t_end + h
+        config = RunConfig(
+            horizon=h, train_len=20, valid_len=3, test_len=4, with_seasonality=False
+        )
+        matrix = split_matrix(repaired, smoothed, catalog, None, None, config)
         expected = 0
         for i in range(5):
             launches = np.flatnonzero(on_sale[i])
@@ -257,9 +291,7 @@ class TestBuildMatrix:
         repaired, smoothed = preprocess_panel(panel, 8, 3.0)
         model = fit_seasonality(smoothed, repaired, catalog, 52, 1, seed=0, end_week=28)
         t = 28
-        full = build_matrix(
-            repaired, smoothed, catalog, model, covariates, config, t_end=t, mode="train"
-        )
+        full = split_matrix(repaired, smoothed, catalog, model, covariates, config)
         rows_at_t = np.flatnonzero(full.target_weeks == t + config.horizon)
 
         truncated = make_panel(y[:, : t + 1])
@@ -271,9 +303,7 @@ class TestBuildMatrix:
         )
         repaired_t, smoothed_t = preprocess_panel(truncated, 8, 3.0)
         assert np.array_equal(smoothed_t.x, smoothed.x[:, : t + 1])
-        again = build_matrix(
-            repaired_t, smoothed_t, catalog, model, cov_trunc, config, t_end=t, mode="predict"
-        )
+        again = last_week_matrix(repaired_t, smoothed_t, catalog, model, cov_trunc, config)
         assert keys_of(again) == [keys_of(full)[idx] for idx in rows_at_t]
         rebuilt = again.X
         original = full.X[rows_at_t]
@@ -344,7 +374,7 @@ class TestMatchesRowwiseReference:
     """build_matrix must equal the per-row reference bit for bit."""
 
     @pytest.mark.parametrize(
-        "encoding, with_seasonality, mode",
+        "encoding, with_seasonality, keys",
         [
             ("ordinal", True, "train"),
             ("hashing", False, "train"),
@@ -352,36 +382,40 @@ class TestMatchesRowwiseReference:
             ("hashing", True, "predict"),
         ],
     )
-    def test_bit_identical(self, encoding, with_seasonality, mode):
-        self.check(encoding, with_seasonality, mode)
+    def test_bit_identical(self, encoding, with_seasonality, keys):
+        """keys: "train" is every row of the split, "predict" the rows issued at the last week."""
+        self.check(encoding, with_seasonality, keys)
 
     def test_bit_identical_in_small_gather_chunks(self, monkeypatch):
         monkeypatch.setattr(seasonal, "GATHER_ELEMENTS", 10)  # 1 to 3 rows a block
         self.check("ordinal", True, "train")
 
-    def check(self, encoding, with_seasonality, mode):
+    def check(self, encoding, with_seasonality, keys):
         repaired, smoothed, catalog, model, covariates = exactness_inputs()
         config = RunConfig(
             horizon=6, season_period=13, encoding=encoding, hash_buckets=16,
-            with_seasonality=with_seasonality,
+            with_seasonality=with_seasonality, train_len=50, valid_len=10, test_len=10,
         )
-        t_end = repaired.n_weeks - 1 - (6 if mode == "train" else 0)
-        matrix = build_matrix(
-            repaired, smoothed, catalog, model if with_seasonality else None,
-            covariates, config, t_end=t_end, mode=mode,
-        )
-        keys, columns, x, targets, life = rowwise_build_matrix(
-            repaired, smoothed, catalog, model, covariates, config, t_end, mode,
+        model = model if with_seasonality else None
+        if keys == "train":
+            rows, weeks, _ = split_rows(repaired.on_sale_mask, config)
+        else:
+            rows = np.flatnonzero(repaired.on_sale_mask[:, -1])
+            weeks = np.full(rows.size, repaired.n_weeks - 1)
+        matrix = build_matrix(repaired, smoothed, catalog, model, covariates, config, rows, weeks)
+        expected_keys, columns, x, targets, life = rowwise_build_matrix(
+            repaired, smoothed, catalog, model, covariates, config,
+            list(zip(rows.tolist(), weeks.tolist())),
             lag_depth=LAG_DEPTH,
             annual=(seasonal.ANNUAL_WINDOW, seasonal.MIN_ANNUAL_POINTS),
             local=(seasonal.LOCAL_WINDOW, seasonal.MIN_LOCAL_POINTS),
         )
-        assert keys_of(matrix) == keys
+        assert keys_of(matrix) == expected_keys
         assert matrix.columns == columns
         assert matrix.X.shape == x.shape
         assert matrix.X.tobytes() == x.tobytes()
         assert life_of(matrix, repaired, config.horizon).tolist() == life.tolist()
-        if mode == "train":
+        if keys == "train":
             assert matrix.targets.tobytes() == targets.tobytes()
             # the panel reaches every branch: zero and nonzero slopes, present and missing covariates
             for name in ("trend_annual", "trend_local"):
@@ -391,5 +425,5 @@ class TestMatchesRowwiseReference:
                 values = matrix.X[:, columns.index(f"cov_{name}")]
                 assert np.isnan(values).any() and not np.isnan(values).all()
         else:
-            assert matrix.targets is None
+            assert matrix.targets is None and targets is None
             assert matrix.n_rows > 0

@@ -235,6 +235,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             train(matrix, RunConfig(rounds=100, min_split_loss=0.0))
 
+    def test_empty_validation_matrix_rejected(self):
+        matrix = matrix_of([[0.0], [1.0]], y=[1.0, 2.0])
+        valid = matrix_of(np.empty((0, 1)), y=[])
+        with pytest.raises(ValueError, match="^cannot validate on an empty matrix$"):
+            train(matrix, RunConfig(rounds=100, min_split_loss=0.0), valid)
+
     def test_poisson_negative_targets_rejected(self):
         matrix = matrix_of([[0.0], [1.0]], y=[-1.0, 2.0])
         with pytest.raises(ValueError, match="non-negative"):

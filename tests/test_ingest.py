@@ -274,6 +274,17 @@ class TestLoadCovariates:
         with pytest.raises(SchemaError, match=r"cov\.csv:4: duplicate row"):
             self.load(path)
 
+    def test_rows_past_a_fault_are_not_described(self, tmp_path):
+        # the reader keeps the rows after a fault in its block; a repeat of the
+        # unknown product's row must not be named from the panel's products
+        path = write(tmp_path, "cov.csv", self.HEADER + "mixed,price,2,zz,9.5,0\n" * 2)
+        panel = SalesPanel(
+            ("p1",), np.zeros((1, 6), dtype=np.int64), np.zeros((1, 6), dtype=bool),
+            np.ones((1, 6), dtype=bool),
+        )
+        with pytest.raises(SchemaError, match=r"^.*cov\.csv:2: unknown product 'zz'$"):
+            ingest.load_covariates(path, panel)
+
     @pytest.mark.parametrize("first,second", [("temporal", "mixed"), ("mixed", "temporal")])
     def test_key_in_both_scopes_rejected(self, tmp_path, first, second):
         row = {"temporal": "temporal,price,2,,9.5,0", "mixed": "mixed,price,2,p1,9.5,0"}
