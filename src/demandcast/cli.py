@@ -15,7 +15,8 @@ on sale in the last week. The per-series ES reference reads the split's
 test keys and each product's own history, not features; it still loads and
 checks --covariates, so a bad file fails as it does for the other models.
 An empty test part, before or after --cold-start-filter, fails in stage
-features, before any fit or write.
+features, before any fit or write; `predict` fails likewise when no product
+is on sale in the last week.
 
 Forecast rows stay aligned arrays from the split to the report: their
 product ids and target weeks, and the forecasts, go to the predictions
@@ -262,9 +263,14 @@ def cmd_predict(args) -> int:
     config = _load_config(args.config)
     booster = gbt.load_model(args.model_file)
     panel, catalog, covariates = load_inputs(args.sales, args.catalog, args.covariates)
+    rows = np.flatnonzero(panel.on_sale_mask[:, -1])  # the products on sale in the last week
+    if not rows.size:
+        raise ValueError(
+            f"nothing to forecast: no product is on sale in week {panel.n_weeks - 1}, "
+            "the last week of the panel"
+        )
     repaired, smoothed = preprocess(panel, config)
     seasonal = fit_seasonal(smoothed, repaired, catalog, config)
-    rows = np.flatnonzero(repaired.on_sale_mask[:, -1])  # the products on sale in the last week
     matrix = build_matrix(
         repaired, smoothed, catalog, seasonal, covariates, config,
         rows, np.full(rows.size, repaired.n_weeks - 1),

@@ -380,8 +380,9 @@ def load_sales(path: str | Path) -> SalesPanel:
     """Load sales.csv into a dense panel.
 
     Weeks absent from the file default to count 0, not listed, in stock.
-    Duplicate (product, week) rows, weeks outside [0, LAST_WEEK] and units
-    outside int64 are rejected.
+    Duplicate (product, week) rows, weeks outside [0, LAST_WEEK], units
+    outside int64 and positive units on a week not marked on sale are
+    rejected.
     """
     path = Path(path)
     faults, blocks = _read_columns(path)
@@ -410,6 +411,10 @@ def load_sales(path: str | Path) -> SalesPanel:
         on_sale, stock = _flags(sale_s), _flags(stock_s)
         faults.first(on_sale == 2, line, 8, lambda i: f"on_sale must be 0 or 1, got {sale_s[i]!r}")
         faults.first(stock == 2, line, 9, lambda i: f"in_stock must be 0 or 1, got {stock_s[i]!r}")
+        faults.first(
+            (units > 0) & (on_sale == 0), line, 10,
+            lambda i: f"positive units {int(units_s[i])} on a week not marked on sale",
+        )
         parts.append((pids, weeks, units, on_sale, stock))
     pids, weeks, units, on_sale, stock = map(np.concatenate, zip(*parts))
     # a bad row's week may be out of range; its own fault comes first

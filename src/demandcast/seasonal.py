@@ -8,6 +8,19 @@ inherits its category's pattern, which is what makes the seasonal feature
 available from the first week a product is listed. A category the fit
 never saw gets the global pattern: the renormalized mean of the fitted
 patterns, or a flat one when none were fitted.
+
+The category curves are computed a block of products at a time, so that
+their temporaries stay small, and they are bit-identical to standardizing
+one product-year at a time in Python (tests/oracles.py,
+loop_category_seasonality). Three rules make that hold. A year's total is
+numpy's pairwise sum of its compacted on-sale values; years are grouped by
+their count of on-sale weeks, and each group's (years, count) block is
+C-contiguous, so its sum(axis=1) adds each row exactly as the 1-D sum of
+that row does (padding the rows with zeros to one width would not). Each
+standardized value is (count / tau) * (value / total), the loop's
+expression. And the per-(category, position) sums go through np.add.at
+with the values in product-major, year-minor order, which adds each
+cell's terms one at a time in the loop's order.
 """
 
 from __future__ import annotations
@@ -30,26 +43,7 @@ LOCAL_WINDOW = 8
 MIN_ANNUAL_POINTS = 8
 MIN_LOCAL_POINTS = 3
 GATHER_ELEMENTS = 1 << 14  # cells per gathered trend-window block; bounds its temporaries
-
-
-def standardize_year(x_year: np.ndarray, on_sale: np.ndarray) -> np.ndarray:
-    """Rescale one product-year so its on-sale weeks sum to N_i/tau.
-
-    Off-sale positions come back as NaN (absent, not zero). Scale-invariant:
-    multiplying the year by a positive constant leaves the result unchanged.
-    """
-    x_year = np.asarray(x_year, dtype=float)
-    on_sale = np.asarray(on_sale, dtype=bool)
-    tau = x_year.shape[0]
-    if on_sale.shape[0] != tau:
-        raise ValueError("x_year and on_sale must have equal length")
-    n_obs = int(on_sale.sum())
-    total = float(x_year[on_sale].sum())
-    if n_obs == 0 or total <= 0:
-        raise ValueError("standardize_year needs at least one on-sale week with sales")
-    out = np.full(tau, np.nan)
-    out[on_sale] = (n_obs / tau) * (x_year[on_sale] / total)
-    return out
+SEASON_BLOCK_CELLS = 1 << 16  # (product-years x tau) cells standardized per block
 
 
 def category_seasonality(
@@ -63,51 +57,64 @@ def category_seasonality(
 
     Each product-year with at least MIN_YEAR_WEEKS on-sale weeks and positive
     total sales contributes one standardized observation per on-sale seasonal
-    position. Positions observed once get variance 0; positions never
-    observed are filled by circular linear interpolation.
+    position: its on-sale weeks rescaled to sum to N_i/tau, N_i being their
+    count. Products the catalog lacks contribute nothing. Positions observed
+    once get variance 0; positions never observed are filled by circular
+    linear interpolation.
     """
-    end = smoothed.n_weeks if end_week is None else min(end_week, smoothed.n_weeks)
-    count: dict[str, np.ndarray] = {}
-    total: dict[str, np.ndarray] = {}
-    total_sq: dict[str, np.ndarray] = {}
-    for i, pid in enumerate(panel.products):
-        cat = catalog.category_of.get(pid)
-        if cat is None:
-            continue
-        for year_start in range(0, end, tau):
-            x_year = np.zeros(tau)
-            on_sale = np.zeros(tau, dtype=bool)
-            stop = min(year_start + tau, end)
-            width = stop - year_start
-            x_year[:width] = smoothed.x[i, year_start:stop]
-            on_sale[:width] = panel.on_sale_mask[i, year_start:stop]
-            if on_sale.sum() < MIN_YEAR_WEEKS or x_year[on_sale].sum() <= 0:
-                continue
-            std = standardize_year(x_year, on_sale)
-            if cat not in count:
-                count[cat] = np.zeros(tau, dtype=np.int64)
-                total[cat] = np.zeros(tau)
-                total_sq[cat] = np.zeros(tau)
-            obs = ~np.isnan(std)
-            count[cat][obs] += 1
-            total[cat][obs] += std[obs]
-            total_sq[cat][obs] += std[obs] ** 2
-    curves: dict[str, np.ndarray] = {}
-    variances: dict[str, np.ndarray] = {}
-    for cat in sorted(count):
-        n = count[cat]
-        observed = n > 0
-        curve = np.full(tau, np.nan)
-        curve[observed] = total[cat][observed] / n[observed]
-        var = np.zeros(tau)
-        multi = n > 1
-        var[multi] = np.maximum(
-            0.0,
-            (total_sq[cat][multi] - n[multi] * curve[multi] ** 2) / (n[multi] - 1),
-        )
-        curves[cat] = _interpolate_circular(curve)
-        variances[cat] = var
-    return curves, variances
+    end = smoothed.n_weeks if end_week is None else max(0, min(end_week, smoothed.n_weeks))
+    years = -(-end // tau)  # the last one may be partial
+    names = [catalog.category_of.get(pid) for pid in panel.products]
+    categories = sorted(set(names) - {None})
+    code = {name: c for c, name in enumerate(categories)}
+    category = np.array([code.get(name, -1) for name in names], dtype=np.int64)
+    count = np.zeros(len(categories) * tau, dtype=np.int64)  # by (category, position)
+    total = np.zeros(count.size)
+    total_sq = np.zeros(count.size)
+    step = max(1, SEASON_BLOCK_CELLS // max(years * tau, 1))
+    for lo in range(0, panel.n_products, step):
+        rows = slice(lo, lo + step)
+        block_category = category[rows]
+        product, week = np.nonzero(panel.on_sale_mask[rows, :end])
+        values = smoothed.x[rows, :end][product, week]
+        year = product * years + week // tau  # product-major, year-minor
+        n_obs = np.bincount(year, minlength=block_category.size * years)
+        eligible = (n_obs >= MIN_YEAR_WEEKS) & np.repeat(block_category >= 0, years)
+        year_total = _year_totals(values, n_obs, eligible)
+        kept = (eligible & (year_total > 0))[year]
+        year = year[kept]
+        std = (n_obs[year] / tau) * (values[kept] / year_total[year])
+        cell = block_category[product[kept]] * tau + week[kept] % tau
+        count += np.bincount(cell, minlength=count.size)
+        np.add.at(total, cell, std)
+        np.add.at(total_sq, cell, std ** 2)
+    count, total, total_sq = (a.reshape(-1, tau) for a in (count, total, total_sq))
+    observed = count > 0
+    curve = np.full(count.shape, np.nan)
+    curve[observed] = total[observed] / count[observed]
+    var = np.zeros(count.shape)
+    multi = count > 1
+    var[multi] = np.maximum(
+        0.0, (total_sq[multi] - count[multi] * curve[multi] ** 2) / (count[multi] - 1)
+    )
+    fitted = np.flatnonzero(observed.any(axis=1))
+    curves = {categories[c]: _interpolate_circular(curve[c]) for c in fitted}
+    return curves, {categories[c]: var[c] for c in fitted}
+
+
+def _year_totals(values: np.ndarray, n_obs: np.ndarray, eligible: np.ndarray) -> np.ndarray:
+    """Sum of each eligible year's values, 0 for the others.
+
+    values holds the years' on-sale values one year after another, n_obs[j]
+    of them for year j. Years are grouped by n_obs, so each group is a
+    C-contiguous (years, n) block whose row sums equal the 1-D sums.
+    """
+    totals = np.zeros(n_obs.size)
+    starts = np.cumsum(n_obs) - n_obs
+    for n in np.flatnonzero(np.bincount(n_obs[eligible])):  # np.unique would import numpy.ma
+        group = np.flatnonzero(eligible & (n_obs == n))
+        totals[group] = values[starts[group, None] + np.arange(n)].sum(axis=1)
+    return totals
 
 
 def _interpolate_circular(curve: np.ndarray) -> np.ndarray:

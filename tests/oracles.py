@@ -18,6 +18,7 @@ import numpy as np
 
 from demandcast.core import Catalog, SalesPanel
 from demandcast.ingest import LAST_WEEK, Covariate, CovariateTable, SchemaError
+from demandcast.seasonal import MIN_YEAR_WEEKS
 
 INT64_WEEKS = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 
@@ -273,6 +274,95 @@ def brute_force_two_partition(curves: np.ndarray, weights: np.ndarray):
     return best_mask
 
 
+def standardize_year(x_year: np.ndarray, on_sale: np.ndarray) -> np.ndarray:
+    """Rescale one product-year so its on-sale weeks sum to N_i/tau.
+
+    Off-sale positions come back as NaN (absent, not zero). Scale-invariant:
+    multiplying the year by a positive constant leaves the result unchanged.
+    """
+    x_year = np.asarray(x_year, dtype=float)
+    on_sale = np.asarray(on_sale, dtype=bool)
+    tau = x_year.shape[0]
+    if on_sale.shape[0] != tau:
+        raise ValueError("x_year and on_sale must have equal length")
+    n_obs = int(on_sale.sum())
+    total = float(x_year[on_sale].sum())
+    if n_obs == 0 or total <= 0:
+        raise ValueError("standardize_year needs at least one on-sale week with sales")
+    out = np.full(tau, np.nan)
+    out[on_sale] = (n_obs / tau) * (x_year[on_sale] / total)
+    return out
+
+
+def loop_category_seasonality(smoothed, panel, catalog, tau, end_week=None):
+    """seasonal.category_seasonality one product-year at a time.
+
+    Product-years are visited product by product, each product's years in
+    order, and each is standardized on its own; a year's total is the 1-D
+    sum of its on-sale values.
+    """
+    end = smoothed.n_weeks if end_week is None else min(end_week, smoothed.n_weeks)
+    count: dict[str, np.ndarray] = {}
+    total: dict[str, np.ndarray] = {}
+    total_sq: dict[str, np.ndarray] = {}
+    for i, pid in enumerate(panel.products):
+        cat = catalog.category_of.get(pid)
+        if cat is None:
+            continue
+        for year_start in range(0, end, tau):
+            x_year = np.zeros(tau)
+            on_sale = np.zeros(tau, dtype=bool)
+            stop = min(year_start + tau, end)
+            width = stop - year_start
+            x_year[:width] = smoothed.x[i, year_start:stop]
+            on_sale[:width] = panel.on_sale_mask[i, year_start:stop]
+            if on_sale.sum() < MIN_YEAR_WEEKS or x_year[on_sale].sum() <= 0:
+                continue
+            std = standardize_year(x_year, on_sale)
+            if cat not in count:
+                count[cat] = np.zeros(tau, dtype=np.int64)
+                total[cat] = np.zeros(tau)
+                total_sq[cat] = np.zeros(tau)
+            obs = ~np.isnan(std)
+            count[cat][obs] += 1
+            total[cat][obs] += std[obs]
+            total_sq[cat][obs] += std[obs] ** 2
+    curves: dict[str, np.ndarray] = {}
+    variances: dict[str, np.ndarray] = {}
+    for cat in sorted(count):
+        n = count[cat]
+        observed = n > 0
+        curve = np.full(tau, np.nan)
+        curve[observed] = total[cat][observed] / n[observed]
+        var = np.zeros(tau)
+        multi = n > 1
+        var[multi] = np.maximum(
+            0.0,
+            (total_sq[cat][multi] - n[multi] * curve[multi] ** 2) / (n[multi] - 1),
+        )
+        curves[cat] = _circular_fill(curve)
+        variances[cat] = var
+    return curves, variances
+
+
+def _circular_fill(curve: np.ndarray) -> np.ndarray:
+    """NaN positions filled by linear interpolation between the nearest
+    observed positions either way round the circle."""
+    tau = len(curve)
+    observed = [k for k in range(tau) if not math.isnan(curve[k])]
+    if len(observed) == 1:
+        return np.full(tau, curve[observed[0]])
+    out = curve.copy()
+    for k in range(tau):
+        if k in observed:
+            continue
+        prev = max((j for j in observed if j < k), default=observed[-1] - tau)
+        nxt = min((j for j in observed if j > k), default=observed[0] + tau)
+        frac = (k - prev) / (nxt - prev)
+        out[k] = (1 - frac) * curve[prev % tau] + frac * curve[nxt % tau]
+    return out
+
+
 def _running_mean(pairs, cutoff):
     """Mean of the values whose week is <= cutoff, added in week order; NaN if none."""
     values = [value for week, value in sorted(pairs) if week <= cutoff]
@@ -473,11 +563,13 @@ def rowwise_load_sales(path):
             key = (pid, week)
             if key in rows:
                 raise SchemaError(f"{path}:{line_no}: duplicate row for {key}")
-            rows[key] = (
-                units,
-                _parse_bool(on_sale_s, str(path), line_no, "on_sale"),
-                _parse_bool(stock_s, str(path), line_no, "in_stock"),
-            )
+            listed = _parse_bool(on_sale_s, str(path), line_no, "on_sale")
+            in_stock = _parse_bool(stock_s, str(path), line_no, "in_stock")
+            if units > 0 and not listed:
+                raise SchemaError(
+                    f"{path}:{line_no}: positive units {units} on a week not marked on sale"
+                )
+            rows[key] = (units, listed, in_stock)
             max_week = max(max_week, week)
     if max_week < 0:
         raise SchemaError(f"{path}: no data rows")

@@ -5,18 +5,19 @@ is built once per module and shared by the criteria that need it.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from demandcast import cli, gbt
 from demandcast.cli import main
-from demandcast.core import SalesPanel
+from demandcast.core import Catalog, SalesPanel
 from demandcast.evaluation import weighted_mae, weighted_rmse
 from demandcast.features import life_at_issue, split_rows
 from demandcast.ingest import RunConfig
 from demandcast.preprocess import detect_fake_zeros, preprocess_panel, smooth_panel
-from demandcast.seasonal import fit_seasonality, standardize_year
+from demandcast.seasonal import MIN_YEAR_WEEKS, category_seasonality, fit_seasonality
 from demandcast.synth import SynthSpec, generate_panel
 
 from .oracles import (
@@ -199,19 +200,31 @@ def test_criterion_5_seasonality_recovery():
 
 
 def test_criterion_6_standardization_identity():
+    # 1000 one-year products, each its category's only one, so each category
+    # curve holds its product's standardized year at the on-sale positions
     rng = np.random.default_rng(SEED)
     tau = 52
-    for _ in range(1000):
-        on_sale = rng.random(tau) < rng.uniform(0.15, 1.0)
-        if not on_sale.any():
-            on_sale[int(rng.integers(tau))] = True
-        x = np.where(on_sale, rng.uniform(0.1, 50.0, tau), 0.0)
-        out = standardize_year(x, on_sale)
-        assert abs(np.nansum(out) - on_sale.sum() / tau) < 1e-9
-        for scale in (0.25, 2.0, 64.0):
-            rescaled = standardize_year(x * scale, on_sale)
-            assert np.array_equal(rescaled[on_sale], out[on_sale])
-    ok("6 standardization sum identity (1e-9) and exact scale invariance, 1000 years")
+    on_sale = rng.random((1000, tau)) < rng.uniform(0.15, 1.0, (1000, 1))
+    x = np.where(on_sale, rng.uniform(0.1, 50.0, on_sale.shape), 0.0)
+    panel = SalesPanel(
+        tuple(f"p{i:04d}" for i in range(1000)), on_sale.astype(np.int64), on_sale, on_sale
+    )
+    catalog = Catalog({pid: f"c_{pid}" for pid in panel.products}, {}, {})
+    base = smooth_panel(panel, window=8, gamma=1000.0)
+    out, _ = category_seasonality(replace(base, x=x), panel, catalog, tau)
+    kept = on_sale.sum(axis=1) >= MIN_YEAR_WEEKS
+    assert [f"c_{panel.products[i]}" for i in np.flatnonzero(kept)] == list(out)
+    for i in np.flatnonzero(kept):
+        year = out[f"c_{panel.products[i]}"][on_sale[i]]
+        assert abs(year.sum() - on_sale[i].sum() / tau) < 1e-9
+    for scale in (0.25, 2.0, 64.0):
+        rescaled, _ = category_seasonality(replace(base, x=x * scale), panel, catalog, tau)
+        for cat, curve in out.items():
+            assert np.array_equal(rescaled[cat], curve)
+    ok(
+        f"6 standardization sum identity (1e-9) and exact scale invariance, "
+        f"{int(kept.sum())} years"
+    )
 
 
 def test_criterion_7_fake_zero_detection(study):

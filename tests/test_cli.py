@@ -97,6 +97,27 @@ class TestPipeline:
         for name in ("predictions.csv", "report.csv", "model.json", "manifest.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("model", ["gbt", "es"])
+    def test_shuffled_input_rows_leave_artifacts_byte_identical(self, data_dir, tmp_path, model):
+        shuffled = tmp_path / "shuffled"
+        shuffled.mkdir()
+        rng = random.Random(11)
+        for name in ("sales.csv", "catalog.csv", "covariates.csv"):
+            header, *rows = (data_dir / name).read_bytes().splitlines(keepends=True)
+            rng.shuffle(rows)
+            (shuffled / name).write_bytes(header + b"".join(rows))
+            assert (shuffled / name).read_bytes() != (data_dir / name).read_bytes()
+        out, out_shuffled = tmp_path / "run", tmp_path / "run_shuffled"
+        config = data_dir / "run.cfg"
+        assert main(pipeline_args(data_dir, out, "--model", model)) == 0
+        assert main(pipeline_args(shuffled, out_shuffled, "--model", model, config=config)) == 0
+        artifacts = {"predictions.csv", "report.csv", "manifest.json", "seasonality.csv"}
+        if model == "gbt":
+            artifacts.add("model.json")
+        assert {path.name for path in out.iterdir()} == artifacts
+        for name in artifacts:
+            assert (out_shuffled / name).read_bytes() == (out / name).read_bytes(), name
+
     def test_artifacts_and_manifest(self, data_dir, tmp_path):
         out = tmp_path / "run"
         assert main(pipeline_args(data_dir, out)) == 0
@@ -369,6 +390,19 @@ class TestEmptySplitParts:
         assert main(["train", *args]) == 2
         assert capsys.readouterr().err == "error: cannot validate on an empty matrix\n"
         assert not (tmp_path / "out" / "model.json").exists()
+
+
+def test_predict_with_nothing_on_sale_in_the_last_week_is_data_error(tmp_path, capsys):
+    args = short_panel(tmp_path, range(25))  # nothing on sale in weeks 25-29
+    assert main(["train", *args]) == 0
+    capsys.readouterr()
+    out = tmp_path / "predict"
+    args[-1] = str(out)
+    assert main(["predict", "--model-file", str(tmp_path / "out" / "model.json"), *args]) == 2
+    assert capsys.readouterr().err == (
+        "error: nothing to forecast: no product is on sale in week 29, the last week of the panel\n"
+    )
+    assert not out.exists()
 
 
 class TestInputFaults:

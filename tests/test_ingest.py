@@ -42,6 +42,12 @@ class TestLoadSales:
         with pytest.raises(SchemaError, match=r":3"):
             ingest.load_sales(path)
 
+    def test_positive_units_off_sale_error_names_line(self, tmp_path):
+        path = write(tmp_path, "sales.csv", SALES_HEADER + "a,0,3,1,1\na,1,4,0,1\n")
+        with pytest.raises(SchemaError) as caught:
+            ingest.load_sales(path)
+        assert str(caught.value) == f"{path}:3: positive units 4 on a week not marked on sale"
+
     def test_missing_row_defaults_not_listed(self, tmp_path):
         path = write(tmp_path, "sales.csv", SALES_HEADER + "a,0,3,1,1\na,2,5,1,1\n")
         panel = ingest.load_sales(path)

@@ -43,7 +43,7 @@ BAD_FLAGS = ["2", "", "yes", "01", "-1", "1.0"]
 # every check each loader makes, as a piece of its message
 SALES_FAULTS = (
     "expected 5 fields", "non-integer week or units", "negative week", "beyond the last supported",
-    "negative units", "duplicate row", "on_sale must be", "in_stock must be", "positive sales",
+    "negative units", "duplicate row", "on_sale must be", "in_stock must be", "positive units",
     "empty product_id",
 )
 CATALOG_FAULTS = (

@@ -1,65 +1,81 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from demandcast.core import Catalog
 from demandcast.preprocess import smooth_panel
 from demandcast.seasonal import (
+    MIN_YEAR_WEEKS,
     SeasonalityModel,
     category_seasonality,
     cluster_seasonalities,
     fit_seasonality,
-    standardize_year,
     trend_features,
 )
+from demandcast.synth import SynthSpec, generate_panel
 
-from .oracles import brute_force_two_partition
+from .oracles import brute_force_two_partition, loop_category_seasonality
 from .test_core import make_panel
 
 TAU = 52
 
 
+def standardized(x, on_sale):
+    """The year x, on sale at on_sale, as category_seasonality standardizes it.
+
+    The year is its category's only one, so the category curve equals the
+    standardized values at the on-sale positions; None when the fit drops
+    the year.
+    """
+    on_sale = np.asarray(on_sale, dtype=bool)[None, :]
+    panel = make_panel(on_sale.astype(np.int64), on_sale=on_sale)
+    smoothed = replace(smooth_panel(panel, window=8, gamma=1000.0), x=np.array([x], dtype=float))
+    catalog = Catalog({"p0": "c"}, {"p0": 1.0}, {})
+    curves, _ = category_seasonality(smoothed, panel, catalog, on_sale.shape[1])
+    return curves.get("c")
+
+
 class TestStandardizeYear:
     def test_constant_full_year(self):
-        out = standardize_year(np.full(TAU, 7.0), np.ones(TAU, dtype=bool))
+        out = standardized(np.full(TAU, 7.0), np.ones(TAU, dtype=bool))
         assert np.allclose(out, 1 / TAU)
 
     def test_constant_half_year(self):
         on_sale = np.zeros(TAU, dtype=bool)
         on_sale[:26] = True
         x = np.where(on_sale, 3.0, 0.0)
-        out = standardize_year(x, on_sale)
+        out = standardized(x, on_sale)
         assert np.allclose(out[:26], 1 / TAU)
-        assert np.isnan(out[26:]).all()
+        assert np.allclose(out[26:], 1 / TAU)  # interpolated around the circle
 
     def test_sum_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             on_sale = rng.random(TAU) > 0.4
             x = np.where(on_sale, rng.uniform(0.5, 30, TAU), 0.0)
-            if not on_sale.any():
+            out = standardized(x, on_sale)
+            if on_sale.sum() < MIN_YEAR_WEEKS:
+                assert out is None
                 continue
-            out = standardize_year(x, on_sale)
-            total = np.nansum(out)
-            assert abs(total - on_sale.sum() / TAU) < 1e-9
+            assert abs(out[on_sale].sum() - on_sale.sum() / TAU) < 1e-9
 
     def test_scale_invariance_exact_for_binary_scales(self):
         rng = np.random.default_rng(1)
         on_sale = rng.random(TAU) > 0.3
         x = np.where(on_sale, rng.uniform(1, 9, TAU), 0.0)
-        base = standardize_year(x, on_sale)
+        base = standardized(x, on_sale)
         for scale in (0.125, 2.0, 128.0):
-            scaled = standardize_year(x * scale, on_sale)
+            scaled = standardized(x * scale, on_sale)
             assert np.array_equal(
                 scaled[on_sale], base[on_sale]
             ), f"scale {scale} changed the standardized values"
 
     def test_all_zero_year_rejected(self):
-        with pytest.raises(ValueError):
-            standardize_year(np.zeros(TAU), np.ones(TAU, dtype=bool))
+        assert standardized(np.zeros(TAU), np.ones(TAU, dtype=bool)) is None
 
     def test_no_on_sale_weeks_rejected(self):
-        with pytest.raises(ValueError):
-            standardize_year(np.ones(TAU), np.zeros(TAU, dtype=bool))
+        assert standardized(np.ones(TAU), np.zeros(TAU, dtype=bool)) is None
 
 
 def full_year_setup(values_by_product, categories):
@@ -122,6 +138,95 @@ class TestCategorySeasonality:
         catalog = Catalog({"p0": "c"}, {"p0": 1.0}, {})
         curves, _ = category_seasonality(smoothed, panel, catalog, TAU)
         assert curves == {}
+
+
+def edge_panel(tau, n_weeks=150, seed=0):
+    """A panel whose product-years cover the fit's edge cases for period tau.
+
+    Random products in three categories, plus one category each whose years
+    have MIN_YEAR_WEEKS - 1 on-sale weeks ("under"), exactly MIN_YEAR_WEEKS
+    ("at"), or sales of zero ("zero"); a category of one product on sale in
+    its first year only, so each of its positions is seen once ("once"); and
+    a product the catalog lacks. n_weeks is no multiple of the tested periods,
+    so the last year is partial.
+    """
+    rng = np.random.default_rng(seed)
+    n_random = 30
+    on_sale = rng.random((n_random, n_weeks)) < rng.uniform(0.05, 1.0, (n_random, 1))
+    y = np.where(on_sale, rng.integers(0, 30, (n_random, n_weeks)), 0)
+    categories = [f"c{i % 3}" for i in range(n_random)]
+    offsets = np.arange(n_weeks) % tau
+    special = {
+        "under": offsets < MIN_YEAR_WEEKS - 1,
+        "at": offsets < MIN_YEAR_WEEKS,
+        "zero": np.ones(n_weeks, dtype=bool),
+        "once": np.arange(n_weeks) < tau,
+        "missing": np.ones(n_weeks, dtype=bool),
+    }
+    for name, listed in special.items():
+        on_sale = np.vstack([on_sale, listed])
+        sales = 0 if name == "zero" else rng.integers(1, 30, n_weeks)
+        y = np.vstack([y, np.where(listed, sales, 0)])
+        categories.append(name)
+    panel = make_panel(y, on_sale=on_sale)
+    smoothed = smooth_panel(panel, window=8, gamma=2.0)
+    listed = [pid for pid, cat in zip(panel.products, categories) if cat != "missing"]
+    catalog = Catalog(
+        {pid: cat for pid, cat in zip(panel.products, categories) if cat != "missing"},
+        {pid: 1.0 for pid in listed},
+        {},
+    )
+    return panel, smoothed, catalog
+
+
+def assert_same_fit(got, expected):
+    """Curves and variances equal bit for bit, categories in the same order."""
+    (curves, variances), (ref_curves, ref_variances) = got, expected
+    assert list(curves) == list(ref_curves)
+    assert list(variances) == list(ref_variances)
+    for cat in ref_curves:
+        assert np.array_equal(curves[cat], ref_curves[cat]), cat
+        assert np.array_equal(variances[cat], ref_variances[cat]), cat
+
+
+class TestAgainstLoop:
+    """category_seasonality equals the one-year-at-a-time loop bit for bit."""
+
+    @pytest.mark.parametrize("end_week", [None, 100])
+    @pytest.mark.parametrize("tau", [7, 13, 52, 139])
+    def test_edge_panel(self, tau, end_week):
+        panel, smoothed, catalog = edge_panel(tau)
+        got = category_seasonality(smoothed, panel, catalog, tau, end_week)
+        assert_same_fit(got, loop_category_seasonality(smoothed, panel, catalog, tau, end_week))
+        curves, variances = got
+        assert {"c0", "c1", "c2", "at", "once"} <= set(curves)
+        assert not {"under", "zero"} & set(curves)
+        assert (variances["once"] == 0).all()
+
+    def test_small_blocks(self, monkeypatch):
+        # one product per block: the fit's sums run across blocks
+        monkeypatch.setattr("demandcast.seasonal.SEASON_BLOCK_CELLS", 1)
+        panel, smoothed, catalog = edge_panel(13)
+        assert_same_fit(
+            category_seasonality(smoothed, panel, catalog, 13, 120),
+            loop_category_seasonality(smoothed, panel, catalog, 13, 120),
+        )
+
+    @pytest.mark.parametrize("end_week", [None, 80])
+    def test_synth_panel(self, end_week):
+        spec = SynthSpec(n_products=200, n_categories=6, n_weeks=130, seed=11)
+        panel, catalog, _, _ = generate_panel(spec)
+        smoothed = smooth_panel(panel, window=8, gamma=3.0)
+        assert_same_fit(
+            category_seasonality(smoothed, panel, catalog, TAU, end_week),
+            loop_category_seasonality(smoothed, panel, catalog, TAU, end_week),
+        )
+
+    @pytest.mark.parametrize("end_week", [0, -5])
+    def test_no_weeks_fit_nothing(self, end_week):
+        panel, smoothed, catalog = edge_panel(TAU)
+        assert category_seasonality(smoothed, panel, catalog, TAU, end_week) == ({}, {})
+        assert loop_category_seasonality(smoothed, panel, catalog, TAU, end_week) == ({}, {})
 
 
 def bump_curve(center, amp=0.8, width=8):
