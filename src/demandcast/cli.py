@@ -275,7 +275,7 @@ def cmd_predict(args) -> int:
         repaired, smoothed, catalog, seasonal, covariates, config,
         rows, np.full(rows.size, repaired.n_weeks - 1),
     )
-    forecasts = gbt.predict(booster, matrix)
+    forecasts = gbt.predict(booster, matrix, args.model_file)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_predictions(matrix.product_ids, matrix.target_weeks, forecasts, out / "predictions.csv")

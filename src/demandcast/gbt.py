@@ -14,7 +14,7 @@ grows on a working copy of that array plus one row holding the row indices
 in ascending order. Every node owns one contiguous range of positions in
 it, so each row of the range lists the node's rows sorted by that feature;
 a split stably partitions the range in place, which keeps both children
-sorted. No node sorts anything.
+sorted. No node of this numpy path sorts anything.
 
 Exactness: the search scores the node's block for all candidate features at
 once, but every sum it forms is a sequential sum in the order the one-column
@@ -23,22 +23,34 @@ order), missing-value sums run over each row's NaN tail alone, from its
 first value on, and node totals run over the rows in ascending order.
 Gradients and hessians travel as one complex pair g + i*h, assigned part by
 part so a -0.0 keeps its sign; complex addition adds the two parts apart,
-so one gather and one cumsum give both sequential sums. A node whose block
-has at most SCAN_ELEMENTS elements is scanned in Python instead, one value
-at a time, with the same sums in the same order, the same gain expression
-and the same tie-break; where Python's division would raise (a zero hessian
-sum with lambda 0), the node goes to the numpy search, whose inf and NaN
-decide. The gains are therefore bit for bit those of a scalar scan, which
-tests/oracles.py checks, whichever path scores a node.
+so one gather and one cumsum give both sequential sums.
+
+Small subtrees: a node whose search block (features x rows) has at most
+SCAN_ELEMENTS elements grows its whole subtree in Python lists; its
+descendants have fewer rows. No node of it calls numpy, but for the sampler
+and the fallback below. One gather at the subtree's root takes the rows' values and pairs and each row's position
+in every presorted row of the block. A node orders its rows by a feature by
+sorting them on those positions, which is the presort's stable order (ties
+in row order, NaN last). It scans that block one value at a time with the
+same sums in the same order, the same gain expression and the same
+tie-break. Its total is a running sum over its rows in ascending order, and
+its children are its rows split by the same comparison. The feature sampler
+is called at the same nodes in the same pre-order. Where Python's division
+would raise (a zero hessian sum with lambda 0), the node's block goes to the
+numpy scorer, whose inf and NaN decide. The gains are therefore bit for bit
+those of a scalar scan, which tests/oracles.py checks, whichever path grows
+a node.
 
 Memory: besides the presort, the per-tree working copy and one complex
 g + i*h array per tree, the grower's temporaries are a small multiple of
 max(SCRATCH_ELEMENTS, rows in the node) elements, never features x rows,
 and none outlives its node; the bound holds for the split search and the
-partition alike. The scan's Python lists hold at most SCAN_ELEMENTS
-values and pairs, and the missing-value sums read only the NaN tails. The
-grower keeps its state in a loop with an explicit stack, not in recursive
-frames or a recursive closure, so a fit leaves no reference cycle behind.
+partition alike. A Python subtree's lists hold p values and positions and
+one pair per row of its root, which has at most SCAN_ELEMENTS rows, and no
+n-sized map; the missing-value sums read only the NaN tails. The grower
+and the subtree keep their state in loops with explicit stacks, not in
+recursive frames or a recursive closure, so a fit leaves no reference cycle
+behind.
 
 Settings: train() reads the boosting settings (loss, learning rate, depth,
 rounds, min_split_loss, lambda, early-stopping patience) from the run's
@@ -66,7 +78,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +94,8 @@ BASE_EPS = 1e-8
 # features (or working rows) as fit, and at least one
 SCRATCH_ELEMENTS = 1 << 14
 # a node whose search block (features x rows) has at most this many elements
-# is scanned in Python: below it, numpy's cost per call exceeds the arithmetic
+# grows its whole subtree in Python lists: below it, numpy's cost per call
+# exceeds the arithmetic
 SCAN_ELEMENTS = 1 << 8
 
 
@@ -247,7 +263,7 @@ def _scan_block(
     reg_lambda: float,
     min_split_loss: float,
 ) -> tuple[float, int, float, bool] | None:
-    """_score_block for a block given as nested lists, one Python step per value.
+    """_score_block for a block given as a list of row sequences, one Python step per value.
 
     For small blocks, where numpy's cost per call outweighs the arithmetic.
     It forms the same sums in the same order (a running complex sum along
@@ -395,6 +411,11 @@ def fit_tree(
     per row, and temporaries of a small multiple of
     max(SCRATCH_ELEMENTS, hi - lo) elements.
 
+    A node whose search block (features x rows) has at most SCAN_ELEMENTS
+    elements grows its whole subtree in Python lists (_grow_subtree), with
+    the records, leaf weights and sampler calls the loop would make; the
+    loop then goes on with the next node on its stack.
+
     leaf_values, when given, is a float array of len(x) that receives each
     row's leaf weight: tree.apply(x) without walking the tree again.
     """
@@ -421,10 +442,18 @@ def fit_tree(
             if parent >= 0:
                 records[parent][4] = idx
             rows = work[p, lo:hi]
-            gh_sum = gh.take(rows).cumsum()[-1]
-            split = None
+            features = None
             if depth < max_depth and hi - lo >= 2:
                 features = all_features if feature_sampler is None else np.asarray(feature_sampler(p))
+                if len(features) * (hi - lo) <= SCAN_ELEMENTS:
+                    _grow_subtree(
+                        x, gh, work, lo, hi, depth, features.tolist(), max_depth, reg_lambda,
+                        min_split_loss, feature_sampler, records, leaf_values,
+                    )
+                    continue
+            gh_sum = gh.take(rows).cumsum()[-1]
+            split = None
+            if features is not None:
                 split = _search_node(x, gh, work, lo, hi, features, gh_sum, reg_lambda, min_split_loss)
             if split is None:
                 weight = leaf_weight(float(gh_sum.real), float(gh_sum.imag), reg_lambda)
@@ -453,31 +482,99 @@ def _search_node(
 ) -> tuple[float, int, float, bool] | None:
     """Best (net gain, feature, threshold, missing left) for one node, or None.
 
-    A block of at most SCAN_ELEMENTS elements goes to the scalar scan in
-    one piece. Larger ones are scored in chunks of at most SCRATCH_ELEMENTS
-    block elements (at least one feature); a later chunk wins only with a
+    The block is scored in chunks of at most SCRATCH_ELEMENTS block
+    elements (at least one feature); a later chunk wins only with a
     strictly larger gain, so the first maximum in feature order is kept.
     """
-    scan = len(features) * (hi - lo) <= SCAN_ELEMENTS
-    step = len(features) if scan else max(1, SCRATCH_ELEMENTS // (hi - lo))
+    step = max(1, SCRATCH_ELEMENTS // (hi - lo))
     best = None
     for start in range(0, len(features), step):
         chunk = features[start : start + step]
         idx = work[chunk, lo:hi]
         flat = np.multiply(idx, x.shape[1], dtype=np.intp)
         flat += chunk[:, None]
-        xv, ghv = x.take(flat), gh.take(idx)
-        if not scan:
-            found = _score_block(xv, ghv, gh_total, reg_lambda, min_split_loss)
-        else:
-            try:
-                found = _scan_block(xv.tolist(), ghv.tolist(), gh_total, reg_lambda, min_split_loss)
-            except ZeroDivisionError:  # numpy's inf and NaN quotients decide
-                found = _score_block(xv, ghv, gh_total, reg_lambda, min_split_loss)
+        found = _score_block(x.take(flat), gh.take(idx), gh_total, reg_lambda, min_split_loss)
         if found is not None and (best is None or found[0] > best[0]):
             gain, r, threshold, default_left = found
             best = (gain, int(chunk[r]), threshold, default_left)
     return best
+
+
+def _grow_subtree(
+    x, gh, work, lo, hi, depth, features, max_depth, reg_lambda, min_split_loss,
+    feature_sampler, records, leaf_values,
+) -> None:
+    """Grow the whole subtree of node [lo, hi) of work in Python lists.
+
+    The node's search block has at most SCAN_ELEMENTS elements (see "Small
+    subtrees" in the module docstring). features is the node's own, already
+    sampled list; each descendant that may split calls feature_sampler in
+    pre-order. Records are appended to records and leaf weights written to
+    leaf_values as fit_tree's loop writes them.
+    """
+    p = x.shape[1]
+    rows = work[p, lo:hi]
+    m = hi - lo
+    values = x.take(rows, axis=0).T.tolist()  # values[f][j]: feature f of the j-th row
+    pairs = gh.take(rows).tolist()
+    # rank[f][j]: the j-th row's position in the node's rows sorted by feature f
+    at = np.searchsorted(rows, work[:p, lo:hi])  # the row at each sorted position
+    rank = np.empty((p, m), dtype=np.intp)
+    np.put_along_axis(rank, at, np.arange(m), axis=1)
+    rank = rank.tolist()
+    all_features = list(range(p))
+    leaf_of = None if leaf_values is None else [0.0] * m  # each row's leaf weight
+    # (rows, depth, parent, features): rows ascending; features None until sampled
+    stack = [(list(range(m)), depth, -1, features)]
+    while stack:
+        local, depth, parent, features = stack.pop()
+        idx = len(records)
+        if parent >= 0:
+            records[parent][4] = idx
+        # explicit additions from the first pair on, as numpy's complex cumsum
+        total = reduce(add, map(pairs.__getitem__, local))
+        found = None
+        if depth < max_depth and len(local) >= 2:
+            if features is None:
+                features = (
+                    all_features if feature_sampler is None
+                    else np.asarray(feature_sampler(p)).tolist()
+                )
+            orders, xv, ghv = [], [], []
+            for f in features:
+                order = sorted(local, key=rank[f].__getitem__)
+                gather = itemgetter(*order)  # a tuple: the node has 2 rows or more
+                orders.append(order)
+                xv.append(gather(values[f]))
+                ghv.append(gather(pairs))
+            try:
+                found = _scan_block(xv, ghv, total, reg_lambda, min_split_loss)
+            except ZeroDivisionError:  # numpy's inf and NaN quotients decide
+                found = _score_block(
+                    np.array(xv), np.array(ghv), np.complex128(total), reg_lambda, min_split_loss
+                )
+        if found is None:
+            weight = leaf_weight(total.real, total.imag, reg_lambda)
+            records.append((-1, 0.0, 1, -1, -1, weight, 0.0))
+            if leaf_of is not None:
+                for j in local:
+                    leaf_of[j] = weight
+            continue
+        gain, r, threshold, default_left = found
+        records.append([features[r], threshold, int(default_left), idx + 1, -1, 0.0, gain + min_split_loss])
+        # in the feature's order, the values below the threshold come first
+        # and the NaN tail last; NaN fails every comparison, so bisect stops
+        # before the tail
+        order, sorted_values = orders[r], xv[r]
+        below = bisect_left(sorted_values, threshold)
+        end = len(order)
+        if default_left:
+            while end > below and sorted_values[end - 1] != sorted_values[end - 1]:
+                end -= 1
+        stack.append((sorted(order[below:end]), depth + 1, idx, None))
+        stack.append((sorted(order[:below] + order[end:]), depth + 1, -1, None))
+    if leaf_values is not None:
+        leaf_values[rows] = leaf_of
 
 
 def _partition(work: np.ndarray, lo: int, hi: int, goes_left: np.ndarray, n_left: int) -> None:
@@ -519,8 +616,11 @@ class BoostedModel:
         return raw
 
     def predict_array(self, x: np.ndarray) -> np.ndarray:
-        raw = self.predict_raw(x)
-        return np.exp(raw) if self.loss == "poisson" else raw
+        """Forecasts for the rows of x; a model that overflows gives inf or
+        NaN, not a warning (predict() rejects them)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = self.predict_raw(x)
+            return np.exp(raw) if self.loss == "poisson" else raw
 
 
 def train(
@@ -601,14 +701,26 @@ def train(
     )
 
 
-def predict(model: BoostedModel, matrix: FeatureMatrix) -> np.ndarray:
-    """Forecast per row; raises if the matrix schema differs from training."""
+def predict(model: BoostedModel, matrix: FeatureMatrix, source: str = "model") -> np.ndarray:
+    """Forecast per row; raises if the matrix schema differs from training.
+
+    A forecast that is not finite (the model overflows on its row) is a
+    ValueError naming source and the first such row's (product, week).
+    """
     if matrix.columns != model.feature_names:
         raise ValueError(
             f"feature schema mismatch: model expects {model.feature_names}, "
             f"matrix has {matrix.columns}"
         )
-    return model.predict_array(matrix.X)
+    forecasts = model.predict_array(matrix.X)
+    bad = ~np.isfinite(forecasts)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"{source}: forecast for ({matrix.product_ids[k]!r}, {matrix.target_weeks[k]}) "
+            f"is {forecasts[k]}, not a finite number"
+        )
+    return forecasts
 
 
 @dataclass

@@ -676,17 +676,23 @@ def write_sales(panel: SalesPanel, path: str | Path) -> None:
     The final week is always emitted for the first product so the panel
     length survives a round trip even when nothing is listed that week.
     """
-    last = panel.n_weeks - 1
+    # unlisted in-stock weeks are the implicit default
+    emit = panel.on_sale_mask | ~panel.stock_flag
+    if emit.size:
+        emit[0, -1] = True
+    rows, weeks = np.nonzero(emit)  # product-major, weeks ascending
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["product_id", "week", "units", "on_sale", "in_stock"])
-        for i, pid in enumerate(panel.products):
-            for t in range(panel.n_weeks):
-                listed = panel.on_sale_mask[i, t]
-                in_stock = panel.stock_flag[i, t]
-                if not listed and in_stock and not (i == 0 and t == last):
-                    continue  # unlisted in-stock weeks are the implicit default
-                writer.writerow([pid, t, int(panel.y[i, t]), int(listed), int(in_stock)])
+        writer.writerows(
+            zip(
+                np.array(panel.products, dtype=object)[rows],
+                weeks.tolist(),
+                panel.y[rows, weeks].tolist(),
+                panel.on_sale_mask[rows, weeks].astype(np.int8).tolist(),
+                panel.stock_flag[rows, weeks].astype(np.int8).tolist(),
+            )
+        )
 
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:

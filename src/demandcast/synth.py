@@ -222,20 +222,21 @@ def generate_panel(
 
 
 def write_ground_truth(truth: GroundTruth, panel: SalesPanel, path: str | Path) -> None:
+    """One row per week of each product's live span [launch, end), product-major."""
+    week = np.arange(truth.lam.shape[1])
+    rows, weeks = np.nonzero((truth.launch[:, None] <= week) & (week < truth.end[:, None]))
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["product_id", "week", "lam", "promo", "stockout"])
-        for i, pid in enumerate(panel.products):
-            for t in range(int(truth.launch[i]), int(truth.end[i])):
-                writer.writerow(
-                    [
-                        pid,
-                        t,
-                        repr(float(truth.lam[i, t])),
-                        int(truth.promo_mask[i, t]),
-                        int(truth.stockout_mask[i, t]),
-                    ]
-                )
+        writer.writerows(
+            zip(
+                np.array(panel.products, dtype=object)[rows],
+                weeks.tolist(),
+                map(repr, truth.lam[rows, weeks].tolist()),
+                truth.promo_mask[rows, weeks].astype(np.int8).tolist(),
+                truth.stockout_mask[rows, weeks].astype(np.int8).tolist(),
+            )
+        )
 
 
 def write_ground_truth_curves(truth: GroundTruth, path: str | Path) -> None:

@@ -757,3 +757,36 @@ def columnar_covariates(temporal, mixed, predictable, products) -> CovariateTabl
             predictable[key],
         )
     return CovariateTable(tuple(products), series)
+
+
+def loop_write_sales(panel: SalesPanel, path) -> None:
+    """ingest.write_sales one (product, week) cell at a time."""
+    last = panel.n_weeks - 1
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["product_id", "week", "units", "on_sale", "in_stock"])
+        for i, pid in enumerate(panel.products):
+            for t in range(panel.n_weeks):
+                listed = panel.on_sale_mask[i, t]
+                in_stock = panel.stock_flag[i, t]
+                if not listed and in_stock and not (i == 0 and t == last):
+                    continue  # unlisted in-stock weeks are the implicit default
+                writer.writerow([pid, t, int(panel.y[i, t]), int(listed), int(in_stock)])
+
+
+def loop_write_ground_truth(truth, panel: SalesPanel, path) -> None:
+    """synth.write_ground_truth one live week at a time."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["product_id", "week", "lam", "promo", "stockout"])
+        for i, pid in enumerate(panel.products):
+            for t in range(int(truth.launch[i]), int(truth.end[i])):
+                writer.writerow(
+                    [
+                        pid,
+                        t,
+                        repr(float(truth.lam[i, t])),
+                        int(truth.promo_mask[i, t]),
+                        int(truth.stockout_mask[i, t]),
+                    ]
+                )

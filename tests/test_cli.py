@@ -405,6 +405,34 @@ def test_predict_with_nothing_on_sale_in_the_last_week_is_data_error(tmp_path, c
     assert not out.exists()
 
 
+def test_predict_with_a_model_that_overflows_is_data_error(tmp_path, capsys):
+    # a base score of 800 is finite, so the model loads, but exp(800) is
+    # inf: predict used to write inf for every row and exit 0
+    data = tmp_path / "data"
+    assert main([
+        "synth", "--out-dir", str(data),
+        "--products", "30", "--categories", "4", "--weeks", "60", "--seed", "3",
+    ]) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text("train_len = 40\nvalid_len = 8\ntest_len = 12\nrounds = 5\noverride_bounds = true\n")
+    inputs = [
+        "--config", str(config), "--sales", str(data / "sales.csv"),
+        "--catalog", str(data / "catalog.csv"), "--covariates", str(data / "covariates.csv"),
+    ]
+    assert main(["pipeline", *inputs, "--out-dir", str(tmp_path / "run")]) == 0
+    model_file = tmp_path / "run" / "model.json"
+    doc = json.loads(model_file.read_text())
+    doc["base_score"] = 800.0
+    model_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "predict"
+    assert main(["predict", "--model-file", str(model_file), *inputs, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {model_file}: forecast for ('p0002', 65) is inf, not a finite number\n"
+    )
+    assert not out.exists()
+
+
 class TestInputFaults:
     """A field longer than csv's limit, or a byte that is not UTF-8, in any
     input CSV is a data error naming the file and line."""

@@ -644,8 +644,8 @@ def tree_depth(tree):
     return max(depth.values())
 
 
-def random_matrix(rng, max_rows=32, max_features=3):
-    n = int(rng.integers(4, max_rows + 1))
+def random_matrix(rng, max_rows=32, max_features=3, min_rows=4):
+    n = int(rng.integers(min_rows, max_rows + 1))
     p = int(rng.integers(1, max_features + 1))
     x = rng.normal(size=(n, p))
     # quantize some columns to force duplicate values, and add missing cells
@@ -805,6 +805,134 @@ class TestOracleEquivalence:
             except ZeroDivisionError:
                 oracle_raised += 1
         assert oracle_raised >= 10 and infinite_gains >= 5
+
+
+@pytest.fixture
+def mixed_paths(monkeypatch):
+    """A scan cutoff of 24, between the extremes: on 40-row matrices the
+    root is searched by numpy and deeper nodes grow Python subtrees. Returns
+    counts of numpy-searched nodes, subtrees and _score_block fallbacks taken
+    inside a subtree; reset them per tree."""
+    monkeypatch.setattr(gbt, "SCAN_ELEMENTS", 24)
+    counts = {"searched": 0, "subtrees": 0, "fallbacks": 0}
+    search, subtree, score = gbt._search_node, gbt._grow_subtree, gbt._score_block
+    inside = []
+
+    def counted_search(*args):
+        counts["searched"] += 1
+        return search(*args)
+
+    def counted_subtree(*args):
+        counts["subtrees"] += 1
+        inside.append(True)
+        try:
+            return subtree(*args)
+        finally:
+            inside.pop()
+
+    def counted_score(*args):
+        counts["fallbacks"] += bool(inside)
+        return score(*args)
+
+    monkeypatch.setattr(gbt, "_search_node", counted_search)
+    monkeypatch.setattr(gbt, "_grow_subtree", counted_subtree)
+    monkeypatch.setattr(gbt, "_score_block", counted_score)
+    return counts
+
+
+def counting_sampler(seed, n_sub):
+    """A seeded per-split feature sampler that counts its calls in calls[0]."""
+    draws = np.random.default_rng(seed)
+    calls = [0]
+
+    def sampler(n_features):
+        calls[0] += 1
+        return np.sort(draws.choice(n_features, size=n_sub, replace=False))
+
+    return sampler, calls
+
+
+def forest_case(rng, seed, depth):
+    """A train_forest-style fit on 40 rows: resampled rows, count targets,
+    -y, unit hessians, no regularisation and per-split feature samples."""
+    base, target = random_matrix(rng, max_rows=40, max_features=5, min_rows=40)
+    rows = np.sort(rng.integers(0, len(target), size=len(target)))
+    x, y = base[rows], np.round(np.abs(target[rows]))
+    sampler, calls = counting_sampler(seed, max(1, x.shape[1] // 2))
+    return x, (-y, np.ones_like(y), depth, 0.0, 0.0, sampler), calls
+
+
+class TestMixedSearchPaths:
+    def test_boosted_trees_match_brute_force(self, mixed_paths):
+        rng = np.random.default_rng(30)
+        mixed = 0
+        for _ in range(12):
+            x, y = random_matrix(rng, max_rows=40, max_features=5, min_rows=40)
+            g, h = grad_hess("squared", y, np.zeros(len(y)))
+            lam = float(rng.choice([0.0, 1.0]))
+            msl = float(rng.choice([0.0, 0.05]))
+            depth = int(rng.integers(3, 7))
+            mixed_paths.update(searched=0, subtrees=0)
+            tree = fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
+            assert_same_tree(tree, oracle_fit_tree(x, g, h, depth, lam, msl))
+            mixed += mixed_paths["searched"] > 0 and mixed_paths["subtrees"] > 0
+        assert mixed >= 10
+
+    def test_forest_trees_match_brute_force(self, mixed_paths):
+        # equally seeded samplers agree only if both growers call them at
+        # the same nodes in the same order, and as often
+        rng = np.random.default_rng(31)
+        mixed = 0
+        for trial in range(10):
+            depth = int(rng.integers(3, 9))
+            x, args, calls = forest_case(rng, trial, depth)
+            mixed_paths.update(searched=0, subtrees=0)
+            tree = fit_tree(x, *args)
+            oracle_sampler, oracle_calls = counting_sampler(trial, max(1, x.shape[1] // 2))
+            oracle = oracle_fit_tree(x, *args[:5], feature_sampler=oracle_sampler)
+            assert_same_tree(tree, oracle)
+            assert calls[0] == oracle_calls[0] > 0
+            mixed += mixed_paths["searched"] > 0 and mixed_paths["subtrees"] > 0
+        assert mixed >= 8
+
+    def test_leaf_values_equal_apply(self, mixed_paths):
+        rng = np.random.default_rng(32)
+        for trial in range(12):
+            depth = trial % 6 + 2
+            if trial % 2:
+                x, args, _ = forest_case(rng, trial, depth)
+            else:
+                x, y = random_matrix(rng, max_rows=40, max_features=5, min_rows=40)
+                g, h = grad_hess("squared", y, np.zeros(len(y)))
+                args = (g, h, depth, 1.0, 0.0, None)
+            x[rng.random(x.shape) < 0.05] = np.inf
+            out = np.full(len(x), np.nan)
+            tree = fit_tree(x, *args, leaf_values=out)
+            assert bits(out) == bits(tree.apply(x))
+        assert mixed_paths["searched"] and mixed_paths["subtrees"]
+
+    def test_zero_division_inside_a_subtree_falls_back_to_numpy(self, monkeypatch, mixed_paths):
+        # rows of zero gradient and hessian with lambda 0 make Python's
+        # division raise inside a subtree; the node's block then goes to
+        # _score_block, and the tree equals the all-numpy one bit for bit.
+        # Whole gradients sum exactly, so no rounding residue gives a child
+        # of zero hessian sum an infinite gain (and its leaf a ValueError)
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            x, y = random_matrix(rng, max_rows=40, max_features=4, min_rows=40)
+            empty = rng.random(len(y)) < 0.3
+            empty[0] = False  # the root has a positive hessian sum
+            g = np.where(empty, 0.0, np.round(y))
+            h = np.where(empty, 0.0, 1.0)
+            mixed = fit_tree(x, g, h, max_depth=5, reg_lambda=0.0, min_split_loss=0.0).nodes
+            monkeypatch.setattr(gbt, "SCAN_ELEMENTS", 0)
+            block = fit_tree(x, g, h, max_depth=5, reg_lambda=0.0, min_split_loss=0.0).nodes
+            monkeypatch.setattr(gbt, "SCAN_ELEMENTS", 24)
+            for name in ("threshold", "weight", "gain"):
+                assert bits(block[name]) == bits(mixed[name]), name
+            for name in ("feature", "default_left", "left", "right"):
+                assert block[name].tolist() == mixed[name].tolist(), name
+        assert mixed_paths["fallbacks"] >= 20
 
 
 class TestLeafValues:

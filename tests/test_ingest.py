@@ -11,7 +11,7 @@ from demandcast.core import SalesPanel
 from demandcast.ingest import RunConfig, SchemaError
 from demandcast.synth import SynthSpec, generate_panel
 
-from .oracles import covariate_dicts
+from .oracles import covariate_dicts, loop_write_sales
 
 
 def write(tmp_path, name, text):
@@ -414,6 +414,23 @@ class TestLoadConfig:
         with pytest.raises(SchemaError) as err:
             ingest.load_config(path)
         assert str(err.value) == f"{path}:3: bad value 'x' for rounds"
+
+
+class TestWriteSales:
+    def test_bytes_equal_the_cell_loop(self, tmp_path):
+        # unlisted out-of-stock weeks are written, unlisted in-stock ones are
+        # not, except product 0's last week, which keeps the panel length
+        rng = np.random.default_rng(4)
+        on_sale = rng.random((30, 40)) < 0.6
+        stock = rng.random((30, 40)) < 0.8
+        on_sale[0, -1], stock[0, -1] = False, True
+        y = np.where(on_sale, rng.integers(0, 50, size=on_sale.shape), 0)
+        panel = SalesPanel(tuple(f"p{i:02d}" for i in range(30)), y, on_sale, stock)
+        assert (~on_sale & ~stock).any()
+        ingest.write_sales(panel, tmp_path / "sales.csv")
+        loop_write_sales(panel, tmp_path / "loop.csv")
+        assert (tmp_path / "sales.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        assert ingest.load_sales(tmp_path / "sales.csv").n_weeks == 40
 
 
 class TestRoundTrip:

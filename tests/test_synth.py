@@ -3,9 +3,9 @@ import pytest
 
 from demandcast import ingest
 from demandcast.preprocess import detect_fake_zeros
-from demandcast.synth import SynthSpec, generate_panel
+from demandcast.synth import SynthSpec, generate_panel, write_ground_truth
 
-from .oracles import covariate_dicts
+from .oracles import covariate_dicts, loop_write_ground_truth
 
 
 def flat_spec(**kw):
@@ -111,6 +111,13 @@ class TestStructure:
             for t in range(int(truth.launch[i]), int(truth.end[i])):
                 assert (pid, t) in covariates.mixed["promo"]
                 assert (pid, t) in covariates.mixed["price_week"]
+
+    def test_ground_truth_bytes_equal_the_week_loop(self, tmp_path):
+        panel, _, _, truth = generate_panel(SynthSpec(n_products=40, n_weeks=60, stockout_prob=0.1, seed=12))
+        assert truth.promo_mask.any() and truth.stockout_mask.any()
+        write_ground_truth(truth, panel, tmp_path / "truth.csv")
+        loop_write_ground_truth(truth, panel, tmp_path / "loop.csv")
+        assert (tmp_path / "truth.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
