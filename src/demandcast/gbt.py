@@ -23,23 +23,27 @@ order), missing-value sums run over each row's NaN tail alone, from its
 first value on, and node totals run over the rows in ascending order.
 Gradients and hessians travel as one complex pair g + i*h, assigned part by
 part so a -0.0 keeps its sign; complex addition adds the two parts apart,
-so one gather and one cumsum give both sequential sums.
+so one gather and one cumsum give both sequential sums. A split needs
+H + lambda > 0 on both sides, and a node whose own H + lambda is not above
+0 has no split; both search paths check this before they divide. The
+numpy search forms gains for every boundary between distinct values but a
+midpoint threshold for the winner only: a midpoint that rounds back onto
+its left value (two adjacent floats) is no candidate, so that boundary is
+dropped and the next maximum wins, as if it had never been scored.
 
 Small subtrees: a node whose search block (features x rows) has at most
 SCAN_ELEMENTS elements grows its whole subtree in Python lists; its
-descendants have fewer rows. No node of it calls numpy, but for the sampler
-and the fallback below. One gather at the subtree's root takes the rows' values and pairs and each row's position
-in every presorted row of the block. A node orders its rows by a feature by
-sorting them on those positions, which is the presort's stable order (ties
-in row order, NaN last). It scans that block one value at a time with the
+descendants have fewer rows. No node of it calls numpy but the sampler.
+One gather at the subtree's root takes the rows' values and pairs and each
+row's position in every presorted row of the block. A node orders its rows
+by a feature by sorting them on those positions, which is the presort's
+stable order (ties in row order, NaN last). It scans that block one value at a time with the
 same sums in the same order, the same gain expression and the same
 tie-break. Its total is a running sum over its rows in ascending order, and
 its children are its rows split by the same comparison. The feature sampler
-is called at the same nodes in the same pre-order. Where Python's division
-would raise (a zero hessian sum with lambda 0), the node's block goes to the
-numpy scorer, whose inf and NaN decide. The gains are therefore bit for bit
-those of a scalar scan, which tests/oracles.py checks, whichever path grows
-a node.
+is called at the same nodes in the same pre-order. The gains are therefore
+bit for bit those of a scalar scan, which tests/oracles.py checks, whichever
+path grows a node.
 
 Memory: besides the presort, the per-tree working copy and one complex
 g + i*h array per tree, the grower's temporaries are a small multiple of
@@ -196,64 +200,90 @@ def _score_block(
 
     Row r of xv holds one feature's values for a node's rows in stable
     ascending order with NaN last; ghv holds those rows' gradient + i *
-    hessian pairs in the same order. gh_total is the node's sequential
-    pair sum in row order. Returns (net gain, block row, threshold, missing
-    left) for the first maximum in (row, threshold, missing-left) order.
-    Quotients by zero give numpy's inf or NaN, so the caller enters
+    hessian pairs in the same order, and is overwritten with their prefix
+    sums. gh_total is the node's sequential pair sum in row order. Returns
+    (net gain, block row, threshold, missing left) for the first maximum in
+    (row, threshold, missing-left) order.
+
+    Candidates follow "Exactness" in the module docstring: H + lambda > 0
+    on both sides, and only the winner's midpoint is formed; a collapsed one
+    drops its boundary and the next maximum wins. The caller enters
     np.errstate.
     """
-    m = xv.shape[1]
+    g_total, h_total = gh_total.real, gh_total.imag
+    node_den = h_total + reg_lambda
+    if not node_den > 0:
+        return None
+    k, m = xv.shape
     flat = xv.ravel()
     # a candidate lies between adjacent values of one row; NaN compares false
     between = flat[:-1] < flat[1:]
     between[m - 1 :: m] = False  # pairs that straddle two rows
     pair = np.flatnonzero(between)
-    lo_v = flat[pair]
-    thresholds = (lo_v + flat[pair + 1]) / 2.0
-    ok = lo_v < thresholds  # midpoint can collapse onto the left value
-    if not ok.all():
-        pair, thresholds = pair[ok], thresholds[ok]
+    del between
     if pair.size == 0:
         return None
-
+    # each NaN tail's own sequential sum, from its first value on (the
+    # NaN-aware searchsorted finds it), before ghv turns into prefix sums
+    tail = np.isnan(xv[:, -1])
+    tail_rows = np.flatnonzero(tail).tolist()
+    gh_miss = [ghv[r, xv[r].searchsorted(np.nan) :].cumsum()[-1] for r in tail_rows]
     # complex addition adds the real and the imaginary parts apart, so one
     # cumsum gives the sequential g and h prefix sums of the scalar scan
-    ghl = ghv.cumsum(axis=1).ravel()[pair]
-    g_total, h_total = gh_total.real, gh_total.imag
-    base = g_total * g_total / (h_total + reg_lambda)
+    np.cumsum(ghv, axis=1, out=ghv)
+    ghl = ghv.ravel().take(pair)
+    base = g_total * g_total / node_den
 
     def net_gain(gl: np.ndarray, hl: np.ndarray) -> np.ndarray:
-        gr = g_total - gl
-        hr = h_total - hl
-        gain = (
-            0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - base)
-            - min_split_loss
-        )
-        # hessian sums can underflow to 0 with reg_lambda 0; those candidates
-        # are undefined and must not shadow finite ones in the argmax
-        gain[np.isnan(gain)] = -np.inf
+        # the scan's expression, one operation at a time into two buffers
+        den_l, den_r = den = np.empty((2, len(gl)))
+        np.add(hl, reg_lambda, out=den_l)
+        np.subtract(h_total, hl, out=den_r)
+        den_r += reg_lambda
+        bad = None if den.min(initial=np.inf) > 0 else ~(den > 0).all(axis=0)  # NaN fails too
+        gain = gl * gl
+        gain /= den_l
+        right = np.subtract(g_total, gl, out=den_l)
+        right *= right
+        right /= den_r
+        gain += right
+        gain -= base
+        gain *= 0.5
+        gain -= min_split_loss
+        if bad is not None:
+            gain[bad] = -np.inf
         return gain
 
     gains = net_gain(ghl.real, ghl.imag)  # missing values routed right
     # a row without missing values routes them either way at the same gain
     left = best = gains
-    row = pair // m
-    tail = np.isnan(xv[:, -1])  # rows with missing values
-    in_tail = np.flatnonzero(tail[row])
-    if in_tail.size:
-        tail_rows = np.flatnonzero(tail)
-        starts = m - np.count_nonzero(np.isnan(xv[tail_rows]), axis=1)
-        gh_miss = np.empty(xv.shape[0], dtype=complex)
-        for r, k in zip(tail_rows.tolist(), starts.tolist()):
-            gh_miss[r] = ghv[r, k:].cumsum()[-1]  # the tail's own sequential sum
-        ghl_left = ghl[in_tail] + gh_miss[row[in_tail]]  # adds the parts apart
-        left = gains.copy()
-        left[in_tail] = net_gain(ghl_left.real, ghl_left.imag)
+    if tail_rows:
+        # pair lists the candidates row by row: counts[r] of them in row r
+        bounds = np.searchsorted(pair, np.arange(k + 1) * m)
+        counts = bounds[1:] - bounds[:-1]
+        every = len(tail_rows) == k
+        in_tail = slice(None) if every else np.repeat(tail, counts)
+        ghl = ghl[in_tail]  # the right-routed sums are spent: add in place
+        ghl += gh_miss[0] if len(tail_rows) == 1 else np.repeat(gh_miss, counts[tail_rows])
+        left = net_gain(ghl.real, ghl.imag)
+        del ghl
+        if not every:
+            left_tail, left = left, gains.copy()
+            left[in_tail] = left_tail
         best = np.maximum(left, gains)  # missing-left wins ties: it comes first in the scan
-    c = int(np.argmax(best))
-    if not best[c] > 0:
-        return None
-    return float(best[c]), int(row[c]), float(thresholds[c]), bool(left[c] >= gains[c])
+    while True:
+        # argmax stops on a NaN gain (inf - inf), which only an infinite or
+        # NaN base term makes, and then no gain is above 0
+        c = int(best.argmax())
+        gain = float(best[c])
+        if not gain > 0:
+            return None
+        j = int(pair[c])
+        lo = float(flat[j])
+        threshold = (lo + float(flat[j + 1])) / 2.0
+        if lo < threshold:
+            return gain, j // m, threshold, bool(left[c] == gain)
+        best[c] = -np.inf  # the midpoint collapsed onto lo
 
 
 def _scan_block(
@@ -271,11 +301,14 @@ def _scan_block(
     expression, and keeps the first maximum in (row, threshold,
     missing-left) order, so it returns what _score_block returns. Sums are
     explicit additions, never sum(), which compensates rounding from Python
-    3.12 on. Python raises ZeroDivisionError where numpy returns inf or NaN;
-    the caller then scores the block with _score_block.
+    3.12 on. The H + lambda > 0 rule is checked before each division, so
+    no quotient has a zero divisor.
     """
     g_total, h_total = float(gh_total.real), float(gh_total.imag)
-    base = g_total * g_total / (h_total + reg_lambda)
+    node_den = h_total + reg_lambda
+    if not node_den > 0:
+        return None
+    base = g_total * g_total / node_den
     best = None
     best_gain = 0.0
     for r, (values, pairs) in enumerate(zip(xv, ghv)):
@@ -291,26 +324,26 @@ def _scan_block(
         for pos in range(1, k):
             lo, hi = values[pos - 1], values[pos]
             if lo < hi:
-                threshold = (lo + hi) / 2.0
-                if lo < threshold:
-                    gl, hl = ghl.real, ghl.imag
-                    # missing values left, then right; a row without any
-                    # routes them either way at the same gain, and left wins
-                    if miss is not None:
-                        gml, hml = gl + miss.real, hl + miss.imag
-                        gmr, hmr = g_total - gml, h_total - hml
-                        gain = (
-                            0.5 * (gml * gml / (hml + reg_lambda) + gmr * gmr / (hmr + reg_lambda) - base)
-                            - min_split_loss
-                        )
-                        if gain > best_gain:  # NaN never is
+                gl, hl = ghl.real, ghl.imag
+                # missing values left, then right; a row without any routes
+                # them either way at the same gain, and left wins. Both
+                # sides need H + lambda above 0; only a gain that would win
+                # forms its midpoint, and one that rounds back onto lo is no
+                # candidate
+                if miss is not None:
+                    gml, hml = gl + miss.real, hl + miss.imag
+                    gmr = g_total - gml
+                    den_l, den_r = hml + reg_lambda, h_total - hml + reg_lambda
+                    if den_l > 0.0 < den_r:
+                        gain = 0.5 * (gml * gml / den_l + gmr * gmr / den_r - base) - min_split_loss
+                        # NaN never wins
+                        if gain > best_gain and lo < (threshold := (lo + hi) / 2.0):
                             best_gain, best = gain, (r, threshold, True)
-                    gr, hr = g_total - gl, h_total - hl
-                    gain = (
-                        0.5 * (gl * gl / (hl + reg_lambda) + gr * gr / (hr + reg_lambda) - base)
-                        - min_split_loss
-                    )
-                    if gain > best_gain:
+                gr = g_total - gl
+                den_l, den_r = hl + reg_lambda, h_total - hl + reg_lambda
+                if den_l > 0.0 < den_r:
+                    gain = 0.5 * (gl * gl / den_l + gr * gr / den_r - base) - min_split_loss
+                    if gain > best_gain and lo < (threshold := (lo + hi) / 2.0):
                         best_gain, best = gain, (r, threshold, miss is None)
             ghl = ghl + pairs[pos]
     return None if best is None else (best_gain, *best)
@@ -434,7 +467,8 @@ def fit_tree(
     records = []  # the NODE_DTYPE fields of each node, in pre-order
     # (lo, hi, depth, parent); a parent index marks a right child to link
     stack = [(0, n, 0, -1)]
-    # a gain that divides by a zero hessian sum or overflows is inf or NaN, not a warning
+    # a gain that overflows, or that divides by an H + lambda the search then
+    # rejects, is inf or NaN, not a warning
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         while stack:
             lo, hi, depth, parent = stack.pop()
@@ -454,7 +488,10 @@ def fit_tree(
             gh_sum = gh.take(rows).cumsum()[-1]
             split = None
             if features is not None:
-                split = _search_node(x, gh, work, lo, hi, features, gh_sum, reg_lambda, min_split_loss)
+                split = _search_node(
+                    x, gh, work, lo, hi, None if features is all_features else features, gh_sum,
+                    reg_lambda, min_split_loss,
+                )
             if split is None:
                 weight = leaf_weight(float(gh_sum.real), float(gh_sum.imag), reg_lambda)
                 records.append((-1, 0.0, 1, -1, -1, weight, 0.0))
@@ -482,18 +519,27 @@ def _search_node(
 ) -> tuple[float, int, float, bool] | None:
     """Best (net gain, feature, threshold, missing left) for one node, or None.
 
-    The block is scored in chunks of at most SCRATCH_ELEMENTS block
-    elements (at least one feature); a later chunk wins only with a
-    strictly larger gain, so the first maximum in feature order is kept.
+    features is the node's sampled features, or None for every feature;
+    then each chunk's rows of work are a view, not a copy. The block is
+    scored in chunks of at most SCRATCH_ELEMENTS block elements (at least
+    one feature); a later chunk wins only with a strictly larger gain, so
+    the first maximum in feature order is kept.
     """
+    p = x.shape[1]
     step = max(1, SCRATCH_ELEMENTS // (hi - lo))
     best = None
-    for start in range(0, len(features), step):
-        chunk = features[start : start + step]
-        idx = work[chunk, lo:hi]
-        flat = np.multiply(idx, x.shape[1], dtype=np.intp)
+    for start in range(0, p if features is None else len(features), step):
+        if features is None:
+            chunk = np.arange(start, min(start + step, p))
+            idx = work[start : start + len(chunk), lo:hi]
+        else:
+            chunk = features[start : start + step]
+            idx = work[chunk, lo:hi]
+        flat = idx.astype(np.intp)  # the rows, then their cells of x
+        ghv = gh.take(flat)
+        flat *= p
         flat += chunk[:, None]
-        found = _score_block(x.take(flat), gh.take(idx), gh_total, reg_lambda, min_split_loss)
+        found = _score_block(x.take(flat), ghv, gh_total, reg_lambda, min_split_loss)
         if found is not None and (best is None or found[0] > best[0]):
             gain, r, threshold, default_left = found
             best = (gain, int(chunk[r]), threshold, default_left)
@@ -547,12 +593,7 @@ def _grow_subtree(
                 orders.append(order)
                 xv.append(gather(values[f]))
                 ghv.append(gather(pairs))
-            try:
-                found = _scan_block(xv, ghv, total, reg_lambda, min_split_loss)
-            except ZeroDivisionError:  # numpy's inf and NaN quotients decide
-                found = _score_block(
-                    np.array(xv), np.array(ghv), np.complex128(total), reg_lambda, min_split_loss
-                )
+            found = _scan_block(xv, ghv, total, reg_lambda, min_split_loss)
         if found is None:
             weight = leaf_weight(total.real, total.imag, reg_lambda)
             records.append((-1, 0.0, 1, -1, -1, weight, 0.0))

@@ -122,10 +122,14 @@ def oracle_best_split(values, g, h, reg_lambda, min_split_loss):
     Walks every boundary between distinct sorted present values and both
     missing-value routings, accumulating left statistics sequentially in
     sorted order. Preference on ties: lowest threshold, then missing left.
-    Returns (threshold, net_gain, default_left) or None.
+    A candidate needs H + lambda > 0 on both sides, and a node whose own
+    H + lambda is not above 0 has none. Returns (threshold, net_gain,
+    default_left) or None.
     """
     g_total = _seq_sum(g)
     h_total = _seq_sum(h)
+    if not h_total + reg_lambda > 0:
+        return None
     present = [k for k in range(len(values)) if not math.isnan(values[k])]
     if not present:
         return None
@@ -152,6 +156,8 @@ def oracle_best_split(values, g, h, reg_lambda, min_split_loss):
             hl_c = hl + h_miss if default_left else hl
             gr_c = g_total - gl_c
             hr_c = h_total - hl_c
+            if not (hl_c + reg_lambda > 0 and hr_c + reg_lambda > 0):
+                continue
             gain = (
                 0.5
                 * (gl_c * gl_c / (hl_c + reg_lambda) + gr_c * gr_c / (hr_c + reg_lambda) - base)

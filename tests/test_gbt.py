@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -778,45 +779,47 @@ class TestOracleEquivalence:
                 assert_same_tree(tree, oracle)
 
     def test_scan_and_block_agree_where_quotients_are_not_finite(self, monkeypatch):
-        # with lambda 0, rows of zero gradient and zero hessian make 0/0 (a
-        # NaN gain, never chosen), and gradients of +-1e154 overflow their
-        # squares to inf: numpy gives NaN or inf, where Python's division
-        # raises ZeroDivisionError as the oracle does; the scan must end with
-        # the gains and splits of the block search all the same
+        # with lambda 0, rows of zero gradient and zero hessian make children
+        # of zero hessian sum, which no candidate may have (H + lambda > 0 on
+        # both sides), and gradients of +-1e154 overflow their squares to
+        # inf: both search paths must still build the oracle's tree
         rng = np.random.default_rng(22)
-        oracle_raised = infinite_gains = 0
+        infinite_gains = 0
         for _ in range(30):
             x, y = random_matrix(rng, max_rows=40, max_features=4)
             empty = rng.random(len(y)) < 0.3
             empty[0] = False  # the root has a positive hessian sum
             g = np.where(empty, 0.0, y * rng.choice([1.0, 1e154], size=len(y)))
             h = np.where(empty, 0.0, 1.0)
-            block, scan = (
-                fit_tree(x, g, h, max_depth=4, reg_lambda=0.0, min_split_loss=0.0).nodes
-                for _ in each_search_path(monkeypatch)
-            )
-            for name in ("threshold", "weight", "gain"):
-                assert bits(block[name]) == bits(scan[name]), name
-            for name in ("feature", "default_left", "left", "right"):
-                assert block[name].tolist() == scan[name].tolist(), name
-            infinite_gains += np.isinf(block["gain"]).any()
-            try:
-                oracle_fit_tree(x, g, h, max_depth=4, reg_lambda=0.0, min_split_loss=0.0)
-            except ZeroDivisionError:
-                oracle_raised += 1
-        assert oracle_raised >= 10 and infinite_gains >= 5
+            oracle = oracle_fit_tree(x, g, h, max_depth=4, reg_lambda=0.0, min_split_loss=0.0)
+            for _ in each_search_path(monkeypatch):
+                tree = fit_tree(x, g, h, max_depth=4, reg_lambda=0.0, min_split_loss=0.0)
+                assert_same_tree(tree, oracle)
+            infinite_gains += np.isinf(tree.nodes["gain"]).any()
+        assert infinite_gains >= 5
+
+    def test_zero_hessian_children_are_no_candidates(self, monkeypatch):
+        # with lambda 0, g_total - gl keeps a rounding residue where a
+        # child's own gradients sum to 0, which would give that child of
+        # zero hessian sum an infinite gain and its leaf weight a ValueError
+        for _ in each_search_path(monkeypatch):
+            rng = np.random.default_rng(33)
+            for _ in range(30):
+                x, y = random_matrix(rng, max_rows=40, max_features=4)
+                zero = rng.random(len(y)) < 0.3
+                g, h = np.where(zero, 0.0, y), np.where(zero, 0.0, 1.0)
+                tree = fit_tree(x, g, h, 6, 0.0, 0.0)
+                assert_same_tree(tree, oracle_fit_tree(x, g, h, 6, 0.0, 0.0))
 
 
 @pytest.fixture
 def mixed_paths(monkeypatch):
     """A scan cutoff of 24, between the extremes: on 40-row matrices the
     root is searched by numpy and deeper nodes grow Python subtrees. Returns
-    counts of numpy-searched nodes, subtrees and _score_block fallbacks taken
-    inside a subtree; reset them per tree."""
+    counts of numpy-searched nodes and subtrees; reset them per tree."""
     monkeypatch.setattr(gbt, "SCAN_ELEMENTS", 24)
-    counts = {"searched": 0, "subtrees": 0, "fallbacks": 0}
-    search, subtree, score = gbt._search_node, gbt._grow_subtree, gbt._score_block
-    inside = []
+    counts = {"searched": 0, "subtrees": 0}
+    search, subtree = gbt._search_node, gbt._grow_subtree
 
     def counted_search(*args):
         counts["searched"] += 1
@@ -824,19 +827,10 @@ def mixed_paths(monkeypatch):
 
     def counted_subtree(*args):
         counts["subtrees"] += 1
-        inside.append(True)
-        try:
-            return subtree(*args)
-        finally:
-            inside.pop()
-
-    def counted_score(*args):
-        counts["fallbacks"] += bool(inside)
-        return score(*args)
+        return subtree(*args)
 
     monkeypatch.setattr(gbt, "_search_node", counted_search)
     monkeypatch.setattr(gbt, "_grow_subtree", counted_subtree)
-    monkeypatch.setattr(gbt, "_score_block", counted_score)
     return counts
 
 
@@ -911,28 +905,97 @@ class TestMixedSearchPaths:
             assert bits(out) == bits(tree.apply(x))
         assert mixed_paths["searched"] and mixed_paths["subtrees"]
 
-    def test_zero_division_inside_a_subtree_falls_back_to_numpy(self, monkeypatch, mixed_paths):
-        # rows of zero gradient and hessian with lambda 0 make Python's
-        # division raise inside a subtree; the node's block then goes to
-        # _score_block, and the tree equals the all-numpy one bit for bit.
-        # Whole gradients sum exactly, so no rounding residue gives a child
-        # of zero hessian sum an infinite gain (and its leaf a ValueError)
-        rng = np.random.default_rng(33)
+    def test_scan_returns_on_zero_hessian_blocks(self):
+        # lambda 0 and rows of zero gradient and hessian: the scan checks H +
+        # lambda > 0 on both sides before it divides, so it returns, and
+        # returns what the block scorer returns; a node of zero hessian sum
+        # has no candidate on either path
+        rng = np.random.default_rng(34)
+        found = 0
+        for trial in range(40):
+            x, y = random_matrix(rng, max_rows=12, max_features=4)
+            zero = rng.random(len(y)) < (1.0 if trial % 10 == 0 else 0.4)
+            gh = gbt._complex_pair(np.where(zero, 0.0, y), np.where(zero, 0.0, 1.0))
+            orders = [np.argsort(column, kind="stable") for column in x.T]
+            xv = np.array([column[order] for column, order in zip(x.T, orders)])
+            ghv = np.array([gh[order] for order in orders])
+            total = gh.cumsum()[-1]
+            scanned = gbt._scan_block(xv.tolist(), ghv.tolist(), complex(total), 0.0, 0.0)
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                assert scanned == gbt._score_block(xv, ghv, total, 0.0, 0.0)
+            if zero.all():
+                assert scanned is None
+            found += scanned is not None
+        assert found >= 20
+
+
+def collapse_case(rng, upper):
+    """40 rows whose targets split best between 1.0 and upper: feature 0
+    holds 1.0, upper or 3.0, feature 1 is constant, feature 2 is noise, and
+    features 0-2 have NaN cells; feature 3 has none."""
+    n = 40
+    high = rng.random(n) < 0.5
+    x = np.empty((n, 4))
+    x[:, 0] = np.where(high, upper, 1.0)
+    x[rng.random(n) < 0.2, 0] = 3.0
+    x[:, 1] = 2.0
+    x[:, 2] = rng.normal(size=n)
+    x[:, 3] = np.round(rng.normal(size=n) * 2) / 2
+    x[:, :3][rng.random((n, 3)) < 0.15] = np.nan
+    y = np.where(high, 4.0, -4.0) + rng.normal(size=n)
+    return x, -y, np.ones(n)
+
+
+class TestMidpointCollapse:
+    # the midpoint of 1.0 and the next float rounds back to 1.0, so that
+    # boundary is no candidate: the search forms only the winner's
+    # threshold, drops a winner whose midpoint collapses and takes the next
+    # maximum, which must be the oracle's choice. A constant column with NaN
+    # cells has a tail and no candidate, between columns that have both
+    @pytest.mark.parametrize("cutoff", [0, 24, sys.maxsize])
+    def test_collapsed_winner_is_dropped(self, monkeypatch, cutoff):
+        ulp = np.nextafter(1.0, 2.0)
+        assert (1.0 + ulp) / 2.0 == 1.0
+        monkeypatch.setattr(gbt, "SCAN_ELEMENTS", cutoff)
+        rng = np.random.default_rng(40)
+        routes = set()
         for _ in range(20):
-            x, y = random_matrix(rng, max_rows=40, max_features=4, min_rows=40)
-            empty = rng.random(len(y)) < 0.3
-            empty[0] = False  # the root has a positive hessian sum
-            g = np.where(empty, 0.0, np.round(y))
-            h = np.where(empty, 0.0, 1.0)
-            mixed = fit_tree(x, g, h, max_depth=5, reg_lambda=0.0, min_split_loss=0.0).nodes
-            monkeypatch.setattr(gbt, "SCAN_ELEMENTS", 0)
-            block = fit_tree(x, g, h, max_depth=5, reg_lambda=0.0, min_split_loss=0.0).nodes
-            monkeypatch.setattr(gbt, "SCAN_ELEMENTS", 24)
-            for name in ("threshold", "weight", "gain"):
-                assert bits(block[name]) == bits(mixed[name]), name
-            for name in ("feature", "default_left", "left", "right"):
-                assert block[name].tolist() == mixed[name].tolist(), name
-        assert mixed_paths["fallbacks"] >= 20
+            state = rng.bit_generator.state
+            x, g, h = collapse_case(rng, ulp)
+            tree = fit_tree(x, g, h, 4, 1.0, 0.0)
+            assert_same_tree(tree, oracle_fit_tree(x, g, h, 4, 1.0, 0.0))
+            # with a midpoint that does not collapse, the root splits on that
+            # boundary: the collapsed one had the best gain
+            rng.bit_generator.state = state
+            x_open, _, _ = collapse_case(rng, 1.0 + 2.0**-20)
+            root = fit_tree(x_open, g, h, 4, 1.0, 0.0).nodes[0]
+            assert root["feature"] == 0 and 1.0 < root["threshold"] < 1.0 + 2.0**-20
+            routes.add(int(root["default_left"]))
+        assert routes == {0, 1}  # the collapsed winner routed missing values either way
+
+
+class TestScorerMemory:
+    def test_block_scorer_temporaries_per_row(self):
+        # the module's memory contract: temporaries are a small multiple of
+        # the rows in the node. A one-feature block of 90,000 distinct
+        # values with a NaN tail has a candidate at almost every row, and
+        # the scorer's own peak stays below 64 bytes per row
+        rng = np.random.default_rng(5)
+        m = 90_000
+        xv = np.sort(rng.normal(size=m))[None]
+        xv[0, -m // 10 :] = np.nan
+        ghv = gbt._complex_pair(rng.normal(size=m), rng.random(m) + 0.5)[None]
+        total = ghv[0].cumsum()[-1]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                found = gbt._score_block(xv, ghv, total, 1.0, 0.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert found is not None
+        assert peak / m < 64
 
 
 class TestLeafValues:
