@@ -714,12 +714,20 @@ def train(
             order=order, leaf_values=leaf_values,
         )
         trees.append(tree)
-        raw = raw + config.learning_rate * leaf_values
-        train_hist.append(loss_value(config.loss, y, raw))
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = raw + config.learning_rate * leaf_values
+            train_hist.append(loss_value(config.loss, y, raw))
+            if valid is not None:
+                raw_valid = raw_valid + config.learning_rate * tree.apply(valid.X)
+                valid_hist.append(loss_value(config.loss, valid.targets, raw_valid))
+        # a score that is not finite makes the mean loss inf or nan
+        if not math.isfinite(train_hist[-1]):
+            raise ValueError(
+                f"training diverged in round {len(trees)}: the training loss is "
+                f"{train_hist[-1]} with learning_rate {config.learning_rate}"
+            )
         if valid is not None:
-            raw_valid = raw_valid + config.learning_rate * tree.apply(valid.X)
-            current = loss_value(config.loss, valid.targets, raw_valid)
-            valid_hist.append(current)
+            current = valid_hist[-1]
             if current < best_valid:
                 best_valid = current
                 best_round = len(trees)

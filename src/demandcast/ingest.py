@@ -13,23 +13,37 @@ loader rejects duplicate keys, so no row can overwrite another.
 
 All four CSV inputs (sales.csv, catalog.csv, covariates.csv and the
 predictions file `evaluate` scores) go through one block reader, which
-reads a file column-wise, one block of about BLOCK_CHARS characters at a
-time, and hands each loader the header it found to check. Files are UTF-8.
-A block without a quote, a byte that is not UTF-8, an over-long line or a
-"\r" outside a "\r\n" line end is split on "\n" and "," directly; others go
-through csv.reader as they are, which gives the same records, so quoted
-fields and lone "\r" keep their csv meaning. The reader alone checks each
-record's field count against the header's, and turns what csv.reader
-raises (a field longer than its limit) and bytes that are not UTF-8 into a
-SchemaError naming the line; it stops after the block that holds the first
-fault, however found. Numbers are parsed by Python's int and float into
-numpy arrays, and every check is an array check over the rows. A bad file
-is rejected with the error a row-by-row reader would raise first: the one
-on the earliest line and, on that line, the first in the loader's order of
-checks, whatever the block size. No Python object per row
-outlives its block in load_sales, which scatters the rows into the dense
-panel, or in load_covariates, which returns a columnar CovariateTable, each
-key's sorted week, panel-row and value arrays.
+reads a file's bytes column-wise, one block of about BLOCK_BYTES bytes at
+a time (a block ends only after a "\n", so never inside a character), and
+hands each loader the header it found to check. Files are UTF-8. A block
+holding a quote, a NUL, a byte that is not UTF-8, a field longer than
+csv's field limit counted in bytes, or a "\r" not followed by "\n" goes
+to csv.reader, and so does the rest of the file; the others are split
+directly, which gives the same records, so quoted fields and lone "\r"
+keep their csv meaning. Splitting finds every "," and "\n" of the block
+with one np.flatnonzero and turns each field into a (start, end) span of its
+bytes; csv.reader's records are turned into the same spans, so the
+loaders see one column type. The reader alone checks each record's field
+count against the header's, and turns what csv.reader raises (a field
+longer than its limit) and bytes that are not UTF-8 into a SchemaError
+naming the line; it stops after the block that holds the first fault,
+however found.
+
+Columns are converted from their spans. numpy converts an integer token
+of 1 to MAX_DIGITS ASCII digits, digit by digit in int64; Python's int
+parses every other integer token (a sign, more digits, spaces, other
+Unicode digits), so the values are int's. A flag is 0 or 1 only when it
+is the single byte "0" or "1", and a covariate's scope is compared with
+"temporal" and "mixed" byte by byte. Text columns (ids, keys, categories,
+attributes) and float columns become Python strings by one decode and
+split of the column's bytes per block, and Python's float parses the
+floats. Every check is an array check over the rows. A bad file is
+rejected with the error a row-by-row reader would raise first: the one on
+the earliest line and, on that line, the first in the loader's order of
+checks, whatever the block size. No Python object per row outlives its
+block in load_sales, which scatters the rows into the dense panel, or in
+load_covariates, which returns a columnar CovariateTable, each key's
+sorted week, panel-row and value arrays.
 
 RunConfig is the one place a run setting is declared: its fields name,
 type and default every setting, load_config parses each key by its field's
@@ -67,14 +81,17 @@ INT64_RANGE = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 # about 190 years of weekly data.
 LAST_WEEK = 9_999
 
-# Characters of a CSV tokenized at a time: the loaders hold one block's
-# tokens as Python strings, and keep only numpy arrays of the rows.
-BLOCK_CHARS = 1 << 20
+# Bytes of a CSV read at a time: the loaders hold one block's bytes, the
+# spans of its fields and the strings of its text and float columns, and
+# keep only numpy arrays of the rows.
+BLOCK_BYTES = 1 << 20
+
+# The longest run of ASCII digits numpy converts to int64: 10**18 - 1 is
+# below 2**63, so accumulating one digit at a time cannot overflow.
+MAX_DIGITS = 18
 
 SALES_HEADER = ["product_id", "week", "units", "on_sale", "in_stock"]
 COVARIATES_HEADER = ["scope", "key", "week", "product_id", "value", "predictable"]
-_FLAG_CODES = {"0": 0, "1": 1}
-_SCOPE_CODES = {"temporal": 0, "mixed": 1}
 
 # Search bounds for tree hyperparameters; values outside them are rejected
 # unless the config sets override_bounds.
@@ -216,31 +233,178 @@ def _undecoded(text: str) -> bool:
     return not text.isascii() and re.search("[\udc80-\udcff]", text) is not None
 
 
-def _line_blocks(fh) -> Iterator[str]:
-    r"""The text of fh in pieces of about BLOCK_CHARS, each ending with "\n" but the last."""
-    rest = ""
-    while chunk := fh.read(BLOCK_CHARS):
-        text = rest + chunk
-        cut = text.rfind("\n") + 1
+@dataclass(frozen=True, eq=False)
+class _Column:
+    """One field of a block's records: token i is the UTF-8 bytes data[starts[i]:ends[i]].
+
+    At least one byte of data follows each token, so every start indexes
+    into data.
+    """
+
+    data: np.ndarray    # uint8, the block's bytes
+    starts: np.ndarray  # int64
+    ends: np.ndarray    # int64
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def token(self, i: int) -> str:
+        return self.data[self.starts[i] : self.ends[i]].tobytes().decode()
+
+    def empty(self) -> np.ndarray:
+        return self.starts == self.ends
+
+    def equals(self, word: bytes) -> np.ndarray:
+        """Whether each token is word."""
+        equal = self.ends - self.starts == len(word)
+        for k, byte in enumerate(word):
+            equal &= self.data.take(self.starts + k, mode="clip") == byte
+        return equal
+
+    def text(self) -> list[str]:
+        """The tokens as str, from one decode and split of their bytes."""
+        if not len(self):
+            return []
+        # int32 positions where they fit: the gather's index is its largest temporary
+        dtype = np.int32 if len(self.data) <= np.iinfo(np.int32).max else np.int64
+        size = (self.ends - self.starts + 1).astype(dtype)  # a token and the byte after it
+        stops = np.cumsum(size, dtype=dtype)
+        shift = np.repeat(self.starts.astype(dtype) + size - stops, size)
+        raw = self.data[shift + np.arange(stops[-1], dtype=dtype)]
+        raw[stops - 1] = ord(",")
+        joined = raw.tobytes()
+        if joined.count(b",") == len(self):
+            return joined.decode().split(",")[:-1]
+        raw[stops - 1] = 0xFF  # a token holds a comma; no UTF-8 text holds this byte
+        return raw.tobytes().decode(errors="surrogateescape").split("\udcff")[:-1]
+
+    def ints(self) -> tuple[np.ndarray, int, int]:
+        """The tokens parsed as Python's int parses them, into an int64 array.
+
+        Returns (values, bad, wide): bad is the index of the first token int
+        rejects and wide that of the first int outside int64, len(self) when
+        there is none. Values from bad on are undefined; ints outside int64
+        are clipped to its bounds. A token of 1 to MAX_DIGITS ASCII digits
+        is converted in numpy; int parses the others.
+        """
+        lengths = self.ends - self.starts
+        values = np.zeros(len(self), np.int64)
+        fast = (lengths > 0) & (lengths <= MAX_DIGITS)
+        for k in range(min(int(lengths.max(initial=0)), MAX_DIGITS)):
+            # uint8: a byte that is not a digit gives 10 or more
+            digit = self.data.take(self.starts + k, mode="clip") - ord("0")
+            more = lengths > k
+            fast &= (digit < 10) | ~more
+            values = np.where(more, values * 10 + digit, values)
+        wide = len(self)
+        for i in np.flatnonzero(~fast).tolist():
+            try:
+                value = int(self.token(i))
+            except ValueError:
+                return values, i, wide
+            if value not in INT64_RANGE:
+                wide = min(wide, i)  # the indices ascend
+                value = min(max(value, INT64_RANGE.start), INT64_RANGE.stop - 1)
+            values[i] = value
+        return values, len(self), wide
+
+    def flags(self) -> np.ndarray:
+        """0 and 1 for the tokens "0" and "1", 2 for any other."""
+        digit = self.data[self.starts] - ord("0")
+        return np.where((self.ends - self.starts == 1) & (digit < 2), digit, 2).astype(np.int8)
+
+
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """The records of a block of a CSV file, as spans of its bytes.
+
+    Field i is data[starts[i]:ends[i]], the fields of all records in file
+    order, each followed by at least one byte of data; counts holds each
+    record's field count (0 for a blank line, which csv reads as no fields).
+    error is None or what is wrong with the record after the block's last
+    one, which ends the stream: the error csv.reader raised on it, or that
+    it holds a byte that is not UTF-8.
+    """
+
+    data: np.ndarray    # uint8
+    starts: np.ndarray  # int64
+    ends: np.ndarray    # int64
+    counts: np.ndarray  # int64
+    error: str | None = None
+
+    def columns(self, first: int, rows: int, n: int) -> list[_Column]:
+        """Each field of the rows records of n fields from field first on."""
+        stop = first + rows * n
+        return [
+            _Column(self.data, self.starts[k:stop:n], self.ends[k:stop:n])
+            for k in range(first, first + n)
+        ]
+
+
+def _line_blocks(fh) -> Iterator[bytes]:
+    r"""The bytes of fh in pieces of about BLOCK_BYTES, each ending with "\n" but the last."""
+    rest = b""
+    while chunk := fh.read(BLOCK_BYTES):
+        data = rest + chunk
+        cut = data.rfind(b"\n") + 1
         if cut:
-            yield text[:cut]
-        rest = text[cut:]
+            yield data[:cut]
+        rest = data[cut:]
     if rest:
         yield rest
 
 
-def _csv_records(blocks: Iterable[str]) -> Iterator[tuple[list[str], list[int], str | None]]:
+def _split_block(data: bytes, limit: int) -> _Block | None:
+    r"""The records of data split on "\n" and "," directly, or None where csv may differ.
+
+    That is where data holds '"', a "\r" outside a "\r\n" line end, a NUL
+    (which csv.reader rejects before Python 3.11), a byte that is not UTF-8,
+    or a field longer than limit bytes (csv's limit counts characters, and
+    a character is one or more bytes).
+    """
+    if b'"' in data or b"\0" in data:
+        return None
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError:
+            return None
+    if not data.endswith(b"\n"):
+        data += b"\n"  # csv.reader ends the last record at the end of the file
+    array = np.frombuffer(data, np.uint8)
+    separators = np.flatnonzero((array == ord(",")) | (array == ord("\n")))
+    newline = array[separators] == ord("\n")
+    cr = array[separators - 1] == ord("\r")  # at position 0, "- 1" reads the final "\n"
+    if data.count(b"\r") != np.count_nonzero(cr & newline):
+        return None
+    starts = np.concatenate(([0], separators[:-1] + 1))
+    ends = separators - cr
+    if (ends - starts).max() > limit:
+        return None
+    last = np.flatnonzero(newline)  # each record's last field
+    counts = np.diff(last, prepend=-1)
+    blank = (counts == 1) & (starts[last] == ends[last])
+    if blank.any():
+        counts[blank] = 0
+        keep = np.ones(len(starts), dtype=bool)
+        keep[last[blank]] = False
+        starts, ends = starts[keep], ends[keep]
+    return _Block(array, starts, ends, counts)
+
+
+def _csv_records(blocks: Iterable[bytes]) -> Iterator[_Block]:
     """_records of the blocks, read by csv.reader in batches of records."""
     undecoded = False  # whether a block read so far holds a byte that is not UTF-8
 
     def texts():
         nonlocal undecoded
         for block in blocks:
-            undecoded = undecoded or _undecoded(block)
-            yield io.StringIO(block, newline="")
+            text = block.decode(errors="surrogateescape")
+            undecoded = undecoded or _undecoded(text)
+            yield io.StringIO(text, newline="")
 
     reader = csv.reader(chain.from_iterable(texts()))
-    batch = max(1, BLOCK_CHARS // 40)  # about 40 characters a record
+    batch = max(1, BLOCK_BYTES // 40)  # about 40 bytes a record
     while True:
         rows: list[list[str]] = []
         error = None
@@ -256,38 +420,31 @@ def _csv_records(blocks: Iterable[str]) -> Iterator[tuple[list[str], list[int], 
             if bad is not None:
                 del rows[bad:]
                 error = "not valid UTF-8"
-        yield list(chain.from_iterable(rows)), [len(row) - 1 for row in rows], error
+        fields = [field.encode() for field in chain.from_iterable(rows)]
+        lengths = np.fromiter(map(len, fields), np.int64, len(fields))
+        ends = np.cumsum(lengths + 1) - 1
+        yield _Block(
+            np.frombuffer(b",".join(fields) + b",", np.uint8), ends - lengths, ends,
+            np.array([len(row) for row in rows], dtype=np.int64), error,
+        )
         if error is not None or len(rows) < batch:
             return
 
 
-def _records(fh) -> Iterator[tuple[list[str], list[int], str | None]]:
-    r"""The CSV records of fh a block at a time, as csv.reader reads them.
+def _records(fh) -> Iterator[_Block]:
+    r"""The CSV records of the binary file fh a block at a time, as csv.reader reads them.
 
-    Yields (fields, commas, error): the block's fields in one flat list, the
-    field count less one of each record (-1 for a blank line, which csv
-    reads as no fields), and None or what is wrong with the record after the
-    block's last one, which ends the stream: the error csv.reader raised on
-    it, or that it holds a byte that is not UTF-8. Blocks without '"', a "\r"
-    outside a "\r\n" line end, such a byte, or a line longer than the csv
-    field limit are split on "\n" and "," directly, which gives the same
-    records; from the first other block on, csv.reader reads the file as is.
+    Blocks that _split_block splits are split there; from the first other
+    block on, csv.reader reads the file as is, and its records are turned
+    into the same spans.
     """
     blocks = _line_blocks(fh)
     limit = csv.field_size_limit()
-    for block in blocks:
-        # csv.reader ends an unquoted record at "\r\n" as at "\n"; a lone "\r" stays
-        text = block if '"' in block else block.replace("\r\n", "\n")
-        lines = text.split("\n")
-        if text.endswith("\n"):
-            lines.pop()
-        if '"' in text or "\r" in text or max(map(len, lines)) > limit or _undecoded(text):
-            yield from _csv_records(chain([block], blocks))
+    for data in blocks:
+        if (block := _split_block(data, limit)) is None:
+            yield from _csv_records(chain([data], blocks))
             return
-        commas = list(map(str.count, lines, repeat(",")))
-        if "" in lines:
-            commas = [count if line else -1 for count, line in zip(commas, lines)]
-        yield text.replace("\n", ",").split(","), commas, None
+        yield block
 
 
 def _read_columns(path: Path) -> tuple[_FirstFault, Iterator]:
@@ -296,10 +453,10 @@ def _read_columns(path: Path) -> tuple[_FirstFault, Iterator]:
     blocks yields path's header record, then (line, columns) for each block
     of data records. The header is None for an empty file; the caller checks
     it, and the data records are read as rows of as many fields as it has.
-    columns holds one token list per field, for the block's records up to
-    the first with another field count, which is a fault on its line; line
-    is the block's first record's line (the header is line 1, and a record
-    is one line however many physical lines a quoted field spans). A record
+    columns holds one _Column per field, for the block's records up to the
+    first with another field count, which is a fault on its line; line is
+    the block's first record's line (the header is line 1, and a record is
+    one line however many physical lines a quoted field spans). A record
     csv.reader fails on, or that holds a byte that is not UTF-8, is a fault
     on its line: on line 1 it is raised. The stream ends after the first
     block in which a fault was added, by the reader or by the caller's
@@ -308,65 +465,49 @@ def _read_columns(path: Path) -> tuple[_FirstFault, Iterator]:
     faults = _FirstFault(path)
 
     def blocks():
-        with path.open(encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        with path.open("rb") as fh:
             records = _records(fh)
-            fields, commas, error = next(records, ([], [], None))
-            if not commas:
-                if error is not None:
-                    raise SchemaError(f"{path}:1: {error}")
+            block = next(records, None)
+            if block is None or not block.counts.size:
+                if block is not None and block.error is not None:
+                    raise SchemaError(f"{path}:1: {block.error}")
                 yield None
                 return
-            n = commas[0] + 1
-            yield fields[:n]
-            del fields[:n], commas[0]
-            line = 2
+            n = int(block.counts[0])
+            yield [column.token(0) for column in block.columns(0, 1, n)]
+            first, counts, line = n, block.counts[1:], 2
             while True:
-                stop = len(commas)
-                if commas.count(n - 1) != stop:
-                    stop = next(i for i, width in enumerate(commas) if width != n - 1)
-                    faults.add(line + stop, 0, f"expected {n} fields, got {commas[stop] + 1}")
-                elif error is not None:
-                    faults.add(line + stop, 0, error)
-                yield line, [fields[k : stop * n : n] for k in range(n)]
-                if faults.at is not None or (batch := next(records, None)) is None:
+                other = np.flatnonzero(counts != n)
+                stop = int(other[0]) if other.size else len(counts)
+                if other.size:
+                    faults.add(line + stop, 0, f"expected {n} fields, got {counts[stop]}")
+                elif block.error is not None:
+                    faults.add(line + stop, 0, block.error)
+                yield line, block.columns(first, stop, n)
+                if faults.at is not None or (block := next(records, None)) is None:
                     return
                 line += stop
-                fields, commas, error = batch
+                first, counts = 0, block.counts
 
     return faults, blocks()
 
 
-def _parse(tokens: list[str], kind) -> tuple[np.ndarray, int, int]:
-    """The tokens parsed by kind, int or float, into an int64 or float64 array.
-
-    Returns (values, bad, wide): bad is the index of the first token kind
-    rejects and wide that of the first int outside int64, len(tokens) when
-    there is none. Values from bad on are 0; ints outside int64 are clipped
-    to its bounds.
-    """
+def _floats(tokens: list[str]) -> tuple[np.ndarray, int]:
+    """The tokens parsed by Python's float into a float64 array, and the
+    index of the first it rejects (len(tokens) when there is none); values
+    from it on are 0."""
     n = len(tokens)
-    dtype = np.int64 if kind is int else np.float64
     try:
-        return np.fromiter(map(kind, tokens), dtype, n), n, n
-    except (ValueError, OverflowError):
+        return np.fromiter(map(float, tokens), np.float64, n), n
+    except ValueError:
         pass
-    values = np.zeros(n, dtype)
-    wide = n
+    values = np.zeros(n)
     for i, token in enumerate(tokens):
         try:
-            value = kind(token)
+            values[i] = float(token)
         except ValueError:
-            return values, i, wide
-        if kind is int and value not in INT64_RANGE:
-            wide = min(wide, i)
-            value = min(max(value, INT64_RANGE.start), INT64_RANGE.stop - 1)
-        values[i] = value
-    return values, n, wide
-
-
-def _flags(tokens: list[str]) -> np.ndarray:
-    """0 and 1 for the tokens "0" and "1", 2 for any other."""
-    return np.fromiter(map(_FLAG_CODES.get, tokens, repeat(2)), np.int8, len(tokens))
+            return values, i
+    return values, n
 
 
 def _codes(tokens: list[str], codes: dict[str, int]) -> np.ndarray:
@@ -390,30 +531,33 @@ def load_sales(path: str | Path) -> SalesPanel:
         raise SchemaError(f"{path}: unexpected sales header {header}")
     product_ids: dict[str, int] = {}  # id -> order of first appearance
     parts = []
-    for line, (pid_s, week_s, units_s, sale_s, stock_s) in blocks:
-        n = len(pid_s)
-        pids = _codes(pid_s, product_ids)
-        if "" in product_ids:
-            faults.first(pids == product_ids[""], line, 1, lambda i: "empty product_id")
-        weeks, bad_week, _ = _parse(week_s, int)
-        units, bad_units, wide = _parse(units_s, int)
+    for line, (pid_t, week_t, units_t, sale_t, stock_t) in blocks:
+        n = len(pid_t)
+        pids = _codes(pid_t.text(), product_ids)
+        faults.first(pid_t.empty(), line, 1, lambda i: "empty product_id")
+        weeks, bad_week, _ = week_t.ints()
+        units, bad_units, wide = units_t.ints()
         if min(bad_week, bad_units) < n:
             faults.add(line + min(bad_week, bad_units), 2, "non-integer week or units")
-        faults.first(weeks < 0, line, 3, lambda i: f"negative week {int(week_s[i])}")
+        faults.first(weeks < 0, line, 3, lambda i: f"negative week {int(week_t.token(i))}")
         faults.first(
             weeks > LAST_WEEK, line, 4,
-            lambda i: f"week {int(week_s[i])} beyond the last supported week {LAST_WEEK}",
+            lambda i: f"week {int(week_t.token(i))} beyond the last supported week {LAST_WEEK}",
         )
-        faults.first(units < 0, line, 5, lambda i: f"negative units {int(units_s[i])}")
+        faults.first(units < 0, line, 5, lambda i: f"negative units {int(units_t.token(i))}")
         if wide < n:
-            faults.add(line + wide, 6, f"units {int(units_s[wide])} outside the int64 range")
+            faults.add(line + wide, 6, f"units {int(units_t.token(wide))} outside the int64 range")
         # order 7 is the duplicate check, made on all rows below
-        on_sale, stock = _flags(sale_s), _flags(stock_s)
-        faults.first(on_sale == 2, line, 8, lambda i: f"on_sale must be 0 or 1, got {sale_s[i]!r}")
-        faults.first(stock == 2, line, 9, lambda i: f"in_stock must be 0 or 1, got {stock_s[i]!r}")
+        on_sale, stock = sale_t.flags(), stock_t.flags()
+        faults.first(
+            on_sale == 2, line, 8, lambda i: f"on_sale must be 0 or 1, got {sale_t.token(i)!r}"
+        )
+        faults.first(
+            stock == 2, line, 9, lambda i: f"in_stock must be 0 or 1, got {stock_t.token(i)!r}"
+        )
         faults.first(
             (units > 0) & (on_sale == 0), line, 10,
-            lambda i: f"positive units {int(units_s[i])} on a week not marked on sale",
+            lambda i: f"positive units {int(units_t.token(i))} on a week not marked on sale",
         )
         parts.append((pids, weeks, units, on_sale, stock))
     pids, weeks, units, on_sale, stock = map(np.concatenate, zip(*parts))
@@ -463,16 +607,15 @@ def load_catalog(path: str | Path) -> Catalog:
     product_ids: dict[str, int] = {}  # id -> order of first appearance
     codes, prices, table = [], [], [[] for _ in header]
     for line, columns in blocks:
-        pid_s, category_s, price_s = columns[:3]
+        texts = [column.text() for column in columns]
+        pid_s, category_s, price_s = texts[:3]
         n = len(pid_s)
         pids = _codes(pid_s, product_ids)
-        if "" in product_ids:
-            faults.first(pids == product_ids[""], line, 1, lambda i: "empty product_id")
+        faults.first(columns[0].empty(), line, 1, lambda i: "empty product_id")
         faults.first(
-            [not category for category in category_s], line, 2,
-            lambda i: f"product {pid_s[i]!r} has no category",
+            columns[1].empty(), line, 2, lambda i: f"product {pid_s[i]!r} has no category"
         )
-        price, bad, _ = _parse(price_s, float)
+        price, bad = _floats(price_s)
         if bad < n:
             faults.add(line + bad, 3, f"bad price {price_s[bad]!r}")
         faults.first(
@@ -482,7 +625,7 @@ def load_catalog(path: str | Path) -> Catalog:
         # order 5 is the duplicate check, made on all rows below
         codes.append(pids)
         prices.append(price)
-        for rows, column in zip(table, columns):
+        for rows, column in zip(table, texts):
             rows += column
     pids = np.concatenate(codes)
     names = list(product_ids)
@@ -509,17 +652,18 @@ def load_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
     product_ids: dict[str, int] = {}  # id -> order of first appearance
     ids: list[str] = []
     parts = []
-    for line, (pid_s, week_s, value_s) in blocks:
-        n = len(pid_s)
-        weeks, bad_week, wide = _parse(week_s, int)
-        forecasts, bad_value, _ = _parse(value_s, float)
+    for line, (pid_t, week_t, value_t) in blocks:
+        n = len(pid_t)
+        pid_s, value_s = pid_t.text(), value_t.text()
+        weeks, bad_week, wide = week_t.ints()
+        forecasts, bad_value = _floats(value_s)
         if min(bad_week, bad_value) < n:
             faults.add(line + min(bad_week, bad_value), 1, "bad week or forecast")
         faults.first(
             ~np.isfinite(forecasts), line, 2, lambda i: f"non-finite forecast {value_s[i]!r}"
         )
         if wide < n:
-            faults.add(line + wide, 3, f"week {int(week_s[wide])} outside the int64 range")
+            faults.add(line + wide, 3, f"week {int(week_t.token(wide))} outside the int64 range")
         # order 4 is the duplicate check, made on all rows below
         ids += pid_s
         parts.append((_codes(pid_s, product_ids), weeks, forecasts))
@@ -548,21 +692,22 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
     key_ids: dict[str, int] = {}  # key -> order of first appearance
     panel_rows = {**panel.index, "": -1}  # ids the panel lacks map to -2
     parts = []
-    for line, (scope_s, key_s, week_s, pid_s, value_s, flag_s) in blocks:
-        n = len(scope_s)
-        weeks, bad_week, wide = _parse(week_s, int)
-        values, bad_value, _ = _parse(value_s, float)
+    for line, (scope_t, key_t, week_t, pid_t, value_t, flag_t) in blocks:
+        n = len(scope_t)
+        key_s, pid_s, value_s = key_t.text(), pid_t.text(), value_t.text()
+        weeks, bad_week, wide = week_t.ints()
+        values, bad_value = _floats(value_s)
         if min(bad_week, bad_value) < n:
             faults.add(line + min(bad_week, bad_value), 1, "bad week or value")
         if wide < n:
-            faults.add(line + wide, 2, f"week {int(week_s[wide])} outside the int64 range")
+            faults.add(line + wide, 2, f"week {int(week_t.token(wide))} outside the int64 range")
         faults.first(~np.isfinite(values), line, 3, lambda i: f"non-finite value {value_s[i]!r}")
-        flags = _flags(flag_s)
+        flags = flag_t.flags()
         faults.first(
-            flags == 2, line, 4, lambda i: f"predictable must be 0 or 1, got {flag_s[i]!r}"
+            flags == 2, line, 4, lambda i: f"predictable must be 0 or 1, got {flag_t.token(i)!r}"
         )
         # order 5 is the predictable flag's consistency, checked on all rows below
-        scopes = np.fromiter(map(_SCOPE_CODES.get, scope_s, repeat(2)), np.int8, n)
+        scopes = np.select([scope_t.equals(b"temporal"), scope_t.equals(b"mixed")], [0, 1], 2)
         rows = np.fromiter(map(panel_rows.get, pid_s, repeat(-2)), np.int64, n)
         outside = (weeks < 0) | (weeks >= panel.n_weeks)
 
@@ -570,7 +715,7 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
             if scopes[i] == 0:
                 return "temporal row must have empty product_id"
             if scopes[i] == 2:
-                return f"unknown scope {scope_s[i]!r}"
+                return f"unknown scope {scope_t.token(i)!r}"
             if rows[i] == -1:
                 return "mixed row needs a product_id"
             if rows[i] == -2:

@@ -2,6 +2,7 @@ import csv
 import json
 import random
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -431,6 +432,24 @@ def test_predict_with_a_model_that_overflows_is_data_error(tmp_path, capsys):
         f"error: {model_file}: forecast for ('p0002', 65) is inf, not a finite number\n"
     )
     assert not out.exists()
+
+
+def test_diverging_boosted_fit_is_data_error(data_dir, tmp_path, capsys):
+    # learning_rate 50 takes the poisson scores past exp's range in round 1:
+    # the fit used to warn of the overflow, then fail inside grad_hess
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        CONFIG.replace("learning_rate = 0.2", "learning_rate = 50")
+        .replace("rounds = 30", "rounds = 5")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(pipeline_args(data_dir, tmp_path / "out", config=config))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error in stage train: training diverged in round 1: the training loss is inf "
+        "with learning_rate 50.0\n"
+    )
 
 
 class TestInputFaults:

@@ -187,7 +187,7 @@ class TestCsvFaults:
     @pytest.fixture(params=[None, 24], ids=["default_blocks", "tiny_blocks"])
     def blocks(self, request, monkeypatch):
         if request.param is not None:
-            monkeypatch.setattr(ingest, "BLOCK_CHARS", request.param)
+            monkeypatch.setattr(ingest, "BLOCK_BYTES", request.param)
 
     @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("name", CSV_INPUTS)

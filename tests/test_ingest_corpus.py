@@ -2,14 +2,18 @@
 
 Small valid sales, catalog, covariates and predictions files are mutated
 with numpy's RNG (bad headers and field counts, blank lines, bad numbers,
-out-of-range weeks and prices, empty ids and categories, bad flags and
-scopes, unknown products, duplicate and conflicting keys, quoted fields,
+integers that only Python's int converts, out-of-range weeks and prices,
+empty, non-ASCII and NUL ids, bad flags and scopes, unknown products,
+duplicate and conflicting keys, quoted fields, a lone "\r" inside a field,
 CRLF line ends, shuffled rows). On every file the loader must return what
 tests/oracles.py's row-by-row loader returns, or raise the same exception
 type with the same message. The corpus runs once with the default block
 size and once with blocks of a line or two, so that duplicates and faults
-straddle block boundaries.
+straddle block boundaries; hand-made UTF-8 files also run with blocks of 1
+to 3 bytes.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -37,8 +41,16 @@ INT64_EDGES = [
     "-9223372036854775809", "100000000000000000000",
 ]
 NOT_INTEGERS = ["1.5", "x", "", "0x1", "1e3", " 7", "+2", "1_0"]
+# integer tokens numpy does not convert (a sign, 19 digits, a space, a
+# Unicode digit) or converts with care (leading zeros, 18 digits)
+PYTHON_INTEGERS = [
+    "007", "-0", "+0", "999999999999999999", "1000000000000000000", "٣", "３", "7 ",
+]
 NOT_FINITE = ["nan", "inf", "-inf", "1e400", "NaN", "abc", ""]
-BAD_FLAGS = ["2", "", "yes", "01", "-1", "1.0"]
+BAD_FLAGS = ["2", "", "yes", "01", "-1", "1.0", "1 ", "١"]
+# ids kept byte for byte: two and three byte UTF-8 and, where csv.reader
+# reads it (Python 3.11 on), a NUL
+ODD_IDS = ["pé", "産品", *["p\x00"] * (sys.version_info >= (3, 11))]
 
 # every check each loader makes, as a piece of its message
 SALES_FAULTS = (
@@ -113,6 +125,8 @@ def valid_predictions(rng):
 def mutate_sales_field(rng, row, kind):
     if kind == "not_integer":
         row[int(rng.choice([1, 2]))] = str(rng.choice(NOT_INTEGERS))
+    elif kind == "python_integer":
+        row[int(rng.choice([1, 2]))] = str(rng.choice(PYTHON_INTEGERS))
     elif kind == "negative_week":
         row[1] = str(-int(rng.integers(1, 5)))
     elif kind == "late_week":
@@ -129,12 +143,16 @@ def mutate_sales_field(rng, row, kind):
         column = int(rng.choice([3, 4]))
         row[column] = "1" if row[column] == "0" else "0"
     elif kind == "new_product":
-        row[0] = str(rng.choice(["p9", "a", ""]))
+        row[0] = str(rng.choice(["p9", "a", "", *ODD_IDS]))
 
 
 def mutate_covariate_field(rng, row, kind):
     if kind == "not_integer":
         row[2] = str(rng.choice(NOT_INTEGERS))
+    elif kind == "python_integer":
+        row[2] = str(rng.choice(PYTHON_INTEGERS))
+    elif kind == "odd_key":
+        row[1] = str(rng.choice(ODD_IDS))
     elif kind == "not_finite":
         row[4] = str(rng.choice(NOT_FINITE))
     elif kind == "negative_week":
@@ -150,7 +168,7 @@ def mutate_covariate_field(rng, row, kind):
     elif kind == "bad_scope":
         row[0] = str(rng.choice(["Temporal", "", "both"]))
     elif kind == "unknown_product":
-        row[3] = "p9"
+        row[3] = str(rng.choice(["p9", *ODD_IDS]))
     elif kind == "empty_or_extra_product":
         row[3] = "" if row[3] else "p1"
     elif kind == "other_scope":
@@ -164,6 +182,8 @@ def mutate_catalog_field(rng, row, kind):
         row[0] = ""
     elif kind == "same_id":
         row[0] = str(rng.choice(PRODUCTS))
+    elif kind == "odd_id":
+        row[0] = str(rng.choice(ODD_IDS))
     elif kind == "no_category":
         row[1] = ""
     elif kind == "not_a_number":
@@ -179,6 +199,8 @@ def mutate_catalog_field(rng, row, kind):
 def mutate_prediction_field(rng, row, kind):
     if kind == "not_integer":
         row[1] = str(rng.choice(NOT_INTEGERS))
+    elif kind == "python_integer":
+        row[1] = str(rng.choice(PYTHON_INTEGERS))
     elif kind == "not_finite":
         row[2] = str(rng.choice(NOT_FINITE))
     elif kind == "wide_week":
@@ -186,28 +208,31 @@ def mutate_prediction_field(rng, row, kind):
     elif kind == "same_week":
         row[1] = str(int(rng.integers(-1, WEEKS)))
     elif kind == "other_product":
-        row[0] = str(rng.choice(["p0", "p9", ""]))
+        row[0] = str(rng.choice(["p0", "p9", "", *ODD_IDS]))
     elif kind == "quoted_comma_id":
         row[0] = '"p,1"'
 
 
 SALES_KINDS = (
-    "not_integer", "negative_week", "late_week", "wide_week", "negative_units", "bad_flag",
-    "bad_flags", "flip_flag", "new_product",
+    "not_integer", "python_integer", "negative_week", "late_week", "wide_week", "negative_units",
+    "bad_flag", "bad_flags", "flip_flag", "new_product",
 )
 COVARIATE_KINDS = (
-    "not_integer", "not_finite", "negative_week", "late_week", "wide_week", "bad_flag",
-    "flip_flag", "bad_scope", "unknown_product", "empty_or_extra_product", "other_scope",
-    "quoted_comma_key",
+    "not_integer", "python_integer", "odd_key", "not_finite", "negative_week", "late_week",
+    "wide_week", "bad_flag", "flip_flag", "bad_scope", "unknown_product", "empty_or_extra_product",
+    "other_scope", "quoted_comma_key",
 )
 CATALOG_KINDS = (
-    "empty_id", "same_id", "no_category", "not_a_number", "not_positive", "not_finite",
+    "empty_id", "same_id", "odd_id", "no_category", "not_a_number", "not_positive", "not_finite",
     "quoted_comma_attribute",
 )
 PREDICTION_KINDS = (
-    "not_integer", "not_finite", "wide_week", "same_week", "other_product", "quoted_comma_id",
+    "not_integer", "python_integer", "not_finite", "wide_week", "same_week", "other_product",
+    "quoted_comma_id",
 )
-LINE_KINDS = ("truncate", "extra_field", "blank", "duplicate", "duplicate_changed", "quote")
+LINE_KINDS = (
+    "truncate", "extra_field", "blank", "duplicate", "duplicate_changed", "quote", "lone_cr",
+)
 
 
 def mutated_text(rng, header, rows, field_kinds, mutate_field):
@@ -243,6 +268,9 @@ def mutated_text(rng, header, rows, field_kinds, mutate_field):
             k = int(rng.integers(0, len(lines[j])))
             if '"' not in lines[j][k]:
                 lines[j][k] = f'"{lines[j][k]}"'
+        elif kind == "lone_cr":  # csv.reader ends a record at a lone "\r"
+            k = int(rng.integers(0, len(lines[j])))
+            lines[j][k] = lines[j][k][:1] + "\r" + lines[j][k][1:]
     if rng.random() < 0.3:
         lines = [lines[k] for k in rng.permutation(len(lines))]
     end = "\r\n" if rng.random() < 0.2 else "\n"
@@ -265,13 +293,13 @@ def sales_equal(a, b):
 
 
 @pytest.fixture(params=[None, 24], ids=["default_blocks", "tiny_blocks"])
-def block_chars(request, monkeypatch):
+def block_bytes(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(ingest, "BLOCK_CHARS", request.param)  # one or two lines a block
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", request.param)  # one or two lines a block
     return request.param
 
 
-def test_sales_match_rowwise_loader(tmp_path, block_chars):
+def test_sales_match_rowwise_loader(tmp_path, block_bytes):
     rng = np.random.default_rng(20240901)
     faults, valid, csv_path_valid = set(), 0, 0
     for k in range(FILES):
@@ -291,7 +319,7 @@ def test_sales_match_rowwise_loader(tmp_path, block_chars):
     assert valid > FILES // 5 and csv_path_valid > 5
 
 
-def test_covariates_match_rowwise_loader(tmp_path, block_chars):
+def test_covariates_match_rowwise_loader(tmp_path, block_bytes):
     rng = np.random.default_rng(20240902)
     faults, valid, csv_path_valid = set(), 0, 0
     for k in range(FILES):
@@ -319,7 +347,7 @@ def catalogs_equal(a, b):
     )
 
 
-def test_catalog_matches_rowwise_loader(tmp_path, block_chars):
+def test_catalog_matches_rowwise_loader(tmp_path, block_bytes):
     rng = np.random.default_rng(20240903)
     faults, valid, csv_path_valid = set(), 0, 0
     for k in range(FILES):
@@ -339,7 +367,7 @@ def test_catalog_matches_rowwise_loader(tmp_path, block_chars):
     assert valid > FILES // 5 and csv_path_valid > 5
 
 
-def test_predictions_match_rowwise_loader(tmp_path, block_chars):
+def test_predictions_match_rowwise_loader(tmp_path, block_bytes):
     rng = np.random.default_rng(20240904)
     faults, valid, csv_path_valid = set(), 0, 0
     for k in range(FILES):
@@ -375,6 +403,21 @@ def loaded(name, path):
     return [(a.dtype, a.tolist()) for a in ingest.load_predictions(path)]
 
 
+def oracle_loaded(name, path):
+    """What the row-by-row loader for file kind name gives for path, in loaded's form."""
+    if name == "sales":
+        panel = rowwise_load_sales(path)
+        return (
+            panel.products, panel.y.tolist(), panel.on_sale_mask.tolist(), panel.stock_flag.tolist()
+        )
+    if name == "covariates":
+        return rowwise_load_covariates(path, PANEL)
+    if name == "catalog":
+        catalog = rowwise_load_catalog(path)
+        return [list(getattr(catalog, f).items()) for f in ("category_of", "price", "attributes")]
+    return [(a.dtype, a.tolist()) for a in rowwise_load_predictions(path)]
+
+
 CORPORA = {
     "sales": (valid_sales, SALES_KINDS, mutate_sales_field),
     "covariates": (valid_covariates, COVARIATE_KINDS, mutate_covariate_field),
@@ -384,7 +427,7 @@ CORPORA = {
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
-def test_crlf_line_ends_load_as_lf(tmp_path, block_chars, name):
+def test_crlf_line_ends_load_as_lf(tmp_path, block_bytes, name):
     """Each corpus file gives the same result, or the same fault on the same
     line, with its lines ending in "\\n" and in "\\r\\n"."""
     rng = np.random.default_rng(20240905)
@@ -402,7 +445,7 @@ def test_crlf_line_ends_load_as_lf(tmp_path, block_chars, name):
     assert 10 < valid < FILES // 5  # some files load, others fail
 
 
-def test_quoted_crlf_inside_a_field_is_kept(tmp_path, block_chars):
+def test_quoted_crlf_inside_a_field_is_kept(tmp_path, block_bytes):
     path = tmp_path / "catalog.csv"
     path.write_text(
         'product_id,category_id,price,brand\r\np0,toys,3,"a\r\nb"\r\np1,food,2,c\r\n', newline=""
@@ -412,7 +455,7 @@ def test_quoted_crlf_inside_a_field_is_kept(tmp_path, block_chars):
     assert catalogs_equal(catalog, rowwise_load_catalog(path))
 
 
-def test_written_files_take_the_direct_path(tmp_path, block_chars, monkeypatch):
+def test_written_files_take_the_direct_path(tmp_path, block_bytes, monkeypatch):
     rng = np.random.default_rng(5)
     y = rng.poisson(3.0, size=(4, WEEKS))
     panel = SalesPanel(PRODUCTS, y, y > 0, rng.random((4, WEEKS)) < 0.9)
@@ -424,3 +467,33 @@ def test_written_files_take_the_direct_path(tmp_path, block_chars, monkeypatch):
 
     monkeypatch.setattr(ingest, "_csv_records", refuse)
     assert sales_equal(ingest.load_sales(tmp_path / "sales.csv"), panel)
+
+
+# per file kind: a header and rows with multi-byte UTF-8 text
+UTF8_FILES = {
+    "sales": ["product_id,week,units,on_sale,in_stock", "pé,0,3,1,1", "産品,1,0,0,1", "pé,1,2,1,0"],
+    "covariates": [
+        "scope,key,week,product_id,value,predictable", "temporal,événement,0,,1.5,1",
+        "mixed,価格,2,p1,9.5,0", "mixed,価格,3,p1,8.0,0",
+    ],
+    "catalog": [
+        "product_id,category_id,price,brand", "pé,jouets,2.5,été", "産品,食品,3,", "p0,food,0.5,x",
+    ],
+    "predictions": ["product_id,week,forecast", "pé,3,1.5", "産品,3,2.0", "p0,4,0.0"],
+}
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(UTF8_FILES))
+def test_blocks_of_a_few_bytes(tmp_path, monkeypatch, name, size):
+    """A block ends only after a "\n", so even blocks of 1 to 3 bytes never
+    end inside a character: CRLF files with multi-byte ids, with and without
+    a blank line, load as the row-by-row loader loads them."""
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", size)
+    lines = UTF8_FILES[name]
+    path = tmp_path / f"{name}.csv"
+    for body in (lines, [*lines[:2], "", *lines[2:]]):
+        path.write_text("\r\n".join(body), newline="")  # no line end after the last line
+        got = outcome(loaded, name, path)
+        assert got == outcome(oracle_loaded, name, path), body
+        assert (got[0] is None) == (body is lines), got
