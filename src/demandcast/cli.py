@@ -4,19 +4,17 @@ Commands: synth, preprocess, train, predict, evaluate, and pipeline (the
 full chain: data -> repair/smooth -> seasonality -> features -> boosted
 model with early stopping -> test-window forecasts -> weighted report).
 
-Each stage of that chain is one function here (`write_synth`,
-`load_inputs`, `preprocess`, `fit_seasonal`, `split_matrices`,
-`fit_boosted` or `forecast_es`, `score`), and every command that runs a
-stage calls it; the acceptance study calls the same functions on its
-in-memory panel. A run computes the split once (features.split_rows);
-`split_matrices` builds one matrix over its rows and cuts it into the
-train, valid and test parts, and `predict` builds the rows of the products
-on sale in the last week. The per-series ES reference reads the split's
-test keys and each product's own history, not features; it still loads and
-checks --covariates, so a bad file fails as it does for the other models.
-An empty test part, before or after --cold-start-filter, fails in stage
-features, before any fit or write; `predict` fails likewise when no product
-is on sale in the last week.
+`run` is that chain on loaded inputs, each stage under `stage`, so an error
+names its stage; it writes nothing. `pipeline` and `train` load their
+inputs in stages too, call `run` and write their files from its RunResult,
+so a failed run leaves no artifact; the acceptance study calls `run` on its
+in-memory panel. A run computes the split once (features.split_rows) and
+cuts one matrix over its rows into the train, valid and test parts;
+`predict` builds the rows of the products on sale in the last week. The
+per-series ES reference reads the split's test keys and each product's own
+history, not features. An empty test part, before or after
+--cold-start-filter, fails in stage features, before any fit; `predict`
+fails likewise when no product is on sale in the last week.
 
 Forecast rows stay aligned arrays from the split to the report: their
 product ids and target weeks, and the forecasts, go to the predictions
@@ -39,7 +37,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +47,7 @@ from . import evaluation, gbt, ingest, synth
 from .baselines import ESBaseline
 from .core import Catalog, SalesPanel
 from .evaluation import EvalReport, evaluate, format_report, write_report
-from .features import FeatureMatrix, build_matrix, life_at_issue, split_rows
+from .features import build_matrix, life_at_issue, split_rows
 from .ingest import CovariateTable, RunConfig, SchemaError
 from .preprocess import SmoothedPanel, preprocess_panel, write_smoothed
 from .seasonal import SeasonalityModel, fit_seasonality, write_seasonality
@@ -78,6 +77,15 @@ class StageError(Exception):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage}: {cause}")
         self.cause = cause
+
+
+@contextmanager
+def stage(name: str):
+    """Re-raise an error of the block as a StageError naming the stage."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, exc) from exc
 
 
 def _load_config(path: str | None) -> RunConfig:
@@ -141,23 +149,6 @@ def fit_seasonal(
     )
 
 
-def split_matrices(
-    repaired: SalesPanel,
-    smoothed: SmoothedPanel,
-    catalog: Catalog,
-    seasonal: SeasonalityModel | None,
-    covariates: CovariateTable | None,
-    config: RunConfig,
-    rows: np.ndarray,
-    weeks: np.ndarray,
-    part: np.ndarray,
-) -> tuple[FeatureMatrix, FeatureMatrix, FeatureMatrix]:
-    """split_rows' rows as (train, valid, test) matrices, cut from one global
-    matrix that does not outlive the cut."""
-    full = build_matrix(repaired, smoothed, catalog, seasonal, covariates, config, rows, weeks)
-    return full.select(part == 0), full.select(part == 1), full.select(part == 2)
-
-
 def forecast_es(
     pids: np.ndarray, weeks: np.ndarray, repaired: SalesPanel, catalog: Catalog, config: RunConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -172,14 +163,6 @@ def forecast_es(
     for idx, (pid, t) in enumerate(zip(pids, issued)):
         forecasts[idx], fallback[idx] = baseline.forecast(pid, t)
     return forecasts, fallback
-
-
-def fit_boosted(
-    train_rows: FeatureMatrix, valid_rows: FeatureMatrix, config: RunConfig
-) -> tuple[gbt.BoostedModel, dict]:
-    """Boosted model early-stopped on the valid rows, with its manifest details."""
-    booster = gbt.train(train_rows, config, valid_rows)
-    return booster, {"best_round": booster.best_round, "rounds_run": len(booster.trees)}
 
 
 def score(
@@ -214,6 +197,94 @@ def score(
     )
 
 
+@dataclass
+class RunResult:
+    """What `run` computed. The test keys (panel rows, product ids, target
+    weeks) are those the cold-start filter keeps, in the split's order;
+    counts holds the split's row counts and the model's manifest details."""
+
+    repaired: SalesPanel
+    seasonal: SeasonalityModel | None
+    model: gbt.BoostedModel | gbt.ForestModel | None  # None for es
+    rows: np.ndarray
+    pids: np.ndarray
+    weeks: np.ndarray
+    life: np.ndarray
+    forecasts: np.ndarray
+    report: EvalReport
+    counts: dict
+
+
+def run(
+    config: RunConfig, panel: SalesPanel, catalog: Catalog, covariates: CovariateTable | None,
+    model_kind: str = "gbt", forest_trees: int = 100, cold_start_filter: int = 0,
+) -> RunResult:
+    """Preprocess, fit and score one model (gbt, forest or es) on loaded
+    inputs; writes nothing and raises StageError naming the stage."""
+    with stage("preprocess"):
+        repaired, smoothed = preprocess(panel, config)
+    with stage("seasonal"):
+        seasonal = fit_seasonal(smoothed, repaired, catalog, config)
+    with stage("features"):
+        rows, issued, part = split_rows(repaired.on_sale_mask, config)
+        test = part == 2
+        weeks = issued[test] + config.horizon
+        # known with the split's keys, so an empty test part fails before any fit
+        life = life_at_issue(repaired.on_sale_mask, rows[test], weeks, config.horizon)
+        keep = life >= cold_start_filter
+        if not keep.any():
+            first = config.train_len + config.valid_len
+            span = f"target weeks {first}-{first + config.test_len - 1}"
+            raise ValueError(
+                f"--cold-start-filter {cold_start_filter} leaves none of the "
+                f"{keep.size} test rows for {span}"
+                if keep.size
+                else f"no test rows for {span}: no product is on sale at their issue weeks"
+            )
+        pids = np.array(repaired.products, dtype=object)[rows[test]]
+        if model_kind != "es":
+            full = build_matrix(repaired, smoothed, catalog, seasonal, covariates, config, rows, issued)
+            train_rows, valid_rows, test_rows = (full.select(part == k) for k in range(3))
+            del full  # the parts are copies: the global matrix must not outlive the cut
+    with stage("train"):
+        if model_kind == "gbt":
+            model = gbt.train(train_rows, config, valid_rows)
+            forecasts = gbt.predict(model, test_rows)
+            details = {"best_round": model.best_round, "rounds_run": len(model.trees)}
+        elif model_kind == "forest":
+            max_depth = min(config.max_depth * 4, 64)
+            model = gbt.train_forest(train_rows, forest_trees, max_depth, config.seed)
+            forecasts, details = model.predict_array(test_rows.X), {"n_trees": forest_trees}
+        else:
+            model = None
+            forecasts, fallback = forecast_es(pids, weeks, repaired, catalog, config)
+            details = {"es_fallback_rows": int(fallback.sum())}
+    with stage("evaluate"):
+        # after the fit: the ES fallback count covers every test row
+        rows, pids, weeks, life = rows[test][keep], pids[keep], weeks[keep], life[keep]
+        forecasts = forecasts[keep]
+        report = score(pids, weeks, forecasts, repaired, catalog, config)
+
+    counts = {"train_rows": int((part == 0).sum()), "valid_rows": int((part == 1).sum()),
+              "test_rows": len(pids), **details}
+    return RunResult(repaired, seasonal, model, rows, pids, weeks, life, forecasts, report, counts)
+
+
+def _run_inputs(args) -> tuple[RunConfig, Path, tuple]:
+    """A run command's config, created --out-dir and loaded (sales, catalog,
+    covariates), synthesized into --out-dir when --sales is not given."""
+    with stage("config"):
+        config = _load_config(args.config)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+    with stage("synth"):
+        sources = (args.sales, args.catalog, args.covariates)
+        if args.sales is None:
+            sources = write_synth(synth.SynthSpec(seed=config.seed), out)
+    with stage("ingest"):
+        return config, out, load_inputs(*sources)
+
+
 def cmd_synth(args) -> int:
     spec = synth.SynthSpec(**{name: getattr(args, name) for name in SYNTH_OPTIONS.values()})
     out = Path(args.out_dir)
@@ -236,25 +307,14 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _load_config(args.config)
-    panel, catalog, covariates = load_inputs(args.sales, args.catalog, args.covariates)
-    repaired, smoothed = preprocess(panel, config)
-    seasonal = fit_seasonal(smoothed, repaired, catalog, config)
-    train_rows, valid_rows, _ = split_matrices(
-        repaired, smoothed, catalog, seasonal, covariates, config,
-        *split_rows(repaired.on_sale_mask, config),
-    )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    booster, details = fit_boosted(train_rows, valid_rows, config)
-    gbt.save_model(booster, out / "model.json")
-    manifest = {
-        "config": asdict(config),
-        "train_rows": train_rows.n_rows,
-        "valid_rows": valid_rows.n_rows,
-        **details,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+    config, out, inputs = _run_inputs(args)
+    result = run(config, *inputs)
+    booster, counts = result.model, result.counts
+    del counts["test_rows"]  # train writes no forecast
+    with stage("write"):
+        gbt.save_model(booster, out / "model.json")
+        manifest = {"config": asdict(config), **counts}
+        (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
     print(f"trained {len(booster.trees)} rounds, best_round={booster.best_round}")
     return EXIT_OK
 
@@ -297,86 +357,25 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    stage = "config"
-    try:
-        config = _load_config(args.config)
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-
-        stage = "synth"
-        sources = (args.sales, args.catalog, args.covariates)
-        if args.sales is None:
-            sources = write_synth(synth.SynthSpec(seed=config.seed), out)
-
-        stage = "ingest"
-        panel, catalog, covariates = load_inputs(*sources)
-
-        stage = "preprocess"
-        repaired, smoothed = preprocess(panel, config)
-
-        stage = "seasonal"
-        seasonal = fit_seasonal(smoothed, repaired, catalog, config)
-        if seasonal is not None:
-            write_seasonality(seasonal, out / "seasonality.csv")
-
-        stage = "features"
-        rows, issued, part = split_rows(repaired.on_sale_mask, config)
-        test = part == 2
-        weeks = issued[test] + config.horizon
-        # known with the split's keys, so an empty test part fails before any fit
-        life = life_at_issue(repaired.on_sale_mask, rows[test], weeks, config.horizon)
-        keep = life >= args.cold_start_filter
-        if not keep.any():
-            first = config.train_len + config.valid_len
-            span = f"target weeks {first}-{first + config.test_len - 1}"
-            raise ValueError(
-                f"--cold-start-filter {args.cold_start_filter} leaves none of the "
-                f"{keep.size} test rows for {span}"
-                if keep.size
-                else f"no test rows for {span}: no product is on sale at their issue weeks"
-            )
-        pids = np.array(repaired.products, dtype=object)[rows[test]]
-        if args.model_kind != "es":
-            train_rows, valid_rows, test_rows = split_matrices(
-                repaired, smoothed, catalog, seasonal, covariates, config, rows, issued, part
-            )
-
-        stage = "train"
+    config, out, inputs = _run_inputs(args)
+    result = run(config, *inputs, args.model_kind, args.forest_trees, args.cold_start_filter)
+    with stage("write"):
+        if result.seasonal is not None:
+            write_seasonality(result.seasonal, out / "seasonality.csv")
         if args.model_kind == "gbt":
-            booster, details = fit_boosted(train_rows, valid_rows, config)
-            forecasts = gbt.predict(booster, test_rows)
-            gbt.save_model(booster, out / "model.json")
-        elif args.model_kind == "forest":
-            max_depth = min(config.max_depth * 4, 64)
-            forest = gbt.train_forest(train_rows, args.forest_trees, max_depth, config.seed)
-            forecasts, details = forest.predict_array(test_rows.X), {"n_trees": args.forest_trees}
-        else:
-            forecasts, fallback = forecast_es(pids, weeks, repaired, catalog, config)
-            details = {"es_fallback_rows": int(fallback.sum())}
-
-        stage = "predict"
-        # after the fit: the ES fallback count covers every test row
-        pids, weeks, forecasts = pids[keep], weeks[keep], forecasts[keep]
-        _write_predictions(pids, weeks, forecasts, out / "predictions.csv")
-
-        stage = "evaluate"
-        report = score(pids, weeks, forecasts, repaired, catalog, config)
-        write_report(report, out / "report.csv")
-
+            gbt.save_model(result.model, out / "model.json")
+        _write_predictions(result.pids, result.weeks, result.forecasts, out / "predictions.csv")
+        write_report(result.report, out / "report.csv")
         manifest = {
             "config": asdict(config),
             "model": args.model_kind,
             "cold_start_filter": args.cold_start_filter,
-            "train_rows": int((part == 0).sum()),
-            "valid_rows": int((part == 1).sum()),
-            "test_rows": len(pids),
-            **details,
+            **result.counts,
         }
         (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
-        print(format_report(report, title=f"model={args.model_kind} test rows={len(pids)}"))
-        return EXIT_OK
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
+    title = f"model={args.model_kind} test rows={len(result.pids)}"
+    print(format_report(result.report, title=title))
+    return EXIT_OK
 
 
 def build_parser() -> _Parser:

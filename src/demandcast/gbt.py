@@ -664,11 +664,7 @@ class BoostedModel:
             return np.exp(raw) if self.loss == "poisson" else raw
 
 
-def train(
-    matrix: FeatureMatrix,
-    config: RunConfig,
-    valid: FeatureMatrix | None = None,
-) -> BoostedModel:
+def train(matrix: FeatureMatrix, config: RunConfig, valid: FeatureMatrix) -> BoostedModel:
     """Boost up to config.rounds trees with early stopping on valid loss.
 
     Reads the config's loss, learning_rate, max_depth, rounds,
@@ -681,11 +677,11 @@ def train(
         raise ValueError("cannot train on an empty matrix")
     if matrix.targets is None:
         raise ValueError("training matrix has no targets")
-    if valid is not None and valid.columns != matrix.columns:
+    if valid.columns != matrix.columns:
         raise ValueError("train and validation matrices must share the feature schema")
-    if valid is not None and valid.n_rows == 0:
+    if valid.n_rows == 0:
         raise ValueError("cannot validate on an empty matrix")
-    if valid is not None and valid.targets is None:
+    if valid.targets is None:
         raise ValueError("validation matrix has no targets")
     y = matrix.targets
     if config.loss == "poisson":
@@ -696,13 +692,11 @@ def train(
         base = float(y.mean())
 
     raw = np.full(matrix.n_rows, base)
-    raw_valid = np.full(valid.n_rows, base) if valid is not None else None
+    raw_valid = np.full(valid.n_rows, base)
     train_hist = [loss_value(config.loss, y, raw)]
-    valid_hist = []
-    if valid is not None:
-        valid_hist.append(loss_value(config.loss, valid.targets, raw_valid))
+    valid_hist = [loss_value(config.loss, valid.targets, raw_valid)]
     trees: list[Tree] = []
-    best_valid = valid_hist[0] if valid_hist else math.inf
+    best_valid = valid_hist[0]
     best_round = 0
     stale = 0
     order = presort_columns(matrix.X)
@@ -717,27 +711,22 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             raw = raw + config.learning_rate * leaf_values
             train_hist.append(loss_value(config.loss, y, raw))
-            if valid is not None:
-                raw_valid = raw_valid + config.learning_rate * tree.apply(valid.X)
-                valid_hist.append(loss_value(config.loss, valid.targets, raw_valid))
+            raw_valid = raw_valid + config.learning_rate * tree.apply(valid.X)
+            valid_hist.append(loss_value(config.loss, valid.targets, raw_valid))
         # a score that is not finite makes the mean loss inf or nan
         if not math.isfinite(train_hist[-1]):
             raise ValueError(
                 f"training diverged in round {len(trees)}: the training loss is "
                 f"{train_hist[-1]} with learning_rate {config.learning_rate}"
             )
-        if valid is not None:
-            current = valid_hist[-1]
-            if current < best_valid:
-                best_valid = current
-                best_round = len(trees)
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.early_stop_patience:
-                    break
-    if valid is None:
-        best_round = len(trees)
+        if valid_hist[-1] < best_valid:
+            best_valid = valid_hist[-1]
+            best_round = len(trees)
+            stale = 0
+        else:
+            stale += 1
+            if stale >= config.early_stop_patience:
+                break
     return BoostedModel(
         loss=config.loss,
         base_score=base,

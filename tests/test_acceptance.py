@@ -14,7 +14,6 @@ from demandcast import cli, gbt
 from demandcast.cli import main
 from demandcast.core import Catalog, SalesPanel
 from demandcast.evaluation import weighted_mae, weighted_rmse
-from demandcast.features import life_at_issue, split_rows
 from demandcast.ingest import RunConfig
 from demandcast.preprocess import detect_fake_zeros, preprocess_panel, smooth_panel
 from demandcast.seasonal import MIN_YEAR_WEEKS, category_seasonality, fit_seasonality
@@ -38,7 +37,8 @@ def ok(criterion: str) -> None:
 
 @pytest.fixture(scope="module")
 def study():
-    """Full pipeline on the reference synthetic panel; shared by criteria 3-5, 10."""
+    """`cli.run` of the boosted model on the reference synthetic panel, plus the ES
+    reference on its test keys; shared by criteria 3, 4, 7 and 10."""
     t0 = time.monotonic()
     spec = SynthSpec(
         n_products=500, n_categories=20, n_weeks=200, lifetime_median=30.0, seed=SEED
@@ -54,31 +54,17 @@ def study():
     )
     config.validate()
     panel, catalog, covariates, truth = generate_panel(spec)
-    repaired, smoothed = cli.preprocess(panel, config)
-    seasonal_model = cli.fit_seasonal(smoothed, repaired, catalog, config)
-    rows, issued, part = split_rows(repaired.on_sale_mask, config)
-    train_rows, valid_rows, test_rows = cli.split_matrices(
-        repaired, smoothed, catalog, seasonal_model, covariates, config, rows, issued, part
-    )
-    booster, _ = cli.fit_boosted(train_rows, valid_rows, config)
-    gbt_pred = gbt.predict(booster, test_rows)
-    # the ES reference as `pipeline --model es` runs it: from the split's test keys alone
-    test = part == 2
-    pids = np.array(repaired.products, dtype=object)[rows[test]]
-    weeks = issued[test] + config.horizon
-    es_pred, es_fallback = cli.forecast_es(pids, weeks, repaired, catalog, config)
-
-    prices = np.array([catalog.price[pid] for pid in pids])
+    run = cli.run(config, panel, catalog, covariates)
+    # the ES reference as `pipeline --model es` runs it, on the run's own test keys
+    es_pred, es_fallback = cli.forecast_es(run.pids, run.weeks, run.repaired, catalog, config)
     return {
         "panel": panel,
         "truth": truth,
-        "booster": booster,
-        "test_rows": test_rows,
-        "life": life_at_issue(repaired.on_sale_mask, rows[test], weeks, config.horizon),
-        "gbt_pred": gbt_pred,
+        "run": run,
+        "y": run.repaired.y[run.rows, run.weeks].astype(float),
         "es_pred": es_pred,
         "es_fallback": es_fallback,
-        "prices": prices,
+        "prices": np.array([catalog.price[pid] for pid in run.pids]),
         "elapsed": time.monotonic() - t0,
     }
 
@@ -127,12 +113,14 @@ def test_criterion_2_tree_oracle():
 
 
 def test_criterion_3_global_model_beats_local_baseline(study):
-    y = study["test_rows"].targets
-    prices = study["prices"]
-    rmse_gbt = weighted_rmse(y, study["gbt_pred"], prices)
+    y, prices, run = study["y"], study["prices"], study["run"]
+    rmse_gbt = weighted_rmse(y, run.forecasts, prices)
     rmse_es = weighted_rmse(y, study["es_pred"], prices)
-    mae_gbt = weighted_mae(y, study["gbt_pred"], prices)
+    mae_gbt = weighted_mae(y, run.forecasts, prices)
     mae_es = weighted_mae(y, study["es_pred"], prices)
+    # the bounds below hold for the numbers `pipeline` writes to report.csv
+    assert run.report.overall.rmse == pytest.approx(rmse_gbt, rel=1e-12)
+    assert run.report.overall.mae == pytest.approx(mae_gbt, rel=1e-12)
     assert rmse_gbt <= 0.90 * rmse_es, f"RMSE ratio {rmse_gbt / rmse_es:.3f}"
     assert mae_gbt <= 0.95 * mae_es, f"MAE ratio {mae_gbt / mae_es:.3f}"
     assert study["elapsed"] < 300.0
@@ -144,21 +132,21 @@ def test_criterion_3_global_model_beats_local_baseline(study):
 
 
 def test_criterion_4_cold_start(study):
-    test_rows = study["test_rows"]
-    cold = study["life"] < 12
+    run = study["run"]
+    cold = run.life < 12
     assert cold.sum() >= 30, "panel must contain cold-start rows"
-    y = test_rows.targets[cold]
+    y = study["y"][cold]
     prices = study["prices"][cold]
-    rmse_gbt = weighted_rmse(y, study["gbt_pred"][cold], prices)
+    rmse_gbt = weighted_rmse(y, run.forecasts[cold], prices)
     rmse_es = weighted_rmse(y, study["es_pred"][cold], prices)
     assert rmse_gbt < rmse_es
     # the baseline needs its documented fallback below two observations,
     # while the boosted model stays model-based everywhere
-    tiny = study["life"] < 2
+    tiny = run.life < 2
     assert tiny.sum() >= 1
     assert study["es_fallback"][tiny].all()
-    assert np.isfinite(study["gbt_pred"]).all()
-    assert (study["gbt_pred"] > 0).all()
+    assert np.isfinite(run.forecasts).all()
+    assert (run.forecasts > 0).all()
     ok(
         f"4 cold start (<12 weeks history, {int(cold.sum())} rows): "
         f"RMSE {rmse_gbt:.2f} < baseline {rmse_es:.2f}; "
@@ -299,7 +287,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
 
 
 def test_criterion_10_early_stopping_and_monotone_loss(study):
-    booster = study["booster"]
+    booster = study["run"].model
     valid = np.array(booster.valid_loss)
     assert booster.best_round == int(np.argmin(valid))
     assert valid[booster.best_round] == valid.min()

@@ -307,8 +307,7 @@ class TestEsPipeline:
             "error in stage features: --cold-start-filter 1000 leaves none of the "
             f"{test_rows} test rows for target weeks 60-79\n"
         )
-        assert not (out / "predictions.csv").exists()
-        assert not (out / "model.json").exists()  # no model is fitted for nothing
+        assert not any(out.iterdir())  # not even seasonality.csv, fitted before the split
 
 
 def counting(patch, name):
@@ -325,7 +324,8 @@ def counting(patch, name):
 
 
 class TestSplitOnce:
-    """Each command derives the split's rows at most once and builds one matrix at most."""
+    """Each command derives the split's rows at most once, builds one matrix at most,
+    and preprocesses and fits seasonality once."""
 
     @pytest.mark.parametrize(
         "command, splits, matrices",
@@ -340,8 +340,10 @@ class TestSplitOnce:
             args = ["predict", "--model-file", str(tmp_path / "model.json"), *args[1:]]
         split_calls = counting(monkeypatch, "split_rows")
         matrix_calls = counting(monkeypatch, "build_matrix")
+        fits = [counting(monkeypatch, name) for name in ("preprocess_panel", "fit_seasonality")]
         assert main(args) == 0
         assert (len(split_calls), len(matrix_calls)) == (splits, matrices)
+        assert [len(calls) for calls in fits] == [1, 1]
 
 
 def short_panel(tmp_path, on_sale_weeks):
@@ -389,8 +391,41 @@ class TestEmptySplitParts:
         )
         assert not (tmp_path / "out" / "model.json").exists()
         assert main(["train", *args]) == 2
-        assert capsys.readouterr().err == "error: cannot validate on an empty matrix\n"
-        assert not (tmp_path / "out" / "model.json").exists()
+        assert capsys.readouterr().err == (
+            "error in stage train: cannot validate on an empty matrix\n"
+        )
+        assert not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize(
+    "command", [["train"], ["pipeline", "--model", "gbt"]], ids=["train", "pipeline"]
+)
+@pytest.mark.parametrize(
+    "on_sale_weeks, extra_row, message",
+    [
+        (range(30), ",5,3,1,1", "error in stage ingest: {sales}:122: empty product_id"),
+        (
+            [*range(15), *range(19, 30)], "",
+            "error in stage train: cannot validate on an empty matrix",
+        ),
+        (
+            range(19), "",
+            "error in stage features: no test rows for target weeks 25-29: "
+            "no product is on sale at their issue weeks",
+        ),
+    ],
+    ids=["bad_sales_row", "empty_valid_part", "empty_test_part"],
+)
+def test_train_and_pipeline_fail_alike(
+    tmp_path, capsys, command, on_sale_weeks, extra_row, message
+):
+    # the same message and exit code from either command, and no artifact
+    args = short_panel(tmp_path, on_sale_weeks)
+    sales = tmp_path / "sales.csv"
+    sales.write_text(sales.read_text() + extra_row)
+    assert main([*command, *args]) == 2
+    assert capsys.readouterr().err == message.format(sales=sales) + "\n"
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_predict_with_nothing_on_sale_in_the_last_week_is_data_error(tmp_path, capsys):

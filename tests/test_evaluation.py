@@ -11,7 +11,7 @@ from demandcast.evaluation import (
     weighted_mae,
     weighted_rmse,
 )
-from demandcast.features import split_rows
+from demandcast.features import build_matrix, split_rows
 from demandcast.ingest import RunConfig, SchemaError
 
 from .test_core import make_panel
@@ -69,7 +69,7 @@ class TestWeightedMae:
 
 
 def split_weeks(n_weeks, train_len, valid_len, test_len):
-    """Target weeks of the (train, valid, test) rows that cli.split_matrices cuts.
+    """Target weeks of the (train, valid, test) matrices cut from split_rows' rows.
 
     Two products on sale every week, horizon 6: each part must hold both
     products' rows for each of its weeks.
@@ -80,15 +80,16 @@ def split_weeks(n_weeks, train_len, valid_len, test_len):
         train_len=train_len, valid_len=valid_len, test_len=test_len, with_seasonality=False
     )
     repaired, smoothed = cli.preprocess(panel, config)
-    split = split_rows(repaired.on_sale_mask, config)
-    parts = cli.split_matrices(repaired, smoothed, catalog, None, None, config, *split)
+    rows, issued, which = split_rows(repaired.on_sale_mask, config)
+    full = build_matrix(repaired, smoothed, catalog, None, None, config, rows, issued)
+    parts = [full.select(which == k) for k in range(3)]
     weeks = [sorted(set(part.target_weeks.tolist())) for part in parts]
     assert [part.n_rows for part in parts] == [2 * len(w) for w in weeks]
     return weeks
 
 
 class TestTemporalSplit:
-    """The run's train/valid/test weeks, as split_matrices cuts the feature rows."""
+    """The run's train/valid/test weeks, as `cli.run` cuts the feature rows."""
 
     def test_published_lengths(self):
         train, valid, test = split_weeks(199, 170, 10, 19)

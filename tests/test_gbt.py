@@ -173,13 +173,13 @@ class TestTrain:
     def test_depth_zero_single_leaf_predicts_mean(self):
         matrix = matrix_of(np.arange(8).reshape(4, 2), y=[1.0, 2.0, 3.0, 6.0])
         params = RunConfig(loss="squared", learning_rate=1.0, max_depth=0, rounds=1, min_split_loss=0.0)
-        model = train(matrix, params)
+        model = train(matrix, params, matrix)
         assert np.allclose(model.predict_array(matrix.X), 3.0)
 
     def test_poisson_constant_target_first_tree_noop(self):
         matrix = matrix_of(np.arange(12).reshape(6, 2), y=[4.0] * 6)
         params = RunConfig(loss="poisson", learning_rate=1.0, max_depth=3, rounds=1, min_split_loss=0.0)
-        model = train(matrix, params)
+        model = train(matrix, params, matrix)
         assert model.base_score == pytest.approx(math.log(4.0), abs=1e-8)
         g, _ = grad_hess("poisson", matrix.targets, np.full(6, model.base_score))
         assert np.abs(g).sum() <= 1e-6 * 6
@@ -195,7 +195,8 @@ class TestTrain:
             loss="poisson", learning_rate=0.3, max_depth=3, rounds=30, reg_lambda=1.0,
             min_split_loss=0.0,
         )
-        model = train(matrix, params)
+        model = train(matrix, params, matrix)
+        assert len(model.trees) == params.rounds
         diffs = np.diff(model.train_loss)
         assert (diffs <= 1e-9).all()
 
@@ -209,7 +210,8 @@ class TestTrain:
         y = rng.poisson(np.exp(0.4 + 0.6 * np.nan_to_num(x[:, 0]))).astype(float)
         matrix = matrix_of(x, y=y)
         params = RunConfig(loss="poisson", learning_rate=0.3, max_depth=4, rounds=12, min_split_loss=0.0)
-        model = train(matrix, params)
+        model = train(matrix, params, matrix)
+        assert len(model.trees) == params.rounds
         raw = np.full(len(y), model.base_score)
         assert model.train_loss[0] == loss_value("poisson", y, raw)
         for k, tree in enumerate(model.trees, start=1):
@@ -234,7 +236,7 @@ class TestTrain:
     def test_empty_matrix_rejected(self):
         matrix = matrix_of(np.empty((0, 2)), y=[])
         with pytest.raises(ValueError, match="empty"):
-            train(matrix, RunConfig(rounds=100, min_split_loss=0.0))
+            train(matrix, RunConfig(rounds=100, min_split_loss=0.0), matrix)
 
     def test_empty_validation_matrix_rejected(self):
         matrix = matrix_of([[0.0], [1.0]], y=[1.0, 2.0])
@@ -245,7 +247,7 @@ class TestTrain:
     def test_poisson_negative_targets_rejected(self):
         matrix = matrix_of([[0.0], [1.0]], y=[-1.0, 2.0])
         with pytest.raises(ValueError, match="non-negative"):
-            train(matrix, RunConfig(loss="poisson", rounds=100, min_split_loss=0.0))
+            train(matrix, RunConfig(loss="poisson", rounds=100, min_split_loss=0.0), matrix)
 
 
 class TestEarlyStopping:
@@ -297,7 +299,7 @@ class TestPredict:
             loss="squared", learning_rate=1.0, max_depth=1, rounds=1, reg_lambda=0.0,
             min_split_loss=0.0,
         )
-        model = train(matrix, params)
+        model = train(matrix, params, matrix)
         assert model.trees[0].nodes["threshold"][0] == 0.5
         assert predict(model, matrix).tolist() == [0.0, 0.0, 10.0, 10.0]
 
@@ -324,7 +326,7 @@ class TestPredict:
         y = rng.poisson(np.exp(0.3 * x[:, 0])).astype(float)
         matrix = matrix_of(x, y=y)
         params = RunConfig(loss="poisson", rounds=20, learning_rate=0.3, max_depth=3, min_split_loss=0.0)
-        model = train(matrix, params)
+        model = train(matrix, params, matrix)
         assert (predict(model, matrix) > 0).all()
 
 
@@ -386,7 +388,7 @@ class TestSerialization:
         y = rng.poisson(3.0, size=50).astype(float)
         matrix = matrix_of(x, y=y)
         params = RunConfig(loss="poisson", rounds=10, learning_rate=0.2, max_depth=4, min_split_loss=0.0)
-        model = train(matrix, params)
+        model = train(matrix, params, matrix)
         text = model_to_json(model)
         loaded = model_from_json(text)
         assert model_to_json(loaded) == text
@@ -402,7 +404,8 @@ def small_model_doc():
     """A two-round model whose first tree splits at its root."""
     x = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
     params = RunConfig(loss="squared", learning_rate=1.0, max_depth=2, rounds=2, min_split_loss=0.0)
-    model = train(matrix_of(x, y=[0.0, 0.0, 10.0, 10.0]), params)
+    matrix = matrix_of(x, y=[0.0, 0.0, 10.0, 10.0])
+    model = train(matrix, params, matrix)
     doc = json.loads(model_to_json(model))
     assert doc["trees"][0][0][0] >= 0 and len(doc["trees"][0]) >= 3
     return doc
