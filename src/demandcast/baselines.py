@@ -1,7 +1,13 @@
-"""Simple exponential smoothing: benchmark forecaster and fake-zero fitter.
+"""Simple exponential smoothing: the benchmark forecaster.
 
 The forecast function is flat: after fitting the level over the observed
-series, the same value is returned for every horizon.
+series, the same value is returned for every horizon. es_fit_forecast is
+the scalar definition of that level. Fake-zero repair
+(preprocess.repair_fake_zeros) carries an alpha-0.3 level over each
+product's usable weeks in one pass; it repeats es_fit_forecast's float
+operations in the same order, so each replacement equals es_fit_forecast
+on the flagged week's history. es_fit_forecast stays as the function
+es_grid_select fits with.
 
 ESBaseline tunes alpha per forecast origin, as es_grid_select does for the
 on-sale history up to that origin, but it never re-fits a prefix: one

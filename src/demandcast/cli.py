@@ -49,7 +49,13 @@ from .core import Catalog, SalesPanel
 from .evaluation import EvalReport, evaluate, format_report, write_report
 from .features import build_matrix, life_at_issue, split_rows
 from .ingest import CovariateTable, RunConfig, SchemaError
-from .preprocess import SmoothedPanel, preprocess_panel, write_smoothed
+from .preprocess import (
+    SmoothedPanel,
+    detect_fake_zeros,
+    preprocess_panel,
+    repair_fake_zeros,
+    write_smoothed,
+)
 from .seasonal import SeasonalityModel, fit_seasonality, write_seasonality
 
 EXIT_OK = 0
@@ -347,7 +353,7 @@ def cmd_evaluate(args) -> int:
     config = _load_config(args.config)
     pids, weeks, forecasts = ingest.load_predictions(args.predictions)
     panel, catalog, _ = load_inputs(args.sales, args.catalog, None)
-    repaired, _ = preprocess(panel, config)
+    repaired = repair_fake_zeros(panel, detect_fake_zeros(panel))
     report = score(pids, weeks, forecasts, repaired, catalog, config, args.predictions)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -45,6 +45,7 @@ from .preprocess import SmoothedPanel
 from .seasonal import SeasonalityModel, trend_features
 
 LAG_DEPTH = 8
+SUMS_BLOCK_CELLS = 1 << 13  # (groups x longest group) cells a block; 64 KiB per float64 temporary
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -100,10 +101,28 @@ class _KeyedSeries:
 
     @cached_property
     def sums(self) -> np.ndarray:
-        """Running sum within each group; np.cumsum adds sequentially, so
-        these are the sums of a cumsum over that group alone."""
-        bounds = np.flatnonzero(np.diff(self._groups)) + 1
-        return np.concatenate([np.cumsum(part) for part in np.split(self.values, bounds)])
+        """Running sum within each group, in key order.
+
+        The groups are laid out as the rows of a zero-padded (groups x
+        longest group) grid, each row's values first and its pads after
+        them, a block of at most SUMS_BLOCK_CELLS cells at a time. One
+        np.cumsum along axis 1 then adds each row sequentially, as the 1-D
+        cumsum of that group alone does, and the pads, which follow every
+        value of their row, enter no sum that is read.
+        """
+        starts = np.flatnonzero(np.diff(self._groups, prepend=-1))  # groups are >= 0
+        sizes = np.diff(np.append(starts, self.values.size))
+        out = np.empty_like(self.values)
+        width = int(sizes.max(initial=1))
+        step = max(1, SUMS_BLOCK_CELLS // width)
+        for lo in range(0, sizes.size, step):
+            filled = np.arange(width) < sizes[lo : lo + step, None]
+            grid = np.zeros(filled.shape, dtype=self.values.dtype)
+            begin = starts[lo]
+            end = begin + int(np.count_nonzero(filled))
+            grid[filled] = self.values[begin:end]
+            out[begin:end] = np.cumsum(grid, axis=1, out=grid)[filled]
+        return out
 
     def at(self, groups: np.ndarray, weeks: np.ndarray) -> np.ndarray:
         """The value recorded at each (group, week); NaN where none is."""

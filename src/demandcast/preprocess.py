@@ -10,31 +10,38 @@ The rolling window for week t covers the on-sale weeks among the `window`
 weeks strictly before t; statistics never include the week being tested, so
 a spike cannot raise its own cap.
 
-Smoothing is vectorized across products and weeks, a block of products at
-a time so that its temporaries stay small, and its results are
-bit-identical to evaluating the rule one cell at a time in Python
-(tests/oracles.py, scalar_smooth). Two rules make that hold. Every sum
-adds its window weeks left to right, oldest first, as Python's sum() does;
-an off-sale week adds nothing and leaves the running sum unchanged. And
-each squared deviation is np.float_power(d, 2.0), which calls libm pow as
-Python's `d ** 2` does; np.square (d * d) differs from pow in the last bit
-now and then (1,623 of 2,000,000 random values on glibc).
+Smoothing reads only each product's live span: from its first on-sale week
+f through its last on-sale week l plus the window. A week t outside
+(f, l + window] has fewer than two on-sale weeks in its window, so there
+x = y, the statistics are NaN and nothing is capped. Each span is shifted
+to start at column 0 (week f, on sale, whose own statistics are
+undefined). Products are taken longest span first, so each block holds
+spans of similar length, at most SMOOTH_BLOCK_CELLS cells, and the spans
+are gathered from and scattered back to the full (N, T) arrays by flat
+index. Weeks before f are off sale and add nothing to a sum, so a shifted
+window adds the same weeks in the same order.
+
+The results are bit-identical to evaluating the rule one cell at a time in
+Python (tests/oracles.py, scalar_smooth). Two rules make that hold. Every
+sum adds its window weeks left to right, oldest first, as Python's sum()
+does; an off-sale week adds nothing and leaves the running sum unchanged.
+And each squared deviation is np.float_power(d, 2.0), which calls libm pow
+as Python's `d ** 2` does; np.square (d * d) differs from pow in the last
+bit now and then (1,623 of 2,000,000 random values on glibc).
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .baselines import es_fit_forecast
-from .core import SalesPanel
+from .core import SalesPanel, launch_weeks
 
 REPAIR_ALPHA = 0.3
-SMOOTH_BLOCK_CELLS = 1 << 14  # (products x weeks) cells smoothed per block
+SMOOTH_BLOCK_CELLS = 1 << 13  # (products x span weeks) cells a block; 64 KiB per float64 temporary
 
 
 @dataclass(frozen=True)
@@ -74,36 +81,53 @@ def detect_fake_zeros(panel: SalesPanel) -> np.ndarray:
     return ~positive & panel.on_sale_mask & ~panel.stock_flag & between
 
 
-def _repair_value(history: list[float], future: np.ndarray) -> int:
-    """Replacement count for one flagged week (nearest integer, half up)."""
-    if history:
-        level = es_fit_forecast(history, REPAIR_ALPHA)
-        return max(0, int(math.floor(level + 0.5)))
-    positive = future[future > 0]
-    return int(positive[0]) if positive.size else 0
-
-
 def repair_fake_zeros(panel: SalesPanel, mask: np.ndarray) -> SalesPanel:
     """Replace flagged weeks with a smoothing fit of the unflagged history.
 
     Each flagged y_{i,t} becomes the exponential-smoothing level (alpha 0.3)
-    of the product's unflagged on-sale weeks before t. A flagged week with
-    no prior history takes the first subsequent positive value.
+    of the product's unflagged on-sale weeks before t, rounded half up and
+    floored at 0. A flagged week with no prior history takes the first
+    subsequent positive value, or 0 when there is none.
+
+    One pass over the weeks of the flagged products carries each product's
+    level over its usable weeks. Its float operations are es_fit_forecast's
+    on that history, in the same order, so every level is bit-identical to
+    refitting the history from scratch (tests/oracles.py, loop_repair_fake_zeros).
     """
     if mask.shape != panel.y.shape:
         raise ValueError("mask shape must match the panel")
     if not mask.any():
         return panel
-    y = panel.y.copy()
-    for i in range(panel.n_products):
-        flagged = np.flatnonzero(mask[i])
-        if flagged.size == 0:
-            continue
-        usable = panel.on_sale_mask[i] & ~mask[i]
-        for t in flagged:
-            history = [float(v) for v in panel.y[i, :t][usable[:t]]]
-            y[i, t] = _repair_value(history, panel.y[i, t + 1 :])
-    return panel.replace_counts(y)
+    products = np.flatnonzero(mask.any(axis=1))
+    # flagged cells week by week, so each week's are one slice; the temporaries
+    # hold an entry per flagged cell or product, never one per panel cell
+    cell_rows, weeks = np.nonzero(mask)
+    order = np.argsort(weeks, kind="stable")
+    cell_rows, weeks = cell_rows[order], weeks[order]
+    rows = np.searchsorted(products, cell_rows)
+    bounds = np.searchsorted(weeks, np.arange(panel.n_weeks + 1))
+    level = np.zeros(products.size)
+    seen = np.zeros(products.size, dtype=bool)
+    fitted = np.empty(rows.size)
+    has_history = np.empty(rows.size, dtype=bool)
+    for t in range(int(weeks[-1]) + 1):  # no level after the last flagged week is read
+        here = slice(bounds[t], bounds[t + 1])
+        fitted[here] = level[rows[here]]
+        has_history[here] = seen[rows[here]]
+        usable = panel.on_sale_mask[products, t] & ~mask[products, t]
+        value = panel.y[products, t].astype(float)
+        step = REPAIR_ALPHA * value + (1.0 - REPAIR_ALPHA) * level
+        level = np.where(usable, np.where(seen, step, value), level)
+        seen |= usable
+    out = panel.y.copy()
+    out[cell_rows, weeks] = np.maximum(np.floor(fitted + 0.5), 0.0).astype(out.dtype)
+    # without history: the first positive week after the flagged one, else 0;
+    # column 0 is never after it, so a row with none picks a zeroed column 0
+    lost = np.flatnonzero(~has_history)
+    later = panel.y[cell_rows[lost]]
+    later[np.arange(panel.n_weeks) <= weeks[lost, None]] = 0
+    out[cell_rows[lost], weeks[lost]] = later[np.arange(lost.size), (later > 0).argmax(axis=1)]
+    return panel.replace_counts(out)
 
 
 def smooth_panel(panel: SalesPanel, window: int, gamma: float) -> SmoothedPanel:
@@ -119,17 +143,37 @@ def smooth_panel(panel: SalesPanel, window: int, gamma: float) -> SmoothedPanel:
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     n, t_count = panel.y.shape
-    x = np.empty((n, t_count))
+    # span of each product: week f (first on sale) through l + window, clipped
+    first = launch_weeks(panel.on_sale_mask)
+    last = t_count - 1 - panel.on_sale_mask[:, ::-1].argmax(axis=1)
+    lengths = np.where(first >= 0, np.minimum(last + window, t_count - 1) - first + 1, 0)
+    order = np.argsort(-lengths, kind="stable")[: int(np.count_nonzero(first >= 0))]
+    x = panel.y.astype(float)
     rolling_mean = np.full((n, t_count), np.nan)
     rolling_std = np.full((n, t_count), np.nan)
     capped = np.zeros((n, t_count), dtype=bool)
-    step = max(1, SMOOTH_BLOCK_CELLS // max(t_count, 1))
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
+    lo = 0
+    while lo < order.size:
+        width = int(lengths[order[lo]])  # the longest span of the block
+        part = order[lo : lo + max(1, SMOOTH_BLOCK_CELLS // width)]
+        lo += part.size
+        cells = (part * t_count + first[part])[:, None] + np.arange(width)
+        live = np.arange(width) < lengths[part, None]
+        shape = cells.shape
+        block_x = np.empty(shape)
+        block_mean = np.full(shape, np.nan)
+        block_std = np.full(shape, np.nan)
+        block_capped = np.zeros(shape, dtype=bool)
+        # a short span's tail reads past its end; no live cell's window sees it
         _smooth_block(
-            panel.y[rows], panel.on_sale_mask[rows], window, gamma,
-            x[rows], rolling_mean[rows], rolling_std[rows], capped[rows],
+            np.take(panel.y, cells, mode="clip"), np.take(panel.on_sale_mask, cells, mode="clip"),
+            window, gamma, block_x, block_mean, block_std, block_capped,
         )
+        cells = cells[live]
+        np.put(x, cells, block_x[live])
+        np.put(rolling_mean, cells, block_mean[live])
+        np.put(rolling_std, cells, block_std[live])
+        np.put(capped, cells, block_capped[live])
     return SmoothedPanel(
         x=x,
         rolling_mean=rolling_mean,
@@ -190,27 +234,28 @@ def preprocess_panel(
 
 
 def write_smoothed(panel: SalesPanel, smoothed: SmoothedPanel, path: str | Path) -> None:
-    """Diagnostic dump of the smoothing decisions, one row per (product, week)."""
+    """Diagnostic dump of the smoothing decisions, one row per on-sale (product, week)."""
+    rows, weeks = np.nonzero(panel.on_sale_mask)  # product-major, weeks ascending
+
+    def stat(values: np.ndarray) -> list:
+        # csv writes a float as its repr; an undefined statistic is left empty
+        picked = values[rows, weeks]
+        return np.where(np.isnan(picked), "", picked.astype(object)).tolist()
+
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["product_id", "week", "y", "x", "rolling_mean", "rolling_std", "repaired", "capped"]
         )
-        for i, pid in enumerate(panel.products):
-            for t in range(panel.n_weeks):
-                if not panel.on_sale_mask[i, t]:
-                    continue
-                mean = smoothed.rolling_mean[i, t]
-                std = smoothed.rolling_std[i, t]
-                writer.writerow(
-                    [
-                        pid,
-                        t,
-                        int(panel.y[i, t]),
-                        repr(float(smoothed.x[i, t])),
-                        "" if math.isnan(mean) else repr(float(mean)),
-                        "" if math.isnan(std) else repr(float(std)),
-                        int(smoothed.repaired_mask[i, t]),
-                        int(smoothed.capped_mask[i, t]),
-                    ]
-                )
+        writer.writerows(
+            zip(
+                np.array(panel.products, dtype=object)[rows],
+                weeks.tolist(),
+                panel.y[rows, weeks].tolist(),
+                smoothed.x[rows, weeks].tolist(),
+                stat(smoothed.rolling_mean),
+                stat(smoothed.rolling_std),
+                smoothed.repaired_mask[rows, weeks].astype(np.int8).tolist(),
+                smoothed.capped_mask[rows, weeks].astype(np.int8).tolist(),
+            )
+        )

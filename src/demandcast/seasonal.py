@@ -300,15 +300,19 @@ def trend_features(
     weeks = np.asarray(weeks, dtype=np.int64)
     if weeks.size and not (0 <= weeks.min() and weeks.max() < smoothed.n_weeks):
         raise ValueError("week outside panel range")
-    on_sale = panel.on_sale_mask
-    annual = _window_slopes(smoothed.x, on_sale, rows, weeks, ANNUAL_WINDOW, MIN_ANNUAL_POINTS)
-    local = _window_slopes(smoothed.x, on_sale, rows, weeks, LOCAL_WINDOW, MIN_LOCAL_POINTS)
+    counts = weeks_on_sale(panel.on_sale_mask)
+    listed = np.nonzero(panel.on_sale_mask)[1]  # on-sale weeks, product-major
+    annual = _window_slopes(
+        smoothed.x, counts, listed, rows, weeks, ANNUAL_WINDOW, MIN_ANNUAL_POINTS
+    )
+    local = _window_slopes(smoothed.x, counts, listed, rows, weeks, LOCAL_WINDOW, MIN_LOCAL_POINTS)
     return annual, local
 
 
 def _window_slopes(
     x: np.ndarray,
-    on_sale: np.ndarray,
+    counts: np.ndarray,
+    listed: np.ndarray,
     rows: np.ndarray,
     weeks: np.ndarray,
     window: int,
@@ -316,18 +320,18 @@ def _window_slopes(
 ) -> np.ndarray:
     """Slope over the on-sale weeks in [t - window, t] for each (row, t).
 
-    Rows are grouped by how many weeks their window holds, so each group is a
-    C-contiguous (rows, k) block and every reduction runs along its last
-    axis: numpy then sums each row exactly as it sums a length-k vector, and
-    the slopes match a one-window-at-a-time evaluation bit for bit.
+    counts is weeks_on_sale of the panel and listed its on-sale weeks,
+    product-major. Rows are grouped by how many weeks their window holds, so
+    each group is a C-contiguous (rows, k) block and every reduction runs
+    along its last axis: numpy then sums each row exactly as it sums a
+    length-k vector, and the slopes match a one-window-at-a-time evaluation
+    bit for bit.
     Prefix-sum differences would be cheaper but round differently, and
     would turn exact-zero slopes into +-1e-17.
     """
     out = np.zeros(rows.size)
     if not rows.size:
         return out
-    counts = weeks_on_sale(on_sale)
-    listed = np.nonzero(on_sale)[1]  # on-sale weeks, product-major
     first = np.cumsum(counts[:, -1]) - counts[:, -1]  # where each product's weeks begin
     lo = np.maximum(weeks - window, 0)
     before = np.where(lo > 0, counts[rows, lo - 1], 0)

@@ -18,6 +18,7 @@ import numpy as np
 
 from demandcast.core import Catalog, SalesPanel
 from demandcast.ingest import LAST_WEEK, Covariate, CovariateTable, SchemaError
+from demandcast.preprocess import REPAIR_ALPHA
 from demandcast.seasonal import MIN_YEAR_WEEKS
 
 INT64_WEEKS = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
@@ -73,6 +74,30 @@ def loop_detect_fake_zeros(panel: SalesPanel) -> np.ndarray:
         candidate[last:] = False
         mask[i] = candidate
     return mask
+
+
+def loop_repair_fake_zeros(panel: SalesPanel, mask: np.ndarray) -> SalesPanel:
+    """preprocess.repair_fake_zeros one product and one flagged week at a time.
+
+    Each flagged week refits exponential smoothing over the product's
+    unflagged on-sale weeks before it and rounds the level half up; with no
+    such week it takes the next positive week's count, or 0.
+    """
+    y = panel.y.copy()
+    for i in range(panel.n_products):
+        usable = panel.on_sale_mask[i] & ~mask[i]
+        for t in np.flatnonzero(mask[i]):
+            history = [float(v) for v in panel.y[i, :t][usable[:t]]]
+            if history:
+                level = history[0]  # es_fit_forecast(history, REPAIR_ALPHA)
+                for value in history[1:]:
+                    level = REPAIR_ALPHA * value + (1.0 - REPAIR_ALPHA) * level
+                y[i, t] = max(0, int(math.floor(level + 0.5)))
+            else:
+                future = panel.y[i, t + 1 :]
+                positive = future[future > 0]
+                y[i, t] = int(positive[0]) if positive.size else 0
+    return panel.replace_counts(y)
 
 
 def finite_diff_grad_hess(loss_fn, y, raw, eps=1e-5, eps_h=1e-3):
@@ -794,5 +819,32 @@ def loop_write_ground_truth(truth, panel: SalesPanel, path) -> None:
                         repr(float(truth.lam[i, t])),
                         int(truth.promo_mask[i, t]),
                         int(truth.stockout_mask[i, t]),
+                    ]
+                )
+
+
+def loop_write_smoothed(panel: SalesPanel, smoothed, path) -> None:
+    """preprocess.write_smoothed one on-sale (product, week) cell at a time."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["product_id", "week", "y", "x", "rolling_mean", "rolling_std", "repaired", "capped"]
+        )
+        for i, pid in enumerate(panel.products):
+            for t in range(panel.n_weeks):
+                if not panel.on_sale_mask[i, t]:
+                    continue
+                mean = smoothed.rolling_mean[i, t]
+                std = smoothed.rolling_std[i, t]
+                writer.writerow(
+                    [
+                        pid,
+                        t,
+                        int(panel.y[i, t]),
+                        repr(float(smoothed.x[i, t])),
+                        "" if math.isnan(mean) else repr(float(mean)),
+                        "" if math.isnan(std) else repr(float(std)),
+                        int(smoothed.repaired_mask[i, t]),
+                        int(smoothed.capped_mask[i, t]),
                     ]
                 )

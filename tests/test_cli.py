@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from demandcast import cli
+from demandcast import cli, preprocess
 from demandcast.cli import build_parser, main
 from demandcast.ingest import RunConfig, load_config
 
@@ -743,9 +743,14 @@ class TestEvaluateCommand:
         report = (out / "report.csv").read_text()
         assert "life" not in report  # life 0 falls outside every bucket
 
-    def test_scores_pipeline_predictions(self, data_dir, tmp_path):
+    def test_scores_pipeline_predictions(self, data_dir, tmp_path, monkeypatch):
         run = tmp_path / "run"
         assert main(pipeline_args(data_dir, run)) == 0
+
+        def smooth_panel(*args):
+            raise AssertionError("evaluate scores repaired sales and smooths nothing")
+
+        monkeypatch.setattr(preprocess, "smooth_panel", smooth_panel)
         out = tmp_path / "eval"
         code = main(
             [

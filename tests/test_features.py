@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from demandcast import seasonal
+from demandcast import features, seasonal
 from demandcast.core import Catalog
 from demandcast.features import (
     LAG_DEPTH,
     CovariateView,
+    _KeyedSeries,
     build_matrix,
     fnv1a64,
     hash_encode,
@@ -111,6 +112,46 @@ class TestImputation:
 
     def test_absent_everything_is_nan(self):
         assert np.isnan(self.value("price", "p9", 8, known_until=7))
+
+
+class TestKeyedSeriesSums:
+    """sums against a running sum over each group alone, in week order, bit for bit."""
+
+    @staticmethod
+    def running_sums(groups, weeks, values):
+        out = []
+        for group in sorted(set(groups.tolist())):
+            total = None
+            entries = zip(groups.tolist(), weeks.tolist(), values.tolist())
+            for _, value in sorted((w, v) for g, w, v in entries if g == group):
+                total = value if total is None else total + value
+                out.append(total)
+        return np.array(out, dtype=float)
+
+    @pytest.mark.parametrize("block_cells", [None, 1, 7])
+    def test_matches_per_group_running_sum(self, monkeypatch, block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr(features, "SUMS_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(31)
+        empty = np.zeros(0, dtype=np.int64)
+        cases = [
+            (empty, empty, np.zeros(0)),  # no entries
+            (np.zeros(40, np.int64), rng.permutation(40), rng.normal(size=40)),  # one group
+            (rng.permutation(25) * 3, rng.integers(0, 9, 25), rng.normal(size=25)),  # singletons
+        ]
+        for _ in range(60):
+            groups, weeks = [], []
+            for group in rng.choice(1000, size=int(rng.integers(1, 30)), replace=False):
+                n = int(rng.integers(1, 20))
+                groups += [group] * n
+                weeks += rng.choice(50, size=n, replace=False).tolist()
+            order = rng.permutation(len(groups))
+            values = rng.normal(size=order.size) * 10.0 ** rng.uniform(-3, 6, size=order.size)
+            values[rng.random(order.size) < 0.05] = -0.0
+            cases.append((np.array(groups)[order], np.array(weeks)[order], values))
+        for groups, weeks, values in cases:
+            sums = _KeyedSeries(groups, weeks, values).sums
+            assert sums.tobytes() == self.running_sums(groups, weeks, values).tobytes()
 
 
 def pipeline_inputs(n_weeks=30, n_products=3, seed=0, launches=None):
@@ -388,6 +429,7 @@ class TestMatchesRowwiseReference:
 
     def test_bit_identical_in_small_gather_chunks(self, monkeypatch):
         monkeypatch.setattr(seasonal, "GATHER_ELEMENTS", 10)  # 1 to 3 rows a block
+        monkeypatch.setattr(features, "SUMS_BLOCK_CELLS", 10)
         self.check("ordinal", True, "train")
 
     def check(self, encoding, with_seasonality, keys):

@@ -7,9 +7,16 @@ from demandcast.preprocess import (
     preprocess_panel,
     repair_fake_zeros,
     smooth_panel,
+    write_smoothed,
 )
 
-from .oracles import loop_detect_fake_zeros, scalar_smooth, scalar_smooth_stats
+from .oracles import (
+    loop_detect_fake_zeros,
+    loop_repair_fake_zeros,
+    loop_write_smoothed,
+    scalar_smooth,
+    scalar_smooth_stats,
+)
 from .test_core import make_panel
 
 
@@ -95,6 +102,43 @@ class TestRepair:
         repaired = repair_fake_zeros(panel, detect_fake_zeros(panel))
         assert repaired.y[0, [0, 1, 3]].tolist() == [4, 9, 2]
 
+    def test_no_history_and_no_later_positive_gives_zero(self):
+        panel = panel_from([0, 0, 0], on_sale=[True, True, False])
+        repaired = repair_fake_zeros(panel, np.array([[False, True, False]]))
+        assert repaired.y.tolist() == [[0, 0, 0]]
+
+    def test_matches_per_product_loop(self):
+        """Random masks, not only detected ones: runs of flagged weeks, flags
+        before any usable week, flags with no positive week after them, and
+        products without flags, all checked bit for bit."""
+        rng = np.random.default_rng(21)
+        seen = dict.fromkeys(["run", "no_history", "no_later_positive", "unflagged"], 0)
+        for _ in range(300):
+            n, t = int(rng.integers(1, 8)), int(rng.integers(1, 25))
+            y = rng.poisson(rng.uniform(0.3, 40.0, size=(n, 1)), size=(n, t))
+            on_sale = rng.random((n, t)) < rng.uniform(0.4, 1.0)
+            y[~on_sale] = 0
+            mask = np.zeros((n, t), dtype=bool)
+            for i in np.flatnonzero(rng.random(n) < 0.7):
+                start = int(rng.integers(0, t))
+                mask[i, start : start + int(rng.integers(1, 4))] = True
+                mask[i] |= rng.random(t) < 0.15
+            mask &= on_sale  # a repaired count may only land on a listed week
+            panel = make_panel(y, on_sale=on_sale)
+            for flags in (mask, detect_fake_zeros(panel)):
+                repaired = repair_fake_zeros(panel, flags)
+                assert repaired.y.dtype == panel.y.dtype
+                assert repaired.y.tobytes() == loop_repair_fake_zeros(panel, flags).y.tobytes()
+            usable = on_sale & ~mask
+            for i, w in zip(*np.nonzero(mask)):
+                if not usable[i, :w].any():
+                    seen["no_history"] += 1
+                    seen["no_later_positive"] += int(not (y[i, w + 1 :] > 0).any())
+            seen["run"] += int((mask[:, 1:] & mask[:, :-1]).sum())
+            flagged_products = mask.any(axis=1)
+            seen["unflagged"] += int(flagged_products.any() and not flagged_products.all())
+        assert min(seen.values()) > 10, seen
+
     def test_repair_idempotent(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
@@ -174,6 +218,9 @@ class TestSmooth:
         The first panel's week 7 has a window whose variance differs in the
         last bit between libm pow (Python's `d ** 2`) and d * d. With 50
         cells a block, most panels are smoothed a few products at a time.
+        The life-span panels list each product within one span of weeks,
+        some from week 0, some to the last week, some never, with windows up
+        to beyond the panel's length.
         """
         if block_cells is not None:
             monkeypatch.setattr(preprocess, "SMOOTH_BLOCK_CELLS", block_cells)
@@ -195,6 +242,27 @@ class TestSmooth:
             on_sale = rng.random((n_products, n_weeks)) > rng.uniform(0.0, 0.5)
             y[~on_sale] = 0
             cases.append((y, on_sale, int(rng.integers(2, 12)), float(rng.uniform(0.5, 4.0))))
+        for _ in range(60):
+            n_products, n_weeks = int(rng.integers(2, 9)), int(rng.integers(2, 40))
+            span = np.sort(rng.integers(0, n_weeks + 1, size=(n_products, 2)), axis=1)
+            span[rng.random(n_products) < 0.3, 0] = 0
+            span[rng.random(n_products) < 0.3, 1] = n_weeks
+            weeks = np.arange(n_weeks)
+            on_sale = (weeks >= span[:, :1]) & (weeks < span[:, 1:])
+            on_sale &= rng.random(on_sale.shape) > rng.uniform(0.0, 0.3)
+            on_sale[rng.random(n_products) < 0.15] = False
+            levels = np.exp(rng.uniform(np.log(0.5), np.log(1e4), size=(n_products, 1)))
+            y = np.where(on_sale, rng.poisson(levels, size=on_sale.shape), 0)
+            y[rng.random(y.shape) < 0.08] *= 5
+            window = int(rng.integers(2, n_weeks + 4))
+            cases.append((y, on_sale, window, float(rng.uniform(0.5, 4.0))))
+        kinds = {
+            "from_week_0": sum(bool(on[:, 0].any()) for on in (c[1] for c in cases[41:])),
+            "to_last_week": sum(bool(on[:, -1].any()) for on in (c[1] for c in cases[41:])),
+            "never_on_sale": sum(bool((~on.any(axis=1)).any()) for on in (c[1] for c in cases)),
+            "window_over_panel": sum(c[2] >= c[0].shape[1] for c in cases),
+        }
+        assert min(kinds.values()) >= 5, kinds
         capped = 0
         for y, on_sale, window, gamma in cases:
             smoothed = smooth_panel(make_panel(y, on_sale=on_sale), window, gamma)
@@ -206,6 +274,23 @@ class TestSmooth:
                 assert smoothed.rolling_std[i].tobytes() == np.array(std).tobytes()
             capped += int(smoothed.capped_mask.sum())
         assert capped > 0
+
+
+class TestWriteSmoothed:
+    def test_bytes_equal_the_cell_loop(self, tmp_path):
+        rng = np.random.default_rng(17)
+        y = rng.poisson(rng.uniform(1.0, 30.0, size=(30, 1)), size=(30, 40))
+        y[rng.random(y.shape) < 0.05] *= 6
+        on_sale = rng.random(y.shape) < 0.7
+        stock = rng.random(y.shape) < 0.8
+        y[~on_sale | (~stock & (rng.random(y.shape) < 0.5))] = 0
+        panel = make_panel(y, on_sale=on_sale, stock=stock)
+        repaired, smoothed = preprocess_panel(panel, window=6, gamma=1.5)
+        assert smoothed.repaired_mask.any() and smoothed.capped_mask.any()
+        assert np.isnan(smoothed.rolling_std[on_sale]).any()
+        write_smoothed(repaired, smoothed, tmp_path / "smoothed.csv")
+        loop_write_smoothed(repaired, smoothed, tmp_path / "loop.csv")
+        assert (tmp_path / "smoothed.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 class TestPreprocessPanel:
