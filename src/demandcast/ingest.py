@@ -43,7 +43,10 @@ the earliest line and, on that line, the first in the loader's order of
 checks, whatever the block size. No Python object per row outlives its
 block in load_sales, which scatters the rows into the dense panel, or in
 load_covariates, which returns a columnar CovariateTable, each key's
-sorted week, panel-row and value arrays.
+sorted week, panel-row and value arrays. Every whole-file key pass is
+linear: ids and keys get first-appearance codes from one map over a dict
+that gives a missing one the next code, and rows are put in np.lexsort's
+order of their int64 keys by stable radix passes over 16-bit digits.
 
 RunConfig is the one place a run setting is declared: its fields name,
 type and default every setting, load_config parses each key by its field's
@@ -59,9 +62,10 @@ import csv
 import io
 import math
 import re
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -510,10 +514,20 @@ def _floats(tokens: list[str]) -> tuple[np.ndarray, int]:
     return values, n
 
 
-def _codes(tokens: list[str], codes: dict[str, int]) -> np.ndarray:
-    """Each token's code in codes, which gives a new token the next code."""
-    for token in dict.fromkeys(tokens):
-        codes.setdefault(token, len(codes))
+def _code_table() -> defaultdict[str, int]:
+    """An empty table for _codes: looking up a missing token adds it with the next code.
+
+    Every key enters by such a lookup, so the next code is len(table) and
+    the keys are in order of first appearance. The codes come from a
+    counter, so the table holds no reference to itself and is freed as
+    soon as its loader returns. Loaders use it only through _codes and
+    list(): past their loop, a lookup would add a key.
+    """
+    return defaultdict(count().__next__)
+
+
+def _codes(tokens: list[str], codes: defaultdict[str, int]) -> np.ndarray:
+    """Each token's code in codes, a _code_table, which gives a new token the next code."""
     return np.fromiter(map(codes.__getitem__, tokens), np.int64, len(tokens))
 
 
@@ -529,7 +543,7 @@ def load_sales(path: str | Path) -> SalesPanel:
     faults, blocks = _read_columns(path)
     if (header := next(blocks)) != SALES_HEADER:
         raise SchemaError(f"{path}: unexpected sales header {header}")
-    product_ids: dict[str, int] = {}  # id -> order of first appearance
+    product_ids = _code_table()  # id -> order of first appearance
     parts = []
     for line, (pid_t, week_t, units_t, sale_t, stock_t) in blocks:
         n = len(pid_t)
@@ -561,11 +575,10 @@ def load_sales(path: str | Path) -> SalesPanel:
         )
         parts.append((pids, weeks, units, on_sale, stock))
     pids, weeks, units, on_sale, stock = map(np.concatenate, zip(*parts))
-    # a bad row's week may be out of range; its own fault comes first
-    cells = pids * (LAST_WEEK + 1) + np.clip(weeks, 0, LAST_WEEK)
     names = list(product_ids)
     faults.first(
-        _repeats(cells), 2, 7, lambda i: f"duplicate row for {(names[pids[i]], int(weeks[i]))}"
+        _repeats(weeks, pids), 2, 7,
+        lambda i: f"duplicate row for {(names[pids[i]], int(weeks[i]))}",
     )
     faults.raise_first()
     if not pids.size:
@@ -583,11 +596,42 @@ def load_sales(path: str | Path) -> SalesPanel:
     return SalesPanel(products, y, on_sale_mask, stock_flag)
 
 
-def _repeats(keys: np.ndarray) -> np.ndarray:
-    """True at each entry whose key an earlier entry already has."""
-    order = np.argsort(keys, kind="stable")
-    repeat_mask = np.zeros(keys.size, dtype=bool)
-    repeat_mask[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+def _key_order(*keys: np.ndarray) -> np.ndarray:
+    """np.lexsort(keys) for int64 keys: entries ordered by the last key, ties
+    by the key before it and so on, and full ties in index order.
+
+    Each key is shifted by its minimum as uint64, so any int64 range fits.
+    The order is refined by one stable np.argsort per 16-bit digit of the
+    shifted keys (numpy sorts uint16 by radix): keys[0] first, and each key
+    from its lowest digit up; a key whose shifted values fit in 16 bits
+    takes one pass, and a constant one none.
+    """
+    order = np.arange(len(keys[0]), dtype=np.intp)
+    if not order.size:
+        return order
+    for key in keys:
+        shifted = key.astype(np.uint64)  # a negative value wraps around to value + 2**64
+        shifted -= shifted[key.argmin()]
+        for shift in range(0, int(shifted.max()).bit_length(), 16):
+            digit = (shifted >> np.uint64(shift)).astype(np.uint16)  # the low 16 bits
+            order = order[np.argsort(digit[order], kind="stable")]
+    return order
+
+
+def _repeats(*keys: np.ndarray) -> np.ndarray:
+    """True at each entry whose key an earlier entry already has; entry i's
+    key is (keys[0][i], keys[1][i], ...).
+
+    Ids come in as their int64 codes from _codes, and entries are grouped
+    by _key_order's radix passes, so the pass is linear in the entries.
+    """
+    order = _key_order(*keys)
+    same = np.ones(max(order.size - 1, 0), dtype=bool)
+    for key in keys:
+        ordered = key[order]
+        same &= ordered[1:] == ordered[:-1]
+    repeat_mask = np.zeros(order.size, dtype=bool)
+    repeat_mask[order[1:][same]] = True
     return repeat_mask
 
 
@@ -604,7 +648,7 @@ def load_catalog(path: str | Path) -> Catalog:
         raise SchemaError(f"{path}: unexpected catalog header {header}")
     if bad_names := [name for name in header if not name or header.count(name) > 1]:
         raise SchemaError(f"{path}:1: catalog column name {bad_names[0]!r} is empty or repeated")
-    product_ids: dict[str, int] = {}  # id -> order of first appearance
+    product_ids = _code_table()  # id -> order of first appearance
     codes, prices, table = [], [], [[] for _ in header]
     for line, columns in blocks:
         texts = [column.text() for column in columns]
@@ -649,7 +693,7 @@ def load_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
     faults, blocks = _read_columns(path)
     if (header := next(blocks)) != ["product_id", "week", "forecast"]:
         raise SchemaError(f"{path}: unexpected predictions header {header}")
-    product_ids: dict[str, int] = {}  # id -> order of first appearance
+    product_ids = _code_table()  # id -> order of first appearance
     ids: list[str] = []
     parts = []
     for line, (pid_t, week_t, value_t) in blocks:
@@ -668,10 +712,8 @@ def load_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
         ids += pid_s
         parts.append((_codes(pid_s, product_ids), weeks, forecasts))
     pids, weeks, forecasts = map(np.concatenate, zip(*parts))
-    _, week_codes = np.unique(weeks, return_inverse=True)
     faults.first(
-        _repeats(pids * (week_codes.max(initial=0) + 1) + week_codes), 2, 4,
-        lambda i: f"duplicate key {(ids[i], int(weeks[i]))}",
+        _repeats(weeks, pids), 2, 4, lambda i: f"duplicate key {(ids[i], int(weeks[i]))}"
     )
     faults.raise_first()
     return np.array(ids, dtype=object), weeks, forecasts
@@ -689,7 +731,7 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
     faults, blocks = _read_columns(path)
     if (header := next(blocks)) != COVARIATES_HEADER:
         raise SchemaError(f"{path}: unexpected covariates header {header}")
-    key_ids: dict[str, int] = {}  # key -> order of first appearance
+    key_ids = _code_table()  # key -> order of first appearance
     panel_rows = {**panel.index, "": -1}  # ids the panel lacks map to -2
     parts = []
     for line, (scope_t, key_t, week_t, pid_t, value_t, flag_t) in blocks:
@@ -732,7 +774,7 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
     keys, scopes, rows, weeks, values, flags = map(np.concatenate, zip(*parts))
     names = list(key_ids)
     # rows by (key, row, week); a temporal row's row is -1
-    order = np.lexsort((weeks, rows, keys))
+    order = _key_order(weeks, rows, keys)
     keys_s, rows_s, weeks_s = keys[order], rows[order], weeks[order]
     starts = np.flatnonzero(np.diff(keys_s, prepend=-1))
     first = np.zeros(len(names), dtype=np.int64)  # each key's first row in the file

@@ -562,6 +562,14 @@ def _parse_bool(raw: str, path: str, line_no: int, column: str) -> bool:
     raise SchemaError(f"{path}:{line_no}: {column} must be 0 or 1, got {raw!r}")
 
 
+def two_pass_codes(tokens: list[str], codes: dict[str, int]) -> np.ndarray:
+    """Each token's code in codes, which gives a new token the next code: the
+    distinct tokens are added first, in order of first appearance, then looked up."""
+    for token in dict.fromkeys(tokens):
+        codes.setdefault(token, len(codes))
+    return np.fromiter(map(codes.__getitem__, tokens), np.int64, len(tokens))
+
+
 def rowwise_load_sales(path):
     """sales.csv read one csv.reader row at a time, each row checked as it comes."""
     path = Path(path)

@@ -1,6 +1,6 @@
 import ast
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,7 @@ from demandcast.core import SalesPanel
 from demandcast.ingest import RunConfig, SchemaError
 from demandcast.synth import SynthSpec, generate_panel
 
-from .oracles import covariate_dicts, loop_write_sales
+from .oracles import covariate_dicts, loop_write_sales, two_pass_codes
 
 
 def write(tmp_path, name, text):
@@ -456,6 +456,93 @@ class TestRoundTrip:
         assert cov2.temporal == covariates.temporal
         assert cov2.mixed == covariates.mixed
         assert cov2.predictable == covariates.predictable
+
+
+INT64 = np.iinfo(np.int64)
+
+
+class TestKeyPasses:
+    """The loaders' whole-file key passes against their plain references:
+    _key_order against np.lexsort, _repeats against a loop over the rows,
+    and the one-pass _codes against two passes."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1000])
+    @pytest.mark.parametrize(
+        "low, high",
+        [(0, 5), (-3, 3), (0, 1 << 16), (-(1 << 40), 1 << 40), (INT64.min, INT64.max)],
+        ids=["ties", "negative", "two_digits", "wide", "int64_range"],
+    )
+    @pytest.mark.parametrize("n_keys", [1, 2, 3])
+    def test_key_order_equals_lexsort(self, n_keys, low, high, n):
+        rng = np.random.default_rng([n_keys, n, high.bit_length()])
+        keys = []
+        for _ in range(n_keys):
+            values = rng.integers(low, high, size=n, dtype=np.int64, endpoint=True)
+            key = values[rng.integers(0, max(n // 4, 1), size=n)]  # ties
+            key[:2] = [low, high][: min(n, 2)]  # both ends together: the widest shift
+            keys.append(key)
+        order = ingest._key_order(*keys)
+        assert order.dtype == np.lexsort(keys).dtype
+        assert order.tolist() == np.lexsort(keys).tolist()
+
+    @pytest.mark.parametrize("high", [3, INT64.max], ids=["narrow", "int64_range"])
+    def test_repeats_marks_every_later_copy(self, high):
+        rng = np.random.default_rng(high.bit_length())
+        weeks = rng.choice(np.array([-high - 1, 0, 1, high], dtype=np.int64), size=300)
+        pids = rng.integers(0, 4, size=300, dtype=np.int64)
+        seen, expected = set(), []
+        for key in zip(weeks.tolist(), pids.tolist()):
+            expected.append(key in seen)
+            seen.add(key)
+        assert ingest._repeats(weeks, pids).tolist() == expected
+        assert ingest._repeats(pids).tolist() == [p in pids[:i] for i, p in enumerate(pids)]
+
+    def test_one_pass_codes_equal_two_passes(self):
+        rng = np.random.default_rng(22)
+        tokens = [f"p{v}" for v in rng.integers(0, 60, size=500).tolist()] + ["", "é", "p1"]
+        table, codes = ingest._code_table(), {}
+        for block in (tokens[:200], [], tokens[200:], tokens[:5]):  # one table across blocks
+            assert ingest._codes(block, table).tolist() == two_pass_codes(block, codes).tolist()
+            assert list(table) == list(codes)
+        assert dict(table) == codes
+
+    def test_loaded_tables_hold_no_defaulting_dict(self, tmp_path):
+        # a lookup in a table that adds missing keys would add one where a dict raises
+        sales = ingest.load_sales(
+            write(tmp_path, "sales.csv", SALES_HEADER + "b,0,1,1,1\na,1,0,1,1\nb,1,2,1,1\n")
+        )
+        catalog = ingest.load_catalog(
+            write(
+                tmp_path, "catalog.csv", "product_id,category_id,price,size\nb,c,1.5,L\na,c,2.0,S\n"
+            )
+        )
+        covariates = ingest.load_covariates(
+            write(
+                tmp_path, "covariates.csv",
+                TestLoadCovariates.HEADER + "temporal,t,1,,0.5,1\nmixed,m,0,b,1.0,0\n",
+            ),
+            sales,
+        )
+
+        def dicts(value):
+            if is_dataclass(value):
+                for field in fields(value):
+                    yield from dicts(getattr(value, field.name))
+            elif isinstance(value, dict):
+                yield value
+                for item in value.values():
+                    yield from dicts(item)
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    yield from dicts(item)
+
+        for loaded in (sales, catalog, covariates):
+            tables = list(dicts(loaded))
+            assert tables and all(type(table) is dict for table in tables)
+            for table in tables:
+                with pytest.raises(KeyError):
+                    table["ghost"]
+                assert "ghost" not in table
 
 
 def test_only_the_block_reader_calls_csv_reader():
