@@ -25,7 +25,10 @@ evaluation.evaluate. `evaluate` reads its predictions file through
 into the same three arrays, so a file's row order does not change its report.
 
 Run settings come only from the --config file's RunConfig, so the config
-that manifest.json records is the whole run's. Every stage is a pure
+that manifest.json records is the whole run's. `predict` takes its settings,
+the categorical encoding and the seasonal model from the model file that
+`train` or `pipeline` wrote, and refits nothing; a --config given to it
+must agree with the settings the file stores. Every stage is a pure
 function of its inputs and that config, seed included; running the same
 command twice produces byte-identical artifacts. Exit codes: 0 success,
 1 usage error, 2 data error, 3 internal error.
@@ -47,7 +50,7 @@ from . import evaluation, gbt, ingest, synth
 from .baselines import ESBaseline
 from .core import Catalog, SalesPanel
 from .evaluation import EvalReport, evaluate, format_report, write_report
-from .features import build_matrix, life_at_issue, split_rows
+from .features import Encoding, build_matrix, fit_encoding, life_at_issue, split_rows
 from .ingest import CovariateTable, RunConfig, SchemaError
 from .preprocess import (
     SmoothedPanel,
@@ -211,6 +214,7 @@ class RunResult:
 
     repaired: SalesPanel
     seasonal: SeasonalityModel | None
+    encoding: Encoding | None  # None for es
     model: gbt.BoostedModel | gbt.ForestModel | None  # None for es
     rows: np.ndarray
     pids: np.ndarray
@@ -248,8 +252,12 @@ def run(
                 else f"no test rows for {span}: no product is on sale at their issue weeks"
             )
         pids = np.array(repaired.products, dtype=object)[rows[test]]
+        encoding = None
         if model_kind != "es":
-            full = build_matrix(repaired, smoothed, catalog, seasonal, covariates, config, rows, issued)
+            encoding = fit_encoding(catalog, config)
+            full = build_matrix(
+                repaired, smoothed, catalog, seasonal, covariates, config, rows, issued, encoding
+            )
             train_rows, valid_rows, test_rows = (full.select(part == k) for k in range(3))
             del full  # the parts are copies: the global matrix must not outlive the cut
     with stage("train"):
@@ -273,7 +281,9 @@ def run(
 
     counts = {"train_rows": int((part == 0).sum()), "valid_rows": int((part == 1).sum()),
               "test_rows": len(pids), **details}
-    return RunResult(repaired, seasonal, model, rows, pids, weeks, life, forecasts, report, counts)
+    return RunResult(
+        repaired, seasonal, encoding, model, rows, pids, weeks, life, forecasts, report, counts
+    )
 
 
 def _run_inputs(args) -> tuple[RunConfig, Path, tuple]:
@@ -318,16 +328,36 @@ def cmd_train(args) -> int:
     booster, counts = result.model, result.counts
     del counts["test_rows"]  # train writes no forecast
     with stage("write"):
-        gbt.save_model(booster, out / "model.json")
+        state = gbt.ServingState.of(config, result.encoding, result.seasonal)
+        gbt.save_model(booster, state, out / "model.json")
         manifest = {"config": asdict(config), **counts}
         (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
     print(f"trained {len(booster.trees)} rounds, best_round={booster.best_round}")
     return EXIT_OK
 
 
+def _check_config(config: RunConfig, state: gbt.ServingState, args) -> None:
+    """predict's --config must give every setting the model file stores the
+    value training gave it; predict reads no setting from the config."""
+    trained = state.config()
+    names = [*gbt.SERVING_SETTINGS, "encoding"]
+    if trained.encoding == "hashing":
+        names.append("hash_buckets")
+    for name in names:
+        given, stored = getattr(config, name), getattr(trained, name)
+        if given != stored:
+            raise SchemaError(
+                f"{args.config}: {name} = {given!r}, but {args.model_file} was trained "
+                f"with {name} = {stored!r}"
+            )
+
+
 def cmd_predict(args) -> int:
-    config = _load_config(args.config)
-    booster = gbt.load_model(args.model_file)
+    given = None if args.config is None else ingest.load_config(args.config)
+    booster, state = gbt.load_model(args.model_file)
+    if given is not None:
+        _check_config(given, state, args)
+    config = state.config()
     panel, catalog, covariates = load_inputs(args.sales, args.catalog, args.covariates)
     rows = np.flatnonzero(panel.on_sale_mask[:, -1])  # the products on sale in the last week
     if not rows.size:
@@ -336,10 +366,9 @@ def cmd_predict(args) -> int:
             "the last week of the panel"
         )
     repaired, smoothed = preprocess(panel, config)
-    seasonal = fit_seasonal(smoothed, repaired, catalog, config)
     matrix = build_matrix(
-        repaired, smoothed, catalog, seasonal, covariates, config,
-        rows, np.full(rows.size, repaired.n_weeks - 1),
+        repaired, smoothed, catalog, state.seasonal, covariates, config,
+        rows, np.full(rows.size, repaired.n_weeks - 1), state.encoding,
     )
     forecasts = gbt.predict(booster, matrix, args.model_file)
     out = Path(args.out_dir)
@@ -369,7 +398,8 @@ def cmd_pipeline(args) -> int:
         if result.seasonal is not None:
             write_seasonality(result.seasonal, out / "seasonality.csv")
         if args.model_kind == "gbt":
-            gbt.save_model(result.model, out / "model.json")
+            state = gbt.ServingState.of(config, result.encoding, result.seasonal)
+            gbt.save_model(result.model, state, out / "model.json")
         _write_predictions(result.pids, result.weeks, result.forecasts, out / "predictions.csv")
         write_report(result.report, out / "report.csv")
         manifest = {

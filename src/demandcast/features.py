@@ -260,6 +260,39 @@ def _categorical_columns(catalog: Catalog) -> list[str]:
     return sorted({k for attrs in catalog.attributes.values() for k in attrs})
 
 
+@dataclass(frozen=True)
+class Encoding:
+    """How build_matrix codes categorical values: mode "ordinal" by one
+    OrdinalMap per column ("category", "attr_<name>"), fitted on the training
+    catalog; mode "hashing" by FNV-1a buckets (maps empty)."""
+
+    mode: str
+    maps: dict[str, OrdinalMap]
+    hash_buckets: int | None  # None for ordinal
+
+    def code(self, column: str, value: str) -> float:
+        if self.mode == "hashing":
+            return float(hash_encode(f"{column}={value}", self.hash_buckets))
+        if column not in self.maps:
+            raise ValueError(
+                f"the model file has no ordinal map for {column!r}, a catalog column "
+                "training did not see"
+            )
+        return float(self.maps[column].encode(value))
+
+
+def fit_encoding(catalog: Catalog, config: RunConfig) -> Encoding:
+    """The config's encoding; ordinal maps cover every catalog product, listed or not."""
+    if config.encoding == "hashing":
+        return Encoding("hashing", {}, config.hash_buckets)
+    maps = {"category": ordinal_encode(catalog.category_of.values())}
+    for name in _categorical_columns(catalog):
+        maps[f"attr_{name}"] = ordinal_encode(
+            catalog.attributes.get(pid, {}).get(name, "") for pid in catalog.price
+        )
+    return Encoding("ordinal", maps, None)
+
+
 def build_matrix(
     panel: SalesPanel,
     smoothed: SmoothedPanel,
@@ -269,12 +302,15 @@ def build_matrix(
     config: RunConfig,
     rows: np.ndarray,
     weeks: np.ndarray,
+    encoding: Encoding,
 ) -> FeatureMatrix:
     """The global matrix of the forecast rows issued at weeks[k] for panel row rows[k].
 
     Row k targets weeks[k] + horizon, and its target is the repaired sales
     count there. Targets are None when a target lies past the panel, as it
-    does for forecasts issued at the panel's last week.
+    does for forecasts issued at the panel's last week. Categorical values
+    are coded by encoding, whatever config.encoding says: predict passes the
+    training run's, so a value that run never saw gets its map's id n.
     """
     h = config.horizon
     on_sale = panel.on_sale_mask
@@ -291,25 +327,6 @@ def build_matrix(
     columns += ["weeks_since_launch", "price", "category"]
     columns += [f"attr_{name}" for name in attr_cols]
     columns += [f"cov_{name}" for name in cov_names]
-
-    if config.encoding == "ordinal":
-        cat_map = ordinal_encode(catalog.category_of.values())
-        attr_maps = {
-            f"attr_{name}": ordinal_encode(
-                catalog.attributes.get(pid, {}).get(name, "") for pid in catalog.price
-            )
-            for name in attr_cols
-        }
-
-        def encode(column: str, value: str) -> float:
-            if column == "category":
-                return float(cat_map.encode(value))
-            return float(attr_maps[column].encode(value))
-
-    else:
-
-        def encode(column: str, value: str) -> float:
-            return float(hash_encode(f"{column}={value}", config.hash_buckets))
 
     target_weeks = weeks + h
     launch = launch_weeks(on_sale)[rows]
@@ -337,7 +354,7 @@ def build_matrix(
             catalog.attributes.get(pid, {}).get(name, "") for pid in panel.products
         ]
     for column, values in categorical.items():
-        codes = {value: encode(column, value) for value in set(values)}
+        codes = {value: encoding.code(column, value) for value in set(values)}
         x[:, col] = np.array([codes[value] for value in values])[rows]
         col += 1
     if covariates is not None:

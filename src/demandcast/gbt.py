@@ -62,13 +62,24 @@ RunConfig; train_forest() takes only a tree count, a depth and a seed.
 
 Trees: a fitted tree is one numpy structured array of NODE_DTYPE, one
 record per node in pre-order (feature, threshold, default_left, left,
-right, weight, gain: the order model.json stores each node in). The grower
+right, weight, gain: the fields model.json stores a column of each). The grower
 collects plain records and builds the array once; Tree.apply moves every
 row that has not reached a leaf down one level per step, so it loops once
 per level of depth, and makes the same comparisons as a node-by-node walk.
 
-Model files: model_from_json() accepts only pre-order trees over the
-model's features, so a malformed file is a SchemaError, never a hang.
+Model files (version 2): a model file holds what predict reads and nothing
+it would refit. That is the first best_round trees (predict reads no later
+one), both loss histories (the evidence for the stop), and a ServingState:
+the settings predict reads (SERVING_SETTINGS) with LAG_DEPTH, the
+categorical encoding (its ordinal maps or hash buckets) and the seasonal
+model. The nodes are stored by column: one list per NODE_DTYPE field for
+all trees together, plus a node count per tree. model_from_json() converts
+each list with one np.array call (a list with a fault value by value) and
+checks the nodes in array passes over
+all trees at once; it accepts only pre-order trees over the model's
+features, so a malformed file is a SchemaError naming the file (and a
+faulty node's tree and index), never a hang. A version 1 file is refused
+with a request to retrain.
 
 Determinism contract: ties between candidate splits break toward the lowest
 feature index, then the lowest threshold, then routing missing values left.
@@ -83,15 +94,16 @@ import json
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add, itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .features import FeatureMatrix
+from .features import LAG_DEPTH, Encoding, FeatureMatrix, OrdinalMap
 from .ingest import RunConfig, SchemaError
+from .seasonal import SeasonalityModel
 
 BASE_EPS = 1e-8
 # elements per chunk of the split search and partition: chunks hold as many
@@ -349,7 +361,7 @@ def _scan_block(
     return None if best is None else (best_gain, *best)
 
 
-# one record per node, in pre-order; the fields in model.json's order
+# one record per node, in pre-order; model.json stores a list per field, in this order
 NODE_DTYPE = np.dtype([
     ("feature", np.int32),       # -1 marks a leaf
     ("threshold", np.float64),
@@ -713,12 +725,14 @@ def train(matrix: FeatureMatrix, config: RunConfig, valid: FeatureMatrix) -> Boo
             train_hist.append(loss_value(config.loss, y, raw))
             raw_valid = raw_valid + config.learning_rate * tree.apply(valid.X)
             valid_hist.append(loss_value(config.loss, valid.targets, raw_valid))
-        # a score that is not finite makes the mean loss inf or nan
-        if not math.isfinite(train_hist[-1]):
-            raise ValueError(
-                f"training diverged in round {len(trees)}: the training loss is "
-                f"{train_hist[-1]} with learning_rate {config.learning_rate}"
-            )
+        # a score that is not finite makes the mean loss inf or nan; a model
+        # file holds finite loss histories only
+        for name, hist in (("training", train_hist), ("validation", valid_hist)):
+            if not math.isfinite(hist[-1]):
+                raise ValueError(
+                    f"training diverged in round {len(trees)}: the {name} loss is "
+                    f"{hist[-1]} with learning_rate {config.learning_rate}"
+                )
         if valid_hist[-1] < best_valid:
             best_valid = valid_hist[-1]
             best_round = len(trees)
@@ -795,7 +809,9 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
     sampler = None
     if n_sub < p:
         def sampler(n_features):
-            return np.sort(rng.choice(n_features, size=n_sub, replace=False))
+            drawn = rng.choice(n_features, size=n_sub, replace=False)
+            drawn.sort()  # in place: np.sort's copy and wrapper cost more than the sort
+            return drawn
     for _ in range(n_trees):
         rows = np.sort(rng.integers(0, n, size=n))
         y = matrix.targets[rows]
@@ -805,11 +821,49 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
     return ForestModel(feature_names=list(matrix.columns), trees=trees)
 
 
-SERIAL_VERSION = 1
 
 
-def model_to_json(model: BoostedModel) -> str:
-    """Versioned text form of a boosted model; round-trips bit-exactly."""
+SERIAL_VERSION = 2
+# the RunConfig settings predict reads; model.json stores them with LAG_DEPTH
+SERVING_SETTINGS = ("horizon", "smooth_window", "cap_gamma", "season_period", "with_seasonality")
+# an int node field outside int64 reads this far out, which fails every range check
+_CLAMP = 1 << 62
+
+
+@dataclass(frozen=True)
+class ServingState:
+    """What predict reads besides the trees, as the training run fitted it:
+    the SERVING_SETTINGS, the categorical encoding and the seasonal model
+    (None when with_seasonality is false)."""
+
+    settings: dict
+    encoding: Encoding
+    seasonal: SeasonalityModel | None
+
+    @classmethod
+    def of(cls, config: RunConfig, encoding: Encoding, seasonal: SeasonalityModel | None):
+        return cls({name: getattr(config, name) for name in SERVING_SETTINGS}, encoding, seasonal)
+
+    def config(self) -> RunConfig:
+        """A RunConfig of the stored settings and encoding; predict reads no other field."""
+        buckets = self.encoding.hash_buckets or RunConfig.hash_buckets
+        return replace(RunConfig(), **self.settings, encoding=self.encoding.mode, hash_buckets=buckets)
+
+
+def model_to_json(model: BoostedModel, state: ServingState) -> str:
+    """Versioned text form of a boosted model's first best_round trees, its
+    loss histories and the state predict reads; round-trips bit-exactly.
+
+    The trees' nodes are stored by column: one list per NODE_DTYPE field,
+    the trees one after another, and node_counts gives each tree's length.
+    """
+    trees = model.trees[: model.best_round]
+    nodes = np.concatenate([tree.nodes for tree in trees]) if trees else np.empty(0, NODE_DTYPE)
+    encoding, seasonal = state.encoding, state.seasonal
+    if encoding.mode == "ordinal":
+        encoding_doc = {"mode": "ordinal", "maps": {k: list(m.mapping) for k, m in encoding.maps.items()}}
+    else:
+        encoding_doc = {"mode": "hashing", "hash_buckets": encoding.hash_buckets}
     doc = {
         "version": SERIAL_VERSION,
         "loss": model.loss,
@@ -817,24 +871,33 @@ def model_to_json(model: BoostedModel) -> str:
         "learning_rate": model.learning_rate,
         "best_round": model.best_round,
         "feature_names": model.feature_names,
-        "trees": [tree.nodes.tolist() for tree in model.trees],
+        "train_loss": model.train_loss,
+        "valid_loss": model.valid_loss,
+        "node_counts": [len(tree.nodes) for tree in trees],
+        "nodes": {name: nodes[name].tolist() for name in NODE_DTYPE.names},
+        "settings": {**state.settings, "lag_depth": LAG_DEPTH},
+        "encoding": encoding_doc,
+        "seasonality": None if seasonal is None else {
+            "tau": seasonal.tau,
+            "patterns": [pattern.tolist() for pattern in seasonal.patterns],
+            "assignment": seasonal.assignment,
+            "global_pattern": seasonal.global_pattern.tolist(),
+        },
     }
     return json.dumps(doc)
 
 
-def model_from_json(text: str | bytes, source: str = "model") -> BoostedModel:
+def model_from_json(text: str | bytes, source: str = "model") -> tuple[BoostedModel, ServingState]:
     """Parse model_to_json output; source names the file in errors.
 
     Anything else is a SchemaError naming source: not JSON, not an object,
-    another version, a missing key or a key of the wrong type.
-
-    Every tree is checked to be a pre-order tree over the model's features
-    (a left child follows its parent, a right child lies further on, every
-    node but the root has one parent), so apply() walks each tree forward
-    and visits each node at most once per call. The loss must be one train
-    knows, the learning rate a finite number above 0, the base score and
-    node weights and gains finite numbers, thresholds numbers other than
-    NaN, and default_left the integer 0 or 1.
+    another version (version 1 asks for a retrain), a missing key or a key
+    of the wrong type. The loss must be one train knows, the learning rate
+    a finite number above 0, the base score and both loss histories finite
+    numbers, and best_round both a round of the histories and the number of
+    stored trees. The node columns, the settings, the encoding and the
+    seasonal model are checked as _trees_from_json, _settings_from_json,
+    _encoding_from_json and _seasonality_from_json say.
     """
     try:
         doc = json.loads(text)
@@ -843,13 +906,21 @@ def model_from_json(text: str | bytes, source: str = "model") -> BoostedModel:
     if not isinstance(doc, dict):
         raise SchemaError(f"{source}: expected a JSON object, got {type(doc).__name__}")
     version = doc.get("version")
+    if type(version) is int and version == 1:
+        raise SchemaError(
+            f"{source}: model version 1 is no longer read; retrain to write version {SERIAL_VERSION}"
+        )
     if type(version) is not int or version != SERIAL_VERSION:
         raise SchemaError(f"{source}: unsupported model version {version!r}")
-    keys = ("loss", "learning_rate", "base_score", "best_round", "feature_names", "trees")
+    keys = (
+        "loss", "learning_rate", "base_score", "best_round", "feature_names", "train_loss",
+        "valid_loss", "node_counts", "nodes", "settings", "encoding", "seasonality",
+    )
     try:
-        loss, rate, base, best_round, names, tree_docs = (doc[key] for key in keys)
+        loss, rate, base, best_round, names, *rest = (doc[key] for key in keys)
     except KeyError as exc:
         raise SchemaError(f"{source}: missing key {exc}") from None
+    train_doc, valid_doc, counts, nodes, settings_doc, encoding_doc, seasonal_doc = rest
     if loss not in ("poisson", "squared"):
         raise SchemaError(f"{source}: unknown loss {loss!r}")
     if not (_finite(rate) and rate > 0):
@@ -858,22 +929,34 @@ def model_from_json(text: str | bytes, source: str = "model") -> BoostedModel:
         raise SchemaError(f"{source}: base_score {base!r} is not a finite number")
     if not (isinstance(names, list) and all(type(name) is str for name in names)):
         raise SchemaError(f"{source}: feature_names is not a list of strings")
-    if not isinstance(tree_docs, list):
-        raise SchemaError(f"{source}: trees is not a list")
-    trees = [
-        _tree_from_json(nodes, len(names), f"{source}: tree {t}")
-        for t, nodes in enumerate(tree_docs)
-    ]
-    if type(best_round) is not int or not 0 <= best_round <= len(trees):
-        raise SchemaError(f"{source}: best_round {best_round!r} outside [0, {len(trees)}]")
-    return BoostedModel(
+    train_loss = _finite_list(train_doc, f"{source}: train_loss")
+    valid_loss = _finite_list(valid_doc, f"{source}: valid_loss")
+    if not 0 < len(train_loss) == len(valid_loss):
+        raise SchemaError(f"{source}: train_loss and valid_loss are not one loss per round")
+    if type(best_round) is not int or not 0 <= best_round < len(valid_loss):
+        raise SchemaError(
+            f"{source}: best_round {best_round!r} outside [0, {len(valid_loss) - 1}], "
+            "the rounds of the loss histories"
+        )
+    if not (isinstance(counts, list) and set(map(type, counts)) <= {int} and min(counts, default=1) > 0):
+        raise SchemaError(f"{source}: node_counts is not a list of integers above 0")
+    if len(counts) != best_round:
+        raise SchemaError(f"{source}: node_counts holds {len(counts)} trees, not best_round {best_round}")
+    trees = _trees_from_json(nodes, counts, len(names), source)
+    settings = _settings_from_json(settings_doc, f"{source}: settings")
+    encoding = _encoding_from_json(encoding_doc, names, f"{source}: encoding")
+    seasonal = _seasonality_from_json(seasonal_doc, settings, f"{source}: seasonality")
+    model = BoostedModel(
         loss=loss,
         base_score=base,
         learning_rate=rate,
         feature_names=names,
         trees=trees,
         best_round=best_round,
+        train_loss=train_loss,
+        valid_loss=valid_loss,
     )
+    return model, ServingState(settings, encoding, seasonal)
 
 
 def _finite(value) -> bool:
@@ -881,46 +964,190 @@ def _finite(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _tree_from_json(rows: list, n_features: int, where: str) -> Tree:
-    if not isinstance(rows, list) or not rows:
-        raise SchemaError(f"{where}: expected a non-empty list of nodes")
-    for idx, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != 7:
-            raise SchemaError(f"{where} node {idx}: expected 7 fields")
-        feature, threshold, default_left, left, right, weight, gain = row
-        if {type(feature), type(left), type(right)} != {int}:
-            problem = "feature and child indices must be integers"
-        elif type(default_left) is not int or default_left not in (0, 1):
-            problem = f"default_left {default_left!r} is not 0 or 1"
-        elif not _finite(weight):
-            problem = f"weight {weight!r} is not a finite number"
-        elif not (_finite(threshold) or type(threshold) is float and math.isinf(threshold)):
-            problem = f"threshold {threshold!r} is not a number"
-        elif not _finite(gain):
-            problem = f"gain {gain!r} is not a finite number"
-        elif feature == -1:
-            problem = None if left == right == -1 else f"a leaf has children {left}/{right}"
-        elif not 0 <= feature < n_features:
-            problem = f"feature {feature} outside [0, {n_features})"
-        elif left != idx + 1 or not idx + 1 < right < len(rows):
-            problem = f"children {left}/{right} do not follow the node in pre-order"
-        else:
-            problem = None
-        if problem:
-            raise SchemaError(f"{where} node {idx}: {problem}")
-    nodes = np.array(list(map(tuple, rows)), dtype=NODE_DTYPE)
-    internal = nodes[nodes["feature"] >= 0]
-    parents = np.bincount(np.concatenate([internal["left"], internal["right"]]), minlength=len(rows))
-    shared = np.flatnonzero(parents[1:] != 1)
+def _number_column(values: list, integral: bool) -> tuple[np.ndarray, np.ndarray]:
+    """values as an int64 (integral) or float64 array, and the mask of the
+    values that are no JSON number of that kind.
+
+    A masked value reads 0 or NaN. An integral value outside int64 is not
+    masked: it reads clamped to +-_CLAMP. A float column takes ints too, but
+    masks an int no float holds. A column of ints alone (integral) or floats
+    alone converts in one np.array call, which raises OverflowError on an
+    int outside int64; any other column goes one value at a time.
+    """
+    kinds = set(map(type, values))
+    if kinds <= ({int} if integral else {float}):
+        try:
+            return np.array(values, dtype=np.int64 if integral else np.float64), np.zeros(len(values), bool)
+        except OverflowError:
+            pass
+    if integral:
+        masked = [type(v) is not int for v in values]
+        read = [0 if m else max(-_CLAMP, min(v, _CLAMP)) for v, m in zip(values, masked)]
+    else:
+        masked = [not (type(v) is float or type(v) is int and abs(v) <= sys.float_info.max) for v in values]
+        read = [math.nan if m else float(v) for v, m in zip(values, masked)]
+    return np.array(read, dtype=np.int64 if integral else np.float64), np.array(masked, dtype=bool)
+
+
+def _finite_list(values, where: str) -> list[float]:
+    """values, a list of finite JSON numbers, as floats."""
+    if isinstance(values, list):
+        array, _ = _number_column(values, integral=False)
+        if np.isfinite(array).all():
+            return array.tolist()
+    raise SchemaError(f"{where} is not a list of finite numbers")
+
+
+def _trees_from_json(fields, counts: list[int], n_features: int, source: str) -> list[Tree]:
+    """The trees of a node table stored by column, checked in array passes.
+
+    Every field must hold one value per node of node_counts. Feature and
+    child indices and default_left must be integers, default_left 0 or 1,
+    weights and gains finite numbers and thresholds numbers other than NaN
+    (a float infinity is one). A leaf (feature -1) has children -1/-1; any
+    other node's feature lies in [0, n_features), its left child follows it
+    and its right child lies further on in its tree, and every node but a
+    root has one parent. So each tree is in pre-order, and apply() walks it
+    forward and visits each node at most once per call. A fault names the
+    tree and node of the first faulty node, with the first of these checks
+    it fails; the parent count is checked once every node passes the rest.
+    """
+    if not (isinstance(fields, dict) and set(fields) == set(NODE_DTYPE.names)):
+        raise SchemaError(f"{source}: nodes is not an object of the fields {', '.join(NODE_DTYPE.names)}")
+    total = sum(counts)
+    for name in NODE_DTYPE.names:
+        values = fields[name]
+        if not isinstance(values, list) or len(values) != total:
+            held = f"{len(values)} values" if isinstance(values, list) else "no list"
+            raise SchemaError(f"{source}: nodes field {name!r} holds {held}, but node_counts sum to {total}")
+    column, masked = {}, {}
+    for name in NODE_DTYPE.names:
+        column[name], masked[name] = _number_column(fields[name], NODE_DTYPE[name].kind == "i")
+    feature, left, right = column["feature"], column["left"], column["right"]
+    default_left = column["default_left"]
+    counts_array = np.array(counts, dtype=np.int64)
+    starts = np.cumsum(counts_array) - counts_array
+    tree = np.repeat(np.arange(len(counts)), counts_array)
+    local = np.arange(total) - starts[tree]  # each node's index in its tree
+    leaf = feature == -1
+    raw = fields  # a problem quotes the value as the file holds it
+    checks = [  # (faulty nodes, problem of node k), in the order a node is checked
+        (masked["feature"] | masked["left"] | masked["right"],
+         lambda k: "feature and child indices must be integers"),
+        (masked["default_left"] | (default_left != 0) & (default_left != 1),
+         lambda k: f"default_left {raw['default_left'][k]!r} is not 0 or 1"),
+        (~np.isfinite(column["weight"]), lambda k: f"weight {raw['weight'][k]!r} is not a finite number"),
+        (np.isnan(column["threshold"]), lambda k: f"threshold {raw['threshold'][k]!r} is not a number"),
+        (~np.isfinite(column["gain"]), lambda k: f"gain {raw['gain'][k]!r} is not a finite number"),
+        (leaf & ((left != -1) | (right != -1)),
+         lambda k: f"a leaf has children {raw['left'][k]}/{raw['right'][k]}"),
+        (~leaf & ((feature < 0) | (feature >= n_features)),
+         lambda k: f"feature {raw['feature'][k]} outside [0, {n_features})"),
+        (~leaf & ((left != local + 1) | (right <= local + 1) | (right >= counts_array[tree])),
+         lambda k: f"children {raw['left'][k]}/{raw['right'][k]} do not follow the node in pre-order"),
+    ]
+    faulty = np.logical_or.reduce([mask for mask, _ in checks])
+    if faulty.any():
+        k = int(np.argmax(faulty))
+        problem = next(describe for mask, describe in checks if mask[k])(k)
+        raise SchemaError(f"{source}: tree {tree[k]} node {local[k]}: {problem}")
+    inner = ~leaf
+    offset = starts[tree[inner]]
+    parents = np.bincount(np.concatenate([offset + left[inner], offset + right[inner]]), minlength=total)
+    shared = np.flatnonzero((parents != 1) & (local > 0))
     if shared.size:
-        j = int(shared[0]) + 1
-        raise SchemaError(f"{where} node {j}: has {parents[j]} parents, expected 1")
-    return Tree(nodes)
+        k = int(shared[0])
+        raise SchemaError(f"{source}: tree {tree[k]} node {local[k]}: has {parents[k]} parents, expected 1")
+    nodes = np.empty(total, dtype=NODE_DTYPE)
+    for name in NODE_DTYPE.names:
+        nodes[name] = column[name]
+    return [Tree(nodes[start : start + n]) for start, n in zip(starts.tolist(), counts)]
 
 
-def save_model(model: BoostedModel, path: str | Path) -> None:
-    Path(path).write_text(model_to_json(model))
+def _settings_from_json(doc, where: str) -> dict:
+    """The SERVING_SETTINGS, each as RunConfig.validate bounds it, and a
+    lag_depth equal to this program's LAG_DEPTH."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected an object")
+    missing = [name for name in (*SERVING_SETTINGS, "lag_depth") if name not in doc]
+    if missing:
+        raise SchemaError(f"{where}: missing key {missing[0]!r}")
+    for name, floor in (("horizon", 1), ("smooth_window", 2), ("season_period", 2)):
+        if type(doc[name]) is not int or doc[name] < floor:
+            raise SchemaError(f"{where}: {name} {doc[name]!r} is not an integer >= {floor}")
+    if not (_finite(doc["cap_gamma"]) and doc["cap_gamma"] > 0):
+        raise SchemaError(f"{where}: cap_gamma {doc['cap_gamma']!r} is not a finite number above 0")
+    if type(doc["with_seasonality"]) is not bool:
+        raise SchemaError(f"{where}: with_seasonality {doc['with_seasonality']!r} is not true or false")
+    if type(doc["lag_depth"]) is not int or doc["lag_depth"] != LAG_DEPTH:
+        raise SchemaError(
+            f"{where}: lag_depth {doc['lag_depth']!r} is not this program's {LAG_DEPTH}; retrain the model"
+        )
+    return {name: float(doc[name]) if name == "cap_gamma" else doc[name] for name in SERVING_SETTINGS}
 
 
-def load_model(path: str | Path) -> BoostedModel:
+def _encoding_from_json(doc, feature_names: list[str], where: str) -> Encoding:
+    """Hash buckets (an integer >= 2), or one ordinal map per categorical
+    column of feature_names, each stored as its values in id order: distinct
+    strings in sorted order, as ordinal_encode gives them."""
+    mode = doc.get("mode") if isinstance(doc, dict) else None
+    if mode == "hashing":
+        buckets = doc.get("hash_buckets")
+        if type(buckets) is not int or buckets < 2:
+            raise SchemaError(f"{where}: hash_buckets {buckets!r} is not an integer >= 2")
+        return Encoding("hashing", {}, buckets)
+    if mode != "ordinal":
+        raise SchemaError(f"{where}: mode {mode!r} is not 'ordinal' or 'hashing'")
+    maps = doc.get("maps")
+    columns = sorted(name for name in feature_names if name == "category" or name.startswith("attr_"))
+    if not isinstance(maps, dict) or sorted(maps) != columns:
+        raise SchemaError(f"{where}: maps is not an object of one map per categorical column {columns}")
+    for column, values in maps.items():
+        if not (
+            isinstance(values, list)
+            and set(map(type, values)) <= {str}
+            and all(a < b for a, b in zip(values, values[1:]))
+        ):
+            raise SchemaError(f"{where}: map {column!r} is not a list of distinct strings in sorted order")
+    return Encoding("ordinal", {k: OrdinalMap({v: i for i, v in enumerate(vs)}) for k, vs in maps.items()}, None)
+
+
+def _seasonality_from_json(doc, settings: dict, where: str) -> SeasonalityModel | None:
+    """None when with_seasonality is false; else tau equal to season_period,
+    patterns and a global pattern of tau finite numbers each, and an
+    assignment of categories to pattern indices."""
+    if not settings["with_seasonality"]:
+        if doc is not None:
+            raise SchemaError(f"{where}: stored, but with_seasonality is false")
+        return None
+    tau = settings["season_period"]
+    if not (isinstance(doc, dict) and {"tau", "patterns", "assignment", "global_pattern"} <= set(doc)):
+        raise SchemaError(f"{where}: expected an object of tau, patterns, assignment and global_pattern")
+    if type(doc["tau"]) is not int or doc["tau"] != tau:
+        raise SchemaError(f"{where}: tau {doc['tau']!r} is not season_period {tau}")
+    patterns = doc["patterns"]
+    if not isinstance(patterns, list):
+        raise SchemaError(f"{where}: patterns is not a list")
+    curves = [_finite_list(p, f"{where}: pattern {j}") for j, p in enumerate(patterns)]
+    curves.append(_finite_list(doc["global_pattern"], f"{where}: global_pattern"))
+    for j, curve in enumerate(curves):
+        if len(curve) != tau:
+            name = "global_pattern" if j == len(patterns) else f"pattern {j}"
+            raise SchemaError(f"{where}: {name} holds {len(curve)} values, not tau {tau}")
+    assignment = doc["assignment"]
+    if not (
+        isinstance(assignment, dict)
+        and set(map(type, assignment.values())) <= {int}
+        and all(0 <= idx < len(patterns) for idx in assignment.values())
+    ):
+        raise SchemaError(f"{where}: assignment is not an object of pattern indices in [0, {len(patterns)})")
+    *fitted, global_pattern = (np.array(curve) for curve in curves)
+    return SeasonalityModel(tau, fitted, assignment, global_pattern)
+
+
+def save_model(model: BoostedModel, state: ServingState, path: str | Path) -> None:
+    Path(path).write_text(model_to_json(model, state))
+
+
+def load_model(path: str | Path) -> tuple[BoostedModel, ServingState]:
     return model_from_json(Path(path).read_bytes(), str(path))

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, printing a pass line each.
 
 The heavyweight synthetic study (500 products, 20 categories, 200 weeks)
-is built once per module and shared by the criteria that need it.
+is built once per module and shared by the criteria that need it, on the
+reference panel (seed 20240901) and on a held-out panel (seed 7): criteria
+3, 4, 7 and 10 must hold on both with the same bounds.
 """
 
 import time
@@ -29,19 +31,20 @@ from .oracles import (
 from .test_gbt import assert_same_tree
 
 SEED = 20240901
+HELD_OUT_SEED = 7
+HELD_OUT = f" on the held-out panel (seed {HELD_OUT_SEED})"
 
 
 def ok(criterion: str) -> None:
     print(f"ACCEPTANCE PASS: {criterion}")
 
 
-@pytest.fixture(scope="module")
-def study():
-    """`cli.run` of the boosted model on the reference synthetic panel, plus the ES
-    reference on its test keys; shared by criteria 3, 4, 7 and 10."""
+def run_study(seed: int) -> dict:
+    """`cli.run` of the boosted model on the synthetic panel of seed at the
+    reference size, plus the ES reference on its test keys."""
     t0 = time.monotonic()
     spec = SynthSpec(
-        n_products=500, n_categories=20, n_weeks=200, lifetime_median=30.0, seed=SEED
+        n_products=500, n_categories=20, n_weeks=200, lifetime_median=30.0, seed=seed
     )
     config = RunConfig(
         train_len=160,
@@ -50,7 +53,7 @@ def study():
         learning_rate=0.15,
         rounds=1000,
         early_stop_patience=30,
-        seed=SEED,
+        seed=seed,
     )
     config.validate()
     panel, catalog, covariates, truth = generate_panel(spec)
@@ -67,6 +70,19 @@ def study():
         "prices": np.array([catalog.price[pid] for pid in run.pids]),
         "elapsed": time.monotonic() - t0,
     }
+
+
+@pytest.fixture(scope="module")
+def study():
+    """The reference panel's run, shared by criteria 3, 4, 7 and 10."""
+    return run_study(SEED)
+
+
+@pytest.fixture(scope="module")
+def held_out():
+    """The held-out panel's run (the benchmark's --panel-seed 7), on which
+    criteria 3, 4, 7 and 10 must hold with the same bounds."""
+    return run_study(HELD_OUT_SEED)
 
 
 def test_criterion_1_gradient_correctness():
@@ -113,6 +129,14 @@ def test_criterion_2_tree_oracle():
 
 
 def test_criterion_3_global_model_beats_local_baseline(study):
+    ok(criterion_3(study))
+
+
+def test_criterion_3_on_the_held_out_panel(held_out):
+    ok(criterion_3(held_out) + HELD_OUT)
+
+
+def criterion_3(study) -> str:
     y, prices, run = study["y"], study["prices"], study["run"]
     rmse_gbt = weighted_rmse(y, run.forecasts, prices)
     rmse_es = weighted_rmse(y, study["es_pred"], prices)
@@ -124,7 +148,7 @@ def test_criterion_3_global_model_beats_local_baseline(study):
     assert rmse_gbt <= 0.90 * rmse_es, f"RMSE ratio {rmse_gbt / rmse_es:.3f}"
     assert mae_gbt <= 0.95 * mae_es, f"MAE ratio {mae_gbt / mae_es:.3f}"
     assert study["elapsed"] < 300.0
-    ok(
+    return (
         "3 global boosted model vs per-series baseline: "
         f"RMSE ratio {rmse_gbt / rmse_es:.3f} (<=0.90), "
         f"MAE ratio {mae_gbt / mae_es:.3f} (<=0.95), study {study['elapsed']:.0f}s"
@@ -132,6 +156,14 @@ def test_criterion_3_global_model_beats_local_baseline(study):
 
 
 def test_criterion_4_cold_start(study):
+    ok(criterion_4(study))
+
+
+def test_criterion_4_on_the_held_out_panel(held_out):
+    ok(criterion_4(held_out) + HELD_OUT)
+
+
+def criterion_4(study) -> str:
     run = study["run"]
     cold = run.life < 12
     assert cold.sum() >= 30, "panel must contain cold-start rows"
@@ -147,7 +179,7 @@ def test_criterion_4_cold_start(study):
     assert study["es_fallback"][tiny].all()
     assert np.isfinite(run.forecasts).all()
     assert (run.forecasts > 0).all()
-    ok(
+    return (
         f"4 cold start (<12 weeks history, {int(cold.sum())} rows): "
         f"RMSE {rmse_gbt:.2f} < baseline {rmse_es:.2f}; "
         f"{int(tiny.sum())} sub-2-obs rows used the category-mean fallback"
@@ -216,6 +248,14 @@ def test_criterion_6_standardization_identity():
 
 
 def test_criterion_7_fake_zero_detection(study):
+    ok(criterion_7(study))
+
+
+def test_criterion_7_on_the_held_out_panel(held_out):
+    ok(criterion_7(held_out) + HELD_OUT)
+
+
+def criterion_7(study) -> str:
     panel = study["panel"]
     truth = study["truth"]
     detected = detect_fake_zeros(panel)
@@ -226,7 +266,7 @@ def test_criterion_7_fake_zero_detection(study):
     precision = true_positive / int(detected.sum())
     assert recall >= 0.90, f"recall {recall:.3f}"
     assert precision >= 0.80, f"precision {precision:.3f}"
-    ok(f"7 fake-zero detection: recall {recall:.3f} (>=0.90), precision {precision:.3f} (>=0.80)")
+    return f"7 fake-zero detection: recall {recall:.3f} (>=0.90), precision {precision:.3f} (>=0.80)"
 
 
 def test_criterion_8_smoothing_oracle():
@@ -287,13 +327,24 @@ def test_criterion_9_pipeline_determinism(tmp_path):
 
 
 def test_criterion_10_early_stopping_and_monotone_loss(study):
+    ok(criterion_10(study))
+
+
+def test_criterion_10_on_the_held_out_panel(held_out):
+    # pinned as perfbench/workloads/study.json pins the reference panel's 76 and 46
+    booster = held_out["run"].model
+    assert (len(booster.trees), booster.best_round) == (107, 77)
+    ok(criterion_10(held_out) + HELD_OUT)
+
+
+def criterion_10(study) -> str:
     booster = study["run"].model
     valid = np.array(booster.valid_loss)
     assert booster.best_round == int(np.argmin(valid))
     assert valid[booster.best_round] == valid.min()
     train_losses = np.array(booster.train_loss)
     assert (np.diff(train_losses) <= 1e-9).all()
-    ok(
+    return (
         f"10 early stopping: best_round {booster.best_round}/{len(booster.trees)} attains "
         "min validation loss; training loss monotone (1e-9)"
     )

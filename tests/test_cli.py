@@ -5,10 +5,12 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from demandcast import cli, preprocess
+from demandcast import cli, gbt, ingest, preprocess
 from demandcast.cli import build_parser, main
+from demandcast.gbt import NODE_DTYPE
 from demandcast.ingest import RunConfig, load_config
 
 CONFIG = """
@@ -325,7 +327,8 @@ def counting(patch, name):
 
 class TestSplitOnce:
     """Each command derives the split's rows at most once, builds one matrix at most,
-    and preprocesses and fits seasonality once."""
+    and preprocesses once; each fits seasonality once but predict, which reads
+    the model file's."""
 
     @pytest.mark.parametrize(
         "command, splits, matrices",
@@ -343,7 +346,7 @@ class TestSplitOnce:
         fits = [counting(monkeypatch, name) for name in ("preprocess_panel", "fit_seasonality")]
         assert main(args) == 0
         assert (len(split_calls), len(matrix_calls)) == (splits, matrices)
-        assert [len(calls) for calls in fits] == [1, 1]
+        assert [len(calls) for calls in fits] == [1, 0 if command == "predict" else 1]
 
 
 def short_panel(tmp_path, on_sale_weeks):
@@ -527,8 +530,15 @@ class TestInputFaults:
 
 # a loadable model.json: no trees, so every forecast is exp(base_score)
 VALID_MODEL = {
-    "version": 1, "loss": "poisson", "base_score": 0.0, "learning_rate": 0.1,
-    "best_round": 0, "feature_names": ["lag_0"], "trees": [],
+    "version": 2, "loss": "poisson", "base_score": 0.0, "learning_rate": 0.1,
+    "best_round": 0, "feature_names": ["lag_0"], "train_loss": [1.0], "valid_loss": [1.0],
+    "node_counts": [], "nodes": {name: [] for name in NODE_DTYPE.names},
+    "settings": {
+        "horizon": 6, "smooth_window": 8, "cap_gamma": 3.0, "season_period": 52,
+        "with_seasonality": False, "lag_depth": 8,
+    },
+    "encoding": {"mode": "hashing", "hash_buckets": 64},
+    "seasonality": None,
 }
 
 
@@ -588,12 +598,20 @@ class TestTrainPredict:
         return code, model_file
 
     def test_malformed_model_file_is_data_error(self, data_dir, tmp_path, capsys):
-        def cut_root(doc):
-            doc["trees"][0][0] = doc["trees"][0][0][:3]
+        def cut_threshold(doc):
+            doc["nodes"]["threshold"].pop()  # the last node has no threshold
 
-        code, model_file = self.predict_with_corrupt_model(data_dir, tmp_path / "model", cut_root)
+        code, model_file = self.predict_with_corrupt_model(data_dir, tmp_path / "model", cut_threshold)
+        nodes = sum(json.loads(model_file.read_text())["node_counts"])
         assert code == 2
-        assert f"error: {model_file}: tree 0 node 0: expected 7 fields" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {model_file}: nodes field 'threshold' holds {nodes - 1} values, "
+            f"but node_counts sum to {nodes}\n"
+        )
+
+    def test_valid_model_loads(self):
+        model, state = gbt.model_from_json(model_text())
+        assert (model.trees, state.seasonal, state.encoding.hash_buckets) == ([], None, 64)
 
     @pytest.mark.parametrize(
         "field,value,message",
@@ -622,14 +640,14 @@ class TestTrainPredict:
     )
     def test_bad_node_field_is_data_error(self, data_dir, tmp_path, capsys, field, value, message):
         def corrupt(doc):
-            doc["trees"][-1][-1][field] = value  # the last node of the last tree
+            doc["nodes"][NODE_DTYPE.names[field]][-1] = value  # the last node of the last tree
 
         out = tmp_path / "model"
         code, model_file = self.predict_with_corrupt_model(data_dir, out, corrupt)
-        trees = json.loads(model_file.read_text())["trees"]
+        counts = json.loads(model_file.read_text())["node_counts"]
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {model_file}: tree {len(trees) - 1} node {len(trees[-1]) - 1}: {message}\n"
+            f"error: {model_file}: tree {len(counts) - 1} node {counts[-1] - 1}: {message}\n"
         )
         assert not (out / "predictions.csv").exists()
 
@@ -638,18 +656,19 @@ class TestTrainPredict:
         [
             "[]",
             "5",
-            model_text(trees=5),
-            model_text(trees=[5]),
+            model_text(nodes=5),
+            model_text(node_counts=[5]),
             model_text(feature_names=5),
             "{not json",
             json.dumps({k: v for k, v in VALID_MODEL.items() if k != "loss"}),
-            model_text(version=2),
+            model_text(version=3),
+            model_text(version=1),
             b"\xff{}",
             "[" * 100_000,  # exited 3 with json's RecursionError
         ],
         ids=[
             "list", "number", "trees-number", "tree-number", "feature-names-number",
-            "invalid-json", "no-loss", "version-2", "not-utf-8", "deeply-nested",
+            "invalid-json", "no-loss", "version-3", "version-1", "not-utf-8", "deeply-nested",
         ],
     )
     def test_malformed_model_document_is_data_error(self, data_dir, tmp_path, capsys, text):
@@ -681,6 +700,243 @@ class TestTrainPredict:
         piped_manifest = json.loads((piped / "manifest.json").read_text())
         for key in ("best_round", "rounds_run", "train_rows", "valid_rows"):
             assert trained_manifest[key] == piped_manifest[key]
+
+    @pytest.mark.parametrize(
+        "corrupt, problem",
+        [
+            (
+                lambda doc: doc["node_counts"].__setitem__(0, doc["node_counts"][0] + 1),
+                lambda doc: f"nodes field 'feature' holds {len(doc['nodes']['feature'])} values, "
+                f"but node_counts sum to {sum(doc['node_counts'])}",
+            ),
+            (
+                lambda doc: doc["seasonality"]["patterns"][0].__setitem__(0, float("nan")),
+                lambda doc: "seasonality: pattern 0 is not a list of finite numbers",
+            ),
+            (
+                lambda doc: doc["seasonality"]["assignment"].__setitem__(
+                    "c00", len(doc["seasonality"]["patterns"])
+                ),
+                lambda doc: "seasonality: assignment is not an object of pattern indices in "
+                f"[0, {len(doc['seasonality']['patterns'])})",
+            ),
+            (
+                lambda doc: doc["encoding"]["maps"]["category"].reverse(),
+                lambda doc: "encoding: map 'category' is not a list of distinct strings in sorted order",
+            ),
+            (
+                lambda doc: doc["settings"].pop("smooth_window"),
+                lambda doc: "settings: missing key 'smooth_window'",
+            ),
+            (
+                lambda doc: doc["valid_loss"].__setitem__(0, float("inf")),
+                lambda doc: "valid_loss is not a list of finite numbers",
+            ),
+            (
+                lambda doc: doc.__setitem__("version", 1),
+                lambda doc: "model version 1 is no longer read; retrain to write version 2",
+            ),
+        ],
+        ids=["node-counts", "pattern", "assignment", "ordinal-map", "setting", "loss-history", "version-1"],
+    )
+    def test_bad_model_state_is_data_error(self, data_dir, tmp_path, capsys, corrupt, problem):
+        out = tmp_path / "model"
+        code, model_file = self.predict_with_corrupt_model(data_dir, out, corrupt)
+        doc = json.loads(model_file.read_text())
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {model_file}: {problem(doc)}\n"
+        assert not (out / "predictions.csv").exists()
+
+    @pytest.mark.parametrize(
+        "line, given, trained",
+        [
+            ("horizon = 4", "4", "6"),
+            ("cap_gamma = 2.5", "2.5", "3.0"),
+            ("encoding = hashing", "'hashing'", "'ordinal'"),
+            ("with_seasonality = false", "False", "True"),
+        ],
+    )
+    def test_predict_config_must_agree_with_the_model(
+        self, data_dir, tmp_path, capsys, line, given, trained
+    ):
+        model_dir = tmp_path / "model"
+        assert main(["train", *pipeline_args(data_dir, model_dir)[1:]]) == 0
+        config = config_file(tmp_path, line)
+        capsys.readouterr()
+        args = predict_args(data_dir, model_dir / "model.json", tmp_path / "out", config)
+        assert main(args) == 2
+        name = line.split(" = ")[0]
+        assert capsys.readouterr().err == (
+            f"error: {config}: {name} = {given}, but {model_dir / 'model.json'} was trained "
+            f"with {name} = {trained}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_hash_buckets_checked_under_hashing_only(self, data_dir, tmp_path, capsys):
+        hashed = tmp_path / "hashed"
+        assert main(pipeline_args(data_dir, hashed, config=config_file(tmp_path, "encoding = hashing"))) == 0
+        other = tmp_path / "other.cfg"
+        other.write_text(CONFIG + "encoding = hashing\nhash_buckets = 32\n")
+        capsys.readouterr()
+        assert main(predict_args(data_dir, hashed / "model.json", tmp_path / "out", other)) == 2
+        assert capsys.readouterr().err.endswith("with hash_buckets = 64\n")
+
+    def test_predict_reads_no_setting_from_config(self, data_dir, tmp_path):
+        model_dir = tmp_path / "model"
+        assert main(["train", *pipeline_args(data_dir, model_dir)[1:]]) == 0
+        # settings predict does not read may differ from training's
+        unread = tmp_path / "unread.cfg"
+        unread.write_text(
+            "train_len = 40\nvalid_len = 5\ntest_len = 5\nrounds = 3\nseed = 9\n"
+            "n_patterns = 2\nhash_buckets = 32\nlearning_rate = 0.5\noverride_bounds = true\n"
+        )
+        outputs = []
+        for name, config in (("none", None), ("same", data_dir / "run.cfg"), ("unread", unread)):
+            out = tmp_path / name
+            assert main(predict_args(data_dir, model_dir / "model.json", out, config)) == 0
+            outputs.append((out / "predictions.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+def predict_args(data_dir, model_file, out_dir, config=None, catalog=None):
+    return [
+        "predict", "--model-file", str(model_file),
+        "--sales", str(data_dir / "sales.csv"),
+        "--catalog", str(catalog or data_dir / "catalog.csv"),
+        "--covariates", str(data_dir / "covariates.csv"),
+        *(["--config", str(config)] if config else []),
+        "--out-dir", str(out_dir),
+    ]
+
+
+SHORT_CONFIG = "train_len = 80\nvalid_len = 14\ntest_len = 26\nrounds = 40\noverride_bounds = true\n"
+
+
+@pytest.fixture(scope="module")
+def trained_120(tmp_path_factory):
+    """synth 120 products, 6 categories, 120 weeks (seed 3) and the model
+    `train` fits on it with SHORT_CONFIG; returns (data dir, model file)."""
+    path = tmp_path_factory.mktemp("panel120")
+    assert main([
+        "synth", "--out-dir", str(path),
+        "--products", "120", "--categories", "6", "--weeks", "120", "--seed", "3",
+    ]) == 0
+    (path / "run.cfg").write_text(SHORT_CONFIG)
+    assert main(["train", *pipeline_args(path, path / "model")[1:]]) == 0
+    return path, path / "model" / "model.json"
+
+
+def rewrite_catalog(data_dir, path, edit):
+    """data_dir's catalog with edit(rows) applied to its data rows, written to path."""
+    with (data_dir / "catalog.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    rows = edit(rows) or rows
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    return path
+
+
+class TestForecastIsAFunctionOfTheModelFile:
+    """predict codes categories and reads seasonality as training fitted them,
+    whatever else the catalog lists."""
+
+    def test_catalog_row_outside_the_panel_leaves_forecasts_unchanged(self, trained_120, tmp_path):
+        # a new brand sorts first, so refitted ordinal maps would shift every
+        # brand's id: at the version 1 model file, 10 of 35 forecasts changed
+        data_dir, model_file = trained_120
+
+        def add_product(rows):
+            first = next(row for row in rows if row[0] == "p0000")
+            rows.append(["zz_new", first[1], first[2], "a_brand"])
+
+        catalog = rewrite_catalog(data_dir, tmp_path / "catalog.csv", add_product)
+        outputs = []
+        for name, given in (("plain", None), ("extra", catalog)):
+            out = tmp_path / name
+            assert main(predict_args(data_dir, model_file, out, data_dir / "run.cfg", given)) == 0
+            outputs.append((out / "predictions.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 36  # 35 forecasts
+
+    def test_unseen_category_gets_id_n_and_the_global_pattern(self, trained_120, tmp_path):
+        data_dir, model_file = trained_120
+        _, state = gbt.load_model(model_file)
+        config = state.config()
+        panel, _, covariates = cli.load_inputs(
+            data_dir / "sales.csv", data_dir / "catalog.csv", data_dir / "covariates.csv"
+        )
+        rows = np.flatnonzero(panel.on_sale_mask[:, -1])
+        moved, kept = panel.products[rows[0]], panel.products[rows[1]]
+
+        def new_category(catalog_rows):
+            for row in catalog_rows:
+                if row[0] == moved:
+                    row[1] = "zz_unseen"
+
+        path = rewrite_catalog(data_dir, tmp_path / "catalog.csv", new_category)
+        catalog = ingest.load_catalog(path)
+        repaired, smoothed = cli.preprocess(panel, config)
+        weeks = np.full(rows.size, panel.n_weeks - 1)
+        matrix = cli.build_matrix(
+            repaired, smoothed, catalog, state.seasonal, covariates, config, rows, weeks, state.encoding
+        )
+        category, season = matrix.columns.index("category"), matrix.columns.index("season")
+        seasonal, ids = state.seasonal, state.encoding.maps["category"].mapping
+        week = (panel.n_weeks - 1 + config.horizon) % seasonal.tau
+        assert matrix.X[0, category] == len(ids)
+        assert matrix.X[0, season] == seasonal.global_pattern[week]
+        own = catalog.category_of[kept]
+        assert matrix.X[1, category] == ids[own]
+        assert matrix.X[1, season] == seasonal.patterns[seasonal.assignment[own]][week]
+        # the other products' forecasts do not move
+        outputs = []
+        for name, given in (("plain", None), ("moved", path)):
+            out = tmp_path / name
+            assert main(predict_args(data_dir, model_file, out, None, given)) == 0
+            outputs.append((out / "predictions.csv").read_text().splitlines())
+        changed = [a.split(",")[0] for a, b in zip(*outputs) if a != b]
+        assert set(changed) <= {moved}
+
+    def test_catalog_column_training_did_not_see_is_data_error(self, trained_120, tmp_path, capsys):
+        data_dir, model_file = trained_120
+        header, *rows = (data_dir / "catalog.csv").read_text().splitlines()
+        path = tmp_path / "catalog.csv"
+        path.write_text("\n".join([header + ",color", *(row + ",red" for row in rows)]) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(predict_args(data_dir, model_file, out, None, path)) == 2
+        assert capsys.readouterr().err == (
+            "error: the model file has no ordinal map for 'attr_color', a catalog column "
+            "training did not see\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["gbt", "es", "forest"])
+    def test_doubled_prices_double_rmse_and_keep_mae_and_forecasts(self, trained_120, tmp_path, model):
+        # doubling is exact in floating point, and so are the split midpoints
+        # and the price-weighted sums it scales, so every comparison is exact
+        data_dir, _ = trained_120
+
+        def double(rows):
+            for row in rows:
+                row[2] = repr(2.0 * float(row[2]))
+
+        doubled = rewrite_catalog(data_dir, tmp_path / "catalog.csv", double)
+        reports, predictions = [], []
+        for name, catalog in (("plain", data_dir / "catalog.csv"), ("doubled", doubled)):
+            out = tmp_path / name
+            args = pipeline_args(data_dir, out, "--model", model, "--forest-trees", "3")
+            args[args.index("--catalog") + 1] = str(catalog)
+            assert main(args) == 0
+            predictions.append((out / "predictions.csv").read_bytes())
+            with (out / "report.csv").open(newline="") as fh:
+                reports.append(list(csv.reader(fh))[1:])
+        assert predictions[0] == predictions[1]
+        assert len(reports[0]) == len(reports[1]) > 1
+        for (scope, group, rmse, mae, n), doubled_row in zip(*reports):
+            assert doubled_row[:2] == [scope, group] and doubled_row[4] == n
+            assert float(doubled_row[2]) == 2.0 * float(rmse)
+            assert float(doubled_row[3]) == float(mae)
 
 
 class TestEvaluateCommand:

@@ -11,7 +11,7 @@ from demandcast.evaluation import (
     weighted_mae,
     weighted_rmse,
 )
-from demandcast.features import build_matrix, split_rows
+from demandcast.features import build_matrix, fit_encoding, split_rows
 from demandcast.ingest import RunConfig, SchemaError
 
 from .test_core import make_panel
@@ -81,7 +81,8 @@ def split_weeks(n_weeks, train_len, valid_len, test_len):
     )
     repaired, smoothed = cli.preprocess(panel, config)
     rows, issued, which = split_rows(repaired.on_sale_mask, config)
-    full = build_matrix(repaired, smoothed, catalog, None, None, config, rows, issued)
+    encoding = fit_encoding(catalog, config)
+    full = build_matrix(repaired, smoothed, catalog, None, None, config, rows, issued, encoding)
     parts = [full.select(which == k) for k in range(3)]
     weeks = [sorted(set(part.target_weeks.tolist())) for part in parts]
     assert [part.n_rows for part in parts] == [2 * len(w) for w in weeks]

@@ -8,6 +8,7 @@ from demandcast.features import (
     CovariateView,
     _KeyedSeries,
     build_matrix,
+    fit_encoding,
     fnv1a64,
     hash_encode,
     life_at_issue,
@@ -184,14 +185,20 @@ class TestLifeAtIssue:
 def split_matrix(repaired, smoothed, catalog, model, covariates, config):
     """build_matrix over every row of config's split."""
     rows, weeks, _ = split_rows(repaired.on_sale_mask, config)
-    return build_matrix(repaired, smoothed, catalog, model, covariates, config, rows, weeks)
+    return build_matrix(
+        repaired, smoothed, catalog, model, covariates, config, rows, weeks,
+        fit_encoding(catalog, config),
+    )
 
 
 def last_week_matrix(repaired, smoothed, catalog, model, covariates, config):
     """build_matrix over the products on sale in the panel's last week, as predict builds it."""
     rows = np.flatnonzero(repaired.on_sale_mask[:, -1])
     weeks = np.full(rows.size, repaired.n_weeks - 1)
-    return build_matrix(repaired, smoothed, catalog, model, covariates, config, rows, weeks)
+    return build_matrix(
+        repaired, smoothed, catalog, model, covariates, config, rows, weeks,
+        fit_encoding(catalog, config),
+    )
 
 
 class TestSplitRows:
@@ -444,7 +451,10 @@ class TestMatchesRowwiseReference:
         else:
             rows = np.flatnonzero(repaired.on_sale_mask[:, -1])
             weeks = np.full(rows.size, repaired.n_weeks - 1)
-        matrix = build_matrix(repaired, smoothed, catalog, model, covariates, config, rows, weeks)
+        matrix = build_matrix(
+            repaired, smoothed, catalog, model, covariates, config, rows, weeks,
+            fit_encoding(catalog, config),
+        )
         expected_keys, columns, x, targets, life = rowwise_build_matrix(
             repaired, smoothed, catalog, model, covariates, config,
             list(zip(rows.tolist(), weeks.tolist())),

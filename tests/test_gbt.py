@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from demandcast import gbt
-from demandcast.features import FeatureMatrix
+from demandcast.features import Encoding, FeatureMatrix, ordinal_encode
 from demandcast.ingest import RunConfig, SchemaError
+from demandcast.seasonal import SeasonalityModel
 from demandcast.gbt import (
     NODE_DTYPE,
     BoostedModel,
+    ServingState,
     Tree,
     best_split,
     fit_tree,
@@ -283,6 +285,20 @@ class TestEarlyStopping:
             manual += model.learning_rate * tree.apply(valid_m.X)
         assert np.array_equal(model.predict_array(valid_m.X), manual)
 
+    def test_non_finite_validation_loss_is_divergence(self, monkeypatch):
+        # a model file holds finite loss histories only, so no fit may record another
+        train_m, valid_m = self.build()
+        original, calls = gbt.loss_value, []
+
+        def loss_value(loss, y, raw):
+            calls.append(y is valid_m.targets)
+            return math.inf if calls.count(True) == 3 else original(loss, y, raw)
+
+        monkeypatch.setattr(gbt, "loss_value", loss_value)
+        params = RunConfig(loss="squared", learning_rate=0.3, rounds=10, min_split_loss=0.0)
+        with pytest.raises(ValueError, match="^training diverged in round 2: the validation loss is inf "):
+            train(train_m, params, valid_m)
+
 
 class TestPredict:
     def test_zero_tree_model_returns_exp_base(self):
@@ -380,64 +396,124 @@ class TestApply:
         }
 
 
+def small_state(feature_names, with_seasonality=True):
+    """A ServingState of period 4 whose ordinal maps cover the categorical
+    columns of feature_names; category "a" has its own pattern."""
+    config = RunConfig(season_period=4, with_seasonality=with_seasonality)
+    maps = {
+        name: ordinal_encode(["a", "b"]) for name in feature_names
+        if name == "category" or name.startswith("attr_")
+    }
+    seasonal = SeasonalityModel(
+        tau=4, patterns=[np.array([0.1, 0.4, 0.3, 0.2])], assignment={"a": 0},
+        global_pattern=np.array([0.25, 0.25, 0.25, 0.25]),
+    ) if with_seasonality else None
+    return ServingState.of(config, Encoding("ordinal", maps, None), seasonal)
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(50, 3))
         x[rng.random(x.shape) < 0.15] = np.nan
         y = rng.poisson(3.0, size=50).astype(float)
-        matrix = matrix_of(x, y=y)
+        matrix = matrix_of(x, y=y, columns=["f0", "category", "attr_brand"])
         params = RunConfig(loss="poisson", rounds=10, learning_rate=0.2, max_depth=4, min_split_loss=0.0)
         model = train(matrix, params, matrix)
-        text = model_to_json(model)
-        loaded = model_from_json(text)
-        assert model_to_json(loaded) == text
+        state = small_state(matrix.columns)
+        text = model_to_json(model, state)
+        loaded, loaded_state = model_from_json(text)
+        assert model_to_json(loaded, loaded_state) == text
         assert loaded.base_score == model.base_score
+        assert (loaded.train_loss, loaded.valid_loss) == (model.train_loss, model.valid_loss)
+        assert np.array_equal(loaded.predict_array(x), model.predict_array(x))
+        assert loaded_state.settings == state.settings
+        assert loaded_state.encoding == state.encoding
+        seasonal = loaded_state.seasonal
+        assert seasonal.assignment == state.seasonal.assignment
+        assert seasonal.global_pattern.tobytes() == state.seasonal.global_pattern.tobytes()
+        assert seasonal.patterns[0].tobytes() == state.seasonal.patterns[0].tobytes()
+
+    def test_only_the_used_trees_are_stored(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(60, 2))
+        y = rng.poisson(3.0, size=60).astype(float)
+        train_m, valid_m = matrix_of(x[:40], y=y[:40]), matrix_of(x[40:], y=y[40:])
+        params = RunConfig(
+            loss="poisson", rounds=30, learning_rate=0.5, max_depth=4, min_split_loss=0.0,
+            early_stop_patience=5,
+        )
+        model = train(train_m, params, valid_m)
+        assert model.best_round < len(model.trees)  # the fit ran past its best round
+        text = model_to_json(model, small_state(train_m.columns))
+        doc = json.loads(text)
+        assert len(doc["node_counts"]) == model.best_round
+        assert len(doc["valid_loss"]) == len(model.trees) + 1
+        loaded, _ = model_from_json(text)
+        assert len(loaded.trees) == model.best_round
+        for kept, tree in zip(loaded.trees, model.trees):
+            assert kept.nodes.tobytes() == tree.nodes.tobytes()
         assert np.array_equal(loaded.predict_array(x), model.predict_array(x))
 
     def test_version_checked(self):
         with pytest.raises(ValueError, match="version"):
             model_from_json('{"version": 99}')
 
+    def test_version_1_asks_for_a_retrain(self):
+        with pytest.raises(SchemaError, match="model: model version 1 is no longer read; retrain"):
+            model_from_json('{"version": 1, "trees": []}')
+
 
 def small_model_doc():
-    """A two-round model whose first tree splits at its root."""
+    """A two-round model whose trees both split at their root, stored with
+    small_state: columns "category" and "f1", seasonality of period 4."""
     x = np.array([[0.0, 1.0], [0.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
-    params = RunConfig(loss="squared", learning_rate=1.0, max_depth=2, rounds=2, min_split_loss=0.0)
-    matrix = matrix_of(x, y=[0.0, 0.0, 10.0, 10.0])
+    params = RunConfig(loss="squared", learning_rate=0.5, max_depth=2, rounds=2, min_split_loss=0.0)
+    matrix = matrix_of(x, y=[0.0, 0.0, 10.0, 10.0], columns=["category", "f1"])
     model = train(matrix, params, matrix)
-    doc = json.loads(model_to_json(model))
-    assert doc["trees"][0][0][0] >= 0 and len(doc["trees"][0]) >= 3
+    doc = json.loads(model_to_json(model, small_state(matrix.columns)))
+    assert doc["best_round"] == 2 and doc["nodes"]["feature"][0] >= 0
+    assert min(doc["node_counts"]) >= 3
     return doc
 
 
+def node_index(doc, tree, node):
+    """Position of a tree's node in the node columns; node -1 is the tree's last."""
+    counts = doc["node_counts"]
+    return sum(counts[:tree]) + (node % counts[tree])
+
+
+def set_node(doc, tree, node, field, value):
+    doc["nodes"][field][node_index(doc, tree, node)] = value
+
+
 def set_root_loop(doc):
-    doc["trees"][0][0][3] = 0  # the root's left child is the root itself
-    doc["trees"][0][0][1] = 1e308  # so every finite value goes left, forever
+    set_node(doc, 0, 0, "left", 0)  # the root's left child is the root itself
+    set_node(doc, 0, 0, "threshold", 1e308)  # so every finite value goes left, forever
 
 
 def set_short_node(doc):
-    doc["trees"][0][1] = doc["trees"][0][1][:3]
+    doc["nodes"]["gain"].pop()  # a node short of its last field
 
 
 def set_unknown_feature(doc):
-    doc["trees"][0][0][0] = 999
+    set_node(doc, 0, 0, "feature", 999)
 
 
 def set_feature_past_end(doc):
-    doc["trees"][0][0][0] = len(doc["feature_names"])
+    set_node(doc, 0, 0, "feature", len(doc["feature_names"]))
 
 
 def set_negative_feature(doc):
-    doc["trees"][0][0][0] = -2
+    set_node(doc, 0, 0, "feature", -2)
 
 
 def set_float_feature(doc):
-    doc["trees"][0][0][0] = 0.0  # numpy cannot index a column with a float
+    set_node(doc, 0, 0, "feature", 0.0)  # numpy cannot index a column with a float
 
 
 def set_right_past_end(doc):
-    doc["trees"][0][0][4] = len(doc["trees"][0])
+    set_node(doc, 0, 0, "right", doc["node_counts"][0])
 
 
 def set_negative_best_round(doc):
@@ -445,23 +521,28 @@ def set_negative_best_round(doc):
 
 
 def set_large_best_round(doc):
-    doc["best_round"] = len(doc["trees"]) + 1
+    doc["best_round"] = len(doc["node_counts"]) + 1
 
 
 def set_leaf_with_children(doc):
-    doc["trees"][0][1][0] = -1
-    doc["trees"][0][1][3:5] = [2, 2]
+    set_node(doc, 0, 1, "feature", -1)
+    set_node(doc, 0, 1, "left", 2)
+    set_node(doc, 0, 1, "right", 2)
 
 
 def set_shared_child(doc):
     # every link points forward, but node 2 is the child of nodes 0 and 1:
     # a chain of such nodes multiplies the paths apply() walks
-    doc["trees"][0] = [
+    rows = [
         [0, 0.5, 1, 1, 2, 0.0, 1.0],
         [1, 2.5, 1, 2, 3, 0.0, 1.0],
         [-1, 0.0, 1, -1, -1, 1.0, 0.0],
         [-1, 0.0, 1, -1, -1, 2.0, 0.0],
     ]
+    first = doc["node_counts"][0]
+    for field, values in zip(NODE_DTYPE.names, zip(*rows)):
+        doc["nodes"][field][:first] = values
+    doc["node_counts"][0] = len(rows)
 
 
 def set_unknown_loss(doc):
@@ -501,51 +582,161 @@ def set_bool_base_score(doc):
 
 
 def set_nan_leaf_weight(doc):
-    doc["trees"][0][-1][5] = math.nan
+    set_node(doc, 0, -1, "weight", math.nan)
 
 
 def set_infinite_leaf_weight(doc):
-    doc["trees"][1][-1][5] = math.inf
+    set_node(doc, 1, -1, "weight", math.inf)
 
 
 def set_nan_threshold(doc):
-    doc["trees"][0][0][1] = math.nan
+    set_node(doc, 0, 0, "threshold", math.nan)
 
 
 def set_word_default_left(doc):
-    doc["trees"][0][0][2] = "sideways"
+    set_node(doc, 0, 0, "default_left", "sideways")
 
 
 def set_two_default_left(doc):
-    doc["trees"][0][-1][2] = 2
+    set_node(doc, 0, -1, "default_left", 2)
 
 
 def set_bool_default_left(doc):
-    doc["trees"][1][0][2] = True
+    set_node(doc, 1, 0, "default_left", True)
 
 
 def set_word_gain(doc):
-    doc["trees"][0][0][6] = "x"
+    set_node(doc, 0, 0, "gain", "x")
 
 
 def set_nan_gain(doc):
-    doc["trees"][0][-1][6] = math.nan
+    set_node(doc, 0, -1, "gain", math.nan)
 
 
 def set_infinite_gain(doc):
-    doc["trees"][1][0][6] = math.inf
+    set_node(doc, 1, 0, "gain", math.inf)
 
 
 def set_huge_int_weight(doc):
-    doc["trees"][0][-1][5] = 10**400  # a JSON integer no float holds
+    set_node(doc, 0, -1, "weight", 10**400)  # a JSON integer no float holds
 
 
 def set_huge_int_threshold(doc):
-    doc["trees"][0][0][1] = 10**400
+    set_node(doc, 0, 0, "threshold", 10**400)
 
 
 def set_huge_int_base_score(doc):
     doc["base_score"] = -(10**400)
+
+
+# each corruption of a field new in version 2, and the problem it must report
+NEW_FIELD_FAULTS = {
+    "node_counts_past_nodes": (
+        lambda doc: doc["node_counts"].__setitem__(-1, doc["node_counts"][-1] + 1),
+        "nodes field 'feature' holds {nodes} values, but node_counts sum to {plus_one}",
+    ),
+    "node_counts_short_of_nodes": (
+        lambda doc: doc["node_counts"].__setitem__(0, doc["node_counts"][0] - 1),
+        "nodes field 'feature' holds {nodes} values, but node_counts sum to {minus_one}",
+    ),
+    "zero_node_count": (
+        lambda doc: doc["node_counts"].__setitem__(0, 0),
+        "node_counts is not a list of integers above 0",
+    ),
+    "nodes_not_an_object": (
+        lambda doc: doc.__setitem__("nodes", []),
+        "nodes is not an object of the fields feature, threshold, default_left, left, right, "
+        "weight, gain",
+    ),
+    "huge_int_feature": (  # np.array raises OverflowError for an int outside int64
+        lambda doc: set_node(doc, 1, 0, "feature", 2**70),
+        "tree 1 node 0: feature 1180591620717411303424 outside [0, 2)",
+    ),
+    "huge_negative_int_right": (
+        lambda doc: set_node(doc, 0, 0, "right", -(2**63) - 1),
+        "tree 0 node 0: children 1/-9223372036854775809 do not follow the node in pre-order",
+    ),
+    "nan_pattern": (
+        lambda doc: doc["seasonality"]["patterns"][0].__setitem__(1, math.nan),
+        "seasonality: pattern 0 is not a list of finite numbers",
+    ),
+    "short_pattern": (
+        lambda doc: doc["seasonality"]["patterns"][0].pop(),
+        "seasonality: pattern 0 holds 3 values, not tau 4",
+    ),
+    "word_global_pattern": (
+        lambda doc: doc["seasonality"]["global_pattern"].__setitem__(0, "x"),
+        "seasonality: global_pattern is not a list of finite numbers",
+    ),
+    "assignment_past_patterns": (
+        lambda doc: doc["seasonality"]["assignment"].__setitem__("a", 1),
+        "seasonality: assignment is not an object of pattern indices in [0, 1)",
+    ),
+    "tau_off_period": (
+        lambda doc: doc["seasonality"].__setitem__("tau", 5),
+        "seasonality: tau 5 is not season_period 4",
+    ),
+    "seasonality_missing": (
+        lambda doc: doc.__setitem__("seasonality", None),
+        "seasonality: expected an object of tau, patterns, assignment and global_pattern",
+    ),
+    "seasonality_without_the_setting": (
+        lambda doc: doc["settings"].__setitem__("with_seasonality", False),
+        "seasonality: stored, but with_seasonality is false",
+    ),
+    "missing_setting": (
+        lambda doc: doc["settings"].pop("horizon"),
+        "settings: missing key 'horizon'",
+    ),
+    "zero_horizon": (
+        lambda doc: doc["settings"].__setitem__("horizon", 0),
+        "settings: horizon 0 is not an integer >= 1",
+    ),
+    "string_cap_gamma": (
+        lambda doc: doc["settings"].__setitem__("cap_gamma", "3"),
+        "settings: cap_gamma '3' is not a finite number above 0",
+    ),
+    "other_lag_depth": (
+        lambda doc: doc["settings"].__setitem__("lag_depth", 9),
+        "settings: lag_depth 9 is not this program's 8; retrain the model",
+    ),
+    "missing_ordinal_map": (
+        lambda doc: doc["encoding"]["maps"].pop("category"),
+        "encoding: maps is not an object of one map per categorical column ['category']",
+    ),
+    "unsorted_ordinal_map": (
+        lambda doc: doc["encoding"]["maps"].__setitem__("category", ["b", "a"]),
+        "encoding: map 'category' is not a list of distinct strings in sorted order",
+    ),
+    "unknown_encoding_mode": (
+        lambda doc: doc["encoding"].__setitem__("mode", "onehot"),
+        "encoding: mode 'onehot' is not 'ordinal' or 'hashing'",
+    ),
+    "one_hash_bucket": (
+        lambda doc: doc.__setitem__("encoding", {"mode": "hashing", "hash_buckets": 1}),
+        "encoding: hash_buckets 1 is not an integer >= 2",
+    ),
+    "nan_train_loss": (
+        lambda doc: doc["train_loss"].__setitem__(1, math.nan),
+        "train_loss is not a list of finite numbers",
+    ),
+    "infinite_valid_loss": (
+        lambda doc: doc["valid_loss"].__setitem__(-1, math.inf),
+        "valid_loss is not a list of finite numbers",
+    ),
+    "short_valid_loss": (
+        lambda doc: doc["valid_loss"].pop(),
+        "train_loss and valid_loss are not one loss per round",
+    ),
+    "best_round_off_the_trees": (
+        lambda doc: doc.__setitem__("best_round", 1),
+        "node_counts holds 2 trees, not best_round 1",
+    ),
+    "version_1": (
+        lambda doc: doc.__setitem__("version", 1),
+        "model version 1 is no longer read; retrain to write version 2",
+    ),
+}
 
 
 class TestModelFileChecks:
@@ -568,14 +759,42 @@ class TestModelFileChecks:
         with pytest.raises(SchemaError, match=re.escape(str(path))):
             gbt.load_model(path)
 
+    @pytest.mark.parametrize("name", NEW_FIELD_FAULTS)
+    def test_malformed_new_field_rejected_naming_file(self, tmp_path, name):
+        doc = small_model_doc()
+        nodes = sum(doc["node_counts"])
+        corrupt, problem = NEW_FIELD_FAULTS[name]
+        corrupt(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        message = f"{path}: " + problem.format(nodes=nodes, plus_one=nodes + 1, minus_one=nodes - 1)
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            gbt.load_model(path)
+
+    def test_fault_names_the_first_faulty_node(self):
+        # the node checked first wins, whichever field of it is bad
+        doc = small_model_doc()
+        set_node(doc, 1, 0, "gain", "x")
+        set_node(doc, 0, -1, "weight", math.nan)
+        set_node(doc, 0, -1, "default_left", 3)
+        with pytest.raises(SchemaError, match=r"^model: tree 0 node \d+: default_left 3 is not 0 or 1$"):
+            model_from_json(json.dumps(doc))
+
     def test_infinite_threshold_accepted(self):
         doc = small_model_doc()
-        doc["trees"][0][0][1] = math.inf
-        doc["trees"][1][0][1] = -math.inf
-        model = model_from_json(json.dumps(doc))
+        set_node(doc, 0, 0, "threshold", math.inf)
+        set_node(doc, 1, 0, "threshold", -math.inf)
+        model, _ = model_from_json(json.dumps(doc))
         assert model.trees[0].nodes["threshold"][0] == math.inf
         assert model.trees[1].nodes["threshold"][0] == -math.inf
         assert model.predict_array(np.array([[5.0, 5.0]])).shape == (1,)
+
+    def test_integer_weights_accepted(self):
+        # JSON integers are numbers: a hand-edited file may hold them
+        doc = small_model_doc()
+        doc["nodes"]["weight"] = [int(w) for w in doc["nodes"]["weight"]]
+        model, _ = model_from_json(json.dumps(doc))
+        assert model.trees[0].nodes["weight"].tolist() == doc["nodes"]["weight"][: doc["node_counts"][0]]
 
 
 class TestForest:
