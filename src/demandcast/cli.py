@@ -28,10 +28,11 @@ Run settings come only from the --config file's RunConfig, so the config
 that manifest.json records is the whole run's. `predict` takes its settings,
 the categorical encoding and the seasonal model from the model file that
 `train` or `pipeline` wrote, and refits nothing; a --config given to it
-must agree with the settings the file stores. Every stage is a pure
-function of its inputs and that config, seed included; running the same
-command twice produces byte-identical artifacts. Exit codes: 0 success,
-1 usage error, 2 data error, 3 internal error.
+must agree with the settings the file stores, and its inputs must give the
+model's feature columns, which it checks before it builds the matrix. Every
+stage is a pure function of its inputs and that config, seed included;
+running the same command twice produces byte-identical artifacts. Exit
+codes: 0 success, 1 usage error, 2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from . import evaluation, gbt, ingest, synth
 from .baselines import ESBaseline
 from .core import Catalog, SalesPanel
 from .evaluation import EvalReport, evaluate, format_report, write_report
-from .features import Encoding, build_matrix, fit_encoding, life_at_issue, split_rows
+from .features import Encoding, build_matrix, fit_encoding, life_at_issue, matrix_columns, split_rows
 from .ingest import CovariateTable, RunConfig, SchemaError
 from .preprocess import (
     SmoothedPanel,
@@ -352,6 +353,31 @@ def _check_config(config: RunConfig, state: gbt.ServingState, args) -> None:
             )
 
 
+def _check_columns(booster: gbt.BoostedModel, catalog, covariates, config: RunConfig, args) -> None:
+    """The inputs must give the model's feature columns. Checked before any
+    matrix is built; the error names the model file and each extra or
+    missing column with the input it comes from."""
+    columns, trained = matrix_columns(catalog, covariates, config), booster.feature_names
+    if columns == trained:
+        return
+
+    def named(column: str) -> str:
+        if column.startswith("attr_"):
+            return f"{column!r} (catalog column {column[5:]!r}, --catalog {args.catalog})"
+        if column.startswith("cov_"):
+            path = args.covariates or "not given"
+            return f"{column!r} (covariate key {column[4:]!r}, --covariates {path})"
+        return repr(column)
+
+    made, used = set(columns), set(trained)
+    faults = [f"extra {named(c)}" for c in columns if c not in used]
+    faults += [f"missing {named(c)}" for c in trained if c not in made]
+    raise SchemaError(
+        f"{args.model_file}: the inputs' feature columns differ from the model's: "
+        + ("; ".join(faults) or f"the same columns in another order, {columns}")
+    )
+
+
 def cmd_predict(args) -> int:
     given = None if args.config is None else ingest.load_config(args.config)
     booster, state = gbt.load_model(args.model_file)
@@ -359,6 +385,7 @@ def cmd_predict(args) -> int:
         _check_config(given, state, args)
     config = state.config()
     panel, catalog, covariates = load_inputs(args.sales, args.catalog, args.covariates)
+    _check_columns(booster, catalog, covariates, config, args)
     rows = np.flatnonzero(panel.on_sale_mask[:, -1])  # the products on sale in the last week
     if not rows.size:
         raise ValueError(

@@ -273,11 +273,6 @@ class Encoding:
     def code(self, column: str, value: str) -> float:
         if self.mode == "hashing":
             return float(hash_encode(f"{column}={value}", self.hash_buckets))
-        if column not in self.maps:
-            raise ValueError(
-                f"the model file has no ordinal map for {column!r}, a catalog column "
-                "training did not see"
-            )
         return float(self.maps[column].encode(value))
 
 
@@ -291,6 +286,21 @@ def fit_encoding(catalog: Catalog, config: RunConfig) -> Encoding:
             catalog.attributes.get(pid, {}).get(name, "") for pid in catalog.price
         )
     return Encoding("ordinal", maps, None)
+
+
+def matrix_columns(catalog: Catalog, covariates: CovariateTable | None, config: RunConfig) -> list[str]:
+    """The column names of build_matrix's matrix, in its order: a catalog
+    attribute <name> gives column "attr_<name>" and a covariate key <key>
+    gives "cov_<key>"; every other column comes from the settings."""
+    columns = [f"lag_{j}" for j in range(LAG_DEPTH)]
+    columns += ["trend_annual", "trend_local"]
+    if config.with_seasonality:
+        columns.append("season")
+    columns += ["weeks_since_launch", "price", "category"]
+    columns += [f"attr_{name}" for name in _categorical_columns(catalog)]
+    if covariates is not None:
+        columns += [f"cov_{name}" for name in covariates.feature_names()]
+    return columns
 
 
 def build_matrix(
@@ -320,13 +330,7 @@ def build_matrix(
 
     attr_cols = _categorical_columns(catalog)
     cov_names = covariates.feature_names() if covariates is not None else []
-    columns = [f"lag_{j}" for j in range(LAG_DEPTH)]
-    columns += ["trend_annual", "trend_local"]
-    if config.with_seasonality:
-        columns.append("season")
-    columns += ["weeks_since_launch", "price", "category"]
-    columns += [f"attr_{name}" for name in attr_cols]
-    columns += [f"cov_{name}" for name in cov_names]
+    columns = matrix_columns(catalog, covariates, config)
 
     target_weeks = weeks + h
     launch = launch_weeks(on_sale)[rows]

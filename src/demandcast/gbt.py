@@ -45,9 +45,10 @@ is called at the same nodes in the same pre-order. The gains are therefore
 bit for bit those of a scalar scan, which tests/oracles.py checks, whichever
 path grows a node.
 
-Memory: besides the presort, the per-tree working copy and one complex
-g + i*h array per tree, the grower's temporaries are a small multiple of
-max(SCRATCH_ELEMENTS, rows in the node) elements, never features x rows,
+Memory: besides the presort, the per-tree working copy (int32, features + 1
+rows), one complex g + i*h pair and one flag per row, and the tree's node
+records, the grower's temporaries take at most 16 eight-byte words per
+element of max(SCRATCH_ELEMENTS, rows in the node), never features x rows,
 and none outlives its node; the bound holds for the split search and the
 partition alike. A Python subtree's lists hold p values and positions and
 one pair per row of its root, which has at most SCAN_ELEMENTS rows, and no
@@ -55,6 +56,18 @@ n-sized map; the missing-value sums read only the NaN tails. The grower
 and the subtree keep their state in loops with explicit stacks, not in
 recursive frames or a recursive closure, so a fit leaves no reference cycle
 behind.
+
+Chunk size: SCRATCH_ELEMENTS is 2^16 because each chunk costs a fixed run
+of numpy calls, so larger chunks score a node's features in fewer calls: a
+study train() makes 4,671 _score_block calls at 2^16 against 10,082 at
+2^14. The size was measured in the CLI's own process, where ingest and
+features have already raised glibc malloc's dynamic mmap and trim
+thresholds, so the chunks' temporaries (the largest 1 MiB at 2^16) reuse
+heap pages: a study train() there takes 935 minor page faults. A bare
+process that calls train() with a cold heap returns those pages and faults
+them back in on every large chunk (354,304 faults), so there this size pays
+what the CLI does not. At 2^17 the CLI's process pays them too, and 2^15
+and 2^17 read slower than 2^16 (BENCH_24.json).
 
 Settings: train() reads the boosting settings (loss, learning rate, depth,
 rounds, min_split_loss, lambda, early-stopping patience) from the run's
@@ -107,8 +120,10 @@ from .seasonal import SeasonalityModel
 
 BASE_EPS = 1e-8
 # elements per chunk of the split search and partition: chunks hold as many
-# features (or working rows) as fit, and at least one
-SCRATCH_ELEMENTS = 1 << 14
+# features (or working rows) as fit, and at least one. Each chunk is a fixed
+# run of numpy calls, so larger chunks mean fewer calls per node; 2^16 read
+# fastest in the CLI's process, not in a bare one ("Chunk size" above)
+SCRATCH_ELEMENTS = 1 << 16
 # a node whose search block (features x rows) has at most this many elements
 # grows its whole subtree in Python lists: below it, numpy's cost per call
 # exceeds the arithmetic
@@ -453,8 +468,8 @@ def fit_tree(
     brute-force scan bit for bit. A split whose children are at max_depth
     partitions only the row-index row, since no child is searched. Memory
     is the presort, the working copy, one complex g + i*h pair and one flag
-    per row, and temporaries of a small multiple of
-    max(SCRATCH_ELEMENTS, hi - lo) elements.
+    per row, the node records, and temporaries of at most 16 eight-byte
+    words per element of max(SCRATCH_ELEMENTS, hi - lo).
 
     A node whose search block (features x rows) has at most SCAN_ELEMENTS
     elements grows its whole subtree in Python lists (_grow_subtree), with
@@ -761,7 +776,7 @@ def predict(model: BoostedModel, matrix: FeatureMatrix, source: str = "model") -
     """
     if matrix.columns != model.feature_names:
         raise ValueError(
-            f"feature schema mismatch: model expects {model.feature_names}, "
+            f"{source}: feature schema mismatch: model expects {model.feature_names}, "
             f"matrix has {matrix.columns}"
         )
     forecasts = model.predict_array(matrix.X)

@@ -826,6 +826,35 @@ def trained_120(tmp_path_factory):
     return path, path / "model" / "model.json"
 
 
+@pytest.fixture(scope="module")
+def hashed_120(trained_120):
+    """trained_120's panel and the model `train` fits on it with encoding = hashing."""
+    data_dir, _ = trained_120
+    config = data_dir / "hashing.cfg"
+    config.write_text(SHORT_CONFIG + "encoding = hashing\n")
+    assert main(["train", *pipeline_args(data_dir, data_dir / "hashed", config=config)[1:]]) == 0
+    return data_dir, data_dir / "hashed" / "model.json"
+
+
+def with_color_column(data_dir, path):
+    """data_dir's catalog with a `color` column training never saw, written to path."""
+    header, *rows = (data_dir / "catalog.csv").read_text().splitlines()
+    path.write_text("\n".join([header + ",color", *(row + ",red" for row in rows)]) + "\n")
+    return path
+
+
+def predict_fault(args, capsys):
+    """stderr of the predict args, which must exit 2 before build_matrix is
+    called or any file is written."""
+    out = Path(args[args.index("--out-dir") + 1])
+    with pytest.MonkeyPatch.context() as patch:
+        matrix_calls = counting(patch, "build_matrix")
+        capsys.readouterr()
+        assert main(args) == 2
+    assert matrix_calls == [] and not out.exists()
+    return capsys.readouterr().err
+
+
 def rewrite_catalog(data_dir, path, edit):
     """data_dir's catalog with edit(rows) applied to its data rows, written to path."""
     with (data_dir / "catalog.csv").open(newline="") as fh:
@@ -899,17 +928,69 @@ class TestForecastIsAFunctionOfTheModelFile:
 
     def test_catalog_column_training_did_not_see_is_data_error(self, trained_120, tmp_path, capsys):
         data_dir, model_file = trained_120
-        header, *rows = (data_dir / "catalog.csv").read_text().splitlines()
-        path = tmp_path / "catalog.csv"
-        path.write_text("\n".join([header + ",color", *(row + ",red" for row in rows)]) + "\n")
-        out = tmp_path / "out"
-        capsys.readouterr()
-        assert main(predict_args(data_dir, model_file, out, None, path)) == 2
-        assert capsys.readouterr().err == (
-            "error: the model file has no ordinal map for 'attr_color', a catalog column "
-            "training did not see\n"
+        catalog = with_color_column(data_dir, tmp_path / "catalog.csv")
+        args = predict_args(data_dir, model_file, tmp_path / "out", catalog=catalog)
+        assert predict_fault(args, capsys) == (
+            f"error: {model_file}: the inputs' feature columns differ from the model's: "
+            f"extra 'attr_color' (catalog column 'color', --catalog {catalog})\n"
         )
-        assert not out.exists()
+
+    def test_catalog_column_training_did_not_see_under_hashing(self, hashed_120, tmp_path, capsys):
+        # under hashing no ordinal map is missing, so only the column check
+        # stops the column before a matrix is built
+        self.test_catalog_column_training_did_not_see_is_data_error(hashed_120, tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "edit, faults",
+        [
+            (
+                lambda lines: lines + [
+                    line.replace("event", "holiday", 1) for line in lines if line.startswith("temporal,event,")
+                ],
+                "extra 'cov_holiday' (covariate key 'holiday', --covariates {path})",
+            ),
+            (
+                lambda lines: [line for line in lines if not line.startswith("mixed,promo,")],
+                "missing 'cov_promo' (covariate key 'promo', --covariates {path})",
+            ),
+            (
+                lambda lines: [line.replace("mixed,promo,", "mixed,promo2,") for line in lines],
+                "extra 'cov_promo2' (covariate key 'promo2', --covariates {path}); "
+                "missing 'cov_promo' (covariate key 'promo', --covariates {path})",
+            ),
+            (
+                None,
+                "missing 'cov_event' (covariate key 'event', --covariates not given); "
+                "missing 'cov_price_week' (covariate key 'price_week', --covariates not given); "
+                "missing 'cov_promo' (covariate key 'promo', --covariates not given)",
+            ),
+            (
+                # a temporal key sorts before every mixed one
+                lambda lines: [line for line in lines if not line.startswith("mixed,promo,")]
+                + [f"temporal,promo,{week},,0.0,1" for week in range(120)],
+                "the same columns in another order, {reordered}",
+            ),
+        ],
+        ids=["extra", "missing", "renamed", "not-given", "reordered"],
+    )
+    def test_covariate_keys_must_be_the_models(self, trained_120, tmp_path, capsys, edit, faults):
+        data_dir, model_file = trained_120
+        args = predict_args(data_dir, model_file, tmp_path / "out")
+        k = args.index("--covariates")
+        path = tmp_path / "covariates.csv"
+        if edit is None:
+            del args[k : k + 2]
+        else:
+            header, *lines = (data_dir / "covariates.csv").read_text().splitlines()
+            path.write_text("\n".join([header, *edit(lines)]) + "\n")
+            args[k + 1] = str(path)
+        trained = gbt.load_model(model_file)[0].feature_names
+        k = trained.index("cov_event") + 1
+        reordered = [*trained[:k], "cov_promo", *(c for c in trained[k:] if c != "cov_promo")]
+        assert predict_fault(args, capsys) == (
+            f"error: {model_file}: the inputs' feature columns differ from the model's: "
+            + faults.format(path=path, reordered=reordered) + "\n"
+        )
 
     @pytest.mark.parametrize("model", ["gbt", "es", "forest"])
     def test_doubled_prices_double_rmse_and_keep_mae_and_forecasts(self, trained_120, tmp_path, model):

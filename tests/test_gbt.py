@@ -333,8 +333,9 @@ class TestPredict:
             loss="squared", base_score=0.0, learning_rate=0.1,
             feature_names=["a", "b"], trees=[], best_round=0,
         )
-        with pytest.raises(ValueError, match="schema"):
-            predict(model, matrix_of([[1.0]], columns=["a"]))
+        with pytest.raises(ValueError) as err:
+            predict(model, matrix_of([[1.0]], columns=["a"]), "m.json")
+        assert str(err.value) == "m.json: feature schema mismatch: model expects ['a', 'b'], matrix has ['a']"
 
     def test_poisson_predictions_strictly_positive(self):
         rng = np.random.default_rng(3)
@@ -1196,6 +1197,74 @@ class TestMidpointCollapse:
         assert routes == {0, 1}  # the collapsed winner routed missing values either way
 
 
+def tie_case(rng, n=5000):
+    """n x 6 rows that a scratch cap of 2^14 cuts into blocks of features
+    0-2 and 3-5 and a cap of 2^16 or more scores as one block. Column 4 is
+    column 0 exactly, so their gains tie in different blocks at 2^14 and in
+    one block at 2^16. Column 1 holds 1.0, the next float or 3.0, so its
+    best boundary collapses (see TestMidpointCollapse). Columns 0-2, and so
+    column 4, have NaN tails."""
+    high = rng.random(n) < 0.5
+    x = np.empty((n, 6))
+    x[:, 0] = np.round(np.where(high, 1.0, -1.0) + rng.normal(size=n), 1)
+    x[:, 1] = np.where(high, np.nextafter(1.0, 2.0), 1.0)
+    x[rng.random(n) < 0.2, 1] = 3.0
+    x[:, 2] = rng.normal(size=n)
+    x[:, 3] = np.round(rng.normal(size=n) * 2) / 2
+    x[:, 5] = rng.integers(0, 8, size=n)
+    x[:, :3][rng.random((n, 3)) < 0.15] = np.nan
+    x[:, 4] = x[:, 0]
+    return x, np.where(high, 4.0, -4.0) + rng.normal(size=n)
+
+
+def tied_pair_sampler(seed):
+    """Per split, features 0 and 4 and two of the others: the tied pair is
+    always a candidate."""
+    draws = np.random.default_rng(seed)
+    return lambda n_features: np.sort([0, 4, *draws.choice([1, 2, 3, 5], size=2, replace=False)])
+
+
+@pytest.fixture(scope="module")
+def tie_fits():
+    """(x, fit_tree arguments, a maker of fresh samplers, oracle nodes) of a
+    boosted fit and of a forest fit (resampled rows, count targets,
+    per-split samples) on tie_case rows."""
+    rng = np.random.default_rng(41)
+    x, y = tie_case(rng)
+    g, h = grad_hess("squared", y, np.zeros(len(y)))
+    rows = np.sort(rng.integers(0, len(y), size=len(y)))
+    counts = np.round(np.clip(y[rows] + 4.0, 0.0, None))
+    boosted = (x, (g, h, 5, 1.0, 0.0), lambda: None)
+    forest = (x[rows], (-counts, np.ones_like(counts), 5, 0.0, 0.0), lambda: tied_pair_sampler(7))
+    return [
+        (x_fit, args, sampler, oracle_fit_tree(x_fit, *args, feature_sampler=sampler()))
+        for x_fit, args, sampler in (boosted, forest)
+    ]
+
+
+class TestChunkInvariance:
+    # a later block wins only with a strictly larger gain, so every scratch
+    # cap grows the same tree, and of two tied features the lower one wins
+    # whether or not they share a block
+    @pytest.mark.parametrize("scratch", [7, 1 << 14, 1 << 16, 1 << 18])
+    def test_ties_across_block_boundaries(self, monkeypatch, tie_fits, scratch):
+        monkeypatch.setattr(gbt, "SCRATCH_ELEMENTS", scratch)
+        for x, args, sampler, oracle in tie_fits:
+            assert x.shape == (5000, 6)
+            tree = fit_tree(x, *args, feature_sampler=sampler())
+            assert_same_tree(tree, oracle)
+            features = tree.nodes["feature"].tolist()
+            assert 4 not in features and features.count(0) >= 3
+
+    def test_collapsed_boundary_has_the_best_root_gain(self, tie_fits):
+        # with a midpoint that does not collapse, the root splits on column 1
+        x, args, _, _ = tie_fits[0]
+        x_open = x.copy()
+        x_open[x[:, 1] == np.nextafter(1.0, 2.0), 1] = 1.0 + 2.0**-20
+        assert fit_tree(x_open, *args).nodes[0]["feature"] == 1
+        assert fit_tree(x, *args).nodes[0]["feature"] == 0
+
+
 class TestScorerMemory:
     def test_block_scorer_temporaries_per_row(self):
         # the module's memory contract: temporaries are a small multiple of
@@ -1218,6 +1287,33 @@ class TestScorerMemory:
             tracemalloc.stop()
         assert found is not None
         assert peak / m < 64
+
+
+class TestGrowerMemory:
+    def test_fit_tree_peak_within_the_documented_bound(self):
+        # the module docstring's "Memory": the working copy (int32, p + 1
+        # rows), one complex pair (16 bytes) and one flag per row, the node
+        # records, and temporaries of at most 16 eight-byte words per
+        # element of max(SCRATCH_ELEMENTS, n). The root block of 12,000 x 18
+        # is over three times SCRATCH_ELEMENTS, so it is scored in chunks
+        rng = np.random.default_rng(6)
+        n, p = 12_000, 18
+        x = rng.normal(size=(n, p))
+        x[:, ::3] = np.round(x[:, ::3] * 4) / 4
+        x[rng.random(x.shape) < 0.1] = np.nan
+        g, h = grad_hess("squared", np.nan_to_num(2.0 * x[:, 0]) + rng.normal(size=n), np.zeros(n))
+        order = gbt.presort_columns(x)  # the presort is the caller's
+        assert p * n > gbt.SCRATCH_ELEMENTS
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tree = fit_tree(x, g, h, 6, 1.0, 0.0, order=order)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        records = 1024 * len(tree.nodes)  # a list of 7 numbers, its tuple and its array record
+        bound = 4 * (p + 1) * n + 16 * n + n + records + 128 * max(gbt.SCRATCH_ELEMENTS, n)
+        assert peak < bound
 
 
 class TestLeafValues:
