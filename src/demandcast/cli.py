@@ -33,12 +33,23 @@ model's feature columns, which it checks before it builds the matrix. Every
 stage is a pure function of its inputs and that config, seed included;
 running the same command twice produces byte-identical artifacts. Exit
 codes: 0 success, 1 usage error, 2 data error, 3 internal error.
+
+`main` fixes the C allocator's two thresholds where it is glibc's malloc
+(_fix_malloc_thresholds). Left dynamic, glibc serves a request of its mmap
+threshold or more with fresh pages, returns free heap above its trim
+threshold to the system, and raises both as the process frees large
+blocks. So whether the split search's chunk temporaries (up to 1 MiB,
+gbt.SCRATCH_ELEMENTS) reuse heap pages or fault in new ones depended on
+what the process had freed before: one reference-panel `train` took about
+1,000 minor page faults in one process and 238,000 in another, with the
+same inputs and code, for about 15% more time.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import sys
 from contextlib import contextmanager
@@ -74,6 +85,23 @@ SYNTH_OPTIONS = {
 
 # SchemaError is a ValueError
 DATA_ERRORS = (ValueError, FileNotFoundError, KeyError)
+
+# glibc mallopt parameters and the values main sets: requests below 4 MiB
+# come from the heap, and up to 32 MiB of free heap is kept for reuse
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MALLOC_THRESHOLDS = {M_MMAP_THRESHOLD: 4 << 20, M_TRIM_THRESHOLD: 32 << 20}
+
+
+def _fix_malloc_thresholds() -> None:
+    """Set MALLOC_THRESHOLDS through mallopt, which also stops glibc from
+    moving them; a C library without mallopt is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no mallopt, or no C library handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for parameter, value in MALLOC_THRESHOLDS.items():
+        mallopt(parameter, value)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -496,6 +524,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _fix_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "pipeline" and (args.sales is None) != (args.catalog is None):

@@ -211,9 +211,10 @@ def split_rows(
     valid_len weeks part 1 (valid) and the test_len weeks after those part 2
     (test); the last issue week is the one that targets the last test week.
     """
-    ends = np.cumsum((config.train_len, config.valid_len, config.test_len))
-    if ends[2] > on_sale.shape[1]:
-        raise ValueError(f"split needs {ends[2]} weeks but panel has {on_sale.shape[1]}")
+    lengths = (config.train_len, config.valid_len, config.test_len)
+    if sum(lengths) > on_sale.shape[1]:  # summed as Python ints, which cannot overflow
+        raise ValueError(f"split needs {sum(lengths)} weeks but panel has {on_sale.shape[1]}")
+    ends = np.cumsum(lengths)
     last_issue = int(ends[2]) - 1 - config.horizon
     if last_issue < 0:
         raise ValueError(

@@ -60,14 +60,16 @@ behind.
 Chunk size: SCRATCH_ELEMENTS is 2^16 because each chunk costs a fixed run
 of numpy calls, so larger chunks score a node's features in fewer calls: a
 study train() makes 4,671 _score_block calls at 2^16 against 10,082 at
-2^14. The size was measured in the CLI's own process, where ingest and
-features have already raised glibc malloc's dynamic mmap and trim
-thresholds, so the chunks' temporaries (the largest 1 MiB at 2^16) reuse
-heap pages: a study train() there takes 935 minor page faults. A bare
-process that calls train() with a cold heap returns those pages and faults
-them back in on every large chunk (354,304 faults), so there this size pays
-what the CLI does not. At 2^17 the CLI's process pays them too, and 2^15
-and 2^17 read slower than 2^16 (BENCH_24.json).
+2^14. The size was measured in the CLI's own process, where glibc malloc's
+mmap and trim thresholds were high enough that the chunks' temporaries (the
+largest 1 MiB at 2^16) reuse heap pages: a study train() there takes about
+1,000 minor page faults. With thresholds below 1 MiB, the pages are returned
+and faulted back in on every large chunk (354,304 faults in a bare process
+with a cold heap). Those thresholds used to move with what the process had
+freed before; cli.main now fixes them at 4 MiB and 32 MiB, above the
+temporaries of chunk sizes up to 2^17. Under the moving thresholds, 2^15
+and 2^17 read slower than 2^16 (BENCH_24.json), 2^17 from those faults;
+it has not been measured under the fixed ones.
 
 Settings: train() reads the boosting settings (loss, learning rate, depth,
 rounds, min_split_loss, lambda, early-stopping patience) from the run's
@@ -115,7 +117,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import LAG_DEPTH, Encoding, FeatureMatrix, OrdinalMap
-from .ingest import RunConfig, SchemaError
+from .ingest import INT64_RANGE, RunConfig, SchemaError
 from .seasonal import SeasonalityModel
 
 BASE_EPS = 1e-8
@@ -963,8 +965,8 @@ def model_from_json(text: str | bytes, source: str = "model") -> tuple[BoostedMo
     seasonal = _seasonality_from_json(seasonal_doc, settings, f"{source}: seasonality")
     model = BoostedModel(
         loss=loss,
-        base_score=base,
-        learning_rate=rate,
+        base_score=float(base),  # JSON may hold an int; the raw scores are float64
+        learning_rate=float(rate),
         feature_names=names,
         trees=trees,
         best_round=best_round,
@@ -1090,6 +1092,8 @@ def _settings_from_json(doc, where: str) -> dict:
     for name, floor in (("horizon", 1), ("smooth_window", 2), ("season_period", 2)):
         if type(doc[name]) is not int or doc[name] < floor:
             raise SchemaError(f"{where}: {name} {doc[name]!r} is not an integer >= {floor}")
+        if doc[name] not in INT64_RANGE:
+            raise SchemaError(f"{where}: {name} {doc[name]} is outside the int64 range")
     if not (_finite(doc["cap_gamma"]) and doc["cap_gamma"] > 0):
         raise SchemaError(f"{where}: cap_gamma {doc['cap_gamma']!r} is not a finite number above 0")
     if type(doc["with_seasonality"]) is not bool:
@@ -1110,6 +1114,8 @@ def _encoding_from_json(doc, feature_names: list[str], where: str) -> Encoding:
         buckets = doc.get("hash_buckets")
         if type(buckets) is not int or buckets < 2:
             raise SchemaError(f"{where}: hash_buckets {buckets!r} is not an integer >= 2")
+        if buckets not in INT64_RANGE:
+            raise SchemaError(f"{where}: hash_buckets {buckets} is outside the int64 range")
         return Encoding("hashing", {}, buckets)
     if mode != "ordinal":
         raise SchemaError(f"{where}: mode {mode!r} is not 'ordinal' or 'hashing'")

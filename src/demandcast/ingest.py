@@ -33,20 +33,30 @@ Columns are converted from their spans. numpy converts an integer token
 of 1 to MAX_DIGITS ASCII digits, digit by digit in int64; Python's int
 parses every other integer token (a sign, more digits, spaces, other
 Unicode digits), so the values are int's. A flag is 0 or 1 only when it
-is the single byte "0" or "1", and a covariate's scope is compared with
-"temporal" and "mixed" byte by byte. Text columns (ids, keys, categories,
-attributes) and float columns become Python strings by one decode and
-split of the column's bytes per block, and Python's float parses the
-floats. Every check is an array check over the rows. A bad file is
-rejected with the error a row-by-row reader would raise first: the one on
-the earliest line and, on that line, the first in the loader's order of
-checks, whatever the block size. No Python object per row outlives its
-block in load_sales, which scatters the rows into the dense panel, or in
-load_covariates, which returns a columnar CovariateTable, each key's
-sorted week, panel-row and value arrays. Every whole-file key pass is
-linear: ids and keys get first-appearance codes from one map over a dict
-that gives a missing one the next code, and rows are put in np.lexsort's
-order of their int64 keys by stable radix passes over 16-bit digits.
+is the single byte "0" or "1". The other columns repeat their tokens
+(sticky prices, 0/1 promotions, one id per week of a product), so each is
+grouped by its tokens' bytes, one block at a time (_Column.groups: a hash
+of each token's 8-byte words, checked against the bytes of its group's
+first token; a block's column with a token longer than LONG_TOKEN bytes,
+or two tokens of one hash, is grouped by its tokens' str). Each distinct
+token of the block is then decoded to str once, by one decode and split
+of the distinct tokens' bytes, and looked up (ids, keys, scopes, panel
+rows) or parsed by Python's float once, and the results are gathered back
+to the rows by group. Only the catalog's
+categories and attributes, which it keeps as one string per product, are
+decoded for every row, by one decode and split of the column's bytes.
+Every check is an array check over the rows. A bad file is rejected with
+the error a row-by-row reader would raise first: the one on the earliest
+line and, on that line, the first in the loader's order of checks,
+whatever the block size; a message decodes its token from the bytes.
+Short of a str grouping, no Python object per row is made in load_sales,
+which scatters the rows into the dense panel, or in load_covariates, which
+returns a columnar CovariateTable, each key's sorted week, panel-row and
+value arrays. Every whole-file key pass is linear: ids and keys get
+first-appearance codes from a dict that gives a missing one the next code,
+looked up for each block's distinct tokens in order of first appearance,
+and rows are put in np.lexsort's order of their int64 keys by stable radix
+passes over 16-bit digits.
 
 RunConfig is the one place a run setting is declared: its fields name,
 type and default every setting, load_config parses each key by its field's
@@ -86,8 +96,8 @@ INT64_RANGE = range(np.iinfo(np.int64).min, np.iinfo(np.int64).max + 1)
 LAST_WEEK = 9_999
 
 # Bytes of a CSV read at a time: the loaders hold one block's bytes, the
-# spans of its fields and the strings of its text and float columns, and
-# keep only numpy arrays of the rows.
+# spans of its fields, their groups and the strings of its distinct tokens,
+# and keep only numpy arrays of the rows.
 BLOCK_BYTES = 1 << 20
 
 # The longest run of ASCII digits numpy converts to int64: 10**18 - 1 is
@@ -134,6 +144,8 @@ class RunConfig:
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise SchemaError(f"{f.name} must be finite")
+            if f.type == "int" and getattr(self, f.name) not in INT64_RANGE:
+                raise SchemaError(f"{f.name} {getattr(self, f.name)} is outside the int64 range")
         for name in (
             "horizon", "n_patterns", "early_stop_patience", "train_len", "valid_len",
             "test_len", "rounds", "max_depth",
@@ -237,12 +249,27 @@ def _undecoded(text: str) -> bool:
     return not text.isascii() and re.search("[\udc80-\udcff]", text) is not None
 
 
+# Zero bytes after a block's last record: with its separator, at least 8
+# bytes follow each token, so _Column.groups reads 8 bytes from any position
+# in a token or at its end.
+_PADDING = bytes(7)
+
+# The low k bytes of a uint64 word set, for k = 0..8.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+# The odd multiplier of _Column.groups' word hash (2**64 / golden ratio).
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+# The longest token _Column.groups hashes: its words take at most 8 steps.
+LONG_TOKEN = 64
+
+
 @dataclass(frozen=True, eq=False)
 class _Column:
     """One field of a block's records: token i is the UTF-8 bytes data[starts[i]:ends[i]].
 
-    At least one byte of data follows each token, so every start indexes
-    into data.
+    At least 8 bytes of data follow each token (its separator and _PADDING),
+    so every start indexes into data, and groups reads whole words.
     """
 
     data: np.ndarray    # uint8, the block's bytes
@@ -255,15 +282,55 @@ class _Column:
     def token(self, i: int) -> str:
         return self.data[self.starts[i] : self.ends[i]].tobytes().decode()
 
+    def groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, inverse): the index of each distinct token's first
+        appearance, ascending, and the index into first of each token, whose
+        bytes are those of token first[inverse[i]].
+
+        Tokens of at most LONG_TOKEN bytes are read as little-endian uint64
+        words, 8 bytes a step, the bytes past a token's end zeroed. They are
+        grouped by a hash of their length and words (_first_equal), and each
+        token is then checked against its group's first token, length and
+        words. Should two different tokens share a hash, or a token be longer,
+        the tokens are grouped by their str instead.
+        """
+        n = len(self)
+        lengths = self.ends - self.starts
+        longest = int(lengths.max(initial=0))
+        heads = None
+        if longest <= LONG_TOKEN:
+            # 8 bytes from each position: an unaligned view with a stride of one byte
+            view = np.ndarray((len(self.data) - 7,), "<u8", self.data, 0, (1,))
+            hashes = lengths.astype(np.uint64)
+            words = []
+            for k in range(0, longest, 8):
+                word = view[np.minimum(self.starts + k, self.ends)]
+                word &= _LOW_BYTES[np.clip(lengths - k, 0, 8)]
+                hashes ^= word
+                hashes *= _HASH_MULTIPLIER
+                words.append(word)
+            heads = _first_equal(hashes)
+            seconds = np.flatnonzero(heads != np.arange(n))  # each against its group's first
+            firsts = heads[seconds]
+            same = lengths[seconds] == lengths[firsts]
+            for word in words:
+                same &= word[seconds] == word[firsts]
+            if not same.all():
+                heads = None
+        if heads is None:
+            seen: dict[str, int] = {}
+            heads = np.fromiter(map(seen.setdefault, self.text(), range(n)), np.intp, n)
+        is_first = heads == np.arange(n)
+        return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[heads]
+
+    def distinct(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """(texts, first, inverse): the distinct tokens as str, in order of
+        first appearance, with groups' first and inverse."""
+        first, inverse = self.groups()
+        return _Column(self.data, self.starts[first], self.ends[first]).text(), first, inverse
+
     def empty(self) -> np.ndarray:
         return self.starts == self.ends
-
-    def equals(self, word: bytes) -> np.ndarray:
-        """Whether each token is word."""
-        equal = self.ends - self.starts == len(word)
-        for k, byte in enumerate(word):
-            equal &= self.data.take(self.starts + k, mode="clip") == byte
-        return equal
 
     def text(self) -> list[str]:
         """The tokens as str, from one decode and split of their bytes."""
@@ -337,10 +404,12 @@ class _Block:
     error: str | None = None
 
     def columns(self, first: int, rows: int, n: int) -> list[_Column]:
-        """Each field of the rows records of n fields from field first on."""
+        """Each field of the rows records of n fields from field first on,
+        its spans copied out of the records' strided ones: the column passes
+        read them several times each."""
         stop = first + rows * n
         return [
-            _Column(self.data, self.starts[k:stop:n], self.ends[k:stop:n])
+            _Column(self.data, self.starts[k:stop:n].copy(), self.ends[k:stop:n].copy())
             for k in range(first, first + n)
         ]
 
@@ -375,7 +444,8 @@ def _split_block(data: bytes, limit: int) -> _Block | None:
             return None
     if not data.endswith(b"\n"):
         data += b"\n"  # csv.reader ends the last record at the end of the file
-    array = np.frombuffer(data, np.uint8)
+    padded = np.frombuffer(data + _PADDING, np.uint8)
+    array = padded[: len(data)]
     separators = np.flatnonzero((array == ord(",")) | (array == ord("\n")))
     newline = array[separators] == ord("\n")
     cr = array[separators - 1] == ord("\r")  # at position 0, "- 1" reads the final "\n"
@@ -393,7 +463,7 @@ def _split_block(data: bytes, limit: int) -> _Block | None:
         keep = np.ones(len(starts), dtype=bool)
         keep[last[blank]] = False
         starts, ends = starts[keep], ends[keep]
-    return _Block(array, starts, ends, counts)
+    return _Block(padded, starts, ends, counts)
 
 
 def _csv_records(blocks: Iterable[bytes]) -> Iterator[_Block]:
@@ -428,7 +498,7 @@ def _csv_records(blocks: Iterable[bytes]) -> Iterator[_Block]:
         lengths = np.fromiter(map(len, fields), np.int64, len(fields))
         ends = np.cumsum(lengths + 1) - 1
         yield _Block(
-            np.frombuffer(b",".join(fields) + b",", np.uint8), ends - lengths, ends,
+            np.frombuffer(b",".join(fields) + b"," + _PADDING, np.uint8), ends - lengths, ends,
             np.array([len(row) for row in rows], dtype=np.int64), error,
         )
         if error is not None or len(rows) < batch:
@@ -496,22 +566,48 @@ def _read_columns(path: Path) -> tuple[_FirstFault, Iterator]:
     return faults, blocks()
 
 
-def _floats(tokens: list[str]) -> tuple[np.ndarray, int]:
+def _floats(column: _Column) -> tuple[np.ndarray, int]:
     """The tokens parsed by Python's float into a float64 array, and the
-    index of the first it rejects (len(tokens) when there is none); values
-    from it on are 0."""
-    n = len(tokens)
+    index of the first it rejects (len(column) when there is none); values
+    from it on are undefined. float parses each distinct token once
+    (_Column.distinct), in order of first appearance."""
+    texts, first, inverse = column.distinct()
     try:
-        return np.fromiter(map(float, tokens), np.float64, n), n
+        return np.fromiter(map(float, texts), np.float64, len(texts))[inverse], len(column)
     except ValueError:
         pass
-    values = np.zeros(n)
-    for i, token in enumerate(tokens):
+    values = np.zeros(len(texts))
+    for g, text in enumerate(texts):
         try:
-            values[i] = float(token)
+            values[g] = float(text)
         except ValueError:
-            return values, i
-    return values, n
+            return values[inverse], int(first[g])
+    return values[inverse], len(column)
+
+
+def _first_equal(hashes: np.ndarray) -> np.ndarray:
+    """The index of the first entry equal to each entry of hashes.
+
+    A pass puts each pending entry in the slot of a table of at least twice
+    as many slots as entries named by the top bits of its hash times an odd
+    constant (a new slot every pass), takes each slot's first entry, and
+    settles the entries equal to it; every pass settles each slot's first
+    entry at least. Time and memory are linear in the entries.
+    """
+    n = len(hashes)
+    bits = np.uint64(64 - n.bit_length() - 1)
+    heads = np.empty(n, dtype=np.intp)
+    pending, keys = np.arange(n), hashes
+    while pending.size:
+        keys = keys * _HASH_MULTIPLIER
+        slots = (keys >> bits).astype(np.intp)
+        table = np.full(1 << (64 - int(bits)), n)
+        np.minimum.at(table, slots, pending)
+        candidates = table[slots]
+        equal = hashes[candidates] == hashes[pending]
+        heads[pending[equal]] = candidates[equal]
+        pending, keys = pending[~equal], keys[~equal]
+    return heads
 
 
 def _code_table() -> defaultdict[str, int]:
@@ -526,9 +622,18 @@ def _code_table() -> defaultdict[str, int]:
     return defaultdict(count().__next__)
 
 
-def _codes(tokens: list[str], codes: defaultdict[str, int]) -> np.ndarray:
-    """Each token's code in codes, a _code_table, which gives a new token the next code."""
-    return np.fromiter(map(codes.__getitem__, tokens), np.int64, len(tokens))
+def _mapped(column: _Column, function) -> np.ndarray:
+    """The int function(token) of each token as str, called once per
+    distinct token (_Column.distinct), in order of first appearance."""
+    texts, _, inverse = column.distinct()
+    return np.fromiter(map(function, texts), np.int64, len(texts))[inverse]
+
+
+def _codes(column: _Column, codes: defaultdict[str, int]) -> np.ndarray:
+    """Each token's code in codes, a _code_table, which gives a new token the
+    next code. Distinct tokens are looked up in order of first appearance, so
+    across a file's blocks the codes follow the file's first appearances."""
+    return _mapped(column, codes.__getitem__)
 
 
 def load_sales(path: str | Path) -> SalesPanel:
@@ -547,7 +652,7 @@ def load_sales(path: str | Path) -> SalesPanel:
     parts = []
     for line, (pid_t, week_t, units_t, sale_t, stock_t) in blocks:
         n = len(pid_t)
-        pids = _codes(pid_t.text(), product_ids)
+        pids = _codes(pid_t, product_ids)
         faults.first(pid_t.empty(), line, 1, lambda i: "empty product_id")
         weeks, bad_week, _ = week_t.ints()
         units, bad_units, wide = units_t.ints()
@@ -649,33 +754,31 @@ def load_catalog(path: str | Path) -> Catalog:
     if bad_names := [name for name in header if not name or header.count(name) > 1]:
         raise SchemaError(f"{path}:1: catalog column name {bad_names[0]!r} is empty or repeated")
     product_ids = _code_table()  # id -> order of first appearance
-    codes, prices, table = [], [], [[] for _ in header]
-    for line, columns in blocks:
-        texts = [column.text() for column in columns]
-        pid_s, category_s, price_s = texts[:3]
-        n = len(pid_s)
-        pids = _codes(pid_s, product_ids)
-        faults.first(columns[0].empty(), line, 1, lambda i: "empty product_id")
+    codes, prices, table = [], [], [[] for _ in header[2:]]  # category, then the extra columns
+    for line, (pid_t, category_t, price_t, *extra_t) in blocks:
+        pids = _codes(pid_t, product_ids)
+        faults.first(pid_t.empty(), line, 1, lambda i: "empty product_id")
         faults.first(
-            columns[1].empty(), line, 2, lambda i: f"product {pid_s[i]!r} has no category"
+            category_t.empty(), line, 2, lambda i: f"product {pid_t.token(i)!r} has no category"
         )
-        price, bad = _floats(price_s)
-        if bad < n:
-            faults.add(line + bad, 3, f"bad price {price_s[bad]!r}")
+        price, bad = _floats(price_t)
+        if bad < len(price_t):
+            faults.add(line + bad, 3, f"bad price {price_t.token(bad)!r}")
         faults.first(
             ~((price > 0) & (price < np.inf)), line, 4,
-            lambda i: f"price {price_s[i]} is not positive and finite",
+            lambda i: f"price {price_t.token(i)} is not positive and finite",
         )
         # order 5 is the duplicate check, made on all rows below
         codes.append(pids)
         prices.append(price)
-        for rows, column in zip(table, texts):
-            rows += column
+        for rows, column in zip(table, (category_t, *extra_t)):
+            rows += column.text()
     pids = np.concatenate(codes)
     names = list(product_ids)
     faults.first(_repeats(pids), 2, 5, lambda i: f"duplicate product {names[pids[i]]!r}")
     faults.raise_first()
-    pid_s, category_s, _, *extra = table
+    pid_s = names  # no id repeats, so each row's id is first seen on that row
+    category_s, *extra = table
     return Catalog(
         dict(zip(pid_s, category_s)),
         dict(zip(pid_s, np.concatenate(prices).tolist())),
@@ -694,29 +797,28 @@ def load_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if (header := next(blocks)) != ["product_id", "week", "forecast"]:
         raise SchemaError(f"{path}: unexpected predictions header {header}")
     product_ids = _code_table()  # id -> order of first appearance
-    ids: list[str] = []
     parts = []
     for line, (pid_t, week_t, value_t) in blocks:
         n = len(pid_t)
-        pid_s, value_s = pid_t.text(), value_t.text()
         weeks, bad_week, wide = week_t.ints()
-        forecasts, bad_value = _floats(value_s)
+        forecasts, bad_value = _floats(value_t)
         if min(bad_week, bad_value) < n:
             faults.add(line + min(bad_week, bad_value), 1, "bad week or forecast")
         faults.first(
-            ~np.isfinite(forecasts), line, 2, lambda i: f"non-finite forecast {value_s[i]!r}"
+            ~np.isfinite(forecasts), line, 2,
+            lambda i: f"non-finite forecast {value_t.token(i)!r}",
         )
         if wide < n:
             faults.add(line + wide, 3, f"week {int(week_t.token(wide))} outside the int64 range")
         # order 4 is the duplicate check, made on all rows below
-        ids += pid_s
-        parts.append((_codes(pid_s, product_ids), weeks, forecasts))
+        parts.append((_codes(pid_t, product_ids), weeks, forecasts))
     pids, weeks, forecasts = map(np.concatenate, zip(*parts))
+    names = np.array(list(product_ids), dtype=object)
     faults.first(
-        _repeats(weeks, pids), 2, 4, lambda i: f"duplicate key {(ids[i], int(weeks[i]))}"
+        _repeats(weeks, pids), 2, 4, lambda i: f"duplicate key {(names[pids[i]], int(weeks[i]))}"
     )
     faults.raise_first()
-    return np.array(ids, dtype=object), weeks, forecasts
+    return names[pids], weeks, forecasts
 
 
 def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
@@ -732,25 +834,27 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
     if (header := next(blocks)) != COVARIATES_HEADER:
         raise SchemaError(f"{path}: unexpected covariates header {header}")
     key_ids = _code_table()  # key -> order of first appearance
-    panel_rows = {**panel.index, "": -1}  # ids the panel lacks map to -2
+    scope_ids = defaultdict(lambda: 2, temporal=0, mixed=1)  # any other scope is 2
+    panel_rows = defaultdict(lambda: -2, {**panel.index, "": -1})  # ids the panel lacks are -2
     parts = []
     for line, (scope_t, key_t, week_t, pid_t, value_t, flag_t) in blocks:
         n = len(scope_t)
-        key_s, pid_s, value_s = key_t.text(), pid_t.text(), value_t.text()
         weeks, bad_week, wide = week_t.ints()
-        values, bad_value = _floats(value_s)
+        values, bad_value = _floats(value_t)
         if min(bad_week, bad_value) < n:
             faults.add(line + min(bad_week, bad_value), 1, "bad week or value")
         if wide < n:
             faults.add(line + wide, 2, f"week {int(week_t.token(wide))} outside the int64 range")
-        faults.first(~np.isfinite(values), line, 3, lambda i: f"non-finite value {value_s[i]!r}")
+        faults.first(
+            ~np.isfinite(values), line, 3, lambda i: f"non-finite value {value_t.token(i)!r}"
+        )
         flags = flag_t.flags()
         faults.first(
             flags == 2, line, 4, lambda i: f"predictable must be 0 or 1, got {flag_t.token(i)!r}"
         )
         # order 5 is the predictable flag's consistency, checked on all rows below
-        scopes = np.select([scope_t.equals(b"temporal"), scope_t.equals(b"mixed")], [0, 1], 2)
-        rows = np.fromiter(map(panel_rows.get, pid_s, repeat(-2)), np.int64, n)
+        scopes = _mapped(scope_t, scope_ids.__getitem__)
+        rows = _mapped(pid_t, panel_rows.__getitem__)
         outside = (weeks < 0) | (weeks >= panel.n_weeks)
 
         def scope_fault(i):
@@ -761,7 +865,7 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
             if rows[i] == -1:
                 return "mixed row needs a product_id"
             if rows[i] == -2:
-                return f"unknown product {pid_s[i]!r}"
+                return f"unknown product {pid_t.token(i)!r}"
             return f"week {weeks[i]} outside panel"
 
         temporal, mixed = scopes == 0, scopes == 1
@@ -769,7 +873,7 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
             (temporal & (rows != -1)) | (mixed & ((rows < 0) | outside)) | (scopes == 2),
             line, 6, scope_fault,
         )
-        keys = _codes(key_s, key_ids)
+        keys = _codes(key_t, key_ids)
         parts.append((keys, scopes, rows, weeks, values, flags))
     keys, scopes, rows, weeks, values, flags = map(np.concatenate, zip(*parts))
     names = list(key_ids)

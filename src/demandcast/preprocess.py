@@ -134,8 +134,10 @@ def smooth_panel(panel: SalesPanel, window: int, gamma: float) -> SmoothedPanel:
     """Cap spikes at rolling mean + gamma * rolling std.
 
     Statistics use the on-sale weeks among the window weeks t-window..t-1;
-    with fewer than two such weeks no cap is applied and x = y. The panel
-    should already be fake-zero repaired. repaired_mask is all False here;
+    with fewer than two such weeks no cap is applied and x = y. A window of
+    T - 1 weeks or more already covers every earlier week, so one longer than
+    the panel's T weeks is taken as T. The panel should already be fake-zero
+    repaired. repaired_mask is all False here;
     preprocess_panel returns a copy carrying the detection mask.
     """
     if window < 2:
@@ -143,6 +145,9 @@ def smooth_panel(panel: SalesPanel, window: int, gamma: float) -> SmoothedPanel:
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     n, t_count = panel.y.shape
+    # a window of t_count - 1 weeks or more already reaches back to week 0
+    # from every week, so the clip changes no cell, and last + window cannot overflow
+    window = min(window, t_count)
     # span of each product: week f (first on sale) through l + window, clipped
     first = launch_weeks(panel.on_sale_mask)
     last = t_count - 1 - panel.on_sale_mask[:, ::-1].argmax(axis=1)

@@ -502,7 +502,8 @@ class TestKeyPasses:
         tokens = [f"p{v}" for v in rng.integers(0, 60, size=500).tolist()] + ["", "é", "p1"]
         table, codes = ingest._code_table(), {}
         for block in (tokens[:200], [], tokens[200:], tokens[:5]):  # one table across blocks
-            assert ingest._codes(block, table).tolist() == two_pass_codes(block, codes).tolist()
+            column = column_of([token.encode() for token in block])
+            assert ingest._codes(column, table).tolist() == two_pass_codes(block, codes).tolist()
             assert list(table) == list(codes)
         assert dict(table) == codes
 
@@ -543,6 +544,144 @@ class TestKeyPasses:
                 with pytest.raises(KeyError):
                     table["ghost"]
                 assert "ghost" not in table
+
+
+def column_of(tokens: list[bytes]) -> ingest._Column:
+    """A column of the given tokens, each followed by "," and the last by the block padding."""
+    lengths = np.array([len(token) for token in tokens], dtype=np.int64)
+    ends = np.cumsum(lengths + 1) - 1
+    data = np.frombuffer(b",".join(tokens) + b"," + ingest._PADDING, np.uint8)
+    return ingest._Column(data, ends - lengths, ends)
+
+
+def reference_groups(tokens: list[bytes]) -> tuple[list[int], list[int]]:
+    """(first, inverse) of _Column.groups, from a dict of the tokens' bytes."""
+    first: dict[bytes, int] = {}
+    for i, token in enumerate(tokens):
+        first.setdefault(token, i)
+    rank = {token: g for g, token in enumerate(first)}
+    return list(first.values()), [rank[token] for token in tokens]
+
+
+# tokens groups must tell apart: empty, multi-byte UTF-8, prefixes of each
+# other, the same bytes at different lengths (zero bytes, which csv.reader
+# keeps from Python 3.11 on), and lengths around the 8-byte words and LONG_TOKEN
+GROUP_TOKENS = [
+    b"", b"\0", b"\0\0", b"a", b"a\0", b"a\0\0\0\0\0\0\0", b"a\0\0\0\0\0\0\0\0",
+    "é".encode(), "産品".encode(), "pé".encode(), b"p", b"p1", b"p12", b"p123",
+    b"1234567", b"12345678", b"123456789", b"1234567812345678", b"12345678123456781",
+    b"0.1", b"0.10", b"0.1000000000000000", b"x" * 63, b"x" * 64, b"x" * 65,
+]
+
+
+class TestGroups:
+    """_Column.groups, and the loaders' helpers built on it, against a dict of the tokens' bytes."""
+
+    @pytest.fixture(params=[None, 0, 1 << 63], ids=["hash", "all_collide", "top_bit_only"])
+    def multiplier(self, request, monkeypatch):
+        # 0 gives every token one hash and 1 << 63 two hashes, so the check against
+        # the bytes must find the collisions and group the tokens by their str
+        if request.param is not None:
+            monkeypatch.setattr(ingest, "_HASH_MULTIPLIER", np.uint64(request.param))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_groups_equal_the_dict_reference(self, multiplier, seed):
+        rng = np.random.default_rng(seed)
+        pool = GROUP_TOKENS if seed < 3 else [t for t in GROUP_TOKENS if len(t) <= 64]
+        tokens = [pool[k] for k in rng.integers(0, len(pool), size=int(rng.integers(0, 300)))]
+        first, inverse = column_of(tokens).groups()
+        assert (first.tolist(), inverse.tolist()) == reference_groups(tokens)
+        texts, first, _ = column_of(tokens).distinct()
+        assert texts == [tokens[i].decode() for i in first.tolist()]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_bytes(self, multiplier, seed):
+        rng = np.random.default_rng([seed, 25])
+        alphabet = np.frombuffer(b"\0019.,ab", np.uint8)  # "," only inside a token, as csv can give
+        pool = [
+            alphabet[rng.integers(0, len(alphabet), size=int(rng.integers(0, 20)))].tobytes()
+            for _ in range(40)
+        ]
+        tokens = [pool[k] for k in rng.integers(0, len(pool), size=2000)]
+        first, inverse = column_of(tokens).groups()
+        assert (first.tolist(), inverse.tolist()) == reference_groups(tokens)
+
+    def test_first_equal_settles_colliding_slots(self):
+        # hashes equal in their top bits land in one slot at first
+        rng = np.random.default_rng(5)
+        hashes = rng.integers(0, 50, size=3000).astype(np.uint64) << np.uint64(3)
+        expected = [hashes.tolist().index(h) for h in hashes.tolist()]
+        assert ingest._first_equal(hashes).tolist() == expected
+        assert ingest._first_equal(np.zeros(0, dtype=np.uint64)).tolist() == []
+
+    def test_floats_parse_each_distinct_token_once(self, multiplier, monkeypatch):
+        tokens = [b"1.5", b"2", b"1.5", b"1e400", b"2", b"-0.0", b"0.0"]
+        parsed = []
+
+        def counting_float(text):
+            parsed.append(text)
+            return float(text)
+
+        monkeypatch.setattr(ingest, "float", counting_float, raising=False)
+        values, bad = ingest._floats(column_of(tokens))
+        assert parsed == ["1.5", "2", "1e400", "-0.0", "0.0"]
+        assert bad == len(tokens)
+        assert [v.hex() for v in values.tolist()] == [float(t).hex() for t in tokens]
+
+    @pytest.mark.parametrize(
+        "tokens, bad",
+        [([b"1", b"x", b"2", b"x"], 1), ([b"1", b"2", b"1", b"", b"y"], 3), ([b"y"], 0), ([], 0)],
+    )
+    def test_floats_first_rejected_token(self, multiplier, tokens, bad):
+        values, found = ingest._floats(column_of(tokens))
+        assert found == bad
+        assert values[:bad].tolist() == [float(t) for t in tokens[:bad]]
+
+    @pytest.mark.parametrize("size", [1, 7, 40, None])
+    def test_codes_follow_first_appearance_across_blocks(self, tmp_path, monkeypatch, size):
+        if size is not None:
+            monkeypatch.setattr(ingest, "BLOCK_BYTES", size)
+        rng = np.random.default_rng(size)
+        ids = [f"p{v}" for v in rng.integers(0, 30, size=400).tolist()] + ["é", "p1", "p"]
+        path = write(tmp_path, "ids.csv", "id,n\n" + "".join(f"{i},0\n" for i in ids))
+        faults, blocks = ingest._read_columns(path)
+        assert next(blocks) == ["id", "n"]
+        table, codes = ingest._code_table(), []
+        for _, (id_t, _) in blocks:
+            codes += ingest._codes(id_t, table).tolist()
+        faults.raise_first()
+        assert codes == two_pass_codes(ids, {}).tolist()
+        assert list(table) == list(dict.fromkeys(ids))
+
+    def test_loaders_under_forced_collisions(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(9)
+        products = [f"p{k}" for k in range(40)]
+        sales = write(
+            tmp_path, "sales.csv",
+            SALES_HEADER + "".join(
+                f"{products[p]},{w},{int(rng.integers(0, 9))},1,{int(rng.integers(0, 2))}\n"
+                for p in range(40) for w in range(30)
+            ),
+        )
+        covariates = write(
+            tmp_path, "covariates.csv",
+            TestLoadCovariates.HEADER + "".join(
+                f"mixed,promo,{w},{products[p]},{rng.choice(['0.0', '1.0', '0.25'])},1\n"
+                for p in range(40) for w in range(30)
+            ) + "".join(f"temporal,temp,{w},,{rng.normal()!r},0\n" for w in range(30)),
+        )
+        expected = covariate_dicts(ingest.load_covariates(covariates, ingest.load_sales(sales)))
+        panel = ingest.load_sales(sales)
+        monkeypatch.setattr(ingest, "_HASH_MULTIPLIER", np.uint64(0))
+        monkeypatch.setattr(ingest, "BLOCK_BYTES", 300)
+        collided = ingest.load_sales(sales)
+        assert collided.products == panel.products
+        assert np.array_equal(collided.y, panel.y)
+        assert np.array_equal(collided.stock_flag, panel.stock_flag)
+        loaded = covariate_dicts(ingest.load_covariates(covariates, collided))
+        assert (loaded.temporal, loaded.mixed, loaded.predictable) == (
+            expected.temporal, expected.mixed, expected.predictable
+        )
 
 
 def test_only_the_block_reader_calls_csv_reader():

@@ -276,6 +276,23 @@ class TestSmooth:
         assert capped > 0
 
 
+    def test_windows_of_the_panel_length_or_more_agree(self):
+        # a window of T - 1 weeks reaches week 0 from every week; a longer one,
+        # up to beyond int64, is taken as T and must change no cell
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            n_products, n_weeks = int(rng.integers(1, 6)), int(rng.integers(2, 30))
+            on_sale = rng.random((n_products, n_weeks)) > 0.2
+            y = np.where(on_sale, rng.poisson(20.0, size=on_sale.shape), 0)
+            y[rng.random(y.shape) < 0.1] *= 6
+            panel = make_panel(y, on_sale=on_sale)
+            reference = smooth_panel(panel, max(n_weeks - 1, 2), 2.0)
+            for window in (n_weeks, n_weeks + 5, 2**63 - 1, 10**30):
+                smoothed = smooth_panel(panel, window, 2.0)
+                for name in ("x", "rolling_mean", "rolling_std", "capped_mask"):
+                    assert getattr(smoothed, name).tobytes() == getattr(reference, name).tobytes()
+
+
 class TestWriteSmoothed:
     def test_bytes_equal_the_cell_loop(self, tmp_path):
         rng = np.random.default_rng(17)
