@@ -13,8 +13,10 @@ cuts one matrix over its rows into the train, valid and test parts;
 `predict` builds the rows of the products on sale in the last week. The
 per-series ES reference reads the split's test keys and each product's own
 history, not features. An empty test part, before or after
---cold-start-filter, fails in stage features, before any fit; `predict`
-fails likewise when no product is on sale in the last week.
+--cold-start-filter, fails in stage features, before any fit, and so does
+an empty part that the model fits on (train for forest, train and valid for
+gbt), naming its length setting and the horizon; `predict` fails likewise
+when no product is on sale in the last week.
 
 Forecast rows stay aligned arrays from the split to the report: their
 product ids and target weeks, and the forecasts, go to the predictions
@@ -48,7 +50,6 @@ same inputs and code, for about 15% more time.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import json
 import sys
@@ -82,6 +83,9 @@ EXIT_INTERNAL = 3
 SYNTH_OPTIONS = {
     "--products": "n_products", "--categories": "n_categories", "--weeks": "n_weeks", "--seed": "seed"
 }
+
+# the split parts each model fits on (0 train, 1 valid); es fits nothing
+FITTED_PARTS = {"gbt": (0, 1), "forest": (0,)}
 
 # SchemaError is a ValueError
 DATA_ERRORS = (ValueError, FileNotFoundError, KeyError)
@@ -139,12 +143,9 @@ def _write_predictions(
 ) -> None:
     """Write forecasts[k] for (pids[k], weeks[k]) in (product id, week) order."""
     order = np.lexsort((weeks, pids))
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["product_id", "week", "forecast"])
-        writer.writerows(
-            zip(pids[order], weeks[order].tolist(), map(repr, forecasts[order].tolist()))
-        )
+    ingest.write_csv(
+        path, ["product_id", "week", "forecast"], [pids[order], weeks[order], forecasts[order]]
+    )
 
 
 def write_synth(spec: synth.SynthSpec, out: Path) -> tuple[str, str, str]:
@@ -280,6 +281,16 @@ def run(
                 if keep.size
                 else f"no test rows for {span}: no product is on sale at their issue weeks"
             )
+        for k in FITTED_PARTS.get(model_kind, ()):
+            if not (part == k).any():
+                noun, name = ("training", "train_len") if k == 0 else ("validation", "valid_len")
+                first, h = (0 if k == 0 else config.train_len), config.horizon
+                last = first + getattr(config, name) - 1
+                raise ValueError(
+                    f"no {noun} rows for target weeks {first}-{last} ({name} "
+                    f"{getattr(config, name)}): no product is on sale at their issue weeks "
+                    f"{first - h} to {last - h} (horizon {h})"
+                )
         pids = np.array(repaired.products, dtype=object)[rows[test]]
         encoding = None
         if model_kind != "es":

@@ -13,7 +13,6 @@ the order its rows arrived in.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Catalog, SalesPanel
+from .ingest import write_csv
 
 LIFE_BUCKETS = (8, 9, 10, 11, 12)
 SEGMENT_QUANTILES = (0.1, 0.4)
@@ -145,11 +145,12 @@ def report_rows(report: EvalReport) -> list[tuple[str, str, float, float, int]]:
 
 
 def write_report(report: EvalReport, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scope", "group", "rmse", "mae", "rows"])
-        for scope, group, rmse, mae, rows in report_rows(report):
-            writer.writerow([scope, group, repr(rmse), repr(mae), rows])
+    scopes, groups, rmse, mae, rows = zip(*report_rows(report))
+    write_csv(path, ["scope", "group", "rmse", "mae", "rows"], [
+        np.array(scopes, dtype=object), np.array(groups, dtype=object),
+        np.array(rmse, dtype=np.float64), np.array(mae, dtype=np.float64),
+        np.array(rows, dtype=np.int64),
+    ])
 
 
 def format_report(report: EvalReport, title: str = "evaluation") -> str:

@@ -1,4 +1,4 @@
-"""File ingestion: sales, catalog, covariates, predictions, and run configuration.
+"""File ingestion (sales, catalog, covariates, predictions, run configuration) and CSV writing.
 
 CSV schemas are fixed so round-trips are bit-exact:
   sales.csv       product_id,week,units,on_sale,in_stock
@@ -58,12 +58,25 @@ looked up for each block's distinct tokens in order of first appearance,
 and rows are put in np.lexsort's order of their int64 keys by stable radix
 passes over 16-bit digits.
 
+Every CSV file the program writes (synth's inputs and ground truth,
+smoothed.csv, seasonality.csv, predictions.csv and report.csv) goes
+through write_csv, which writes what csv.writer's excel dialect would:
+floats as the repr of Python floats, integers and flags as Python ints,
+a field holding a comma, a quote or a line break quoted with its quotes
+doubled, and rows ending in "\r\n". It makes each column's text once per
+distinct value of a batch of WRITE_ROWS rows (numbers grouped by their 8
+bytes with _first_equal, as the loaders group tokens, and str by a dict),
+gathers the texts back to the batch's rows and writes the batch as one
+string.
+
 RunConfig is the one place a run setting is declared: its fields name,
 type and default every setting, load_config parses each key by its field's
-type, and validate checks the bounds. Stages read their settings from one
-RunConfig; gbt.train takes it whole. The config file is its only source: no
-command-line option overrides a field. The only settings the CLI still owns
-are pipeline's --model, --forest-trees and --cold-start-filter.
+type, and validate checks the bounds; like a parse error, a bound error
+on a key the file sets names the file and the key's line. Stages read
+their settings from one RunConfig; gbt.train takes it whole. The config
+file is its only source: no command-line option overrides a field. The
+only settings the CLI still owns are pipeline's --model, --forest-trees
+and --cold-start-filter.
 """
 
 from __future__ import annotations
@@ -75,7 +88,7 @@ import re
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
-from itertools import chain, count, repeat
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
@@ -140,46 +153,47 @@ class RunConfig:
     with_seasonality: bool = True
     override_bounds: bool = False
 
-    def validate(self) -> None:
+    def validate(self, lines: dict[str, str] | None = None) -> None:
+        """Check every setting's type range and bounds. lines maps a setting
+        to where it was set ("path:line"), which then starts its error."""
+
+        def check(ok: bool, name: str, message: str) -> None:
+            if not ok:
+                where = (lines or {}).get(name)
+                raise SchemaError(f"{where}: {message}" if where else message)
+
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise SchemaError(f"{f.name} must be finite")
-            if f.type == "int" and getattr(self, f.name) not in INT64_RANGE:
-                raise SchemaError(f"{f.name} {getattr(self, f.name)} is outside the int64 range")
+            value = getattr(self, f.name)
+            if f.type == "float":
+                check(math.isfinite(value), f.name, f"{f.name} must be finite")
+            if f.type == "int":
+                check(value in INT64_RANGE, f.name, f"{f.name} {value} is outside the int64 range")
         for name in (
             "horizon", "n_patterns", "early_stop_patience", "train_len", "valid_len",
             "test_len", "rounds", "max_depth",
         ):
-            if getattr(self, name) < 1:
-                raise SchemaError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise SchemaError("learning_rate must be positive")
-        if self.reg_lambda < 0:
-            raise SchemaError("reg_lambda must be >= 0")
-        if self.seed < 0:
-            raise SchemaError("seed must be >= 0")
-        if self.min_split_loss < 0:
-            raise SchemaError("min_split_loss must be >= 0")
-        if self.season_period < 2:
-            raise SchemaError("season_period must be >= 2")
-        if self.hash_buckets < 2:
-            raise SchemaError("hash_buckets must be >= 2")
-        if self.smooth_window < 2:
-            raise SchemaError("smooth_window must be >= 2")
-        if self.cap_gamma <= 0:
-            raise SchemaError("cap_gamma must be positive")
-        if self.encoding not in ("ordinal", "hashing"):
-            raise SchemaError(f"unknown encoding: {self.encoding!r}")
-        if self.loss not in ("poisson", "squared"):
-            raise SchemaError(f"unknown loss: {self.loss!r}")
+            check(getattr(self, name) >= 1, name, f"{name} must be >= 1")
+        check(self.learning_rate > 0, "learning_rate", "learning_rate must be positive")
+        check(self.reg_lambda >= 0, "reg_lambda", "reg_lambda must be >= 0")
+        check(self.seed >= 0, "seed", "seed must be >= 0")
+        check(self.min_split_loss >= 0, "min_split_loss", "min_split_loss must be >= 0")
+        check(self.season_period >= 2, "season_period", "season_period must be >= 2")
+        check(self.hash_buckets >= 2, "hash_buckets", "hash_buckets must be >= 2")
+        check(self.smooth_window >= 2, "smooth_window", "smooth_window must be >= 2")
+        check(self.cap_gamma > 0, "cap_gamma", "cap_gamma must be positive")
+        check(
+            self.encoding in ("ordinal", "hashing"), "encoding",
+            f"unknown encoding: {self.encoding!r}",
+        )
+        check(self.loss in ("poisson", "squared"), "loss", f"unknown loss: {self.loss!r}")
         if not self.override_bounds:
             for name, (lo, hi) in PARAM_BOUNDS.items():
                 value = getattr(self, name)
-                if not lo <= value <= hi:
-                    raise SchemaError(
-                        f"{name}={value} outside the search range [{lo}, {hi}]; "
-                        "set override_bounds = true to allow it"
-                    )
+                check(
+                    lo <= value <= hi, name,
+                    f"{name}={value} outside the search range [{lo}, {hi}]; "
+                    "set override_bounds = true to allow it",
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,8 +334,7 @@ class _Column:
         if heads is None:
             seen: dict[str, int] = {}
             heads = np.fromiter(map(seen.setdefault, self.text(), range(n)), np.intp, n)
-        is_first = heads == np.arange(n)
-        return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[heads]
+        return _first_inverse(heads)
 
     def distinct(self) -> tuple[list[str], np.ndarray, np.ndarray]:
         """(texts, first, inverse): the distinct tokens as str, in order of
@@ -936,6 +949,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     types = {f.name: f.type for f in fields(RunConfig)}
     values: dict[str, object] = {}
+    lines: dict[str, str] = {}  # key -> "path:line" of the line that set it
     text = path.read_text(encoding="utf-8", errors="surrogateescape")
     # read_text turns \r\n and \r into \n; splitlines would also split on
     # form feeds and other separators, which would shift every later line number
@@ -956,9 +970,99 @@ def load_config(path: str | Path) -> RunConfig:
             values[key] = _CONFIG_PARSERS[types[key]](value)
         except ValueError:
             raise SchemaError(f"{path}:{line_no}: bad value {value!r} for {key}") from None
+        lines[key] = f"{path}:{line_no}"
     config = RunConfig(**values)
-    config.validate()
+    config.validate(lines)
     return config
+
+
+# Rows write_csv formats and writes at a time: it holds the text of one
+# batch of rows, whatever the file's length. A process keeps the heap that
+# a batch took, and synth often runs in the process that trains: at 2**14
+# rows, synth of a 500-product panel peaked 6 MB above csv.writer's, at
+# 2**11 about 0.5 MB, for about a tenth more time spent writing.
+WRITE_ROWS = 1 << 11
+
+
+def _quoted(text: str) -> str:
+    """text as a field of csv.writer's excel dialect: quoted, with '"' doubled,
+    when it holds a comma, a quote or a line break."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _first_inverse(heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the index heads[i] of the first entry equal to entry
+    i: the first entries, ascending, and the index into first of each entry."""
+    is_first = heads == np.arange(len(heads))
+    return np.flatnonzero(is_first), (np.cumsum(is_first) - 1)[heads]
+
+
+def _texts(values: np.ndarray, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """(texts, codes): an object array of the field of each distinct value
+    followed by end, entry i's being texts[codes[i]].
+
+    Numbers are grouped by their 8 bytes (_first_equal), so -0.0 and each NaN
+    stay apart from other values; a float's field is the repr of a Python
+    float and an integer's or a bool's the str of a Python int. str entries
+    (an object array) are grouped by a dict and quoted once each; an entry
+    masked in a masked array is an empty field.
+    """
+    if hasattr(values, "mask"):  # a masked array; np.ma is imported only where one is made
+        texts, codes = _texts(values.data, end)
+        codes[np.ma.getmaskarray(values)] = len(texts)
+        return np.append(texts, end), codes
+    if values.dtype == object:
+        table = _code_table()
+        codes = np.fromiter(map(table.__getitem__, values), np.intp, len(values))
+        return np.array([_quoted(text) + end for text in table], dtype=object), codes
+    floats = values.dtype.kind == "f"
+    numbers = values.astype(np.float64 if floats else np.int64, copy=False)
+    first, codes = _first_inverse(_first_equal(numbers.view(np.uint64)))
+    form = repr if floats else str
+    return np.array([form(x) + end for x in numbers[first].tolist()], dtype=object), codes
+
+
+def write_csv(path: str | Path, header: list[str], columns: list) -> None:
+    r"""Write a CSV file of header and the rows of columns as csv.writer's
+    excel dialect writes it.
+
+    Each column gives one field per row. It is a numpy array (float64; an
+    integer or bool type; object, holding str; or a masked float array) or a
+    pair (labels, codes) of str labels and an integer array, whose row i
+    reads labels[codes[i]]. Fields are written as _texts makes them, and a
+    field holding ",", '"', "\r" or "\n" is quoted with '"' doubled. Rows
+    end in "\r\n". Every file here has at least three columns, so csv's
+    quoted empty field for a row of one empty field never arises.
+
+    Each column's fields are made once per distinct value of a batch of
+    WRITE_ROWS rows (once per label for a pair), with the separator that
+    follows them, gathered back to the batch's rows by code and joined into
+    one string per batch.
+    """
+    separators = [","] * (len(columns) - 1) + ["\r\n"]
+    lengths = {len(column[1] if isinstance(column, tuple) else column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of different lengths {sorted(lengths)} for {path}")
+    labeled = {
+        j: np.array([_quoted(label) + end for label in column[0]], dtype=object)
+        for j, (column, end) in enumerate(zip(columns, separators))
+        if isinstance(column, tuple)
+    }
+    n = lengths.pop() if lengths else 0
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(map(_quoted, header)) + "\r\n")
+        for start in range(0, n, WRITE_ROWS):
+            stop = min(start + WRITE_ROWS, n)
+            batch = np.empty((stop - start, len(columns)), dtype=object)
+            for j, (column, end) in enumerate(zip(columns, separators)):
+                if j in labeled:
+                    batch[:, j] = labeled[j][column[1][start:stop]]
+                else:
+                    texts, codes = _texts(column[start:stop], end)
+                    batch[:, j] = texts[codes]
+            fh.write("".join(batch.ravel().tolist()))
 
 
 def write_sales(panel: SalesPanel, path: str | Path) -> None:
@@ -972,49 +1076,44 @@ def write_sales(panel: SalesPanel, path: str | Path) -> None:
     if emit.size:
         emit[0, -1] = True
     rows, weeks = np.nonzero(emit)  # product-major, weeks ascending
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["product_id", "week", "units", "on_sale", "in_stock"])
-        writer.writerows(
-            zip(
-                np.array(panel.products, dtype=object)[rows],
-                weeks.tolist(),
-                panel.y[rows, weeks].tolist(),
-                panel.on_sale_mask[rows, weeks].astype(np.int8).tolist(),
-                panel.stock_flag[rows, weeks].astype(np.int8).tolist(),
-            )
-        )
+    write_csv(path, SALES_HEADER, [
+        (panel.products, rows), weeks, panel.y[rows, weeks],
+        panel.on_sale_mask[rows, weeks], panel.stock_flag[rows, weeks],
+    ])
 
 
 def write_catalog(catalog: Catalog, path: str | Path) -> None:
     pids = sorted(catalog.category_of)
     extra_cols = sorted({k for attrs in catalog.attributes.values() for k in attrs})
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["product_id", "category_id", "price"] + extra_cols)
-        for pid in pids:
-            attrs = catalog.attributes.get(pid, {})
-            writer.writerow(
-                [pid, catalog.category_of[pid], repr(catalog.price[pid])]
-                + [attrs.get(c, "") for c in extra_cols]
-            )
+    attrs = [catalog.attributes.get(pid, {}) for pid in pids]
+    write_csv(path, ["product_id", "category_id", "price", *extra_cols], [
+        np.array(pids, dtype=object),
+        np.array([catalog.category_of[pid] for pid in pids], dtype=object),
+        np.array([catalog.price[pid] for pid in pids], dtype=np.float64),
+        *(np.array([a.get(c, "") for a in attrs], dtype=object) for c in extra_cols),
+    ])
 
 
 def write_covariates(table: CovariateTable, path: str | Path) -> None:
     """Write covariates.csv: temporal keys, then mixed keys, each in sorted
     order; a key's rows in (product row, week) order."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COVARIATES_HEADER)
-        for key in table.feature_names():
-            cov = table.series[key]
-            if cov.rows is None:
-                scope, pids = "temporal", repeat("")
-            else:
-                scope, pids = "mixed", map(table.products.__getitem__, cov.rows.tolist())
-            writer.writerows(
-                zip(
-                    repeat(scope), repeat(key), cov.weeks.tolist(), pids,
-                    map(repr, cov.values.tolist()), repeat(int(cov.predictable)),
-                )
-            )
+    keys = table.feature_names()
+    series = [table.series[key] for key in keys]
+    sizes = [len(cov.weeks) for cov in series]
+
+    def each_key(values) -> np.ndarray:
+        return np.repeat(np.array(values, dtype=np.int64), sizes)
+
+    none = np.zeros(0, np.int64)  # what a table without keys concatenates
+    write_csv(path, COVARIATES_HEADER, [
+        (("temporal", "mixed"), each_key([cov.rows is not None for cov in series])),
+        (keys, each_key(range(len(keys)))),
+        np.concatenate([cov.weeks for cov in series] or [none]),
+        # label 0 is a temporal row's empty product_id
+        (("", *table.products), np.concatenate([
+            np.zeros(n, np.int64) if cov.rows is None else cov.rows + 1
+            for cov, n in zip(series, sizes)
+        ] or [none])),
+        np.concatenate([cov.values for cov in series] or [none.astype(np.float64)]),
+        each_key([cov.predictable for cov in series]),
+    ])

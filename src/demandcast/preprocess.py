@@ -32,13 +32,13 @@ bit now and then (1,623 of 2,000,000 random values on glibc).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .core import SalesPanel, launch_weeks
+from .ingest import write_csv
 
 REPAIR_ALPHA = 0.3
 SMOOTH_BLOCK_CELLS = 1 << 13  # (products x span weeks) cells a block; 64 KiB per float64 temporary
@@ -242,25 +242,16 @@ def write_smoothed(panel: SalesPanel, smoothed: SmoothedPanel, path: str | Path)
     """Diagnostic dump of the smoothing decisions, one row per on-sale (product, week)."""
     rows, weeks = np.nonzero(panel.on_sale_mask)  # product-major, weeks ascending
 
-    def stat(values: np.ndarray) -> list:
-        # csv writes a float as its repr; an undefined statistic is left empty
+    def stat(values: np.ndarray) -> np.ma.MaskedArray:
+        # an undefined statistic is an empty field
         picked = values[rows, weeks]
-        return np.where(np.isnan(picked), "", picked.astype(object)).tolist()
+        return np.ma.masked_array(picked, np.isnan(picked))
 
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["product_id", "week", "y", "x", "rolling_mean", "rolling_std", "repaired", "capped"]
-        )
-        writer.writerows(
-            zip(
-                np.array(panel.products, dtype=object)[rows],
-                weeks.tolist(),
-                panel.y[rows, weeks].tolist(),
-                smoothed.x[rows, weeks].tolist(),
-                stat(smoothed.rolling_mean),
-                stat(smoothed.rolling_std),
-                smoothed.repaired_mask[rows, weeks].astype(np.int8).tolist(),
-                smoothed.capped_mask[rows, weeks].astype(np.int8).tolist(),
-            )
-        )
+    write_csv(
+        path, ["product_id", "week", "y", "x", "rolling_mean", "rolling_std", "repaired", "capped"],
+        [
+            (panel.products, rows), weeks, panel.y[rows, weeks], smoothed.x[rows, weeks],
+            stat(smoothed.rolling_mean), stat(smoothed.rolling_std),
+            smoothed.repaired_mask[rows, weeks], smoothed.capped_mask[rows, weeks],
+        ],
+    )

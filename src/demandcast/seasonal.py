@@ -25,7 +25,6 @@ cell's terms one at a time in the loop's order.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import Catalog, SalesPanel, weeks_on_sale
+from .ingest import write_csv
 from .preprocess import SmoothedPanel
 
 MIN_YEAR_WEEKS = 4      # product-years with fewer on-sale weeks are too noisy
@@ -359,10 +359,12 @@ def _block_slopes(weeks: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def write_seasonality(model: SeasonalityModel, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category_id", "pattern_index", "week_of_year", "value"])
-        for cat in sorted(model.assignment):
-            idx = model.assignment[cat]
-            for week, value in enumerate(model.patterns[idx]):
-                writer.writerow([cat, idx, week, repr(float(value))])
+    """One row per week of each category's pattern, categories sorted."""
+    categories = sorted(model.assignment)
+    index = [model.assignment[cat] for cat in categories]
+    write_csv(path, ["category_id", "pattern_index", "week_of_year", "value"], [
+        (categories, np.repeat(np.arange(len(categories)), model.tau)),
+        np.repeat(np.array(index, dtype=np.int64), model.tau),
+        np.tile(np.arange(model.tau), len(categories)),
+        np.reshape([model.patterns[i] for i in index], -1),  # every pattern has tau weeks
+    ])

@@ -13,14 +13,13 @@ exercise cold-start behaviour, not long-history forecasting.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .core import Catalog, SalesPanel
-from .ingest import Covariate, CovariateTable
+from .ingest import Covariate, CovariateTable, write_csv
 
 BRANDS = ("acme", "blue", "corex", "dune", "ember", "flux")
 
@@ -225,24 +224,17 @@ def write_ground_truth(truth: GroundTruth, panel: SalesPanel, path: str | Path) 
     """One row per week of each product's live span [launch, end), product-major."""
     week = np.arange(truth.lam.shape[1])
     rows, weeks = np.nonzero((truth.launch[:, None] <= week) & (week < truth.end[:, None]))
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["product_id", "week", "lam", "promo", "stockout"])
-        writer.writerows(
-            zip(
-                np.array(panel.products, dtype=object)[rows],
-                weeks.tolist(),
-                map(repr, truth.lam[rows, weeks].tolist()),
-                truth.promo_mask[rows, weeks].astype(np.int8).tolist(),
-                truth.stockout_mask[rows, weeks].astype(np.int8).tolist(),
-            )
-        )
+    write_csv(path, ["product_id", "week", "lam", "promo", "stockout"], [
+        (panel.products, rows), weeks, truth.lam[rows, weeks],
+        truth.promo_mask[rows, weeks], truth.stockout_mask[rows, weeks],
+    ])
 
 
 def write_ground_truth_curves(truth: GroundTruth, path: str | Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["category_id", "position", "value"])
-        for cat in sorted(truth.category_curve):
-            for pos, value in enumerate(truth.category_curve[cat]):
-                writer.writerow([cat, pos, repr(float(value))])
+    categories = sorted(truth.category_curve)
+    curves = [truth.category_curve[cat] for cat in categories] or [np.zeros(0)]
+    write_csv(path, ["category_id", "position", "value"], [
+        (categories, np.repeat(np.arange(len(curves)), [len(c) for c in curves])),
+        np.concatenate([np.arange(len(c)) for c in curves]),
+        np.concatenate(curves),
+    ])

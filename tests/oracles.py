@@ -856,3 +856,84 @@ def loop_write_smoothed(panel: SalesPanel, smoothed, path) -> None:
                         int(smoothed.capped_mask[i, t]),
                     ]
                 )
+
+
+def loop_write_catalog(catalog: Catalog, path) -> None:
+    """ingest.write_catalog one product at a time, ids sorted, extra columns sorted."""
+    extra = sorted({key for attrs in catalog.attributes.values() for key in attrs})
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["product_id", "category_id", "price", *extra])
+        for pid in sorted(catalog.category_of):
+            attrs = catalog.attributes.get(pid, {})
+            writer.writerow(
+                [pid, catalog.category_of[pid], repr(float(catalog.price[pid]))]
+                + [attrs.get(key, "") for key in extra]
+            )
+
+
+def loop_write_covariates(table: CovariateTable, path) -> None:
+    """ingest.write_covariates one entry at a time: temporal keys, then mixed
+    keys, each group in sorted order, a key's entries in table order."""
+    keys = sorted(table.series, key=lambda key: (table.series[key].rows is not None, key))
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["scope", "key", "week", "product_id", "value", "predictable"])
+        for key in keys:
+            cov = table.series[key]
+            for i in range(len(cov.weeks)):
+                mixed = cov.rows is not None
+                writer.writerow(
+                    [
+                        "mixed" if mixed else "temporal",
+                        key,
+                        int(cov.weeks[i]),
+                        table.products[int(cov.rows[i])] if mixed else "",
+                        repr(float(cov.values[i])),
+                        int(cov.predictable),
+                    ]
+                )
+
+
+def loop_write_ground_truth_curves(truth, path) -> None:
+    """synth.write_ground_truth_curves one curve position at a time."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["category_id", "position", "value"])
+        for category in sorted(truth.category_curve):
+            for position, value in enumerate(truth.category_curve[category]):
+                writer.writerow([category, position, repr(float(value))])
+
+
+def loop_write_predictions(pids, weeks, forecasts, path) -> None:
+    """cli._write_predictions one row at a time, sorted by (product id, week)."""
+    rows = sorted(zip(pids, (int(w) for w in weeks), (float(f) for f in forecasts)))
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["product_id", "week", "forecast"])
+        for pid, week, forecast in rows:
+            writer.writerow([pid, week, repr(forecast)])
+
+
+def loop_write_report(report, path) -> None:
+    """evaluation.write_report one cell at a time: overall, the segments in
+    sorted order, then the life buckets in report order."""
+    cells = [("overall", "all", report.overall)]
+    cells += [("segment", name, report.segments[name]) for name in sorted(report.segments)]
+    cells += [("life", name, cell) for name, cell in report.life_buckets.items()]
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["scope", "group", "rmse", "mae", "rows"])
+        for scope, group, cell in cells:
+            writer.writerow([scope, group, repr(float(cell.rmse)), repr(float(cell.mae)), cell.rows])
+
+
+def loop_write_seasonality(model, path) -> None:
+    """seasonal.write_seasonality one pattern week at a time, categories sorted."""
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["category_id", "pattern_index", "week_of_year", "value"])
+        for category in sorted(model.assignment):
+            index = model.assignment[category]
+            for week, value in enumerate(model.patterns[index]):
+                writer.writerow([category, index, week, repr(float(value))])

@@ -12,6 +12,7 @@ import pytest
 
 from demandcast import cli, gbt, ingest, preprocess
 from demandcast.cli import build_parser, main
+from demandcast.core import Catalog, SalesPanel
 from demandcast.gbt import NODE_DTYPE
 from demandcast.ingest import RunConfig, load_config
 
@@ -392,14 +393,80 @@ class TestEmptySplitParts:
         args = short_panel(tmp_path, [*range(15), *range(19, 30)])
         assert main(["pipeline", *args]) == 2
         assert capsys.readouterr().err == (
-            "error in stage train: cannot validate on an empty matrix\n"
+            "error in stage features: no validation rows for target weeks 21-24 (valid_len 4): "
+            "no product is on sale at their issue weeks 15 to 18 (horizon 6)\n"
         )
         assert not (tmp_path / "out" / "model.json").exists()
         assert main(["train", *args]) == 2
         assert capsys.readouterr().err == (
-            "error in stage train: cannot validate on an empty matrix\n"
+            "error in stage features: no validation rows for target weeks 21-24 (valid_len 4): "
+            "no product is on sale at their issue weeks 15 to 18 (horizon 6)\n"
         )
         assert not any((tmp_path / "out").iterdir())
+
+
+    def test_forest_fits_no_validation_part(self, tmp_path):
+        # the empty valid part of test_empty_valid_part_is_data_error: a forest
+        # trains on the train part only
+        args = short_panel(tmp_path, [*range(15), *range(19, 30)])
+        assert main(["pipeline", *args, "--model", "forest", "--forest-trees", "2"]) == 0
+
+    @pytest.mark.parametrize("horizon", [45, 59])
+    def test_training_part_issued_before_the_panel_names_its_settings(
+        self, tmp_path, capsys, horizon
+    ):
+        # training targets 0-39 are issued horizon weeks earlier, before week 0
+        data = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(data), "--products", "30", "--weeks", "60",
+                     "--categories", "3", "--seed", "3"]) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "train_len = 40\nvalid_len = 8\ntest_len = 12\nrounds = 5\n"
+            f"override_bounds = true\nhorizon = {horizon}\n"
+        )
+        args = [
+            "--config", str(config), "--sales", str(data / "sales.csv"),
+            "--catalog", str(data / "catalog.csv"), "--covariates", str(data / "covariates.csv"),
+            "--out-dir", str(tmp_path / "out"),
+        ]
+        message = (
+            "error in stage features: no training rows for target weeks 0-39 (train_len 40): "
+            f"no product is on sale at their issue weeks {-horizon} to {39 - horizon} "
+            f"(horizon {horizon})\n"
+        )
+        capsys.readouterr()
+        for command in (["train"], ["pipeline", "--model", "gbt"], ["pipeline", "--model", "forest"]):
+            assert main([*command, *args]) == 2
+            assert capsys.readouterr().err == message
+            assert not any((tmp_path / "out").iterdir())
+        assert main(["pipeline", *args, "--model", "es"]) == 0  # es fits nothing
+
+
+class TestConfigErrorsNameTheLine:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("smooth_window = 99999999999999999999",
+             "smooth_window 99999999999999999999 is outside the int64 range"),
+            ("learning_rate = 5", "learning_rate=5.0 outside the search range [0.01, 0.3]; "
+             "set override_bounds = true to allow it"),
+        ],
+        ids=["int64", "search_range"],
+    )
+    def test_preprocess_config(self, data_dir, tmp_path, capsys, line, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"# a comment\nhorizon = 4\n\n{line}\n")
+        code = main(["preprocess", "--sales", str(data_dir / "sales.csv"),
+                     "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert (code, capsys.readouterr().err) == (2, f"error: {config}:4: {message}\n")
+
+    def test_without_a_file_the_message_names_no_place(self):
+        with pytest.raises(ingest.SchemaError) as err:
+            RunConfig(learning_rate=5.0).validate()
+        assert str(err.value) == (
+            "learning_rate=5.0 outside the search range [0.01, 0.3]; "
+            "set override_bounds = true to allow it"
+        )
 
 
 @pytest.mark.parametrize(
@@ -411,7 +478,8 @@ class TestEmptySplitParts:
         (range(30), ",5,3,1,1", "error in stage ingest: {sales}:122: empty product_id"),
         (
             [*range(15), *range(19, 30)], "",
-            "error in stage train: cannot validate on an empty matrix",
+            "error in stage features: no validation rows for target weeks 21-24 (valid_len 4): "
+            "no product is on sale at their issue weeks 15 to 18 (horizon 6)",
         ),
         (
             range(19), "",
@@ -1020,6 +1088,49 @@ class TestForecastIsAFunctionOfTheModelFile:
             assert doubled_row[:2] == [scope, group] and doubled_row[4] == n
             assert float(doubled_row[2]) == 2.0 * float(rmse)
             assert float(doubled_row[3]) == float(mae)
+
+
+class TestIdsThatNeedQuoting:
+    def test_predict_then_evaluate(self, data_dir, tmp_path, capsys):
+        # ids holding a comma, a quote and a line feed are quoted on every
+        # write and read back by csv.reader; predict forecasts from the first
+        # 74 weeks, so evaluate finds each forecast's actual in all 80
+        panel = ingest.load_sales(data_dir / "sales.csv")
+        catalog = ingest.load_catalog(data_dir / "catalog.csv")
+        cut = panel.n_weeks - RunConfig().horizon
+        on_sale = [panel.products[i] for i in np.flatnonzero(panel.on_sale_mask[:, cut - 1])]
+        names = dict(zip(on_sale, ["a,b", 'q"t', "line\nfeed"]))
+        ids = tuple(names.get(pid, pid) for pid in panel.products)
+        full = SalesPanel(ids, panel.y, panel.on_sale_mask, panel.stock_flag)
+        history = SalesPanel(
+            ids, panel.y[:, :cut], panel.on_sale_mask[:, :cut], panel.stock_flag[:, :cut]
+        )
+        ingest.write_sales(full, tmp_path / "full.csv")
+        ingest.write_sales(history, tmp_path / "history.csv")
+        ingest.write_catalog(Catalog(
+            {names.get(p, p): c for p, c in catalog.category_of.items()},
+            {names.get(p, p): v for p, v in catalog.price.items()},
+            {names.get(p, p): a for p, a in catalog.attributes.items()},
+        ), tmp_path / "catalog.csv")
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "train_len = 40\nvalid_len = 10\ntest_len = 20\nrounds = 5\noverride_bounds = true\n"
+        )
+        data = ["--config", str(config), "--catalog", str(tmp_path / "catalog.csv")]
+        history_args = [*data, "--sales", str(tmp_path / "history.csv")]
+        assert main(["train", *history_args, "--out-dir", str(tmp_path / "train")]) == 0
+        model = str(tmp_path / "train" / "model.json")
+        assert main(["predict", "--model-file", model, *history_args,
+                     "--out-dir", str(tmp_path / "predict")]) == 0
+        predictions = tmp_path / "predict" / "predictions.csv"
+        assert b'"line\nfeed",79,' in predictions.read_bytes()
+        with predictions.open(newline="") as fh:
+            assert set(names.values()) <= {row[0] for row in csv.reader(fh)}
+        capsys.readouterr()
+        assert main(["evaluate", "--predictions", str(predictions), *data,
+                     "--sales", str(tmp_path / "full.csv"), "--out-dir", str(tmp_path / "eval")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "eval" / "report.csv").exists()
 
 
 class TestEvaluateCommand:

@@ -256,7 +256,9 @@ def test_smoothing_window_clipped_to_the_panel(repro, tmp_path):
     (tmp_path / "run.cfg").write_text(f"smooth_window = {10**20}\n")
     code, err = run("preprocess", "--sales", repro / "data/sales.csv", "--config", tmp_path / "run.cfg",
                     "--out-dir", tmp_path / "pre_huge")
-    assert (code, err.strip()) == (2, f"error: smooth_window {10**20} is outside the int64 range")
+    assert (code, err.strip()) == (
+        2, f"error: {tmp_path / 'run.cfg'}:1: smooth_window {10**20} is outside the int64 range"
+    )
 
 
 def test_split_lengths_summed_without_overflow(repro, tmp_path):

@@ -1,4 +1,6 @@
 import ast
+import csv
+import math
 import re
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -7,11 +9,27 @@ import numpy as np
 import pytest
 
 from demandcast import ingest
-from demandcast.core import SalesPanel
-from demandcast.ingest import RunConfig, SchemaError
-from demandcast.synth import SynthSpec, generate_panel
+from demandcast.cli import _write_predictions
+from demandcast.core import Catalog, SalesPanel
+from demandcast.evaluation import EvalReport, MetricCell, write_report
+from demandcast.ingest import Covariate, CovariateTable, RunConfig, SchemaError
+from demandcast.preprocess import preprocess_panel, write_smoothed
+from demandcast.seasonal import SeasonalityModel, write_seasonality
+from demandcast.synth import SynthSpec, generate_panel, write_ground_truth, write_ground_truth_curves
 
-from .oracles import covariate_dicts, loop_write_sales, two_pass_codes
+from .oracles import (
+    covariate_dicts,
+    loop_write_catalog,
+    loop_write_covariates,
+    loop_write_ground_truth,
+    loop_write_ground_truth_curves,
+    loop_write_predictions,
+    loop_write_report,
+    loop_write_sales,
+    loop_write_seasonality,
+    loop_write_smoothed,
+    two_pass_codes,
+)
 
 
 def write(tmp_path, name, text):
@@ -706,3 +724,161 @@ def test_only_the_block_reader_calls_csv_reader():
         if isinstance(node, ast.FunctionDef) and node.name == "_csv_records"
     )
     assert readers(block_reader)
+
+
+def test_no_module_calls_csv_writer():
+    # one CSV writer: every file is written by ingest.write_csv
+    for module in Path(ingest.__file__).parent.glob("*.py"):
+        tree = ast.parse(module.read_text())
+        assert not [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("writer", "DictWriter")
+            and isinstance(node.value, ast.Name) and node.value.id == "csv"
+        ], module.name
+
+
+# ids csv.writer quotes (a comma, a quote, a line feed, a carriage return),
+# one it does not, and non-ASCII text
+ODD_IDS = ("a,b", 'q"t', "line\nfeed", "car\rriage", "plain", "s p", "é,ü")
+
+
+def odd_panel(rng, weeks=12) -> SalesPanel:
+    on_sale = rng.random((len(ODD_IDS), weeks)) < 0.7
+    on_sale[:, -1] = True
+    stock = rng.random(on_sale.shape) < 0.8
+    y = np.where(on_sale, rng.integers(0, 9, size=on_sale.shape), 0)
+    return SalesPanel(ODD_IDS, y, on_sale, stock)
+
+
+@pytest.fixture(params=[3, ingest.WRITE_ROWS], ids=["rows3", "default_rows"])
+def write_rows(request, monkeypatch):
+    """Each writer test runs with batches of 3 rows, and of the default size."""
+    monkeypatch.setattr(ingest, "WRITE_ROWS", request.param)
+    return request.param
+
+
+class TestWriters:
+    """Every writer's file equals a plain csv.writer loop's, byte for byte."""
+
+    @staticmethod
+    def same(tmp_path, write, loop, *args):
+        write(*args, tmp_path / "written.csv")
+        loop(*args, tmp_path / "loop.csv")
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        return (tmp_path / "written.csv").read_bytes()
+
+    def test_write_csv_against_csv_writer(self, tmp_path, write_rows):
+        rng = np.random.default_rng(26)
+        n = 50
+        floats = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, size=n)
+        floats[:8] = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e16]
+        floats[8:20] = floats[20:32]  # repeated values
+        ints = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=n)
+        ints[:10] = rng.integers(-3, 3, size=10)
+        flags = rng.random(n) < 0.5
+        labels = ["", *ODD_IDS, '""', ","]
+        codes = rng.integers(0, len(labels), size=n)
+        strings = np.array([labels[c] for c in rng.integers(0, len(labels), size=n)], dtype=object)
+        masked = np.ma.masked_array(floats, rng.random(n) < 0.3)
+        header = ["f", "i", "b", "o", "pair", "m,asked", 'q"']
+        ingest.write_csv(tmp_path / "written.csv", header, [
+            floats, ints, flags, strings, (labels, codes), masked, floats.astype(np.float32),
+        ])
+        with (tmp_path / "loop.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for i in range(n):
+                writer.writerow([
+                    repr(float(floats[i])), int(ints[i]), int(flags[i]), strings[i],
+                    labels[codes[i]], "" if masked.mask[i] else repr(float(floats[i])),
+                    repr(float(np.float32(floats[i]))),
+                ])
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    def test_columns_of_different_lengths_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="columns of different lengths"):
+            ingest.write_csv(tmp_path / "x.csv", ["a", "b", "c"], [
+                np.zeros(3), np.zeros(3, np.int64), (["x"], np.zeros(2, np.int64)),
+            ])
+
+    def test_header_only_without_rows(self, tmp_path):
+        ingest.write_csv(tmp_path / "x.csv", ["a", "b,", "c"], [
+            np.zeros(0), np.zeros(0, np.int64), np.zeros(0, dtype=object),
+        ])
+        assert (tmp_path / "x.csv").read_bytes() == b'a,"b,",c\r\n'
+
+    def test_sales(self, tmp_path, write_rows):
+        panel = odd_panel(np.random.default_rng(1))
+        self.same(tmp_path, ingest.write_sales, loop_write_sales, panel)
+
+    def test_catalog(self, tmp_path, write_rows):
+        # a product without a brand writes an empty attribute value
+        catalog = Catalog(
+            {pid: f"c,{i % 2}" for i, pid in enumerate(ODD_IDS)},
+            {pid: 1.5 + i for i, pid in enumerate(ODD_IDS)},
+            {pid: {"brand": f'b"{i}'} for i, pid in enumerate(ODD_IDS[1:])},
+        )
+        written = self.same(tmp_path, ingest.write_catalog, loop_write_catalog, catalog)
+        assert b'\r\n"a,b","c,0",1.5,\r\n' in written
+
+    def test_covariates(self, tmp_path, write_rows):
+        rng = np.random.default_rng(2)
+        panel = odd_panel(rng)
+        rows, weeks = np.nonzero(panel.on_sale_mask)
+        values = rng.choice([-0.0, 0.0, 1.0, 2.5, 1e-300], size=len(rows))
+        table = CovariateTable(ODD_IDS, {
+            "promo,x": Covariate(weeks, rows, values, True),
+            'e"v': Covariate(np.arange(12), None, np.where(np.arange(12) % 3, 1.0, -0.0), False),
+            "price": Covariate(weeks, rows, rng.uniform(1, 3, size=len(rows)), False),
+        })
+        written = self.same(tmp_path, ingest.write_covariates, loop_write_covariates, table)
+        assert b",-0.0," in written
+
+    def test_ground_truth(self, tmp_path, write_rows):
+        _, _, _, truth = generate_panel(
+            SynthSpec(n_products=len(ODD_IDS), n_categories=2, n_weeks=20, seed=5)
+        )
+        truth.lam[0, truth.launch[0]] = -0.0
+        truth.category_curve["c,2"] = np.array([-0.0, 1.0, np.nan])
+        panel = odd_panel(np.random.default_rng(3), weeks=20)
+        self.same(tmp_path, write_ground_truth, loop_write_ground_truth, truth, panel)
+        self.same(tmp_path, write_ground_truth_curves, loop_write_ground_truth_curves, truth)
+
+    def test_predictions(self, tmp_path, write_rows):
+        rng = np.random.default_rng(4)
+        pids = np.array([ODD_IDS[i] for i in rng.integers(0, len(ODD_IDS), 40)], dtype=object)
+        weeks = rng.permutation(40)  # distinct (id, week) keys
+        forecasts = rng.choice([-0.0, 0.0, 1.25, 3.0, 1 / 3], size=40)
+        self.same(tmp_path, _write_predictions, loop_write_predictions, pids, weeks, forecasts)
+
+    def test_report(self, tmp_path, write_rows):
+        report = EvalReport(
+            MetricCell(1.5, 0.25, 30),
+            {"B": MetricCell(-0.0, math.nan, 3), "A": MetricCell(2.0, 0.5, 27)},
+            {"8": MetricCell(1.0, 1.0, 4), "13+": MetricCell(0.1 + 0.2, 0.75, 26)},
+        )
+        written = self.same(tmp_path, write_report, loop_write_report, report)
+        assert b"segment,B,-0.0,nan,3\r\n" in written
+
+    def test_seasonality(self, tmp_path, write_rows):
+        patterns = [np.array([1.0, -0.0, 2.0 / 3.0]), np.array([0.5, 0.5, 2.0])]
+        model = SeasonalityModel(3, patterns, {"c,1": 1, 'c"0': 0, "c\n2": 1}, np.ones(3))
+        self.same(tmp_path, write_seasonality, loop_write_seasonality, model)
+
+    def test_smoothed(self, tmp_path, write_rows):
+        panel = odd_panel(np.random.default_rng(6), weeks=30)
+        repaired, smoothed = preprocess_panel(panel, window=4, gamma=1.0)
+        assert np.isnan(smoothed.rolling_std[panel.on_sale_mask]).any()
+        self.same(tmp_path, write_smoothed, loop_write_smoothed, repaired, smoothed)
+
+    def test_nothing_to_write_but_the_header(self, tmp_path):
+        # a seasonal fit with no category curve, a table without keys and no
+        # curves: each file is its header, as the loops write it
+        model = SeasonalityModel(4, [], {}, np.full(4, 0.25))
+        assert self.same(tmp_path, write_seasonality, loop_write_seasonality, model) == (
+            b"category_id,pattern_index,week_of_year,value\r\n"
+        )
+        self.same(tmp_path, ingest.write_covariates, loop_write_covariates, CovariateTable((), {}))
+        _, _, _, truth = generate_panel(SynthSpec(n_products=3, n_categories=1, n_weeks=12))
+        truth.category_curve.clear()
+        self.same(tmp_path, write_ground_truth_curves, loop_write_ground_truth_curves, truth)
