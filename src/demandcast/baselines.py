@@ -129,24 +129,20 @@ class ESBaseline:
     def __init__(self, panel, catalog, train_end: int):
         self.panel = panel
         self.catalog = catalog
-        cat_sums: dict[str, float] = {}
-        cat_counts: dict[str, int] = {}
-        total = 0.0
-        count = 0
-        for i, pid in enumerate(panel.products):
-            cat = catalog.category_of.get(pid)
-            sale_weeks = np.flatnonzero(panel.on_sale_mask[i, :train_end])
-            if sale_weeks.size == 0:
-                continue
-            s = float(panel.y[i, sale_weeks].sum())
-            cat_sums[cat] = cat_sums.get(cat, 0.0) + s
-            cat_counts[cat] = cat_counts.get(cat, 0) + int(sale_weeks.size)
-            total += s
-            count += int(sale_weeks.size)
+        # per product before train_end: on-sale weeks, and units as an exact int64 sum (0 off sale)
+        weeks = np.count_nonzero(panel.on_sale_mask[:, :train_end], axis=1)
+        units = panel.y[:, :train_end].sum(axis=1).astype(float)
+        slot: dict = {}  # category -> its slot, in order of first product
+        slots = [slot.setdefault(catalog.category_of.get(pid), len(slot)) for pid in panel.products]
+        slots = np.array(slots, dtype=np.intp)
+        sums, counts = np.zeros(len(slot)), np.zeros(len(slot), dtype=np.int64)
+        np.add.at(sums, slots, units)  # in product order; a product never on sale adds 0.0
+        np.add.at(counts, slots, weeks)
         self.category_mean = {
-            c: cat_sums[c] / cat_counts[c] for c in cat_sums if cat_counts[c] > 0
+            cat: total / n for cat, total, n in zip(slot, sums.tolist(), counts.tolist()) if n
         }
-        self.global_mean = total / count if count else 0.0
+        count = int(weeks.sum())
+        self.global_mean = float(np.cumsum(units)[-1]) / count if count else 0.0  # sequential sum
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

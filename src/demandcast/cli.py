@@ -8,15 +8,15 @@ model with early stopping -> test-window forecasts -> weighted report).
 names its stage; it writes nothing. `pipeline` and `train` load their
 inputs in stages too, call `run` and write their files from its RunResult,
 so a failed run leaves no artifact; the acceptance study calls `run` on its
-in-memory panel. A run computes the split once (features.split_rows) and
-cuts one matrix over its rows into the train, valid and test parts;
-`predict` builds the rows of the products on sale in the last week. The
-per-series ES reference reads the split's test keys and each product's own
-history, not features. An empty test part, before or after
---cold-start-filter, fails in stage features, before any fit, and so does
-an empty part that the model fits on (train for forest, train and valid for
-gbt), naming its length setting and the horizon; `predict` fails likewise
-when no product is on sale in the last week.
+in-memory panel. A run computes the split once (features.split_rows), in
+part order, and takes the train, valid and test parts as slices of one
+matrix over its rows; `predict` builds the rows of the products on sale in
+the last week. The per-series ES reference reads the split's test keys and
+each product's own history, not features. An empty test part, before or
+after --cold-start-filter, fails in stage features, before any fit, and so
+does an empty part that the model fits on (train for forest, train and
+valid for gbt), naming its length setting and the horizon; `predict` fails
+likewise when no product is on sale in the last week.
 
 Forecast rows stay aligned arrays from the split to the report: their
 product ids and target weeks, and the forecasts, go to the predictions
@@ -266,8 +266,9 @@ def run(
     with stage("seasonal"):
         seasonal = fit_seasonal(smoothed, repaired, catalog, config)
     with stage("features"):
-        rows, issued, part = split_rows(repaired.on_sale_mask, config)
-        test = part == 2
+        rows, issued, bounds = split_rows(repaired.on_sale_mask, config)
+        parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        test = parts[2]
         weeks = issued[test] + config.horizon
         # known with the split's keys, so an empty test part fails before any fit
         life = life_at_issue(repaired.on_sale_mask, rows[test], weeks, config.horizon)
@@ -282,7 +283,7 @@ def run(
                 else f"no test rows for {span}: no product is on sale at their issue weeks"
             )
         for k in FITTED_PARTS.get(model_kind, ()):
-            if not (part == k).any():
+            if bounds[k] == bounds[k + 1]:
                 noun, name = ("training", "train_len") if k == 0 else ("validation", "valid_len")
                 first, h = (0 if k == 0 else config.train_len), config.horizon
                 last = first + getattr(config, name) - 1
@@ -298,8 +299,7 @@ def run(
             full = build_matrix(
                 repaired, smoothed, catalog, seasonal, covariates, config, rows, issued, encoding
             )
-            train_rows, valid_rows, test_rows = (full.select(part == k) for k in range(3))
-            del full  # the parts are copies: the global matrix must not outlive the cut
+            train_rows, valid_rows, test_rows = (full.select(part) for part in parts)
     with stage("train"):
         if model_kind == "gbt":
             model = gbt.train(train_rows, config, valid_rows)
@@ -319,7 +319,7 @@ def run(
         forecasts = forecasts[keep]
         report = score(pids, weeks, forecasts, repaired, catalog, config)
 
-    counts = {"train_rows": int((part == 0).sum()), "valid_rows": int((part == 1).sum()),
+    counts = {"train_rows": bounds[1], "valid_rows": bounds[2] - bounds[1],
               "test_rows": len(pids), **details}
     return RunResult(
         repaired, seasonal, encoding, model, rows, pids, weeks, life, forecasts, report, counts

@@ -25,8 +25,9 @@ their last axis (seasonal.trend_features). Every cell equals the one-row-at-a-ti
 
 A forecast row is a product on sale at its issue week t, targeting week
 t + horizon. split_rows is the one rule for the split's rows and their part
-(train, valid or test, by target week); life_at_issue counts a row's on-sale
-weeks up to t. A run computes the split once: the matrices, the ES
+(train, valid or test, by target week), in part order, so the parts of a
+matrix over them are slices, views of it; life_at_issue counts a row's
+on-sale weeks up to t. A run computes the split once: the matrices, the ES
 reference (which reads keys only), the cold-start filter and the report
 share it. A matrix row's key is held as two aligned arrays: product_ids,
 an object array of the panel's id strings, and the int64 target_weeks.
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -200,28 +202,28 @@ class CovariateView:
         return np.full(rows.size, np.nan)
 
 
-def split_rows(
-    on_sale: np.ndarray, config: RunConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The split's forecast rows: (panel rows, issue weeks t, part).
+def split_rows(on_sale: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The split's forecast rows in part order: (panel rows, issue weeks t, bounds).
 
-    A row is a product on sale at its issue week t, targeting t + horizon;
-    rows are product-major and week ascending, as np.nonzero gives them, so
-    no key repeats. Target weeks [0, train_len) are part 0 (train), the next
-    valid_len weeks part 1 (valid) and the test_len weeks after those part 2
-    (test); the last issue week is the one that targets the last test week.
+    A row is a product on sale at its issue week t, targeting t + horizon.
+    Target weeks [0, train_len) are part 0 (train), the next valid_len
+    weeks part 1 (valid) and the test_len weeks after those part 2 (test).
+    Part k, rows[bounds[k]:bounds[k + 1]], is one np.nonzero over its issue
+    weeks' columns: product-major and week ascending, so no key repeats.
     """
-    lengths = (config.train_len, config.valid_len, config.test_len)
-    if sum(lengths) > on_sale.shape[1]:  # summed as Python ints, which cannot overflow
-        raise ValueError(f"split needs {sum(lengths)} weeks but panel has {on_sale.shape[1]}")
-    ends = np.cumsum(lengths)
-    last_issue = int(ends[2]) - 1 - config.horizon
-    if last_issue < 0:
+    ends = list(accumulate((config.train_len, config.valid_len, config.test_len), initial=0))
+    if ends[3] > on_sale.shape[1]:  # summed as Python ints, which cannot overflow
+        raise ValueError(f"split needs {ends[3]} weeks but panel has {on_sale.shape[1]}")
+    if ends[3] <= config.horizon:
         raise ValueError(
-            f"horizon {config.horizon} leaves no week to forecast target week {ends[2] - 1} from"
+            f"horizon {config.horizon} leaves no week to forecast target week {ends[3] - 1} from"
         )
-    rows, weeks = np.nonzero(on_sale[:, : last_issue + 1])
-    return rows, weeks, np.searchsorted(ends[:2], weeks + config.horizon, side="right")
+    # each part's first issue week, then the week after the last, which targets the last test week
+    cuts = [max(0, end - config.horizon) for end in ends]
+    parts = [np.nonzero(on_sale[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    rows = np.concatenate([part_rows for part_rows, _ in parts])
+    weeks = np.concatenate([part_weeks + lo for (_, part_weeks), lo in zip(parts, cuts)])
+    return rows, weeks, [0, *accumulate(part_rows.size for part_rows, _ in parts)]
 
 
 def life_at_issue(
@@ -247,13 +249,14 @@ class FeatureMatrix:
     def n_rows(self) -> int:
         return self.X.shape[0]
 
-    def select(self, mask: np.ndarray) -> "FeatureMatrix":
+    def select(self, part: slice) -> "FeatureMatrix":
+        """The rows in part, as views of this matrix's arrays."""
         return FeatureMatrix(
-            product_ids=self.product_ids[mask],
-            target_weeks=self.target_weeks[mask],
+            product_ids=self.product_ids[part],
+            target_weeks=self.target_weeks[part],
             columns=self.columns,
-            X=self.X[mask],
-            targets=None if self.targets is None else self.targets[mask],
+            X=self.X[part],
+            targets=None if self.targets is None else self.targets[part],
         )
 
 

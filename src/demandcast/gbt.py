@@ -68,8 +68,9 @@ and faulted back in on every large chunk (354,304 faults in a bare process
 with a cold heap). Those thresholds used to move with what the process had
 freed before; cli.main now fixes them at 4 MiB and 32 MiB, above the
 temporaries of chunk sizes up to 2^17. Under the moving thresholds, 2^15
-and 2^17 read slower than 2^16 (BENCH_24.json), 2^17 from those faults;
-it has not been measured under the fixed ones.
+and 2^17 read slower than 2^16 (BENCH_24.json), 2^17 from those faults.
+Under the fixed ones, 2^17 took 746 and 747 faults a study train() (2^16:
+199 and 201) and was faster in 3 of 4 paired runs, which is unresolved.
 
 Settings: train() reads the boosting settings (loss, learning rate, depth,
 rounds, min_split_loss, lambda, early-stopping patience) from the run's

@@ -448,6 +448,26 @@ def rowwise_window_slope(x_row, on_sale_row, t, window, min_points):
     return slope / mean_level
 
 
+def loop_es_means(panel: SalesPanel, catalog: Catalog, train_end: int):
+    """ESBaseline's fallback means one product at a time: (category means,
+    global mean) of units per on-sale week in weeks [0, train_end), each
+    product's total an int64 sum added to the running sums in product order."""
+    sums: dict = {}
+    counts: dict = {}
+    total, count = 0.0, 0
+    for i, pid in enumerate(panel.products):
+        cat = catalog.category_of.get(pid)
+        weeks = np.flatnonzero(panel.on_sale_mask[i, :train_end])
+        if weeks.size == 0:
+            continue
+        units = float(panel.y[i, weeks].sum())
+        sums[cat] = sums.get(cat, 0.0) + units
+        counts[cat] = counts.get(cat, 0) + int(weeks.size)
+        total += units
+        count += int(weeks.size)
+    return {cat: sums[cat] / counts[cat] for cat in sums}, (total / count if count else 0.0)
+
+
 def rowwise_split_rows(on_sale, config):
     """The split's forecast rows one at a time: [(panel row, issue week t, part)].
 

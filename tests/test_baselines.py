@@ -9,6 +9,7 @@ from demandcast.core import Catalog
 from demandcast.ingest import load_config
 from demandcast.synth import SynthSpec, generate_panel
 
+from .oracles import loop_es_means
 from .test_cli import CONFIG
 from .test_core import make_panel
 
@@ -118,6 +119,25 @@ class TestESBaseline:
         value, used_fallback = baseline.forecast("p1", 0)
         assert used_fallback
         assert value == pytest.approx(baseline.global_mean)
+
+    def test_fallback_means_equal_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n, weeks = int(rng.integers(0, 30)), int(rng.integers(1, 25))
+            on_sale = rng.random((n, weeks)) < rng.random()
+            # counts up to 10^16, past 2^53: summed in another order, the sums round apart
+            y = np.where(on_sale, rng.integers(0, 10 ** int(rng.integers(1, 17)), (n, weeks)), 0)
+            pids = [f"p{i}" for i in range(n)]
+            categories = {pid: f"c{rng.integers(4)}" for pid in pids}
+            catalog = Catalog(categories, dict.fromkeys(pids, 1.0), {})
+            train_end = int(rng.integers(0, weeks + 2))
+            baseline = ESBaseline(make_panel(y, on_sale=on_sale), catalog, train_end)
+            means, global_mean = loop_es_means(baseline.panel, catalog, train_end)
+            assert baseline.category_mean.keys() == means.keys()
+            assert bits(list(baseline.category_mean.values())).tolist() == (
+                bits([means[cat] for cat in baseline.category_mean]).tolist()
+            )
+            assert bits(baseline.global_mean) == bits(global_mean)
 
 
 class TestForecastTable:

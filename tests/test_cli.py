@@ -13,6 +13,7 @@ import pytest
 from demandcast import cli, gbt, ingest, preprocess
 from demandcast.cli import build_parser, main
 from demandcast.core import Catalog, SalesPanel
+from demandcast.features import FeatureMatrix
 from demandcast.gbt import NODE_DTYPE
 from demandcast.ingest import RunConfig, load_config
 
@@ -330,8 +331,8 @@ def counting(patch, name):
 
 class TestSplitOnce:
     """Each command derives the split's rows at most once, builds one matrix at most,
-    and preprocesses once; each fits seasonality once but predict, which reads
-    the model file's."""
+    whose parts are row views of it, and preprocesses once; each fits seasonality
+    once but predict, which reads the model file's."""
 
     @pytest.mark.parametrize(
         "command, splits, matrices",
@@ -350,6 +351,21 @@ class TestSplitOnce:
         assert main(args) == 0
         assert (len(split_calls), len(matrix_calls)) == (splits, matrices)
         assert [len(calls) for calls in fits] == [1, 0 if command == "predict" else 1]
+
+    def test_parts_are_row_views_of_one_matrix(self, data_dir, tmp_path, monkeypatch):
+        matrices = []  # gbt.train's train and valid parts, then gbt.predict's test part
+        for name in ("train", "predict"):
+            def captured(*args, original=getattr(gbt, name)):
+                matrices.extend(arg for arg in args if isinstance(arg, FeatureMatrix))
+                return original(*args)
+
+            monkeypatch.setattr(gbt, name, captured)
+        assert main(pipeline_args(data_dir, tmp_path)) == 0
+        assert len(matrices) == 3
+        full = matrices[0].X.base
+        assert full is not None and full.flags.c_contiguous
+        for part in matrices:
+            assert part.X.base is full and part.X.flags.c_contiguous
 
 
 def short_panel(tmp_path, on_sale_weeks):

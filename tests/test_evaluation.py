@@ -80,10 +80,10 @@ def split_weeks(n_weeks, train_len, valid_len, test_len):
         train_len=train_len, valid_len=valid_len, test_len=test_len, with_seasonality=False
     )
     repaired, smoothed = cli.preprocess(panel, config)
-    rows, issued, which = split_rows(repaired.on_sale_mask, config)
+    rows, issued, bounds = split_rows(repaired.on_sale_mask, config)
     encoding = fit_encoding(catalog, config)
     full = build_matrix(repaired, smoothed, catalog, None, None, config, rows, issued, encoding)
-    parts = [full.select(which == k) for k in range(3)]
+    parts = [full.select(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
     weeks = [sorted(set(part.target_weeks.tolist())) for part in parts]
     assert [part.n_rows for part in parts] == [2 * len(w) for w in weeks]
     return weeks

@@ -210,16 +210,19 @@ class TestSplitRows:
         on_sale = rng.random((6, 33)) > 0.4
         on_sale[2] = False  # never on sale: no rows
         on_sale[3, :29] = False  # launched after the last issue week: no rows
-        for config in (self.config(), self.config(horizon=1), self.config(horizon=29)):
-            rows, weeks, part = split_rows(on_sale, config)
-            assert list(zip(rows.tolist(), weeks.tolist(), part.tolist())) == (
-                rowwise_split_rows(on_sale, config)
-            )
+        # horizon 20 leaves the train part empty, 24 the train and valid parts
+        for horizon in (6, 1, 20, 24, 29):
+            config = self.config(horizon=horizon)
+            rows, weeks, bounds = split_rows(on_sale, config)
+            expected = sorted(rowwise_split_rows(on_sale, config), key=lambda row: row[2])
+            counts = np.bincount([part for *_, part in expected], minlength=3)
+            assert bounds == [0, *np.cumsum(counts).tolist()]
+            assert list(zip(rows.tolist(), weeks.tolist())) == [(i, t) for i, t, _ in expected]
 
     def test_last_issue_week_targets_the_last_test_week(self):
-        _, weeks, part = split_rows(np.ones((1, 40), dtype=bool), self.config())
+        _, weeks, bounds = split_rows(np.ones((1, 40), dtype=bool), self.config())
         assert weeks.tolist() == list(range(24))  # issued at 0-23 for targets 6-29
-        assert np.bincount(part).tolist() == [14, 4, 6]
+        assert bounds == [0, 14, 18, 24]
 
     def test_horizon_beyond_the_split_rejected(self):
         with pytest.raises(
