@@ -33,17 +33,18 @@ dropped and the next maximum wins, as if it had never been scored.
 
 Small subtrees: a node whose search block (features x rows) has at most
 SCAN_ELEMENTS elements grows its whole subtree in Python lists; its
-descendants have fewer rows. No node of it calls numpy but the sampler.
-One gather at the subtree's root takes the rows' values and pairs and each
-row's position in every presorted row of the block. A node orders its rows
-by a feature by sorting them on those positions, which is the presort's
-stable order (ties in row order, NaN last). It scans that block one value at a time with the
-same sums in the same order, the same gain expression and the same
-tie-break. Its total is a running sum over its rows in ascending order, and
-its children are its rows split by the same comparison. The feature sampler
-is called at the same nodes in the same pre-order. The gains are therefore
-bit for bit those of a scalar scan, which tests/oracles.py checks, whichever
-path grows a node.
+descendants have fewer rows. Its nodes make no numpy call but the
+feature sampler's, which a forest's batch refill makes for many nodes at
+once. One gather at the subtree's root takes the rows' values and pairs
+and each row's position in every presorted row of the block. A node
+orders its rows by a feature by sorting them on those positions, which is
+the presort's stable order (ties in row order, NaN last). It scans that
+block one value at a time with the same sums in the same order, the same
+gain expression and the same tie-break. Its total is a running sum over
+its rows in ascending order, and its children are its rows split by the
+same comparison. The feature sampler is called at the same nodes in the
+same pre-order. The gains are therefore bit for bit those of a scalar
+scan, which tests/oracles.py checks, whichever path grows a node.
 
 Memory: besides the presort, the per-tree working copy (int32, features + 1
 rows), one complex g + i*h pair and one flag per row, and the tree's node
@@ -101,7 +102,12 @@ Determinism contract: ties between candidate splits break toward the lowest
 feature index, then the lowest threshold, then routing missing values left.
 Nodes are numbered depth-first in pre-order, which is also the order in
 which a forest's feature sampler is called. Training is strictly sequential
-over rounds.
+over rounds. A forest's bootstraps and feature samples come from one
+generator in the order of one sorted choice(p, k, replace=False) call per
+node that may split; the sampler draws SAMPLE_BATCH samples per generator
+call and, after each tree, rewinds the generator to the state before its
+last batch and draws only the samples it handed out again, so the next
+bootstrap starts where per-node calls would have left the stream.
 """
 
 from __future__ import annotations
@@ -131,6 +137,9 @@ SCRATCH_ELEMENTS = 1 << 16
 # grows its whole subtree in Python lists: below it, numpy's cost per call
 # exceeds the arithmetic
 SCAN_ELEMENTS = 1 << 8
+# feature samples a forest draws per generator call: 2k - 1 int64 draws each,
+# 56 KiB a batch for p = 18 and k = 4
+SAMPLE_BATCH = 1 << 10
 
 
 def grad_hess(loss: str, y: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -808,10 +817,15 @@ class ForestModel:
 def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int) -> ForestModel:
     """Bagged regression trees up to max_depth (squared loss, mean leaves).
 
-    Each tree sees a bootstrap resample and sqrt(p) random features per
-    split; both draws come from one seeded generator, so results are
-    reproducible. Leaves are unregularized (lambda 0) and any split that
-    lowers the loss is taken (min_split_loss 0).
+    Each tree sees a bootstrap resample and k = ⌊√p⌋ (math.isqrt(p))
+    random features per split; both draws come from one seeded generator,
+    so results are reproducible. The split samples are those of one
+    np.sort(rng.choice(p, k, replace=False)) per node, drawn SAMPLE_BATCH
+    at a time (_FeatureSampler). After each tree the generator is set back
+    to its state before the last batch and the samples handed out are drawn
+    again, so the next bootstrap reads the stream where per-node calls
+    would have left it. Leaves are unregularized (lambda 0) and any split
+    that lowers the loss is taken (min_split_loss 0).
     """
     if n_trees < 1:
         raise ValueError(f"a forest needs at least one tree, got n_trees={n_trees}")
@@ -824,19 +838,76 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
     p = matrix.X.shape[1]
     n_sub = max(1, int(math.isqrt(p)))
     trees: list[Tree] = []
-    sampler = None
-    if n_sub < p:
-        def sampler(n_features):
-            drawn = rng.choice(n_features, size=n_sub, replace=False)
-            drawn.sort()  # in place: np.sort's copy and wrapper cost more than the sort
-            return drawn
+    sampler = _FeatureSampler(rng, p, n_sub) if n_sub < p else None
     for _ in range(n_trees):
         rows = np.sort(rng.integers(0, n, size=n))
         y = matrix.targets[rows]
         trees.append(
             fit_tree(matrix.X[rows], -y, np.ones_like(y), max_depth, 0.0, 0.0, feature_sampler=sampler)
         )
+        if sampler is not None:
+            sampler.rewind()
     return ForestModel(feature_names=list(matrix.columns), trees=trees)
+
+
+class _FeatureSampler:
+    """train_forest's per-split feature sampler: each call returns what
+    np.sort(rng.choice(p, k, replace=False)) would, drawn SAMPLE_BATCH
+    samples at a time.
+
+    choice runs Floyd's algorithm, one bounded draw in [0, j] for each j
+    from p - k to p - 1 (a value already taken becomes j), then shuffles its
+    result with draws in [0, i] for i from k - 1 down to 1. Both draw with
+    the bounded-integer routine of rng.integers over an array of inclusive
+    bounds, so one integers call draws the values of a whole batch; Floyd's
+    steps are then replayed one column at a time, and the shuffle's draws
+    are only consumed (the sample is sorted). choice shuffles a tail of an
+    arange instead when p > 10,000 and k > p // 50, which k = isqrt(p) never
+    reaches.
+
+    rewind() sets the generator back to its state before the current batch
+    and draws again only the samples handed out, so the stream ends where
+    per-node choice calls would have left it.
+    """
+
+    def __init__(self, rng: np.random.Generator, p: int, k: int) -> None:
+        self.rng = rng
+        self.p, self.k = p, k
+        # the inclusive bounds of one sample's draws: Floyd's, then the shuffle's
+        self.highs = np.concatenate([np.arange(p - k, p), np.arange(k - 1, 0, -1)])
+        self.state = None  # the generator's state before the current batch
+        self.batch = None  # the current batch, one sorted sample a row, the next one last
+        self.left = 0  # its samples not yet handed out
+
+    def __call__(self, n_features: int) -> np.ndarray:
+        if not self.left:
+            self._refill()
+        self.left -= 1
+        return self.batch[self.left]
+
+    def _draws(self, count: int) -> np.ndarray:
+        highs = np.tile(self.highs, count)
+        return self.rng.integers(0, highs, endpoint=True).reshape(count, len(self.highs))
+
+    def _refill(self) -> None:
+        self.state = self.rng.bit_generator.state
+        p, k = self.p, self.k
+        floyd = self._draws(SAMPLE_BATCH)[:, :k]
+        for t in range(1, k):
+            # Floyd's step t: a value already taken becomes its bound p - k + t
+            taken = (floyd[:, :t] == floyd[:, t, None]).any(axis=1)
+            floyd[taken, t] = p - k + t
+        floyd.sort(axis=1)
+        self.batch = floyd[::-1]
+        self.left = SAMPLE_BATCH
+
+    def rewind(self) -> None:
+        """Drop the batch's unused samples and leave the generator where
+        one choice call per handed-out sample would have left it."""
+        if self.left:
+            self.rng.bit_generator.state = self.state
+            self._draws(len(self.batch) - self.left)
+            self.left = 0
 
 
 

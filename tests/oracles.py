@@ -250,6 +250,17 @@ def oracle_fit_tree(x, g, h, max_depth, reg_lambda, min_split_loss, feature_samp
     return nodes
 
 
+def choice_sampler(rng, n_sub):
+    """A per-split feature sampler of n_sub features, one sorted
+    rng.choice(p, n_sub, replace=False) call per node: the draws that
+    train_forest's batched sampler reproduces."""
+
+    def sampler(n_features):
+        return np.sort(rng.choice(n_features, size=n_sub, replace=False))
+
+    return sampler
+
+
 def oracle_apply(nodes, x):
     """Leaf weight per row of x, walking a tree's node records one node at a time.
 

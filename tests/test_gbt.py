@@ -30,6 +30,7 @@ from demandcast.gbt import (
 )
 
 from .oracles import (
+    choice_sampler,
     finite_diff_grad_hess,
     oracle_apply,
     oracle_fit_tree,
@@ -859,6 +860,84 @@ class TestForest:
         assert (forest.predict_array(x) >= 0).all()
 
 
+def sampler_cases():
+    """(p, k) pairs: every p in 2-64 with k = isqrt(p), 1 and p - 1, and
+    larger p with isqrt(p) and 1. choice shuffles a tail instead of running
+    Floyd's algorithm when p > 10,000 and k > p // 50, which train_forest's
+    k = isqrt(p) never reaches; p = 10,001 is above the first bound and
+    still runs Floyd's algorithm."""
+    for p in range(2, 65):
+        for k in sorted({math.isqrt(p), 1, p - 1}):
+            yield p, k
+    for p in (1000, 9999, 10001):
+        yield p, math.isqrt(p)
+        yield p, 1
+
+
+def reference_forest(x, y, n_trees, max_depth, seed):
+    """train_forest's draws and fits, one sorted choice call per node that
+    may split and the brute-force grower: (oracle nodes, sampler calls) per tree."""
+    rng = np.random.default_rng(seed)
+    sampler, calls = counting_sampler(rng, math.isqrt(x.shape[1]))
+    fits = []
+    for _ in range(n_trees):
+        rows = np.sort(rng.integers(0, len(y), size=len(y)))
+        calls[0] = 0
+        nodes = oracle_fit_tree(x[rows], -y[rows], np.ones(len(y)), max_depth, 0.0, 0.0, sampler)
+        fits.append((nodes, calls[0]))
+    return fits
+
+
+class TestFeatureSampler:
+    # numpy's Generator.choice(p, k, replace=False) draws Floyd's values and
+    # its shuffle with the bounded-integer routine of Generator.integers;
+    # the numpy-floor CI job runs these tests on numpy 1.24
+    @pytest.mark.parametrize("batch", [3, 64, gbt.SAMPLE_BATCH])
+    def test_samples_equal_sorted_choice_and_rewind(self, monkeypatch, batch):
+        monkeypatch.setattr(gbt, "SAMPLE_BATCH", batch)
+        drawn = 0
+        for case, (p, k) in enumerate(sampler_cases()):
+            rng, ref = np.random.default_rng(case), np.random.default_rng(case)
+            sampler, reference = gbt._FeatureSampler(rng, p, k), choice_sampler(ref, k)
+            for _ in range(2):  # a sequence, a rewind, then another one
+                for _ in range(25 + case % 37):
+                    got, want = sampler(p), reference(p)
+                    assert got.tolist() == want.tolist(), (p, k)
+                    drawn += 1
+                sampler.rewind()
+                # a bounded 32-bit draw takes PCG64's buffered half first
+                assert rng.integers(0, 1000, size=3).tolist() == ref.integers(0, 1000, size=3).tolist()
+                assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
+        assert drawn >= 10**4
+
+    def test_rewind_without_samples_leaves_the_stream(self):
+        rng = np.random.default_rng(4)
+        sampler = gbt._FeatureSampler(rng, 18, 4)
+        sampler.rewind()
+        assert rng.integers(0, 2**62) == np.random.default_rng(4).integers(0, 2**62)
+
+    @pytest.mark.parametrize("batch", [3, 7, gbt.SAMPLE_BATCH])
+    def test_forest_equals_per_node_choice_reference(self, monkeypatch, batch):
+        # a small batch makes every tree refill many times; a tree that ends
+        # part way through a batch rewinds before the next bootstrap draws
+        monkeypatch.setattr(gbt, "SAMPLE_BATCH", batch)
+        rng = np.random.default_rng(17)
+        mid_batch = 0
+        for seed, p in enumerate((9, 17, 30)):
+            x = rng.normal(size=(60, p))
+            x[:, ::2] = np.round(x[:, ::2])
+            x[rng.random(x.shape) < 0.1] = np.nan
+            y = rng.poisson(3.0, size=60).astype(float)
+            forest = train_forest(matrix_of(x, y=y), 4, 7, seed)
+            reference = reference_forest(x, y, 4, 7, seed)
+            assert len(forest.trees) == len(reference)
+            for tree, (nodes, calls) in zip(forest.trees, reference):
+                assert_same_tree(tree, nodes)
+                assert calls > 7
+                mid_batch += calls % batch != 0
+        assert mid_batch >= 6
+
+
 def tree_depth(tree):
     """Longest root-to-leaf path, following the node links."""
     depth = {0: 0}
@@ -991,8 +1070,7 @@ class TestOracleEquivalence:
                 n_sub = max(1, p // 2)
 
                 def sampler_from(seed):
-                    draws = np.random.default_rng(seed)
-                    return lambda n_features: np.sort(draws.choice(n_features, size=n_sub, replace=False))
+                    return choice_sampler(np.random.default_rng(seed), n_sub)
 
                 depth = int(rng.integers(2, 7))
                 tree = fit_tree(x, -y, np.ones_like(y), depth, 0.0, 0.0, feature_sampler=sampler_from(trial))
@@ -1057,14 +1135,14 @@ def mixed_paths(monkeypatch):
     return counts
 
 
-def counting_sampler(seed, n_sub):
-    """A seeded per-split feature sampler that counts its calls in calls[0]."""
-    draws = np.random.default_rng(seed)
+def counting_sampler(rng, n_sub):
+    """A per-split feature sampler drawing from rng that counts its calls in calls[0]."""
+    sample = choice_sampler(rng, n_sub)
     calls = [0]
 
     def sampler(n_features):
         calls[0] += 1
-        return np.sort(draws.choice(n_features, size=n_sub, replace=False))
+        return sample(n_features)
 
     return sampler, calls
 
@@ -1075,7 +1153,7 @@ def forest_case(rng, seed, depth):
     base, target = random_matrix(rng, max_rows=40, max_features=5, min_rows=40)
     rows = np.sort(rng.integers(0, len(target), size=len(target)))
     x, y = base[rows], np.round(np.abs(target[rows]))
-    sampler, calls = counting_sampler(seed, max(1, x.shape[1] // 2))
+    sampler, calls = counting_sampler(np.random.default_rng(seed), max(1, x.shape[1] // 2))
     return x, (-y, np.ones_like(y), depth, 0.0, 0.0, sampler), calls
 
 
@@ -1105,7 +1183,7 @@ class TestMixedSearchPaths:
             x, args, calls = forest_case(rng, trial, depth)
             mixed_paths.update(searched=0, subtrees=0)
             tree = fit_tree(x, *args)
-            oracle_sampler, oracle_calls = counting_sampler(trial, max(1, x.shape[1] // 2))
+            oracle_sampler, oracle_calls = counting_sampler(np.random.default_rng(trial), max(1, x.shape[1] // 2))
             oracle = oracle_fit_tree(x, *args[:5], feature_sampler=oracle_sampler)
             assert_same_tree(tree, oracle)
             assert calls[0] == oracle_calls[0] > 0
@@ -1337,12 +1415,7 @@ class TestLeafValues:
                     # hessians, no regularisation and per-split feature samples
                     rows = np.sort(rng.integers(0, len(y), size=len(y)))
                     x, y = x[rows], np.round(np.abs(y[rows]))
-                    draws = np.random.default_rng(trial)
-                    n_sub = max(1, x.shape[1] // 2)
-
-                    def sampler(n_features):
-                        return np.sort(draws.choice(n_features, size=n_sub, replace=False))
-
+                    sampler = choice_sampler(np.random.default_rng(trial), max(1, x.shape[1] // 2))
                     args = (-y, np.ones_like(y), depth, 0.0, 0.0, sampler)
                 else:
                     g, h = grad_hess("squared", y, np.zeros(len(y)))
