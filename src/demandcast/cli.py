@@ -172,7 +172,8 @@ def load_inputs(
 
 
 def preprocess(panel: SalesPanel, config: RunConfig) -> tuple[SalesPanel, SmoothedPanel]:
-    """Repair fake zeros and cap spikes; returns (repaired, smoothed)."""
+    """Repair fake zeros and cap spikes; returns (repaired, smoothed), the
+    smoothed panel without the rolling statistics, which no stage reads."""
     return preprocess_panel(panel, config.smooth_window, config.cap_gamma)
 
 
@@ -260,7 +261,13 @@ def run(
     model_kind: str = "gbt", forest_trees: int = 100, cold_start_filter: int = 0,
 ) -> RunResult:
     """Preprocess, fit and score one model (gbt, forest or es) on loaded
-    inputs; writes nothing and raises StageError naming the stage."""
+    inputs; writes nothing and raises StageError naming the stage.
+
+    The smoothed panel (x and its repaired and capped masks) is read by the
+    seasonal fit and the feature matrix only, so the features stage drops
+    run's last reference to it before gbt.train, train_forest or
+    forecast_es runs. It carries no rolling statistics: smooth_panel keeps
+    them only for a caller that writes them (the `preprocess` command)."""
     with stage("preprocess"):
         repaired, smoothed = preprocess(panel, config)
     with stage("seasonal"):
@@ -300,6 +307,7 @@ def run(
                 repaired, smoothed, catalog, seasonal, covariates, config, rows, issued, encoding
             )
             train_rows, valid_rows, test_rows = (full.select(part) for part in parts)
+        del smoothed  # nothing after the features reads it: free x and its masks before the fit
     with stage("train"):
         if model_kind == "gbt":
             model = gbt.train(train_rows, config, valid_rows)
@@ -351,10 +359,13 @@ def cmd_synth(args) -> int:
 
 def cmd_preprocess(args) -> int:
     config = _load_config(args.config)
-    repaired, smoothed = preprocess(ingest.load_sales(args.sales), config)
+    panel = ingest.load_sales(args.sales)
+    # the dump alone writes the rolling statistics out, so it alone keeps them
+    statistics = (np.empty(panel.y.shape), np.empty(panel.y.shape))
+    repaired, smoothed = preprocess_panel(panel, config.smooth_window, config.cap_gamma, statistics)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_smoothed(repaired, smoothed, out / "smoothed.csv")
+    write_smoothed(repaired, smoothed, statistics, out / "smoothed.csv")
     print(
         f"repaired {int(smoothed.repaired_mask.sum())} weeks, "
         f"capped {int(smoothed.capped_mask.sum())}; wrote {out / 'smoothed.csv'}"
@@ -436,6 +447,7 @@ def cmd_predict(args) -> int:
         repaired, smoothed, catalog, state.seasonal, covariates, config,
         rows, np.full(rows.size, repaired.n_weeks - 1), state.encoding,
     )
+    del smoothed  # freed before the forecast, as in run
     forecasts = gbt.predict(booster, matrix, args.model_file)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -803,7 +803,7 @@ def load_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """(product ids, weeks, forecasts) of a predictions file, in file order.
 
     Forecasts must be finite, weeks must fit in int64, and each
-    (product, week) has one row.
+    (product, week) has one row. A file with no data rows is an error.
     """
     path = Path(path)
     faults, blocks = _read_columns(path)
@@ -831,6 +831,8 @@ def load_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
         _repeats(weeks, pids), 2, 4, lambda i: f"duplicate key {(names[pids[i]], int(weeks[i]))}"
     )
     faults.raise_first()
+    if not pids.size:
+        raise SchemaError(f"{path}: no data rows")
     return names[pids], weeks, forecasts
 
 

@@ -19,7 +19,13 @@ undefined). Products are taken longest span first, so each block holds
 spans of similar length, at most SMOOTH_BLOCK_CELLS cells, and the spans
 are gathered from and scattered back to the full (N, T) arrays by flat
 index. Weeks before f are off sale and add nothing to a sum, so a shifted
-window adds the same weeks in the same order.
+window adds the same weeks in the same order. Each block computes its
+rolling mean and standard deviation, which the cap needs; only x and the
+capped mask are kept for the whole panel, unless the caller passes arrays
+for the statistics too (the `preprocess` command's smoothed.csv does).
+So smooth_panel's memory is x and the two masks, 10 bytes per panel cell,
+a few int64 words per product, and block temporaries of at most 16
+eight-byte words per cell of max(SMOOTH_BLOCK_CELLS, T).
 
 The results are bit-identical to evaluating the rule one cell at a time in
 Python (tests/oracles.py, scalar_smooth). Two rules make that hold. Every
@@ -46,17 +52,17 @@ SMOOTH_BLOCK_CELLS = 1 << 13  # (products x span weeks) cells a block; 64 KiB pe
 
 @dataclass(frozen=True)
 class SmoothedPanel:
-    """Smoothed series x plus the diagnostics behind each adjustment.
+    """Smoothed series x plus which weeks were repaired and which capped.
 
-    Row i of every array is product i of the panel that was smoothed.
-    rolling_mean/rolling_std are NaN where fewer than two prior on-sale
-    weeks exist (no cap is applied there); x differs from the panel's
-    counts only where capped_mask is set.
+    Row i of every array is product i of the panel that was smoothed; x
+    differs from the panel's counts only where capped_mask is set. The
+    rolling statistics behind each cap are not kept here: smooth_panel
+    computes them block by block and writes them out only into arrays its
+    caller passes (the `preprocess` command, for smoothed.csv). The lag
+    features and the seasonal fit read x alone.
     """
 
-    x: np.ndarray             # (N, T) float64
-    rolling_mean: np.ndarray  # (N, T) float64, NaN where undefined
-    rolling_std: np.ndarray   # (N, T) float64, NaN where undefined
+    x: np.ndarray              # (N, T) float64
     repaired_mask: np.ndarray  # (N, T) bool
     capped_mask: np.ndarray    # (N, T) bool
 
@@ -130,7 +136,10 @@ def repair_fake_zeros(panel: SalesPanel, mask: np.ndarray) -> SalesPanel:
     return panel.replace_counts(out)
 
 
-def smooth_panel(panel: SalesPanel, window: int, gamma: float) -> SmoothedPanel:
+def smooth_panel(
+    panel: SalesPanel, window: int, gamma: float,
+    statistics: tuple[np.ndarray, np.ndarray] | None = None,
+) -> SmoothedPanel:
     """Cap spikes at rolling mean + gamma * rolling std.
 
     Statistics use the on-sale weeks among the window weeks t-window..t-1;
@@ -139,12 +148,19 @@ def smooth_panel(panel: SalesPanel, window: int, gamma: float) -> SmoothedPanel:
     the panel's T weeks is taken as T. The panel should already be fake-zero
     repaired. repaired_mask is all False here;
     preprocess_panel returns a copy carrying the detection mask.
+
+    statistics, when given, is a (rolling_mean, rolling_std) pair of (N, T)
+    float64 arrays that receive every cell's statistics from the same block
+    pass, NaN where fewer than two prior on-sale weeks exist. Without it the
+    statistics live only as long as their block.
     """
     if window < 2:
         raise ValueError(f"smoothing window must be >= 2, got {window}")
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     n, t_count = panel.y.shape
+    for out in statistics or ():
+        out.fill(np.nan)
     # a window of t_count - 1 weeks or more already reaches back to week 0
     # from every week, so the clip changes no cell, and last + window cannot overflow
     window = min(window, t_count)
@@ -154,8 +170,6 @@ def smooth_panel(panel: SalesPanel, window: int, gamma: float) -> SmoothedPanel:
     lengths = np.where(first >= 0, np.minimum(last + window, t_count - 1) - first + 1, 0)
     order = np.argsort(-lengths, kind="stable")[: int(np.count_nonzero(first >= 0))]
     x = panel.y.astype(float)
-    rolling_mean = np.full((n, t_count), np.nan)
-    rolling_std = np.full((n, t_count), np.nan)
     capped = np.zeros((n, t_count), dtype=bool)
     lo = 0
     while lo < order.size:
@@ -176,16 +190,11 @@ def smooth_panel(panel: SalesPanel, window: int, gamma: float) -> SmoothedPanel:
         )
         cells = cells[live]
         np.put(x, cells, block_x[live])
-        np.put(rolling_mean, cells, block_mean[live])
-        np.put(rolling_std, cells, block_std[live])
         np.put(capped, cells, block_capped[live])
-    return SmoothedPanel(
-        x=x,
-        rolling_mean=rolling_mean,
-        rolling_std=rolling_std,
-        repaired_mask=np.zeros((n, t_count), dtype=bool),
-        capped_mask=capped,
-    )
+        if statistics is not None:
+            np.put(statistics[0], cells, block_mean[live])
+            np.put(statistics[1], cells, block_std[live])
+    return SmoothedPanel(x=x, repaired_mask=np.zeros((n, t_count), dtype=bool), capped_mask=capped)
 
 
 def _smooth_block(
@@ -229,18 +238,32 @@ def _smooth_block(
 
 
 def preprocess_panel(
-    panel: SalesPanel, window: int, gamma: float
+    panel: SalesPanel, window: int, gamma: float,
+    statistics: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[SalesPanel, SmoothedPanel]:
-    """Full repair-then-smooth pass; returns (repaired panel, smoothed panel)."""
+    """Full repair-then-smooth pass; returns (repaired panel, smoothed panel).
+
+    statistics is passed on to smooth_panel: only a caller that writes the
+    rolling mean and standard deviation out (the `preprocess` command) gives
+    arrays for them.
+    """
     mask = detect_fake_zeros(panel)
     repaired = repair_fake_zeros(panel, mask)
-    smoothed = smooth_panel(repaired, window, gamma)
+    smoothed = smooth_panel(repaired, window, gamma, statistics)
     return repaired, replace(smoothed, repaired_mask=mask)
 
 
-def write_smoothed(panel: SalesPanel, smoothed: SmoothedPanel, path: str | Path) -> None:
-    """Diagnostic dump of the smoothing decisions, one row per on-sale (product, week)."""
+def write_smoothed(
+    panel: SalesPanel, smoothed: SmoothedPanel,
+    statistics: tuple[np.ndarray, np.ndarray], path: str | Path,
+) -> None:
+    """Diagnostic dump of the smoothing decisions, one row per on-sale (product, week).
+
+    statistics is the (rolling_mean, rolling_std) pair that smooth_panel
+    filled in the same pass that made smoothed.
+    """
     rows, weeks = np.nonzero(panel.on_sale_mask)  # product-major, weeks ascending
+    rolling_mean, rolling_std = statistics
 
     def stat(values: np.ndarray) -> np.ma.MaskedArray:
         # an undefined statistic is an empty field
@@ -251,7 +274,7 @@ def write_smoothed(panel: SalesPanel, smoothed: SmoothedPanel, path: str | Path)
         path, ["product_id", "week", "y", "x", "rolling_mean", "rolling_std", "repaired", "capped"],
         [
             (panel.products, rows), weeks, panel.y[rows, weeks], smoothed.x[rows, weeks],
-            stat(smoothed.rolling_mean), stat(smoothed.rolling_std),
+            stat(rolling_mean), stat(rolling_std),
             smoothed.repaired_mask[rows, weeks], smoothed.capped_mask[rows, weeks],
         ],
     )

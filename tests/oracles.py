@@ -724,6 +724,8 @@ def rowwise_load_predictions(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             pids.append(row[0])
             weeks.append(key[1])
             forecasts.append(value)
+    if not pids:
+        raise SchemaError(f"{path}: no data rows")
     return np.array(pids, dtype=object), np.array(weeks, dtype=np.int64), np.array(forecasts)
 
 
@@ -862,8 +864,9 @@ def loop_write_ground_truth(truth, panel: SalesPanel, path) -> None:
                 )
 
 
-def loop_write_smoothed(panel: SalesPanel, smoothed, path) -> None:
+def loop_write_smoothed(panel: SalesPanel, smoothed, statistics, path) -> None:
     """preprocess.write_smoothed one on-sale (product, week) cell at a time."""
+    rolling_mean, rolling_std = statistics
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -873,8 +876,8 @@ def loop_write_smoothed(panel: SalesPanel, smoothed, path) -> None:
             for t in range(panel.n_weeks):
                 if not panel.on_sale_mask[i, t]:
                     continue
-                mean = smoothed.rolling_mean[i, t]
-                std = smoothed.rolling_std[i, t]
+                mean = rolling_mean[i, t]
+                std = rolling_std[i, t]
                 writer.writerow(
                     [
                         pid,

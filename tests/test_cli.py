@@ -4,6 +4,7 @@ import platform
 import random
 import re
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -366,6 +367,42 @@ class TestSplitOnce:
         assert full is not None and full.flags.c_contiguous
         for part in matrices:
             assert part.X.base is full and part.X.flags.c_contiguous
+
+
+class TestSmoothedPanelFreedBeforeTheFit:
+    """run drops the smoothed panel once the features are built, and predict
+    once its matrix is: neither is alive when the fit or the forecast starts."""
+
+    @pytest.mark.parametrize(
+        "command, owner, fit",
+        [("gbt", gbt, "train"), ("forest", gbt, "train_forest"), ("es", cli, "forecast_es"),
+         ("predict", gbt, "predict")],
+        ids=["gbt", "forest", "es", "predict"],
+    )
+    def test_released(self, data_dir, tmp_path, monkeypatch, command, owner, fit):
+        args = pipeline_args(data_dir, tmp_path, "--model", command, "--forest-trees", "2")
+        if command == "predict":
+            assert main(["train", *pipeline_args(data_dir, tmp_path)[1:]]) == 0
+            args = [
+                "predict", "--model-file", str(tmp_path / "model.json"),
+                *pipeline_args(data_dir, tmp_path)[1:],
+            ]
+        smoothed_refs, alive = [], []
+
+        def preprocess_panel(*args, original=cli.preprocess_panel):
+            repaired, smoothed = original(*args)
+            # weak references only: the panel and its x must die with run's reference
+            smoothed_refs.extend([weakref.ref(smoothed), weakref.ref(smoothed.x)])
+            return repaired, smoothed
+
+        def fitted(*args, original=getattr(owner, fit)):
+            alive.append([ref() is not None for ref in smoothed_refs])
+            return original(*args)
+
+        monkeypatch.setattr(cli, "preprocess_panel", preprocess_panel)
+        monkeypatch.setattr(owner, fit, fitted)
+        assert main(args) == 0
+        assert alive == [[False, False]]
 
 
 def short_panel(tmp_path, on_sale_weeks):
@@ -1188,6 +1225,27 @@ class TestEvaluateCommand:
         assert capsys.readouterr().err == (
             f"error: {predictions}:3: non-finite forecast {forecast!r}\n"
         )
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("text", ["product_id,week,forecast\n", "product_id,week,forecast"])
+    def test_predictions_without_data_rows_rejected_naming_the_file(
+        self, data_dir, tmp_path, capsys, text
+    ):
+        predictions = tmp_path / "header_only.csv"
+        predictions.write_text(text)
+        out = tmp_path / "eval"
+        code = main(
+            [
+                "evaluate",
+                "--predictions", str(predictions),
+                "--sales", str(data_dir / "sales.csv"),
+                "--catalog", str(data_dir / "catalog.csv"),
+                "--config", str(data_dir / "run.cfg"),
+                "--out-dir", str(out),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {predictions}: no data rows\n"
         assert not (out / "report.csv").exists()
 
     def test_prediction_week_inside_horizon_gets_zero_life(self, data_dir, tmp_path):

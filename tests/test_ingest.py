@@ -867,9 +867,10 @@ class TestWriters:
 
     def test_smoothed(self, tmp_path, write_rows):
         panel = odd_panel(np.random.default_rng(6), weeks=30)
-        repaired, smoothed = preprocess_panel(panel, window=4, gamma=1.0)
-        assert np.isnan(smoothed.rolling_std[panel.on_sale_mask]).any()
-        self.same(tmp_path, write_smoothed, loop_write_smoothed, repaired, smoothed)
+        statistics = (np.empty(panel.y.shape), np.empty(panel.y.shape))
+        repaired, smoothed = preprocess_panel(panel, window=4, gamma=1.0, statistics=statistics)
+        assert np.isnan(statistics[1][panel.on_sale_mask]).any()
+        self.same(tmp_path, write_smoothed, loop_write_smoothed, repaired, smoothed, statistics)
 
     def test_nothing_to_write_but_the_header(self, tmp_path):
         # a seasonal fit with no category curve, a table without keys and no

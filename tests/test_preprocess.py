@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,9 +174,10 @@ class TestSmooth:
 
     def test_fewer_than_two_prior_weeks_no_cap(self):
         panel = panel_from([1, 100, 2, 2])
-        smoothed = smooth_panel(panel, window=4, gamma=1.0)
+        statistics = (np.empty((1, 4)), np.empty((1, 4)))
+        smoothed = smooth_panel(panel, window=4, gamma=1.0, statistics=statistics)
         assert smoothed.x[0, 1] == 100.0  # only one prior on-sale week
-        assert np.isnan(smoothed.rolling_mean[0, 1])
+        assert np.isnan(statistics[0][0, 1])
 
     def test_cap_never_raises_values(self):
         rng = np.random.default_rng(3)
@@ -265,13 +268,19 @@ class TestSmooth:
         assert min(kinds.values()) >= 5, kinds
         capped = 0
         for y, on_sale, window, gamma in cases:
-            smoothed = smooth_panel(make_panel(y, on_sale=on_sale), window, gamma)
+            panel = make_panel(y, on_sale=on_sale)
+            # arrays holding no NaN: every cell outside a span must be set too
+            rolling_mean, rolling_std = np.full((2, *y.shape), 7.0)
+            smoothed = smooth_panel(panel, window, gamma, statistics=(rolling_mean, rolling_std))
+            bare = smooth_panel(panel, window, gamma)
             for i in range(y.shape[0]):
                 x, cap, mean, std = scalar_smooth_stats(y[i], on_sale[i], window, gamma)
                 assert smoothed.x[i].tobytes() == np.array(x).tobytes()
                 assert smoothed.capped_mask[i].tolist() == cap
-                assert smoothed.rolling_mean[i].tobytes() == np.array(mean).tobytes()
-                assert smoothed.rolling_std[i].tobytes() == np.array(std).tobytes()
+                assert rolling_mean[i].tobytes() == np.array(mean).tobytes()
+                assert rolling_std[i].tobytes() == np.array(std).tobytes()
+            assert bare.x.tobytes() == smoothed.x.tobytes()
+            assert bare.capped_mask.tobytes() == smoothed.capped_mask.tobytes()
             capped += int(smoothed.capped_mask.sum())
         assert capped > 0
 
@@ -286,11 +295,40 @@ class TestSmooth:
             y = np.where(on_sale, rng.poisson(20.0, size=on_sale.shape), 0)
             y[rng.random(y.shape) < 0.1] *= 6
             panel = make_panel(y, on_sale=on_sale)
-            reference = smooth_panel(panel, max(n_weeks - 1, 2), 2.0)
+            reference_statistics = np.empty((2, *y.shape))
+            reference = smooth_panel(panel, max(n_weeks - 1, 2), 2.0, tuple(reference_statistics))
             for window in (n_weeks, n_weeks + 5, 2**63 - 1, 10**30):
-                smoothed = smooth_panel(panel, window, 2.0)
-                for name in ("x", "rolling_mean", "rolling_std", "capped_mask"):
+                statistics = np.empty((2, *y.shape))
+                smoothed = smooth_panel(panel, window, 2.0, tuple(statistics))
+                for name in ("x", "capped_mask"):
                     assert getattr(smoothed, name).tobytes() == getattr(reference, name).tobytes()
+                assert statistics.tobytes() == reference_statistics.tobytes()
+
+
+class TestSmoothMemory:
+    def test_smooth_panel_peak_within_the_documented_bound(self):
+        # the module docstring's memory: x (float64) and the repaired and
+        # capped masks, 10 bytes a cell, a few int64 words per product and
+        # block temporaries of at most 16 eight-byte words per block cell;
+        # the rolling statistics never take a whole (N, T) array here
+        rng = np.random.default_rng(29)
+        n, t_count = 2000, 200
+        span = np.sort(rng.integers(0, t_count + 1, size=(n, 2)), axis=1)
+        span[: n // 4, 0] = 0
+        on_sale = (np.arange(t_count) >= span[:, :1]) & (np.arange(t_count) < span[:, 1:])
+        y = np.where(on_sale, rng.poisson(20.0, size=on_sale.shape), 0)
+        y[rng.random(y.shape) < 0.05] *= 6
+        panel = make_panel(y, on_sale=on_sale)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            smoothed = smooth_panel(panel, 8, 3.0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert smoothed.capped_mask.any()
+        block = 128 * max(preprocess.SMOOTH_BLOCK_CELLS, t_count)
+        assert peak < n * t_count * (8 + 1 + 1) + 8 * 8 * n + block
 
 
 class TestWriteSmoothed:
@@ -302,11 +340,12 @@ class TestWriteSmoothed:
         stock = rng.random(y.shape) < 0.8
         y[~on_sale | (~stock & (rng.random(y.shape) < 0.5))] = 0
         panel = make_panel(y, on_sale=on_sale, stock=stock)
-        repaired, smoothed = preprocess_panel(panel, window=6, gamma=1.5)
+        statistics = (np.empty(y.shape), np.empty(y.shape))
+        repaired, smoothed = preprocess_panel(panel, window=6, gamma=1.5, statistics=statistics)
         assert smoothed.repaired_mask.any() and smoothed.capped_mask.any()
-        assert np.isnan(smoothed.rolling_std[on_sale]).any()
-        write_smoothed(repaired, smoothed, tmp_path / "smoothed.csv")
-        loop_write_smoothed(repaired, smoothed, tmp_path / "loop.csv")
+        assert np.isnan(statistics[1][on_sale]).any()
+        write_smoothed(repaired, smoothed, statistics, tmp_path / "smoothed.csv")
+        loop_write_smoothed(repaired, smoothed, statistics, tmp_path / "loop.csv")
         assert (tmp_path / "smoothed.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
