@@ -4,11 +4,12 @@ Commands: synth, preprocess, train, predict, evaluate, and pipeline (the
 full chain: data -> repair/smooth -> seasonality -> features -> boosted
 model with early stopping -> test-window forecasts -> weighted report).
 
-`run` is that chain on loaded inputs, each stage under `stage`, so an error
-names its stage; it writes nothing. `pipeline` and `train` load their
-inputs in stages too, call `run` and write their files from its RunResult,
-so a failed run leaves no artifact; the acceptance study calls `run` on its
-in-memory panel. A run computes the split once (features.split_rows), in
+`run` is that chain on the input files, from loading them on, each stage
+under `stage`, so an error names its stage; it writes nothing. `pipeline`
+and `train` read their config and synthesize missing inputs in stages too,
+call `run` and write their files from its RunResult, so a failed run
+leaves no artifact; the acceptance study calls `run` on the files of its
+synthetic panel. A run computes the split once (features.split_rows), in
 part order, and takes the train, valid and test parts as slices of one
 matrix over its rows; `predict` builds the rows of the products on sale in
 the last week. The per-series ES reference reads the split's test keys and
@@ -70,6 +71,7 @@ from .preprocess import (
     detect_fake_zeros,
     preprocess_panel,
     repair_fake_zeros,
+    smooth_panel,
     write_smoothed,
 )
 from .seasonal import SeasonalityModel, fit_seasonality, write_seasonality
@@ -171,12 +173,6 @@ def load_inputs(
     return panel, catalog, covariates
 
 
-def preprocess(panel: SalesPanel, config: RunConfig) -> tuple[SalesPanel, SmoothedPanel]:
-    """Repair fake zeros and cap spikes; returns (repaired, smoothed), the
-    smoothed panel without the rolling statistics, which no stage reads."""
-    return preprocess_panel(panel, config.smooth_window, config.cap_gamma)
-
-
 def fit_seasonal(
     smoothed: SmoothedPanel, repaired: SalesPanel, catalog: Catalog, config: RunConfig
 ) -> SeasonalityModel | None:
@@ -228,9 +224,8 @@ def score(
         )
     order = np.lexsort((weeks, pids))
     rows, weeks = rows[order], weeks[order]
-    segments = evaluation.segment_products(repaired, catalog, train_end=config.train_len)
     prices = np.array([catalog.price[pid] for pid in repaired.products])
-    labels = np.array([segments[pid] for pid in repaired.products])
+    labels = evaluation.segment_products(repaired, prices, config.train_len)
     return evaluate(
         repaired.y[rows, weeks].astype(float), forecasts[order], prices[rows], labels[rows],
         life_at_issue(repaired.on_sale_mask, rows, weeks, config.horizon),
@@ -257,19 +252,25 @@ class RunResult:
 
 
 def run(
-    config: RunConfig, panel: SalesPanel, catalog: Catalog, covariates: CovariateTable | None,
+    config: RunConfig, sources: tuple[str, str, str | None],
     model_kind: str = "gbt", forest_trees: int = 100, cold_start_filter: int = 0,
 ) -> RunResult:
-    """Preprocess, fit and score one model (gbt, forest or es) on loaded
-    inputs; writes nothing and raises StageError naming the stage.
+    """Load the (sales, catalog, covariates) files of sources, then
+    preprocess, fit and score one model (gbt, forest or es); writes nothing
+    and raises StageError naming the stage.
 
-    The smoothed panel (x and its repaired and capped masks) is read by the
-    seasonal fit and the feature matrix only, so the features stage drops
-    run's last reference to it before gbt.train, train_forest or
-    forecast_es runs. It carries no rolling statistics: smooth_panel keeps
-    them only for a caller that writes them (the `preprocess` command)."""
+    Each stage's panel is dropped once its last reader is done. run alone
+    holds the loaded panel, which only the repair reads, so the preprocess
+    stage frees it. The smoothed panel (x and its capped mask) is read by
+    the seasonal fit and the feature matrix only, so the features stage
+    drops it before gbt.train, train_forest or forecast_es runs. The
+    fake-zero mask and the rolling statistics are not kept: only the
+    `preprocess` command, which writes them out, holds them."""
+    with stage("ingest"):
+        panel, catalog, covariates = load_inputs(*sources)
     with stage("preprocess"):
-        repaired, smoothed = preprocess(panel, config)
+        repaired, smoothed = preprocess_panel(panel, config.smooth_window, config.cap_gamma)
+        del panel
     with stage("seasonal"):
         seasonal = fit_seasonal(smoothed, repaired, catalog, config)
     with stage("features"):
@@ -335,8 +336,8 @@ def run(
 
 
 def _run_inputs(args) -> tuple[RunConfig, Path, tuple]:
-    """A run command's config, created --out-dir and loaded (sales, catalog,
-    covariates), synthesized into --out-dir when --sales is not given."""
+    """A run command's config, created --out-dir and (sales, catalog,
+    covariates) paths, synthesized into --out-dir when --sales is not given."""
     with stage("config"):
         config = _load_config(args.config)
         out = Path(args.out_dir)
@@ -345,8 +346,7 @@ def _run_inputs(args) -> tuple[RunConfig, Path, tuple]:
         sources = (args.sales, args.catalog, args.covariates)
         if args.sales is None:
             sources = write_synth(synth.SynthSpec(seed=config.seed), out)
-    with stage("ingest"):
-        return config, out, load_inputs(*sources)
+    return config, out, sources
 
 
 def cmd_synth(args) -> int:
@@ -360,22 +360,25 @@ def cmd_synth(args) -> int:
 def cmd_preprocess(args) -> int:
     config = _load_config(args.config)
     panel = ingest.load_sales(args.sales)
-    # the dump alone writes the rolling statistics out, so it alone keeps them
+    # the dump alone writes the fake-zero mask and the rolling statistics out,
+    # so it alone keeps them
+    mask = detect_fake_zeros(panel)
+    repaired = repair_fake_zeros(panel, mask)
     statistics = (np.empty(panel.y.shape), np.empty(panel.y.shape))
-    repaired, smoothed = preprocess_panel(panel, config.smooth_window, config.cap_gamma, statistics)
+    smoothed = smooth_panel(repaired, config.smooth_window, config.cap_gamma, statistics)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_smoothed(repaired, smoothed, statistics, out / "smoothed.csv")
+    write_smoothed(repaired, smoothed, mask, statistics, out / "smoothed.csv")
     print(
-        f"repaired {int(smoothed.repaired_mask.sum())} weeks, "
+        f"repaired {int(mask.sum())} weeks, "
         f"capped {int(smoothed.capped_mask.sum())}; wrote {out / 'smoothed.csv'}"
     )
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    config, out, inputs = _run_inputs(args)
-    result = run(config, *inputs)
+    config, out, sources = _run_inputs(args)
+    result = run(config, sources)
     booster, counts = result.model, result.counts
     del counts["test_rows"]  # train writes no forecast
     with stage("write"):
@@ -442,7 +445,8 @@ def cmd_predict(args) -> int:
             f"nothing to forecast: no product is on sale in week {panel.n_weeks - 1}, "
             "the last week of the panel"
         )
-    repaired, smoothed = preprocess(panel, config)
+    repaired, smoothed = preprocess_panel(panel, config.smooth_window, config.cap_gamma)
+    del panel  # only the repair reads the loaded counts
     matrix = build_matrix(
         repaired, smoothed, catalog, state.seasonal, covariates, config,
         rows, np.full(rows.size, repaired.n_weeks - 1), state.encoding,
@@ -470,8 +474,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    config, out, inputs = _run_inputs(args)
-    result = run(config, *inputs, args.model_kind, args.forest_trees, args.cold_start_filter)
+    config, out, sources = _run_inputs(args)
+    result = run(config, sources, args.model_kind, args.forest_trees, args.cold_start_filter)
     with stage("write"):
         if result.seasonal is not None:
             write_seasonality(result.seasonal, out / "seasonality.csv")
@@ -552,6 +556,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "pipeline" and (args.sales is None) != (args.catalog is None):
         parser.error("--sales and --catalog must be given together")
+    if args.command == "pipeline" and args.covariates is not None and args.sales is None:
+        parser.error("--covariates needs --sales and --catalog")
     if args.command == "pipeline" and args.forest_trees < 1:
         parser.error(f"--forest-trees must be >= 1, got {args.forest_trees}")
     if args.command == "pipeline" and args.cold_start_filter < 0:

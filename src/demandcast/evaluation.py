@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Catalog, SalesPanel
+from .core import SalesPanel
 from .ingest import write_csv
 
 LIFE_BUCKETS = (8, 9, 10, 11, 12)
@@ -49,34 +49,26 @@ def weighted_mae(y: np.ndarray, y_hat: np.ndarray, prices: np.ndarray) -> float:
     return float(np.sum(prices * np.abs(y - y_hat))) / denom
 
 
-def segment_products(
-    panel: SalesPanel, catalog: Catalog, train_end: int | None = None
-) -> dict[str, str]:
-    """A/B/C assignment by price-weighted training-period volume.
+def segment_products(panel: SalesPanel, prices: np.ndarray, train_end: int | None = None) -> np.ndarray:
+    """A/B/C label of each panel row by price-weighted training-period volume.
 
-    The top SEGMENT_QUANTILES[0] share of products go to A, the next slice
-    up to SEGMENT_QUANTILES[1] to B, the rest to C. Ties break by product id.
+    prices[i] is the price of panel row i. The top SEGMENT_QUANTILES[0]
+    share of products go to A, the next slice up to SEGMENT_QUANTILES[1] to
+    B, the rest to C. Ties break by product id.
     """
     n = panel.n_products
     if n < 3:
         raise ValueError("segmentation needs at least 3 products")
     end = panel.n_weeks if train_end is None else train_end
-    volume = {
-        pid: catalog.price[pid] * float(panel.y[panel.row(pid), :end].sum())
-        for pid in panel.products
-    }
-    ranked = sorted(panel.products, key=lambda pid: (-volume[pid], pid))
+    volume = prices * panel.y[:, :end].sum(axis=1).astype(float)
+    id_rank = np.argsort(np.argsort(np.array(panel.products, dtype=object)))
+    ranked = np.lexsort((id_rank, -volume))
     n_a = max(1, int(n * SEGMENT_QUANTILES[0]))
     n_b = max(1, int(n * SEGMENT_QUANTILES[1]) - n_a)
-    segments = {}
-    for rank, pid in enumerate(ranked):
-        if rank < n_a:
-            segments[pid] = "A"
-        elif rank < n_a + n_b:
-            segments[pid] = "B"
-        else:
-            segments[pid] = "C"
-    return segments
+    labels = np.full(n, "C")
+    labels[ranked[:n_a]] = "A"
+    labels[ranked[n_a : n_a + n_b]] = "B"
+    return labels
 
 
 @dataclass

@@ -54,21 +54,6 @@ FNV_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-@dataclass(frozen=True)
-class OrdinalMap:
-    """Stable value -> integer ids, lexicographic; unseen values map to n."""
-
-    mapping: dict[str, int]
-
-    def encode(self, value: str) -> int:
-        return self.mapping.get(value, len(self.mapping))
-
-
-def ordinal_encode(values) -> OrdinalMap:
-    distinct = sorted(set(values))
-    return OrdinalMap({v: i for i, v in enumerate(distinct)})
-
-
 def fnv1a64(data: bytes) -> int:
     h = FNV_OFFSET
     for byte in data:
@@ -168,13 +153,12 @@ class CovariateView:
     def __init__(self, table: CovariateTable, tau: int, products: tuple[str, ...]):
         if table.products != products:
             raise ValueError("covariates were loaded against another panel's products")
-        self.table = table
         self.tau = tau
         self._temporal: dict[str, tuple[_KeyedSeries, _KeyedSeries | None]] = {}
-        self._mixed: dict[str, _KeyedSeries] = {}
+        self._mixed: dict[str, tuple[_KeyedSeries, bool]] = {}
         for key, cov in table.series.items():
             if cov.rows is not None:
-                self._mixed[key] = _KeyedSeries(cov.rows, cov.weeks, cov.values)
+                self._mixed[key] = (_KeyedSeries(cov.rows, cov.weeks, cov.values), cov.predictable)
                 continue
             overall = _KeyedSeries(np.zeros_like(cov.weeks), cov.weeks, cov.values)
             by_pos = None
@@ -194,12 +178,10 @@ class CovariateView:
             unseen = np.isnan(out)
             out[unseen] = overall.mean_upto(np.zeros(int(unseen.sum()), np.int64), known_until[unseen])
             return out
-        if key in self._mixed:
-            series = self._mixed[key]
-            if self.table.series[key].predictable:
-                return series.at(rows, target_weeks)
-            return series.mean_upto(rows, known_until)
-        return np.full(rows.size, np.nan)
+        series, predictable = self._mixed[key]
+        if predictable:
+            return series.at(rows, target_weeks)
+        return series.mean_upto(rows, known_until)
 
 
 def split_rows(on_sale: np.ndarray, config: RunConfig) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -267,28 +249,30 @@ def _categorical_columns(catalog: Catalog) -> list[str]:
 @dataclass(frozen=True)
 class Encoding:
     """How build_matrix codes categorical values: mode "ordinal" by one
-    OrdinalMap per column ("category", "attr_<name>"), fitted on the training
-    catalog; mode "hashing" by FNV-1a buckets (maps empty)."""
+    {value: id} map per column ("category", "attr_<name>"), fitted on the
+    training catalog, whose ids number its distinct values in sorted order;
+    mode "hashing" by FNV-1a buckets (maps empty)."""
 
     mode: str
-    maps: dict[str, OrdinalMap]
+    maps: dict[str, dict[str, int]]
     hash_buckets: int | None  # None for ordinal
 
     def code(self, column: str, value: str) -> float:
+        """value's id in column; an ordinal map's n values leave id n to every unseen value."""
         if self.mode == "hashing":
             return float(hash_encode(f"{column}={value}", self.hash_buckets))
-        return float(self.maps[column].encode(value))
+        ids = self.maps[column]
+        return float(ids.get(value, len(ids)))
 
 
 def fit_encoding(catalog: Catalog, config: RunConfig) -> Encoding:
     """The config's encoding; ordinal maps cover every catalog product, listed or not."""
     if config.encoding == "hashing":
         return Encoding("hashing", {}, config.hash_buckets)
-    maps = {"category": ordinal_encode(catalog.category_of.values())}
+    values = {"category": catalog.category_of.values()}
     for name in _categorical_columns(catalog):
-        maps[f"attr_{name}"] = ordinal_encode(
-            catalog.attributes.get(pid, {}).get(name, "") for pid in catalog.price
-        )
+        values[f"attr_{name}"] = [catalog.attributes.get(pid, {}).get(name, "") for pid in catalog.price]
+    maps = {column: {v: i for i, v in enumerate(sorted(set(vs)))} for column, vs in values.items()}
     return Encoding("ordinal", maps, None)
 
 

@@ -123,7 +123,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import LAG_DEPTH, Encoding, FeatureMatrix, OrdinalMap
+from .features import LAG_DEPTH, Encoding, FeatureMatrix
 from .ingest import INT64_RANGE, RunConfig, SchemaError
 from .seasonal import SeasonalityModel
 
@@ -950,7 +950,7 @@ def model_to_json(model: BoostedModel, state: ServingState) -> str:
     nodes = np.concatenate([tree.nodes for tree in trees]) if trees else np.empty(0, NODE_DTYPE)
     encoding, seasonal = state.encoding, state.seasonal
     if encoding.mode == "ordinal":
-        encoding_doc = {"mode": "ordinal", "maps": {k: list(m.mapping) for k, m in encoding.maps.items()}}
+        encoding_doc = {"mode": "ordinal", "maps": {k: list(ids) for k, ids in encoding.maps.items()}}
     else:
         encoding_doc = {"mode": "hashing", "hash_buckets": encoding.hash_buckets}
     doc = {
@@ -1180,7 +1180,7 @@ def _settings_from_json(doc, where: str) -> dict:
 def _encoding_from_json(doc, feature_names: list[str], where: str) -> Encoding:
     """Hash buckets (an integer >= 2), or one ordinal map per categorical
     column of feature_names, each stored as its values in id order: distinct
-    strings in sorted order, as ordinal_encode gives them."""
+    strings in sorted order, as fit_encoding numbers them."""
     mode = doc.get("mode") if isinstance(doc, dict) else None
     if mode == "hashing":
         buckets = doc.get("hash_buckets")
@@ -1202,7 +1202,7 @@ def _encoding_from_json(doc, feature_names: list[str], where: str) -> Encoding:
             and all(a < b for a, b in zip(values, values[1:]))
         ):
             raise SchemaError(f"{where}: map {column!r} is not a list of distinct strings in sorted order")
-    return Encoding("ordinal", {k: OrdinalMap({v: i for i, v in enumerate(vs)}) for k, vs in maps.items()}, None)
+    return Encoding("ordinal", {k: {v: i for i, v in enumerate(vs)} for k, vs in maps.items()}, None)
 
 
 def _seasonality_from_json(doc, settings: dict, where: str) -> SeasonalityModel | None:

@@ -22,9 +22,10 @@ index. Weeks before f are off sale and add nothing to a sum, so a shifted
 window adds the same weeks in the same order. Each block computes its
 rolling mean and standard deviation, which the cap needs; only x and the
 capped mask are kept for the whole panel, unless the caller passes arrays
-for the statistics too (the `preprocess` command's smoothed.csv does).
-So smooth_panel's memory is x and the two masks, 10 bytes per panel cell,
-a few int64 words per product, and block temporaries of at most 16
+for the statistics too (the `preprocess` command's smoothed.csv does; it
+also keeps the fake-zero mask, which no other caller reads). So
+smooth_panel's memory is x and the capped mask, 9 bytes per panel cell, a
+few int64 words per product, and block temporaries of at most 16
 eight-byte words per cell of max(SMOOTH_BLOCK_CELLS, T).
 
 The results are bit-identical to evaluating the rule one cell at a time in
@@ -38,7 +39,7 @@ bit now and then (1,623 of 2,000,000 random values on glibc).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ SMOOTH_BLOCK_CELLS = 1 << 13  # (products x span weeks) cells a block; 64 KiB pe
 
 @dataclass(frozen=True)
 class SmoothedPanel:
-    """Smoothed series x plus which weeks were repaired and which capped.
+    """Smoothed series x plus which weeks were capped.
 
     Row i of every array is product i of the panel that was smoothed; x
     differs from the panel's counts only where capped_mask is set. The
@@ -62,9 +63,8 @@ class SmoothedPanel:
     features and the seasonal fit read x alone.
     """
 
-    x: np.ndarray              # (N, T) float64
-    repaired_mask: np.ndarray  # (N, T) bool
-    capped_mask: np.ndarray    # (N, T) bool
+    x: np.ndarray            # (N, T) float64
+    capped_mask: np.ndarray  # (N, T) bool
 
     @property
     def n_weeks(self) -> int:
@@ -146,8 +146,7 @@ def smooth_panel(
     with fewer than two such weeks no cap is applied and x = y. A window of
     T - 1 weeks or more already covers every earlier week, so one longer than
     the panel's T weeks is taken as T. The panel should already be fake-zero
-    repaired. repaired_mask is all False here;
-    preprocess_panel returns a copy carrying the detection mask.
+    repaired.
 
     statistics, when given, is a (rolling_mean, rolling_std) pair of (N, T)
     float64 arrays that receive every cell's statistics from the same block
@@ -158,7 +157,7 @@ def smooth_panel(
         raise ValueError(f"smoothing window must be >= 2, got {window}")
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    n, t_count = panel.y.shape
+    t_count = panel.y.shape[1]
     for out in statistics or ():
         out.fill(np.nan)
     # a window of t_count - 1 weeks or more already reaches back to week 0
@@ -170,7 +169,7 @@ def smooth_panel(
     lengths = np.where(first >= 0, np.minimum(last + window, t_count - 1) - first + 1, 0)
     order = np.argsort(-lengths, kind="stable")[: int(np.count_nonzero(first >= 0))]
     x = panel.y.astype(float)
-    capped = np.zeros((n, t_count), dtype=bool)
+    capped = np.zeros(panel.y.shape, dtype=bool)
     lo = 0
     while lo < order.size:
         width = int(lengths[order[lo]])  # the longest span of the block
@@ -194,7 +193,7 @@ def smooth_panel(
         if statistics is not None:
             np.put(statistics[0], cells, block_mean[live])
             np.put(statistics[1], cells, block_std[live])
-    return SmoothedPanel(x=x, repaired_mask=np.zeros((n, t_count), dtype=bool), capped_mask=capped)
+    return SmoothedPanel(x=x, capped_mask=capped)
 
 
 def _smooth_block(
@@ -237,30 +236,25 @@ def _smooth_block(
     np.copyto(x, cap, where=capped)
 
 
-def preprocess_panel(
-    panel: SalesPanel, window: int, gamma: float,
-    statistics: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[SalesPanel, SmoothedPanel]:
+def preprocess_panel(panel: SalesPanel, window: int, gamma: float) -> tuple[SalesPanel, SmoothedPanel]:
     """Full repair-then-smooth pass; returns (repaired panel, smoothed panel).
 
-    statistics is passed on to smooth_panel: only a caller that writes the
-    rolling mean and standard deviation out (the `preprocess` command) gives
-    arrays for them.
+    Neither the fake-zero mask nor the rolling statistics are kept: the
+    `preprocess` command, which writes them out, runs the three steps itself.
     """
-    mask = detect_fake_zeros(panel)
-    repaired = repair_fake_zeros(panel, mask)
-    smoothed = smooth_panel(repaired, window, gamma, statistics)
-    return repaired, replace(smoothed, repaired_mask=mask)
+    repaired = repair_fake_zeros(panel, detect_fake_zeros(panel))
+    return repaired, smooth_panel(repaired, window, gamma)
 
 
 def write_smoothed(
-    panel: SalesPanel, smoothed: SmoothedPanel,
+    panel: SalesPanel, smoothed: SmoothedPanel, repaired_mask: np.ndarray,
     statistics: tuple[np.ndarray, np.ndarray], path: str | Path,
 ) -> None:
     """Diagnostic dump of the smoothing decisions, one row per on-sale (product, week).
 
-    statistics is the (rolling_mean, rolling_std) pair that smooth_panel
-    filled in the same pass that made smoothed.
+    panel is the repaired panel, repaired_mask the detect_fake_zeros mask
+    its repair replaced, and statistics the (rolling_mean, rolling_std)
+    pair that smooth_panel filled in the same pass that made smoothed.
     """
     rows, weeks = np.nonzero(panel.on_sale_mask)  # product-major, weeks ascending
     rolling_mean, rolling_std = statistics
@@ -275,6 +269,6 @@ def write_smoothed(
         [
             (panel.products, rows), weeks, panel.y[rows, weeks], smoothed.x[rows, weeks],
             stat(rolling_mean), stat(rolling_std),
-            smoothed.repaired_mask[rows, weeks], smoothed.capped_mask[rows, weeks],
+            repaired_mask[rows, weeks], smoothed.capped_mask[rows, weeks],
         ],
     )

@@ -864,7 +864,7 @@ def loop_write_ground_truth(truth, panel: SalesPanel, path) -> None:
                 )
 
 
-def loop_write_smoothed(panel: SalesPanel, smoothed, statistics, path) -> None:
+def loop_write_smoothed(panel: SalesPanel, smoothed, repaired_mask, statistics, path) -> None:
     """preprocess.write_smoothed one on-sale (product, week) cell at a time."""
     rolling_mean, rolling_std = statistics
     with Path(path).open("w", newline="") as fh:
@@ -886,7 +886,7 @@ def loop_write_smoothed(panel: SalesPanel, smoothed, statistics, path) -> None:
                         repr(float(smoothed.x[i, t])),
                         "" if math.isnan(mean) else repr(float(mean)),
                         "" if math.isnan(std) else repr(float(std)),
-                        int(smoothed.repaired_mask[i, t]),
+                        int(repaired_mask[i, t]),
                         int(smoothed.capped_mask[i, t]),
                     ]
                 )

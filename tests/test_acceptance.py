@@ -8,11 +8,12 @@ reference panel (seed 20240901) and on a held-out panel (seed 7): criteria
 
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from demandcast import cli, gbt
+from demandcast import cli, gbt, ingest
 from demandcast.cli import main
 from demandcast.core import Catalog, SalesPanel
 from demandcast.evaluation import weighted_mae, weighted_rmse
@@ -39,9 +40,10 @@ def ok(criterion: str) -> None:
     print(f"ACCEPTANCE PASS: {criterion}")
 
 
-def run_study(seed: int) -> dict:
+def run_study(seed: int, data: Path) -> dict:
     """`cli.run` of the boosted model on the synthetic panel of seed at the
-    reference size, plus the ES reference on its test keys."""
+    reference size, written to CSV files in data as `synth` writes them,
+    plus the ES reference on its test keys."""
     t0 = time.monotonic()
     spec = SynthSpec(
         n_products=500, n_categories=20, n_weeks=200, lifetime_median=30.0, seed=seed
@@ -57,7 +59,11 @@ def run_study(seed: int) -> dict:
     )
     config.validate()
     panel, catalog, covariates, truth = generate_panel(spec)
-    run = cli.run(config, panel, catalog, covariates)
+    sources = (str(data / "sales.csv"), str(data / "catalog.csv"), str(data / "covariates.csv"))
+    ingest.write_sales(panel, sources[0])
+    ingest.write_catalog(catalog, sources[1])
+    ingest.write_covariates(covariates, sources[2])
+    run = cli.run(config, sources)
     # the ES reference as `pipeline --model es` runs it, on the run's own test keys
     es_pred, es_fallback = cli.forecast_es(run.pids, run.weeks, run.repaired, catalog, config)
     return {
@@ -73,16 +79,16 @@ def run_study(seed: int) -> dict:
 
 
 @pytest.fixture(scope="module")
-def study():
+def study(tmp_path_factory):
     """The reference panel's run, shared by criteria 3, 4, 7 and 10."""
-    return run_study(SEED)
+    return run_study(SEED, tmp_path_factory.mktemp("study"))
 
 
 @pytest.fixture(scope="module")
-def held_out():
+def held_out(tmp_path_factory):
     """The held-out panel's run (the benchmark's --panel-seed 7), on which
     criteria 3, 4, 7 and 10 must hold with the same bounds."""
-    return run_study(HELD_OUT_SEED)
+    return run_study(HELD_OUT_SEED, tmp_path_factory.mktemp("held_out"))
 
 
 def test_criterion_1_gradient_correctness():

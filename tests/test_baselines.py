@@ -255,7 +255,7 @@ def test_pipeline_es_predictions_equal_the_scalar_path(tmp_path):
 
     config = load_config(data / "run.cfg")
     panel, catalog, _ = cli.load_inputs(*sources)
-    repaired, _ = cli.preprocess(panel, config)
+    repaired, _ = cli.preprocess_panel(panel, config.smooth_window, config.cap_gamma)
     reference = ESBaseline(repaired, catalog, train_end=config.train_len)
     with (out / "predictions.csv").open(newline="") as fh:
         rows = list(csv.DictReader(fh))

@@ -370,8 +370,9 @@ class TestSplitOnce:
 
 
 class TestSmoothedPanelFreedBeforeTheFit:
-    """run drops the smoothed panel once the features are built, and predict
-    once its matrix is: neither is alive when the fit or the forecast starts."""
+    """run drops the loaded panel once it is repaired and the smoothed panel
+    once the features are built, and predict likewise: none of them is
+    alive when the fit or the forecast starts."""
 
     @pytest.mark.parametrize(
         "command, owner, fit",
@@ -389,10 +390,13 @@ class TestSmoothedPanelFreedBeforeTheFit:
             ]
         smoothed_refs, alive = [], []
 
-        def preprocess_panel(*args, original=cli.preprocess_panel):
-            repaired, smoothed = original(*args)
-            # weak references only: the panel and its x must die with run's reference
-            smoothed_refs.extend([weakref.ref(smoothed), weakref.ref(smoothed.x)])
+        def preprocess_panel(panel, *args, original=cli.preprocess_panel):
+            repaired, smoothed = original(panel, *args)
+            assert repaired is not panel  # the test panel has fake zeros to repair
+            # weak references only: the panels and their counts must die with run's references
+            smoothed_refs.extend(
+                weakref.ref(obj) for obj in (panel, panel.y, smoothed, smoothed.x)
+            )
             return repaired, smoothed
 
         def fitted(*args, original=getattr(owner, fit)):
@@ -402,7 +406,7 @@ class TestSmoothedPanelFreedBeforeTheFit:
         monkeypatch.setattr(cli, "preprocess_panel", preprocess_panel)
         monkeypatch.setattr(owner, fit, fitted)
         assert main(args) == 0
-        assert alive == [[False, False]]
+        assert alive == [[False] * 4]
 
 
 def short_panel(tmp_path, on_sale_weeks):
@@ -1027,13 +1031,13 @@ class TestForecastIsAFunctionOfTheModelFile:
 
         path = rewrite_catalog(data_dir, tmp_path / "catalog.csv", new_category)
         catalog = ingest.load_catalog(path)
-        repaired, smoothed = cli.preprocess(panel, config)
+        repaired, smoothed = cli.preprocess_panel(panel, config.smooth_window, config.cap_gamma)
         weeks = np.full(rows.size, panel.n_weeks - 1)
         matrix = cli.build_matrix(
             repaired, smoothed, catalog, state.seasonal, covariates, config, rows, weeks, state.encoding
         )
         category, season = matrix.columns.index("category"), matrix.columns.index("season")
-        seasonal, ids = state.seasonal, state.encoding.maps["category"].mapping
+        seasonal, ids = state.seasonal, state.encoding.maps["category"]
         week = (panel.n_weeks - 1 + config.horizon) % seasonal.tau
         assert matrix.X[0, category] == len(ids)
         assert matrix.X[0, season] == seasonal.global_pattern[week]
@@ -1359,6 +1363,25 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["pipeline", "--out-dir", str(out), *options])
         assert err.value.code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            pytest.param(["--sales", "s.csv"], "--sales and --catalog must be given together", id="sales"),
+            pytest.param(["--catalog", "c.csv"], "--sales and --catalog must be given together", id="catalog"),
+            pytest.param(
+                ["--covariates", "missing.csv"], "--covariates needs --sales and --catalog",
+                id="covariates_without_sales",
+            ),
+        ],
+    )
+    def test_unpaired_pipeline_inputs_exit_one(self, tmp_path, capsys, options, message):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["pipeline", "--out-dir", str(out), *options])
+        assert err.value.code == 1
+        assert capsys.readouterr().err.endswith(f"demandcast: error: {message}\n")
         assert not out.exists()
 
 

@@ -79,7 +79,7 @@ def split_weeks(n_weeks, train_len, valid_len, test_len):
     config = RunConfig(
         train_len=train_len, valid_len=valid_len, test_len=test_len, with_seasonality=False
     )
-    repaired, smoothed = cli.preprocess(panel, config)
+    repaired, smoothed = cli.preprocess_panel(panel, config.smooth_window, config.cap_gamma)
     rows, issued, bounds = split_rows(repaired.on_sale_mask, config)
     encoding = fit_encoding(catalog, config)
     full = build_matrix(repaired, smoothed, catalog, None, None, config, rows, issued, encoding)
@@ -112,51 +112,50 @@ class TestTemporalSplit:
         assert train + valid + test == list(range(6, 40))
 
 
-def volume_catalog(n):
-    return Catalog(
-        {f"p{i}": "c" for i in range(n)},
-        {f"p{i}": 1.0 for i in range(n)},
-        {},
-    )
-
-
 class TestSegmentation:
+    """segment_products' label of each panel row; make_panel's row i is product p{i}."""
+
     def test_default_counts(self):
         y = np.array([[100 - 10 * i] * 5 for i in range(10)], dtype=np.int64)
         panel = make_panel(y)
-        segments = segment_products(panel, volume_catalog(10))
-        counts = {s: sum(1 for v in segments.values() if v == s) for s in "ABC"}
+        labels = segment_products(panel, np.ones(10))
+        counts = {s: int(np.sum(labels == s)) for s in "ABC"}
         assert counts == {"A": 1, "B": 3, "C": 6}
-        assert segments["p0"] == "A"
+        assert labels[0] == "A"
 
     def test_ties_break_by_product_id(self):
         y = np.full((4, 3), 5, dtype=np.int64)
         panel = make_panel(y)
-        segments = segment_products(panel, volume_catalog(4))
-        assert segments["p0"] == "A"  # equal volumes: lowest id ranks first
+        labels = segment_products(panel, np.ones(4))
+        assert labels[0] == "A"  # equal volumes: lowest id ranks first
+
+    def test_ties_break_by_id_not_by_row(self):
+        # rows p0..p11, whose ids sort p0, p1, p10, p11, p2, ...: with equal
+        # volumes A takes p0 and B the next three ids, not the next three rows
+        panel = make_panel(np.full((12, 3), 5, dtype=np.int64))
+        labels = segment_products(panel, np.ones(12))
+        expected = np.full(12, "C")
+        expected[0] = "A"
+        expected[[1, 10, 11]] = "B"
+        assert labels.tolist() == expected.tolist()
 
     def test_dominant_product_in_a(self):
         y = np.ones((5, 4), dtype=np.int64)
         y[3] = 500
         panel = make_panel(y)
-        segments = segment_products(panel, volume_catalog(5))
-        assert segments["p3"] == "A"
+        labels = segment_products(panel, np.ones(5))
+        assert labels[3] == "A"
 
     def test_price_weighting_matters(self):
         y = np.array([[10] * 4, [8] * 4, [1] * 4], dtype=np.int64)
-        catalog = Catalog(
-            {"p0": "c", "p1": "c", "p2": "c"},
-            {"p0": 1.0, "p1": 100.0, "p2": 1.0},
-            {},
-        )
         panel = make_panel(y)
-        segments = segment_products(panel, catalog)
-        assert segments["p1"] == "A"
+        labels = segment_products(panel, np.array([1.0, 100.0, 1.0]))
+        assert labels[1] == "A"
 
     def test_too_few_products(self):
         panel = make_panel(np.ones((2, 3), dtype=np.int64))
         with pytest.raises(ValueError):
-            segment_products(panel, volume_catalog(2))
+            segment_products(panel, np.ones(2))
 
 
 class TestEvaluate:
@@ -209,8 +208,9 @@ class TestScore:
         report = cli.score(pids, weeks, forecasts, panel, catalog, config)
         y = panel.y[[panel.index[pid] for pid in pids], weeks]
         prices = np.array([catalog.price[pid] for pid in pids])
-        segments = segment_products(panel, catalog, train_end=config.train_len)
-        labels = np.array([segments[pid] for pid in pids])
+        row_prices = np.array([catalog.price[pid] for pid in panel.products])
+        by_row = segment_products(panel, row_prices, train_end=config.train_len)
+        labels = by_row[[panel.index[pid] for pid in pids]]
         life = weeks - config.horizon + 1  # every week is on sale
         groups = {name: labels == name for name in ("A", "B", "C")}
         groups.update({str(k): life == k for k in (8, 9, 10, 11, 12)})

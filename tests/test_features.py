@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from demandcast import features, seasonal
+from demandcast import features, gbt, seasonal
 from demandcast.core import Catalog
 from demandcast.features import (
     LAG_DEPTH,
@@ -12,7 +12,6 @@ from demandcast.features import (
     fnv1a64,
     hash_encode,
     life_at_issue,
-    ordinal_encode,
     split_rows,
 )
 from demandcast.ingest import RunConfig
@@ -43,19 +42,42 @@ def life_of(matrix, panel, horizon):
 
 
 class TestOrdinalEncode:
+    """fit_encoding's ordinal codes: a column's distinct values in sorted order, unseen ones n."""
+
+    @staticmethod
+    def encoding(categories):
+        pids = [f"p{i}" for i in range(len(categories))]
+        catalog = Catalog(dict(zip(pids, categories)), dict.fromkeys(pids, 1.0), {})
+        return fit_encoding(catalog, RunConfig())
+
     def test_sorted_ids(self):
-        mapping = ordinal_encode(["B", "A", "A"])
-        assert mapping.mapping == {"A": 0, "B": 1}
+        encoding = self.encoding(["B", "A", "A"])
+        assert [encoding.code("category", value) for value in ("A", "B")] == [0.0, 1.0]
 
     def test_singleton(self):
-        assert ordinal_encode(["X"]).mapping == {"X": 0}
+        assert self.encoding(["X"]).code("category", "X") == 0.0
 
     def test_unseen_gets_reserved_id(self):
-        mapping = ordinal_encode(["A", "B"])
-        assert mapping.encode("Z") == 2
+        assert self.encoding(["A", "B"]).code("category", "Z") == 2.0
 
     def test_stable_across_input_order(self):
-        assert ordinal_encode(["c", "a", "b"]).mapping == ordinal_encode(["b", "c", "a"]).mapping
+        for categories in (["c", "a", "b"], ["b", "c", "a"]):
+            encoding = self.encoding(categories)
+            assert [encoding.code("category", value) for value in "abc"] == [0.0, 1.0, 2.0]
+
+    def test_model_file_round_trip_codes_unseen_value_as_n(self):
+        encoding = self.encoding(["B", "A", "C", "A"])
+        x = np.array([[0.0], [1.0], [2.0], [0.0]])
+        matrix = features.FeatureMatrix(
+            np.array(["p0", "p1", "p2", "p3"], dtype=object), np.arange(4), ["category"], x,
+            np.array([1.0, 2.0, 3.0, 1.0]),
+        )
+        config = RunConfig(rounds=2, with_seasonality=False)
+        model = gbt.train(matrix, config, matrix)
+        state = gbt.ServingState.of(config, encoding, None)
+        _, loaded = gbt.model_from_json(gbt.model_to_json(model, state))
+        codes = [loaded.encoding.code("category", value) for value in ("A", "B", "C", "unseen")]
+        assert codes == [0.0, 1.0, 2.0, 3.0]
 
 
 class TestHashEncode:

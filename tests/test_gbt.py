@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from demandcast import gbt
-from demandcast.features import Encoding, FeatureMatrix, ordinal_encode
+from demandcast.features import Encoding, FeatureMatrix
 from demandcast.ingest import RunConfig, SchemaError
 from demandcast.seasonal import SeasonalityModel
 from demandcast.gbt import (
@@ -403,7 +403,7 @@ def small_state(feature_names, with_seasonality=True):
     columns of feature_names; category "a" has its own pattern."""
     config = RunConfig(season_period=4, with_seasonality=with_seasonality)
     maps = {
-        name: ordinal_encode(["a", "b"]) for name in feature_names
+        name: {"a": 0, "b": 1} for name in feature_names
         if name == "category" or name.startswith("attr_")
     }
     seasonal = SeasonalityModel(

@@ -13,7 +13,7 @@ from demandcast.cli import _write_predictions
 from demandcast.core import Catalog, SalesPanel
 from demandcast.evaluation import EvalReport, MetricCell, write_report
 from demandcast.ingest import Covariate, CovariateTable, RunConfig, SchemaError
-from demandcast.preprocess import preprocess_panel, write_smoothed
+from demandcast.preprocess import detect_fake_zeros, repair_fake_zeros, smooth_panel, write_smoothed
 from demandcast.seasonal import SeasonalityModel, write_seasonality
 from demandcast.synth import SynthSpec, generate_panel, write_ground_truth, write_ground_truth_curves
 
@@ -867,10 +867,12 @@ class TestWriters:
 
     def test_smoothed(self, tmp_path, write_rows):
         panel = odd_panel(np.random.default_rng(6), weeks=30)
+        mask = detect_fake_zeros(panel)
+        repaired = repair_fake_zeros(panel, mask)
         statistics = (np.empty(panel.y.shape), np.empty(panel.y.shape))
-        repaired, smoothed = preprocess_panel(panel, window=4, gamma=1.0, statistics=statistics)
+        smoothed = smooth_panel(repaired, 4, 1.0, statistics)
         assert np.isnan(statistics[1][panel.on_sale_mask]).any()
-        self.same(tmp_path, write_smoothed, loop_write_smoothed, repaired, smoothed, statistics)
+        self.same(tmp_path, write_smoothed, loop_write_smoothed, repaired, smoothed, mask, statistics)
 
     def test_nothing_to_write_but_the_header(self, tmp_path):
         # a seasonal fit with no category curve, a table without keys and no

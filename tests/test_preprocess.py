@@ -307,8 +307,8 @@ class TestSmooth:
 
 class TestSmoothMemory:
     def test_smooth_panel_peak_within_the_documented_bound(self):
-        # the module docstring's memory: x (float64) and the repaired and
-        # capped masks, 10 bytes a cell, a few int64 words per product and
+        # the module docstring's memory: x (float64) and the capped mask,
+        # 9 bytes a cell, a few int64 words per product and
         # block temporaries of at most 16 eight-byte words per block cell;
         # the rolling statistics never take a whole (N, T) array here
         rng = np.random.default_rng(29)
@@ -328,7 +328,7 @@ class TestSmoothMemory:
             tracemalloc.stop()
         assert smoothed.capped_mask.any()
         block = 128 * max(preprocess.SMOOTH_BLOCK_CELLS, t_count)
-        assert peak < n * t_count * (8 + 1 + 1) + 8 * 8 * n + block
+        assert peak < n * t_count * (8 + 1) + 8 * 8 * n + block
 
 
 class TestWriteSmoothed:
@@ -340,12 +340,14 @@ class TestWriteSmoothed:
         stock = rng.random(y.shape) < 0.8
         y[~on_sale | (~stock & (rng.random(y.shape) < 0.5))] = 0
         panel = make_panel(y, on_sale=on_sale, stock=stock)
+        mask = detect_fake_zeros(panel)
+        repaired = repair_fake_zeros(panel, mask)
         statistics = (np.empty(y.shape), np.empty(y.shape))
-        repaired, smoothed = preprocess_panel(panel, window=6, gamma=1.5, statistics=statistics)
-        assert smoothed.repaired_mask.any() and smoothed.capped_mask.any()
+        smoothed = smooth_panel(repaired, 6, 1.5, statistics)
+        assert mask.any() and smoothed.capped_mask.any()
         assert np.isnan(statistics[1][on_sale]).any()
-        write_smoothed(repaired, smoothed, statistics, tmp_path / "smoothed.csv")
-        loop_write_smoothed(repaired, smoothed, statistics, tmp_path / "loop.csv")
+        write_smoothed(repaired, smoothed, mask, statistics, tmp_path / "smoothed.csv")
+        loop_write_smoothed(repaired, smoothed, mask, statistics, tmp_path / "loop.csv")
         assert (tmp_path / "smoothed.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
@@ -353,6 +355,5 @@ class TestPreprocessPanel:
     def test_masks_populated(self):
         panel = panel_from([5, 0, 5, 80], stock=[True, False, True, True])
         repaired, smoothed = preprocess_panel(panel, window=3, gamma=1.0)
-        assert smoothed.repaired_mask[0, 1]
-        assert repaired.y[0, 1] == 5
+        assert (panel.y[0, 1], repaired.y[0, 1]) == (0, 5)
         assert smoothed.capped_mask[0, 3]
