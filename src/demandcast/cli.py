@@ -46,6 +46,15 @@ gbt.SCRATCH_ELEMENTS) reuse heap pages or fault in new ones depended on
 what the process had freed before: one reference-panel `train` took about
 1,000 minor page faults in one process and 238,000 in another, with the
 same inputs and code, for about 15% more time.
+
+Each `stage` also hands the heap's free pages back to the system when its
+block completes (_release_free_heap, glibc's malloc_trim). Free heap pages
+otherwise stay resident, and whether a later (N, T) array (6.1 MiB on the
+4,000-product benchmark panel, above the mmap threshold) fitted into them
+or was mmapped depended on hash-seed and import-time allocations, so the
+process's peak resident memory moved by that array's size from one run to
+the next with the same inputs and code. After the release, a stage starts
+from its live memory alone.
 """
 
 from __future__ import annotations
@@ -110,6 +119,17 @@ def _fix_malloc_thresholds() -> None:
         mallopt(parameter, value)
 
 
+def _release_free_heap() -> None:
+    """Return the heap's free pages to the system through malloc_trim; a C
+    library without malloc_trim is left as it is."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError, TypeError):  # no malloc_trim, or no C library handle
+        return
+    trim.argtypes, trim.restype = (ctypes.c_size_t,), ctypes.c_int
+    trim(0)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage errors are 1 here
         self.print_usage(sys.stderr)
@@ -125,11 +145,13 @@ class StageError(Exception):
 
 @contextmanager
 def stage(name: str):
-    """Re-raise an error of the block as a StageError naming the stage."""
+    """Re-raise an error of the block as a StageError naming the stage;
+    release the free heap once the block completes."""
     try:
         yield
     except Exception as exc:
         raise StageError(name, exc) from exc
+    _release_free_heap()
 
 
 def _load_config(path: str | None) -> RunConfig:

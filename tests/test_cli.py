@@ -1460,3 +1460,43 @@ class TestMallocThresholds:
             block = [np.ones(1 << 17) for _ in range(4)]
             del block
         assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 20 * 4 * 256 // 4
+
+    def test_stage_releases_the_free_heap_when_its_block_completes(self, monkeypatch):
+        calls = []
+
+        def malloc_trim(pad):
+            calls.append(pad)
+            return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(malloc_trim=malloc_trim))
+        with cli.stage("ingest"):
+            assert calls == []
+        assert calls == [0]
+        with pytest.raises(cli.StageError), cli.stage("ingest"):
+            raise ValueError("bad row")
+        assert calls == [0]
+
+    def test_c_library_without_malloc_trim_left_as_it_is(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        with cli.stage("ingest"):
+            pass
+
+    @pytest.mark.skipif(
+        platform.libc_ver()[0] != "glibc" or not Path("/proc/self/statm").exists(),
+        reason="glibc's malloc_trim, Linux's resident page count",
+    )
+    def test_freed_heap_pages_leave_resident_memory_at_the_stage_end(self):
+        # sixteen 1 MiB blocks come from the heap (below the mmap threshold)
+        # and, once freed, stay resident (below the trim threshold) until
+        # the stage completes
+        import mmap
+
+        def resident_mib():
+            return int(Path("/proc/self/statm").read_text().split()[1]) * mmap.PAGESIZE / 2**20
+
+        cli._fix_malloc_thresholds()
+        with cli.stage("features"):
+            blocks = [np.ones(1 << 17) for _ in range(16)]
+            del blocks
+            held = resident_mib()
+        assert resident_mib() < held - 8
