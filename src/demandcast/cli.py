@@ -75,14 +75,7 @@ from .core import Catalog, SalesPanel
 from .evaluation import EvalReport, evaluate, format_report, write_report
 from .features import Encoding, build_matrix, fit_encoding, life_at_issue, matrix_columns, split_rows
 from .ingest import CovariateTable, RunConfig, SchemaError
-from .preprocess import (
-    SmoothedPanel,
-    detect_fake_zeros,
-    preprocess_panel,
-    repair_fake_zeros,
-    smooth_panel,
-    write_smoothed,
-)
+from .preprocess import detect_fake_zeros, preprocess_panel, repair_fake_zeros, smooth_panel, write_smoothed
 from .seasonal import SeasonalityModel, fit_seasonality, write_seasonality
 
 EXIT_OK = 0
@@ -195,18 +188,6 @@ def load_inputs(
     return panel, catalog, covariates
 
 
-def fit_seasonal(
-    smoothed: SmoothedPanel, repaired: SalesPanel, catalog: Catalog, config: RunConfig
-) -> SeasonalityModel | None:
-    """Category seasonality fitted on the training weeks; None when disabled."""
-    if not config.with_seasonality:
-        return None
-    return fit_seasonality(
-        smoothed, repaired, catalog, config.season_period,
-        config.n_patterns, config.seed, end_week=config.train_len,
-    )
-
-
 def forecast_es(
     pids: np.ndarray, weeks: np.ndarray, repaired: SalesPanel, catalog: Catalog, config: RunConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +260,9 @@ def run(
 ) -> RunResult:
     """Load the (sales, catalog, covariates) files of sources, then
     preprocess, fit and score one model (gbt, forest or es); writes nothing
-    and raises StageError naming the stage.
+    and raises StageError naming the stage. Both tree models forecast
+    through gbt.predict, which checks the feature schema and that every
+    forecast is finite.
 
     Each stage's panel is dropped once its last reader is done. run alone
     holds the loaded panel, which only the repair reads, so the preprocess
@@ -294,7 +277,12 @@ def run(
         repaired, smoothed = preprocess_panel(panel, config.smooth_window, config.cap_gamma)
         del panel
     with stage("seasonal"):
-        seasonal = fit_seasonal(smoothed, repaired, catalog, config)
+        seasonal = None  # category seasonality fitted on the training weeks, when enabled
+        if config.with_seasonality:
+            seasonal = fit_seasonality(
+                smoothed, repaired, catalog, config.season_period,
+                config.n_patterns, config.seed, config.train_len,
+            )
     with stage("features"):
         rows, issued, bounds = split_rows(repaired.on_sale_mask, config)
         parts = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -334,16 +322,17 @@ def run(
     with stage("train"):
         if model_kind == "gbt":
             model = gbt.train(train_rows, config, valid_rows)
-            forecasts = gbt.predict(model, test_rows)
             details = {"best_round": model.best_round, "rounds_run": len(model.trees)}
         elif model_kind == "forest":
             max_depth = min(config.max_depth * 4, 64)
             model = gbt.train_forest(train_rows, forest_trees, max_depth, config.seed)
-            forecasts, details = model.predict_array(test_rows.X), {"n_trees": forest_trees}
+            details = {"n_trees": forest_trees}
         else:
             model = None
             forecasts, fallback = forecast_es(pids, weeks, repaired, catalog, config)
             details = {"es_fallback_rows": int(fallback.sum())}
+        if model is not None:
+            forecasts = gbt.predict(model, test_rows)
     with stage("evaluate"):
         # after the fit: the ES fallback count covers every test row
         rows, pids, weeks, life = rows[test][keep], pids[keep], weeks[keep], life[keep]

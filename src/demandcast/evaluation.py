@@ -49,18 +49,16 @@ def weighted_mae(y: np.ndarray, y_hat: np.ndarray, prices: np.ndarray) -> float:
     return float(np.sum(prices * np.abs(y - y_hat))) / denom
 
 
-def segment_products(panel: SalesPanel, prices: np.ndarray, train_end: int | None = None) -> np.ndarray:
-    """A/B/C label of each panel row by price-weighted training-period volume.
+def segment_products(panel: SalesPanel, prices: np.ndarray, train_end: int) -> np.ndarray:
+    """A/B/C label of each panel row by price-weighted volume in weeks 0..train_end-1.
 
     prices[i] is the price of panel row i. The top SEGMENT_QUANTILES[0]
     share of products go to A, the next slice up to SEGMENT_QUANTILES[1] to
-    B, the rest to C. Ties break by product id.
+    B, the rest to C. Ties break by product id. A and B each get at least
+    one product first, so one product is labelled A and two are A and B.
     """
     n = panel.n_products
-    if n < 3:
-        raise ValueError("segmentation needs at least 3 products")
-    end = panel.n_weeks if train_end is None else train_end
-    volume = prices * panel.y[:, :end].sum(axis=1).astype(float)
+    volume = prices * panel.y[:, :train_end].sum(axis=1).astype(float)
     id_rank = np.argsort(np.argsort(np.array(panel.products, dtype=object)))
     ranked = np.lexsort((id_rank, -volume))
     n_a = max(1, int(n * SEGMENT_QUANTILES[0]))

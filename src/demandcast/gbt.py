@@ -180,27 +180,24 @@ def leaf_weight(g_sum: float, h_sum: float, reg_lambda: float) -> float:
     return -g_sum / denom
 
 
-@dataclass
-class SplitCandidate:
-    threshold: float
-    gain: float          # gain net of min_split_loss
-    default_left: bool
-
-
 def best_split(
     values: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     reg_lambda: float,
     min_split_loss: float,
-) -> SplitCandidate | None:
-    """Best threshold on one feature column, or None if no split helps.
+) -> tuple[float, float, bool] | None:
+    """(gain, threshold, default_left) of the best split of one feature
+    column, or None if no split helps.
 
     values/g/h are the node's rows in row order; NaN values are missing and
     are routed left or right, whichever scores better (left on ties). The
-    returned gain already has min_split_loss subtracted; None when it is
-    not positive. This is the tree grower's block scorer, with its complex
-    g + i*h pairs, applied to a one-feature block.
+    gain already has min_split_loss subtracted; None when it is not
+    positive. This is the tree grower's block scorer, with its complex
+    g + i*h pairs, applied to a one-feature block. No part of the program
+    calls it: it stays only because the benchmark's tracer
+    (perfbench/tracer.py) wraps it by name, and it goes when the tracer
+    stops counting its calls.
     """
     if len(values) == 0:
         return None
@@ -213,7 +210,7 @@ def best_split(
     if found is None:
         return None
     gain, _, threshold, default_left = found
-    return SplitCandidate(threshold=threshold, gain=gain, default_left=default_left)
+    return gain, threshold, default_left
 
 
 def _complex_pair(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -689,17 +686,13 @@ class BoostedModel:
     train_loss: list[float] = field(default_factory=list, repr=False)
     valid_loss: list[float] = field(default_factory=list, repr=False)
 
-    def predict_raw(self, x: np.ndarray) -> np.ndarray:
-        raw = np.full(x.shape[0], self.base_score)
-        for tree in self.trees[: self.best_round]:
-            raw += self.learning_rate * tree.apply(x)
-        return raw
-
     def predict_array(self, x: np.ndarray) -> np.ndarray:
         """Forecasts for the rows of x; a model that overflows gives inf or
         NaN, not a warning (predict() rejects them)."""
+        raw = np.full(x.shape[0], self.base_score)
         with np.errstate(over="ignore", invalid="ignore"):
-            raw = self.predict_raw(x)
+            for tree in self.trees[: self.best_round]:
+                raw += self.learning_rate * tree.apply(x)
             return np.exp(raw) if self.loss == "poisson" else raw
 
 
@@ -780,7 +773,7 @@ def train(matrix: FeatureMatrix, config: RunConfig, valid: FeatureMatrix) -> Boo
     )
 
 
-def predict(model: BoostedModel, matrix: FeatureMatrix, source: str = "model") -> np.ndarray:
+def predict(model: BoostedModel | ForestModel, matrix: FeatureMatrix, source: str = "model") -> np.ndarray:
     """Forecast per row; raises if the matrix schema differs from training.
 
     A forecast that is not finite (the model overflows on its row) is a
@@ -976,7 +969,7 @@ def model_to_json(model: BoostedModel, state: ServingState) -> str:
     return json.dumps(doc)
 
 
-def model_from_json(text: str | bytes, source: str = "model") -> tuple[BoostedModel, ServingState]:
+def model_from_json(text: str | bytes, source: str) -> tuple[BoostedModel, ServingState]:
     """Parse model_to_json output; source names the file in errors.
 
     Anything else is a SchemaError naming source: not JSON, not an object,

@@ -92,8 +92,9 @@ def repair_fake_zeros(panel: SalesPanel, mask: np.ndarray) -> SalesPanel:
 
     Each flagged y_{i,t} becomes the exponential-smoothing level (alpha 0.3)
     of the product's unflagged on-sale weeks before t, rounded half up and
-    floored at 0. A flagged week with no prior history takes the first
-    subsequent positive value, or 0 when there is none.
+    floored at 0. A flagged week with no such week before it is a ValueError
+    naming the product and the week; detect_fake_zeros never flags one,
+    since it flags only weeks after the product's first sale.
 
     One pass over the weeks of the flagged products carries each product's
     level over its usable weeks. Its float operations are es_fit_forecast's
@@ -115,11 +116,14 @@ def repair_fake_zeros(panel: SalesPanel, mask: np.ndarray) -> SalesPanel:
     level = np.zeros(products.size)
     seen = np.zeros(products.size, dtype=bool)
     fitted = np.empty(rows.size)
-    has_history = np.empty(rows.size, dtype=bool)
     for t in range(int(weeks[-1]) + 1):  # no level after the last flagged week is read
         here = slice(bounds[t], bounds[t + 1])
+        if not seen[rows[here]].all():
+            lost = cell_rows[bounds[t] + np.argmin(seen[rows[here]])]
+            raise ValueError(
+                f"fake zero of product {panel.products[lost]!r} at week {t} has no usable week before it"
+            )
         fitted[here] = level[rows[here]]
-        has_history[here] = seen[rows[here]]
         usable = panel.on_sale_mask[products, t] & ~mask[products, t]
         value = panel.y[products, t].astype(float)
         step = REPAIR_ALPHA * value + (1.0 - REPAIR_ALPHA) * level
@@ -127,12 +131,6 @@ def repair_fake_zeros(panel: SalesPanel, mask: np.ndarray) -> SalesPanel:
         seen |= usable
     out = panel.y.copy()
     out[cell_rows, weeks] = np.maximum(np.floor(fitted + 0.5), 0.0).astype(out.dtype)
-    # without history: the first positive week after the flagged one, else 0;
-    # column 0 is never after it, so a row with none picks a zeroed column 0
-    lost = np.flatnonzero(~has_history)
-    later = panel.y[cell_rows[lost]]
-    later[np.arange(panel.n_weeks) <= weeks[lost, None]] = 0
-    out[cell_rows[lost], weeks[lost]] = later[np.arange(lost.size), (later > 0).argmax(axis=1)]
     return panel.replace_counts(out)
 
 

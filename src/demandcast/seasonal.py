@@ -51,9 +51,10 @@ def category_seasonality(
     panel: SalesPanel,
     catalog: Catalog,
     tau: int,
-    end_week: int | None = None,
+    end_week: int,
 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Per-category mean standardized curve and per-position sample variance.
+    """Per-category mean standardized curve and per-position sample variance
+    over weeks 0..end_week-1 (clipped to the panel).
 
     Each product-year with at least MIN_YEAR_WEEKS on-sale weeks and positive
     total sales contributes one standardized observation per on-sale seasonal
@@ -62,7 +63,7 @@ def category_seasonality(
     once get variance 0; positions never observed are filled by circular
     linear interpolation.
     """
-    end = smoothed.n_weeks if end_week is None else max(0, min(end_week, smoothed.n_weeks))
+    end = max(0, min(end_week, smoothed.n_weeks))
     years = -(-end // tau)  # the last one may be partial
     names = [catalog.category_of.get(pid) for pid in panel.products]
     categories = sorted(set(names) - {None})
@@ -267,9 +268,10 @@ def fit_seasonality(
     tau: int,
     k: int,
     seed: int,
-    end_week: int | None = None,
+    end_week: int,
 ) -> SeasonalityModel:
-    """Estimate category curves and cluster them into k shared patterns."""
+    """Estimate category curves over weeks 0..end_week-1 and cluster them
+    into k shared patterns."""
     curves, variances = category_seasonality(smoothed, panel, catalog, tau, end_week)
     if curves:
         k_eff = min(k, len(curves))

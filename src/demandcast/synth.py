@@ -13,7 +13,7 @@ exercise cold-start behaviour, not long-history forecasting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -76,10 +76,8 @@ class GroundTruth:
     stockout_mask: np.ndarray  # (N, T) bool
     promo_mask: np.ndarray     # (N, T) bool
     category_curve: dict[str, np.ndarray]  # mean-1 curve per category, by week % tau
-    level: np.ndarray
     launch: np.ndarray
     end: np.ndarray            # exclusive end of the live span
-    spec: SynthSpec = field(repr=False, default=None)
 
 
 def _one_shape(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
@@ -212,10 +210,8 @@ def generate_panel(
         stockout_mask=stockout_mask,
         promo_mask=promo_mask,
         category_curve=category_curve,
-        level=level,
         launch=launch,
         end=end,
-        spec=spec,
     )
     return panel, catalog, covariates, truth
 

@@ -80,23 +80,18 @@ def loop_repair_fake_zeros(panel: SalesPanel, mask: np.ndarray) -> SalesPanel:
     """preprocess.repair_fake_zeros one product and one flagged week at a time.
 
     Each flagged week refits exponential smoothing over the product's
-    unflagged on-sale weeks before it and rounds the level half up; with no
-    such week it takes the next positive week's count, or 0.
+    unflagged on-sale weeks before it, of which it needs at least one, and
+    rounds the level half up.
     """
     y = panel.y.copy()
     for i in range(panel.n_products):
         usable = panel.on_sale_mask[i] & ~mask[i]
         for t in np.flatnonzero(mask[i]):
             history = [float(v) for v in panel.y[i, :t][usable[:t]]]
-            if history:
-                level = history[0]  # es_fit_forecast(history, REPAIR_ALPHA)
-                for value in history[1:]:
-                    level = REPAIR_ALPHA * value + (1.0 - REPAIR_ALPHA) * level
-                y[i, t] = max(0, int(math.floor(level + 0.5)))
-            else:
-                future = panel.y[i, t + 1 :]
-                positive = future[future > 0]
-                y[i, t] = int(positive[0]) if positive.size else 0
+            level = history[0]  # es_fit_forecast(history, REPAIR_ALPHA)
+            for value in history[1:]:
+                level = REPAIR_ALPHA * value + (1.0 - REPAIR_ALPHA) * level
+            y[i, t] = max(0, int(math.floor(level + 0.5)))
     return panel.replace_counts(y)
 
 
@@ -336,14 +331,14 @@ def standardize_year(x_year: np.ndarray, on_sale: np.ndarray) -> np.ndarray:
     return out
 
 
-def loop_category_seasonality(smoothed, panel, catalog, tau, end_week=None):
+def loop_category_seasonality(smoothed, panel, catalog, tau, end_week):
     """seasonal.category_seasonality one product-year at a time.
 
     Product-years are visited product by product, each product's years in
     order, and each is standardized on its own; a year's total is the 1-D
     sum of its on-sale values.
     """
-    end = smoothed.n_weeks if end_week is None else min(end_week, smoothed.n_weeks)
+    end = min(end_week, smoothed.n_weeks)
     count: dict[str, np.ndarray] = {}
     total: dict[str, np.ndarray] = {}
     total_sq: dict[str, np.ndarray] = {}

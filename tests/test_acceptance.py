@@ -237,14 +237,14 @@ def test_criterion_6_standardization_identity():
     )
     catalog = Catalog({pid: f"c_{pid}" for pid in panel.products}, {}, {})
     base = smooth_panel(panel, window=8, gamma=1000.0)
-    out, _ = category_seasonality(replace(base, x=x), panel, catalog, tau)
+    out, _ = category_seasonality(replace(base, x=x), panel, catalog, tau, tau)
     kept = on_sale.sum(axis=1) >= MIN_YEAR_WEEKS
     assert [f"c_{panel.products[i]}" for i in np.flatnonzero(kept)] == list(out)
     for i in np.flatnonzero(kept):
         year = out[f"c_{panel.products[i]}"][on_sale[i]]
         assert abs(year.sum() - on_sale[i].sum() / tau) < 1e-9
     for scale in (0.25, 2.0, 64.0):
-        rescaled, _ = category_seasonality(replace(base, x=x * scale), panel, catalog, tau)
+        rescaled, _ = category_seasonality(replace(base, x=x * scale), panel, catalog, tau, tau)
         for cat, curve in out.items():
             assert np.array_equal(rescaled[cat], curve)
     ok(

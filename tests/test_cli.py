@@ -155,6 +155,26 @@ class TestPipeline:
             assert isinstance(manifest[detail], int)
             assert not (out / "model.json").exists()
 
+    @pytest.mark.parametrize("model", ["gbt", "forest", "es"])
+    def test_two_products_run_to_the_end(self, tmp_path, model):
+        # fewer products than segments: the top one is A, the other B
+        data = tmp_path / "data"
+        assert main(
+            ["synth", "--out-dir", str(data), "--products", "2", "--categories", "1",
+             "--weeks", "60", "--seed", "3"]
+        ) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "train_len = 40\nvalid_len = 8\ntest_len = 10\nrounds = 5\noverride_bounds = true\n"
+        )
+        out = tmp_path / "out"
+        args = pipeline_args(data, out, "--model", model, "--forest-trees", "2", config=config)
+        assert main(args) == 0
+        with open(out / "report.csv", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["scope"] == "segment"]
+        segments = {row["group"]: int(row["rows"]) for row in rows}
+        assert segments == {"A": 10, "B": 1}
+
     def test_cold_start_filter_reduces_rows(self, data_dir, tmp_path):
         out_all = tmp_path / "all"
         out_filtered = tmp_path / "filtered"
@@ -737,7 +757,7 @@ class TestTrainPredict:
         )
 
     def test_valid_model_loads(self):
-        model, state = gbt.model_from_json(model_text())
+        model, state = gbt.model_from_json(model_text(), "model")
         assert (model.trees, state.seasonal, state.encoding.hash_buckets) == ([], None, 64)
 
     @pytest.mark.parametrize(

@@ -118,7 +118,7 @@ class TestSegmentation:
     def test_default_counts(self):
         y = np.array([[100 - 10 * i] * 5 for i in range(10)], dtype=np.int64)
         panel = make_panel(y)
-        labels = segment_products(panel, np.ones(10))
+        labels = segment_products(panel, np.ones(10), 5)
         counts = {s: int(np.sum(labels == s)) for s in "ABC"}
         assert counts == {"A": 1, "B": 3, "C": 6}
         assert labels[0] == "A"
@@ -126,14 +126,14 @@ class TestSegmentation:
     def test_ties_break_by_product_id(self):
         y = np.full((4, 3), 5, dtype=np.int64)
         panel = make_panel(y)
-        labels = segment_products(panel, np.ones(4))
+        labels = segment_products(panel, np.ones(4), 3)
         assert labels[0] == "A"  # equal volumes: lowest id ranks first
 
     def test_ties_break_by_id_not_by_row(self):
         # rows p0..p11, whose ids sort p0, p1, p10, p11, p2, ...: with equal
         # volumes A takes p0 and B the next three ids, not the next three rows
         panel = make_panel(np.full((12, 3), 5, dtype=np.int64))
-        labels = segment_products(panel, np.ones(12))
+        labels = segment_products(panel, np.ones(12), 3)
         expected = np.full(12, "C")
         expected[0] = "A"
         expected[[1, 10, 11]] = "B"
@@ -143,19 +143,27 @@ class TestSegmentation:
         y = np.ones((5, 4), dtype=np.int64)
         y[3] = 500
         panel = make_panel(y)
-        labels = segment_products(panel, np.ones(5))
+        labels = segment_products(panel, np.ones(5), 4)
         assert labels[3] == "A"
 
     def test_price_weighting_matters(self):
         y = np.array([[10] * 4, [8] * 4, [1] * 4], dtype=np.int64)
         panel = make_panel(y)
-        labels = segment_products(panel, np.array([1.0, 100.0, 1.0]))
+        labels = segment_products(panel, np.array([1.0, 100.0, 1.0]), 4)
         assert labels[1] == "A"
 
     def test_too_few_products(self):
-        panel = make_panel(np.ones((2, 3), dtype=np.int64))
-        with pytest.raises(ValueError):
-            segment_products(panel, np.ones(2))
+        # fewer products than segments: A first, then B
+        panel = make_panel(np.ones((1, 3), dtype=np.int64))
+        assert segment_products(panel, np.ones(1), 3).tolist() == ["A"]
+        panel = make_panel(np.array([[1] * 3, [4] * 3], dtype=np.int64))
+        assert segment_products(panel, np.ones(2), 3).tolist() == ["B", "A"]
+
+    def test_volume_counts_training_weeks_only(self):
+        # p1 outsells p0 only after week 2
+        panel = make_panel(np.array([[5, 5, 5, 5], [1, 1, 50, 50], [0, 0, 0, 0]], dtype=np.int64))
+        assert segment_products(panel, np.ones(3), 2).tolist() == ["A", "B", "C"]
+        assert segment_products(panel, np.ones(3), 4).tolist() == ["B", "A", "C"]
 
 
 class TestEvaluate:

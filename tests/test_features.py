@@ -75,7 +75,7 @@ class TestOrdinalEncode:
         config = RunConfig(rounds=2, with_seasonality=False)
         model = gbt.train(matrix, config, matrix)
         state = gbt.ServingState.of(config, encoding, None)
-        _, loaded = gbt.model_from_json(gbt.model_to_json(model, state))
+        _, loaded = gbt.model_from_json(gbt.model_to_json(model, state), "model")
         codes = [loaded.encoding.code("category", value) for value in ("A", "B", "C", "unseen")]
         assert codes == [0.0, 1.0, 2.0, 3.0]
 
@@ -192,7 +192,7 @@ def pipeline_inputs(n_weeks=30, n_products=3, seed=0, launches=None):
         {f"p{i}": {"brand": f"b{i % 2}"} for i in range(n_products)},
     )
     repaired, smoothed = preprocess_panel(panel, window=8, gamma=3.0)
-    model = fit_seasonality(smoothed, repaired, catalog, tau=52, k=2, seed=0)
+    model = fit_seasonality(smoothed, repaired, catalog, tau=52, k=2, seed=0, end_week=repaired.n_weeks)
     return panel, repaired, smoothed, catalog, model
 
 
@@ -439,7 +439,7 @@ def exactness_inputs(seed=3):
         products=products,  # p_extra's promo entries are left out: it is not a panel product
     )
     repaired, smoothed = preprocess_panel(panel, window=8, gamma=2.0)
-    model = fit_seasonality(smoothed, repaired, catalog, tau=13, k=2, seed=0)
+    model = fit_seasonality(smoothed, repaired, catalog, tau=13, k=2, seed=0, end_week=repaired.n_weeks)
     return repaired, smoothed, catalog, model, covariates
 
 

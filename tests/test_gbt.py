@@ -17,7 +17,6 @@ from demandcast.gbt import (
     BoostedModel,
     ServingState,
     Tree,
-    best_split,
     fit_tree,
     grad_hess,
     leaf_weight,
@@ -33,6 +32,7 @@ from .oracles import (
     choice_sampler,
     finite_diff_grad_hess,
     oracle_apply,
+    oracle_best_split,
     oracle_fit_tree,
     poisson_pointwise,
     squared_pointwise,
@@ -105,14 +105,33 @@ class TestLeafWeight:
             leaf_weight(1.0, -2.0, 1.0)
 
 
+def root_split(values, g, h, reg_lambda, min_split_loss):
+    """Root record of a depth-1 fit_tree on the one feature column values,
+    None when the root is a leaf; checked against oracle_best_split, whose
+    net gain plus min_split_loss is the root's stored (raw) gain."""
+    tree = fit_tree(values[:, None], g, h, 1, reg_lambda, min_split_loss)
+    root = tree.nodes[0]
+    expected = oracle_best_split(values, g, h, reg_lambda, min_split_loss)
+    if root["feature"] < 0:
+        assert expected is None
+        return None
+    threshold, net_gain, default_left = expected
+    assert root["threshold"] == threshold
+    assert root["gain"] == net_gain + min_split_loss
+    assert bool(root["default_left"]) == default_left
+    return root
+
+
 class TestBestSplit:
+    """The split search, through the root of a depth-1 tree on one feature."""
+
     def test_textbook_split(self):
         x = np.array([0.0, 0.0, 1.0, 1.0])
         y = np.array([0.0, 0.0, 10.0, 10.0])
         g, h = grad_hess("squared", y, np.zeros(4))
-        cand = best_split(x, g, h, reg_lambda=0.0, min_split_loss=0.0)
-        assert cand.threshold == 0.5
-        assert cand.gain == 50.0
+        root = root_split(x, g, h, reg_lambda=0.0, min_split_loss=0.0)
+        assert root["threshold"] == 0.5
+        assert root["gain"] == 50.0
         left = leaf_weight(g[:2].sum(), h[:2].sum(), 0.0)
         right = leaf_weight(g[2:].sum(), h[2:].sum(), 0.0)
         assert (left, right) == (0.0, 10.0)
@@ -120,14 +139,14 @@ class TestBestSplit:
     def test_equal_targets_no_split(self):
         y = np.full(4, 7.0)
         g, h = grad_hess("squared", y, np.full(4, 7.0))
-        assert best_split(np.array([0.0, 1.0, 2.0, 3.0]), g, h, 0.0, 0.0) is None
+        assert root_split(np.array([0.0, 1.0, 2.0, 3.0]), g, h, 0.0, 0.0) is None
 
     def test_min_split_loss_blocks(self):
         x = np.array([0.0, 0.0, 1.0, 1.0])
         y = np.array([0.0, 0.0, 10.0, 10.0])
         g, h = grad_hess("squared", y, np.zeros(4))
-        assert best_split(x, g, h, 0.0, min_split_loss=60.0) is None
-        assert best_split(x, g, h, 0.0, min_split_loss=49.0).gain == pytest.approx(1.0)
+        assert root_split(x, g, h, 0.0, min_split_loss=60.0) is None
+        assert root_split(x, g, h, 0.0, min_split_loss=49.0)["gain"] - 49.0 == pytest.approx(1.0)
 
     def test_missing_routed_where_it_helps(self):
         # the NaN row carries a strong positive gradient: grouping it with the
@@ -135,22 +154,21 @@ class TestBestSplit:
         x = np.array([0.0, 0.0, 1.0, 1.0, np.nan])
         y = np.array([0.0, 0.0, 10.0, 10.0, 10.0])
         g, h = grad_hess("squared", y, np.zeros(5))
-        cand = best_split(x, g, h, 0.0, 0.0)
-        assert cand is not None
-        assert not cand.default_left
+        root = root_split(x, g, h, 0.0, 0.0)
+        assert root is not None
+        assert not root["default_left"]
 
     def test_missing_defaults_left_on_tie(self):
         # no missing values at all: both routings identical, prefer left
         x = np.array([0.0, 1.0])
         g = np.array([1.0, -1.0])
         h = np.array([1.0, 1.0])
-        cand = best_split(x, g, h, 0.0, 0.0)
-        assert cand.default_left
+        assert root_split(x, g, h, 0.0, 0.0)["default_left"]
 
     def test_all_equal_values_no_split(self):
         g = np.array([1.0, -1.0])
         h = np.array([1.0, 1.0])
-        assert best_split(np.array([3.0, 3.0]), g, h, 0.0, 0.0) is None
+        assert root_split(np.array([3.0, 3.0]), g, h, 0.0, 0.0) is None
 
 
 class TestTieBreaking:
@@ -424,7 +442,7 @@ class TestSerialization:
         model = train(matrix, params, matrix)
         state = small_state(matrix.columns)
         text = model_to_json(model, state)
-        loaded, loaded_state = model_from_json(text)
+        loaded, loaded_state = model_from_json(text, "model")
         assert model_to_json(loaded, loaded_state) == text
         assert loaded.base_score == model.base_score
         assert (loaded.train_loss, loaded.valid_loss) == (model.train_loss, model.valid_loss)
@@ -451,7 +469,7 @@ class TestSerialization:
         doc = json.loads(text)
         assert len(doc["node_counts"]) == model.best_round
         assert len(doc["valid_loss"]) == len(model.trees) + 1
-        loaded, _ = model_from_json(text)
+        loaded, _ = model_from_json(text, "model")
         assert len(loaded.trees) == model.best_round
         for kept, tree in zip(loaded.trees, model.trees):
             assert kept.nodes.tobytes() == tree.nodes.tobytes()
@@ -459,11 +477,11 @@ class TestSerialization:
 
     def test_version_checked(self):
         with pytest.raises(ValueError, match="version"):
-            model_from_json('{"version": 99}')
+            model_from_json('{"version": 99}', "model")
 
     def test_version_1_asks_for_a_retrain(self):
         with pytest.raises(SchemaError, match="model: model version 1 is no longer read; retrain"):
-            model_from_json('{"version": 1, "trees": []}')
+            model_from_json('{"version": 1, "trees": []}', "model")
 
 
 def small_model_doc():
@@ -780,13 +798,13 @@ class TestModelFileChecks:
         set_node(doc, 0, -1, "weight", math.nan)
         set_node(doc, 0, -1, "default_left", 3)
         with pytest.raises(SchemaError, match=r"^model: tree 0 node \d+: default_left 3 is not 0 or 1$"):
-            model_from_json(json.dumps(doc))
+            model_from_json(json.dumps(doc), "model")
 
     def test_infinite_threshold_accepted(self):
         doc = small_model_doc()
         set_node(doc, 0, 0, "threshold", math.inf)
         set_node(doc, 1, 0, "threshold", -math.inf)
-        model, _ = model_from_json(json.dumps(doc))
+        model, _ = model_from_json(json.dumps(doc), "model")
         assert model.trees[0].nodes["threshold"][0] == math.inf
         assert model.trees[1].nodes["threshold"][0] == -math.inf
         assert model.predict_array(np.array([[5.0, 5.0]])).shape == (1,)
@@ -795,7 +813,7 @@ class TestModelFileChecks:
         # JSON integers are numbers: a hand-edited file may hold them
         doc = small_model_doc()
         doc["nodes"]["weight"] = [int(w) for w in doc["nodes"]["weight"]]
-        model, _ = model_from_json(json.dumps(doc))
+        model, _ = model_from_json(json.dumps(doc), "model")
         assert model.trees[0].nodes["weight"].tolist() == doc["nodes"]["weight"][: doc["node_counts"][0]]
 
 

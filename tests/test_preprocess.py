@@ -12,6 +12,8 @@ from demandcast.preprocess import (
     write_smoothed,
 )
 
+from demandcast.synth import SynthSpec, generate_panel
+
 from .oracles import (
     loop_detect_fake_zeros,
     loop_repair_fake_zeros,
@@ -80,6 +82,29 @@ class TestDetect:
         panel = panel_from(np.zeros((2, 0)), stock=np.zeros((2, 0)), on_sale=np.zeros((2, 0)))
         assert detect_fake_zeros(panel).shape == (2, 0)
 
+    def test_every_flagged_week_has_a_usable_week_before_it(self):
+        """So repair_fake_zeros never meets a detected week without history:
+        the product's first sale is on sale, unflagged and before it."""
+
+        def check(panel):
+            mask = detect_fake_zeros(panel)
+            usable = panel.on_sale_mask & ~mask
+            before = np.cumsum(usable, axis=1) - usable  # usable weeks strictly before each week
+            assert (before[mask] > 0).all()
+            return int(mask.sum())
+
+        rng = np.random.default_rng(5)
+        flagged = 0
+        for _ in range(300):
+            n, t = int(rng.integers(1, 9)), int(rng.integers(1, 30))
+            on_sale = rng.random((n, t)) < rng.uniform(0.3, 1.0)
+            stock = rng.random((n, t)) < rng.uniform(0.2, 0.9)
+            y = np.where(on_sale & stock, rng.poisson(rng.uniform(0.1, 5.0), size=(n, t)), 0)
+            flagged += check(make_panel(y, on_sale=on_sale, stock=stock))
+        assert flagged > 100
+        # the reference panel (500 products, 200 weeks, seed 20240901)
+        assert check(generate_panel(SynthSpec(seed=20240901))[0]) == 595
+
 
 class TestRepair:
     def test_constant_series_replacement(self):
@@ -93,28 +118,32 @@ class TestRepair:
         repaired = repair_fake_zeros(panel, np.zeros((1, 3), dtype=bool))
         assert np.array_equal(repaired.y, panel.y)
 
-    def test_no_history_uses_first_subsequent_positive(self):
-        panel = panel_from([0, 0, 7, 3])
-        mask = np.array([[True, False, False, False]])
-        repaired = repair_fake_zeros(panel, mask)
-        assert repaired.y[0, 0] == 7
+    def test_no_history_raises_naming_product_and_week(self):
+        # p0's week 2 has history; p1's weeks 0 and 1 have none, and the earliest is named
+        panel = panel_from([[1, 2, 3, 4], [0, 0, 7, 3]])
+        mask = np.array([[False, False, True, False], [True, True, False, False]])
+        with pytest.raises(
+            ValueError, match=r"^fake zero of product 'p1' at week 0 has no usable week before it$"
+        ):
+            repair_fake_zeros(panel, mask)
 
     def test_unflagged_weeks_untouched(self):
         panel = panel_from([4, 9, 0, 2], stock=[True, True, False, True])
         repaired = repair_fake_zeros(panel, detect_fake_zeros(panel))
         assert repaired.y[0, [0, 1, 3]].tolist() == [4, 9, 2]
 
-    def test_no_history_and_no_later_positive_gives_zero(self):
-        panel = panel_from([0, 0, 0], on_sale=[True, True, False])
-        repaired = repair_fake_zeros(panel, np.array([[False, True, False]]))
-        assert repaired.y.tolist() == [[0, 0, 0]]
+    def test_no_history_and_no_later_positive_raises(self):
+        # week 0 is off sale, so it is no history for week 1
+        panel = panel_from([0, 0, 0], on_sale=[False, True, True])
+        with pytest.raises(ValueError, match=r"^fake zero of product 'p0' at week 1 has"):
+            repair_fake_zeros(panel, np.array([[False, True, False]]))
 
     def test_matches_per_product_loop(self):
-        """Random masks, not only detected ones: runs of flagged weeks, flags
-        before any usable week, flags with no positive week after them, and
-        products without flags, all checked bit for bit."""
+        """Random masks, not only detected ones: runs of flagged weeks and
+        products without flags, checked bit for bit, and flags before any
+        usable week, which raise naming the earliest such week."""
         rng = np.random.default_rng(21)
-        seen = dict.fromkeys(["run", "no_history", "no_later_positive", "unflagged"], 0)
+        seen = dict.fromkeys(["run", "no_history", "unflagged"], 0)
         for _ in range(300):
             n, t = int(rng.integers(1, 8)), int(rng.integers(1, 25))
             y = rng.poisson(rng.uniform(0.3, 40.0, size=(n, 1)), size=(n, t))
@@ -128,17 +157,21 @@ class TestRepair:
             mask &= on_sale  # a repaired count may only land on a listed week
             panel = make_panel(y, on_sale=on_sale)
             for flags in (mask, detect_fake_zeros(panel)):
+                usable = on_sale & ~flags
+                lost = [(w, i) for i, w in zip(*np.nonzero(flags)) if not usable[i, :w].any()]
+                if lost:
+                    week, row = min(lost)
+                    message = rf"^fake zero of product 'p{row}' at week {week} has"
+                    with pytest.raises(ValueError, match=message):
+                        repair_fake_zeros(panel, flags)
+                    seen["no_history"] += 1
+                    continue
                 repaired = repair_fake_zeros(panel, flags)
                 assert repaired.y.dtype == panel.y.dtype
                 assert repaired.y.tobytes() == loop_repair_fake_zeros(panel, flags).y.tobytes()
-            usable = on_sale & ~mask
-            for i, w in zip(*np.nonzero(mask)):
-                if not usable[i, :w].any():
-                    seen["no_history"] += 1
-                    seen["no_later_positive"] += int(not (y[i, w + 1 :] > 0).any())
-            seen["run"] += int((mask[:, 1:] & mask[:, :-1]).sum())
-            flagged_products = mask.any(axis=1)
-            seen["unflagged"] += int(flagged_products.any() and not flagged_products.all())
+                seen["run"] += int((flags[:, 1:] & flags[:, :-1]).sum())
+                flagged_products = flags.any(axis=1)
+                seen["unflagged"] += int(flagged_products.any() and not flagged_products.all())
         assert min(seen.values()) > 10, seen
 
     def test_repair_idempotent(self):

@@ -49,3 +49,43 @@ def test_every_public_name_is_used_outside_tests():
         if not any(id(node) not in own for node in uses.get(definition.name, [])):
             unused.append(f"{path.name}:{definition.lineno} {definition.name}")
     assert unused == []
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if referenced(target) == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    """A field that nothing reads is state the program carries for no one.
+
+    A read is an attribute load anywhere in the package or the tests, the
+    class's own methods included; the field's declaration and constructor
+    keywords are not reads.
+    """
+    files = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        (path, cls, stmt)
+        for path in PACKAGE
+        for cls in trees[path].body
+        if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    assert len(fields) > 30
+    unread = [
+        f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
+        for path, cls, stmt in fields
+        if stmt.target.id not in read
+    ]
+    assert unread == []

@@ -32,7 +32,7 @@ def standardized(x, on_sale):
     panel = make_panel(on_sale.astype(np.int64), on_sale=on_sale)
     smoothed = replace(smooth_panel(panel, window=8, gamma=1000.0), x=np.array([x], dtype=float))
     catalog = Catalog({"p0": "c"}, {"p0": 1.0}, {})
-    curves, _ = category_seasonality(smoothed, panel, catalog, on_sale.shape[1])
+    curves, _ = category_seasonality(smoothed, panel, catalog, on_sale.shape[1], on_sale.shape[1])
     return curves.get("c")
 
 
@@ -94,7 +94,7 @@ def full_year_setup(values_by_product, categories):
 class TestCategorySeasonality:
     def test_single_constant_product(self):
         panel, smoothed, catalog = full_year_setup([[5] * TAU], ["a"])
-        curves, variances = category_seasonality(smoothed, panel, catalog, TAU)
+        curves, variances = category_seasonality(smoothed, panel, catalog, TAU, TAU)
         assert np.allclose(curves["a"], 1 / TAU)
         assert np.allclose(variances["a"], 0.0)
 
@@ -102,7 +102,7 @@ class TestCategorySeasonality:
         week = np.arange(TAU)
         values = (10 + 5 * np.sin(2 * np.pi * week / TAU)).astype(int)
         panel, smoothed, catalog = full_year_setup([values, values], ["a", "a"])
-        curves, variances = category_seasonality(smoothed, panel, catalog, TAU)
+        curves, variances = category_seasonality(smoothed, panel, catalog, TAU, TAU)
         assert np.allclose(variances["a"], 0.0)
 
     def test_pointwise_mean_of_two_products(self):
@@ -113,7 +113,7 @@ class TestCategorySeasonality:
         panel = make_panel(np.array([a, b]), on_sale=on_sale)
         smoothed = smooth_panel(panel, window=8, gamma=1000.0)
         catalog = Catalog({"p0": "c", "p1": "c"}, {"p0": 1.0, "p1": 1.0}, {})
-        curves, _ = category_seasonality(smoothed, panel, catalog, TAU)
+        curves, _ = category_seasonality(smoothed, panel, catalog, TAU, TAU)
         # product a contributes 1/52 everywhere, product b 1/52 on its half
         assert np.allclose(curves["c"][:26], 1 / TAU)
         assert np.allclose(curves["c"][26:], 1 / TAU)
@@ -126,7 +126,7 @@ class TestCategorySeasonality:
         panel = make_panel(y, on_sale=on_sale)
         smoothed = smooth_panel(panel, window=8, gamma=1000.0)
         catalog = Catalog({"p0": "c"}, {"p0": 1.0}, {})
-        curves, _ = category_seasonality(smoothed, panel, catalog, TAU)
+        curves, _ = category_seasonality(smoothed, panel, catalog, TAU, TAU)
         assert not np.isnan(curves["c"]).any()
 
     def test_short_product_years_excluded(self):
@@ -136,7 +136,7 @@ class TestCategorySeasonality:
         panel = make_panel(y, on_sale=on_sale)
         smoothed = smooth_panel(panel, window=8, gamma=1000.0)
         catalog = Catalog({"p0": "c"}, {"p0": 1.0}, {})
-        curves, _ = category_seasonality(smoothed, panel, catalog, TAU)
+        curves, _ = category_seasonality(smoothed, panel, catalog, TAU, TAU)
         assert curves == {}
 
 
@@ -192,10 +192,11 @@ def assert_same_fit(got, expected):
 class TestAgainstLoop:
     """category_seasonality equals the one-year-at-a-time loop bit for bit."""
 
-    @pytest.mark.parametrize("end_week", [None, 100])
+    @pytest.mark.parametrize("end_week", [None, 100])  # None: the whole panel
     @pytest.mark.parametrize("tau", [7, 13, 52, 139])
     def test_edge_panel(self, tau, end_week):
         panel, smoothed, catalog = edge_panel(tau)
+        end_week = panel.n_weeks if end_week is None else end_week
         got = category_seasonality(smoothed, panel, catalog, tau, end_week)
         assert_same_fit(got, loop_category_seasonality(smoothed, panel, catalog, tau, end_week))
         curves, variances = got
@@ -212,9 +213,10 @@ class TestAgainstLoop:
             loop_category_seasonality(smoothed, panel, catalog, 13, 120),
         )
 
-    @pytest.mark.parametrize("end_week", [None, 80])
+    @pytest.mark.parametrize("end_week", [None, 80])  # None: the whole panel
     def test_synth_panel(self, end_week):
         spec = SynthSpec(n_products=200, n_categories=6, n_weeks=130, seed=11)
+        end_week = spec.n_weeks if end_week is None else end_week
         panel, catalog, _, _ = generate_panel(spec)
         smoothed = smooth_panel(panel, window=8, gamma=3.0)
         assert_same_fit(
@@ -368,7 +370,7 @@ class TestFitSeasonality:
             rows.append((10 + 8 * np.cos(2 * np.pi * (week - shift) / TAU)).astype(int))
             cats.append("early" if i < 3 else "late")
         panel, smoothed, catalog = full_year_setup(rows, cats)
-        model = fit_seasonality(smoothed, panel, catalog, TAU, k=2, seed=0)
+        model = fit_seasonality(smoothed, panel, catalog, TAU, k=2, seed=0, end_week=TAU)
         assert set(model.assignment) == {"early", "late"}
         assert model.assignment["early"] != model.assignment["late"]
         # wraps around the period
