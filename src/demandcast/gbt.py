@@ -9,9 +9,10 @@ strictly positive.
 Split search follows the column block of XGBoost's exact greedy algorithm
 (Chen & Guestrin 2016). Each column of the training matrix is stable-sorted
 once into an int32 (p, n) array of row indices, NaN last: once per train()
-call, reused by every boosting round, and once per forest tree. A tree
-grows on a working copy of that array plus one row holding the row indices
-in ascending order. Every node owns one contiguous range of positions in
+call, reused by every boosting round, and once per forest tree, over that
+tree's distinct bootstrap rows (see train_forest). A tree grows on a
+working copy of that array plus one row holding the row indices in
+ascending order. Every node owns one contiguous range of positions in
 it, so each row of the range lists the node's rows sorted by that feature;
 a split stably partitions the range in place, which keeps both children
 sorted. No node of this numpy path sorts anything.
@@ -56,7 +57,9 @@ one pair per row of its root, which has at most SCAN_ELEMENTS rows, and no
 n-sized map; the missing-value sums read only the NaN tails. The grower
 and the subtree keep their state in loops with explicit stacks, not in
 recursive frames or a recursive closure, so a fit leaves no reference cycle
-behind.
+behind. A forest tree's rows are its bootstrap's distinct rows, about 0.632
+of the n it draws, so its copy of those rows of the matrix, its presort,
+working copy, pairs and flags are that much smaller than on n rows.
 
 Chunk size: SCRATCH_ELEMENTS is 2^16 because each chunk costs a fixed run
 of numpy calls, so larger chunks score a node's features in fewer calls: a
@@ -102,9 +105,14 @@ Determinism contract: ties between candidate splits break toward the lowest
 feature index, then the lowest threshold, then routing missing values left.
 Nodes are numbered depth-first in pre-order, which is also the order in
 which a forest's feature sampler is called. Training is strictly sequential
-over rounds. A forest's bootstraps and feature samples come from one
-generator in the order of one sorted choice(p, k, replace=False) call per
-node that may split; the sampler draws SAMPLE_BATCH samples per generator
+over rounds. A node may split when it lies above max_depth and holds at
+least 2 rows. A forest counts each row with its multiplicity in the
+bootstrap, which its trees get as h (H >= 2): a node of one distinct row
+drawn twice or more takes a feature sample, then becomes a leaf, as the
+node of its duplicated rows would. Boosting counts distinct rows, since its
+hessians are no counts. A forest's bootstraps and feature samples come from
+one generator in the order of one sorted choice(p, k, replace=False) call
+per node that may split; the sampler draws SAMPLE_BATCH samples per generator
 call and, after each tree, rewinds the generator to the state before its
 last batch and draws only the samples it handed out again, so the next
 bootstrap starts where per-node calls would have left the stream.
@@ -465,7 +473,12 @@ def fit_tree(
 
     feature_sampler, when set, returns the (ascending) candidate feature
     indices for each split; bagging uses it for per-split column subsampling.
-    It is called once per node that may split, in pre-order.
+    It is called once per node that may split, in pre-order. A node may
+    split when depth < max_depth and it holds 2 rows or more. With a
+    sampler, h must hold each row's multiplicity (a bootstrap count, 1 for
+    a plain row) and rows count with it (H >= 2), so a node of one row
+    counted twice or more takes a sample and then becomes a leaf; without
+    one, rows count once (hi - lo >= 2), as Poisson hessians are no counts.
 
     order is x's presort from presort_columns(x), sorted here when None;
     train() passes one presort to every round. The tree grows on a working
@@ -513,7 +526,10 @@ def fit_tree(
                 records[parent][4] = idx
             rows = work[p, lo:hi]
             features = None
-            if depth < max_depth and hi - lo >= 2:
+            # a sampler's h are row counts, each at least 1: H >= 2 (see above)
+            if depth < max_depth and (
+                hi - lo >= 2 or feature_sampler is not None and gh[rows[0]].imag >= 2
+            ):
                 features = all_features if feature_sampler is None else np.asarray(feature_sampler(p))
                 if len(features) * (hi - lo) <= SCAN_ELEMENTS:
                     _grow_subtree(
@@ -616,20 +632,23 @@ def _grow_subtree(
         # explicit additions from the first pair on, as numpy's complex cumsum
         total = reduce(add, map(pairs.__getitem__, local))
         found = None
-        if depth < max_depth and len(local) >= 2:
+        # fit_tree's rule: a sampler's h are row counts, so one row may split
+        # when it is counted twice or more
+        if depth < max_depth and (len(local) >= 2 or feature_sampler is not None and total.imag >= 2):
             if features is None:
                 features = (
                     all_features if feature_sampler is None
                     else np.asarray(feature_sampler(p)).tolist()
                 )
-            orders, xv, ghv = [], [], []
-            for f in features:
-                order = sorted(local, key=rank[f].__getitem__)
-                gather = itemgetter(*order)  # a tuple: the node has 2 rows or more
-                orders.append(order)
-                xv.append(gather(values[f]))
-                ghv.append(gather(pairs))
-            found = _scan_block(xv, ghv, total, reg_lambda, min_split_loss)
+            if len(local) >= 2:  # one row has no boundary: it stays a leaf
+                orders, xv, ghv = [], [], []
+                for f in features:
+                    order = sorted(local, key=rank[f].__getitem__)
+                    gather = itemgetter(*order)  # a tuple: the node has 2 rows or more
+                    orders.append(order)
+                    xv.append(gather(values[f]))
+                    ghv.append(gather(pairs))
+                found = _scan_block(xv, ghv, total, reg_lambda, min_split_loss)
         if found is None:
             weight = leaf_weight(total.real, total.imag, reg_lambda)
             records.append((-1, 0.0, 1, -1, -1, weight, 0.0))
@@ -819,6 +838,14 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
     again, so the next bootstrap reads the stream where per-node calls
     would have left it. Leaves are unregularized (lambda 0) and any split
     that lowers the loss is taken (min_split_loss 0).
+
+    A tree grows on its bootstrap's distinct rows, each weighted by its
+    count c (g = -y * c, h = c), not on every copy (as scikit-learn's
+    forests pass bootstrap counts as sample weights). When every target is
+    an integer and max|y| * n < 2^53, every sum the grower forms is an
+    integer below 2^53 in both forms, so exact in any order; the trees are
+    those of the duplicated rows bit for bit (fit_tree's "may split" counts
+    rows with h). Other targets keep the duplicated rows, with counts of 1.
     """
     if n_trees < 1:
         raise ValueError(f"a forest needs at least one tree, got n_trees={n_trees}")
@@ -830,14 +857,18 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
     n = matrix.n_rows
     p = matrix.X.shape[1]
     n_sub = max(1, int(math.isqrt(p)))
+    y = matrix.targets
+    # every partial sum is an integer of at most max|y| * n; that float product
+    # rounds only at 2^53 or above, so the test is exact
+    counted = bool((y == np.floor(y)).all()) and float(np.abs(y).max()) * n < 2.0**53
     trees: list[Tree] = []
     sampler = _FeatureSampler(rng, p, n_sub) if n_sub < p else None
     for _ in range(n_trees):
-        rows = np.sort(rng.integers(0, n, size=n))
-        y = matrix.targets[rows]
-        trees.append(
-            fit_tree(matrix.X[rows], -y, np.ones_like(y), max_depth, 0.0, 0.0, feature_sampler=sampler)
-        )
+        rows, counts = np.unique(rng.integers(0, n, size=n), return_counts=True)
+        if not counted:  # every copy, each counted once
+            rows, counts = np.repeat(rows, counts), np.ones(n, dtype=counts.dtype)
+        h = counts.astype(float)
+        trees.append(fit_tree(matrix.X[rows], -y[rows] * h, h, max_depth, 0.0, 0.0, feature_sampler=sampler))
         if sampler is not None:
             sampler.rewind()
     return ForestModel(feature_names=list(matrix.columns), trees=trees)

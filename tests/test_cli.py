@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import platform
 import random
@@ -154,6 +155,18 @@ class TestPipeline:
             manifest = json.loads((out / "manifest.json").read_text())
             assert isinstance(manifest[detail], int)
             assert not (out / "model.json").exists()
+
+    def test_forest_artifacts_pinned(self, data_dir, tmp_path):
+        # bootstraps, feature samples, split search and leaf means all reach
+        # these bytes, so a forest that is not node for node the same moves them
+        out = tmp_path / "forest"
+        assert main(pipeline_args(data_dir, out, "--model", "forest", "--forest-trees", "3")) == 0
+        names = ("predictions.csv", "report.csv")
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+        assert digests == {
+            "predictions.csv": "036c6ffbe4e66f5545138b36246fd7fb3eef0d5b854fc0522ee9726ff42bbebb",
+            "report.csv": "a2b4331f45115af8d2af2e505ea6e6d7f09518c42c8f5771c7ed4060fbef0b3d",
+        }
 
     @pytest.mark.parametrize("model", ["gbt", "forest", "es"])
     def test_two_products_run_to_the_end(self, tmp_path, model):

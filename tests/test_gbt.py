@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -954,6 +955,128 @@ class TestFeatureSampler:
                 assert calls > 7
                 mid_batch += calls % batch != 0
         assert mid_batch >= 6
+
+
+@pytest.fixture
+def forest_fits(monkeypatch):
+    """Records each tree train_forest fits: its rows, h, max_depth, the tree
+    and how often it called the feature sampler. Clear it between forests."""
+    fits = []
+    fit = gbt.fit_tree
+
+    def recording_fit(x, g, h, max_depth, *args, feature_sampler=None):
+        calls = [0]
+
+        def counted(n_features):
+            calls[0] += 1
+            return feature_sampler(n_features)
+
+        sampler = None if feature_sampler is None else counted
+        tree = fit(x, g, h, max_depth, *args, feature_sampler=sampler)
+        fits.append(SimpleNamespace(x=x, h=h, max_depth=max_depth, tree=tree, calls=calls[0]))
+        return tree
+
+    monkeypatch.setattr(gbt, "fit_tree", recording_fit)
+    return fits
+
+
+def leaves_reached(tree, x):
+    """{leaf index: (depth, rows of x that reach it)}, walking one node at a time."""
+    nodes = tree.nodes.tolist()
+    reached = {}
+    for r, row in enumerate(x.tolist()):
+        node = depth = 0
+        while nodes[node][0] >= 0:
+            feature, threshold, default_left, left, right = nodes[node][:5]
+            value = row[feature]
+            goes_left = default_left if math.isnan(value) else value < threshold
+            node, depth = (left if goes_left else right), depth + 1
+        reached.setdefault(node, (depth, []))[1].append(r)
+    return reached
+
+
+def count_case(rng, n, p):
+    """n x p rows with ties (rounded even columns) and 20% NaN cells."""
+    x = rng.normal(size=(n, p))
+    x[:, ::2] = np.round(x[:, ::2])
+    x[rng.random(x.shape) < 0.2] = np.nan
+    return x
+
+
+class TestCountedRows:
+    # train_forest grows each tree on its bootstrap's distinct rows with
+    # g = -y * count and h = count; on integer targets the trees must be the
+    # brute-force grower's on the duplicated rows, node for node and bit for
+    # bit, with the sampler called at the same nodes
+    def test_integer_targets_match_the_duplicated_rows(self, monkeypatch, forest_fits):
+        for _ in each_search_path(monkeypatch):
+            rng = np.random.default_rng(50)
+            zero_leaves = 0
+            for seed in range(8):
+                n, p = int(rng.integers(20, 60)), int(rng.integers(2, 12))
+                x = count_case(rng, n, p)
+                # zero counts make -0.0 gradients: a sum that loses that sign
+                # flips a leaf weight's sign bit
+                y = rng.poisson(1.5, size=n).astype(float)
+                depth = int(rng.integers(3, 25))
+                forest_fits.clear()
+                forest = train_forest(matrix_of(x, y=y), 3, depth, seed)
+                reference = reference_forest(x, y, 3, depth, seed)
+                for fit, tree, (nodes, calls) in zip(forest_fits, forest.trees, reference, strict=True):
+                    assert len(fit.x) < n and fit.h.sum() == n  # the distinct rows, counted
+                    assert_same_tree(tree, nodes)
+                    assert fit.calls == calls > 0
+                    leaf = tree.nodes["feature"] < 0
+                    zero_leaves += bits(tree.nodes["weight"][leaf]).count(0)
+            assert zero_leaves > 0
+
+    def test_one_row_counted_twice_takes_a_sample(self, monkeypatch, forest_fits):
+        # distinct targets split until a node holds one distinct row; one of
+        # count 2 or more above max_depth may split (two bootstrap rows), so
+        # it calls the sampler before it becomes a leaf, as on duplicated rows
+        for _ in each_search_path(monkeypatch):
+            rng = np.random.default_rng(51)
+            lone = 0
+            for seed in range(4):
+                n, p = 40, int(rng.integers(2, 10))
+                x = count_case(rng, n, p)
+                y = rng.permutation(n).astype(float)
+                forest_fits.clear()
+                forest = train_forest(matrix_of(x, y=y), 2, 24, seed)
+                reference = reference_forest(x, y, 2, 24, seed)
+                for fit, tree, (nodes, calls) in zip(forest_fits, forest.trees, reference, strict=True):
+                    assert_same_tree(tree, nodes)
+                    assert fit.calls == calls
+                    for depth, rows in leaves_reached(tree, fit.x).values():
+                        lone += depth < fit.max_depth and len(rows) == 1 and fit.h[rows[0]] >= 2
+            assert lone > 0
+
+    @pytest.mark.parametrize(
+        "top, counted",
+        [(None, False), (2**48 - 1, True), (2**48, False)],
+        ids=["fractional", "below_2_53", "at_2_53"],
+    )
+    def test_guard_keeps_duplicated_rows(self, monkeypatch, forest_fits, top, counted):
+        # counted rows only for integers with max|y| * n below 2^53: other
+        # targets grow on every bootstrap row with counts of 1
+        n = 32
+        for _ in each_search_path(monkeypatch):
+            rng = np.random.default_rng(52)
+            x = count_case(rng, n, 6)
+            if top is None:
+                y = rng.poisson(3.0, size=n) + np.where(rng.random(n) < 0.3, 0.5, 0.0)
+            else:
+                y = rng.integers(-top, top, size=n, endpoint=True).astype(float)
+                y[rng.integers(n)] = -top
+                assert np.abs(y).max() * n == 2**53 - 32 * (top < 2**48)
+            forest_fits.clear()
+            forest = train_forest(matrix_of(x, y=y), 3, 10, 4)
+            reference = reference_forest(x, y, 3, 10, 4)
+            for fit, tree, (nodes, calls) in zip(forest_fits, forest.trees, reference, strict=True):
+                assert (len(fit.x) < n) == counted
+                assert (fit.h == 1).all() != counted
+                assert_same_tree(tree, nodes)
+                assert fit.calls == calls > 0
 
 
 def tree_depth(tree):
