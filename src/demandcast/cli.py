@@ -55,6 +55,15 @@ or was mmapped depended on hash-seed and import-time allocations, so the
 process's peak resident memory moved by that array's size from one run to
 the next with the same inputs and code. After the release, a stage starts
 from its live memory alone.
+
+`predict` has no stages. It releases the free heap once, after loading its
+inputs, when the panel's (N, T) arrays reach the mmap threshold. On the
+4,000-product panel the loaders leave about 35 MiB of free heap resident,
+and whether the repair's (N, T) arrays then reused it or were mmapped
+differed from one call to the next in one process, so the peak of repeated
+calls moved by more than one such array. Smaller arrays always come from
+the heap and reuse its free pages in place; there a release only adds page
+faults (13% more `predict` time on the 500-product panel, 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -449,6 +458,8 @@ def cmd_predict(args) -> int:
         _check_config(given, state, args)
     config = state.config()
     panel, catalog, covariates = load_inputs(args.sales, args.catalog, args.covariates)
+    if panel.y.nbytes >= MALLOC_THRESHOLDS[M_MMAP_THRESHOLD]:  # see the module docstring
+        _release_free_heap()
     _check_columns(booster, catalog, covariates, config, args)
     rows = np.flatnonzero(panel.on_sale_mask[:, -1])  # the products on sale in the last week
     if not rows.size:

@@ -1509,6 +1509,28 @@ class TestMallocThresholds:
             raise ValueError("bad row")
         assert calls == [0]
 
+    @pytest.mark.parametrize("above, releases", [(0, 1), (1, 0)])
+    def test_predict_releases_the_free_heap_after_loading_a_panel_at_the_mmap_threshold(
+        self, trained_120, tmp_path, monkeypatch, above, releases
+    ):
+        data_dir, model_file = trained_120
+        threshold = ingest.load_sales(data_dir / "sales.csv").y.nbytes + above
+        monkeypatch.setattr(cli, "_fix_malloc_thresholds", lambda: None)  # this process's allocator stays as it is
+        monkeypatch.setitem(cli.MALLOC_THRESHOLDS, cli.M_MMAP_THRESHOLD, threshold)
+        events = []
+
+        def recorded(name, function):
+            def call(*args, **kwargs):
+                events.append(name)
+                return function(*args, **kwargs)
+            return call
+
+        for name in ("load_inputs", "preprocess_panel"):
+            monkeypatch.setattr(cli, name, recorded(name, getattr(cli, name)))
+        monkeypatch.setattr(cli, "_release_free_heap", lambda: events.append("release"))
+        assert main(predict_args(data_dir, model_file, tmp_path / "out")) == 0
+        assert events == ["load_inputs", *["release"] * releases, "preprocess_panel"]
+
     def test_c_library_without_malloc_trim_left_as_it_is(self, monkeypatch):
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
         with cli.stage("ingest"):
