@@ -10,9 +10,11 @@ Missing values are carried as NaN and resolved by the trees' per-split
 default direction; zero is a meaningful sales value and is never used as a
 filler.
 
-The matrix is built in whole-panel array passes, never row by row, for the
-(panel row, issue week) keys the caller gives: the split's rows from
-split_rows, or the products on sale at the panel's last week for predict.
+The matrix is built in whole-panel array passes, never row by row, into a
+feature-major array whose every column is contiguous (the layout the tree
+grower reads), for the (panel row, issue week) keys the caller gives: the
+split's rows from split_rows, or the products on sale at the panel's last
+week for predict.
 Lags are gathers masked by the launch week; season, price and categorical
 codes are looked up once per product and broadcast; covariates are
 searchsorted lookups into sorted (group, week) keys, with imputed means
@@ -224,7 +226,7 @@ class FeatureMatrix:
     product_ids: np.ndarray       # (n,) object, the panel's id strings
     target_weeks: np.ndarray      # (n,) int64
     columns: list[str]
-    X: np.ndarray                 # (n, p) float64
+    X: np.ndarray                 # (n, p) float64, columns contiguous
     targets: np.ndarray | None    # (n,) float64, None for prediction rows
 
     @property
@@ -323,7 +325,7 @@ def build_matrix(
     target_weeks = weeks + h
     launch = launch_weeks(on_sale)[rows]
 
-    x = np.empty((rows.size, len(columns)))
+    x = np.empty((len(columns), rows.size)).T  # feature-major: each x[:, j] is contiguous
     for j in range(LAG_DEPTH):
         lagged = weeks - j
         kept = lagged >= launch

@@ -17,6 +17,18 @@ it, so each row of the range lists the node's rows sorted by that feature;
 a split stably partitions the range in place, which keeps both children
 sorted. No node of this numpy path sorts anything.
 
+The matrix is read column by column, as the column block stores it:
+FeatureMatrix.X is feature-major (build_matrix writes each column
+contiguously, and the train, valid and test parts are row slices of it), and
+the grower and Tree.apply read cell (r, f) at f * stride + r of one 1-D view
+over that column buffer (_column_cells). So the gather of a node's values
+for one feature reads within that feature's column, not across the whole
+matrix, and x is not copied. An x whose columns are not contiguous (a
+C-order array of several rows and columns, a slice that steps over rows)
+is copied to F order once per fit_tree or apply call. Only the memory a
+value is read from depends on the layout: trees, gains and leaf values do
+not.
+
 Exactness: the search scores the node's block for all candidate features at
 once, but every sum it forms is a sequential sum in the order the one-column
 scan uses: left sums are np.cumsum along each sorted row (ties in row
@@ -48,10 +60,12 @@ same pre-order. The gains are therefore bit for bit those of a scalar
 scan, which tests/oracles.py checks, whichever path grows a node.
 
 Memory: besides the presort, the per-tree working copy (int32, features + 1
-rows), one complex g + i*h pair and one flag per row, and the tree's node
-records, the grower's temporaries take at most 16 eight-byte words per
-element of max(SCRATCH_ELEMENTS, rows in the node), never features x rows,
-and none outlives its node; the bound holds for the split search and the
+rows), one complex g + i*h pair and one flag per row, the tree's node
+records, and an F-order copy of x only when its columns are not contiguous
+(never for a FeatureMatrix or a row slice of one), the grower's
+temporaries take at most 16 eight-byte words per element of
+max(SCRATCH_ELEMENTS, rows in the node), never features x rows, and none
+outlives its node; the bound holds for the split search and the
 partition alike. A Python subtree's lists hold p values and positions and
 one pair per row of its root, which has at most SCAN_ELEMENTS rows, and no
 n-sized map; the missing-value sums read only the NaN tails. The grower
@@ -59,7 +73,9 @@ and the subtree keep their state in loops with explicit stacks, not in
 recursive frames or a recursive closure, so a fit leaves no reference cycle
 behind. A forest tree's rows are its bootstrap's distinct rows, about 0.632
 of the n it draws, so its copy of those rows of the matrix, its presort,
-working copy, pairs and flags are that much smaller than on n rows.
+working copy, pairs and flags are that much smaller than on n rows. That
+copy is taken column by column into an F-order array, so fit_tree reads it
+as it is and copies nothing more.
 
 Chunk size: SCRATCH_ELEMENTS is 2^16 because each chunk costs a fixed run
 of numpy calls, so larger chunks score a node's features in fewer calls: a
@@ -219,6 +235,30 @@ def best_split(
         return None
     gain, _, threshold, default_left = found
     return gain, threshold, default_left
+
+
+def _column_cells(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(flat, stride) of an (n, p) float array: cell (r, f) is flat[f * stride + r].
+
+    When each column of x is contiguous and the columns do not overlap
+    (FeatureMatrix's layout, and any row slice of it), flat is a 1-D view
+    over x's column buffer, from its first cell to its last, and nothing is
+    copied; the cells between columns that belong to other rows of x's base
+    are never read. Any other layout (a C-order array with several rows and
+    columns, a slice that steps over rows) is copied once by
+    np.asfortranarray, which leaves an array it already finds F-contiguous
+    as it is.
+    """
+    n, p = x.shape
+    item = x.itemsize
+    step = x.strides[1]
+    # a column of one cell is contiguous whatever its stride
+    if not (n and (n == 1 or x.strides[0] == item) and step >= n * item and step % item == 0):
+        x = np.asfortranarray(x)
+        step = n * item
+    stride = step // item
+    flat = np.lib.stride_tricks.as_strided(x, shape=((p - 1) * stride + n,), strides=(item,), writeable=False)
+    return flat, stride
 
 
 def _complex_pair(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -415,7 +455,10 @@ class Tree:
         The rows not yet at a leaf move down one level per step, so the loop
         runs once per level of the tree, not once per node. A row goes left
         when its value is below the node's threshold, and a missing value
-        goes the node's default way, as in a node-by-node walk.
+        goes the node's default way, as in a node-by-node walk. Values are
+        gathered from x's columns (_column_cells): with no copy when they
+        are contiguous, as a FeatureMatrix's are, and from one F-order copy
+        otherwise.
         """
         nodes = self.nodes
         # contiguous intp tables and 1-D takes are numpy's fastest gathers
@@ -427,8 +470,8 @@ class Tree:
         # 1 a value not below it, 2 a missing value
         route = np.stack([left, right, np.where(nodes["default_left"] == 1, left, right)], axis=1)
         route = route.astype(np.intp).ravel()
-        n, p = x.shape
-        flat = np.ascontiguousarray(x).ravel()
+        n = x.shape[0]
+        cells, stride = _column_cells(x)
         out = np.empty(n)
         rows = np.arange(n)
         node = np.zeros(n, dtype=np.intp)  # where each of rows is
@@ -439,7 +482,7 @@ class Tree:
                 out[rows[leaf]] = weight.take(node[leaf])
                 inner = np.flatnonzero(~leaf)
                 rows, node, f = rows.take(inner), node.take(inner), f.take(inner)
-            col = flat.take(rows * p + f)
+            col = cells.take(f * stride + rows)
             branch = 1 + np.isnan(col) - (col < threshold.take(node))
             node = route.take(3 * node + branch)
         return out
@@ -449,7 +492,8 @@ def presort_columns(x: np.ndarray) -> np.ndarray:
     """Row indices of each column of x in stable ascending order, NaN last.
 
     Returns an int32 (p, n) array; one column is sorted at a time, so no
-    (n, p) index temporary is made.
+    (n, p) index temporary is made. A FeatureMatrix's columns are
+    contiguous, so each argsort reads one contiguous column.
     """
     n, p = x.shape
     order = np.empty((p, n), dtype=np.int32)
@@ -490,8 +534,9 @@ def fit_tree(
     brute-force scan bit for bit. A split whose children are at max_depth
     partitions only the row-index row, since no child is searched. Memory
     is the presort, the working copy, one complex g + i*h pair and one flag
-    per row, the node records, and temporaries of at most 16 eight-byte
-    words per element of max(SCRATCH_ELEMENTS, hi - lo).
+    per row, the node records, the copy of x below if one is made, and
+    temporaries of at most 16 eight-byte words per element of
+    max(SCRATCH_ELEMENTS, hi - lo).
 
     A node whose search block (features x rows) has at most SCAN_ELEMENTS
     elements grows its whole subtree in Python lists (_grow_subtree), with
@@ -500,9 +545,16 @@ def fit_tree(
 
     leaf_values, when given, is a float array of len(x) that receives each
     row's leaf weight: tree.apply(x) without walking the tree again.
+
+    x is read column by column through one 1-D view of its column buffer
+    (_column_cells): the search's gathers, the split column and a Python
+    subtree's value lists all take a feature's values from its own column.
+    A FeatureMatrix's x (or a row slice of it) has contiguous columns and
+    is not copied; an x whose columns are not contiguous is copied to F
+    order once per call.
     """
-    x = np.ascontiguousarray(x)  # the search gathers values by flat index
     n, p = x.shape
+    cells, stride = _column_cells(x)
     if order is None:
         order = presort_columns(x)
     elif order.shape != (p, n):
@@ -533,7 +585,7 @@ def fit_tree(
                 features = all_features if feature_sampler is None else np.asarray(feature_sampler(p))
                 if len(features) * (hi - lo) <= SCAN_ELEMENTS:
                     _grow_subtree(
-                        x, gh, work, lo, hi, depth, features.tolist(), max_depth, reg_lambda,
+                        cells, stride, gh, work, lo, hi, depth, features.tolist(), max_depth, reg_lambda,
                         min_split_loss, feature_sampler, records, leaf_values,
                     )
                     continue
@@ -541,7 +593,7 @@ def fit_tree(
             split = None
             if features is not None:
                 split = _search_node(
-                    x, gh, work, lo, hi, None if features is all_features else features, gh_sum,
+                    cells, stride, gh, work, lo, hi, None if features is all_features else features, gh_sum,
                     reg_lambda, min_split_loss,
                 )
             if split is None:
@@ -553,7 +605,7 @@ def fit_tree(
             gain, feature, threshold, default_left = split
             # pre-order: the left child is numbered next; the right one is linked when popped
             records.append([feature, threshold, int(default_left), idx + 1, -1, 0.0, gain + min_split_loss])
-            col = x[rows, feature]
+            col = cells[feature * stride :].take(rows)
             left = col < threshold
             if default_left:
                 left |= np.isnan(col)
@@ -567,7 +619,7 @@ def fit_tree(
 
 
 def _search_node(
-    x, gh, work, lo, hi, features, gh_total, reg_lambda, min_split_loss
+    cells, stride, gh, work, lo, hi, features, gh_total, reg_lambda, min_split_loss
 ) -> tuple[float, int, float, bool] | None:
     """Best (net gain, feature, threshold, missing left) for one node, or None.
 
@@ -575,9 +627,11 @@ def _search_node(
     then each chunk's rows of work are a view, not a copy. The block is
     scored in chunks of at most SCRATCH_ELEMENTS block elements (at least
     one feature); a later chunk wins only with a strictly larger gain, so
-    the first maximum in feature order is kept.
+    the first maximum in feature order is kept. cells and stride are x's
+    from _column_cells, so each feature's values are gathered from its own
+    contiguous column.
     """
-    p = x.shape[1]
+    p = work.shape[0] - 1
     step = max(1, SCRATCH_ELEMENTS // (hi - lo))
     best = None
     for start in range(0, p if features is None else len(features), step):
@@ -589,9 +643,8 @@ def _search_node(
             idx = work[chunk, lo:hi]
         flat = idx.astype(np.intp)  # the rows, then their cells of x
         ghv = gh.take(flat)
-        flat *= p
-        flat += chunk[:, None]
-        found = _score_block(x.take(flat), ghv, gh_total, reg_lambda, min_split_loss)
+        flat += (chunk * stride)[:, None]
+        found = _score_block(cells.take(flat), ghv, gh_total, reg_lambda, min_split_loss)
         if found is not None and (best is None or found[0] > best[0]):
             gain, r, threshold, default_left = found
             best = (gain, int(chunk[r]), threshold, default_left)
@@ -599,7 +652,7 @@ def _search_node(
 
 
 def _grow_subtree(
-    x, gh, work, lo, hi, depth, features, max_depth, reg_lambda, min_split_loss,
+    cells, stride, gh, work, lo, hi, depth, features, max_depth, reg_lambda, min_split_loss,
     feature_sampler, records, leaf_values,
 ) -> None:
     """Grow the whole subtree of node [lo, hi) of work in Python lists.
@@ -608,12 +661,14 @@ def _grow_subtree(
     subtrees" in the module docstring). features is the node's own, already
     sampled list; each descendant that may split calls feature_sampler in
     pre-order. Records are appended to records and leaf weights written to
-    leaf_values as fit_tree's loop writes them.
+    leaf_values as fit_tree's loop writes them. cells and stride are x's
+    from _column_cells.
     """
-    p = x.shape[1]
+    p = work.shape[0] - 1
     rows = work[p, lo:hi]
     m = hi - lo
-    values = x.take(rows, axis=0).T.tolist()  # values[f][j]: feature f of the j-th row
+    # values[f][j]: feature f of the j-th row
+    values = cells.take(rows + (np.arange(p) * stride)[:, None]).tolist()
     pairs = gh.take(rows).tolist()
     # rank[f][j]: the j-th row's position in the node's rows sorted by feature f
     at = np.searchsorted(rows, work[:p, lo:hi])  # the row at each sorted position
@@ -868,7 +923,10 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
         if not counted:  # every copy, each counted once
             rows, counts = np.repeat(rows, counts), np.ones(n, dtype=counts.dtype)
         h = counts.astype(float)
-        trees.append(fit_tree(matrix.X[rows], -y[rows] * h, h, max_depth, 0.0, 0.0, feature_sampler=sampler))
+        # the rows taken column by column: x keeps its contiguous columns, so
+        # fit_tree gathers from this copy and makes none of its own
+        x = matrix.X.T.take(rows, axis=1).T
+        trees.append(fit_tree(x, -y[rows] * h, h, max_depth, 0.0, 0.0, feature_sampler=sampler))
         if sampler is not None:
             sampler.rewind()
     return ForestModel(feature_names=list(matrix.columns), trees=trees)

@@ -394,12 +394,23 @@ class TestSplitOnce:
                 return original(*args)
 
             monkeypatch.setattr(gbt, name, captured)
+        gathers = []  # (x, buffer) of every _column_cells call: the fit's and apply's
+
+        def column_cells(x, original=gbt._column_cells):
+            flat, stride = original(x)
+            gathers.append((x, flat))
+            return flat, stride
+
+        monkeypatch.setattr(gbt, "_column_cells", column_cells)
         assert main(pipeline_args(data_dir, tmp_path)) == 0
         assert len(matrices) == 3
+        # the full matrix is feature-major: its transpose owns the memory
         full = matrices[0].X.base
-        assert full is not None and full.flags.c_contiguous
+        assert full is not None and full.flags.c_contiguous and full.shape[0] == len(matrices[0].columns)
         for part in matrices:
-            assert part.X.base is full and part.X.flags.c_contiguous
+            assert part.X.base is full and part.X.strides[0] == part.X.itemsize  # contiguous columns
+            buffers = [flat for x, flat in gathers if x is part.X]
+            assert buffers and all(np.shares_memory(flat, part.X) for flat in buffers)
 
 
 class TestSmoothedPanelFreedBeforeTheFit:

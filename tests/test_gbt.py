@@ -1568,6 +1568,90 @@ class TestLeafValues:
             assert capped >= 10  # most trees reach the level that skips the feature rows
 
 
+def layouts(x):
+    """x in each memory layout the grower and apply may be given, by name.
+    The cells around x in the slices' bases hold a value x never has, so a
+    gather that strays onto them changes the trees."""
+    n, p = x.shape
+    framed = np.full((n + 6, p), 7.25, order="F")
+    framed[3 : 3 + n] = x
+    rows_apart = np.full((2 * n, p), 7.25, order="F")
+    rows_apart[::2] = x
+    columns_apart = np.full((n, 2 * p), 7.25, order="F")
+    columns_apart[:, ::2] = x
+    return {
+        "c_order": np.ascontiguousarray(x),
+        "f_order": np.asfortranarray(x),
+        "f_row_slice": framed[3 : 3 + n],
+        "row_stepped": rows_apart[::2],
+        "column_stepped": columns_apart[:, ::2],
+    }
+
+
+def layout_shapes(x):
+    """The n x p matrix x, its column 1 alone (p = 1) and its row 5 alone (n = 1)."""
+    return {"n x p": x, "p = 1": x[:, 1:2], "n = 1": x[5:6]}
+
+
+def layout_case(seed, n=48):
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=(n, 4)) * 2) / 2  # ties
+    x[rng.random(x.shape) < 0.1] = np.nan
+    x[rng.random(x.shape) < 0.05] = np.inf
+    return x, np.round(np.abs(rng.normal(size=n) * 3))
+
+
+class TestColumnLayout:
+    """The grower and apply read x column by column through
+    gbt._column_cells, from a view of x's own buffer when its columns are
+    contiguous (FeatureMatrix's layout) and from one copy otherwise; only
+    the memory a value is read from may depend on the layout."""
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["all_features", "sampler"])
+    def test_layouts_give_identical_trees(self, monkeypatch, sampled):
+        x_all, y_all = layout_case(1)
+        z_all, _ = layout_case(2, n=30)  # rows for apply alone
+        for _ in each_search_path(monkeypatch):
+            for shape, x in layout_shapes(x_all).items():
+                y = y_all[: len(x)]
+                p = x.shape[1]
+                z = z_all[:, :p]
+                if sampled:  # as train_forest grows a tree
+                    g, h, depth, lam = -y, np.ones_like(y), 6, 0.0
+                else:
+                    (g, h), depth, lam = grad_hess("squared", y, np.zeros(len(y))), 4, 1.0
+
+                def sampler():
+                    return choice_sampler(np.random.default_rng(3), max(1, p // 2)) if sampled else None
+
+                fitted = {}
+                for name, xl in layouts(x).items():
+                    out = np.full(len(x), np.nan)
+                    tree = fit_tree(xl, g, h, depth, lam, 0.0, feature_sampler=sampler(), leaf_values=out)
+                    applied = [tree.apply(zl).tobytes() for zl in layouts(z).values()]
+                    fitted[name] = (tree.nodes.tobytes(), out.tobytes(), applied)
+                reference = fitted.pop("c_order")
+                for name, result in fitted.items():
+                    assert result == reference, (shape, name)
+                assert_same_tree(tree, oracle_fit_tree(x, g, h, depth, lam, 0.0, sampler()))
+                assert tree.apply(z).tolist() == oracle_apply(tree.nodes, z).tolist()
+                if shape == "n x p":
+                    assert len(tree.nodes) > 7  # the cases split on several levels
+
+    def test_only_layouts_without_contiguous_columns_copy(self):
+        x, _ = layout_case(1)
+        for shape, part in layout_shapes(x).items():
+            for name, xl in layouts(part).items():
+                n, p = xl.shape
+                flat, stride = gbt._column_cells(xl)
+                cells = flat.take(np.arange(p) * stride + np.arange(n)[:, None])
+                assert bits(cells.ravel()) == bits(xl.ravel()), (shape, name)
+                contiguous = n == 1 or xl.strides[0] == xl.itemsize
+                assert np.shares_memory(flat, xl) == contiguous, (shape, name)
+        # the two layouts that copy at n x p
+        assert [xl.strides[0] == 8 for xl in layouts(x).values()] == [False, True, True, False, True]
+
+
 class TestLossValue:
     def test_poisson_matches_pointwise(self):
         y = np.array([0.0, 2.0, 5.0])
