@@ -56,6 +56,20 @@ process's peak resident memory moved by that array's size from one run to
 the next with the same inputs and code. After the release, a stage starts
 from its live memory alone.
 
+`predict` repairs and smooths the whole panel, then builds its matrix from
+the forecast products' rows alone (_forecast_rows): those rows of the
+repaired and smoothed panels and those products' entries of each mixed
+covariate key, with every temporal key whole. A cell reads nothing but its
+own product's rows and entries, the temporal keys and the model file, so
+the matrix is byte for byte the whole panel's matrix at those rows, and
+its trend windows and covariate lookups cover about 70 of the reference
+panel's 500 products. The repair and smoothing are per product too, yet
+they stay on the whole panel: the benchmark's tracer counts the repaired
+and capped weeks of every preprocess_panel call and requires those counts
+to agree across the `pipeline` and `predict` calls of one session, so
+cutting the panel before preprocessing waits until the benchmark reads
+the program's own record (ROADMAP item 15).
+
 `predict` has no stages. It releases the free heap once, after loading its
 inputs, when the panel's (N, T) arrays reach the mmap threshold. On the
 4,000-product panel the loaders leave about 35 MiB of free heap resident,
@@ -84,7 +98,9 @@ from .core import Catalog, SalesPanel
 from .evaluation import EvalReport, evaluate, format_report, write_report
 from .features import Encoding, build_matrix, fit_encoding, life_at_issue, matrix_columns, split_rows
 from .ingest import CovariateTable, RunConfig, SchemaError
-from .preprocess import detect_fake_zeros, preprocess_panel, repair_fake_zeros, smooth_panel, write_smoothed
+from .preprocess import (
+    SmoothedPanel, detect_fake_zeros, preprocess_panel, repair_fake_zeros, smooth_panel, write_smoothed,
+)
 from .seasonal import SeasonalityModel, fit_seasonality, write_seasonality
 
 EXIT_OK = 0
@@ -451,6 +467,17 @@ def _check_columns(booster: gbt.BoostedModel, catalog, covariates, config: RunCo
     )
 
 
+def _forecast_rows(
+    rows: np.ndarray, repaired: SalesPanel, smoothed: SmoothedPanel, covariates: CovariateTable | None
+) -> tuple[SalesPanel, SmoothedPanel, CovariateTable | None]:
+    """The panels and the covariate table cut to the ascending panel rows
+    `rows`, which become rows 0 to len(rows) - 1."""
+    products = tuple(map(repaired.products.__getitem__, rows.tolist()))
+    panel = SalesPanel(products, repaired.y[rows], repaired.on_sale_mask[rows], repaired.stock_flag[rows])
+    smoothed = SmoothedPanel(smoothed.x[rows], smoothed.capped_mask[rows])
+    return panel, smoothed, None if covariates is None else covariates.take_rows(rows)
+
+
 def cmd_predict(args) -> int:
     given = None if args.config is None else ingest.load_config(args.config)
     booster, state = gbt.load_model(args.model_file)
@@ -469,9 +496,11 @@ def cmd_predict(args) -> int:
         )
     repaired, smoothed = preprocess_panel(panel, config.smooth_window, config.cap_gamma)
     del panel  # only the repair reads the loaded counts
+    # the whole panels and table are freed here: the features read only these rows
+    repaired, smoothed, covariates = _forecast_rows(rows, repaired, smoothed, covariates)
     matrix = build_matrix(
         repaired, smoothed, catalog, state.seasonal, covariates, config,
-        rows, np.full(rows.size, repaired.n_weeks - 1), state.encoding,
+        np.arange(rows.size), np.full(rows.size, repaired.n_weeks - 1), state.encoding,
     )
     del smoothed  # freed before the forecast, as in run
     forecasts = gbt.predict(booster, matrix, args.model_file)

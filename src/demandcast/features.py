@@ -13,8 +13,10 @@ filler.
 The matrix is built in whole-panel array passes, never row by row, into a
 feature-major array whose every column is contiguous (the layout the tree
 grower reads), for the (panel row, issue week) keys the caller gives: the
-split's rows from split_rows, or the products on sale at the panel's last
-week for predict.
+split's rows from split_rows, or, for predict, every row of the panels and
+covariate table cut to the products on sale at the panel's last week (a
+row's cells read only its own product's rows and entries, so the cut
+changes none of them).
 Lags are gathers masked by the launch week; season, price and categorical
 codes are looked up once per product and broadcast; covariates are
 searchsorted lookups into sorted (group, week) keys, with imputed means

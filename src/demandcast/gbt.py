@@ -103,19 +103,21 @@ collects plain records and builds the array once; Tree.apply moves every
 row that has not reached a leaf down one level per step, so it loops once
 per level of depth, and makes the same comparisons as a node-by-node walk.
 
-Model files (version 2): a model file holds what predict reads and nothing
+Model files (version 3): a model file holds what predict reads and nothing
 it would refit. That is the first best_round trees (predict reads no later
 one), both loss histories (the evidence for the stop), and a ServingState:
 the settings predict reads (SERVING_SETTINGS) with LAG_DEPTH, the
 categorical encoding (its ordinal maps or hash buckets) and the seasonal
-model. The nodes are stored by column: one list per NODE_DTYPE field for
-all trees together, plus a node count per tree. model_from_json() converts
-each list with one np.array call (a list with a fault value by value) and
-checks the nodes in array passes over
-all trees at once; it accepts only pre-order trees over the model's
-features, so a malformed file is a SchemaError naming the file (and a
-faulty node's tree and index), never a hang. A version 1 file is refused
-with a request to retrain.
+model. The nodes are stored by column: for each NODE_DTYPE field one string,
+the standard padded base64 of that field's values for all trees together,
+little-endian at the field's width, plus a node count per tree; every other
+key is plain JSON. model_from_json() decodes each string with
+base64.b64decode(validate=True) and np.frombuffer, so no node value is
+parsed as a JSON number, and checks the nodes in array passes over all
+trees at once; it accepts only pre-order trees over the model's features,
+so a malformed file is a SchemaError naming the file (and the faulty field,
+or a faulty node's tree and index), never a hang. A version 1 or 2 file is
+refused with a request to retrain.
 
 Determinism contract: ties between candidate splits break toward the lowest
 feature index, then the lowest threshold, then routing missing values left.
@@ -136,6 +138,7 @@ bootstrap starts where per-node calls would have left the stream.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import sys
@@ -433,7 +436,7 @@ def _scan_block(
     return None if best is None else (best_gain, *best)
 
 
-# one record per node, in pre-order; model.json stores a list per field, in this order
+# one record per node, in pre-order; model.json stores a column per field, in this order
 NODE_DTYPE = np.dtype([
     ("feature", np.int32),       # -1 marks a leaf
     ("threshold", np.float64),
@@ -994,11 +997,9 @@ class _FeatureSampler:
 
 
 
-SERIAL_VERSION = 2
+SERIAL_VERSION = 3
 # the RunConfig settings predict reads; model.json stores them with LAG_DEPTH
 SERVING_SETTINGS = ("horizon", "smooth_window", "cap_gamma", "season_period", "with_seasonality")
-# an int node field outside int64 reads this far out, which fails every range check
-_CLAMP = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -1025,8 +1026,11 @@ def model_to_json(model: BoostedModel, state: ServingState) -> str:
     """Versioned text form of a boosted model's first best_round trees, its
     loss histories and the state predict reads; round-trips bit-exactly.
 
-    The trees' nodes are stored by column: one list per NODE_DTYPE field,
-    the trees one after another, and node_counts gives each tree's length.
+    The trees' nodes are stored by column: one string per NODE_DTYPE field,
+    the standard padded base64 of that field's values for all trees, one
+    after another, little-endian at the field's width (int32 feature, left
+    and right, float64 threshold, weight and gain, int8 default_left);
+    node_counts gives each tree's length. Every other key is plain JSON.
     """
     trees = model.trees[: model.best_round]
     nodes = np.concatenate([tree.nodes for tree in trees]) if trees else np.empty(0, NODE_DTYPE)
@@ -1045,7 +1049,10 @@ def model_to_json(model: BoostedModel, state: ServingState) -> str:
         "train_loss": model.train_loss,
         "valid_loss": model.valid_loss,
         "node_counts": [len(tree.nodes) for tree in trees],
-        "nodes": {name: nodes[name].tolist() for name in NODE_DTYPE.names},
+        "nodes": {
+            name: base64.b64encode(nodes[name].astype(NODE_DTYPE[name].newbyteorder("<")).tobytes()).decode()
+            for name in NODE_DTYPE.names
+        },
         "settings": {**state.settings, "lag_depth": LAG_DEPTH},
         "encoding": encoding_doc,
         "seasonality": None if seasonal is None else {
@@ -1062,7 +1069,7 @@ def model_from_json(text: str | bytes, source: str) -> tuple[BoostedModel, Servi
     """Parse model_to_json output; source names the file in errors.
 
     Anything else is a SchemaError naming source: not JSON, not an object,
-    another version (version 1 asks for a retrain), a missing key or a key
+    another version (versions 1 and 2 ask for a retrain), a missing key or a key
     of the wrong type. The loss must be one train knows, the learning rate
     a finite number above 0, the base score and both loss histories finite
     numbers, and best_round both a round of the histories and the number of
@@ -1077,9 +1084,9 @@ def model_from_json(text: str | bytes, source: str) -> tuple[BoostedModel, Servi
     if not isinstance(doc, dict):
         raise SchemaError(f"{source}: expected a JSON object, got {type(doc).__name__}")
     version = doc.get("version")
-    if type(version) is int and version == 1:
+    if type(version) is int and version in (1, 2):
         raise SchemaError(
-            f"{source}: model version 1 is no longer read; retrain to write version {SERIAL_VERSION}"
+            f"{source}: model version {version} is no longer read; retrain to write version {SERIAL_VERSION}"
         )
     if type(version) is not int or version != SERIAL_VERSION:
         raise SchemaError(f"{source}: unsupported model version {version!r}")
@@ -1135,87 +1142,71 @@ def _finite(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _number_column(values: list, integral: bool) -> tuple[np.ndarray, np.ndarray]:
-    """values as an int64 (integral) or float64 array, and the mask of the
-    values that are no JSON number of that kind.
-
-    A masked value reads 0 or NaN. An integral value outside int64 is not
-    masked: it reads clamped to +-_CLAMP. A float column takes ints too, but
-    masks an int no float holds. A column of ints alone (integral) or floats
-    alone converts in one np.array call, which raises OverflowError on an
-    int outside int64; any other column goes one value at a time.
-    """
-    kinds = set(map(type, values))
-    if kinds <= ({int} if integral else {float}):
-        try:
-            return np.array(values, dtype=np.int64 if integral else np.float64), np.zeros(len(values), bool)
-        except OverflowError:
-            pass
-    if integral:
-        masked = [type(v) is not int for v in values]
-        read = [0 if m else max(-_CLAMP, min(v, _CLAMP)) for v, m in zip(values, masked)]
-    else:
-        masked = [not (type(v) is float or type(v) is int and abs(v) <= sys.float_info.max) for v in values]
-        read = [math.nan if m else float(v) for v, m in zip(values, masked)]
-    return np.array(read, dtype=np.int64 if integral else np.float64), np.array(masked, dtype=bool)
-
-
 def _finite_list(values, where: str) -> list[float]:
     """values, a list of finite JSON numbers, as floats."""
-    if isinstance(values, list):
-        array, _ = _number_column(values, integral=False)
-        if np.isfinite(array).all():
-            return array.tolist()
+    if isinstance(values, list) and all(map(_finite, values)):
+        return [float(v) for v in values]
     raise SchemaError(f"{where} is not a list of finite numbers")
 
 
 def _trees_from_json(fields, counts: list[int], n_features: int, source: str) -> list[Tree]:
     """The trees of a node table stored by column, checked in array passes.
 
-    Every field must hold one value per node of node_counts. Feature and
-    child indices and default_left must be integers, default_left 0 or 1,
-    weights and gains finite numbers and thresholds numbers other than NaN
-    (a float infinity is one). A leaf (feature -1) has children -1/-1; any
-    other node's feature lies in [0, n_features), its left child follows it
-    and its right child lies further on in its tree, and every node but a
-    root has one parent. So each tree is in pre-order, and apply() walks it
-    forward and visits each node at most once per call. A fault names the
-    tree and node of the first faulty node, with the first of these checks
-    it fails; the parent count is checked once every node passes the rest.
+    Every field must be a string of standard padded base64 whose bytes are
+    one little-endian value of the field's NODE_DTYPE width per node of
+    node_counts; a fault names the field. default_left must be 0 or 1,
+    weights and gains finite and thresholds other than NaN (an infinity is
+    one). A leaf (feature -1) has children -1/-1; any other node's feature
+    lies in [0, n_features), its left child follows it and its right child
+    lies further on in its tree, and every node but a root has one parent.
+    So each tree is in pre-order, and apply() walks it forward and visits
+    each node at most once per call. A fault names the tree and node of the
+    first faulty node, with the first of these checks it fails; the parent
+    count is checked once every node passes the rest.
     """
     if not (isinstance(fields, dict) and set(fields) == set(NODE_DTYPE.names)):
         raise SchemaError(f"{source}: nodes is not an object of the fields {', '.join(NODE_DTYPE.names)}")
     total = sum(counts)
+    column = {}
     for name in NODE_DTYPE.names:
-        values = fields[name]
-        if not isinstance(values, list) or len(values) != total:
-            held = f"{len(values)} values" if isinstance(values, list) else "no list"
-            raise SchemaError(f"{source}: nodes field {name!r} holds {held}, but node_counts sum to {total}")
-    column, masked = {}, {}
-    for name in NODE_DTYPE.names:
-        column[name], masked[name] = _number_column(fields[name], NODE_DTYPE[name].kind == "i")
+        text, dtype = fields[name], NODE_DTYPE[name].newbyteorder("<")
+        if type(text) is not str:
+            raise SchemaError(f"{source}: nodes field {name!r} is not a string")
+        try:
+            data = base64.b64decode(text, validate=True)
+        except ValueError:  # binascii.Error, or a character outside ASCII
+            raise SchemaError(f"{source}: nodes field {name!r} is not standard padded base64") from None
+        held, extra = divmod(len(data), dtype.itemsize)
+        if extra:
+            raise SchemaError(
+                f"{source}: nodes field {name!r} holds {len(data)} bytes, not whole {dtype.itemsize}-byte values"
+            )
+        if held != total:
+            raise SchemaError(f"{source}: nodes field {name!r} holds {held} values, but node_counts sum to {total}")
+        column[name] = np.frombuffer(data, dtype)
     feature, left, right = column["feature"], column["left"], column["right"]
     default_left = column["default_left"]
     counts_array = np.array(counts, dtype=np.int64)
     starts = np.cumsum(counts_array) - counts_array
     tree = np.repeat(np.arange(len(counts)), counts_array)
     local = np.arange(total) - starts[tree]  # each node's index in its tree
+
+    def value(name: str, k: int):
+        return column[name][k].item()  # a Python number, so a problem quotes it as one
+
     leaf = feature == -1
-    raw = fields  # a problem quotes the value as the file holds it
     checks = [  # (faulty nodes, problem of node k), in the order a node is checked
-        (masked["feature"] | masked["left"] | masked["right"],
-         lambda k: "feature and child indices must be integers"),
-        (masked["default_left"] | (default_left != 0) & (default_left != 1),
-         lambda k: f"default_left {raw['default_left'][k]!r} is not 0 or 1"),
-        (~np.isfinite(column["weight"]), lambda k: f"weight {raw['weight'][k]!r} is not a finite number"),
-        (np.isnan(column["threshold"]), lambda k: f"threshold {raw['threshold'][k]!r} is not a number"),
-        (~np.isfinite(column["gain"]), lambda k: f"gain {raw['gain'][k]!r} is not a finite number"),
+        ((default_left != 0) & (default_left != 1),
+         lambda k: f"default_left {value('default_left', k)} is not 0 or 1"),
+        (~np.isfinite(column["weight"]), lambda k: f"weight {value('weight', k)} is not a finite number"),
+        (np.isnan(column["threshold"]), lambda k: f"threshold {value('threshold', k)} is not a number"),
+        (~np.isfinite(column["gain"]), lambda k: f"gain {value('gain', k)} is not a finite number"),
         (leaf & ((left != -1) | (right != -1)),
-         lambda k: f"a leaf has children {raw['left'][k]}/{raw['right'][k]}"),
+         lambda k: f"a leaf has children {value('left', k)}/{value('right', k)}"),
         (~leaf & ((feature < 0) | (feature >= n_features)),
-         lambda k: f"feature {raw['feature'][k]} outside [0, {n_features})"),
+         lambda k: f"feature {value('feature', k)} outside [0, {n_features})"),
         (~leaf & ((left != local + 1) | (right <= local + 1) | (right >= counts_array[tree])),
-         lambda k: f"children {raw['left'][k]}/{raw['right'][k]} do not follow the node in pre-order"),
+         lambda k: f"children {value('left', k)}/{value('right', k)} do not follow the node in pre-order"),
     ]
     faulty = np.logical_or.reduce([mask for mask, _ in checks])
     if faulty.any():

@@ -224,6 +224,25 @@ class CovariateTable:
         """Temporal keys, then mixed keys, each in sorted order."""
         return sorted(self.series, key=lambda key: (self.series[key].rows is not None, key))
 
+    def take_rows(self, rows: np.ndarray) -> CovariateTable:
+        """The table of a panel of the ascending rows `rows` of this table's
+        panel, which become rows 0 to len(rows) - 1. A mixed key's entries
+        are sorted by (row, week), so each kept row's entries are one range
+        of them, found by searchsorted; a temporal key is kept whole."""
+        series = {}
+        for key, cov in self.series.items():
+            if cov.rows is None:
+                series[key] = cov
+                continue
+            lo = np.searchsorted(cov.rows, rows)
+            sizes = np.searchsorted(cov.rows, rows, side="right") - lo
+            ends = np.cumsum(sizes)
+            # the kept entries' positions: each range's start, plus the entry's place in the range
+            kept = np.arange(ends[-1]) + np.repeat(lo - (ends - sizes), sizes)
+            new_rows = np.repeat(np.arange(rows.size), sizes)
+            series[key] = Covariate(cov.weeks[kept], new_rows, cov.values[kept], cov.predictable)
+        return CovariateTable(tuple(map(self.products.__getitem__, rows.tolist())), series)
+
 
 class _FirstFault:
     """The fault a row-by-row reader would have raised first.

@@ -19,6 +19,8 @@ from demandcast.features import FeatureMatrix
 from demandcast.gbt import NODE_DTYPE
 from demandcast.ingest import RunConfig, load_config
 
+from .test_gbt import edit_column
+
 CONFIG = """
 train_len = 50
 valid_len = 10
@@ -701,9 +703,9 @@ class TestInputFaults:
 
 # a loadable model.json: no trees, so every forecast is exp(base_score)
 VALID_MODEL = {
-    "version": 2, "loss": "poisson", "base_score": 0.0, "learning_rate": 0.1,
+    "version": 3, "loss": "poisson", "base_score": 0.0, "learning_rate": 0.1,
     "best_round": 0, "feature_names": ["lag_0"], "train_loss": [1.0], "valid_loss": [1.0],
-    "node_counts": [], "nodes": {name: [] for name in NODE_DTYPE.names},
+    "node_counts": [], "nodes": {name: "" for name in NODE_DTYPE.names},
     "settings": {
         "horizon": 6, "smooth_window": 8, "cap_gamma": 3.0, "season_period": 52,
         "with_seasonality": False, "lag_depth": 8,
@@ -770,7 +772,7 @@ class TestTrainPredict:
 
     def test_malformed_model_file_is_data_error(self, data_dir, tmp_path, capsys):
         def cut_threshold(doc):
-            doc["nodes"]["threshold"].pop()  # the last node has no threshold
+            edit_column(doc, "threshold", list.pop)  # the last node has no threshold
 
         code, model_file = self.predict_with_corrupt_model(data_dir, tmp_path / "model", cut_threshold)
         nodes = sum(json.loads(model_file.read_text())["node_counts"])
@@ -805,13 +807,13 @@ class TestTrainPredict:
     @pytest.mark.parametrize(
         "field,value,message",
         [
-            (2, "sideways", "default_left 'sideways' is not 0 or 1"),
-            (6, "x", "gain 'x' is not a finite number"),
+            ("default_left", 2, "default_left 2 is not 0 or 1"),
+            ("gain", float("inf"), "gain inf is not a finite number"),
         ],
     )
     def test_bad_node_field_is_data_error(self, data_dir, tmp_path, capsys, field, value, message):
-        def corrupt(doc):
-            doc["nodes"][NODE_DTYPE.names[field]][-1] = value  # the last node of the last tree
+        def corrupt(doc):  # the last node of the last tree
+            edit_column(doc, field, lambda values: values.__setitem__(-1, value))
 
         out = tmp_path / "model"
         code, model_file = self.predict_with_corrupt_model(data_dir, out, corrupt)
@@ -832,14 +834,17 @@ class TestTrainPredict:
             model_text(feature_names=5),
             "{not json",
             json.dumps({k: v for k, v in VALID_MODEL.items() if k != "loss"}),
-            model_text(version=3),
+            model_text(version=4),
+            model_text(version=2),
             model_text(version=1),
+            model_text(nodes={**VALID_MODEL["nodes"], "gain": "A"}),
             b"\xff{}",
             "[" * 100_000,  # exited 3 with json's RecursionError
         ],
         ids=[
             "list", "number", "trees-number", "tree-number", "feature-names-number",
-            "invalid-json", "no-loss", "version-3", "version-1", "not-utf-8", "deeply-nested",
+            "invalid-json", "no-loss", "version-4", "version-2", "version-1", "not-base64",
+            "not-utf-8", "deeply-nested",
         ],
     )
     def test_malformed_model_document_is_data_error(self, data_dir, tmp_path, capsys, text):
@@ -877,7 +882,7 @@ class TestTrainPredict:
         [
             (
                 lambda doc: doc["node_counts"].__setitem__(0, doc["node_counts"][0] + 1),
-                lambda doc: f"nodes field 'feature' holds {len(doc['nodes']['feature'])} values, "
+                lambda doc: f"nodes field 'feature' holds {sum(doc['node_counts']) - 1} values, "
                 f"but node_counts sum to {sum(doc['node_counts'])}",
             ),
             (
@@ -905,10 +910,17 @@ class TestTrainPredict:
             ),
             (
                 lambda doc: doc.__setitem__("version", 1),
-                lambda doc: "model version 1 is no longer read; retrain to write version 2",
+                lambda doc: "model version 1 is no longer read; retrain to write version 3",
+            ),
+            (
+                lambda doc: doc.__setitem__("version", 2),
+                lambda doc: "model version 2 is no longer read; retrain to write version 3",
             ),
         ],
-        ids=["node-counts", "pattern", "assignment", "ordinal-map", "setting", "loss-history", "version-1"],
+        ids=[
+            "node-counts", "pattern", "assignment", "ordinal-map", "setting", "loss-history",
+            "version-1", "version-2",
+        ],
     )
     def test_bad_model_state_is_data_error(self, data_dir, tmp_path, capsys, corrupt, problem):
         out = tmp_path / "model"
@@ -1190,6 +1202,84 @@ class TestForecastIsAFunctionOfTheModelFile:
             assert float(doubled_row[2]) == 2.0 * float(rmse)
             assert float(doubled_row[3]) == float(mae)
 
+
+class TestForecastRows:
+    """predict builds its matrix from the forecast products' rows of the
+    repaired panel, the smoothed panel and the covariate table
+    (cli._forecast_rows), and those rows must give the cells the whole
+    panel gives them."""
+
+    # the trained_120 and hashed_120 forecasts, at the version 2 model files
+    # of the same fits, so the sub-panel and the binary node table move no byte
+    PREDICTIONS_SHA256 = {
+        "trained_120": "221aae2d7333801fee96c6d8cad44d43538bf5cd7d267e07b9c6882f74c280c3",
+        "hashed_120": "406c8b4a6052ea41a68c532fd4a2994230707f982e9abc2b6105dc25bccce04e",
+    }
+
+    @staticmethod
+    def inputs(data_dir, tmp_path):
+        """data_dir's inputs, edited: one forecast product moved to a
+        category training never saw, another's covariate entries dropped,
+        and a temporal key that must be imputed (weather, on 2 weeks of 3)
+        added beside the known-future temporal and the two mixed keys."""
+        panel = ingest.load_sales(data_dir / "sales.csv")
+        rows = np.flatnonzero(panel.on_sale_mask[:, -1])
+        moved, bare = panel.products[rows[0]], panel.products[rows[2]]
+
+        def new_category(catalog_rows):
+            for row in catalog_rows:
+                if row[0] == moved:
+                    row[1] = "zz_unseen"
+
+        catalog = rewrite_catalog(data_dir, tmp_path / "catalog.csv", new_category)
+        header, *lines = (data_dir / "covariates.csv").read_text().splitlines()
+        lines = [line for line in lines if line.split(",")[3] != bare]
+        weeks = [int(line.split(",")[2]) for line in lines if line.startswith("temporal,event,")]
+        lines += [f"temporal,weather,{w},,{(w * 7 % 11) / 4},0" for w in weeks if w % 3]
+        covariates = tmp_path / "covariates.csv"
+        covariates.write_text("\n".join([header, *lines]) + "\n")
+        return cli.load_inputs(data_dir / "sales.csv", catalog, covariates), rows, moved, bare
+
+    @pytest.mark.parametrize("fitted", ["trained_120", "hashed_120"])
+    def test_rows_give_the_whole_panel_cells(self, request, tmp_path, fitted):
+        data_dir, model_file = request.getfixturevalue(fitted)
+        _, state = gbt.load_model(model_file)
+        config = state.config()
+        (panel, catalog, covariates), rows, moved, bare = self.inputs(data_dir, tmp_path)
+        kinds = {(cov.rows is None, cov.predictable) for cov in covariates.series.values()}
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+        repaired, smoothed = cli.preprocess_panel(panel, config.smooth_window, config.cap_gamma)
+        weeks = np.full(rows.size, panel.n_weeks - 1)
+        whole = cli.build_matrix(
+            repaired, smoothed, catalog, state.seasonal, covariates, config, rows, weeks, state.encoding
+        )
+        cut_panel, cut_smoothed, cut_covariates = cli._forecast_rows(rows, repaired, smoothed, covariates)
+        assert cut_panel.products == tuple(np.array(panel.products)[rows])
+        for key, cov in covariates.series.items():
+            if cov.rows is None:
+                assert cut_covariates.series[key] is cov  # temporal keys are kept whole
+        part = cli.build_matrix(
+            cut_panel, cut_smoothed, catalog, state.seasonal, cut_covariates, config,
+            np.arange(rows.size), weeks, state.encoding,
+        )
+        assert part.columns == whole.columns
+        assert part.X.tobytes() == whole.X.tobytes()
+        assert part.product_ids.tolist() == whole.product_ids.tolist()
+        assert part.target_weeks.tolist() == whole.target_weeks.tolist()
+        # the edits reach the matrix: an unseen category's code, a product without mixed entries
+        category = whole.columns.index("category")
+        if state.encoding.mode == "ordinal":
+            assert whole.X[0, category] == len(state.encoding.maps["category"])
+        k = whole.product_ids.tolist().index(bare)
+        assert np.isnan(whole.X[k, whole.columns.index("cov_promo")])
+        assert not np.isnan(whole.X[:, whole.columns.index("cov_weather")]).any()
+
+    @pytest.mark.parametrize("fitted", ["trained_120", "hashed_120"])
+    def test_predictions_pinned(self, request, tmp_path, fitted):
+        data_dir, model_file = request.getfixturevalue(fitted)
+        assert main(predict_args(data_dir, model_file, tmp_path)) == 0
+        digest = hashlib.sha256((tmp_path / "predictions.csv").read_bytes()).hexdigest()
+        assert digest == self.PREDICTIONS_SHA256[fitted]
 
 class TestIdsThatNeedQuoting:
     def test_predict_then_evaluate(self, data_dir, tmp_path, capsys):

@@ -4,7 +4,10 @@ Small valid inputs (a synth panel, a config and a trained model.json) are
 mutated with numpy's RNG: CSV cells replaced by bad numbers, huge integers,
 unknown ids and empty fields, rows truncated, duplicated or dropped; config
 values replaced, keys repeated or made up; model.json fields given wrong JSON
-types, huge integers, non-finite numbers, removed, or written twice. Each
+types, huge integers, non-finite numbers, removed, or written twice, and its
+base64 node columns given a flipped character (most often still base64, so
+the node checks see the changed values), cut short, or given a non-ASCII
+character. Each
 mutated input goes through `main([...])` of the command that reads it, and
 the command must exit 0, 1 or 2 and print no traceback: a fault in the
 input is a data error, never an internal one (exit 3).
@@ -41,6 +44,8 @@ BAD_VALUES = [
     "0", "-1", "1.5", "nan", "inf", "99999999999999999999", "9223372036854775807",
     "-9223372036854775808", "true", "", "x", "1e400", "2",
 ]
+# the base64 alphabet, for flipping one character of a node column
+BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 # JSON values of every type, huge ints and non-finite numbers
 BAD_JSON = [
     None, True, "x", [], {}, [1, 2], {"a": 1}, 0, -1, 1, 2**70, -(2**70), 1.5, 1e308,
@@ -133,11 +138,29 @@ def json_paths(doc, prefix=()):
             yield from json_paths(value, (*prefix, k))
 
 
+def mutate_column(rng, column: str) -> str:
+    """A base64 node column with one character flipped, cut short, or with a
+    non-ASCII character inserted."""
+    kind = int(rng.integers(0, 3))
+    i = int(rng.integers(0, len(column) + 1))
+    if kind == 0:
+        return column[:i] + BASE64_ALPHABET[int(rng.integers(0, 64))] + column[i + 1 :]
+    if kind == 1:
+        return column[:i]
+    return column[:i] + "\u00e9" + column[i:]
+
+
 def mutate_model(rng, text: str) -> str:
     doc = json.loads(text)
     paths = [path for path in json_paths(doc) if path]
     top = [path for path in paths if len(path) == 1 or path[0] == "settings"]
     for _ in range(int(rng.integers(1, 3))):
+        nodes = doc.get("nodes")
+        columns = [name for name, column in nodes.items() if isinstance(column, str)] if isinstance(nodes, dict) else []
+        if columns and rng.random() < 0.3:  # the node table's bytes
+            name = columns[int(rng.integers(0, len(columns)))]
+            nodes[name] = mutate_column(rng, nodes[name])
+            continue
         pool = top if rng.random() < 0.6 else paths  # the scalars predict reads, more often
         path = pool[int(rng.integers(0, len(pool)))]
         parent = doc

@@ -1,3 +1,4 @@
+import base64
 import gc
 import json
 import math
@@ -484,6 +485,34 @@ class TestSerialization:
         with pytest.raises(SchemaError, match="model: model version 1 is no longer read; retrain"):
             model_from_json('{"version": 1, "trees": []}', "model")
 
+    def test_version_2_asks_for_a_retrain(self):
+        # version 2 stored each node field as a JSON list of numbers
+        doc = small_model_doc()
+        doc["version"] = 2
+        doc["nodes"] = {name: [] for name in NODE_DTYPE.names}
+        message = "model: model version 2 is no longer read; retrain to write version 3"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            model_from_json(json.dumps(doc), "model")
+
+    def test_round_trip_keeps_every_bit(self):
+        # -0.0 leaf weights, a subnormal and infinite thresholds survive the
+        # base64 columns, and the text is the same after a load
+        doc = small_model_doc()
+        edit_column(doc, "weight", lambda weights: weights.__setitem__(-1, -0.0))
+        set_node(doc, 0, 0, "threshold", 5e-324)
+        set_node(doc, 1, 0, "threshold", math.inf)
+        text = json.dumps(doc)
+        model, state = model_from_json(text, "model")
+        assert model_to_json(model, state) == text
+        nodes = np.concatenate([tree.nodes for tree in model.trees])
+        assert np.signbit(nodes["weight"][-1]) and nodes["weight"][-1] == 0.0
+        assert model.trees[0].nodes["threshold"][0] == 5e-324
+        assert model.trees[1].nodes["threshold"][0] == math.inf
+        edit_column(doc, "threshold", lambda thresholds: thresholds.__setitem__(0, -math.inf))
+        model, state = model_from_json(json.dumps(doc), "model")
+        assert model.trees[0].nodes["threshold"][0] == -math.inf
+        assert model_to_json(model, state) == json.dumps(doc)
+
 
 def small_model_doc():
     """A two-round model whose trees both split at their root, stored with
@@ -492,10 +521,21 @@ def small_model_doc():
     params = RunConfig(loss="squared", learning_rate=0.5, max_depth=2, rounds=2, min_split_loss=0.0)
     matrix = matrix_of(x, y=[0.0, 0.0, 10.0, 10.0], columns=["category", "f1"])
     model = train(matrix, params, matrix)
+    assert all(tree.nodes["feature"][0] >= 0 for tree in model.trees)
     doc = json.loads(model_to_json(model, small_state(matrix.columns)))
-    assert doc["best_round"] == 2 and doc["nodes"]["feature"][0] >= 0
-    assert min(doc["node_counts"]) >= 3
+    assert doc["best_round"] == 2 and min(doc["node_counts"]) >= 3
     return doc
+
+
+def edit_column(doc, field, edit, dtype=None):
+    """Decode the node column field of a model document into a list, call
+    edit on it, and store the list back as base64 of dtype (the field's own
+    little-endian type when None)."""
+    values = np.frombuffer(base64.b64decode(doc["nodes"][field]), NODE_DTYPE[field].newbyteorder("<"))
+    values = values.tolist()
+    edit(values)
+    dtype = NODE_DTYPE[field].newbyteorder("<") if dtype is None else dtype
+    doc["nodes"][field] = base64.b64encode(np.array(values, dtype=dtype).tobytes()).decode()
 
 
 def node_index(doc, tree, node):
@@ -505,7 +545,7 @@ def node_index(doc, tree, node):
 
 
 def set_node(doc, tree, node, field, value):
-    doc["nodes"][field][node_index(doc, tree, node)] = value
+    edit_column(doc, field, lambda values: values.__setitem__(node_index(doc, tree, node), value))
 
 
 def set_root_loop(doc):
@@ -514,7 +554,7 @@ def set_root_loop(doc):
 
 
 def set_short_node(doc):
-    doc["nodes"]["gain"].pop()  # a node short of its last field
+    edit_column(doc, "gain", list.pop)  # a node short of its last field
 
 
 def set_unknown_feature(doc):
@@ -530,7 +570,7 @@ def set_negative_feature(doc):
 
 
 def set_float_feature(doc):
-    set_node(doc, 0, 0, "feature", 0.0)  # numpy cannot index a column with a float
+    edit_column(doc, "feature", list, dtype="<f8")  # float64 features: twice int32's bytes
 
 
 def set_right_past_end(doc):
@@ -562,7 +602,7 @@ def set_shared_child(doc):
     ]
     first = doc["node_counts"][0]
     for field, values in zip(NODE_DTYPE.names, zip(*rows)):
-        doc["nodes"][field][:first] = values
+        edit_column(doc, field, lambda column, values=values: column.__setitem__(slice(0, first), values))
     doc["node_counts"][0] = len(rows)
 
 
@@ -615,7 +655,7 @@ def set_nan_threshold(doc):
 
 
 def set_word_default_left(doc):
-    set_node(doc, 0, 0, "default_left", "sideways")
+    doc["nodes"]["default_left"] = "sideways"  # base64 of 6 bytes, none of them 0 or 1
 
 
 def set_two_default_left(doc):
@@ -623,11 +663,11 @@ def set_two_default_left(doc):
 
 
 def set_bool_default_left(doc):
-    set_node(doc, 1, 0, "default_left", True)
+    doc["nodes"]["default_left"] = True  # no string
 
 
 def set_word_gain(doc):
-    set_node(doc, 0, 0, "gain", "x")
+    doc["nodes"]["gain"] = "x"  # no base64
 
 
 def set_nan_gain(doc):
@@ -639,18 +679,18 @@ def set_infinite_gain(doc):
 
 
 def set_huge_int_weight(doc):
-    set_node(doc, 0, -1, "weight", 10**400)  # a JSON integer no float holds
+    doc["nodes"]["weight"] = 10**400  # a JSON integer no float holds, where a string belongs
 
 
 def set_huge_int_threshold(doc):
-    set_node(doc, 0, 0, "threshold", 10**400)
+    doc["nodes"]["threshold"] = [10**400]  # version 2's list layout, with such an integer
 
 
 def set_huge_int_base_score(doc):
     doc["base_score"] = -(10**400)
 
 
-# each corruption of a field new in version 2, and the problem it must report
+# each corruption of a field new in version 2 or 3, and the problem it must report
 NEW_FIELD_FAULTS = {
     "node_counts_past_nodes": (
         lambda doc: doc["node_counts"].__setitem__(-1, doc["node_counts"][-1] + 1),
@@ -669,13 +709,33 @@ NEW_FIELD_FAULTS = {
         "nodes is not an object of the fields feature, threshold, default_left, left, right, "
         "weight, gain",
     ),
-    "huge_int_feature": (  # np.array raises OverflowError for an int outside int64
-        lambda doc: set_node(doc, 1, 0, "feature", 2**70),
-        "tree 1 node 0: feature 1180591620717411303424 outside [0, 2)",
+    "huge_int_feature": (  # the largest feature an int32 column holds
+        lambda doc: set_node(doc, 1, 0, "feature", 2**31 - 1),
+        "tree 1 node 0: feature 2147483647 outside [0, 2)",
     ),
-    "huge_negative_int_right": (
-        lambda doc: set_node(doc, 0, 0, "right", -(2**63) - 1),
-        "tree 0 node 0: children 1/-9223372036854775809 do not follow the node in pre-order",
+    "huge_negative_int_right": (  # the most negative child index an int32 column holds
+        lambda doc: set_node(doc, 0, 0, "right", -(2**31)),
+        "tree 0 node 0: children 1/-2147483648 do not follow the node in pre-order",
+    ),
+    "list_column": (
+        lambda doc: doc["nodes"].__setitem__("weight", [0.5]),
+        "nodes field 'weight' is not a string",
+    ),
+    "column_not_base64": (
+        lambda doc: doc["nodes"].__setitem__("gain", "AAAA!AAAA"),  # base64 but for the "!"
+        "nodes field 'gain' is not standard padded base64",
+    ),
+    "column_not_ascii": (
+        lambda doc: doc["nodes"].__setitem__("left", "AAAA\u00e9AAA"),
+        "nodes field 'left' is not standard padded base64",
+    ),
+    "column_of_partial_values": (  # 6 nodes' features in 6 bytes
+        lambda doc: edit_column(doc, "feature", list, dtype="<i1"),
+        "nodes field 'feature' holds {nodes} bytes, not whole 4-byte values",
+    ),
+    "column_of_wider_values": (
+        lambda doc: edit_column(doc, "right", list, dtype="<i8"),
+        "nodes field 'right' holds {nodes_x2} values, but node_counts sum to {nodes}",
     ),
     "nan_pattern": (
         lambda doc: doc["seasonality"]["patterns"][0].__setitem__(1, math.nan),
@@ -755,7 +815,11 @@ NEW_FIELD_FAULTS = {
     ),
     "version_1": (
         lambda doc: doc.__setitem__("version", 1),
-        "model version 1 is no longer read; retrain to write version 2",
+        "model version 1 is no longer read; retrain to write version 3",
+    ),
+    "version_2": (
+        lambda doc: doc.__setitem__("version", 2),
+        "model version 2 is no longer read; retrain to write version 3",
     ),
 }
 
@@ -788,14 +852,16 @@ class TestModelFileChecks:
         corrupt(doc)
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        message = f"{path}: " + problem.format(nodes=nodes, plus_one=nodes + 1, minus_one=nodes - 1)
+        message = f"{path}: " + problem.format(
+            nodes=nodes, plus_one=nodes + 1, minus_one=nodes - 1, nodes_x2=nodes * 2
+        )
         with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             gbt.load_model(path)
 
     def test_fault_names_the_first_faulty_node(self):
         # the node checked first wins, whichever field of it is bad
         doc = small_model_doc()
-        set_node(doc, 1, 0, "gain", "x")
+        set_node(doc, 1, 0, "gain", math.inf)
         set_node(doc, 0, -1, "weight", math.nan)
         set_node(doc, 0, -1, "default_left", 3)
         with pytest.raises(SchemaError, match=r"^model: tree 0 node \d+: default_left 3 is not 0 or 1$"):
@@ -809,13 +875,6 @@ class TestModelFileChecks:
         assert model.trees[0].nodes["threshold"][0] == math.inf
         assert model.trees[1].nodes["threshold"][0] == -math.inf
         assert model.predict_array(np.array([[5.0, 5.0]])).shape == (1,)
-
-    def test_integer_weights_accepted(self):
-        # JSON integers are numbers: a hand-edited file may hold them
-        doc = small_model_doc()
-        doc["nodes"]["weight"] = [int(w) for w in doc["nodes"]["weight"]]
-        model, _ = model_from_json(json.dumps(doc), "model")
-        assert model.trees[0].nodes["weight"].tolist() == doc["nodes"]["weight"][: doc["node_counts"][0]]
 
 
 class TestForest:
