@@ -173,11 +173,7 @@ def stage(name: str):
 
 
 def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        config = RunConfig()
-        config.validate()
-        return config
-    return ingest.load_config(path)
+    return RunConfig() if path is None else ingest.load_config(path)
 
 
 def _write_predictions(
@@ -262,18 +258,18 @@ def score(
 
 @dataclass
 class RunResult:
-    """What `run` computed. The test keys (panel rows, product ids, target
-    weeks) are those the cold-start filter keeps, in the split's order;
-    counts holds the split's row counts and the model's manifest details."""
+    """What `run` computed for `pipeline` and `train` to write, and nothing
+    else. The test keys (product ids, target weeks) and their forecasts are
+    those the cold-start filter keeps, in the split's order; counts holds the
+    split's row counts and the model's manifest details. The acceptance
+    study checks this same result, and rebuilds the repaired panel it scores
+    against from the run's own input files."""
 
-    repaired: SalesPanel
     seasonal: SeasonalityModel | None
     encoding: Encoding | None  # None for es
     model: gbt.BoostedModel | gbt.ForestModel | None  # None for es
-    rows: np.ndarray
     pids: np.ndarray
     weeks: np.ndarray
-    life: np.ndarray
     forecasts: np.ndarray
     report: EvalReport
     counts: dict
@@ -284,10 +280,11 @@ def run(
     model_kind: str = "gbt", forest_trees: int = 100, cold_start_filter: int = 0,
 ) -> RunResult:
     """Load the (sales, catalog, covariates) files of sources, then
-    preprocess, fit and score one model (gbt, forest or es); writes nothing
-    and raises StageError naming the stage. Both tree models forecast
-    through gbt.predict, which checks the feature schema and that every
-    forecast is finite.
+    preprocess, fit and score one model (gbt, forest or es); writes nothing,
+    returns only what `pipeline` and `train` write (the acceptance study
+    checks the same RunResult) and raises StageError naming the stage. Both
+    tree models forecast through gbt.predict, which checks the feature
+    schema and that every forecast is finite.
 
     Each stage's panel is dropped once its last reader is done. run alone
     holds the loaded panel, which only the repair reads, so the preprocess
@@ -360,15 +357,12 @@ def run(
             forecasts = gbt.predict(model, test_rows)
     with stage("evaluate"):
         # after the fit: the ES fallback count covers every test row
-        rows, pids, weeks, life = rows[test][keep], pids[keep], weeks[keep], life[keep]
-        forecasts = forecasts[keep]
+        pids, weeks, forecasts = pids[keep], weeks[keep], forecasts[keep]
         report = score(pids, weeks, forecasts, repaired, catalog, config)
 
     counts = {"train_rows": bounds[1], "valid_rows": bounds[2] - bounds[1],
               "test_rows": len(pids), **details}
-    return RunResult(
-        repaired, seasonal, encoding, model, rows, pids, weeks, life, forecasts, report, counts
-    )
+    return RunResult(seasonal, encoding, model, pids, weeks, forecasts, report, counts)
 
 
 def _run_inputs(args) -> tuple[RunConfig, Path, tuple]:

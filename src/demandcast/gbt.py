@@ -124,11 +124,12 @@ feature index, then the lowest threshold, then routing missing values left.
 Nodes are numbered depth-first in pre-order, which is also the order in
 which a forest's feature sampler is called. Training is strictly sequential
 over rounds. A node may split when it lies above max_depth and holds at
-least 2 rows. A forest counts each row with its multiplicity in the
-bootstrap, which its trees get as h (H >= 2): a node of one distinct row
+least 2 rows, or one row whose h is 2 or more. A forest's trees get each
+row's multiplicity in the bootstrap as h, so a node of one distinct row
 drawn twice or more takes a feature sample, then becomes a leaf, as the
-node of its duplicated rows would. Boosting counts distinct rows, since its
-hessians are no counts. A forest's bootstraps and feature samples come from
+node of its duplicated rows would. A boosted node of one row with h >= 2 (a
+Poisson hessian) finds no boundary either and stays the same leaf, and
+takes no sample. A forest's bootstraps and feature samples come from
 one generator in the order of one sorted choice(p, k, replace=False) call
 per node that may split; the sampler draws SAMPLE_BATCH samples per generator
 call and, after each tree, rewinds the generator to the state before its
@@ -519,13 +520,15 @@ def fit_tree(
     """Grow one tree depth-first on the given gradients.
 
     feature_sampler, when set, returns the (ascending) candidate feature
-    indices for each split; bagging uses it for per-split column subsampling.
-    It is called once per node that may split, in pre-order. A node may
-    split when depth < max_depth and it holds 2 rows or more. With a
-    sampler, h must hold each row's multiplicity (a bootstrap count, 1 for
-    a plain row) and rows count with it (H >= 2), so a node of one row
-    counted twice or more takes a sample and then becomes a leaf; without
-    one, rows count once (hi - lo >= 2), as Poisson hessians are no counts.
+    indices for each split; bagging uses it for per-split column subsampling,
+    and then h holds each row's multiplicity (a bootstrap count, 1 for a
+    plain row). It is called once per node that may split, in pre-order. A
+    node may split when depth < max_depth and it holds 2 rows or more, or
+    one row whose h is 2 or more, with or without a sampler. A node of one
+    row reaches the search, finds no boundary and becomes the leaf it would
+    be without the search: a forest's row drawn twice or more takes a sample
+    first, as the node of its duplicated rows would, and a boosted row whose
+    Poisson hessian is 2 or more takes none.
 
     order is x's presort from presort_columns(x), sorted here when None;
     train() passes one presort to every round. The tree grows on a working
@@ -581,10 +584,8 @@ def fit_tree(
                 records[parent][4] = idx
             rows = work[p, lo:hi]
             features = None
-            # a sampler's h are row counts, each at least 1: H >= 2 (see above)
-            if depth < max_depth and (
-                hi - lo >= 2 or feature_sampler is not None and gh[rows[0]].imag >= 2
-            ):
+            # a node of one row may split when its h is 2 or more (see above)
+            if depth < max_depth and (hi - lo >= 2 or gh[rows[0]].imag >= 2):
                 features = all_features if feature_sampler is None else np.asarray(feature_sampler(p))
                 if len(features) * (hi - lo) <= SCAN_ELEMENTS:
                     _grow_subtree(
@@ -690,9 +691,8 @@ def _grow_subtree(
         # explicit additions from the first pair on, as numpy's complex cumsum
         total = reduce(add, map(pairs.__getitem__, local))
         found = None
-        # fit_tree's rule: a sampler's h are row counts, so one row may split
-        # when it is counted twice or more
-        if depth < max_depth and (len(local) >= 2 or feature_sampler is not None and total.imag >= 2):
+        # fit_tree's rule: one row may split when its h is 2 or more
+        if depth < max_depth and (len(local) >= 2 or total.imag >= 2):
             if features is None:
                 features = (
                     all_features if feature_sampler is None
@@ -760,8 +760,8 @@ class BoostedModel:
     feature_names: list[str]
     trees: list[Tree]
     best_round: int
-    train_loss: list[float] = field(default_factory=list, repr=False)
-    valid_loss: list[float] = field(default_factory=list, repr=False)
+    train_loss: list[float] = field(repr=False)
+    valid_loss: list[float] = field(repr=False)
 
     def predict_array(self, x: np.ndarray) -> np.ndarray:
         """Forecasts for the rows of x; a model that overflows gives inf or

@@ -643,13 +643,16 @@ def _first_equal(hashes: np.ndarray) -> np.ndarray:
 
 
 def _code_table() -> defaultdict[str, int]:
-    """An empty table for _codes: looking up a missing token adds it with the next code.
+    """An empty table of codes: looking up a missing token adds it with the next code.
 
     Every key enters by such a lookup, so the next code is len(table) and
-    the keys are in order of first appearance. The codes come from a
-    counter, so the table holds no reference to itself and is freed as
-    soon as its loader returns. Loaders use it only through _codes and
-    list(): past their loop, a lookup would add a key.
+    the keys are in order of first appearance. Loaders look tokens up
+    through _mapped(column, table.__getitem__), distinct tokens in order of
+    first appearance, so across a file's blocks the codes follow the file's
+    first appearances. The codes come from a counter, so the
+    table holds no reference to itself and is freed as soon as its loader
+    returns. Loaders use it only through _mapped and list(): past their
+    loop, a lookup would add a key.
     """
     return defaultdict(count().__next__)
 
@@ -659,13 +662,6 @@ def _mapped(column: _Column, function) -> np.ndarray:
     distinct token (_Column.distinct), in order of first appearance."""
     texts, _, inverse = column.distinct()
     return np.fromiter(map(function, texts), np.int64, len(texts))[inverse]
-
-
-def _codes(column: _Column, codes: defaultdict[str, int]) -> np.ndarray:
-    """Each token's code in codes, a _code_table, which gives a new token the
-    next code. Distinct tokens are looked up in order of first appearance, so
-    across a file's blocks the codes follow the file's first appearances."""
-    return _mapped(column, codes.__getitem__)
 
 
 def load_sales(path: str | Path) -> SalesPanel:
@@ -684,7 +680,7 @@ def load_sales(path: str | Path) -> SalesPanel:
     parts = []
     for line, (pid_t, week_t, units_t, sale_t, stock_t) in blocks:
         n = len(pid_t)
-        pids = _codes(pid_t, product_ids)
+        pids = _mapped(pid_t, product_ids.__getitem__)
         faults.first(pid_t.empty(), line, 1, lambda i: "empty product_id")
         weeks, bad_week, _ = week_t.ints()
         units, bad_units, wide = units_t.ints()
@@ -759,7 +755,7 @@ def _repeats(*keys: np.ndarray) -> np.ndarray:
     """True at each entry whose key an earlier entry already has; entry i's
     key is (keys[0][i], keys[1][i], ...).
 
-    Ids come in as their int64 codes from _codes, and entries are grouped
+    Ids come in as their int64 codes from a _code_table, and entries are grouped
     by _key_order's radix passes, so the pass is linear in the entries.
     """
     order = _key_order(*keys)
@@ -788,7 +784,7 @@ def load_catalog(path: str | Path) -> Catalog:
     product_ids = _code_table()  # id -> order of first appearance
     codes, prices, table = [], [], [[] for _ in header[2:]]  # category, then the extra columns
     for line, (pid_t, category_t, price_t, *extra_t) in blocks:
-        pids = _codes(pid_t, product_ids)
+        pids = _mapped(pid_t, product_ids.__getitem__)
         faults.first(pid_t.empty(), line, 1, lambda i: "empty product_id")
         faults.first(
             category_t.empty(), line, 2, lambda i: f"product {pid_t.token(i)!r} has no category"
@@ -843,7 +839,7 @@ def load_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
         if wide < n:
             faults.add(line + wide, 3, f"week {int(week_t.token(wide))} outside the int64 range")
         # order 4 is the duplicate check, made on all rows below
-        parts.append((_codes(pid_t, product_ids), weeks, forecasts))
+        parts.append((_mapped(pid_t, product_ids.__getitem__), weeks, forecasts))
     pids, weeks, forecasts = map(np.concatenate, zip(*parts))
     names = np.array(list(product_ids), dtype=object)
     faults.first(
@@ -907,7 +903,7 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
             (temporal & (rows != -1)) | (mixed & ((rows < 0) | outside)) | (scopes == 2),
             line, 6, scope_fault,
         )
-        keys = _codes(key_t, key_ids)
+        keys = _mapped(key_t, key_ids.__getitem__)
         parts.append((keys, scopes, rows, weeks, values, flags))
     keys, scopes, rows, weeks, values, flags = map(np.concatenate, zip(*parts))
     names = list(key_ids)

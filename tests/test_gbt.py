@@ -1,5 +1,6 @@
 import base64
 import gc
+import hashlib
 import json
 import math
 import re
@@ -325,7 +326,7 @@ class TestPredict:
     def test_zero_tree_model_returns_exp_base(self):
         model = BoostedModel(
             loss="poisson", base_score=math.log(3.0), learning_rate=0.1,
-            feature_names=["f0"], trees=[], best_round=0,
+            feature_names=["f0"], trees=[], best_round=0, train_loss=[], valid_loss=[],
         )
         matrix = matrix_of([[1.0], [2.0]])
         assert np.allclose(predict(model, matrix), 3.0)
@@ -352,7 +353,7 @@ class TestPredict:
     def test_schema_mismatch_rejected(self):
         model = BoostedModel(
             loss="squared", base_score=0.0, learning_rate=0.1,
-            feature_names=["a", "b"], trees=[], best_round=0,
+            feature_names=["a", "b"], trees=[], best_round=0, train_loss=[], valid_loss=[],
         )
         with pytest.raises(ValueError) as err:
             predict(model, matrix_of([[1.0]], columns=["a"]), "m.json")
@@ -1202,6 +1203,28 @@ class TestOracleEquivalence:
                 tree = fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
                 oracle = oracle_fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
                 assert_same_tree(tree, oracle)
+
+    def test_boosted_one_row_node_of_large_hessian_stays_a_leaf(self, monkeypatch):
+        # Poisson hessians exp(raw) from about 0.6 to 5: a one-row node above
+        # max_depth whose h is 2 or more may split, reaches the search, finds
+        # no boundary and stays a leaf, as in the oracle, which splits only
+        # nodes of two rows or more
+        rng = np.random.default_rng(53)
+        n = 40
+        x = count_case(rng, n, 3)
+        y = rng.permutation(n).astype(float)
+        g, h = grad_hess("poisson", y, rng.uniform(-0.5, 1.6, size=n))
+        for _ in each_search_path(monkeypatch):
+            tree = fit_tree(x, g, h, 12, 0.0, 0.0)
+            assert_same_tree(tree, oracle_fit_tree(x, g, h, 12, 0.0, 0.0))
+            reached = leaves_reached(tree, x).values()
+            lone = [rows[0] for depth, rows in reached if depth < 12 and len(rows) == 1]
+            assert (h[lone] >= 2).sum() == 11 and (h[lone] < 2).sum() == 17
+            # pinned from a grower whose boosted nodes needed two rows to split
+            stored = tree.nodes.astype(NODE_DTYPE.newbyteorder("<")).tobytes()
+            assert hashlib.sha256(stored).hexdigest() == (
+                "30f3a12b0a265fcc8c9fc045776c237f8c5ab8307a86cdfd2c06510621bc3039"
+            )
 
     def test_recorded_gains_exceed_min_split_loss(self):
         rng = np.random.default_rng(9)

@@ -482,7 +482,7 @@ INT64 = np.iinfo(np.int64)
 class TestKeyPasses:
     """The loaders' whole-file key passes against their plain references:
     _key_order against np.lexsort, _repeats against a loop over the rows,
-    and the one-pass _codes against two passes."""
+    and one-pass codes through _mapped and a _code_table against two passes."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 1000])
     @pytest.mark.parametrize(
@@ -521,7 +521,7 @@ class TestKeyPasses:
         table, codes = ingest._code_table(), {}
         for block in (tokens[:200], [], tokens[200:], tokens[:5]):  # one table across blocks
             column = column_of([token.encode() for token in block])
-            assert ingest._codes(column, table).tolist() == two_pass_codes(block, codes).tolist()
+            assert ingest._mapped(column, table.__getitem__).tolist() == two_pass_codes(block, codes).tolist()
             assert list(table) == list(codes)
         assert dict(table) == codes
 
@@ -666,7 +666,7 @@ class TestGroups:
         assert next(blocks) == ["id", "n"]
         table, codes = ingest._code_table(), []
         for _, (id_t, _) in blocks:
-            codes += ingest._codes(id_t, table).tolist()
+            codes += ingest._mapped(id_t, table.__getitem__).tolist()
         faults.raise_first()
         assert codes == two_pass_codes(ids, {}).tolist()
         assert list(table) == list(dict.fromkeys(ids))
