@@ -17,6 +17,19 @@ it, so each row of the range lists the node's rows sorted by that feature;
 a split stably partitions the range in place, which keeps both children
 sorted. No node of this numpy path sorts anything.
 
+Rank codes: where the presort is built, each cell also gets its dense rank
+in its column as a uint16 (_rank_columns): rank 1 is the column's smallest
+non-NaN value, equal values (-0.0 and 0.0 too) share a rank, and NaN is 0,
+with a per-column table of the distinct values indexed by rank. The numpy
+search then gathers a node's ranks, not its values: 2 bytes a cell instead
+of 8. It needs a value only to form the winner's threshold, and takes that
+from the table. A column of more than 65,534 distinct values does not fit,
+so when any column has that many (trend_annual in the 4,000-product
+benchmark panel has 68,911 in 93,182 training rows), the fit keeps the
+float gather from x and allocates no ranks; the choice is made from the
+input, once per presort. Python subtrees, the partition's split column and
+Tree.apply read x either way.
+
 The matrix is read column by column, as the column block stores it:
 FeatureMatrix.X is feature-major (build_matrix writes each column
 contiguously, and the train, valid and test parts are row slices of it), and
@@ -31,9 +44,10 @@ not.
 
 Exactness: the search scores the node's block for all candidate features at
 once, but every sum it forms is a sequential sum in the order the one-column
-scan uses: left sums are np.cumsum along each sorted row (ties in row
-order), missing-value sums run over each row's NaN tail alone, from its
-first value on, and node totals run over the rows in ascending order.
+scan uses (a block of ranks lists its rows in the order of the block of
+values): left sums are np.cumsum along each sorted row (ties in row order),
+missing-value sums run over each row's NaN tail alone, from its first value
+on, and node totals run over the rows in ascending order.
 Gradients and hessians travel as one complex pair g + i*h, assigned part by
 part so a -0.0 keeps its sign; complex addition adds the two parts apart,
 so one gather and one cumsum give both sequential sums. A split needs
@@ -42,7 +56,13 @@ H + lambda > 0 on both sides, and a node whose own H + lambda is not above
 numpy search forms gains for every boundary between distinct values but a
 midpoint threshold for the winner only: a midpoint that rounds back onto
 its left value (two adjacent floats) is no candidate, so that boundary is
-dropped and the next maximum wins, as if it had never been scored.
+dropped and the next maximum wins, as if it had never been scored. Ranks
+give the same candidates and the same thresholds: adjacent ranks differ
+exactly where adjacent values compare less, NaN's rank 0 is no boundary as
+NaN is none, and the winner's two ranks decode to the two values the value
+block holds there. Only a zero may decode to the other zero, and a zero
+added to the other, nonzero value of a pair leaves that value's bits, so
+the midpoint and its collapse test are the same.
 
 Small subtrees: a node whose search block (features x rows) has at most
 SCAN_ELEMENTS elements grows its whole subtree in Python lists; its
@@ -59,10 +79,12 @@ same comparison. The feature sampler is called at the same nodes in the
 same pre-order. The gains are therefore bit for bit those of a scalar
 scan, which tests/oracles.py checks, whichever path grows a node.
 
-Memory: besides the presort, the per-tree working copy (int32, features + 1
-rows), one complex g + i*h pair and one flag per row, the tree's node
-records, and an F-order copy of x only when its columns are not contiguous
-(never for a FeatureMatrix or a row slice of one), the grower's
+Memory: besides the presort, the rank codes (2 bytes per training cell,
+held for the fit, plus each column's table of at most 65,534 distinct
+values; none when a column has more), the per-tree working copy (int32,
+features + 1 rows), one complex g + i*h pair and one flag per row, the
+tree's node records, and an F-order copy of x only when its columns are not
+contiguous (never for a FeatureMatrix or a row slice of one), the grower's
 temporaries take at most 16 eight-byte words per element of
 max(SCRATCH_ELEMENTS, rows in the node), never features x rows, and none
 outlives its node; the bound holds for the split search and the
@@ -73,9 +95,11 @@ and the subtree keep their state in loops with explicit stacks, not in
 recursive frames or a recursive closure, so a fit leaves no reference cycle
 behind. A forest tree's rows are its bootstrap's distinct rows, about 0.632
 of the n it draws, so its copy of those rows of the matrix, its presort,
-working copy, pairs and flags are that much smaller than on n rows. That
-copy is taken column by column into an F-order array, so fit_tree reads it
-as it is and copies nothing more.
+working copy, ranks, pairs and flags are that much smaller than on n rows.
+That copy is taken column by column into an F-order array, so fit_tree reads
+it as it is and copies nothing more. The ranks are counted before they are
+allocated: deciding against them costs one column's temporaries (its
+values, its order as intp and one flag per row), not a (p, n) array.
 
 Chunk size: SCRATCH_ELEMENTS is 2^16 because each chunk costs a fixed run
 of numpy calls, so larger chunks score a node's features in fewer calls: a
@@ -91,6 +115,10 @@ temporaries of chunk sizes up to 2^17. Under the moving thresholds, 2^15
 and 2^17 read slower than 2^16 (BENCH_24.json), 2^17 from those faults.
 Under the fixed ones, 2^17 took 746 and 747 faults a study train() (2^16:
 199 and 201) and was faster in 3 of 4 paired runs, which is unresolved.
+These sizes were measured with the float gather; a chunk's gathered ranks
+take 128 KiB at 2^16 instead of 512 KiB of values, and its complex pairs
+(1 MiB) stay the largest temporary, so the thresholds still cover them. The
+size has not been measured again with ranks.
 
 Settings: train() reads the boosting settings (loss, learning rate, depth,
 rounds, min_split_loss, lambda, early-stopping patience) from the run's
@@ -283,6 +311,7 @@ def _score_block(
     gh_total: complex,
     reg_lambda: float,
     min_split_loss: float,
+    tables: list | None = None,
 ) -> tuple[float, int, float, bool] | None:
     """Best split over a block of sorted feature rows, or None if none helps.
 
@@ -292,6 +321,13 @@ def _score_block(
     sums. gh_total is the node's sequential pair sum in row order. Returns
     (net gain, block row, threshold, missing left) for the first maximum in
     (row, threshold, missing-left) order.
+
+    With tables, xv holds the values' dense ranks instead (_rank_columns:
+    NaN is 0, so it still comes last), and tables[r] maps row r's ranks to
+    its feature's values. Adjacent ranks rise exactly where adjacent values
+    do, and a NaN's 0 is no boundary, as a NaN is not; the NaN tail is the
+    ranks of 0, after the row's nonzero ones. Only the winner's two ranks are
+    looked up, so its threshold is the midpoint of the same two values.
 
     Candidates follow "Exactness" in the module docstring: H + lambda > 0
     on both sides, and only the winner's midpoint is formed; a collapsed one
@@ -304,18 +340,21 @@ def _score_block(
         return None
     k, m = xv.shape
     flat = xv.ravel()
-    # a candidate lies between adjacent values of one row; NaN compares false
+    # a candidate lies between adjacent values of one row; NaN compares false,
+    # and so does its rank 0 against any rank
     between = flat[:-1] < flat[1:]
     between[m - 1 :: m] = False  # pairs that straddle two rows
     pair = np.flatnonzero(between)
     del between
     if pair.size == 0:
         return None
-    # each NaN tail's own sequential sum, from its first value on (the
-    # NaN-aware searchsorted finds it), before ghv turns into prefix sums
-    tail = np.isnan(xv[:, -1])
+    # each NaN tail's own sequential sum, from its first value on (where the
+    # NaN-aware searchsorted puts NaN, or after the nonzero ranks), before
+    # ghv turns into prefix sums
+    tail = np.isnan(xv[:, -1]) if tables is None else xv[:, -1] == 0
     tail_rows = np.flatnonzero(tail).tolist()
-    gh_miss = [ghv[r, xv[r].searchsorted(np.nan) :].cumsum()[-1] for r in tail_rows]
+    starts = [xv[r].searchsorted(np.nan) if tables is None else np.count_nonzero(xv[r]) for r in tail_rows]
+    gh_miss = [ghv[r, start:].cumsum()[-1] for r, start in zip(tail_rows, starts)]
     # complex addition adds the real and the imaginary parts apart, so one
     # cumsum gives the sequential g and h prefix sums of the scalar scan
     np.cumsum(ghv, axis=1, out=ghv)
@@ -367,10 +406,12 @@ def _score_block(
         if not gain > 0:
             return None
         j = int(pair[c])
-        lo = float(flat[j])
-        threshold = (lo + float(flat[j + 1])) / 2.0
+        r = j // m
+        lo, hi = (flat[j], flat[j + 1]) if tables is None else (tables[r][flat[j]], tables[r][flat[j + 1]])
+        lo = float(lo)
+        threshold = (lo + float(hi)) / 2.0
         if lo < threshold:
-            return gain, j // m, threshold, bool(left[c] == gain)
+            return gain, r, threshold, bool(left[c] == gain)
         best[c] = -np.inf  # the midpoint collapsed onto lo
 
 
@@ -506,6 +547,45 @@ def presort_columns(x: np.ndarray) -> np.ndarray:
     return order
 
 
+def _rank_columns(cells: np.ndarray, stride: int, order: np.ndarray) -> tuple[np.ndarray, list] | None:
+    """(codes, tables): each cell's dense rank in its column, or None when a
+    column has more than 65,534 distinct values.
+
+    cells and stride are x's from _column_cells, order its presort. Rank 1 is
+    a column's smallest non-NaN value and each larger distinct value takes
+    the next rank; equal values, -0.0 and 0.0 too, share one, and NaN is 0.
+    codes is a C-order uint16 (p, n) array, cell (r, f) at codes[f, r], and
+    tables[f][rank] is column f's value of that rank (NaN at 0). 65,534
+    leaves the largest uint16 unused. When x has more rows than that, each
+    column is counted before the (p, n) array is allocated, so an x that
+    keeps the float gather never holds one; fewer rows cannot hold more
+    distinct values, and are not counted.
+    """
+    p, n = order.shape
+    most = np.iinfo(np.uint16).max - 1
+
+    def sorted_column(f):
+        # the column's values in presort order, and a flag on the first
+        # position of each distinct non-NaN value: NaN fails both comparisons
+        values = cells[f * stride : f * stride + n].take(order[f])
+        first = np.empty(n, dtype=bool)
+        np.equal(values[:1], values[:1], out=first[:1])
+        np.less(values[:-1], values[1:], out=first[1:])
+        return values, first
+
+    if n > most and any(np.count_nonzero(sorted_column(f)[1]) > most for f in range(p)):
+        return None
+    codes = np.empty((p, n), dtype=np.uint16)
+    tables = []
+    for f in range(p):
+        values, first = sorted_column(f)
+        rank = np.cumsum(first, dtype=np.uint16)
+        rank[values.searchsorted(np.nan) :] = 0  # the NaN tail
+        codes[f, order[f]] = rank
+        tables.append(np.concatenate(([np.nan], values.compress(first))))
+    return codes, tables
+
+
 def fit_tree(
     x: np.ndarray,
     g: np.ndarray,
@@ -516,6 +596,7 @@ def fit_tree(
     feature_sampler=None,
     order: np.ndarray | None = None,
     leaf_values: np.ndarray | None = None,
+    ranks: tuple[np.ndarray, list] | None = None,
 ) -> Tree:
     """Grow one tree depth-first on the given gradients.
 
@@ -530,19 +611,23 @@ def fit_tree(
     first, as the node of its duplicated rows would, and a boosted row whose
     Poisson hessian is 2 or more takes none.
 
-    order is x's presort from presort_columns(x), sorted here when None;
-    train() passes one presort to every round. The tree grows on a working
-    copy of it, extended by a row of row indices in ascending order: each
-    node is a position range [lo, hi) of that copy, whose rows list the
-    node's rows sorted by each feature, and a split partitions the range
-    stably in place. The search then scores the node's presorted block with
-    sequential sums in the stable order, so trees equal those of a
-    brute-force scan bit for bit. A split whose children are at max_depth
+    order is x's presort from presort_columns(x), and ranks its rank codes
+    from _rank_columns (None where it found a column too wide for them);
+    train() passes one presort and its ranks to every round. When order is
+    None, both are built here, and the ranks argument is not read; when
+    order is given without ranks, the search gathers x's values. The tree
+    grows on a working copy of the presort, extended by a row of row indices
+    in ascending order: each node is a position range [lo, hi) of that copy,
+    whose rows list the node's rows sorted by each feature, and a split
+    partitions the range stably in place. The search then scores the node's
+    presorted block, of ranks or of values, with sequential sums in the
+    stable order, so trees equal those of a brute-force scan bit for bit,
+    with or without ranks. A split whose children are at max_depth
     partitions only the row-index row, since no child is searched. Memory
-    is the presort, the working copy, one complex g + i*h pair and one flag
-    per row, the node records, the copy of x below if one is made, and
-    temporaries of at most 16 eight-byte words per element of
-    max(SCRATCH_ELEMENTS, hi - lo).
+    is the presort, the ranks (2 bytes a cell) if any, the working copy, one
+    complex g + i*h pair and one flag per row, the node records, the copy of
+    x below if one is made, and temporaries of at most 16 eight-byte words
+    per element of max(SCRATCH_ELEMENTS, hi - lo).
 
     A node whose search block (features x rows) has at most SCAN_ELEMENTS
     elements grows its whole subtree in Python lists (_grow_subtree), with
@@ -553,8 +638,9 @@ def fit_tree(
     row's leaf weight: tree.apply(x) without walking the tree again.
 
     x is read column by column through one 1-D view of its column buffer
-    (_column_cells): the search's gathers, the split column and a Python
-    subtree's value lists all take a feature's values from its own column.
+    (_column_cells): the search's gathers (without ranks), the split column
+    and a Python subtree's value lists all take a feature's values from its
+    own column.
     A FeatureMatrix's x (or a row slice of it) has contiguous columns and
     is not copied; an x whose columns are not contiguous is copied to F
     order once per call.
@@ -563,8 +649,13 @@ def fit_tree(
     cells, stride = _column_cells(x)
     if order is None:
         order = presort_columns(x)
+        ranks = _rank_columns(cells, stride, order)
     elif order.shape != (p, n):
         raise ValueError(f"presort has shape {order.shape}, expected {(p, n)}")
+    elif ranks is not None and ranks[0].shape != (p, n):
+        raise ValueError(f"ranks have shape {ranks[0].shape}, expected {(p, n)}")
+    # what the search gathers: each cell's rank, cell (r, f) at f * n + r, or x's cells
+    keys, key_stride, tables = (cells, stride, None) if ranks is None else (ranks[0].ravel(), n, ranks[1])
     work = np.empty((p + 1, n), dtype=np.int32)
     work[:p] = order
     work[p] = np.arange(n)  # the node's rows in ascending order
@@ -597,8 +688,8 @@ def fit_tree(
             split = None
             if features is not None:
                 split = _search_node(
-                    cells, stride, gh, work, lo, hi, None if features is all_features else features, gh_sum,
-                    reg_lambda, min_split_loss,
+                    keys, key_stride, tables, gh, work, lo, hi, None if features is all_features else features,
+                    gh_sum, reg_lambda, min_split_loss,
                 )
             if split is None:
                 weight = leaf_weight(float(gh_sum.real), float(gh_sum.imag), reg_lambda)
@@ -623,7 +714,7 @@ def fit_tree(
 
 
 def _search_node(
-    cells, stride, gh, work, lo, hi, features, gh_total, reg_lambda, min_split_loss
+    keys, stride, tables, gh, work, lo, hi, features, gh_total, reg_lambda, min_split_loss
 ) -> tuple[float, int, float, bool] | None:
     """Best (net gain, feature, threshold, missing left) for one node, or None.
 
@@ -631,9 +722,10 @@ def _search_node(
     then each chunk's rows of work are a view, not a copy. The block is
     scored in chunks of at most SCRATCH_ELEMENTS block elements (at least
     one feature); a later chunk wins only with a strictly larger gain, so
-    the first maximum in feature order is kept. cells and stride are x's
-    from _column_cells, so each feature's values are gathered from its own
-    contiguous column.
+    the first maximum in feature order is kept. Cell (r, f) is
+    keys[f * stride + r], so each feature's keys are gathered from its own
+    contiguous column: x's cells from _column_cells when tables is None,
+    else the flat codes of _rank_columns, with its tables.
     """
     p = work.shape[0] - 1
     step = max(1, SCRATCH_ELEMENTS // (hi - lo))
@@ -645,10 +737,13 @@ def _search_node(
         else:
             chunk = features[start : start + step]
             idx = work[chunk, lo:hi]
-        flat = idx.astype(np.intp)  # the rows, then their cells of x
+        flat = idx.astype(np.intp)  # the rows, then their cells
         ghv = gh.take(flat)
         flat += (chunk * stride)[:, None]
-        found = _score_block(cells.take(flat), ghv, gh_total, reg_lambda, min_split_loss)
+        found = _score_block(
+            keys.take(flat), ghv, gh_total, reg_lambda, min_split_loss,
+            None if tables is None else [tables[f] for f in chunk.tolist()],
+        )
         if found is not None and (best is None or found[0] > best[0]):
             gain, r, threshold, default_left = found
             best = (gain, int(chunk[r]), threshold, default_left)
@@ -809,12 +904,13 @@ def train(matrix: FeatureMatrix, config: RunConfig, valid: FeatureMatrix) -> Boo
     best_round = 0
     stale = 0
     order = presort_columns(matrix.X)
+    ranks = _rank_columns(*_column_cells(matrix.X), order)
     leaf_values = np.empty(matrix.n_rows)
     for _ in range(config.rounds):
         g, h = grad_hess(config.loss, y, raw)
         tree = fit_tree(
             matrix.X, g, h, config.max_depth, config.reg_lambda, config.min_split_loss,
-            order=order, leaf_values=leaf_values,
+            order=order, leaf_values=leaf_values, ranks=ranks,
         )
         trees.append(tree)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -75,16 +75,18 @@ def detect_fake_zeros(panel: SalesPanel) -> np.ndarray:
     """Mask of zero weeks that look like stockouts rather than absent demand.
 
     A week is flagged when the product was listed but out of stock, sold
-    nothing, and has positive sales both strictly before and strictly after
-    it. Leading and trailing zeros are never flagged.
+    nothing, and has positive sales strictly before it. Leading zeros are
+    never flagged; trailing ones are, like any other. The rule is causal: a
+    week's flag reads no later week, so a panel cut at week t gets the full
+    panel's flags up to t, and predict repairs the weeks before an issue
+    week as the backtest of that week does.
     """
     positive = panel.y > 0
     weeks = np.broadcast_to(np.arange(panel.n_weeks), positive.shape)
-    # first and last positive week; a product that never sold has none between
+    # the first positive week; a product that never sold has none
     first = weeks.min(axis=1, where=positive, initial=panel.n_weeks)
-    last = weeks.max(axis=1, where=positive, initial=-1)
-    between = (weeks > first[:, None]) & (weeks < last[:, None])
-    return ~positive & panel.on_sale_mask & ~panel.stock_flag & between
+    after = weeks > first[:, None]
+    return ~positive & panel.on_sale_mask & ~panel.stock_flag & after
 
 
 def repair_fake_zeros(panel: SalesPanel, mask: np.ndarray) -> SalesPanel:

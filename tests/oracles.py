@@ -62,16 +62,14 @@ def scalar_smooth_stats(y, on_sale, window, gamma):
 
 def loop_detect_fake_zeros(panel: SalesPanel) -> np.ndarray:
     """Fake-zero mask, one product at a time: zero, listed and out-of-stock
-    weeks strictly between the product's first and last positive week."""
+    weeks after the product's first positive week."""
     mask = np.zeros_like(panel.on_sale_mask)
     for i in range(panel.n_products):
         positive = np.flatnonzero(panel.y[i] > 0)
         if positive.size == 0:
             continue
-        first, last = positive[0], positive[-1]
         candidate = (panel.y[i] == 0) & panel.on_sale_mask[i] & ~panel.stock_flag[i]
-        candidate[: first + 1] = False
-        candidate[last:] = False
+        candidate[: positive[0] + 1] = False
         mask[i] = candidate
     return mask
 
@@ -193,8 +191,12 @@ def oracle_best_split(values, g, h, reg_lambda, min_split_loss):
 def oracle_fit_tree(x, g, h, max_depth, reg_lambda, min_split_loss, feature_sampler=None):
     """Depth-first brute-force tree build mirroring the documented tie-breaks.
 
-    feature_sampler, when set, picks each node's candidate features; it is
-    called in pre-order at every node that may split, as the grower does.
+    A node may split above max_depth when it holds 2 rows or more, or one
+    row whose h is 2 or more (a forest's row drawn twice or more, whose node
+    on the copied rows would hold its copies). feature_sampler, when set,
+    picks each node's candidate features; it is called in pre-order at every
+    node that may split, as the grower does, so a one-row node takes a
+    sample before it becomes a leaf.
     """
     nodes: list[OracleNode] = []
 
@@ -206,7 +208,7 @@ def oracle_fit_tree(x, g, h, max_depth, reg_lambda, min_split_loss, feature_samp
         h_sum = _seq_sum(h[k] for k in rows)
         best = None
         best_feature = -1
-        if depth < max_depth and len(rows) >= 2:
+        if depth < max_depth and (len(rows) >= 2 or h_sum >= 2):
             features = range(x.shape[1]) if feature_sampler is None else feature_sampler(x.shape[1])
             for j in features:
                 cand = oracle_best_split(

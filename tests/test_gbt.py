@@ -1111,6 +1111,29 @@ class TestCountedRows:
                         lone += depth < fit.max_depth and len(rows) == 1 and fit.h[rows[0]] >= 2
             assert lone > 0
 
+    def test_counted_rows_match_the_oracle_on_counted_rows(self, monkeypatch):
+        # the brute-force grower on the distinct rows themselves, with the
+        # counts as h: the same may-split rule, so both call equally seeded
+        # samplers at the same nodes, one-row nodes of count 2 or more too
+        for _ in each_search_path(monkeypatch):
+            rng = np.random.default_rng(54)
+            lone = 0
+            for seed in range(6):
+                n, p = 40, int(rng.integers(2, 10))
+                x = count_case(rng, n, p)
+                y = rng.permutation(n).astype(float)
+                rows, counts = np.unique(rng.integers(0, n, size=n), return_counts=True)
+                h = counts.astype(float)
+                args = (x[rows], -y[rows] * h, h, 24, 0.0, 0.0)
+                sampler, calls = counting_sampler(np.random.default_rng(seed), math.isqrt(p))
+                oracle_sampler, oracle_calls = counting_sampler(np.random.default_rng(seed), math.isqrt(p))
+                tree = fit_tree(*args, feature_sampler=sampler)
+                assert_same_tree(tree, oracle_fit_tree(*args, feature_sampler=oracle_sampler))
+                assert calls[0] == oracle_calls[0] > 0
+                for depth, reached in leaves_reached(tree, x[rows]).values():
+                    lone += depth < 24 and len(reached) == 1 and h[reached[0]] >= 2
+            assert lone > 0
+
     @pytest.mark.parametrize(
         "top, counted",
         [(None, False), (2**48 - 1, True), (2**48, False)],
@@ -1207,8 +1230,7 @@ class TestOracleEquivalence:
     def test_boosted_one_row_node_of_large_hessian_stays_a_leaf(self, monkeypatch):
         # Poisson hessians exp(raw) from about 0.6 to 5: a one-row node above
         # max_depth whose h is 2 or more may split, reaches the search, finds
-        # no boundary and stays a leaf, as in the oracle, which splits only
-        # nodes of two rows or more
+        # no boundary and stays a leaf, as in the oracle
         rng = np.random.default_rng(53)
         n = 40
         x = count_case(rng, n, 3)
@@ -1603,18 +1625,115 @@ class TestGrowerMemory:
         x[:, ::3] = np.round(x[:, ::3] * 4) / 4
         x[rng.random(x.shape) < 0.1] = np.nan
         g, h = grad_hess("squared", np.nan_to_num(2.0 * x[:, 0]) + rng.normal(size=n), np.zeros(n))
-        order = gbt.presort_columns(x)  # the presort is the caller's
+        order = gbt.presort_columns(x)  # the presort and the ranks are the caller's
         assert p * n > gbt.SCRATCH_ELEMENTS
+        for ranks in (None, gbt._rank_columns(*gbt._column_cells(x), order)):  # x gather, then ranks
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tree = fit_tree(x, g, h, 6, 1.0, 0.0, order=order, ranks=ranks)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            records = 1024 * len(tree.nodes)  # a list of 7 numbers, its tuple and its array record
+            bound = 4 * (p + 1) * n + 16 * n + n + records + 128 * max(gbt.SCRATCH_ELEMENTS, n)
+            assert peak < bound
+
+
+def limit_case(distinct, p=12):
+    """A feature-major matrix whose column 0 has exactly `distinct` distinct
+    non-NaN values, -inf, +inf and both zeros among them (-0.0 and 0.0 are
+    one value), with repeats and a NaN tail; columns 1 to p - 1 take few
+    values and NaN. Targets step up just above 0 in column 0."""
+    rng = np.random.default_rng(distinct)
+    grid = (np.arange(distinct - 2) - 1000) * 0.25  # 0.0 at 1000
+    column = np.concatenate([
+        grid, [-np.inf, np.inf], np.full(400, -0.0), np.full(400, 0.0),
+        rng.choice(grid, 1200), np.full(1000, np.nan),
+    ])
+    n = len(column)
+    x = np.asfortranarray(np.round(rng.normal(size=(n, p)) * 3) / 2)
+    x[rng.random(x.shape) < 0.1] = np.nan
+    x[:, 0] = rng.permutation(column)
+    y = 10.0 * (np.nan_to_num(x[:, 0], nan=-1.0) > 0) + np.nan_to_num(x[:, 1]) + rng.normal(size=n)
+    g, h = grad_hess("squared", y, np.zeros(n))
+    return x, g, h
+
+
+def reference_ranks(x):
+    """(codes, tables) of x, column by column from np.unique: rank r is the
+    r-th smallest distinct non-NaN value, NaN is 0."""
+    codes = np.zeros(x.shape[::-1], dtype=np.uint16)
+    tables = []
+    for f, column in enumerate(x.T):
+        present = ~np.isnan(column)
+        distinct = np.unique(column[present])
+        codes[f, present] = np.searchsorted(distinct, column[present]) + 1
+        tables.append(np.concatenate([[np.nan], distinct]))
+    return codes, tables
+
+
+@pytest.fixture
+def searched_with(monkeypatch):
+    """Records, per numpy-searched node, whether it gathered ranks (tables
+    given) or x's cells."""
+    seen = []
+    search = gbt._search_node
+
+    def recording(keys, stride, tables, *args):
+        seen.append(tables is not None)
+        return search(keys, stride, tables, *args)
+
+    monkeypatch.setattr(gbt, "_search_node", recording)
+    return seen
+
+
+def same_tree(a, b):
+    """Node arrays byte for byte: every field, every bit."""
+    return a.nodes.tobytes() == b.nodes.tobytes()
+
+
+class TestRankSelection:
+    # fit_tree and train gather uint16 ranks when every column has at most
+    # 65,534 distinct values, and x's cells otherwise; both paths give the
+    # same trees bit for bit
+    def test_widest_column_at_the_limit_takes_ranks(self, searched_with):
+        x, g, h = limit_case(65_534)
+        order = gbt.presort_columns(x)
+        codes, tables = gbt._rank_columns(*gbt._column_cells(x), order)
+        want_codes, want_tables = reference_ranks(x)
+        assert codes.max() == 65_534 and codes.tolist() == want_codes.tolist()
+        for got, want in zip(tables, want_tables, strict=True):
+            assert np.isnan(got[0]) and got[1:].tolist() == want[1:].tolist()  # -0.0 == 0.0
+        tree = fit_tree(x, g, h, 3, 1.0, 0.0)
+        assert searched_with and all(searched_with)
+        searched_with.clear()
+        assert same_tree(tree, fit_tree(x, g, h, 3, 1.0, 0.0, order=order))  # no ranks: x's cells
+        assert searched_with and not any(searched_with)
+        # the root splits above the zeros' rank, at half the smallest positive value
+        assert tree.nodes[0]["feature"] == 0 and tree.nodes[0]["threshold"] == 0.125
+
+    def test_one_value_more_keeps_the_x_gather(self, searched_with):
+        x, g, h = limit_case(65_535)
+        n, p = x.shape
+        order = gbt.presort_columns(x)
+        cells, stride = gbt._column_cells(x)  # a view: x is feature-major
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            tree = fit_tree(x, g, h, 6, 1.0, 0.0, order=order)
+            assert gbt._rank_columns(cells, stride, order) is None
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        records = 1024 * len(tree.nodes)  # a list of 7 numbers, its tuple and its array record
-        bound = 4 * (p + 1) * n + 16 * n + n + records + 128 * max(gbt.SCRATCH_ELEMENTS, n)
-        assert peak < bound
+        assert peak < 2 * p * n  # counted first: no (p, n) uint16 array was allocated
+        tree = fit_tree(x, g, h, 3, 1.0, 0.0)
+        assert searched_with and not any(searched_with)
+        searched_with.clear()
+        # 65,535 ranks still fit in uint16: the path not taken, from the reference ranks
+        ranked = fit_tree(x, g, h, 3, 1.0, 0.0, order=order, ranks=reference_ranks(x))
+        assert searched_with and all(searched_with)
+        assert same_tree(tree, ranked)
+        assert tree.nodes[0]["feature"] == 0 and tree.nodes[0]["threshold"] == 0.125
 
 
 class TestLeafValues:

@@ -48,9 +48,11 @@ class TestDetect:
         panel = panel_from([5, 0, 5], stock=[True, True, True])
         assert not detect_fake_zeros(panel).any()
 
-    def test_trailing_zeros_not_flagged(self):
-        panel = panel_from([5, 3, 0, 0], stock=[True, True, False, False])
-        assert not detect_fake_zeros(panel).any()
+    def test_trailing_stockout_zeros_flagged(self):
+        # a flag reads no later week: a stockout at the panel's end is one
+        # like any other, and an in-stock zero there is still genuine
+        panel = panel_from([5, 3, 0, 0, 0], stock=[True, True, False, False, True])
+        assert detect_fake_zeros(panel).tolist() == [[False, False, True, True, False]]
 
     def test_off_sale_zero_not_flagged(self):
         panel = panel_from(
@@ -77,6 +79,30 @@ class TestDetect:
             assert mask.tolist() == loop_detect_fake_zeros(panel).tolist()
             flagged += int(mask.sum())
         assert flagged > 50
+
+    def test_cut_panel_keeps_the_full_panel_flags(self):
+        # predict sees the panel up to its issue week; the backtest of that
+        # week sees the whole panel. Both must repair the same weeks
+        rng = np.random.default_rng(36)
+        late = 0  # flags in a cut panel's last week, where no later sale exists
+        for _ in range(60):
+            n, t = int(rng.integers(1, 9)), int(rng.integers(1, 30))
+            on_sale = rng.random((n, t)) < rng.uniform(0.5, 1.0)
+            stock = rng.random((n, t)) < rng.uniform(0.2, 0.9)
+            y = np.where(on_sale & stock, rng.poisson(rng.uniform(0.3, 4.0), size=(n, t)), 0)
+            full = detect_fake_zeros(make_panel(y, on_sale=on_sale, stock=stock))
+            for week in range(t + 1):
+                cut = make_panel(y[:, :week], on_sale=on_sale[:, :week], stock=stock[:, :week])
+                assert detect_fake_zeros(cut).tolist() == full[:, :week].tolist()
+                late += int(full[:, week - 1].sum()) if week else 0
+        assert late > 100
+        reference = generate_panel(SynthSpec(seed=20240901))[0]
+        full = detect_fake_zeros(reference)
+        for week in (1, 100, 168, 175, 182, 193):
+            cut = make_panel(
+                reference.y[:, :week], on_sale=reference.on_sale_mask[:, :week], stock=reference.stock_flag[:, :week]
+            )
+            assert detect_fake_zeros(cut).tolist() == full[:, :week].tolist()
 
     def test_panel_without_weeks(self):
         panel = panel_from(np.zeros((2, 0)), stock=np.zeros((2, 0)), on_sale=np.zeros((2, 0)))
