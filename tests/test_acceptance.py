@@ -21,7 +21,7 @@ from demandcast.features import life_at_issue
 from demandcast.ingest import RunConfig
 from demandcast.preprocess import detect_fake_zeros, preprocess_panel, repair_fake_zeros, smooth_panel
 from demandcast.seasonal import MIN_YEAR_WEEKS, category_seasonality, fit_seasonality
-from demandcast.synth import SynthSpec, generate_panel
+from demandcast.synth import N_SHAPES, SynthSpec, generate_panel
 
 from .oracles import (
     finite_diff_grad_hess,
@@ -216,7 +216,7 @@ def test_criterion_5_seasonality_recovery():
     panel, catalog, _, truth = generate_panel(spec)
     repaired, smoothed = preprocess_panel(panel, 8, 3.0)
     model = fit_seasonality(
-        smoothed, repaired, catalog, tau=52, k=spec.n_shapes, seed=SEED, end_week=160
+        smoothed, repaired, catalog, tau=52, k=N_SHAPES, seed=SEED, end_week=160
     )
     members: dict[str, int] = {}
     for pid in panel.products:

@@ -1281,6 +1281,52 @@ class TestForecastRows:
         digest = hashlib.sha256((tmp_path / "predictions.csv").read_bytes()).hexdigest()
         assert digest == self.PREDICTIONS_SHA256[fitted]
 
+
+class TestBacktest:
+    """For every issue week t of the test window, `predict` on the inputs cut
+    at week t writes exactly the `pipeline` forecasts for target week
+    t + horizon: no stage (repair, smoothing, trend windows, covariate
+    imputation) lets a test-window forecast read a week after its issue week.
+
+    The sales and the unpredictable mixed key price_week are cut at t, and
+    the temporal key event, known ahead, is kept whole. The known-future
+    mixed key promo is dropped: the loaders reject a mixed row past the
+    panel, so a cut panel cannot give predict its value at the target week
+    (README, the features stage)."""
+
+    CONFIG = "train_len = 60\nvalid_len = 10\ntest_len = 12\nrounds = 20\nseed = 5\noverride_bounds = true\n"
+
+    def test_predict_on_the_cut_inputs_gives_the_pipeline_forecasts(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(data), "--products", "60", "--weeks", "90",
+                     "--seed", "5"]) == 0
+        header, *lines = (data / "covariates.csv").read_text().splitlines()
+        lines = [line.split(",") for line in lines if line.split(",")[1] != "promo"]
+        (data / "covariates.csv").write_text("\n".join([header, *map(",".join, lines)]) + "\n")
+        (data / "run.cfg").write_text(self.CONFIG)
+        assert main(pipeline_args(data, tmp_path / "pipeline")) == 0
+        config = load_config(data / "run.cfg")
+        _, *backtest = (tmp_path / "pipeline" / "predictions.csv").read_text().splitlines()
+        sales_header, *sales = (data / "sales.csv").read_text().splitlines()
+        first = config.train_len + config.valid_len - config.horizon
+        checked = 0
+        for t in range(first, first + config.test_len):
+            cut = tmp_path / f"cut{t}"
+            cut.mkdir()
+            (cut / "sales.csv").write_text("\n".join(
+                [sales_header, *(line for line in sales if int(line.split(",")[1]) <= t)]) + "\n")
+            (cut / "covariates.csv").write_text("\n".join([header, *(
+                ",".join(row) for row in lines if row[0] == "temporal" or int(row[2]) <= t
+            )]) + "\n")
+            model_file = tmp_path / "pipeline" / "model.json"
+            assert main(predict_args(cut, model_file, cut / "out", catalog=data / "catalog.csv")) == 0
+            _, *forecasts = (cut / "out" / "predictions.csv").read_text().splitlines()
+            target = str(t + config.horizon)
+            assert forecasts == [line for line in backtest if line.split(",")[1] == target], t
+            checked += len(forecasts)
+        assert checked == len(backtest)
+
+
 class TestIdsThatNeedQuoting:
     def test_predict_then_evaluate(self, data_dir, tmp_path, capsys):
         # ids holding a comma, a quote and a line feed are quoted on every

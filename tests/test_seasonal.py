@@ -204,15 +204,6 @@ class TestAgainstLoop:
         assert not {"under", "zero"} & set(curves)
         assert (variances["once"] == 0).all()
 
-    def test_small_blocks(self, monkeypatch):
-        # one product per block: the fit's sums run across blocks
-        monkeypatch.setattr("demandcast.seasonal.SEASON_BLOCK_CELLS", 1)
-        panel, smoothed, catalog = edge_panel(13)
-        assert_same_fit(
-            category_seasonality(smoothed, panel, catalog, 13, 120),
-            loop_category_seasonality(smoothed, panel, catalog, 13, 120),
-        )
-
     @pytest.mark.parametrize("end_week", [None, 80])  # None: the whole panel
     def test_synth_panel(self, end_week):
         spec = SynthSpec(n_products=200, n_categories=6, n_weeks=130, seed=11)

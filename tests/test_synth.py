@@ -1,11 +1,23 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from demandcast import ingest
+from demandcast.cli import main
 from demandcast.preprocess import detect_fake_zeros
 from demandcast.synth import SynthSpec, generate_panel, write_ground_truth
 
 from .oracles import covariate_dicts, loop_write_ground_truth
+
+# sha256 of the files `synth --products 40 --weeks 80 --seed 9` writes
+SYNTH_SHA256 = {
+    "catalog.csv": "8c70821006e0a8a5fb6e82c48f8333a81b1ed7c1c11521ad7df12de25346fea1",
+    "covariates.csv": "f5828f4d6bd062a4ccd8617e7fe02204772a7471695e413775c46857b495c9a9",
+    "ground_truth.csv": "158f9036dfcb8cf2e4894d4b0675cdf38e5f53ec705959fa406caea50b3619c2",
+    "ground_truth_curves.csv": "0ad7ca15e3dc5d1e41145bb77c8a01754f33d5c31b5be945aa91f20b7405181f",
+    "sales.csv": "97f314070589e55981f20847d65ab68b0ceac4345512b4b1ddf6a59ada8d7ea9",
+}
 
 
 def flat_spec(**kw):
@@ -37,6 +49,13 @@ class TestDeterminism:
         assert a_cat.price == b_cat.price
         assert covariate_dicts(a_cov) == covariate_dicts(b_cov)
         assert np.array_equal(a_truth.lam, b_truth.lam)
+
+    def test_synth_command_bytes_pinned(self, tmp_path):
+        # any change to the generator's draws or to its writers moves a digest
+        assert main(["synth", "--out-dir", str(tmp_path), "--products", "40", "--weeks", "80",
+                     "--seed", "9"]) == 0
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in tmp_path.iterdir()} == SYNTH_SHA256
 
     def test_different_seed_differs(self):
         a_panel, *_ = generate_panel(SynthSpec(n_products=40, n_weeks=80, seed=1))
