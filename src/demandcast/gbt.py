@@ -68,16 +68,30 @@ Small subtrees: a node whose search block (features x rows) has at most
 SCAN_ELEMENTS elements grows its whole subtree in Python lists; its
 descendants have fewer rows. Its nodes make no numpy call but the
 feature sampler's, which a forest's batch refill makes for many nodes at
-once. One gather at the subtree's root takes the rows' values and pairs
-and each row's position in every presorted row of the block. A node
-orders its rows by a feature by sorting them on those positions, which is
-the presort's stable order (ties in row order, NaN last). It scans that
-block one value at a time with the same sums in the same order, the same
-gain expression and the same tie-break. Its total is a running sum over
-its rows in ascending order, and its children are its rows split by the
-same comparison. The feature sampler is called at the same nodes in the
-same pre-order. The gains are therefore bit for bit those of a scalar
-scan, which tests/oracles.py checks, whichever path grows a node.
+once. One gather at the subtree's root takes the rows' values and pairs,
+and one argsort of the block's row indices gives each row's position in
+every presorted row. A node orders its rows by a feature by sorting them
+on those positions, which is the presort's stable order (ties in row
+order, NaN last). It scans that block one value at a time with the same
+sums in the same order, the same gain expression and the same tie-break.
+Its total is a running sum over its rows in ascending order, and its
+children are its rows split by the same comparison. The feature sampler is
+called at the same nodes in the same pre-order. The gains are therefore
+bit for bit those of a scalar scan, which tests/oracles.py checks,
+whichever path grows a node.
+
+Two-row nodes: a node of two rows that may split grows with its children
+in one pass, with no sort and no scan. A feature of such a node has a
+boundary only where both values are non-NaN and differ, and then the
+lower value's row goes left; so the node has at most two candidate gains,
+one per row on the left, formed once by the scan's expression. Per
+sampled feature the two values are compared directly, and the first
+maximum whose midpoint does not collapse wins, as in the scan; with no
+NaN on either side of the boundary, missing values go left, as the scan
+records them. Each child holds one row and is a leaf, but one whose h is
+2 or more above max_depth takes a forest's sample first, as fit_tree's
+may-split rule asks. In the forest benchmark, about a third of the nodes
+the Python path searches have two rows.
 
 Memory: besides the presort, the rank codes (2 bytes per training cell,
 held for the fit, plus each column's table of at most 65,534 distinct
@@ -194,7 +208,9 @@ SCRATCH_ELEMENTS = 1 << 16
 # exceeds the arithmetic
 SCAN_ELEMENTS = 1 << 8
 # feature samples a forest draws per generator call: 2k - 1 int64 draws each,
-# 56 KiB a batch for p = 18 and k = 4
+# 56 KiB a batch for p = 18 and k = 4. The batch is kept as one list of
+# Python ints per sample (94 KiB for p = 18 and k = 4), built once per batch,
+# so a node takes its sample with no conversion
 SAMPLE_BATCH = 1 << 10
 
 
@@ -444,37 +460,102 @@ def _scan_block(
         k = len(values)
         while k and values[k - 1] != values[k - 1]:  # NaN last
             k -= 1
-        miss = None
-        if k < len(values):
-            miss = pairs[k]
-            for pair in pairs[k + 1 :]:
-                miss = miss + pair
         ghl = pairs[0]
+        if k == len(values):
+            # no missing values: they route either way at the same gain, and
+            # left wins. Both sides need H + lambda above 0; only a gain that
+            # would win forms its midpoint, and one that rounds back onto lo
+            # is no candidate
+            for pos in range(1, k):
+                lo, hi = values[pos - 1], values[pos]
+                if lo < hi:
+                    gl, hl = ghl.real, ghl.imag
+                    gr = g_total - gl
+                    den_l, den_r = hl + reg_lambda, h_total - hl + reg_lambda
+                    if den_l > 0.0 < den_r:
+                        gain = 0.5 * (gl * gl / den_l + gr * gr / den_r - base) - min_split_loss
+                        # NaN never wins
+                        if gain > best_gain and lo < (threshold := (lo + hi) / 2.0):
+                            best_gain, best = gain, (r, threshold, True)
+                ghl = ghl + pairs[pos]
+            continue
+        miss = pairs[k]
+        for pair in pairs[k + 1 :]:
+            miss = miss + pair
         for pos in range(1, k):
             lo, hi = values[pos - 1], values[pos]
             if lo < hi:
                 gl, hl = ghl.real, ghl.imag
-                # missing values left, then right; a row without any routes
-                # them either way at the same gain, and left wins. Both
-                # sides need H + lambda above 0; only a gain that would win
-                # forms its midpoint, and one that rounds back onto lo is no
-                # candidate
-                if miss is not None:
-                    gml, hml = gl + miss.real, hl + miss.imag
-                    gmr = g_total - gml
-                    den_l, den_r = hml + reg_lambda, h_total - hml + reg_lambda
-                    if den_l > 0.0 < den_r:
-                        gain = 0.5 * (gml * gml / den_l + gmr * gmr / den_r - base) - min_split_loss
-                        # NaN never wins
-                        if gain > best_gain and lo < (threshold := (lo + hi) / 2.0):
-                            best_gain, best = gain, (r, threshold, True)
+                # missing values left, then right, under the same rules
+                gml, hml = gl + miss.real, hl + miss.imag
+                gmr = g_total - gml
+                den_l, den_r = hml + reg_lambda, h_total - hml + reg_lambda
+                if den_l > 0.0 < den_r:
+                    gain = 0.5 * (gml * gml / den_l + gmr * gmr / den_r - base) - min_split_loss
+                    if gain > best_gain and lo < (threshold := (lo + hi) / 2.0):
+                        best_gain, best = gain, (r, threshold, True)
                 gr = g_total - gl
                 den_l, den_r = hl + reg_lambda, h_total - hl + reg_lambda
                 if den_l > 0.0 < den_r:
                     gain = 0.5 * (gl * gl / den_l + gr * gr / den_r - base) - min_split_loss
                     if gain > best_gain and lo < (threshold := (lo + hi) / 2.0):
-                        best_gain, best = gain, (r, threshold, miss is None)
+                        best_gain, best = gain, (r, threshold, False)
             ghl = ghl + pairs[pos]
+    return None if best is None else (best_gain, *best)
+
+
+def _scan_pair(
+    values: list,
+    a: int,
+    b: int,
+    pa: complex,
+    pb: complex,
+    gh_total: complex,
+    features: list,
+    reg_lambda: float,
+    min_split_loss: float,
+) -> tuple[float, int, float, bool] | None:
+    """_scan_block for a node of two rows: (net gain, feature, threshold,
+    whether row a goes left), or None.
+
+    values[f][a] and values[f][b] are the rows' values of feature f, pa and
+    pb their g + i*h pairs and gh_total is pa + pb. A feature has a
+    boundary only where both values are non-NaN and differ, and the lower
+    one's row is then the left side, so the node has at most two gains, one
+    with each row on the left. Both are formed once, by _scan_block's
+    expression under its H + lambda > 0 rule, and each feature only
+    compares its two values; the first maximum whose midpoint does not
+    collapse wins. No boundary has a missing value to route, so the split
+    routes them left, as _scan_block records it.
+    """
+    g_total, h_total = gh_total.real, gh_total.imag
+    node_den = h_total + reg_lambda
+    if not node_den > 0:
+        return None
+    base = g_total * g_total / node_den
+    # the net gains with row a on the left, then row b; 0.0 stands for no
+    # candidate, as no gain above 0 is
+    gains = []
+    for gl, hl in ((pa.real, pa.imag), (pb.real, pb.imag)):
+        gr = g_total - gl
+        den_l, den_r = hl + reg_lambda, h_total - hl + reg_lambda
+        gains.append(
+            0.5 * (gl * gl / den_l + gr * gr / den_r - base) - min_split_loss if den_l > 0.0 < den_r else 0.0
+        )
+    gain_a, gain_b = gains
+    best = None
+    best_gain = 0.0
+    for f in features:
+        va, vb = values[f][a], values[f][b]
+        if va < vb:
+            gain, lo, hi = gain_a, va, vb
+        elif vb < va:
+            gain, lo, hi = gain_b, vb, va
+        else:  # equal, or a NaN: no boundary
+            continue
+        # NaN never wins
+        if gain > best_gain and lo < (threshold := (lo + hi) / 2.0):
+            best_gain, best = gain, (f, threshold, va < vb)
     return None if best is None else (best_gain, *best)
 
 
@@ -661,7 +742,7 @@ def fit_tree(
     work[p] = np.arange(n)  # the node's rows in ascending order
     gh = _complex_pair(g, h)
     goes_left = np.empty(n, dtype=bool)
-    all_features = np.arange(p)
+    all_features = list(range(p))
     records = []  # the NODE_DTYPE fields of each node, in pre-order
     # (lo, hi, depth, parent); a parent index marks a right child to link
     stack = [(0, n, 0, -1)]
@@ -677,10 +758,10 @@ def fit_tree(
             features = None
             # a node of one row may split when its h is 2 or more (see above)
             if depth < max_depth and (hi - lo >= 2 or gh[rows[0]].imag >= 2):
-                features = all_features if feature_sampler is None else np.asarray(feature_sampler(p))
+                features = all_features if feature_sampler is None else feature_sampler(p)
                 if len(features) * (hi - lo) <= SCAN_ELEMENTS:
                     _grow_subtree(
-                        cells, stride, gh, work, lo, hi, depth, features.tolist(), max_depth, reg_lambda,
+                        cells, stride, gh, work, lo, hi, depth, features, max_depth, reg_lambda,
                         min_split_loss, feature_sampler, records, leaf_values,
                     )
                     continue
@@ -688,7 +769,8 @@ def fit_tree(
             split = None
             if features is not None:
                 split = _search_node(
-                    keys, key_stride, tables, gh, work, lo, hi, None if features is all_features else features,
+                    keys, key_stride, tables, gh, work, lo, hi,
+                    None if features is all_features else np.asarray(features),
                     gh_sum, reg_lambda, min_split_loss,
                 )
             if split is None:
@@ -762,6 +844,12 @@ def _grow_subtree(
     pre-order. Records are appended to records and leaf weights written to
     leaf_values as fit_tree's loop writes them. cells and stride are x's
     from _column_cells.
+
+    A node of two rows that may split grows with its two one-row children
+    in one pass ("Two-row nodes" in the module docstring): its records,
+    their leaf weights and their sampler calls are those the loop would
+    make for the three nodes, in the same order. A feature sampler's sample
+    may be a list or an array of feature indices.
     """
     p = work.shape[0] - 1
     rows = work[p, lo:hi]
@@ -769,11 +857,9 @@ def _grow_subtree(
     # values[f][j]: feature f of the j-th row
     values = cells.take(rows + (np.arange(p) * stride)[:, None]).tolist()
     pairs = gh.take(rows).tolist()
-    # rank[f][j]: the j-th row's position in the node's rows sorted by feature f
-    at = np.searchsorted(rows, work[:p, lo:hi])  # the row at each sorted position
-    rank = np.empty((p, m), dtype=np.intp)
-    np.put_along_axis(rank, at, np.arange(m), axis=1)
-    rank = rank.tolist()
+    # rank[f][j]: the j-th row's position in the node's rows sorted by
+    # feature f; rows is ascending, so argsort inverts each presorted row
+    rank = work[:p, lo:hi].argsort(axis=1).tolist()
     all_features = list(range(p))
     leaf_of = None if leaf_values is None else [0.0] * m  # each row's leaf weight
     # (rows, depth, parent, features): rows ascending; features None until sampled
@@ -783,16 +869,39 @@ def _grow_subtree(
         idx = len(records)
         if parent >= 0:
             records[parent][4] = idx
+        if len(local) == 2 and depth < max_depth:
+            # the node and its two one-row children in one pass ("Two-row nodes")
+            if features is None:
+                features = all_features if feature_sampler is None else feature_sampler(p)
+            a, b = local
+            pa, pb = pairs[a], pairs[b]
+            total = pa + pb
+            found = _scan_pair(values, a, b, pa, pb, total, features, reg_lambda, min_split_loss)
+            if found is None:
+                weight = leaf_weight(total.real, total.imag, reg_lambda)
+                records.append((-1, 0.0, 1, -1, -1, weight, 0.0))
+                if leaf_of is not None:
+                    leaf_of[a] = leaf_of[b] = weight
+                continue
+            gain, f, threshold, a_left = found
+            records.append((f, threshold, 1, idx + 1, idx + 2, 0.0, gain + min_split_loss))
+            for j, q in ((a, pa), (b, pb)) if a_left else ((b, pb), (a, pa)):
+                # fit_tree's rule: one row may split when its h is 2 or more,
+                # so a forest's child takes a sample, then stays a leaf
+                if feature_sampler is not None and depth + 1 < max_depth and q.imag >= 2:
+                    feature_sampler(p)
+                weight = leaf_weight(q.real, q.imag, reg_lambda)
+                records.append((-1, 0.0, 1, -1, -1, weight, 0.0))
+                if leaf_of is not None:
+                    leaf_of[j] = weight
+            continue
         # explicit additions from the first pair on, as numpy's complex cumsum
         total = reduce(add, map(pairs.__getitem__, local))
         found = None
         # fit_tree's rule: one row may split when its h is 2 or more
         if depth < max_depth and (len(local) >= 2 or total.imag >= 2):
             if features is None:
-                features = (
-                    all_features if feature_sampler is None
-                    else np.asarray(feature_sampler(p)).tolist()
-                )
+                features = all_features if feature_sampler is None else feature_sampler(p)
             if len(local) >= 2:  # one row has no boundary: it stays a leaf
                 orders, xv, ghv = [], [], []
                 for f in features:
@@ -1033,8 +1142,8 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
 
 class _FeatureSampler:
     """train_forest's per-split feature sampler: each call returns what
-    np.sort(rng.choice(p, k, replace=False)) would, drawn SAMPLE_BATCH
-    samples at a time.
+    np.sort(rng.choice(p, k, replace=False)).tolist() would, drawn
+    SAMPLE_BATCH samples at a time.
 
     choice runs Floyd's algorithm, one bounded draw in [0, j] for each j
     from p - k to p - 1 (a value already taken becomes j), then shuffles its
@@ -1057,10 +1166,10 @@ class _FeatureSampler:
         # the inclusive bounds of one sample's draws: Floyd's, then the shuffle's
         self.highs = np.concatenate([np.arange(p - k, p), np.arange(k - 1, 0, -1)])
         self.state = None  # the generator's state before the current batch
-        self.batch = None  # the current batch, one sorted sample a row, the next one last
+        self.batch = None  # the current batch: one sorted list a sample, the next one last
         self.left = 0  # its samples not yet handed out
 
-    def __call__(self, n_features: int) -> np.ndarray:
+    def __call__(self, n_features: int) -> list:
         if not self.left:
             self._refill()
         self.left -= 1
@@ -1079,7 +1188,7 @@ class _FeatureSampler:
             taken = (floyd[:, :t] == floyd[:, t, None]).any(axis=1)
             floyd[taken, t] = p - k + t
         floyd.sort(axis=1)
-        self.batch = floyd[::-1]
+        self.batch = floyd[::-1].tolist()
         self.left = SAMPLE_BATCH
 
     def rewind(self) -> None:

@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -981,7 +982,7 @@ class TestFeatureSampler:
             for _ in range(2):  # a sequence, a rewind, then another one
                 for _ in range(25 + case % 37):
                     got, want = sampler(p), reference(p)
-                    assert got.tolist() == want.tolist(), (p, k)
+                    assert list(got) == want.tolist(), (p, k)
                     drawn += 1
                 sampler.rewind()
                 # a bounded 32-bit draw takes PCG64's buffered half first
@@ -1040,19 +1041,27 @@ def forest_fits(monkeypatch):
     return fits
 
 
-def leaves_reached(tree, x):
-    """{leaf index: (depth, rows of x that reach it)}, walking one node at a time."""
+def nodes_reached(tree, x):
+    """{node index: (depth, rows of x that reach it)} for every node some row reaches."""
     nodes = tree.nodes.tolist()
     reached = {}
     for r, row in enumerate(x.tolist()):
         node = depth = 0
-        while nodes[node][0] >= 0:
+        while True:
+            reached.setdefault(node, (depth, []))[1].append(r)
             feature, threshold, default_left, left, right = nodes[node][:5]
+            if feature < 0:
+                break
             value = row[feature]
             goes_left = default_left if math.isnan(value) else value < threshold
             node, depth = (left if goes_left else right), depth + 1
-        reached.setdefault(node, (depth, []))[1].append(r)
     return reached
+
+
+def leaves_reached(tree, x):
+    """{leaf index: (depth, rows of x that reach it)}, walking one node at a time."""
+    leaf = tree.nodes["feature"] < 0
+    return {node: reached for node, reached in nodes_reached(tree, x).items() if leaf[node]}
 
 
 def count_case(rng, n, p):
@@ -1451,6 +1460,20 @@ class TestMixedSearchPaths:
             assert bits(out) == bits(tree.apply(x))
         assert mixed_paths["searched"] and mixed_paths["subtrees"]
 
+    def test_deep_boosted_leaf_values_equal_apply(self, mixed_paths):
+        # train() moves its scores by leaf_values: the leaf weights a
+        # two-row node writes for its children must be apply()'s bit for bit
+        rng = np.random.default_rng(63)
+        splits = 0
+        for trial in range(6):
+            x, y = two_row_case(rng, pairs=40)
+            g, h = grad_hess("poisson", y, rng.uniform(-0.5, 1.6, size=len(y)))
+            out = np.full(len(y), np.nan)
+            tree = fit_tree(x, g, h, 24, float(trial % 2), 0.0, leaf_values=out)
+            assert bits(out) == bits(tree.apply(x))
+            splits += two_row_cases(tree, x, h, 24)["splits"]
+        assert mixed_paths["searched"] and mixed_paths["subtrees"] and splits >= 60
+
     def test_scan_returns_on_zero_hessian_blocks(self):
         # lambda 0 and rows of zero gradient and hessian: the scan checks H +
         # lambda > 0 on both sides before it divides, so it returns, and
@@ -1473,6 +1496,132 @@ class TestMixedSearchPaths:
                 assert scanned is None
             found += scanned is not None
         assert found >= 20
+
+
+def two_row_case(rng, pairs=24):
+    """2 * pairs rows in pairs, with integer targets that rise by 10 from
+    pair to pair. Every column but 3 orders the pairs by their number (NaN
+    aside), so most splits fall between pairs and most nodes near the
+    leaves hold one pair. Column 0 is the pair's number i; within a pair,
+    column 1 holds i + 1 and the next float (their midpoint rounds back onto
+    i + 1) or two values in (i + 1, i + 2), column 2 has a NaN in one row,
+    in both or in none, column 3 holds -0.0 and 0.0, one value twice or two
+    values in (i, i + 1), and column 5 is 3 * column 4 + 1, so the two order
+    every pair alike and tie in gain."""
+    n = 2 * pairs
+    number = np.repeat(np.arange(pairs), 2)
+    x = number[:, None] + rng.uniform(0.01, 0.99, size=(n, 6))
+    x[:, 0] = number
+    x[:, 1] += 1
+    for i in range(pairs):
+        a, b = rng.permutation([2 * i, 2 * i + 1])
+        ones, nans, zeros = rng.integers(3, size=3)
+        if ones == 0:
+            x[a, 1], x[b, 1] = i + 1.0, np.nextafter(i + 1.0, np.inf)
+        if nans < 2:
+            x[a, 2] = np.nan
+            if nans == 1:
+                x[b, 2] = np.nan
+        if zeros == 0:
+            x[a, 3], x[b, 3] = -0.0, 0.0
+        elif zeros == 1:
+            x[b, 3] = x[a, 3]
+    x[:, 5] = 3 * x[:, 4] + 1
+    return x, 10 * number + rng.integers(0, 4, size=n)
+
+
+def two_row_cases(tree, x, h, max_depth):
+    """Counts of what the two-row nodes of tree that may split meet: their
+    number, how many split, and in how many some column holds a NaN in
+    one row, a NaN in both, one value twice, -0.0 and 0.0, or two values
+    whose midpoint collapses; and of the splits whose children may split
+    (depth + 1 < max_depth), how many have one and how many two rows whose
+    h is 2 or more."""
+    counts = dict.fromkeys(
+        ("nodes", "splits", "nan_one", "nan_both", "equal", "zeros", "collapse", "heavy_one", "heavy_both"), 0
+    )
+    nodes = tree.nodes
+    for node, (depth, rows) in nodes_reached(tree, x).items():
+        if len(rows) != 2 or depth >= max_depth:
+            continue
+        counts["nodes"] += 1
+        va, vb = x[rows].tolist()
+        nan = [math.isnan(p) + math.isnan(q) for p, q in zip(va, vb)]
+        counts["nan_one"] += 1 in nan
+        counts["nan_both"] += 2 in nan
+        counts["equal"] += any(p == q and math.copysign(1, p) == math.copysign(1, q) for p, q in zip(va, vb))
+        counts["zeros"] += any(p == q and math.copysign(1, p) != math.copysign(1, q) for p, q in zip(va, vb))
+        counts["collapse"] += any((min(p, q) + max(p, q)) / 2.0 == min(p, q) != max(p, q) for p, q in zip(va, vb))
+        if nodes["feature"][node] >= 0:
+            counts["splits"] += 1
+            heavy = int((h[rows] >= 2).sum())
+            if depth + 1 < max_depth and heavy:
+                counts["heavy_both" if heavy == 2 else "heavy_one"] += 1
+    return counts
+
+
+class TestTwoRowNodes:
+    # a node of two rows that may split grows with its one-row children in
+    # one pass; its trees must be the oracle's node for node, and a forest
+    # must call its sampler at the same nodes: a one-row child whose h is 2
+    # or more takes a sample first, above max_depth. In the first two
+    # tests, two-row nodes and their children are at least 40% of the nodes
+    def test_counted_forest_rows_match_the_oracle(self, monkeypatch):
+        for _ in each_search_path(monkeypatch):
+            rng = np.random.default_rng(60)
+            total = Counter()
+            for seed, depth in enumerate((24, 24, 7, 5, 24, 9)):
+                x, y = two_row_case(rng)
+                h = rng.integers(1, 4, size=len(y)).astype(float)
+                args = (x, -y * h, h, depth, 0.0, 0.0)
+                sampler, calls = counting_sampler(np.random.default_rng(seed), 2)
+                oracle_sampler, oracle_calls = counting_sampler(np.random.default_rng(seed), 2)
+                tree = fit_tree(*args, feature_sampler=sampler)
+                assert_same_tree(tree, oracle_fit_tree(*args, feature_sampler=oracle_sampler))
+                assert calls[0] == oracle_calls[0] > 0
+                total.update(two_row_cases(tree, x, h, depth), all=len(tree.nodes))
+            assert min(total.values()) >= 20, total
+            assert total["nodes"] + 2 * total["splits"] >= 0.4 * total["all"]
+
+    def test_boosted_poisson_rows_match_the_oracle(self, monkeypatch):
+        # Poisson hessians exp(raw) from about 0.5 to 6, near each other
+        # within a pair, lambda 0 or 1, min_split_loss 0 or 0.05; every
+        # column is a candidate, so columns 4 and 5 tie at every two-row
+        # node and column 5 never wins there
+        for _ in each_search_path(monkeypatch):
+            rng = np.random.default_rng(61)
+            total = Counter()
+            features = []
+            for trial in range(10):
+                x, y = two_row_case(rng)
+                raw = np.repeat(rng.uniform(-0.5, 1.6, size=len(y) // 2), 2) + rng.uniform(-0.2, 0.2, size=len(y))
+                g, h = grad_hess("poisson", y, raw)
+                depth = (24, 6)[trial % 2]
+                args = (x, g, h, depth, float(trial % 4 // 2), 0.05 * (trial % 3 == 2))
+                tree = fit_tree(*args)
+                assert_same_tree(tree, oracle_fit_tree(*args))
+                total.update(two_row_cases(tree, x, h, depth), all=len(tree.nodes))
+                for node, (_, rows) in nodes_reached(tree, x).items():
+                    if len(rows) == 2 and tree.nodes["feature"][node] >= 0:
+                        features.append(int(tree.nodes["feature"][node]))
+            assert min(total.values()) >= 5, total
+            assert total["nodes"] + 2 * total["splits"] >= 0.4 * total["all"]
+            assert 5 not in features and 4 in features
+
+    def test_children_sample_only_above_max_depth(self, monkeypatch):
+        # every row counted twice: each two-row split's children may split
+        # unless they lie at max_depth, and then take no sample
+        monkeypatch.setattr(gbt, "SCAN_ELEMENTS", sys.maxsize)
+        rng = np.random.default_rng(62)
+        for depth in range(1, 8):
+            x, y = two_row_case(rng, pairs=4)
+            h = np.full(len(y), 2.0)
+            args = (x, -y * h, h, depth, 0.0, 0.0)
+            sampler, calls = counting_sampler(np.random.default_rng(depth), 2)
+            oracle_sampler, oracle_calls = counting_sampler(np.random.default_rng(depth), 2)
+            tree = fit_tree(*args, feature_sampler=sampler)
+            assert_same_tree(tree, oracle_fit_tree(*args, feature_sampler=oracle_sampler))
+            assert calls[0] == oracle_calls[0]
 
 
 def collapse_case(rng, upper):
