@@ -8,17 +8,18 @@ strictly positive.
 
 Split search follows the column block of XGBoost's exact greedy algorithm
 (Chen & Guestrin 2016). Each column of the training matrix is stable-sorted
-once into an int32 (p, n) array of row indices, NaN last: once per train()
-call, reused by every boosting round, and once per forest tree, over that
-tree's distinct bootstrap rows (see train_forest). A tree grows on a
-working copy of that array plus one row holding the row indices in
-ascending order. Every node owns one contiguous range of positions in
-it, so each row of the range lists the node's rows sorted by that feature;
-a split stably partitions the range in place, which keeps both children
-sorted. No node of this numpy path sorts anything.
+once into an int32 array of row indices, NaN last, with one more row
+listing the rows in ascending order (presort_columns): once per training
+matrix, reused by every boosting round of train() and by every tree of
+train_forest(), which cuts it down to each tree's bootstrap rows. A tree
+grows on a working copy of that array. Every node owns one contiguous
+range of positions in it, so each row of the range lists the node's rows
+sorted by that feature; a split stably partitions the range in place,
+which keeps both children sorted. No node of this numpy path sorts
+anything.
 
-Rank codes: where the presort is built, each cell also gets its dense rank
-in its column as a uint16 (_rank_columns): rank 1 is the column's smallest
+Rank codes: with the presort, each cell also gets its dense rank in its
+column as a uint16 (_rank_columns): rank 1 is the column's smallest
 non-NaN value, equal values (-0.0 and 0.0 too) share a rank, and NaN is 0,
 with a per-column table of the distinct values indexed by rank. The numpy
 search then gathers a node's ranks, not its values: 2 bytes a cell instead
@@ -69,10 +70,11 @@ SCAN_ELEMENTS elements grows its whole subtree in Python lists; its
 descendants have fewer rows. Its nodes make no numpy call but the
 feature sampler's, which a forest's batch refill makes for many nodes at
 once. One gather at the subtree's root takes the rows' values and pairs,
-and one argsort of the block's row indices gives each row's position in
-every presorted row. A node orders its rows by a feature by sorting them
-on those positions, which is the presort's stable order (ties in row
-order, NaN last). It scans that block one value at a time with the same
+and one stable argsort of the block's row indices gives each row's
+position in every presorted row (the copies of a row listed twice in
+order). A node orders its rows by a feature by sorting them on those
+positions, which is the presort's stable order (ties in row order, NaN
+last). It scans that block one value at a time with the same
 sums in the same order, the same gain expression and the same tie-break.
 Its total is a running sum over its rows in ascending order, and its
 children are its rows split by the same comparison. The feature sampler is
@@ -93,11 +95,12 @@ records them. Each child holds one row and is a leaf, but one whose h is
 may-split rule asks. In the forest benchmark, about a third of the nodes
 the Python path searches have two rows.
 
-Memory: besides the presort, the rank codes (2 bytes per training cell,
-held for the fit, plus each column's table of at most 65,534 distinct
-values; none when a column has more), the per-tree working copy (int32,
-features + 1 rows), one complex g + i*h pair and one flag per row, the
-tree's node records, and an F-order copy of x only when its columns are not
+Memory: besides the presort (int32, p + 1 rows of n) and the rank codes (2
+bytes per training cell, plus each column's table of at most 65,534
+distinct values; none when a column has more), both held for the fit, the
+per-tree working copy (int32, p + 1 rows of the rows the tree lists), one
+complex g + i*h pair and one flag per row of the matrix, the tree's node
+records, and an F-order copy of x only when its columns are not
 contiguous (never for a FeatureMatrix or a row slice of one), the grower's
 temporaries take at most 16 eight-byte words per element of
 max(SCRATCH_ELEMENTS, rows in the node), never features x rows, and none
@@ -107,13 +110,15 @@ one pair per row of its root, which has at most SCAN_ELEMENTS rows, and no
 n-sized map; the missing-value sums read only the NaN tails. The grower
 and the subtree keep their state in loops with explicit stacks, not in
 recursive frames or a recursive closure, so a fit leaves no reference cycle
-behind. A forest tree's rows are its bootstrap's distinct rows, about 0.632
-of the n it draws, so its copy of those rows of the matrix, its presort,
-working copy, ranks, pairs and flags are that much smaller than on n rows.
-That copy is taken column by column into an F-order array, so fit_tree reads
-it as it is and copies nothing more. The ranks are counted before they are
-allocated: deciding against them costs one column's temporaries (its
-values, its order as intp and one flag per row), not a (p, n) array.
+behind. A forest tree lists its bootstrap's distinct rows, about 0.632 of
+the n it draws (every copy, n, when its targets keep the duplicated rows),
+in a cut of the matrix's presort that fit_tree copies as its working copy,
+and reads X in place. So train_forest holds the matrix's presort and ranks,
+one tree's cut and working copy (int32, 2 (p + 1) per listed row), its
+n-sized g, h, counts, pairs and flags, and the temporaries above, but no
+copy of X's rows. The ranks are counted before they are allocated:
+deciding against them costs one column's temporaries (its values, its
+order as intp and one flag per row), not a (p, n) array.
 
 Chunk size: SCRATCH_ELEMENTS is 2^16 because each chunk costs a fixed run
 of numpy calls, so larger chunks score a node's features in fewer calls: a
@@ -615,16 +620,18 @@ class Tree:
 
 
 def presort_columns(x: np.ndarray) -> np.ndarray:
-    """Row indices of each column of x in stable ascending order, NaN last.
+    """fit_tree's presort of x: an int32 (p + 1, n) array of row indices.
 
-    Returns an int32 (p, n) array; one column is sorted at a time, so no
-    (n, p) index temporary is made. A FeatureMatrix's columns are
-    contiguous, so each argsort reads one contiguous column.
+    Row f < p lists x's rows in stable ascending order of column f, NaN
+    last; row p lists them in ascending order. One column is sorted at a
+    time, so no (n, p) index temporary is made. A FeatureMatrix's columns
+    are contiguous, so each argsort reads one contiguous column.
     """
     n, p = x.shape
-    order = np.empty((p, n), dtype=np.int32)
+    order = np.empty((p + 1, n), dtype=np.int32)
     for j in range(p):
         order[j] = np.argsort(x[:, j], kind="stable")
+    order[p] = np.arange(n)
     return order
 
 
@@ -632,17 +639,19 @@ def _rank_columns(cells: np.ndarray, stride: int, order: np.ndarray) -> tuple[np
     """(codes, tables): each cell's dense rank in its column, or None when a
     column has more than 65,534 distinct values.
 
-    cells and stride are x's from _column_cells, order its presort. Rank 1 is
-    a column's smallest non-NaN value and each larger distinct value takes
-    the next rank; equal values, -0.0 and 0.0 too, share one, and NaN is 0.
-    codes is a C-order uint16 (p, n) array, cell (r, f) at codes[f, r], and
+    cells and stride are x's from _column_cells, order its presort_columns;
+    train() and train_forest() call it once per training matrix, and every
+    tree of the fit reads the result. Rank 1 is a column's smallest non-NaN
+    value and each larger distinct value takes the next rank; equal values,
+    -0.0 and 0.0 too, share one, and NaN is 0. codes is a C-order uint16
+    (p, n) array, cell (r, f) at codes[f, r], and
     tables[f][rank] is column f's value of that rank (NaN at 0). 65,534
     leaves the largest uint16 unused. When x has more rows than that, each
     column is counted before the (p, n) array is allocated, so an x that
     keeps the float gather never holds one; fewer rows cannot hold more
     distinct values, and are not counted.
     """
-    p, n = order.shape
+    p, n = len(order) - 1, order.shape[1]
     most = np.iinfo(np.uint16).max - 1
 
     def sorted_column(f):
@@ -675,11 +684,21 @@ def fit_tree(
     reg_lambda: float,
     min_split_loss: float,
     feature_sampler=None,
-    order: np.ndarray | None = None,
+    *,
+    order: np.ndarray,
+    ranks: tuple[np.ndarray, list] | None,
     leaf_values: np.ndarray | None = None,
-    ranks: tuple[np.ndarray, list] | None = None,
 ) -> Tree:
-    """Grow one tree depth-first on the given gradients.
+    """Grow one tree depth-first on the given gradients, over the rows order lists.
+
+    order is presort_columns(x), or that presort cut down to some of x's
+    rows: the same rows in each of its rows, in the presort's order.
+    train_forest cuts it to each tree's bootstrap and lists a row drawn
+    twice once, or as two adjacent copies. g and h are indexed by x's row,
+    so the copies of a row share its pair, and each listed copy counts as a
+    row. ranks is _rank_columns of x and its presort, or None, which makes
+    the search gather x's values (as where a column is too wide for ranks).
+    train() passes one presort and its ranks to every round.
 
     feature_sampler, when set, returns the (ascending) candidate feature
     indices for each split; bagging uses it for per-split column subsampling,
@@ -692,31 +711,25 @@ def fit_tree(
     first, as the node of its duplicated rows would, and a boosted row whose
     Poisson hessian is 2 or more takes none.
 
-    order is x's presort from presort_columns(x), and ranks its rank codes
-    from _rank_columns (None where it found a column too wide for them);
-    train() passes one presort and its ranks to every round. When order is
-    None, both are built here, and the ranks argument is not read; when
-    order is given without ranks, the search gathers x's values. The tree
-    grows on a working copy of the presort, extended by a row of row indices
-    in ascending order: each node is a position range [lo, hi) of that copy,
-    whose rows list the node's rows sorted by each feature, and a split
-    partitions the range stably in place. The search then scores the node's
-    presorted block, of ranks or of values, with sequential sums in the
-    stable order, so trees equal those of a brute-force scan bit for bit,
-    with or without ranks. A split whose children are at max_depth
-    partitions only the row-index row, since no child is searched. Memory
-    is the presort, the ranks (2 bytes a cell) if any, the working copy, one
-    complex g + i*h pair and one flag per row, the node records, the copy of
-    x below if one is made, and temporaries of at most 16 eight-byte words
-    per element of max(SCRATCH_ELEMENTS, hi - lo).
+    The tree grows on a working copy of order: each node is a position range
+    [lo, hi) of it, whose rows list the node's rows sorted by each feature,
+    and a split partitions the range stably in place. The search then scores
+    the node's presorted block, of ranks or of values, with sequential sums
+    in the stable order, so trees equal those of a brute-force scan bit for
+    bit, with or without ranks. A split whose children are at max_depth
+    partitions only the last row, since no child is searched. Memory is the
+    working copy, one complex g + i*h pair and one flag per row of x, the
+    node records, the copy of x below if one is made, and temporaries of at
+    most 16 eight-byte words per element of max(SCRATCH_ELEMENTS, hi - lo).
 
     A node whose search block (features x rows) has at most SCAN_ELEMENTS
     elements grows its whole subtree in Python lists (_grow_subtree), with
     the records, leaf weights and sampler calls the loop would make; the
     loop then goes on with the next node on its stack.
 
-    leaf_values, when given, is a float array of len(x) that receives each
-    row's leaf weight: tree.apply(x) without walking the tree again.
+    leaf_values, when given, is a float array of len(x) that receives the
+    leaf weight of each row order lists: tree.apply(x) on those rows
+    without walking the tree again.
 
     x is read column by column through one 1-D view of its column buffer
     (_column_cells): the search's gathers (without ranks), the split column
@@ -727,25 +740,20 @@ def fit_tree(
     order once per call.
     """
     n, p = x.shape
-    cells, stride = _column_cells(x)
-    if order is None:
-        order = presort_columns(x)
-        ranks = _rank_columns(cells, stride, order)
-    elif order.shape != (p, n):
-        raise ValueError(f"presort has shape {order.shape}, expected {(p, n)}")
-    elif ranks is not None and ranks[0].shape != (p, n):
+    if order.ndim != 2 or len(order) != p + 1:
+        raise ValueError(f"presort has shape {order.shape}, expected {p + 1} rows")
+    if ranks is not None and ranks[0].shape != (p, n):
         raise ValueError(f"ranks have shape {ranks[0].shape}, expected {(p, n)}")
+    cells, stride = _column_cells(x)
     # what the search gathers: each cell's rank, cell (r, f) at f * n + r, or x's cells
     keys, key_stride, tables = (cells, stride, None) if ranks is None else (ranks[0].ravel(), n, ranks[1])
-    work = np.empty((p + 1, n), dtype=np.int32)
-    work[:p] = order
-    work[p] = np.arange(n)  # the node's rows in ascending order
+    work = order.copy()
     gh = _complex_pair(g, h)
     goes_left = np.empty(n, dtype=bool)
     all_features = list(range(p))
     records = []  # the NODE_DTYPE fields of each node, in pre-order
     # (lo, hi, depth, parent); a parent index marks a right child to link
-    stack = [(0, n, 0, -1)]
+    stack = [(0, work.shape[1], 0, -1)]
     # a gain that overflows, or that divides by an H + lambda the search then
     # rejects, is inf or NaN, not a warning
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -858,8 +866,9 @@ def _grow_subtree(
     values = cells.take(rows + (np.arange(p) * stride)[:, None]).tolist()
     pairs = gh.take(rows).tolist()
     # rank[f][j]: the j-th row's position in the node's rows sorted by
-    # feature f; rows is ascending, so argsort inverts each presorted row
-    rank = work[:p, lo:hi].argsort(axis=1).tolist()
+    # feature f; rows is ascending, so argsort inverts each presorted row,
+    # and a stable one keeps a row's copies in order
+    rank = work[:p, lo:hi].argsort(axis=1, kind="stable").tolist()
     all_features = list(range(p))
     leaf_of = None if leaf_values is None else [0.0] * m  # each row's leaf weight
     # (rows, depth, parent, features): rows ascending; features None until sampled
@@ -1109,6 +1118,11 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
     integer below 2^53 in both forms, so exact in any order; the trees are
     those of the duplicated rows bit for bit (fit_tree's "may split" counts
     rows with h). Other targets keep the duplicated rows, with counts of 1.
+
+    matrix.X is presorted and rank-coded once per fit, and every tree reads
+    it in place: a tree's presort is the matrix's cut down to its bootstrap
+    by np.repeat, each drawn row once (or each copy, with counts of 1) in
+    the presort's order, so no tree copies X's rows, sorts or ranks.
     """
     if n_trees < 1:
         raise ValueError(f"a forest needs at least one tree, got n_trees={n_trees}")
@@ -1124,17 +1138,20 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
     # every partial sum is an integer of at most max|y| * n; that float product
     # rounds only at 2^53 or above, so the test is exact
     counted = bool((y == np.floor(y)).all()) and float(np.abs(y).max()) * n < 2.0**53
+    order = presort_columns(matrix.X)
+    ranks = _rank_columns(*_column_cells(matrix.X), order)
     trees: list[Tree] = []
     sampler = _FeatureSampler(rng, p, n_sub) if n_sub < p else None
     for _ in range(n_trees):
-        rows, counts = np.unique(rng.integers(0, n, size=n), return_counts=True)
-        if not counted:  # every copy, each counted once
-            rows, counts = np.repeat(rows, counts), np.ones(n, dtype=counts.dtype)
-        h = counts.astype(float)
-        # the rows taken column by column: x keeps its contiguous columns, so
-        # fit_tree gathers from this copy and makes none of its own
-        x = matrix.X.T.take(rows, axis=1).T
-        trees.append(fit_tree(x, -y[rows] * h, h, max_depth, 0.0, 0.0, feature_sampler=sampler))
+        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        # each drawn row listed once with h = its count, or every copy with h = 1
+        listed, h = (np.minimum(counts, 1), counts.astype(float)) if counted else (counts, np.ones(n))
+        # the presort cut down to those rows, one row at a time; made in the
+        # call, so no tree's cut is alive while the next one is made
+        trees.append(fit_tree(
+            matrix.X, -y * h, h, max_depth, 0.0, 0.0, sampler, ranks=ranks,
+            order=np.concatenate([rows.repeat(listed.take(rows)) for rows in order]).reshape(p + 1, -1),
+        ))
         if sampler is not None:
             sampler.rewind()
     return ForestModel(feature_names=list(matrix.columns), trees=trees)

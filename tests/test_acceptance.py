@@ -30,7 +30,7 @@ from .oracles import (
     scalar_smooth,
     squared_pointwise,
 )
-from .test_gbt import assert_same_tree
+from .test_gbt import assert_same_tree, grow_tree
 
 SEED = 20240901
 HELD_OUT_SEED = 7
@@ -137,7 +137,7 @@ def test_criterion_2_tree_oracle():
         lam = float(rng.choice([0.0, 1.0]))
         msl = float(rng.choice([0.0, 0.05]))
         depth = int(rng.integers(2, 5))
-        tree = gbt.fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
+        tree = grow_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
         oracle = oracle_fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
         assert_same_tree(tree, oracle)
     elapsed = time.monotonic() - t0

@@ -389,30 +389,42 @@ class TestSplitOnce:
         assert [len(calls) for calls in fits] == [1, 0 if command == "predict" else 1]
 
     def test_parts_are_row_views_of_one_matrix(self, data_dir, tmp_path, monkeypatch):
-        matrices = []  # gbt.train's train and valid parts, then gbt.predict's test part
-        for name in ("train", "predict"):
-            def captured(*args, original=getattr(gbt, name)):
-                matrices.extend(arg for arg in args if isinstance(arg, FeatureMatrix))
-                return original(*args)
+        # the boosted fit reads the train and valid parts, a forest the train
+        # part alone: every _column_cells call of either fit, each forest tree's
+        # too, is a view of the train part, never of a copy of its rows
+        for model, fit, parts in (("gbt", "train", 3), ("forest", "train_forest", 2)):
+            matrices = []  # the fit's parts, then gbt.predict's test part
+            gathers = []  # (x, buffer) of every _column_cells call: the fit's and apply's
+            fitted = []  # the buffers of the fit's calls
+            for name in (fit, "predict"):
+                def captured(*args, original=getattr(gbt, name), name=name):
+                    matrices.extend(arg for arg in args if isinstance(arg, FeatureMatrix))
+                    start = len(gathers)
+                    result = original(*args)
+                    if name == fit:
+                        fitted.extend(flat for _, flat in gathers[start:])
+                    return result
 
-            monkeypatch.setattr(gbt, name, captured)
-        gathers = []  # (x, buffer) of every _column_cells call: the fit's and apply's
+                monkeypatch.setattr(gbt, name, captured)
 
-        def column_cells(x, original=gbt._column_cells):
-            flat, stride = original(x)
-            gathers.append((x, flat))
-            return flat, stride
+            def column_cells(x, original=gbt._column_cells):
+                flat, stride = original(x)
+                gathers.append((x, flat))
+                return flat, stride
 
-        monkeypatch.setattr(gbt, "_column_cells", column_cells)
-        assert main(pipeline_args(data_dir, tmp_path)) == 0
-        assert len(matrices) == 3
-        # the full matrix is feature-major: its transpose owns the memory
-        full = matrices[0].X.base
-        assert full is not None and full.flags.c_contiguous and full.shape[0] == len(matrices[0].columns)
-        for part in matrices:
-            assert part.X.base is full and part.X.strides[0] == part.X.itemsize  # contiguous columns
-            buffers = [flat for x, flat in gathers if x is part.X]
-            assert buffers and all(np.shares_memory(flat, part.X) for flat in buffers)
+            monkeypatch.setattr(gbt, "_column_cells", column_cells)
+            args = pipeline_args(data_dir, tmp_path / model, "--model", model, "--forest-trees", "2")
+            assert main(args) == 0
+            monkeypatch.undo()
+            assert len(matrices) == parts
+            # the full matrix is feature-major: its transpose owns the memory
+            full = matrices[0].X.base
+            assert full is not None and full.flags.c_contiguous and full.shape[0] == len(matrices[0].columns)
+            for part in matrices:
+                assert part.X.base is full and part.X.strides[0] == part.X.itemsize  # contiguous columns
+                buffers = [flat for x, flat in gathers if x is part.X]
+                assert buffers and all(np.shares_memory(flat, part.X) for flat in buffers)
+            assert fitted and all(np.shares_memory(flat, matrices[0].X) for flat in fitted)
 
 
 class TestSmoothedPanelFreedBeforeTheFit:

@@ -113,7 +113,7 @@ def root_split(values, g, h, reg_lambda, min_split_loss):
     """Root record of a depth-1 fit_tree on the one feature column values,
     None when the root is a leaf; checked against oracle_best_split, whose
     net gain plus min_split_loss is the root's stored (raw) gain."""
-    tree = fit_tree(values[:, None], g, h, 1, reg_lambda, min_split_loss)
+    tree = grow_tree(values[:, None], g, h, 1, reg_lambda, min_split_loss)
     root = tree.nodes[0]
     expected = oracle_best_split(values, g, h, reg_lambda, min_split_loss)
     if root["feature"] < 0:
@@ -182,7 +182,7 @@ class TestTieBreaking:
         x = np.stack([col, col], axis=1)
         y = np.array([0.0, 0.0, 8.0, 8.0])
         g, h = grad_hess("squared", y, np.zeros(4))
-        tree = fit_tree(x, g, h, max_depth=1, reg_lambda=0.0, min_split_loss=0.0)
+        tree = grow_tree(x, g, h, max_depth=1, reg_lambda=0.0, min_split_loss=0.0)
         assert tree.nodes["feature"][0] == 0
 
     def test_equal_gain_thresholds_pick_lowest(self):
@@ -190,7 +190,7 @@ class TestTieBreaking:
         x = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([8.0, 0.0, 0.0, 8.0])
         g, h = grad_hess("squared", y, np.zeros(4))
-        tree = fit_tree(x, g, h, max_depth=1, reg_lambda=0.0, min_split_loss=0.0)
+        tree = grow_tree(x, g, h, max_depth=1, reg_lambda=0.0, min_split_loss=0.0)
         assert tree.nodes["threshold"][0] == 0.5
 
 
@@ -253,7 +253,7 @@ class TestTrain:
         gc.disable()
         try:
             gc.collect()
-            fit_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
+            grow_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -888,7 +888,7 @@ class TestForest:
         y = rng.normal(size=40) + 3.0
         forest = train_forest(matrix_of(x, y=y), 1, 4, seed=0)
         rows = np.sort(np.random.default_rng(0).integers(0, 40, 40))
-        reference = fit_tree(
+        reference = grow_tree(
             x[rows], -y[rows], np.ones(40), max_depth=4, reg_lambda=0.0, min_split_loss=0.0
         )
         assert np.array_equal(forest.predict_array(x), reference.apply(x))
@@ -938,6 +938,28 @@ class TestForest:
         matrix = matrix_of(x, y=y)
         forest = train_forest(matrix, 10, 8, seed=2)
         assert (forest.predict_array(x) >= 0).all()
+
+    @pytest.mark.parametrize("fractional", [False, True], ids=["counted", "copies"])
+    def test_one_presort_per_forest(self, monkeypatch, forest_fits, fractional):
+        # the matrix is presorted and rank-coded once per fit, and every
+        # tree reads X itself, on that presort cut down to its bootstrap
+        calls = Counter()
+        for name in ("presort_columns", "_rank_columns"):
+            def counted(*args, name=name, original=getattr(gbt, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(gbt, name, counted)
+        rng = np.random.default_rng(8)
+        x = count_case(rng, 60, 9)
+        y = rng.poisson(3.0, size=60) + (0.5 if fractional else 0.0)
+        matrix = matrix_of(x, y=y)
+        train_forest(matrix, 5, 8, seed=4)
+        assert calls == {"presort_columns": 1, "_rank_columns": 1}
+        assert len(forest_fits) == 5
+        for fit in forest_fits:
+            assert fit.matrix is matrix.X
+            assert (len(fit.x) == 60) == fractional and fit.h.sum() == 60
 
 
 def sampler_cases():
@@ -1020,12 +1042,13 @@ class TestFeatureSampler:
 
 @pytest.fixture
 def forest_fits(monkeypatch):
-    """Records each tree train_forest fits: its rows, h, max_depth, the tree
-    and how often it called the feature sampler. Clear it between forests."""
+    """Records each tree train_forest fits: the x it reads, the rows of x its
+    presort's last row lists and their h, max_depth, the tree and how often
+    it called the feature sampler. Clear it between forests."""
     fits = []
     fit = gbt.fit_tree
 
-    def recording_fit(x, g, h, max_depth, *args, feature_sampler=None):
+    def recording_fit(x, g, h, max_depth, reg_lambda, min_split_loss, feature_sampler, *, order, ranks):
         calls = [0]
 
         def counted(n_features):
@@ -1033,8 +1056,11 @@ def forest_fits(monkeypatch):
             return feature_sampler(n_features)
 
         sampler = None if feature_sampler is None else counted
-        tree = fit(x, g, h, max_depth, *args, feature_sampler=sampler)
-        fits.append(SimpleNamespace(x=x, h=h, max_depth=max_depth, tree=tree, calls=calls[0]))
+        tree = fit(x, g, h, max_depth, reg_lambda, min_split_loss, sampler, order=order, ranks=ranks)
+        rows = order[-1]
+        fits.append(
+            SimpleNamespace(matrix=x, x=x[rows], h=h[rows], max_depth=max_depth, tree=tree, calls=calls[0])
+        )
         return tree
 
     monkeypatch.setattr(gbt, "fit_tree", recording_fit)
@@ -1136,7 +1162,7 @@ class TestCountedRows:
                 args = (x[rows], -y[rows] * h, h, 24, 0.0, 0.0)
                 sampler, calls = counting_sampler(np.random.default_rng(seed), math.isqrt(p))
                 oracle_sampler, oracle_calls = counting_sampler(np.random.default_rng(seed), math.isqrt(p))
-                tree = fit_tree(*args, feature_sampler=sampler)
+                tree = grow_tree(*args, feature_sampler=sampler)
                 assert_same_tree(tree, oracle_fit_tree(*args, feature_sampler=oracle_sampler))
                 assert calls[0] == oracle_calls[0] > 0
                 for depth, reached in leaves_reached(tree, x[rows]).values():
@@ -1213,12 +1239,25 @@ def assert_same_tree(tree, oracle_nodes):
     assert bits(nodes["gain"][~leaf]) == bits(ref["gain"][~leaf])
 
 
+def grow_tree(x, g, h, *args, **kwargs):
+    """fit_tree on x's presort and its rank codes, as train() passes them;
+    the ranks are None where _rank_columns finds none (or where
+    each_search_path makes it find none)."""
+    order = gbt.presort_columns(x)
+    ranks = gbt._rank_columns(*gbt._column_cells(x), order)
+    return fit_tree(x, g, h, *args, order=order, ranks=ranks, **kwargs)
+
+
 def each_search_path(monkeypatch):
-    """Yields twice: once with every node scored by the numpy block search
-    (a scan cutoff of 0), once with every node scanned in Python (a cutoff
-    above every block of these tests)."""
-    for path, cutoff in (("block", 0), ("scan", sys.maxsize)):
+    """Yields three times: with every node scored by the numpy block search
+    (a scan cutoff of 0), first gathering x's values (_rank_columns finds
+    no ranks, as for a column too wide for them), then the rank codes; and
+    with every node scanned in Python (a cutoff above every block of these
+    tests). train(), train_forest() and grow_tree() take both key sources."""
+    rank_columns = gbt._rank_columns
+    for path, cutoff, ranked in (("block_x", 0, False), ("block_ranks", 0, True), ("scan", sys.maxsize, True)):
         monkeypatch.setattr(gbt, "SCAN_ELEMENTS", cutoff)
+        monkeypatch.setattr(gbt, "_rank_columns", rank_columns if ranked else lambda cells, stride, order: None)
         yield path
 
 
@@ -1232,7 +1271,7 @@ class TestOracleEquivalence:
                 lam = float(rng.choice([0.0, 1.0]))
                 msl = float(rng.choice([0.0, 0.05]))
                 depth = int(rng.integers(1, 4))
-                tree = fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
+                tree = grow_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
                 oracle = oracle_fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
                 assert_same_tree(tree, oracle)
 
@@ -1246,7 +1285,7 @@ class TestOracleEquivalence:
         y = rng.permutation(n).astype(float)
         g, h = grad_hess("poisson", y, rng.uniform(-0.5, 1.6, size=n))
         for _ in each_search_path(monkeypatch):
-            tree = fit_tree(x, g, h, 12, 0.0, 0.0)
+            tree = grow_tree(x, g, h, 12, 0.0, 0.0)
             assert_same_tree(tree, oracle_fit_tree(x, g, h, 12, 0.0, 0.0))
             reached = leaves_reached(tree, x).values()
             lone = [rows[0] for depth, rows in reached if depth < 12 and len(rows) == 1]
@@ -1261,7 +1300,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(9)
         x, y = random_matrix(rng, max_rows=30)
         g, h = grad_hess("squared", y, np.zeros(len(y)))
-        tree = fit_tree(x, g, h, max_depth=4, reg_lambda=0.5, min_split_loss=0.05)
+        tree = grow_tree(x, g, h, max_depth=4, reg_lambda=0.5, min_split_loss=0.05)
         internal = tree.nodes[tree.nodes["feature"] >= 0]
         assert internal.size and (internal["gain"] >= 0.05).all()
 
@@ -1271,7 +1310,7 @@ class TestOracleEquivalence:
             x, y = random_matrix(rng, max_rows=40)
             g, h = grad_hess("squared", y, np.zeros(len(y)))
             depth_cap = int(rng.integers(1, 5))
-            tree = fit_tree(x, g, h, max_depth=depth_cap, reg_lambda=0.5, min_split_loss=0.0)
+            tree = grow_tree(x, g, h, max_depth=depth_cap, reg_lambda=0.5, min_split_loss=0.0)
             assert tree_depth(tree) <= depth_cap
             nodes = tree.nodes
             leaf = nodes["feature"] < 0
@@ -1289,7 +1328,7 @@ class TestOracleEquivalence:
             for _ in range(6):
                 x, y = random_matrix(rng, max_rows=40, max_features=5)
                 g, h = grad_hess("squared", y, np.zeros(len(y)))
-                tree = fit_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
+                tree = grow_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
                 oracle = oracle_fit_tree(x, g, h, max_depth=4, reg_lambda=1.0, min_split_loss=0.0)
                 assert_same_tree(tree, oracle)
 
@@ -1303,7 +1342,7 @@ class TestOracleEquivalence:
                 x[rng.random(x.shape) < 0.1] = np.inf
                 x[rng.random(x.shape) < 0.05] = -np.inf
                 g, h = grad_hess("squared", y, np.zeros(len(y)))
-                tree = fit_tree(x, g, h, max_depth=3, reg_lambda=1.0, min_split_loss=0.0)
+                tree = grow_tree(x, g, h, max_depth=3, reg_lambda=1.0, min_split_loss=0.0)
                 oracle = oracle_fit_tree(x, g, h, max_depth=3, reg_lambda=1.0, min_split_loss=0.0)
                 assert_same_tree(tree, oracle)
 
@@ -1327,7 +1366,7 @@ class TestOracleEquivalence:
                     return choice_sampler(np.random.default_rng(seed), n_sub)
 
                 depth = int(rng.integers(2, 7))
-                tree = fit_tree(x, -y, np.ones_like(y), depth, 0.0, 0.0, feature_sampler=sampler_from(trial))
+                tree = grow_tree(x, -y, np.ones_like(y), depth, 0.0, 0.0, feature_sampler=sampler_from(trial))
                 oracle = oracle_fit_tree(
                     x, -y, np.ones_like(y), depth, 0.0, 0.0, feature_sampler=sampler_from(trial)
                 )
@@ -1348,7 +1387,7 @@ class TestOracleEquivalence:
             h = np.where(empty, 0.0, 1.0)
             oracle = oracle_fit_tree(x, g, h, max_depth=4, reg_lambda=0.0, min_split_loss=0.0)
             for _ in each_search_path(monkeypatch):
-                tree = fit_tree(x, g, h, max_depth=4, reg_lambda=0.0, min_split_loss=0.0)
+                tree = grow_tree(x, g, h, max_depth=4, reg_lambda=0.0, min_split_loss=0.0)
                 assert_same_tree(tree, oracle)
             infinite_gains += np.isinf(tree.nodes["gain"]).any()
         assert infinite_gains >= 5
@@ -1363,7 +1402,7 @@ class TestOracleEquivalence:
                 x, y = random_matrix(rng, max_rows=40, max_features=4)
                 zero = rng.random(len(y)) < 0.3
                 g, h = np.where(zero, 0.0, y), np.where(zero, 0.0, 1.0)
-                tree = fit_tree(x, g, h, 6, 0.0, 0.0)
+                tree = grow_tree(x, g, h, 6, 0.0, 0.0)
                 assert_same_tree(tree, oracle_fit_tree(x, g, h, 6, 0.0, 0.0))
 
 
@@ -1422,7 +1461,7 @@ class TestMixedSearchPaths:
             msl = float(rng.choice([0.0, 0.05]))
             depth = int(rng.integers(3, 7))
             mixed_paths.update(searched=0, subtrees=0)
-            tree = fit_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
+            tree = grow_tree(x, g, h, max_depth=depth, reg_lambda=lam, min_split_loss=msl)
             assert_same_tree(tree, oracle_fit_tree(x, g, h, depth, lam, msl))
             mixed += mixed_paths["searched"] > 0 and mixed_paths["subtrees"] > 0
         assert mixed >= 10
@@ -1436,7 +1475,7 @@ class TestMixedSearchPaths:
             depth = int(rng.integers(3, 9))
             x, args, calls = forest_case(rng, trial, depth)
             mixed_paths.update(searched=0, subtrees=0)
-            tree = fit_tree(x, *args)
+            tree = grow_tree(x, *args)
             oracle_sampler, oracle_calls = counting_sampler(np.random.default_rng(trial), max(1, x.shape[1] // 2))
             oracle = oracle_fit_tree(x, *args[:5], feature_sampler=oracle_sampler)
             assert_same_tree(tree, oracle)
@@ -1456,7 +1495,7 @@ class TestMixedSearchPaths:
                 args = (g, h, depth, 1.0, 0.0, None)
             x[rng.random(x.shape) < 0.05] = np.inf
             out = np.full(len(x), np.nan)
-            tree = fit_tree(x, *args, leaf_values=out)
+            tree = grow_tree(x, *args, leaf_values=out)
             assert bits(out) == bits(tree.apply(x))
         assert mixed_paths["searched"] and mixed_paths["subtrees"]
 
@@ -1469,7 +1508,7 @@ class TestMixedSearchPaths:
             x, y = two_row_case(rng, pairs=40)
             g, h = grad_hess("poisson", y, rng.uniform(-0.5, 1.6, size=len(y)))
             out = np.full(len(y), np.nan)
-            tree = fit_tree(x, g, h, 24, float(trial % 2), 0.0, leaf_values=out)
+            tree = grow_tree(x, g, h, 24, float(trial % 2), 0.0, leaf_values=out)
             assert bits(out) == bits(tree.apply(x))
             splits += two_row_cases(tree, x, h, 24)["splits"]
         assert mixed_paths["searched"] and mixed_paths["subtrees"] and splits >= 60
@@ -1576,7 +1615,7 @@ class TestTwoRowNodes:
                 args = (x, -y * h, h, depth, 0.0, 0.0)
                 sampler, calls = counting_sampler(np.random.default_rng(seed), 2)
                 oracle_sampler, oracle_calls = counting_sampler(np.random.default_rng(seed), 2)
-                tree = fit_tree(*args, feature_sampler=sampler)
+                tree = grow_tree(*args, feature_sampler=sampler)
                 assert_same_tree(tree, oracle_fit_tree(*args, feature_sampler=oracle_sampler))
                 assert calls[0] == oracle_calls[0] > 0
                 total.update(two_row_cases(tree, x, h, depth), all=len(tree.nodes))
@@ -1598,7 +1637,7 @@ class TestTwoRowNodes:
                 g, h = grad_hess("poisson", y, raw)
                 depth = (24, 6)[trial % 2]
                 args = (x, g, h, depth, float(trial % 4 // 2), 0.05 * (trial % 3 == 2))
-                tree = fit_tree(*args)
+                tree = grow_tree(*args)
                 assert_same_tree(tree, oracle_fit_tree(*args))
                 total.update(two_row_cases(tree, x, h, depth), all=len(tree.nodes))
                 for node, (_, rows) in nodes_reached(tree, x).items():
@@ -1619,7 +1658,7 @@ class TestTwoRowNodes:
             args = (x, -y * h, h, depth, 0.0, 0.0)
             sampler, calls = counting_sampler(np.random.default_rng(depth), 2)
             oracle_sampler, oracle_calls = counting_sampler(np.random.default_rng(depth), 2)
-            tree = fit_tree(*args, feature_sampler=sampler)
+            tree = grow_tree(*args, feature_sampler=sampler)
             assert_same_tree(tree, oracle_fit_tree(*args, feature_sampler=oracle_sampler))
             assert calls[0] == oracle_calls[0]
 
@@ -1657,13 +1696,13 @@ class TestMidpointCollapse:
         for _ in range(20):
             state = rng.bit_generator.state
             x, g, h = collapse_case(rng, ulp)
-            tree = fit_tree(x, g, h, 4, 1.0, 0.0)
+            tree = grow_tree(x, g, h, 4, 1.0, 0.0)
             assert_same_tree(tree, oracle_fit_tree(x, g, h, 4, 1.0, 0.0))
             # with a midpoint that does not collapse, the root splits on that
             # boundary: the collapsed one had the best gain
             rng.bit_generator.state = state
             x_open, _, _ = collapse_case(rng, 1.0 + 2.0**-20)
-            root = fit_tree(x_open, g, h, 4, 1.0, 0.0).nodes[0]
+            root = grow_tree(x_open, g, h, 4, 1.0, 0.0).nodes[0]
             assert root["feature"] == 0 and 1.0 < root["threshold"] < 1.0 + 2.0**-20
             routes.add(int(root["default_left"]))
         assert routes == {0, 1}  # the collapsed winner routed missing values either way
@@ -1723,7 +1762,7 @@ class TestChunkInvariance:
         monkeypatch.setattr(gbt, "SCRATCH_ELEMENTS", scratch)
         for x, args, sampler, oracle in tie_fits:
             assert x.shape == (5000, 6)
-            tree = fit_tree(x, *args, feature_sampler=sampler())
+            tree = grow_tree(x, *args, feature_sampler=sampler())
             assert_same_tree(tree, oracle)
             features = tree.nodes["feature"].tolist()
             assert 4 not in features and features.count(0) >= 3
@@ -1733,8 +1772,8 @@ class TestChunkInvariance:
         x, args, _, _ = tie_fits[0]
         x_open = x.copy()
         x_open[x[:, 1] == np.nextafter(1.0, 2.0), 1] = 1.0 + 2.0**-20
-        assert fit_tree(x_open, *args).nodes[0]["feature"] == 1
-        assert fit_tree(x, *args).nodes[0]["feature"] == 0
+        assert grow_tree(x_open, *args).nodes[0]["feature"] == 1
+        assert grow_tree(x, *args).nodes[0]["feature"] == 0
 
 
 class TestScorerMemory:
@@ -1787,6 +1826,55 @@ class TestGrowerMemory:
             records = 1024 * len(tree.nodes)  # a list of 7 numbers, its tuple and its array record
             bound = 4 * (p + 1) * n + 16 * n + n + records + 128 * max(gbt.SCRATCH_ELEMENTS, n)
             assert peak < bound
+
+    @pytest.mark.parametrize("fractional", [False, True], ids=["counted", "copies"])
+    def test_train_forest_peak_within_the_documented_bound(self, monkeypatch, fractional):
+        # the module docstring's "Memory" for a forest: the matrix's presort
+        # (int32, p + 1 rows of n) and ranks (2 bytes a cell and the tables),
+        # one tree's cut of the presort and its working copy (int32, 2 (p + 1)
+        # per listed row), n-sized draws, counts, g, h, pairs and flags (64
+        # bytes a row holds them), node records and temporaries of at most 16
+        # eight-byte words per element of max(SCRATCH_ELEMENTS, listed rows).
+        # A copy of X's listed rows would take 8 p bytes a listed row more; a
+        # scratch cap of 2^10 keeps the temporaries' term below that copy
+        monkeypatch.setattr(gbt, "SCRATCH_ELEMENTS", 1 << 10)
+        matrix = forest_memory_case(fractional)
+        n, p = matrix.X.shape
+        tables = sum(8 * len(np.unique(column)) + 128 for column in matrix.X.T)
+        listed = []
+        fit = gbt.fit_tree
+
+        def recording_fit(*args, order, ranks):
+            listed.append(order.shape[1])
+            return fit(*args, order=order, ranks=ranks)
+
+        monkeypatch.setattr(gbt, "fit_tree", recording_fit)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            forest = train_forest(matrix, 2, 6, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert (max(listed) == n) == fractional
+        records = 1024 * sum(len(tree.nodes) for tree in forest.trees)
+        bound = (
+            4 * (p + 1) * n + 2 * p * n + tables + 8 * (p + 1) * max(listed) + 64 * n + records
+            + 128 * max(gbt.SCRATCH_ELEMENTS, max(listed))
+        )
+        assert peak < bound
+        assert bound < peak + 8 * p * min(listed)  # a copy of X's rows would not fit
+
+
+def forest_memory_case(fractional):
+    """8,000 x 64 feature-major rows of few distinct values, 10% NaN, and
+    count targets, plus 0.5 when fractional (train_forest then keeps every
+    bootstrap copy)."""
+    rng = np.random.default_rng(7)
+    n, p = 8000, 64
+    x = np.asfortranarray(np.round(rng.normal(size=(n, p)) * 4) / 4)
+    x[rng.random(x.shape) < 0.1] = np.nan
+    return matrix_of(x, y=rng.poisson(3.0, size=n) + (0.5 if fractional else 0.0))
 
 
 def limit_case(distinct, p=12):
@@ -1854,10 +1942,10 @@ class TestRankSelection:
         assert codes.max() == 65_534 and codes.tolist() == want_codes.tolist()
         for got, want in zip(tables, want_tables, strict=True):
             assert np.isnan(got[0]) and got[1:].tolist() == want[1:].tolist()  # -0.0 == 0.0
-        tree = fit_tree(x, g, h, 3, 1.0, 0.0)
+        tree = grow_tree(x, g, h, 3, 1.0, 0.0)
         assert searched_with and all(searched_with)
         searched_with.clear()
-        assert same_tree(tree, fit_tree(x, g, h, 3, 1.0, 0.0, order=order))  # no ranks: x's cells
+        assert same_tree(tree, fit_tree(x, g, h, 3, 1.0, 0.0, order=order, ranks=None))  # x's cells
         assert searched_with and not any(searched_with)
         # the root splits above the zeros' rank, at half the smallest positive value
         assert tree.nodes[0]["feature"] == 0 and tree.nodes[0]["threshold"] == 0.125
@@ -1875,7 +1963,7 @@ class TestRankSelection:
         finally:
             tracemalloc.stop()
         assert peak < 2 * p * n  # counted first: no (p, n) uint16 array was allocated
-        tree = fit_tree(x, g, h, 3, 1.0, 0.0)
+        tree = grow_tree(x, g, h, 3, 1.0, 0.0)
         assert searched_with and not any(searched_with)
         searched_with.clear()
         # 65,535 ranks still fit in uint16: the path not taken, from the reference ranks
@@ -1883,6 +1971,24 @@ class TestRankSelection:
         assert searched_with and all(searched_with)
         assert same_tree(tree, ranked)
         assert tree.nodes[0]["feature"] == 0 and tree.nodes[0]["threshold"] == 0.125
+
+
+class TestPresortArguments:
+    def test_presort_lists_sorted_columns_then_rows(self):
+        x = np.array([[2.0, np.nan], [1.0, 0.5], [2.0, -1.0], [np.nan, 0.5]])
+        assert gbt.presort_columns(x).tolist() == [[1, 0, 2, 3], [2, 1, 3, 0], [0, 1, 2, 3]]
+
+    def test_presort_and_ranks_must_fit_x(self):
+        rng = np.random.default_rng(9)
+        x, y = random_matrix(rng, max_features=3, min_rows=8)
+        x = np.column_stack([x, y])  # at least two columns
+        g, h = grad_hess("squared", y, np.zeros(len(y)))
+        order = gbt.presort_columns(x)
+        ranks = gbt._rank_columns(*gbt._column_cells(x), order)
+        with pytest.raises(ValueError, match="^presort has shape"):
+            fit_tree(x, g, h, 3, 1.0, 0.0, order=order[:-1], ranks=ranks)
+        with pytest.raises(ValueError, match="^ranks have shape"):
+            fit_tree(x[:, 1:], g, h, 3, 1.0, 0.0, order=order[1:], ranks=ranks)
 
 
 class TestLeafValues:
@@ -1912,7 +2018,7 @@ class TestLeafValues:
                     g, h = grad_hess("squared", y, np.zeros(len(y)))
                     args = (g, h, depth, 1.0, 0.0, None)
                 out = np.full(len(y), np.nan)
-                tree = fit_tree(x, *args, leaf_values=out)
+                tree = grow_tree(x, *args, leaf_values=out)
                 assert bits(out) == bits(tree.apply(x))
                 capped += tree_depth(tree) == depth
             assert capped >= 10  # most trees reach the level that skips the feature rows
@@ -1977,7 +2083,7 @@ class TestColumnLayout:
                 fitted = {}
                 for name, xl in layouts(x).items():
                     out = np.full(len(x), np.nan)
-                    tree = fit_tree(xl, g, h, depth, lam, 0.0, feature_sampler=sampler(), leaf_values=out)
+                    tree = grow_tree(xl, g, h, depth, lam, 0.0, feature_sampler=sampler(), leaf_values=out)
                     applied = [tree.apply(zl).tobytes() for zl in layouts(z).values()]
                     fitted[name] = (tree.nodes.tobytes(), out.tobytes(), applied)
                 reference = fitted.pop("c_order")
