@@ -11,11 +11,11 @@ Split search follows the column block of XGBoost's exact greedy algorithm
 once into an int32 array of row indices, NaN last, with one more row
 listing the rows in ascending order (presort_columns): once per training
 matrix, reused by every boosting round of train() and by every tree of
-train_forest(), which cuts it down to each tree's bootstrap rows. A tree
-grows on a working copy of that array. Every node owns one contiguous
-range of positions in it, so each row of the range lists the node's rows
-sorted by that feature; a split stably partitions the range in place,
-which keeps both children sorted. No node of this numpy path sorts
+train_forest(), which cuts it down to each tree's distinct bootstrap
+rows. A tree grows on a working copy of that array. Every node owns one
+contiguous range of positions in it, so each row of the range lists the
+node's rows sorted by that feature; a split stably partitions the range in
+place, which keeps both children sorted. No node of this numpy path sorts
 anything.
 
 Rank codes: with the presort, each cell also gets its dense rank in its
@@ -70,17 +70,16 @@ SCAN_ELEMENTS elements grows its whole subtree in Python lists; its
 descendants have fewer rows. Its nodes make no numpy call but the
 feature sampler's, which a forest's batch refill makes for many nodes at
 once. One gather at the subtree's root takes the rows' values and pairs,
-and one stable argsort of the block's row indices gives each row's
-position in every presorted row (the copies of a row listed twice in
-order). A node orders its rows by a feature by sorting them on those
-positions, which is the presort's stable order (ties in row order, NaN
-last). It scans that block one value at a time with the same
-sums in the same order, the same gain expression and the same tie-break.
-Its total is a running sum over its rows in ascending order, and its
-children are its rows split by the same comparison. The feature sampler is
-called at the same nodes in the same pre-order. The gains are therefore
-bit for bit those of a scalar scan, which tests/oracles.py checks,
-whichever path grows a node.
+and one argsort of the block's row indices, each listed once, gives each
+row's position in every presorted row. A node orders its rows by a feature
+by sorting them on those positions, which is the presort's stable order
+(ties in row order, NaN last). It scans that block one value at a time
+with the same sums in the same order, the same gain expression and the
+same tie-break. Its total is a running sum over its rows in ascending
+order, and its children are its rows split by the same comparison. The
+feature sampler is called at the same nodes in the same pre-order. The
+gains are therefore bit for bit those of a scalar scan, which
+tests/oracles.py checks, whichever path grows a node.
 
 Two-row nodes: a node of two rows that may split grows with its children
 in one pass, with no sort and no scan. A feature of such a node has a
@@ -111,14 +110,14 @@ n-sized map; the missing-value sums read only the NaN tails. The grower
 and the subtree keep their state in loops with explicit stacks, not in
 recursive frames or a recursive closure, so a fit leaves no reference cycle
 behind. A forest tree lists its bootstrap's distinct rows, about 0.632 of
-the n it draws (every copy, n, when its targets keep the duplicated rows),
-in a cut of the matrix's presort that fit_tree copies as its working copy,
-and reads X in place. So train_forest holds the matrix's presort and ranks,
-one tree's cut and working copy (int32, 2 (p + 1) per listed row), its
-n-sized g, h, counts, pairs and flags, and the temporaries above, but no
-copy of X's rows. The ranks are counted before they are allocated:
-deciding against them costs one column's temporaries (its values, its
-order as intp and one flag per row), not a (p, n) array.
+the n it draws, in a cut of the matrix's presort that fit_tree copies as
+its working copy, and reads X in place. So train_forest holds the matrix's
+presort and ranks, one tree's cut and working copy (int32, 2 (p + 1) per
+listed row), its n-sized g and h (float64), drawn mask, pairs and flags
+(34 bytes a row), and the temporaries above, but no copy of X's rows.
+The ranks are counted before they are allocated: deciding against them
+costs one column's temporaries (its values, its order as intp and one flag
+per row), not a (p, n) array.
 
 Chunk size: SCRATCH_ELEMENTS is 2^16 because each chunk costs a fixed run
 of numpy calls, so larger chunks score a node's features in fewer calls: a
@@ -692,13 +691,12 @@ def fit_tree(
     """Grow one tree depth-first on the given gradients, over the rows order lists.
 
     order is presort_columns(x), or that presort cut down to some of x's
-    rows: the same rows in each of its rows, in the presort's order.
-    train_forest cuts it to each tree's bootstrap and lists a row drawn
-    twice once, or as two adjacent copies. g and h are indexed by x's row,
-    so the copies of a row share its pair, and each listed copy counts as a
-    row. ranks is _rank_columns of x and its presort, or None, which makes
-    the search gather x's values (as where a column is too wide for ranks).
-    train() passes one presort and its ranks to every round.
+    rows: the same rows in each of its rows, each row listed at most once,
+    in the presort's order. train_forest cuts it to each tree's distinct
+    bootstrap rows. g and h are indexed by x's row. ranks is _rank_columns
+    of x and its presort, or None, which makes the search gather x's values
+    (as where a column is too wide for ranks). train() passes one presort
+    and its ranks to every round.
 
     feature_sampler, when set, returns the (ascending) candidate feature
     indices for each split; bagging uses it for per-split column subsampling,
@@ -851,7 +849,9 @@ def _grow_subtree(
     sampled list; each descendant that may split calls feature_sampler in
     pre-order. Records are appended to records and leaf weights written to
     leaf_values as fit_tree's loop writes them. cells and stride are x's
-    from _column_cells.
+    from _column_cells. Each row of work lists a row at most once, as
+    fit_tree's order does, so one argsort of the block's row indices maps
+    every row to its position in each presorted row.
 
     A node of two rows that may split grows with its two one-row children
     in one pass ("Two-row nodes" in the module docstring): its records,
@@ -866,9 +866,8 @@ def _grow_subtree(
     values = cells.take(rows + (np.arange(p) * stride)[:, None]).tolist()
     pairs = gh.take(rows).tolist()
     # rank[f][j]: the j-th row's position in the node's rows sorted by
-    # feature f; rows is ascending, so argsort inverts each presorted row,
-    # and a stable one keeps a row's copies in order
-    rank = work[:p, lo:hi].argsort(axis=1, kind="stable").tolist()
+    # feature f; rows is ascending, so argsort inverts each presorted row
+    rank = work[:p, lo:hi].argsort(axis=1).tolist()
     all_features = list(range(p))
     leaf_of = None if leaf_values is None else [0.0] * m  # each row's leaf weight
     # (rows, depth, parent, features): rows ascending; features None until sampled
@@ -1113,16 +1112,17 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
 
     A tree grows on its bootstrap's distinct rows, each weighted by its
     count c (g = -y * c, h = c), not on every copy (as scikit-learn's
-    forests pass bootstrap counts as sample weights). When every target is
-    an integer and max|y| * n < 2^53, every sum the grower forms is an
-    integer below 2^53 in both forms, so exact in any order; the trees are
-    those of the duplicated rows bit for bit (fit_tree's "may split" counts
-    rows with h). Other targets keep the duplicated rows, with counts of 1.
+    forests pass bootstrap counts as sample weights); that weighted tree is
+    the forest's definition, whatever the targets. On integer targets with
+    max|y| * n < 2^53 (unit counts), every sum the grower forms is an
+    integer below 2^53 both ways, so exact in any order, and the trees are
+    node for node those grown on every copy (fit_tree's "may split" counts
+    rows with h).
 
     matrix.X is presorted and rank-coded once per fit, and every tree reads
-    it in place: a tree's presort is the matrix's cut down to its bootstrap
-    by np.repeat, each drawn row once (or each copy, with counts of 1) in
-    the presort's order, so no tree copies X's rows, sorts or ranks.
+    it in place: a tree's presort is the matrix's with each row compressed
+    to the drawn rows, in the presort's order, so no tree copies X's rows,
+    sorts or ranks.
     """
     if n_trees < 1:
         raise ValueError(f"a forest needs at least one tree, got n_trees={n_trees}")
@@ -1135,22 +1135,18 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
     p = matrix.X.shape[1]
     n_sub = max(1, int(math.isqrt(p)))
     y = matrix.targets
-    # every partial sum is an integer of at most max|y| * n; that float product
-    # rounds only at 2^53 or above, so the test is exact
-    counted = bool((y == np.floor(y)).all()) and float(np.abs(y).max()) * n < 2.0**53
     order = presort_columns(matrix.X)
     ranks = _rank_columns(*_column_cells(matrix.X), order)
     trees: list[Tree] = []
     sampler = _FeatureSampler(rng, p, n_sub) if n_sub < p else None
     for _ in range(n_trees):
-        counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        # each drawn row listed once with h = its count, or every copy with h = 1
-        listed, h = (np.minimum(counts, 1), counts.astype(float)) if counted else (counts, np.ones(n))
-        # the presort cut down to those rows, one row at a time; made in the
-        # call, so no tree's cut is alive while the next one is made
+        h = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
+        drawn = h > 0
+        # the presort cut down to the drawn rows, one row at a time; made in
+        # the call, so no tree's cut is alive while the next one is made
         trees.append(fit_tree(
             matrix.X, -y * h, h, max_depth, 0.0, 0.0, sampler, ranks=ranks,
-            order=np.concatenate([rows.repeat(listed.take(rows)) for rows in order]).reshape(p + 1, -1),
+            order=np.concatenate([rows.compress(drawn.take(rows)) for rows in order]).reshape(p + 1, -1),
         ))
         if sampler is not None:
             sampler.rewind()

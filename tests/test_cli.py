@@ -1309,13 +1309,34 @@ class TestBacktest:
     CONFIG = "train_len = 60\nvalid_len = 10\ntest_len = 12\nrounds = 20\nseed = 5\noverride_bounds = true\n"
 
     def test_predict_on_the_cut_inputs_gives_the_pipeline_forecasts(self, tmp_path):
+        self.check_backtest(tmp_path, "", 5)
+
+    @pytest.mark.parametrize(
+        "settings, synth_seed",
+        [
+            ("encoding = hashing\n", 5),
+            ("loss = squared\n", 5),
+            ("with_seasonality = false\n", 5),
+            ("horizon = 1\n", 5),
+            ("horizon = 3\nsmooth_window = 4\n", 5),
+            ("season_period = 26\n", 5),
+            ("", 11),
+        ],
+        ids=["hashing", "squared", "no_seasonality", "horizon_1", "horizon_3_window_4", "period_26", "synth_11"],
+    )
+    def test_other_configs_give_the_pipeline_forecasts(self, tmp_path, settings, synth_seed):
+        self.check_backtest(tmp_path, settings, synth_seed)
+
+    def check_backtest(self, tmp_path, settings, synth_seed):
+        """The pipeline on a 60 x 90 synth panel with CONFIG plus settings,
+        then predict on the inputs cut at each issue week of its test window."""
         data = tmp_path / "data"
         assert main(["synth", "--out-dir", str(data), "--products", "60", "--weeks", "90",
-                     "--seed", "5"]) == 0
+                     "--seed", str(synth_seed)]) == 0
         header, *lines = (data / "covariates.csv").read_text().splitlines()
         lines = [line.split(",") for line in lines if line.split(",")[1] != "promo"]
         (data / "covariates.csv").write_text("\n".join([header, *map(",".join, lines)]) + "\n")
-        (data / "run.cfg").write_text(self.CONFIG)
+        (data / "run.cfg").write_text(self.CONFIG + settings)
         assert main(pipeline_args(data, tmp_path / "pipeline")) == 0
         config = load_config(data / "run.cfg")
         _, *backtest = (tmp_path / "pipeline" / "predictions.csv").read_text().splitlines()

@@ -882,14 +882,16 @@ class TestModelFileChecks:
 class TestForest:
     def test_single_plain_tree_equals_regression_fit(self):
         # one feature leaves nothing to sample, so a one-tree forest is the
-        # plain regression tree on the seed's bootstrap rows
+        # plain regression tree on the seed's distinct bootstrap rows,
+        # weighted by their counts
         rng = np.random.default_rng(5)
         x = rng.normal(size=(40, 1))
         y = rng.normal(size=40) + 3.0
         forest = train_forest(matrix_of(x, y=y), 1, 4, seed=0)
-        rows = np.sort(np.random.default_rng(0).integers(0, 40, 40))
+        rows, counts = np.unique(np.random.default_rng(0).integers(0, 40, 40), return_counts=True)
+        h = counts.astype(float)
         reference = grow_tree(
-            x[rows], -y[rows], np.ones(40), max_depth=4, reg_lambda=0.0, min_split_loss=0.0
+            x[rows], -y[rows] * h, h, max_depth=4, reg_lambda=0.0, min_split_loss=0.0
         )
         assert np.array_equal(forest.predict_array(x), reference.apply(x))
 
@@ -939,10 +941,10 @@ class TestForest:
         forest = train_forest(matrix, 10, 8, seed=2)
         assert (forest.predict_array(x) >= 0).all()
 
-    @pytest.mark.parametrize("fractional", [False, True], ids=["counted", "copies"])
-    def test_one_presort_per_forest(self, monkeypatch, forest_fits, fractional):
+    def test_one_presort_per_forest(self, monkeypatch, forest_fits):
         # the matrix is presorted and rank-coded once per fit, and every
-        # tree reads X itself, on that presort cut down to its bootstrap
+        # tree reads X itself, on that presort cut down to its bootstrap's
+        # distinct rows, weighted by their counts, whatever the targets
         calls = Counter()
         for name in ("presort_columns", "_rank_columns"):
             def counted(*args, name=name, original=getattr(gbt, name)):
@@ -952,14 +954,14 @@ class TestForest:
             monkeypatch.setattr(gbt, name, counted)
         rng = np.random.default_rng(8)
         x = count_case(rng, 60, 9)
-        y = rng.poisson(3.0, size=60) + (0.5 if fractional else 0.0)
+        y = rng.poisson(3.0, size=60) + 0.5
         matrix = matrix_of(x, y=y)
         train_forest(matrix, 5, 8, seed=4)
         assert calls == {"presort_columns": 1, "_rank_columns": 1}
         assert len(forest_fits) == 5
         for fit in forest_fits:
             assert fit.matrix is matrix.X
-            assert (len(fit.x) == 60) == fractional and fit.h.sum() == 60
+            assert len(fit.x) < 60 and fit.h.sum() == 60
 
 
 def sampler_cases():
@@ -1042,9 +1044,10 @@ class TestFeatureSampler:
 
 @pytest.fixture
 def forest_fits(monkeypatch):
-    """Records each tree train_forest fits: the x it reads, the rows of x its
-    presort's last row lists and their h, max_depth, the tree and how often
-    it called the feature sampler. Clear it between forests."""
+    """Records each tree train_forest fits: the x it reads, the rows its
+    presort's last row lists, those rows of x and their h, max_depth, the
+    tree and how often it called the feature sampler. Clear it between
+    forests."""
     fits = []
     fit = gbt.fit_tree
 
@@ -1059,7 +1062,9 @@ def forest_fits(monkeypatch):
         tree = fit(x, g, h, max_depth, reg_lambda, min_split_loss, sampler, order=order, ranks=ranks)
         rows = order[-1]
         fits.append(
-            SimpleNamespace(matrix=x, x=x[rows], h=h[rows], max_depth=max_depth, tree=tree, calls=calls[0])
+            SimpleNamespace(
+                matrix=x, rows=rows, x=x[rows], h=h[rows], max_depth=max_depth, tree=tree, calls=calls[0]
+            )
         )
         return tree
 
@@ -1169,14 +1174,13 @@ class TestCountedRows:
                     lone += depth < 24 and len(reached) == 1 and h[reached[0]] >= 2
             assert lone > 0
 
-    @pytest.mark.parametrize(
-        "top, counted",
-        [(None, False), (2**48 - 1, True), (2**48, False)],
-        ids=["fractional", "below_2_53", "at_2_53"],
-    )
-    def test_guard_keeps_duplicated_rows(self, monkeypatch, forest_fits, top, counted):
-        # counted rows only for integers with max|y| * n below 2^53: other
-        # targets grow on every bootstrap row with counts of 1
+    @pytest.mark.parametrize("top", [None, 2**48 - 1, 2**48], ids=["fractional", "below_2_53", "at_2_53"])
+    def test_any_targets_grow_on_weighted_rows(self, monkeypatch, forest_fits, top):
+        # fractional targets, and integers up to and at max|y| * n = 2^53,
+        # where sums over the copies would round: each tree lists its
+        # bootstrap's distinct rows once, with h = their counts, and is the
+        # brute-force grower's on those weighted rows, with the sampler
+        # called at the same nodes
         n = 32
         for _ in each_search_path(monkeypatch):
             rng = np.random.default_rng(52)
@@ -1189,12 +1193,15 @@ class TestCountedRows:
                 assert np.abs(y).max() * n == 2**53 - 32 * (top < 2**48)
             forest_fits.clear()
             forest = train_forest(matrix_of(x, y=y), 3, 10, 4)
-            reference = reference_forest(x, y, 3, 10, 4)
-            for fit, tree, (nodes, calls) in zip(forest_fits, forest.trees, reference, strict=True):
-                assert (len(fit.x) < n) == counted
-                assert (fit.h == 1).all() != counted
-                assert_same_tree(tree, nodes)
-                assert fit.calls == calls > 0
+            draws = np.random.default_rng(4)  # train_forest's draws, one choice call per sample
+            sampler, calls = counting_sampler(draws, math.isqrt(6))
+            for fit, tree in zip(forest_fits, forest.trees, strict=True):
+                rows, counts = np.unique(draws.integers(0, n, size=n), return_counts=True)
+                h = counts.astype(float)
+                assert fit.rows.tolist() == rows.tolist() and fit.h.tolist() == h.tolist()
+                calls[0] = 0
+                assert_same_tree(tree, oracle_fit_tree(x[rows], -y[rows] * h, h, 10, 0.0, 0.0, sampler))
+                assert fit.calls == calls[0] > 0
 
 
 def tree_depth(tree):
@@ -1827,18 +1834,17 @@ class TestGrowerMemory:
             bound = 4 * (p + 1) * n + 16 * n + n + records + 128 * max(gbt.SCRATCH_ELEMENTS, n)
             assert peak < bound
 
-    @pytest.mark.parametrize("fractional", [False, True], ids=["counted", "copies"])
-    def test_train_forest_peak_within_the_documented_bound(self, monkeypatch, fractional):
+    def test_train_forest_peak_within_the_documented_bound(self, monkeypatch):
         # the module docstring's "Memory" for a forest: the matrix's presort
         # (int32, p + 1 rows of n) and ranks (2 bytes a cell and the tables),
         # one tree's cut of the presort and its working copy (int32, 2 (p + 1)
-        # per listed row), n-sized draws, counts, g, h, pairs and flags (64
-        # bytes a row holds them), node records and temporaries of at most 16
+        # per listed row), n-sized g and h (float64), drawn mask, pairs and
+        # flags (34 bytes a row), node records and temporaries of at most 16
         # eight-byte words per element of max(SCRATCH_ELEMENTS, listed rows).
         # A copy of X's listed rows would take 8 p bytes a listed row more; a
         # scratch cap of 2^10 keeps the temporaries' term below that copy
         monkeypatch.setattr(gbt, "SCRATCH_ELEMENTS", 1 << 10)
-        matrix = forest_memory_case(fractional)
+        matrix = forest_memory_case()
         n, p = matrix.X.shape
         tables = sum(8 * len(np.unique(column)) + 128 for column in matrix.X.T)
         listed = []
@@ -1856,25 +1862,24 @@ class TestGrowerMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert (max(listed) == n) == fractional
+        assert max(listed) < n
         records = 1024 * sum(len(tree.nodes) for tree in forest.trees)
         bound = (
-            4 * (p + 1) * n + 2 * p * n + tables + 8 * (p + 1) * max(listed) + 64 * n + records
+            4 * (p + 1) * n + 2 * p * n + tables + 8 * (p + 1) * max(listed) + 34 * n + records
             + 128 * max(gbt.SCRATCH_ELEMENTS, max(listed))
         )
         assert peak < bound
         assert bound < peak + 8 * p * min(listed)  # a copy of X's rows would not fit
 
 
-def forest_memory_case(fractional):
+def forest_memory_case():
     """8,000 x 64 feature-major rows of few distinct values, 10% NaN, and
-    count targets, plus 0.5 when fractional (train_forest then keeps every
-    bootstrap copy)."""
+    count targets."""
     rng = np.random.default_rng(7)
     n, p = 8000, 64
     x = np.asfortranarray(np.round(rng.normal(size=(n, p)) * 4) / 4)
     x[rng.random(x.shape) < 0.1] = np.nan
-    return matrix_of(x, y=rng.poisson(3.0, size=n) + (0.5 if fractional else 0.0))
+    return matrix_of(x, y=rng.poisson(3.0, size=n))
 
 
 def limit_case(distinct, p=12):
