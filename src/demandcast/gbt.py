@@ -29,17 +29,17 @@ so when any column has that many (trend_annual in the 4,000-product
 benchmark panel has 68,911 in 93,182 training rows), the fit keeps the
 float gather from x and allocates no ranks; the choice is made from the
 input, once per presort. Python subtrees, the partition's split column and
-Tree.apply read x either way.
+the forecast pass (_apply_trees) read x either way.
 
 The matrix is read column by column, as the column block stores it:
 FeatureMatrix.X is feature-major (build_matrix writes each column
 contiguously, and the train, valid and test parts are row slices of it), and
-the grower and Tree.apply read cell (r, f) at f * stride + r of one 1-D view
-over that column buffer (_column_cells). So the gather of a node's values
-for one feature reads within that feature's column, not across the whole
-matrix, and x is not copied. An x whose columns are not contiguous (a
+the grower and the forecast pass read cell (r, f) at f * stride + r of one
+1-D view over that column buffer (_column_cells). So the gather of a node's
+values for one feature reads within that feature's column, not across the
+whole matrix, and x is not copied. An x whose columns are not contiguous (a
 C-order array of several rows and columns, a slice that steps over rows)
-is copied to F order once per fit_tree or apply call. Only the memory a
+is copied to F order once per fit_tree or _apply_trees call. Only the memory a
 value is read from depends on the layout: trees, gains and leaf values do
 not.
 
@@ -117,10 +117,17 @@ listed row), its n-sized g and h (float64), drawn mask, pairs and flags
 (34 bytes a row), and the temporaries above, but no copy of X's rows.
 The ranks are counted before they are allocated: deciding against them
 costs one column's temporaries (its values, its order as intp and one flag
-per row), not a (p, n) array.
+per row), not a (p, n) array. A forecast pass (_apply_trees) holds its
+(trees, rows) float64 result, the trees' joined node tables (48 bytes a
+node: intp features, float64 thresholds and weights, three intp child
+links) and temporaries of at most 16 eight-byte words per pair of one
+block of SCRATCH_ELEMENTS pairs, whatever trees x rows is; x is copied only
+when its columns are not contiguous, as above.
 
 Chunk size: SCRATCH_ELEMENTS is 2^16 because each chunk costs a fixed run
-of numpy calls, so larger chunks score a node's features in fewer calls: a
+of numpy calls, so larger chunks score a node's features in fewer calls (the
+forecast pass uses it as its block of (tree, row) pairs, for the same
+reason, and was not tuned apart): a
 study train() makes 4,671 _score_block calls at 2^16 against 10,082 at
 2^14. The size was measured in the CLI's own process, where glibc malloc's
 mmap and trim thresholds were high enough that the chunks' temporaries (the
@@ -145,9 +152,19 @@ RunConfig; train_forest() takes only a tree count, a depth and a seed.
 Trees: a fitted tree is one numpy structured array of NODE_DTYPE, one
 record per node in pre-order (feature, threshold, default_left, left,
 right, weight, gain: the fields model.json stores a column of each). The grower
-collects plain records and builds the array once; Tree.apply moves every
-row that has not reached a leaf down one level per step, so it loops once
-per level of depth, and makes the same comparisons as a node-by-node walk.
+collects plain records and builds the array once. Forecasts route rows
+through all trees of a model in one pass (_apply_trees, level-synchronous
+traversal as in Asadi, Lin & de Vries 2014): the trees' node tables are
+joined once, each tree's child links shifted by its root's position, and
+every (tree, row) pair that has not reached a leaf moves down one level
+per step. So the pass loops once per level of the deepest tree, not once
+per tree or node, and makes the same comparisons as a node-by-node walk
+(a value below the threshold goes left, NaN the default way). Tree.apply is
+its one-tree case (train's per-round validation scores use it). Both
+models' predict_array add the pass's rows in tree order, as a
+tree-at-a-time loop would: the boosted sum starts at the base score and
+adds each tree's leaves times the learning rate, the forest's starts at 0
+and is divided by the tree count, so forecasts are bit for bit the same.
 
 Model files (version 3): a model file holds what predict reads and nothing
 it would refit. That is the first best_round trees (predict reads no later
@@ -202,10 +219,11 @@ from .ingest import INT64_RANGE, RunConfig, SchemaError
 from .seasonal import SeasonalityModel
 
 BASE_EPS = 1e-8
-# elements per chunk of the split search and partition: chunks hold as many
-# features (or working rows) as fit, and at least one. Each chunk is a fixed
-# run of numpy calls, so larger chunks mean fewer calls per node; 2^16 read
-# fastest in the CLI's process, not in a bare one ("Chunk size" above)
+# elements per chunk of the split search and partition, and (tree, row)
+# pairs per block of the forecast pass: chunks hold as many features (or
+# working rows) as fit, and at least one. Each chunk is a fixed run of numpy
+# calls, so larger chunks mean fewer calls per node; 2^16 read fastest in
+# the CLI's process, not in a bare one ("Chunk size" above)
 SCRATCH_ELEMENTS = 1 << 16
 # a node whose search block (features x rows) has at most this many elements
 # grows its whole subtree in Python lists: below it, numpy's cost per call
@@ -580,42 +598,62 @@ class Tree:
     nodes: np.ndarray  # NODE_DTYPE records in pre-order, root first
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Leaf weight reached by each row of x.
+        """Leaf weight reached by each row of x: the one-tree case of
+        _apply_trees."""
+        return _apply_trees([self], x)[0]
 
-        The rows not yet at a leaf move down one level per step, so the loop
-        runs once per level of the tree, not once per node. A row goes left
-        when its value is below the node's threshold, and a missing value
-        goes the node's default way, as in a node-by-node walk. Values are
-        gathered from x's columns (_column_cells): with no copy when they
-        are contiguous, as a FeatureMatrix's are, and from one F-order copy
-        otherwise.
-        """
-        nodes = self.nodes
-        # contiguous intp tables and 1-D takes are numpy's fastest gathers
-        feature = nodes["feature"].astype(np.intp)
-        threshold = np.ascontiguousarray(nodes["threshold"])
-        weight = np.ascontiguousarray(nodes["weight"])
-        left, right = nodes["left"], nodes["right"]
-        # child per (node, branch): branch 0 is a value below the threshold,
-        # 1 a value not below it, 2 a missing value
-        route = np.stack([left, right, np.where(nodes["default_left"] == 1, left, right)], axis=1)
-        route = route.astype(np.intp).ravel()
-        n = x.shape[0]
-        cells, stride = _column_cells(x)
-        out = np.empty(n)
-        rows = np.arange(n)
-        node = np.zeros(n, dtype=np.intp)  # where each of rows is
-        while rows.size:
+
+def _apply_trees(trees: list[Tree], x: np.ndarray) -> np.ndarray:
+    """Leaf weights of the rows of x in each tree: a (len(trees), n) array
+    whose row t is what a node-by-node walk of trees[t] gives.
+
+    The trees' node tables are concatenated once, each tree's child links
+    shifted by the position of its root. Every (tree, row) pair not yet at
+    a leaf moves down one level per step, so the loop runs once per level
+    of the deepest tree, not once per tree or node. A row goes left when its
+    value is below the node's threshold, and a missing value goes the
+    node's default way. The pairs go through in blocks of at most
+    SCRATCH_ELEMENTS, tree by tree and row by row within a tree, so the
+    temporaries do not grow with trees x rows. Values are gathered from x's
+    columns (_column_cells): with no copy when they are contiguous, as a
+    FeatureMatrix's are, and from one F-order copy otherwise.
+    """
+    n = x.shape[0]
+    out = np.empty((len(trees), n))
+    if out.size == 0:
+        return out
+    sizes = [len(tree.nodes) for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+
+    def column(name, dtype=None):
+        return np.concatenate([tree.nodes[name] for tree in trees], dtype=dtype)
+
+    # contiguous intp tables and 1-D takes are numpy's fastest gathers
+    feature = column("feature", np.intp)
+    threshold, weight = column("threshold"), column("weight")
+    shift = np.repeat(roots, sizes)
+    left, right = column("left", np.intp) + shift, column("right", np.intp) + shift
+    # child per (node, branch): branch 0 is a value below the threshold, 1 a
+    # value not below it, 2 a missing value. A leaf's links are never read
+    route = np.stack([left, right, np.where(column("default_left") == 1, left, right)], axis=1).ravel()
+    del shift, left, right
+    cells, stride = _column_cells(x)
+    flat = out.reshape(-1)  # pair (t, r) is flat[t * n + r]
+    for start in range(0, out.size, SCRATCH_ELEMENTS):
+        pairs = np.arange(start, min(start + SCRATCH_ELEMENTS, out.size))
+        rows = pairs % n
+        node = roots.take(pairs // n)  # where each pair is
+        while pairs.size:
             f = feature.take(node)
             leaf = f < 0
             if leaf.any():
-                out[rows[leaf]] = weight.take(node[leaf])
+                flat[pairs[leaf]] = weight.take(node[leaf])
                 inner = np.flatnonzero(~leaf)
-                rows, node, f = rows.take(inner), node.take(inner), f.take(inner)
+                pairs, rows, node, f = pairs.take(inner), rows.take(inner), node.take(inner), f.take(inner)
             col = cells.take(f * stride + rows)
             branch = 1 + np.isnan(col) - (col < threshold.take(node))
             node = route.take(3 * node + branch)
-        return out
+    return out
 
 
 def presort_columns(x: np.ndarray) -> np.ndarray:
@@ -980,8 +1018,8 @@ class BoostedModel:
         NaN, not a warning (predict() rejects them)."""
         raw = np.full(x.shape[0], self.base_score)
         with np.errstate(over="ignore", invalid="ignore"):
-            for tree in self.trees[: self.best_round]:
-                raw += self.learning_rate * tree.apply(x)
+            for leaf in _apply_trees(self.trees[: self.best_round], x):
+                raw += self.learning_rate * leaf
             return np.exp(raw) if self.loss == "poisson" else raw
 
 
@@ -1092,8 +1130,8 @@ class ForestModel:
 
     def predict_array(self, x: np.ndarray) -> np.ndarray:
         total = np.zeros(x.shape[0])
-        for tree in self.trees:
-            total += tree.apply(x)
+        for leaf in _apply_trees(self.trees, x):
+            total += leaf
         return total / len(self.trees)
 
 
@@ -1120,9 +1158,9 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
     rows with h).
 
     matrix.X is presorted and rank-coded once per fit, and every tree reads
-    it in place: a tree's presort is the matrix's with each row compressed
-    to the drawn rows, in the presort's order, so no tree copies X's rows,
-    sorts or ranks.
+    it in place: a tree's presort is the matrix's with each row cut to the
+    drawn rows, in the presort's order (one boolean index of the whole
+    presort), so no tree copies X's rows, sorts or ranks.
     """
     if n_trees < 1:
         raise ValueError(f"a forest needs at least one tree, got n_trees={n_trees}")
@@ -1142,11 +1180,12 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
     for _ in range(n_trees):
         h = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
         drawn = h > 0
-        # the presort cut down to the drawn rows, one row at a time; made in
-        # the call, so no tree's cut is alive while the next one is made
+        # the presort cut down to the drawn rows: each presort row lists every
+        # row once, so each keeps the same count. Made in the call, so no
+        # tree's cut is alive while the next one is made
         trees.append(fit_tree(
             matrix.X, -y * h, h, max_depth, 0.0, 0.0, sampler, ranks=ranks,
-            order=np.concatenate([rows.compress(drawn.take(rows)) for rows in order]).reshape(p + 1, -1),
+            order=order[drawn[order]].reshape(p + 1, -1),
         ))
         if sampler is not None:
             sampler.rewind()

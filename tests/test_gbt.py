@@ -19,6 +19,7 @@ from demandcast.seasonal import SeasonalityModel
 from demandcast.gbt import (
     NODE_DTYPE,
     BoostedModel,
+    ForestModel,
     ServingState,
     Tree,
     fit_tree,
@@ -418,6 +419,117 @@ class TestApply:
         assert covered == {
             "missing left", "missing right", "threshold inf", "threshold -inf", "single leaf", "no rows",
         }
+
+
+def ensemble_case(rng, max_trees=7):
+    """(trees, x): 1 to max_trees random trees over p <= 3 features, some of
+    them single leaves and some thresholds -0.0, and up to 60 rows on the
+    thresholds' half-unit grid with NaN, +-inf, -0.0 and 0.0 cells."""
+    p = int(rng.integers(1, 4))
+    trees = []
+    for _ in range(int(rng.integers(1, max_trees + 1))):
+        tree = random_tree(rng, p, int(rng.integers(0, 8)))
+        internal = tree.nodes["feature"] >= 0
+        tree.nodes["threshold"][internal & (rng.random(len(tree.nodes)) < 0.2)] = -0.0
+        trees.append(tree)
+    x = np.round(rng.normal(size=(int(rng.integers(1, 60)), p)) * 2) / 2
+    for value, share in ((np.nan, 0.2), (np.inf, 0.05), (-np.inf, 0.05), (-0.0, 0.1), (0.0, 0.1)):
+        x[rng.random(x.shape) < share] = value
+    return trees, x
+
+
+class TestApplyTrees:
+    # _apply_trees moves every (tree, row) pair down one level per step, in
+    # blocks of at most SCRATCH_ELEMENTS pairs; each of its rows must be
+    # the node-by-node walk of its tree, bit for bit, and both models add
+    # those rows in tree order
+    @pytest.mark.parametrize("scratch", [7, 64, 1 << 16])
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    def test_each_row_equals_the_node_walk(self, monkeypatch, scratch, layout):
+        monkeypatch.setattr(gbt, "SCRATCH_ELEMENTS", scratch)
+        rng = np.random.default_rng(23)
+        covered = set()
+        for _ in range(40):
+            trees, x = ensemble_case(rng)
+            x = np.asfortranarray(x) if layout == "F" else np.ascontiguousarray(x)
+            out = gbt._apply_trees(trees, x)
+            assert out.dtype == np.float64 and out.shape == (len(trees), len(x))
+            for tree, leaves in zip(trees, out):
+                assert leaves.tobytes() == oracle_apply(tree.nodes, x).tobytes()
+            nodes = np.concatenate([tree.nodes for tree in trees])
+            internal = nodes[nodes["feature"] >= 0]
+            covered.update(("missing left", "missing right")[1 - d] for d in internal["default_left"])
+            covered.update(f"threshold {float(t)!r}" for t in internal["threshold"] if t == 0 or math.isinf(t))
+            if any(len(tree.nodes) == 1 for tree in trees):
+                covered.add("single leaf")
+            if any(k * scratch % len(x) for k in range(1, out.size // scratch + 1)):
+                covered.add("block ends inside a tree")
+        expected = {
+            "missing left", "missing right", "threshold -0.0", "threshold 0.0", "threshold inf",
+            "threshold -inf", "single leaf",
+        }
+        assert covered - {"block ends inside a tree"} == expected
+        assert ("block ends inside a tree" in covered) == (scratch < 1 << 16)
+
+    def test_no_trees_or_no_rows(self):
+        rng = np.random.default_rng(24)
+        trees, _ = ensemble_case(rng)
+        assert gbt._apply_trees([], np.zeros((5, 3))).shape == (0, 5)
+        assert gbt._apply_trees(trees, np.zeros((0, 3))).shape == (len(trees), 0)
+
+    @pytest.mark.parametrize("scratch", [7, 1 << 16])
+    def test_models_add_each_tree_in_order(self, monkeypatch, scratch):
+        # the boosted sum runs from the base score through the first
+        # best_round trees (none when it is 0) and the forest's over every
+        # tree, each adding one tree's leaves to the running total
+        monkeypatch.setattr(gbt, "SCRATCH_ELEMENTS", scratch)
+        rng = np.random.default_rng(25)
+        for _ in range(30):
+            trees, x = ensemble_case(rng)
+            leaves = [oracle_apply(tree.nodes, x) for tree in trees]
+            names = [f"f{j}" for j in range(x.shape[1])]
+            for loss in ("poisson", "squared"):
+                for best in sorted({0, int(rng.integers(1, len(trees) + 1)), len(trees)}):
+                    model = BoostedModel(
+                        loss=loss, base_score=float(rng.normal()), learning_rate=0.3,
+                        feature_names=names, trees=trees, best_round=best, train_loss=[], valid_loss=[],
+                    )
+                    raw = np.full(len(x), model.base_score)
+                    for leaf in leaves[:best]:
+                        raw += model.learning_rate * leaf
+                    expected = np.exp(raw) if loss == "poisson" else raw
+                    assert model.predict_array(x).tobytes() == expected.tobytes()
+            total = np.zeros(len(x))
+            for leaf in leaves:
+                total += leaf
+            forest = ForestModel(feature_names=names, trees=trees)
+            assert forest.predict_array(x).tobytes() == (total / len(trees)).tobytes()
+
+    def test_temporaries_stay_within_one_block(self):
+        # 200 trees x 20,000 rows are 4,000,000 pairs, 62 blocks. Besides
+        # the (trees, rows) result, the kernel holds its node tables (at
+        # most 16 eight-byte words a node) and one block's temporaries (at
+        # most 16 eight-byte words a pair): an unblocked pass would hold
+        # its pairs, rows and nodes for all 4,000,000 pairs at once
+        rng = np.random.default_rng(26)
+        n, p = 20_000, 3
+        trees = [random_tree(rng, p, 6) for _ in range(200)]
+        x = np.asfortranarray(np.round(rng.normal(size=(n, p)) * 2) / 2)
+        x[rng.random(x.shape) < 0.2] = np.nan
+        nodes = sum(len(tree.nodes) for tree in trees)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = gbt._apply_trees(trees, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.size > 60 * gbt.SCRATCH_ELEMENTS
+        bound = out.nbytes + 128 * nodes + 128 * gbt.SCRATCH_ELEMENTS
+        assert peak < bound
+        assert bound < out.nbytes + 3 * 8 * out.size
+        for t in (0, 199):
+            assert out[t].tobytes() == oracle_apply(trees[t].nodes, x).tobytes()
 
 
 def small_state(feature_names, with_seasonality=True):
