@@ -14,20 +14,24 @@ loader rejects duplicate keys, so no row can overwrite another.
 All four CSV inputs (sales.csv, catalog.csv, covariates.csv and the
 predictions file `evaluate` scores) go through one block reader, which
 reads a file's bytes column-wise, one block of about BLOCK_BYTES bytes at
-a time (a block ends only after a "\n", so never inside a character), and
-hands each loader the header it found to check. Files are UTF-8. A block
+a time, and hands each loader the header it found to check. Files are
+UTF-8. Each block is read straight into a zeroed buffer of its own, whose
+last 8 bytes are the padding the word reads need; it ends after its last
+"\n" (so never inside a character), or in a block without one after its
+last lone "\r", and a buffer without either doubles and reads on. A block
 holding a quote, a NUL, a byte that is not UTF-8, a field longer than
 csv's field limit counted in bytes, or a "\r" not followed by "\n" goes
 to csv.reader, and so does the rest of the file; the others are split
 directly, which gives the same records, so quoted fields and lone "\r"
 keep their csv meaning. Splitting finds every "," and "\n" of the block
-with one np.flatnonzero and turns each field into a (start, end) span of its
-bytes; csv.reader's records are turned into the same spans, so the
-loaders see one column type. The reader alone checks each record's field
-count against the header's, and turns what csv.reader raises (a field
-longer than its limit) and bytes that are not UTF-8 into a SchemaError
-naming the line; it stops after the block that holds the first fault,
-however found.
+with one np.flatnonzero: each field starts after the separator before it
+and ends at its own, or a byte before where it ends a "\r\n" line, a check
+a block without "\r" skips. csv.reader's records are turned into the same
+separators, so the loaders see one column type. The reader alone checks
+each record's field count against the header's, and turns what csv.reader
+raises (a field longer than its limit) and bytes that are not UTF-8 into a
+SchemaError naming the line; it stops after the block that holds the
+first fault, however found.
 
 Columns are converted from their spans. numpy converts an integer token
 of 1 to MAX_DIGITS ASCII digits, digit by digit in int64; Python's int
@@ -35,14 +39,19 @@ parses every other integer token (a sign, more digits, spaces, other
 Unicode digits), so the values are int's. A flag is 0 or 1 only when it
 is the single byte "0" or "1". The other columns repeat their tokens
 (sticky prices, 0/1 promotions, one id per week of a product), so each is
-grouped by its tokens' bytes, one block at a time (_Column.groups: a hash
-of each token's 8-byte words, checked against the bytes of its group's
-first token; a block's column with a token longer than LONG_TOKEN bytes,
-or two tokens of one hash, is grouped by its tokens' str). Each distinct
-token of the block is then decoded to str once, by one decode and split
-of the distinct tokens' bytes, and looked up (ids, keys, scopes, panel
-rows) or parsed by Python's float once, and the results are gathered back
-to the rows by group. Only the catalog's
+grouped by its tokens' bytes, read as little-endian uint64 words with the
+bytes past a token's end zeroed (_Column.words). A token of at most 8 bytes
+is its word, and its length tells it from one ending in a NUL, which only
+csv.reader gives; longer tokens, up to LONG_TOKEN bytes, are grouped by a
+hash of their words and checked against their group's first token, and a
+block's column with a token longer still, or two tokens of one hash, is
+grouped by its tokens' str (_Column.groups). Floats are parsed by Python's
+float once per distinct token of a block. Ids, keys and scopes are mapped
+by a _Mapping per file: a column of tokens of at most 8 bytes is matched
+by word against the tokens of the blocks before, and only its new tokens
+are decoded to str and looked up (ids, keys, scopes, panel rows); other
+columns decode and look up each distinct token of the block once. The
+results are gathered back to the rows by group. Only the catalog's
 categories and attributes, which it keeps as one string per product, are
 decoded for every row, by one decode and split of the column's bytes.
 Every check is an array check over the rows. A bad file is rejected with
@@ -54,9 +63,9 @@ which scatters the rows into the dense panel, or in load_covariates, which
 returns a columnar CovariateTable, each key's sorted week, panel-row and
 value arrays. Every whole-file key pass is linear: ids and keys get
 first-appearance codes from a dict that gives a missing one the next code,
-looked up for each block's distinct tokens in order of first appearance,
-and rows are put in np.lexsort's order of their int64 keys by stable radix
-passes over 16-bit digits.
+looked up for each new token in order of first appearance, and rows are
+put in np.lexsort's order of their int64 keys by stable radix passes over
+16-bit digits of the keys packed into as few uint64 values as hold them.
 
 Every CSV file the program writes (synth's inputs and ground truth,
 smoothed.csv, seasonality.csv, predictions.csv and report.csv) goes
@@ -282,13 +291,11 @@ def _undecoded(text: str) -> bool:
     return not text.isascii() and re.search("[\udc80-\udcff]", text) is not None
 
 
-# Zero bytes after a block's last record: with its separator, at least 8
-# bytes follow each token, so _Column.groups reads 8 bytes from any position
-# in a token or at its end.
+# Zero bytes after the last record of a block csv.reader read, as a split
+# block's buffer ends in 8 zero bytes: with its separator, at least 8 bytes
+# follow each token, so _Column.words reads 8 bytes from any position in a
+# token or at its end.
 _PADDING = bytes(7)
-
-# The low k bytes of a uint64 word set, for k = 0..8.
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 # The odd multiplier of _Column.groups' word hash (2**64 / golden ratio).
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
@@ -296,13 +303,17 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 # The longest token _Column.groups hashes: its words take at most 8 steps.
 LONG_TOKEN = 64
 
+# The low min(k, 8) bytes of a uint64 word set, for k = 0..LONG_TOKEN: the
+# bytes of a word that hold a token of k bytes from the word's start on.
+_LOW_BYTES = np.array([(1 << 8 * min(k, 8)) - 1 for k in range(LONG_TOKEN + 1)], dtype=np.uint64)
+
 
 @dataclass(frozen=True, eq=False)
 class _Column:
     """One field of a block's records: token i is the UTF-8 bytes data[starts[i]:ends[i]].
 
     At least 8 bytes of data follow each token (its separator and _PADDING),
-    so every start indexes into data, and groups reads whole words.
+    so every start indexes into data, and words reads whole words.
     """
 
     data: np.ndarray    # uint8, the block's bytes
@@ -315,33 +326,50 @@ class _Column:
     def token(self, i: int) -> str:
         return self.data[self.starts[i] : self.ends[i]].tobytes().decode()
 
+    def words(self, most: int = LONG_TOKEN) -> list[np.ndarray] | None:
+        """The tokens as little-endian uint64 words, 8 bytes a word, the bytes
+        past a token's end zeroed: one word per 8 bytes of the longest token,
+        and at least one, where no token is longer than most bytes; else None."""
+        lengths = self.ends - self.starts
+        longest = int(lengths.max(initial=0))
+        if longest > most:
+            return None
+        # 8 bytes from each position: an unaligned view with a stride of one byte
+        view = np.ndarray((len(self.data) - 7,), "<u8", self.data, 0, (1,))
+        words = [view[self.starts] & _LOW_BYTES[lengths]]
+        for k in range(8, longest, 8):
+            word = view[np.minimum(self.starts + k, self.ends)]
+            word &= _LOW_BYTES[np.maximum(lengths - k, 0)]
+            words.append(word)
+        return words
+
     def groups(self) -> tuple[np.ndarray, np.ndarray]:
         """(first, inverse): the index of each distinct token's first
         appearance, ascending, and the index into first of each token, whose
         bytes are those of token first[inverse[i]].
 
-        Tokens of at most LONG_TOKEN bytes are read as little-endian uint64
-        words, 8 bytes a step, the bytes past a token's end zeroed. They are
-        grouped by a hash of their length and words (_first_equal), and each
-        token is then checked against its group's first token, length and
-        words. Should two different tokens share a hash, or a token be longer,
-        the tokens are grouped by their str instead.
+        Tokens of at most 8 bytes are grouped by their word (_first_equal),
+        and each token's length is checked against its group's first token's:
+        a word is its token but where a token ends in a NUL, which only
+        csv.reader gives. Longer tokens of at most LONG_TOKEN bytes are
+        grouped by a hash of their length and words, and each token is then
+        checked against its group's first token, length and words. Should
+        two different tokens share a group, or a token be longer, the tokens
+        are grouped by their str instead.
         """
         n = len(self)
         lengths = self.ends - self.starts
-        longest = int(lengths.max(initial=0))
+        words = self.words()
         heads = None
-        if longest <= LONG_TOKEN:
-            # 8 bytes from each position: an unaligned view with a stride of one byte
-            view = np.ndarray((len(self.data) - 7,), "<u8", self.data, 0, (1,))
+        if words is not None and len(words) == 1:
+            heads = _first_equal(_spread(words[0]))
+            if not np.array_equal(lengths[heads], lengths):
+                heads = None
+        elif words is not None:
             hashes = lengths.astype(np.uint64)
-            words = []
-            for k in range(0, longest, 8):
-                word = view[np.minimum(self.starts + k, self.ends)]
-                word &= _LOW_BYTES[np.clip(lengths - k, 0, 8)]
+            for word in words:
                 hashes ^= word
                 hashes *= _HASH_MULTIPLIER
-                words.append(word)
             heads = _first_equal(hashes)
             seconds = np.flatnonzero(heads != np.arange(n))  # each against its group's first
             firsts = heads[seconds]
@@ -419,93 +447,135 @@ class _Column:
 
 @dataclass(frozen=True, eq=False)
 class _Block:
-    """The records of a block of a CSV file, as spans of its bytes.
+    r"""The records of a block of a CSV file, as spans of its bytes.
 
-    Field i is data[starts[i]:ends[i]], the fields of all records in file
-    order, each followed by at least one byte of data; counts holds each
-    record's field count (0 for a blank line, which csv reads as no fields).
-    error is None or what is wrong with the record after the block's last
-    one, which ends the stream: the error csv.reader raised on it, or that
-    it holds a byte that is not UTF-8.
+    separators holds the position of the byte after each field of all
+    records in file order, each field starting after the separator before
+    it (the block's first at 0). A field ends at its separator, or one byte
+    before it where cr holds 1: a "\r\n" line end. cr is None in a block
+    without "\r". counts holds each record's field count (0 for a blank
+    line, which csv reads as no fields). error is None or what is wrong with
+    the record after the block's last one, which ends the stream: the error
+    csv.reader raised on it, or that it holds a byte that is not UTF-8.
     """
 
-    data: np.ndarray    # uint8
-    starts: np.ndarray  # int64
-    ends: np.ndarray    # int64
-    counts: np.ndarray  # int64
+    data: np.ndarray                # uint8
+    separators: np.ndarray          # int64
+    cr: np.ndarray | None           # bool, one per field
+    counts: np.ndarray              # int64
     error: str | None = None
 
     def columns(self, first: int, rows: int, n: int) -> list[_Column]:
-        """Each field of the rows records of n fields from field first on,
-        its spans copied out of the records' strided ones: the column passes
-        read them several times each."""
+        """Each field of the rows records of n fields from field first on.
+
+        Its separators are copied out of the records' strided ones (the
+        column passes read them several times each); a field but a record's
+        first starts after the field before it, and a record's first after
+        the last one of the record before.
+        """
+        if not n:
+            return []
         stop = first + rows * n
-        return [
-            _Column(self.data, self.starts[k:stop:n].copy(), self.ends[k:stop:n].copy())
-            for k in range(first, first + n)
-        ]
+        separators = [self.separators[k:stop:n].copy() for k in range(first, first + n)]
+        previous = self.separators[first - 1] if first else -1
+        before = np.concatenate(([previous], separators[-1][:-1]))
+        starts = [before[:rows] + 1, *(ends + 1 for ends in separators[:-1])]
+        if self.cr is not None:
+            separators[-1] -= self.cr[first + n - 1 : stop : n]
+        return [_Column(self.data, *spans) for spans in zip(starts, separators)]
 
 
-def _line_blocks(fh) -> Iterator[bytes]:
-    r"""The bytes of fh in pieces of about BLOCK_BYTES, each ending with "\n" but the last."""
-    rest = b""
-    while chunk := fh.read(BLOCK_BYTES):
-        data = rest + chunk
-        cut = data.rfind(b"\n") + 1
-        if cut:
-            yield data[:cut]
-        rest = data[cut:]
-    if rest:
-        yield rest
+def _line_blocks(fh) -> Iterator[tuple[bytearray, int]]:
+    r"""The bytes of the buffered binary file fh a block of about BLOCK_BYTES
+    at a time: (buffer, size), the block being buffer[:size] and buffer
+    ending in 8 zero bytes.
 
-
-def _split_block(data: bytes, limit: int) -> _Block | None:
-    r"""The records of data split on "\n" and "," directly, or None where csv may differ.
-
-    That is where data holds '"', a "\r" outside a "\r\n" line end, a NUL
-    (which csv.reader rejects before Python 3.11), a byte that is not UTF-8,
-    or a field longer than limit bytes (csv's limit counts characters, and
-    a character is one or more bytes).
+    A block ends after its last "\n", or where it has none, after its last
+    "\r" that a read byte follows; the last block ends with the file. Each
+    block is read into a zeroed buffer of its own, after the bytes that
+    followed the block before; a full buffer that holds no line end doubles
+    and reads on, so a line of any length is read in linear time.
     """
-    if b'"' in data or b"\0" in data:
+    tail = b""
+    while True:
+        buffer = bytearray(len(tail) + (BLOCK_BYTES if fh.peek(1) else 0) + 8)
+        buffer[: len(tail)] = tail
+        size = len(tail)
+        while read := fh.readinto(memoryview(buffer)[size : len(buffer) - 8]):
+            size += read
+            if cut := buffer.rfind(b"\n", 0, size) + 1 or buffer.rfind(b"\r", 0, size - 1) + 1:
+                break
+            if size == len(buffer) - 8:
+                buffer.extend(bytes(len(buffer)))
+        else:  # the end of the file: the rest is the last block
+            cut = size
+        tail = buffer[cut:size]
+        del buffer[size + 8 :]
+        if cut:
+            yield buffer, cut
+        if not read:
+            return
+
+
+def _split_block(buffer: bytearray, size: int, limit: int) -> _Block | None:
+    r"""The records of buffer[:size] split on "\n" and "," directly, or None where csv may differ.
+
+    That is where the block holds '"', a "\r" outside a "\r\n" line end, a
+    NUL (which csv.reader rejects before Python 3.11), a byte that is not
+    UTF-8, or a field longer than limit bytes (csv's limit counts
+    characters, and a character is one or more bytes). A block without "\r"
+    skips the line-end check.
+    """
+    if buffer.find(b'"', 0, size) >= 0 or buffer.find(b"\0", 0, size) >= 0:
         return None
-    if not data.isascii():
+    if not buffer.isascii():  # the block or the bytes after it
         try:
-            data.decode()
+            str(memoryview(buffer)[:size], "utf-8")
         except UnicodeDecodeError:
             return None
-    if not data.endswith(b"\n"):
-        data += b"\n"  # csv.reader ends the last record at the end of the file
-    padded = np.frombuffer(data + _PADDING, np.uint8)
-    array = padded[: len(data)]
-    separators = np.flatnonzero((array == ord(",")) | (array == ord("\n")))
+    array = np.frombuffer(buffer, np.uint8)
+    end = size
+    if array[size - 1] != ord("\n"):
+        # the end of the file or a lone "\r", where csv.reader ends the record too
+        buffer[size] = ord("\n")
+        end += 1
+    separators = np.flatnonzero((array[:end] == ord(",")) | (array[:end] == ord("\n")))
     newline = array[separators] == ord("\n")
-    cr = array[separators - 1] == ord("\r")  # at position 0, "- 1" reads the final "\n"
-    if data.count(b"\r") != np.count_nonzero(cr & newline):
-        return None
-    starts = np.concatenate(([0], separators[:-1] + 1))
-    ends = separators - cr
-    if (ends - starts).max() > limit:
-        return None
+    cr = None
+    if buffer.find(b"\r", 0, size) >= 0:
+        cr = array[separators - 1] == ord("\r")  # at position 0, "- 1" reads the zeroed last byte
+        cr &= newline
+        if buffer.count(b"\r", 0, size) != np.count_nonzero(cr):
+            return None
     last = np.flatnonzero(newline)  # each record's last field
+    # a field is no longer than its record's line; only a line above the limit needs its fields
+    if np.diff(separators[last], prepend=-1).max() > limit + 1:
+        lengths = np.diff(separators, prepend=-1) - 1
+        if cr is not None:
+            lengths -= cr
+        if lengths.max() > limit:
+            return None
     counts = np.diff(last, prepend=-1)
-    blank = (counts == 1) & (starts[last] == ends[last])
-    if blank.any():
-        counts[blank] = 0
-        keep = np.ones(len(starts), dtype=bool)
-        keep[last[blank]] = False
-        starts, ends = starts[keep], ends[keep]
-    return _Block(padded, starts, ends, counts)
+    ones = last[counts == 1]
+    empty = separators[ones] - (0 if cr is None else cr[ones])  # where an empty field would end
+    blank = ones[empty == np.where(ones, separators[ones - 1] + 1, 0)]
+    if blank.size:
+        counts[np.searchsorted(last, blank)] = 0
+        keep = np.ones(len(separators), dtype=bool)
+        keep[blank] = False
+        separators = separators[keep]
+        cr = None if cr is None else cr[keep]
+    return _Block(array, separators, cr, counts)
 
 
-def _csv_records(blocks: Iterable[bytes]) -> Iterator[_Block]:
+def _csv_records(blocks: Iterable[tuple[bytearray, int]]) -> Iterator[_Block]:
     """_records of the blocks, read by csv.reader in batches of records."""
     undecoded = False  # whether a block read so far holds a byte that is not UTF-8
 
     def texts():
         nonlocal undecoded
-        for block in blocks:
-            text = block.decode(errors="surrogateescape")
+        for buffer, size in blocks:
+            text = buffer[:size].decode(errors="surrogateescape")
             undecoded = undecoded or _undecoded(text)
             yield io.StringIO(text, newline="")
 
@@ -528,10 +598,10 @@ def _csv_records(blocks: Iterable[bytes]) -> Iterator[_Block]:
                 error = "not valid UTF-8"
         fields = [field.encode() for field in chain.from_iterable(rows)]
         lengths = np.fromiter(map(len, fields), np.int64, len(fields))
-        ends = np.cumsum(lengths + 1) - 1
         yield _Block(
-            np.frombuffer(b",".join(fields) + b"," + _PADDING, np.uint8), ends - lengths, ends,
-            np.array([len(row) for row in rows], dtype=np.int64), error,
+            np.frombuffer(b",".join(fields) + b"," + _PADDING, np.uint8),
+            np.cumsum(lengths + 1) - 1, None, np.array([len(row) for row in rows], dtype=np.int64),
+            error,
         )
         if error is not None or len(rows) < batch:
             return
@@ -546,9 +616,9 @@ def _records(fh) -> Iterator[_Block]:
     """
     blocks = _line_blocks(fh)
     limit = csv.field_size_limit()
-    for data in blocks:
-        if (block := _split_block(data, limit)) is None:
-            yield from _csv_records(chain([data], blocks))
+    for buffer, size in blocks:
+        if (block := _split_block(buffer, size, limit)) is None:
+            yield from _csv_records(chain([(buffer, size)], blocks))
             return
         yield block
 
@@ -642,26 +712,68 @@ def _first_equal(hashes: np.ndarray) -> np.ndarray:
     return heads
 
 
+def _spread(words: np.ndarray) -> np.ndarray:
+    """words times an odd multiplier, which keeps distinct words distinct, for
+    _first_equal to multiply again. Words of text differ in a few bytes (the
+    digits of an id), and one multiplication leaves their top bits, which name
+    _first_equal's slots, clustered: of one wide covariates block's 28,153
+    product ids (3,971 distinct), 4,947 were left after _first_equal's first
+    pass on the words as they are, and none on the spread words. The
+    multiplier is made odd whatever _HASH_MULTIPLIER is set to."""
+    return words * (_HASH_MULTIPLIER | np.uint64(1))
+
+
 def _code_table() -> defaultdict[str, int]:
     """An empty table of codes: looking up a missing token adds it with the next code.
 
     Every key enters by such a lookup, so the next code is len(table) and
     the keys are in order of first appearance. Loaders look tokens up
-    through _mapped(column, table.__getitem__), distinct tokens in order of
+    through a _Mapping(table.__getitem__), distinct tokens in order of
     first appearance, so across a file's blocks the codes follow the file's
-    first appearances. The codes come from a counter, so the
-    table holds no reference to itself and is freed as soon as its loader
-    returns. Loaders use it only through _mapped and list(): past their
-    loop, a lookup would add a key.
+    first appearances. The codes come from a counter, so the table holds no
+    reference to itself and is freed as soon as its loader returns. Loaders
+    use it only through a _Mapping and list(): past their loop, a lookup
+    would add a key.
     """
     return defaultdict(count().__next__)
 
 
-def _mapped(column: _Column, function) -> np.ndarray:
-    """The int function(token) of each token as str, called once per
-    distinct token (_Column.distinct), in order of first appearance."""
-    texts, _, inverse = column.distinct()
-    return np.fromiter(map(function, texts), np.int64, len(texts))[inverse]
+class _Mapping:
+    """The int function(token) of each token of a file's columns, block by
+    block, called once per distinct token of the file in order of first
+    appearance.
+
+    A column whose tokens have at most 8 bytes is matched by word and
+    length (_Column.words) against the distinct tokens of the blocks before
+    and its own, by one _first_equal; only its new tokens are decoded, and a
+    word is its token but where a token ends in a NUL. Any other column
+    calls function once per distinct token of its block (_Column.distinct),
+    which gives a token seen before its value again.
+    """
+
+    def __init__(self, function):
+        self.function = function
+        self.words = np.zeros(0, np.uint64)    # each distinct token matched so far
+        self.lengths = np.zeros(0, np.int64)
+        self.values = np.zeros(0, np.int64)
+
+    def __call__(self, column: _Column) -> np.ndarray:
+        words = column.words(8)
+        if words is not None:
+            seen, lengths = len(self.words), column.ends - column.starts
+            heads = _first_equal(_spread(np.concatenate((self.words, words[0]))))[seen:]
+            if np.array_equal(np.concatenate((self.lengths, lengths))[heads], lengths):
+                new = np.flatnonzero(heads == np.arange(seen, seen + len(column)))
+                texts = _Column(column.data, column.starts[new], column.ends[new]).text()
+                values = np.empty(seen + len(column), np.int64)  # by index into the words matched
+                values[:seen] = self.values
+                values[seen + new] = np.fromiter(map(self.function, texts), np.int64, len(texts))
+                self.words = np.concatenate((self.words, words[0][new]))
+                self.lengths = np.concatenate((self.lengths, lengths[new]))
+                self.values = np.concatenate((self.values, values[seen + new]))
+                return values[heads]
+        texts, _, inverse = column.distinct()
+        return np.fromiter(map(self.function, texts), np.int64, len(texts))[inverse]
 
 
 def load_sales(path: str | Path) -> SalesPanel:
@@ -677,10 +789,11 @@ def load_sales(path: str | Path) -> SalesPanel:
     if (header := next(blocks)) != SALES_HEADER:
         raise SchemaError(f"{path}: unexpected sales header {header}")
     product_ids = _code_table()  # id -> order of first appearance
+    pid_codes = _Mapping(product_ids.__getitem__)
     parts = []
     for line, (pid_t, week_t, units_t, sale_t, stock_t) in blocks:
         n = len(pid_t)
-        pids = _mapped(pid_t, product_ids.__getitem__)
+        pids = pid_codes(pid_t)
         faults.first(pid_t.empty(), line, 1, lambda i: "empty product_id")
         weeks, bad_week, _ = week_t.ints()
         units, bad_units, wide = units_t.ints()
@@ -733,22 +846,34 @@ def _key_order(*keys: np.ndarray) -> np.ndarray:
     """np.lexsort(keys) for int64 keys: entries ordered by the last key, ties
     by the key before it and so on, and full ties in index order.
 
-    Each key is shifted by its minimum as uint64, so any int64 range fits.
-    The order is refined by one stable np.argsort per 16-bit digit of the
-    shifted keys (numpy sorts uint16 by radix): keys[0] first, and each key
-    from its lowest digit up; a key whose shifted values fit in 16 bits
-    takes one pass, and a constant one none.
+    Each key is shifted by its minimum as uint64, so any int64 range fits,
+    and keys whose shifted values fit in 64 bits together are packed into
+    one uint64, keys[0] in the lowest bits. The order is refined by one
+    stable np.argsort per 16-bit digit of the packed values (numpy sorts
+    uint16 by radix), from the lowest digit of the first packing up; a
+    constant key takes no bits.
     """
-    order = np.arange(len(keys[0]), dtype=np.intp)
-    if not order.size:
-        return order
+    packings: list[tuple[np.ndarray, int]] = []  # (packed keys, their bits)
     for key in keys:
         shifted = key.astype(np.uint64)  # a negative value wraps around to value + 2**64
-        shifted -= shifted[key.argmin()]
-        for shift in range(0, int(shifted.max()).bit_length(), 16):
-            digit = (shifted >> np.uint64(shift)).astype(np.uint16)  # the low 16 bits
-            order = order[np.argsort(digit[order], kind="stable")]
-    return order
+        if key.size:
+            shifted -= shifted[key.argmin()]
+        width = int(shifted.max(initial=0)).bit_length()
+        if packings and packings[-1][1] + width <= 64:
+            packed, bits = packings[-1]
+            packed |= shifted << np.uint64(bits)
+            packings[-1] = (packed, bits + width)
+        else:
+            packings.append((shifted, width))
+    order = None
+    for packed, bits in packings:
+        for shift in range(0, bits, 16):
+            digit = (packed >> np.uint64(shift)).astype(np.uint16)  # the low 16 bits
+            if order is None:
+                order = np.argsort(digit, kind="stable")
+            else:
+                order = order[np.argsort(digit[order], kind="stable")]
+    return np.arange(len(keys[0]), dtype=np.intp) if order is None else order
 
 
 def _repeats(*keys: np.ndarray) -> np.ndarray:
@@ -782,9 +907,10 @@ def load_catalog(path: str | Path) -> Catalog:
     if bad_names := [name for name in header if not name or header.count(name) > 1]:
         raise SchemaError(f"{path}:1: catalog column name {bad_names[0]!r} is empty or repeated")
     product_ids = _code_table()  # id -> order of first appearance
+    pid_codes = _Mapping(product_ids.__getitem__)
     codes, prices, table = [], [], [[] for _ in header[2:]]  # category, then the extra columns
     for line, (pid_t, category_t, price_t, *extra_t) in blocks:
-        pids = _mapped(pid_t, product_ids.__getitem__)
+        pids = pid_codes(pid_t)
         faults.first(pid_t.empty(), line, 1, lambda i: "empty product_id")
         faults.first(
             category_t.empty(), line, 2, lambda i: f"product {pid_t.token(i)!r} has no category"
@@ -825,6 +951,7 @@ def load_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if (header := next(blocks)) != ["product_id", "week", "forecast"]:
         raise SchemaError(f"{path}: unexpected predictions header {header}")
     product_ids = _code_table()  # id -> order of first appearance
+    pid_codes = _Mapping(product_ids.__getitem__)
     parts = []
     for line, (pid_t, week_t, value_t) in blocks:
         n = len(pid_t)
@@ -839,7 +966,7 @@ def load_predictions(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarr
         if wide < n:
             faults.add(line + wide, 3, f"week {int(week_t.token(wide))} outside the int64 range")
         # order 4 is the duplicate check, made on all rows below
-        parts.append((_mapped(pid_t, product_ids.__getitem__), weeks, forecasts))
+        parts.append((pid_codes(pid_t), weeks, forecasts))
     pids, weeks, forecasts = map(np.concatenate, zip(*parts))
     names = np.array(list(product_ids), dtype=object)
     faults.first(
@@ -866,6 +993,9 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
     key_ids = _code_table()  # key -> order of first appearance
     scope_ids = defaultdict(lambda: 2, temporal=0, mixed=1)  # any other scope is 2
     panel_rows = defaultdict(lambda: -2, {**panel.index, "": -1})  # ids the panel lacks are -2
+    key_codes, scope_codes, row_codes = map(
+        _Mapping, (key_ids.__getitem__, scope_ids.__getitem__, panel_rows.__getitem__)
+    )
     parts = []
     for line, (scope_t, key_t, week_t, pid_t, value_t, flag_t) in blocks:
         n = len(scope_t)
@@ -883,8 +1013,8 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
             flags == 2, line, 4, lambda i: f"predictable must be 0 or 1, got {flag_t.token(i)!r}"
         )
         # order 5 is the predictable flag's consistency, checked on all rows below
-        scopes = _mapped(scope_t, scope_ids.__getitem__)
-        rows = _mapped(pid_t, panel_rows.__getitem__)
+        scopes = scope_codes(scope_t)
+        rows = row_codes(pid_t)
         outside = (weeks < 0) | (weeks >= panel.n_weeks)
 
         def scope_fault(i):
@@ -903,7 +1033,7 @@ def load_covariates(path: str | Path, panel: SalesPanel) -> CovariateTable:
             (temporal & (rows != -1)) | (mixed & ((rows < 0) | outside)) | (scopes == 2),
             line, 6, scope_fault,
         )
-        keys = _mapped(key_t, key_ids.__getitem__)
+        keys = key_codes(key_t)
         parts.append((keys, scopes, rows, weeks, values, flags))
     keys, scopes, rows, weeks, values, flags = map(np.concatenate, zip(*parts))
     names = list(key_ids)

@@ -497,3 +497,102 @@ def test_blocks_of_a_few_bytes(tmp_path, monkeypatch, name, size):
         got = outcome(loaded, name, path)
         assert got == outcome(oracle_loaded, name, path), body
         assert (got[0] is None) == (body is lines), got
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_lone_cr_line_ends_hold_bounded_blocks(tmp_path, monkeypatch, name):
+    """A file whose lines end in a lone "\\r" has no "\\n" to end a block at:
+    it is read a block at a time all the same, by csv.reader, and loads as
+    the row-by-row loader loads it."""
+    monkeypatch.setattr(ingest, "BLOCK_BYTES", 64)
+    held = []
+    line_blocks = ingest._line_blocks
+
+    def recording(fh):
+        for buffer, size in line_blocks(fh):
+            held.append(len(buffer))
+            yield buffer, size
+
+    monkeypatch.setattr(ingest, "_line_blocks", recording)
+    make = CORPORA[name][0]
+    header, rows = make(np.random.default_rng(7))
+    path = tmp_path / f"{name}.csv"
+    path.write_text("\r".join(header + [",".join(row) for row in rows]) + "\r", newline="")
+    got = outcome(loaded, name, path)
+    assert got == outcome(oracle_loaded, name, path)
+    assert got[0] is None
+    assert len(held) > 1 and max(held) <= 2 * ingest.BLOCK_BYTES
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone_cr"])
+def test_line_ends_change_after_the_first_block(tmp_path, block_bytes, end):
+    """Lines end in "\\n" through the first block, which has no "\\r" to
+    check, and in end after it: a "\\r\\n" block splits directly, and a lone
+    "\\r" hands the rest to csv.reader."""
+    lines = ["product_id,week,units,on_sale,in_stock"]
+    size = 0
+    while size <= ingest.BLOCK_BYTES:
+        k = len(lines)
+        lines.append(f"product_{k // 40:06d},{k % 40},{k % 7},1,{k % 2}")
+        size += len(lines[-1]) + 1
+    tail = [f"product_{k // 40:06d},{k % 40},3,1,1" for k in range(len(lines), len(lines) + 90)]
+    path = tmp_path / "sales.csv"
+    path.write_text("\n".join(lines) + "\n" + "".join(line + end for line in tail), newline="")
+    got = outcome(loaded, "sales", path)
+    assert got == outcome(oracle_loaded, "sales", path)
+    assert got[0] is None
+
+
+# product ids of 7, 8 and 9 bytes, two of them different only in their ninth byte
+WORD_IDS = ["abcdefg", "abcdefgh", "abcdefgh0", "abcdefgh1", "abcdefgi", "bcdefgh0"]
+
+
+def test_eight_and_nine_byte_tokens(tmp_path, block_bytes):
+    """Tokens of at most 8 bytes are grouped by their word, longer ones by
+    their hash: a column mixes both, within a block and across blocks."""
+    rng = np.random.default_rng(43)
+    path = tmp_path / "sales.csv"
+    rows = [(pid, week) for pid in WORD_IDS for week in range(6)]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    path.write_text(
+        ",".join(ingest.SALES_HEADER) + "\n" + "".join(f"{p},{w},{w % 3},1,1\n" for p, w in rows)
+    )
+    got = outcome(loaded, "sales", path)
+    assert got == outcome(oracle_loaded, "sales", path)
+    assert got[0] is None and got[1][0] == tuple(sorted(WORD_IDS))
+    panel = ingest.load_sales(path)
+    keys = ["promo123", "promo1234", "promo1235"]  # 8 and 9 bytes
+    values = ["1.234567", "1.2345678", "1.2345679"]
+    path = tmp_path / "covariates.csv"
+    text = ",".join(ingest.COVARIATES_HEADER) + "\n" + "".join(
+        f"mixed,{keys[k % 3]},{w},{pid},{values[(k + w) % 3]},1\n"
+        for k, pid in enumerate(WORD_IDS) for w in range(6)
+    )
+    path.write_text(text)
+    table = covariate_dicts(ingest.load_covariates(path, panel))
+    assert table == rowwise_load_covariates(path, panel)
+    assert sum(map(len, table.mixed.values())) == len(WORD_IDS) * 6
+    path = tmp_path / "predictions.csv"
+    path.write_text(
+        "product_id,week,forecast\n" + "".join(f"{p},{w},{values[w % 3]}\n" for p, w in rows)
+    )
+    assert outcome(loaded, "predictions", path) == outcome(oracle_loaded, "predictions", path)
+
+
+def test_empty_token_next_to_byte_one(tmp_path, block_bytes):
+    """An empty product id (a temporal row's) and the id "\\x01" have other
+    words, though a hash of length XOR first word gives both 0."""
+    panel = SalesPanel(
+        ("\x01", "p1"), np.zeros((2, WEEKS), dtype=np.int64), np.zeros((2, WEEKS), dtype=bool),
+        np.ones((2, WEEKS), dtype=bool),
+    )
+    path = tmp_path / "covariates.csv"
+    rows = [f"temporal,event,{w},,{w / 4},1" for w in range(WEEKS)]
+    rows += [
+        f"mixed,price,{w},{pid},{w + 1.5},0" for w in range(WEEKS) for pid in panel.products
+    ]
+    rows = [rows[k] for k in np.random.default_rng(44).permutation(len(rows))]
+    path.write_text(",".join(ingest.COVARIATES_HEADER) + "\n" + "\n".join(rows) + "\n")
+    table = covariate_dicts(ingest.load_covariates(path, panel))
+    assert table == rowwise_load_covariates(path, panel)
+    assert len(table.temporal["event"]) == WEEKS and len(table.mixed["price"]) == 2 * WEEKS
