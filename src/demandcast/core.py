@@ -52,7 +52,7 @@ class SalesPanel:
             raise ValueError("mask shapes must match y")
         if (y < 0).any():
             raise ValueError("negative sales count in panel")
-        if (y[~on_sale] > 0).any():
+        if ((y > 0) & ~on_sale).any():  # bool arrays only: no gather of y's cells
             raise ValueError("positive sales on a week not marked on sale")
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "on_sale_mask", _freeze(on_sale))

@@ -19,19 +19,21 @@ UTF-8. Each block is read straight into a zeroed buffer of its own, whose
 last 8 bytes are the padding the word reads need; it ends after its last
 "\n" (so never inside a character), or in a block without one after its
 last lone "\r", and a buffer without either doubles and reads on. A block
-holding a quote, a NUL, a byte that is not UTF-8, a field longer than
-csv's field limit counted in bytes, or a "\r" not followed by "\n" goes
-to csv.reader, and so does the rest of the file; the others are split
-directly, which gives the same records, so quoted fields and lone "\r"
-keep their csv meaning. Splitting finds every "," and "\n" of the block
-with one np.flatnonzero: each field starts after the separator before it
-and ends at its own, or a byte before where it ends a "\r\n" line, a check
-a block without "\r" skips. csv.reader's records are turned into the same
-separators, so the loaders see one column type. The reader alone checks
-each record's field count against the header's, and turns what csv.reader
-raises (a field longer than its limit) and bytes that are not UTF-8 into a
-SchemaError naming the line; it stops after the block that holds the
-first fault, however found.
+holding a quote, a NUL, a byte that is not UTF-8 or a field longer than
+csv's field limit counted in bytes goes to csv.reader, and so does the
+rest of the file; the others are split directly, which gives the same
+records, so quoted fields keep their csv meaning. Splitting finds every
+"," and "\n" of the block with one np.flatnonzero: each field starts after
+the separator before it and ends at its own, or a byte before where it
+ends a "\r\n" line, a check a block without "\r" skips. A "\r" not
+followed by "\n" ends a record as csv.reader reads it, so in a block that
+holds one (counted apart from the "\r\n" pairs) it is a separator too.
+csv.reader's records are turned into the same separators, so the loaders
+see one column type. The reader alone checks each record's field count
+against the header's, and turns what csv.reader raises (a field longer
+than its limit) and bytes that are not UTF-8 into a SchemaError naming
+the line; it stops after the block that holds the first fault, however
+found.
 
 Columns are converted from their spans. numpy converts an integer token
 of 1 to MAX_DIGITS ASCII digits, digit by digit in int64; Python's int
@@ -520,11 +522,11 @@ def _line_blocks(fh) -> Iterator[tuple[bytearray, int]]:
 def _split_block(buffer: bytearray, size: int, limit: int) -> _Block | None:
     r"""The records of buffer[:size] split on "\n" and "," directly, or None where csv may differ.
 
-    That is where the block holds '"', a "\r" outside a "\r\n" line end, a
-    NUL (which csv.reader rejects before Python 3.11), a byte that is not
-    UTF-8, or a field longer than limit bytes (csv's limit counts
-    characters, and a character is one or more bytes). A block without "\r"
-    skips the line-end check.
+    That is where the block holds '"', a NUL (which csv.reader rejects
+    before Python 3.11), a byte that is not UTF-8, or a field longer than
+    limit bytes (csv's limit counts characters, and a character is one or
+    more bytes). A "\r" not followed by "\n" ends a record, as in
+    csv.reader. A block without "\r" skips the line-end checks.
     """
     if buffer.find(b'"', 0, size) >= 0 or buffer.find(b"\0", 0, size) >= 0:
         return None
@@ -539,14 +541,21 @@ def _split_block(buffer: bytearray, size: int, limit: int) -> _Block | None:
         # the end of the file or a lone "\r", where csv.reader ends the record too
         buffer[size] = ord("\n")
         end += 1
-    separators = np.flatnonzero((array[:end] == ord(",")) | (array[:end] == ord("\n")))
+    ends = (array[:end] == ord(",")) | (array[:end] == ord("\n"))
+    separators = np.flatnonzero(ends)
     newline = array[separators] == ord("\n")
     cr = None
     if buffer.find(b"\r", 0, size) >= 0:
         cr = array[separators - 1] == ord("\r")  # at position 0, "- 1" reads the zeroed last byte
         cr &= newline
         if buffer.count(b"\r", 0, size) != np.count_nonzero(cr):
-            return None
+            # a lone "\r" ends a record, as csv.reader reads it
+            lone = array[:end] == ord("\r")
+            lone[:-1] &= array[1:end] != ord("\n")
+            separators = np.flatnonzero(ends | lone)
+            newline = array[separators] != ord(",")
+            cr = array[separators - 1] == ord("\r")
+            cr &= array[separators] == ord("\n")
     last = np.flatnonzero(newline)  # each record's last field
     # a field is no longer than its record's line; only a line above the limit needs its fields
     if np.diff(separators[last], prepend=-1).max() > limit + 1:

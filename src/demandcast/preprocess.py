@@ -13,28 +13,37 @@ a spike cannot raise its own cap.
 Smoothing reads only each product's live span: from its first on-sale week
 f through its last on-sale week l plus the window. A week t outside
 (f, l + window] has fewer than two on-sale weeks in its window, so there
-x = y, the statistics are NaN and nothing is capped. Each span is shifted
-to start at column 0 (week f, on sale, whose own statistics are
-undefined). Products are taken longest span first, so each block holds
-spans of similar length, at most SMOOTH_BLOCK_CELLS cells, and the spans
-are gathered from and scattered back to the full (N, T) arrays by flat
-index. Weeks before f are off sale and add nothing to a sum, so a shifted
-window adds the same weeks in the same order. Each block computes its
-rolling mean and standard deviation, which the cap needs; only x and the
-capped mask are kept for the whole panel, unless the caller passes arrays
-for the statistics too (the `preprocess` command's smoothed.csv does; it
-also keeps the fake-zero mask, which no other caller reads). So
-smooth_panel's memory is x and the capped mask, 9 bytes per panel cell, a
-few int64 words per product, and block temporaries of at most 16
-eight-byte words per cell of max(SMOOTH_BLOCK_CELLS, T).
+x = y, the statistics are NaN and nothing is capped. Products are taken
+longest span first, so each block holds spans of similar length, at most
+SMOOTH_BLOCK_CELLS cells. Each span is gathered from the full (N, T)
+arrays by flat index, after columns standing for off-sale weeks, so every
+window lies in its row, and its caps are scattered back. Each block sums
+every cell's window for the rolling mean. The rolling std then covers
+only the cells that need it, in one gathered pass over their window
+weeks: every cell with statistics when the caller asks for them (the
+`preprocess` command's smoothed.csv), otherwise only the cells above their
+rolling mean, since mean + gamma * std >= mean under round-to-nearest and
+no other cell can be capped. Only x and the capped mask are kept for the
+whole panel, unless the caller passes arrays for the statistics too (the
+`preprocess` command also keeps the fake-zero mask, which no other caller
+reads). So smooth_panel's memory is x and the capped mask, 9 bytes per
+panel cell, a few int64 words per product, and block temporaries of at
+most 12 eight-byte words per cell of max(SMOOTH_BLOCK_CELLS, T) (at most
+about 7 without statistics).
 
 The results are bit-identical to evaluating the rule one cell at a time in
-Python (tests/oracles.py, scalar_smooth). Two rules make that hold. Every
+Python (tests/oracles.py, scalar_smooth). Three rules make that hold. Every
 sum adds its window weeks left to right, oldest first, as Python's sum()
-does; an off-sale week adds nothing and leaves the running sum unchanged.
-And each squared deviation is np.float_power(d, 2.0), which calls libm pow
-as Python's `d ** 2` does; np.square (d * d) differs from pow in the last
-bit now and then (1,623 of 2,000,000 random values on glibc).
+does on Python 3.11 and earlier; an off-sale week holds no sales
+(SalesPanel rejects positive ones), so adding its 0.0 leaves a running sum
+unchanged. Each squared deviation is what libm pow returns for Python's
+`d ** 2`: np.float_power(d, 2.0), or d * d where d has at most 26
+significant bits (the low 27 bits of its binary64 significand, read
+through a uint64 view, are zero), whose square is exact, so pow returns
+it exactly. d * d elsewhere differs from pow in the last bit now and then
+(1,623 of 2,000,000 random values on glibc). A window whose on-sale count is
+a power of two has an exact mean S / count, so most deviations of such windows take
+d * d. And a cell's cap is compared only where it can bind, as above.
 """
 
 from __future__ import annotations
@@ -82,10 +91,11 @@ def detect_fake_zeros(panel: SalesPanel) -> np.ndarray:
     week as the backtest of that week does.
     """
     positive = panel.y > 0
-    weeks = np.broadcast_to(np.arange(panel.n_weeks), positive.shape)
+    if not panel.n_weeks:  # no week for argmax to return
+        return positive
     # the first positive week; a product that never sold has none
-    first = weeks.min(axis=1, where=positive, initial=panel.n_weeks)
-    after = weeks > first[:, None]
+    first = np.where(positive.any(axis=1), positive.argmax(axis=1), panel.n_weeks)
+    after = np.arange(panel.n_weeks) > first[:, None]
     return ~positive & panel.on_sale_mask & ~panel.stock_flag & after
 
 
@@ -95,44 +105,51 @@ def repair_fake_zeros(panel: SalesPanel, mask: np.ndarray) -> SalesPanel:
     Each flagged y_{i,t} becomes the exponential-smoothing level (alpha 0.3)
     of the product's unflagged on-sale weeks before t, rounded half up and
     floored at 0. A flagged week with no such week before it is a ValueError
-    naming the product and the week; detect_fake_zeros never flags one,
+    naming the product and the week (the earliest such week, and the first
+    product in panel order at that week); detect_fake_zeros never flags one,
     since it flags only weeks after the product's first sale.
 
-    One pass over the weeks of the flagged products carries each product's
-    level over its usable weeks. Its float operations are es_fit_forecast's
-    on that history, in the same order, so every level is bit-identical to
-    refitting the history from scratch (tests/oracles.py, loop_repair_fake_zeros).
+    One pass over the weeks up to the last flagged one carries the flagged
+    products' levels, on week-major copies of their counts and usable weeks,
+    so each week reads one contiguous row of each and no week gathers by
+    index. A product's level starts at its first usable week's count and
+    takes one smoothing step at each later usable week: es_fit_forecast's
+    float operations on that history, in the same order, so every level is
+    bit-identical to refitting the history from scratch (tests/oracles.py,
+    loop_repair_fake_zeros). The copies hold a float64 and a few flags per
+    (flagged product, week) cell, never a cell of the other products.
     """
     if mask.shape != panel.y.shape:
         raise ValueError("mask shape must match the panel")
     if not mask.any():
         return panel
     products = np.flatnonzero(mask.any(axis=1))
-    # flagged cells week by week, so each week's are one slice; the temporaries
-    # hold an entry per flagged cell or product, never one per panel cell
-    cell_rows, weeks = np.nonzero(mask)
-    order = np.argsort(weeks, kind="stable")
-    cell_rows, weeks = cell_rows[order], weeks[order]
-    rows = np.searchsorted(products, cell_rows)
-    bounds = np.searchsorted(weeks, np.arange(panel.n_weeks + 1))
-    level = np.zeros(products.size)
-    seen = np.zeros(products.size, dtype=bool)
-    fitted = np.empty(rows.size)
-    for t in range(int(weeks[-1]) + 1):  # no level after the last flagged week is read
-        here = slice(bounds[t], bounds[t + 1])
-        if not seen[rows[here]].all():
-            lost = cell_rows[bounds[t] + np.argmin(seen[rows[here]])]
-            raise ValueError(
-                f"fake zero of product {panel.products[lost]!r} at week {t} has no usable week before it"
-            )
-        fitted[here] = level[rows[here]]
-        usable = panel.on_sale_mask[products, t] & ~mask[products, t]
-        value = panel.y[products, t].astype(float)
-        step = REPAIR_ALPHA * value + (1.0 - REPAIR_ALPHA) * level
-        level = np.where(usable, np.where(seen, step, value), level)
-        seen |= usable
+    end = panel.n_weeks - int(mask.any(axis=0)[::-1].argmax())  # no later level is read
+    flagged = np.ascontiguousarray(mask[products, :end].T)
+    usable = np.ascontiguousarray((panel.on_sale_mask[products, :end] & ~flagged.T).T)
+    # the first usable week of each product; one with none before a flag is an error
+    start = np.where(usable.any(axis=0), usable.argmax(axis=0), end)
+    lost = flagged & (np.arange(end)[:, None] <= start)
+    if lost.any():
+        week, row = divmod(int(lost.argmax()), products.size)
+        raise ValueError(
+            f"fake zero of product {panel.products[products[row]]!r} at week {week} has no usable week before it"
+        )
+    columns = np.arange(products.size)
+    # REPAIR_ALPHA * value per cell, each week's row overwritten by the levels
+    # after that week once the loop has read it
+    levels = np.ascontiguousarray(panel.y[products, :end].T, dtype=float)
+    level = levels[start, columns]  # a level starts at the count itself
+    usable[start, columns] = False
+    levels *= REPAIR_ALPHA
+    for t in range(int(start.min()) + 1, end):
+        step = np.multiply(1.0 - REPAIR_ALPHA, level)
+        step += levels[t]  # REPAIR_ALPHA * value + (1.0 - REPAIR_ALPHA) * level
+        level = np.where(usable[t], step, level)
+        levels[t] = level
     out = panel.y.copy()
-    out[cell_rows, weeks] = np.maximum(np.floor(fitted + 0.5), 0.0).astype(out.dtype)
+    weeks, rows = np.nonzero(flagged)
+    out[products[rows], weeks] = np.maximum(np.floor(levels[weeks, rows] + 0.5), 0.0).astype(out.dtype)
     return panel.replace_counts(out)
 
 
@@ -149,9 +166,11 @@ def smooth_panel(
     repaired.
 
     statistics, when given, is a (rolling_mean, rolling_std) pair of (N, T)
-    float64 arrays that receive every cell's statistics from the same block
-    pass, NaN where fewer than two prior on-sale weeks exist. Without it the
-    statistics live only as long as their block.
+    float64 arrays that receive every cell's statistics, NaN where fewer
+    than two prior on-sale weeks exist; the std pass then covers every cell
+    with statistics. Without it the std pass covers only the cells above
+    their rolling mean, the only ones a cap can lower, and no statistic
+    outlives its block.
     """
     if window < 2:
         raise ValueError(f"smoothing window must be >= 2, got {window}")
@@ -167,73 +186,106 @@ def smooth_panel(
     first = launch_weeks(panel.on_sale_mask)
     last = t_count - 1 - panel.on_sale_mask[:, ::-1].argmax(axis=1)
     lengths = np.where(first >= 0, np.minimum(last + window, t_count - 1) - first + 1, 0)
-    order = np.argsort(-lengths, kind="stable")[: int(np.count_nonzero(first >= 0))]
+    # longest first; no week of a span under three weeks has two weeks before it
+    order = np.argsort(-lengths, kind="stable")[: int(np.count_nonzero(lengths >= 3))]
     x = panel.y.astype(float)
     capped = np.zeros(panel.y.shape, dtype=bool)
     lo = 0
     while lo < order.size:
-        width = int(lengths[order[lo]])  # the longest span of the block
-        part = order[lo : lo + max(1, SMOOTH_BLOCK_CELLS // width)]
+        part = order[lo : lo + max(1, SMOOTH_BLOCK_CELLS // int(lengths[order[lo]]))]
         lo += part.size
-        cells = (part * t_count + first[part])[:, None] + np.arange(width)
-        live = np.arange(width) < lengths[part, None]
-        shape = cells.shape
-        block_x = np.empty(shape)
-        block_mean = np.full(shape, np.nan)
-        block_std = np.full(shape, np.nan)
-        block_capped = np.zeros(shape, dtype=bool)
-        # a short span's tail reads past its end; no live cell's window sees it
         _smooth_block(
-            np.take(panel.y, cells, mode="clip"), np.take(panel.on_sale_mask, cells, mode="clip"),
-            window, gamma, block_x, block_mean, block_std, block_capped,
+            x, capped, panel.on_sale_mask, part * t_count + first[part], lengths[part],
+            window, gamma, statistics,
         )
-        cells = cells[live]
-        np.put(x, cells, block_x[live])
-        np.put(capped, cells, block_capped[live])
-        if statistics is not None:
-            np.put(statistics[0], cells, block_mean[live])
-            np.put(statistics[1], cells, block_std[live])
     return SmoothedPanel(x=x, capped_mask=capped)
 
 
 def _smooth_block(
-    y: np.ndarray,
-    on_sale: np.ndarray,
-    window: int,
-    gamma: float,
-    x: np.ndarray,
-    rolling_mean: np.ndarray,
-    rolling_std: np.ndarray,
-    capped: np.ndarray,
+    x: np.ndarray, capped: np.ndarray, on_sale: np.ndarray, starts: np.ndarray,
+    lengths: np.ndarray, window: int, gamma: float,
+    statistics: tuple[np.ndarray, np.ndarray] | None,
 ) -> None:
-    """smooth_panel for a block of products, written into the given output views."""
-    t_count = y.shape[1]
-    # One pass per window offset, oldest first: each cell's sums then add its
-    # window weeks left to right, and a week that is off sale (or before
-    # week 0) is skipped rather than added as zero.
-    lags = range(min(window, t_count - 1), 0, -1)
-    total = np.zeros(y.shape)
-    count = np.zeros(y.shape, dtype=np.int64)
-    for lag in lags:
-        seen = on_sale[:, :-lag]
-        np.add(total[:, lag:], y[:, :-lag], out=total[:, lag:], where=seen)
-        count[:, lag:] += seen
-    stats = count >= 2
-    np.divide(total, count, out=rolling_mean, where=stats)
-    # squared deviations through libm pow, as `d ** 2` computes them in Python
-    total.fill(0.0)
-    square = np.empty(y.shape)
-    for lag in lags:
-        seen = on_sale[:, :-lag] & stats[:, lag:]
-        np.subtract(y[:, :-lag], rolling_mean[:, lag:], out=square[:, lag:], where=seen)
-        np.float_power(square[:, lag:], 2.0, out=square[:, lag:], where=seen)
-        np.add(total[:, lag:], square[:, lag:], out=total[:, lag:], where=seen)
-    np.divide(total, count, out=rolling_std, where=stats)
-    np.sqrt(rolling_std, out=rolling_std, where=stats)
-    cap = np.add(rolling_mean, np.multiply(gamma, rolling_std, out=total), out=total)
-    np.greater(y, cap, out=capped, where=stats)
-    np.copyto(x, y)
-    np.copyto(x, cap, where=capped)
+    """smooth_panel for the spans of lengths[i] weeks from the flat panel
+    cells starts[i] on, the first span the longest: caps x, sets capped and
+    fills statistics, when given, in place."""
+    width = int(lengths[0])
+    # each span after `pad` columns that stand for off-sale weeks, so every
+    # window of a span cell lies in its row; a short span's tail reads past
+    # its end, and no live cell's window sees it
+    pad = min(window, width - 1)
+    cells = starts[:, None] + np.arange(-pad, width)
+    block_y = np.take(x, cells, mode="clip")
+    block_on = np.take(on_sale, cells, mode="clip")
+    del cells
+    block_y[:, :pad] = 0.0
+    block_on[:, :pad] = False
+    # window sums, oldest week first; an off-sale week holds no sales
+    # (SalesPanel), and adding its 0.0 leaves a sum as it is
+    mean = np.zeros((starts.size, width))
+    count = np.zeros((starts.size, width), dtype=np.int64)
+    for lag in range(pad, 0, -1):
+        mean += block_y[:, pad - lag : pad - lag + width]
+        count += block_on[:, pad - lag : pad - lag + width]
+    mean /= np.maximum(count, 1)
+    # the std pass covers the cells with statistics whose std is asked for
+    # or can cap them: mean + gamma * std >= mean, so no cell at or below
+    # its mean is capped
+    chosen = (count >= 2) & (np.arange(width) < lengths[:, None])
+    if statistics is None:
+        chosen &= block_y[:, pad:] > mean
+    at = np.flatnonzero(chosen)
+    del chosen
+    mean, count = mean.ravel()[at], count.ravel()[at]
+    at += pad * (at // width + 1)  # the cells' flat positions in block_y
+    std = _rolling_std(block_y, block_on, at, pad, mean, count)
+    del count
+    cap = mean + gamma * std
+    hit = block_y.ravel()[at] > cap
+    # the cells' flat positions in the panel: each row's are its span's
+    at += (starts - pad - np.arange(starts.size) * (pad + width))[at // (pad + width)]
+    x.put(at[hit], cap[hit])
+    capped.put(at[hit], True)
+    if statistics is not None:
+        statistics[0].put(at, mean)
+        statistics[1].put(at, std)
+
+
+def _rolling_std(
+    block_y: np.ndarray, block_on: np.ndarray, cells: np.ndarray, window: int,
+    mean: np.ndarray, count: np.ndarray,
+) -> np.ndarray:
+    """Rolling std of the given flat cells of a padded block, whose window
+    weeks are the `window` cells before each; mean and count are the cells'
+    rolling mean and on-sale count. The squared deviations are summed oldest
+    week first, one window offset at a time."""
+    block_y, block_on = block_y.ravel(), block_on.ravel()
+    total = np.zeros(cells.size)
+    for lag in range(window, 0, -1):
+        weeks = cells - lag
+        deviation, seen = np.take(block_y, weeks), np.take(block_on, weeks)
+        del weeks
+        deviation -= mean
+        total += _pow_square(deviation, seen)
+    total /= count
+    return np.sqrt(total, out=total)
+
+
+def _pow_square(deviation: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """deviation ** 2 where seen and 0.0 elsewhere, in place of deviation.
+
+    Each square is what libm pow (Python's `d ** 2`) returns. A d with at
+    most 26 significant bits, the low 27 bits of its binary64 significand
+    zero, has an exactly representable square, which pow returns exactly,
+    so d * d serves there; any other d keeps np.float_power(d, 2.0).
+    """
+    inexact = (deviation.view(np.uint64) & np.uint64((1 << 27) - 1)).astype(bool)
+    inexact &= seen
+    rough = deviation[inexact]
+    square = np.multiply(deviation, deviation, out=deviation)
+    square[inexact] = np.float_power(rough, 2.0)
+    square *= seen
+    return square
 
 
 def preprocess_panel(panel: SalesPanel, window: int, gamma: float) -> tuple[SalesPanel, SmoothedPanel]:

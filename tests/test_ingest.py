@@ -1,5 +1,6 @@
 import ast
 import csv
+import io
 import math
 import re
 import sys
@@ -731,6 +732,35 @@ def test_only_the_block_reader_calls_csv_reader():
         if isinstance(node, ast.FunctionDef) and node.name == "_csv_records"
     )
     assert readers(block_reader)
+
+
+def test_lone_cr_blocks_split_as_csv_reader_reads_them():
+    """A "\\r" not followed by "\\n" ends a record, as csv.reader reads it:
+    a block holding one among "\\n" and "\\r\\n" line ends, blank lines
+    and empty fields takes the split path and gives csv.reader's records."""
+    rng = np.random.default_rng(44)
+    compared = 0
+    for _ in range(300):
+        lines = []
+        for _ in range(int(rng.integers(1, 12))):
+            fields = ["" if rng.random() < 0.2 else f"v{rng.integers(0, 99)}" for _ in range(rng.integers(1, 4))]
+            lines.append(("" if rng.random() < 0.1 else ",".join(fields)) + str(rng.choice(["\n", "\r\n", "\r"])))
+        lines[0] = lines[0].rstrip("\r\n") + "\r"  # at least one lone "\r" before another record
+        text = "".join(lines) + (str(rng.choice(["", "x,y", "\r"])) if rng.random() < 0.3 else "")
+        buffer = bytearray(text.encode()) + bytes(8)
+        block = ingest._split_block(buffer, len(text), csv.field_size_limit())
+        assert block is not None, repr(text)
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert block.counts.tolist() == [len(row) for row in rows], repr(text)
+        # the fields up to the first blank line, whose separator the block drops
+        kept = next((k for k, row in enumerate(rows) if not row), len(rows))
+        starts = np.concatenate(([0], block.separators[:-1] + 1))
+        ends = block.separators - block.cr
+        fields = [bytes(block.data[a:b]).decode() for a, b in zip(starts, ends)]
+        expected = [field for row in rows[:kept] for field in row]
+        assert fields[: len(expected)] == expected, repr(text)
+        compared += kept
+    assert compared > 1000
 
 
 def test_no_module_calls_csv_writer():

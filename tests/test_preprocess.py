@@ -364,12 +364,149 @@ class TestSmooth:
                 assert statistics.tobytes() == reference_statistics.tobytes()
 
 
+def bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestExactSquares:
+    """The squares of the std pass: d * d where the low 27 bits of d's
+    significand are zero (at most 26 significant bits), libm pow elsewhere."""
+
+    LOW_BITS = np.uint64((1 << 27) - 1)
+
+    def test_short_significands_square_alike_every_way(self):
+        # d * d, np.float_power and Python's d ** 2 (libm pow) give the same
+        # square for +-0, powers of two and N / 2**k with |N| < 2**26
+        rng = np.random.default_rng(44)
+        edge = np.array([1, 3, 2**25 - 1, 2**25, 2**25 + 1, 2**26 - 3, 2**26 - 1])
+        numerators = np.concatenate([edge, rng.integers(1, 2**26, size=20_000)])
+        numerators = np.concatenate([numerators, -numerators])
+        d = np.concatenate([
+            [0.0, -0.0],
+            np.ldexp(1.0, np.arange(-500, 501)), np.ldexp(-1.0, np.arange(-500, 501)),
+            np.ldexp(numerators.astype(float), rng.integers(-200, 201, size=numerators.size)),
+            np.ldexp(edge.astype(float), -3),  # a window mean S / 8 of small counts
+        ])
+        assert not (d.view(np.uint64) & self.LOW_BITS).any()  # the rule takes each as exact
+        python = [float(v) ** 2 for v in d]
+        assert bits(d * d) == bits(np.float_power(d, 2.0)) == bits(python)
+        assert bits(preprocess._pow_square(d.copy(), np.ones(d.size, dtype=bool))) == bits(python)
+
+    def test_longer_significands_take_pow(self):
+        # from 27 significant bits on the rule sends d to pow, and every
+        # square, unseen weeks' zeros included, is Python's d ** 2
+        rng = np.random.default_rng(45)
+        edge = np.array([2**26 + 1, 2**26 + 3, 2**27 - 1])
+        numerators = np.concatenate([edge, rng.integers(2**26, 2**27, size=20_000) | 1])
+        long = np.ldexp(numerators.astype(float), rng.integers(-100, 101, size=numerators.size))
+        assert (long.view(np.uint64) & self.LOW_BITS).all()
+        d = np.concatenate([long, -long, rng.standard_normal(50_000) * 10.0 ** rng.uniform(-8, 8, 50_000)])
+        seen = rng.random(d.size) < 0.8
+        expected = [float(v) ** 2 if on else 0.0 for v, on in zip(d, seen)]
+        assert bits(preprocess._pow_square(d.copy(), seen)) == bits(expected)
+        # pow's squares differ from d * d on some of them, so the rule is needed
+        assert (np.float_power(d, 2.0) != d * d).any()
+
+
+def smooth_against_oracle(monkeypatch, y, on_sale, window, gamma):
+    """smooth_panel with and without statistics against scalar_smooth_stats,
+    cell for cell. The std pass covers every cell with statistics when they
+    are asked for and, without them, only the cells above their rolling
+    mean. Returns the oracle's rolling means and the smoothed panel."""
+    covered = []
+    rolling_std = preprocess._rolling_std
+
+    def counting(block_y, block_on, cells, *rest):
+        covered[-1] += cells.size
+        return rolling_std(block_y, block_on, cells, *rest)
+
+    monkeypatch.setattr(preprocess, "_rolling_std", counting)
+    panel = make_panel(y, on_sale=on_sale)
+    statistics = np.full((2, *y.shape), 7.0)
+    covered.append(0)
+    smoothed = smooth_panel(panel, window, gamma, tuple(statistics))
+    covered.append(0)
+    bare = smooth_panel(panel, window, gamma)
+    means = []
+    for i in range(y.shape[0]):
+        x, capped, mean, std = scalar_smooth_stats(y[i], on_sale[i], window, gamma)
+        assert smoothed.x[i].tobytes() == bits(x)
+        assert smoothed.capped_mask[i].tolist() == capped
+        assert statistics[0, i].tobytes() == bits(mean)
+        assert statistics[1, i].tobytes() == bits(std)
+        means.append(mean)
+    assert bare.x.tobytes() == smoothed.x.tobytes()
+    assert bare.capped_mask.tobytes() == smoothed.capped_mask.tobytes()
+    means = np.array(means)
+    defined = ~np.isnan(means)
+    above = defined & (y.astype(float) > np.where(defined, means, 0.0))
+    assert covered == [np.count_nonzero(defined), np.count_nonzero(above)]
+    return means, smoothed
+
+
+class TestStdCells:
+    def test_units_beyond_exact_floats(self, monkeypatch):
+        # counts near 2**53 and up to int64's maximum, which float64 rounds
+        rng = np.random.default_rng(46)
+        for top in (2**53 + 2**12, 2**63 - 1):
+            y = top - rng.integers(0, 2**13, size=(6, 30))
+            y[:, ::3] //= 2 ** int(rng.integers(1, 40))  # low weeks, so high ones are capped
+            y[0, :5] = top
+            on_sale = rng.random(y.shape) < 0.85
+            y[~on_sale] = 0
+            assert (y.astype(float).astype(object) != y.astype(object)).any()  # not exact as floats
+            for window in (2, 3, 8, 40):
+                _, smoothed = smooth_against_oracle(monkeypatch, y, on_sale, window, 0.5)
+                assert smoothed.capped_mask.any()
+
+    def test_window_counts_powers_of_two_and_not(self, monkeypatch):
+        # a count of 2, 4 or 8 on-sale weeks makes the mean S / count exact and
+        # its deviations short; other counts round the mean
+        rng = np.random.default_rng(47)
+        counts = {True: 0, False: 0}
+        for window in (2, 4, 5, 6, 8):
+            y = rng.poisson(rng.uniform(1.0, 5000.0, size=(8, 1)), size=(8, 40))
+            y[rng.random(y.shape) < 0.1] *= 6
+            on_sale = rng.random(y.shape) < rng.uniform(0.5, 1.0, size=(8, 1))
+            y[~on_sale] = 0
+            smooth_against_oracle(monkeypatch, y, on_sale, window, 1.5)
+            for row in on_sale:
+                for t in range(2, row.size):
+                    n = int(row[max(0, t - window) : t].sum())
+                    if n >= 2:
+                        counts[n & (n - 1) == 0] += 1
+        assert min(counts.values()) > 100, counts
+
+    def test_no_cell_above_its_mean(self, monkeypatch):
+        # series that never rise: the std pass covers no cell without statistics
+        rng = np.random.default_rng(48)
+        y = -np.sort(-rng.poisson(50.0, size=(5, 30)), axis=1)
+        on_sale = np.ones(y.shape, dtype=bool)
+        on_sale[2, 10:14] = False
+        y[~on_sale] = 0
+        y[2, 14:] = np.minimum(y[2, 14:], y[2, 9])
+        means, smoothed = smooth_against_oracle(monkeypatch, y, on_sale, 6, 1.0)
+        assert not smoothed.capped_mask.any()
+        assert not (y > np.nan_to_num(means, nan=np.inf)).any()
+
+    def test_every_cell_above_its_mean(self, monkeypatch):
+        # strictly rising series: every cell with statistics is above its mean
+        rng = np.random.default_rng(49)
+        y = np.cumsum(rng.integers(1, 40, size=(5, 30)), axis=1)
+        on_sale = np.ones(y.shape, dtype=bool)
+        means, smoothed = smooth_against_oracle(monkeypatch, y, on_sale, 8, 0.3)
+        defined = ~np.isnan(means)
+        assert (y[defined] > means[defined]).all()
+        assert smoothed.capped_mask.any()
+
+
 class TestSmoothMemory:
     def test_smooth_panel_peak_within_the_documented_bound(self):
         # the module docstring's memory: x (float64) and the capped mask,
         # 9 bytes a cell, a few int64 words per product and
-        # block temporaries of at most 16 eight-byte words per block cell;
-        # the rolling statistics never take a whole (N, T) array here
+        # block temporaries of at most 12 eight-byte words per block cell;
+        # the rolling statistics never take a whole (N, T) array here, and
+        # the caller's arrays for them, when given, are not counted
         rng = np.random.default_rng(29)
         n, t_count = 2000, 200
         span = np.sort(rng.integers(0, t_count + 1, size=(n, 2)), axis=1)
@@ -378,16 +515,19 @@ class TestSmoothMemory:
         y = np.where(on_sale, rng.poisson(20.0, size=on_sale.shape), 0)
         y[rng.random(y.shape) < 0.05] *= 6
         panel = make_panel(y, on_sale=on_sale)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            smoothed = smooth_panel(panel, 8, 3.0)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert smoothed.capped_mask.any()
-        block = 128 * max(preprocess.SMOOTH_BLOCK_CELLS, t_count)
-        assert peak < n * t_count * (8 + 1) + 8 * 8 * n + block
+        block = 96 * max(preprocess.SMOOTH_BLOCK_CELLS, t_count)
+        # with statistics the std pass covers every cell, and a window of
+        # the panel's length pads each span most
+        for window, statistics in ((8, None), (t_count, (np.empty(y.shape), np.empty(y.shape)))):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                smoothed = smooth_panel(panel, window, 3.0, statistics)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert smoothed.capped_mask.any()
+            assert peak < n * t_count * (8 + 1) + 8 * 8 * n + block, window
 
 
 class TestWriteSmoothed:
