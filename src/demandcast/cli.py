@@ -267,7 +267,7 @@ class RunResult:
 
     seasonal: SeasonalityModel | None
     encoding: Encoding | None  # None for es
-    model: gbt.BoostedModel | gbt.ForestModel | None  # None for es
+    model: gbt.TreeEnsemble | None  # None for es
     pids: np.ndarray
     weeks: np.ndarray
     forecasts: np.ndarray
@@ -436,7 +436,7 @@ def _check_config(config: RunConfig, state: gbt.ServingState, args) -> None:
             )
 
 
-def _check_columns(booster: gbt.BoostedModel, catalog, covariates, config: RunConfig, args) -> None:
+def _check_columns(booster: gbt.TreeEnsemble, catalog, covariates, config: RunConfig, args) -> None:
     """The inputs must give the model's feature columns. Checked before any
     matrix is built; the error names the model file and each extra or
     missing column with the input it comes from."""

@@ -74,8 +74,8 @@ class SalesPanel:
             raise KeyError(f"unknown product id: {product_id!r}") from None
 
     def replace_counts(self, y: np.ndarray) -> "SalesPanel":
-        """New panel with the same masks and different counts."""
-        return SalesPanel(self.products, y, self.on_sale_mask.copy(), self.stock_flag.copy())
+        """New panel with different counts, sharing this one's read-only masks."""
+        return SalesPanel(self.products, y, self.on_sale_mask, self.stock_flag)
 
 
 @dataclass(frozen=True)

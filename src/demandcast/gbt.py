@@ -160,11 +160,13 @@ every (tree, row) pair that has not reached a leaf moves down one level
 per step. So the pass loops once per level of the deepest tree, not once
 per tree or node, and makes the same comparisons as a node-by-node walk
 (a value below the threshold goes left, NaN the default way). Tree.apply is
-its one-tree case (train's per-round validation scores use it). Both
-models' predict_array add the pass's rows in tree order, as a
-tree-at-a-time loop would: the boosted sum starts at the base score and
-adds each tree's leaves times the learning rate, the forest's starts at 0
-and is divided by the tree count, so forecasts are bit for bit the same.
+its one-tree case (train's per-round validation scores use it).
+TreeEnsemble.predict_array adds the pass's rows in tree order, as a
+tree-at-a-time loop would, so forecasts are bit for bit the same: from the
+base score, each tree's leaves times the learning rate, then a division by
+the divisor. One type serves both fits. A forest's sum (base 0, rate 1,
+whose product changes no leaf's bits) divided by its tree count is its
+mean, and a boosted model's divisor 1 changes no bit.
 
 Model files (version 3): a model file holds what predict reads and nothing
 it would refit. That is the first best_round trees (predict reads no later
@@ -1001,12 +1003,17 @@ def _partition(work: np.ndarray, lo: int, hi: int, goes_left: np.ndarray, n_left
 
 
 @dataclass
-class BoostedModel:
-    """Fitted ensemble; prediction uses trees[0..best_round) only."""
+class TreeEnsemble:
+    """Fitted tree ensemble, boosted or bagged: a forecast is base_score
+    plus learning_rate times the leaves of trees[0..best_round), divided by
+    divisor, through the loss's link. A boosted model has divisor 1 (which
+    changes no bit); a forest is the squared-loss sum of all its trees from
+    0 at rate 1, divided by the tree count, with empty loss histories."""
 
     loss: str
     base_score: float
     learning_rate: float
+    divisor: int
     feature_names: list[str]
     trees: list[Tree]
     best_round: int
@@ -1020,10 +1027,11 @@ class BoostedModel:
         with np.errstate(over="ignore", invalid="ignore"):
             for leaf in _apply_trees(self.trees[: self.best_round], x):
                 raw += self.learning_rate * leaf
+            raw /= self.divisor
             return np.exp(raw) if self.loss == "poisson" else raw
 
 
-def train(matrix: FeatureMatrix, config: RunConfig, valid: FeatureMatrix) -> BoostedModel:
+def train(matrix: FeatureMatrix, config: RunConfig, valid: FeatureMatrix) -> TreeEnsemble:
     """Boost up to config.rounds trees with early stopping on valid loss.
 
     Reads the config's loss, learning_rate, max_depth, rounds,
@@ -1089,10 +1097,11 @@ def train(matrix: FeatureMatrix, config: RunConfig, valid: FeatureMatrix) -> Boo
             stale += 1
             if stale >= config.early_stop_patience:
                 break
-    return BoostedModel(
+    return TreeEnsemble(
         loss=config.loss,
         base_score=base,
         learning_rate=config.learning_rate,
+        divisor=1,
         feature_names=list(matrix.columns),
         trees=trees,
         best_round=best_round,
@@ -1101,7 +1110,7 @@ def train(matrix: FeatureMatrix, config: RunConfig, valid: FeatureMatrix) -> Boo
     )
 
 
-def predict(model: BoostedModel | ForestModel, matrix: FeatureMatrix, source: str = "model") -> np.ndarray:
+def predict(model: TreeEnsemble, matrix: FeatureMatrix, source: str = "model") -> np.ndarray:
     """Forecast per row; raises if the matrix schema differs from training.
 
     A forecast that is not finite (the model overflows on its row) is a
@@ -1123,20 +1132,11 @@ def predict(model: BoostedModel | ForestModel, matrix: FeatureMatrix, source: st
     return forecasts
 
 
-@dataclass
-class ForestModel:
-    feature_names: list[str]
-    trees: list[Tree]
-
-    def predict_array(self, x: np.ndarray) -> np.ndarray:
-        total = np.zeros(x.shape[0])
-        for leaf in _apply_trees(self.trees, x):
-            total += leaf
-        return total / len(self.trees)
-
-
-def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int) -> ForestModel:
-    """Bagged regression trees up to max_depth (squared loss, mean leaves).
+def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int) -> TreeEnsemble:
+    """Bagged regression trees up to max_depth (squared loss, mean leaves),
+    as a TreeEnsemble whose forecast is the mean of every tree's leaf:
+    base_score 0, learning_rate 1, best_round and divisor n_trees, and no
+    loss histories.
 
     Each tree sees a bootstrap resample and k = ⌊√p⌋ (math.isqrt(p))
     random features per split; both draws come from one seeded generator,
@@ -1189,7 +1189,10 @@ def train_forest(matrix: FeatureMatrix, n_trees: int, max_depth: int, seed: int)
         ))
         if sampler is not None:
             sampler.rewind()
-    return ForestModel(feature_names=list(matrix.columns), trees=trees)
+    return TreeEnsemble(
+        loss="squared", base_score=0.0, learning_rate=1.0, divisor=n_trees,
+        feature_names=list(matrix.columns), trees=trees, best_round=n_trees, train_loss=[], valid_loss=[],
+    )
 
 
 class _FeatureSampler:
@@ -1279,9 +1282,11 @@ class ServingState:
         return replace(RunConfig(), **self.settings, encoding=self.encoding.mode, hash_buckets=buckets)
 
 
-def model_to_json(model: BoostedModel, state: ServingState) -> str:
-    """Versioned text form of a boosted model's first best_round trees, its
-    loss histories and the state predict reads; round-trips bit-exactly.
+def model_to_json(model: TreeEnsemble, state: ServingState) -> str:
+    """Versioned text form of a boosted model's (divisor 1) first
+    best_round trees, its loss histories and the state predict reads;
+    round-trips bit-exactly. The file stores no divisor, so a forest is a
+    ValueError.
 
     The trees' nodes are stored by column: one string per NODE_DTYPE field,
     the standard padded base64 of that field's values for all trees, one
@@ -1289,6 +1294,8 @@ def model_to_json(model: BoostedModel, state: ServingState) -> str:
     and right, float64 threshold, weight and gain, int8 default_left);
     node_counts gives each tree's length. Every other key is plain JSON.
     """
+    if model.divisor != 1:
+        raise ValueError(f"a model file holds a boosted model (divisor 1), not divisor {model.divisor}")
     trees = model.trees[: model.best_round]
     nodes = np.concatenate([tree.nodes for tree in trees]) if trees else np.empty(0, NODE_DTYPE)
     encoding, seasonal = state.encoding, state.seasonal
@@ -1322,7 +1329,7 @@ def model_to_json(model: BoostedModel, state: ServingState) -> str:
     return json.dumps(doc)
 
 
-def model_from_json(text: str | bytes, source: str) -> tuple[BoostedModel, ServingState]:
+def model_from_json(text: str | bytes, source: str) -> tuple[TreeEnsemble, ServingState]:
     """Parse model_to_json output; source names the file in errors.
 
     Anything else is a SchemaError naming source: not JSON, not an object,
@@ -1381,10 +1388,11 @@ def model_from_json(text: str | bytes, source: str) -> tuple[BoostedModel, Servi
     settings = _settings_from_json(settings_doc, f"{source}: settings")
     encoding = _encoding_from_json(encoding_doc, names, f"{source}: encoding")
     seasonal = _seasonality_from_json(seasonal_doc, settings, f"{source}: seasonality")
-    model = BoostedModel(
+    model = TreeEnsemble(
         loss=loss,
         base_score=float(base),  # JSON may hold an int; the raw scores are float64
         learning_rate=float(rate),
+        divisor=1,
         feature_names=names,
         trees=trees,
         best_round=best_round,
@@ -1423,7 +1431,7 @@ def _trees_from_json(fields, counts: list[int], n_features: int, source: str) ->
     """
     if not (isinstance(fields, dict) and set(fields) == set(NODE_DTYPE.names)):
         raise SchemaError(f"{source}: nodes is not an object of the fields {', '.join(NODE_DTYPE.names)}")
-    total = sum(counts)
+    total = reduce(add, counts, 0)
     column = {}
     for name in NODE_DTYPE.names:
         text, dtype = fields[name], NODE_DTYPE[name].newbyteorder("<")
@@ -1568,9 +1576,9 @@ def _seasonality_from_json(doc, settings: dict, where: str) -> SeasonalityModel 
     return SeasonalityModel(tau, fitted, assignment, global_pattern)
 
 
-def save_model(model: BoostedModel, state: ServingState, path: str | Path) -> None:
+def save_model(model: TreeEnsemble, state: ServingState, path: str | Path) -> None:
     Path(path).write_text(model_to_json(model, state))
 
 
-def load_model(path: str | Path) -> tuple[BoostedModel, ServingState]:
+def load_model(path: str | Path) -> tuple[TreeEnsemble, ServingState]:
     return model_from_json(Path(path).read_bytes(), str(path))

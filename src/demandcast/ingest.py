@@ -299,7 +299,8 @@ def _undecoded(text: str) -> bool:
 # token or at its end.
 _PADDING = bytes(7)
 
-# The odd multiplier of _Column.groups' word hash (2**64 / golden ratio).
+# The odd multiplier of _Column.groups' word hash and of _first_equal's keys
+# (2**64 / golden ratio).
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 # The longest token _Column.groups hashes: its words take at most 8 steps.
@@ -364,7 +365,7 @@ class _Column:
         words = self.words()
         heads = None
         if words is not None and len(words) == 1:
-            heads = _first_equal(_spread(words[0]))
+            heads = _first_equal(words[0])
             if not np.array_equal(lengths[heads], lengths):
                 heads = None
         elif words is not None:
@@ -700,15 +701,22 @@ def _first_equal(hashes: np.ndarray) -> np.ndarray:
     """The index of the first entry equal to each entry of hashes.
 
     A pass puts each pending entry in the slot of a table of at least twice
-    as many slots as entries named by the top bits of its hash times an odd
-    constant (a new slot every pass), takes each slot's first entry, and
-    settles the entries equal to it; every pass settles each slot's first
-    entry at least. Time and memory are linear in the entries.
+    as many slots as entries named by the top bits of its key, takes each
+    slot's first entry, and settles the entries equal to it; every pass
+    settles each slot's first entry at least. Time and memory are linear in
+    the entries. The keys are the hashes times _HASH_MULTIPLIER, multiplied
+    by it again before every pass (a new slot every pass). Equality is
+    decided on the hashes, so the result does not depend on the multiplier.
+    The words of text differ in a few bytes (the digits of an id), and one
+    multiplication leaves their top bits clustered: of one wide covariates
+    block's 28,153 product ids (3,971 distinct), 4,947 were left after a
+    first pass on the words times the multiplier once, and none on them
+    times it twice.
     """
     n = len(hashes)
     bits = np.uint64(64 - n.bit_length() - 1)
     heads = np.empty(n, dtype=np.intp)
-    pending, keys = np.arange(n), hashes
+    pending, keys = np.arange(n), hashes * _HASH_MULTIPLIER
     while pending.size:
         keys = keys * _HASH_MULTIPLIER
         slots = (keys >> bits).astype(np.intp)
@@ -719,17 +727,6 @@ def _first_equal(hashes: np.ndarray) -> np.ndarray:
         heads[pending[equal]] = candidates[equal]
         pending, keys = pending[~equal], keys[~equal]
     return heads
-
-
-def _spread(words: np.ndarray) -> np.ndarray:
-    """words times an odd multiplier, which keeps distinct words distinct, for
-    _first_equal to multiply again. Words of text differ in a few bytes (the
-    digits of an id), and one multiplication leaves their top bits, which name
-    _first_equal's slots, clustered: of one wide covariates block's 28,153
-    product ids (3,971 distinct), 4,947 were left after _first_equal's first
-    pass on the words as they are, and none on the spread words. The
-    multiplier is made odd whatever _HASH_MULTIPLIER is set to."""
-    return words * (_HASH_MULTIPLIER | np.uint64(1))
 
 
 def _code_table() -> defaultdict[str, int]:
@@ -770,7 +767,7 @@ class _Mapping:
         words = column.words(8)
         if words is not None:
             seen, lengths = len(self.words), column.ends - column.starts
-            heads = _first_equal(_spread(np.concatenate((self.words, words[0]))))[seen:]
+            heads = _first_equal(np.concatenate((self.words, words[0])))[seen:]
             if np.array_equal(np.concatenate((self.lengths, lengths))[heads], lengths):
                 new = np.flatnonzero(heads == np.arange(seen, seen + len(column)))
                 texts = _Column(column.data, column.starts[new], column.ends[new]).text()

@@ -33,8 +33,9 @@ about 7 without statistics).
 
 The results are bit-identical to evaluating the rule one cell at a time in
 Python (tests/oracles.py, scalar_smooth). Three rules make that hold. Every
-sum adds its window weeks left to right, oldest first, as Python's sum()
-does on Python 3.11 and earlier; an off-sale week holds no sales
+sum adds its window weeks left to right, oldest first, as the oracle's
+explicit additions do (not Python's sum(), which compensates rounding from
+3.12 on); an off-sale week holds no sales
 (SalesPanel rejects positive ones), so adding its 0.0 leaves a running sum
 unchanged. Each squared deviation is what libm pow returns for Python's
 `d ** 2`: np.float_power(d, 2.0), or d * d where d has at most 26

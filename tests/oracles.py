@@ -48,8 +48,8 @@ def scalar_smooth_stats(y, on_sale, window, gamma):
                 obs.append(float(y[s]))
         if len(obs) < 2:
             continue
-        mean = sum(obs) / len(obs)
-        var = sum((v - mean) ** 2 for v in obs) / len(obs)
+        mean = _seq_sum(obs) / len(obs)
+        var = _seq_sum((v - mean) ** 2 for v in obs) / len(obs)
         std = math.sqrt(var)
         means[t] = mean
         stds[t] = std
@@ -561,7 +561,7 @@ def rowwise_build_matrix(
         ]
         rows.append(row)
         out_keys.append((pid, t + h))
-        life.append(sum(1 for s in listed if s <= t))
+        life.append(len([s for s in listed if s <= t]))
         targets.append(float(panel.y[i, t + h]) if t + h < panel.n_weeks else None)
     x = np.array(rows, dtype=float).reshape(len(rows), len(columns))
     return (

@@ -18,10 +18,9 @@ from demandcast.ingest import RunConfig, SchemaError
 from demandcast.seasonal import SeasonalityModel
 from demandcast.gbt import (
     NODE_DTYPE,
-    BoostedModel,
-    ForestModel,
     ServingState,
     Tree,
+    TreeEnsemble,
     fit_tree,
     grad_hess,
     leaf_weight,
@@ -326,8 +325,8 @@ class TestEarlyStopping:
 
 class TestPredict:
     def test_zero_tree_model_returns_exp_base(self):
-        model = BoostedModel(
-            loss="poisson", base_score=math.log(3.0), learning_rate=0.1,
+        model = TreeEnsemble(
+            loss="poisson", base_score=math.log(3.0), learning_rate=0.1, divisor=1,
             feature_names=["f0"], trees=[], best_round=0, train_loss=[], valid_loss=[],
         )
         matrix = matrix_of([[1.0], [2.0]])
@@ -353,8 +352,8 @@ class TestPredict:
         assert out.tolist() == [4.0, -1.0, 4.0]
 
     def test_schema_mismatch_rejected(self):
-        model = BoostedModel(
-            loss="squared", base_score=0.0, learning_rate=0.1,
+        model = TreeEnsemble(
+            loss="squared", base_score=0.0, learning_rate=0.1, divisor=1,
             feature_names=["a", "b"], trees=[], best_round=0, train_loss=[], valid_loss=[],
         )
         with pytest.raises(ValueError) as err:
@@ -441,7 +440,7 @@ def ensemble_case(rng, max_trees=7):
 class TestApplyTrees:
     # _apply_trees moves every (tree, row) pair down one level per step, in
     # blocks of at most SCRATCH_ELEMENTS pairs; each of its rows must be
-    # the node-by-node walk of its tree, bit for bit, and both models add
+    # the node-by-node walk of its tree, bit for bit, and an ensemble adds
     # those rows in tree order
     @pytest.mark.parametrize("scratch", [7, 64, 1 << 16])
     @pytest.mark.parametrize("layout", ["F", "C"])
@@ -490,8 +489,8 @@ class TestApplyTrees:
             names = [f"f{j}" for j in range(x.shape[1])]
             for loss in ("poisson", "squared"):
                 for best in sorted({0, int(rng.integers(1, len(trees) + 1)), len(trees)}):
-                    model = BoostedModel(
-                        loss=loss, base_score=float(rng.normal()), learning_rate=0.3,
+                    model = TreeEnsemble(
+                        loss=loss, base_score=float(rng.normal()), learning_rate=0.3, divisor=1,
                         feature_names=names, trees=trees, best_round=best, train_loss=[], valid_loss=[],
                     )
                     raw = np.full(len(x), model.base_score)
@@ -502,7 +501,10 @@ class TestApplyTrees:
             total = np.zeros(len(x))
             for leaf in leaves:
                 total += leaf
-            forest = ForestModel(feature_names=names, trees=trees)
+            forest = TreeEnsemble(  # as train_forest builds it
+                loss="squared", base_score=0.0, learning_rate=1.0, divisor=len(trees),
+                feature_names=names, trees=trees, best_round=len(trees), train_loss=[], valid_loss=[],
+            )
             assert forest.predict_array(x).tobytes() == (total / len(trees)).tobytes()
 
     def test_temporaries_stay_within_one_block(self):
@@ -590,6 +592,13 @@ class TestSerialization:
         for kept, tree in zip(loaded.trees, model.trees):
             assert kept.nodes.tobytes() == tree.nodes.tobytes()
         assert np.array_equal(loaded.predict_array(x), model.predict_array(x))
+
+    def test_forest_is_not_saved(self):
+        # the file stores no divisor, so it cannot hold a forest's mean
+        matrix = matrix_of(np.arange(20.0).reshape(10, 2), y=np.arange(10.0), columns=["f0", "category"])
+        forest = train_forest(matrix, 2, 3, seed=0)
+        with pytest.raises(ValueError, match="^a model file holds a boosted model \\(divisor 1\\), not divisor 2$"):
+            model_to_json(forest, small_state(matrix.columns))
 
     def test_version_checked(self):
         with pytest.raises(ValueError, match="version"):
@@ -1017,6 +1026,15 @@ class TestForest:
         matrix = matrix_of(np.arange(20).reshape(10, 2), y=[3.0] * 10)
         forest = train_forest(matrix, 5, 64, seed=1)
         assert np.allclose(forest.predict_array(matrix.X), 3.0)
+
+    def test_forest_is_the_mean_of_its_trees(self):
+        # the ensemble TestApplyTrees checks: a squared-loss sum of every
+        # tree's leaves from 0 at rate 1, divided by the tree count
+        matrix = matrix_of(np.arange(20).reshape(10, 2), y=np.arange(10.0))
+        forest = train_forest(matrix, 3, 4, seed=1)
+        assert (forest.loss, forest.base_score, forest.learning_rate) == ("squared", 0.0, 1.0)
+        assert forest.divisor == forest.best_round == len(forest.trees) == 3
+        assert forest.train_loss == forest.valid_loss == []
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(6)

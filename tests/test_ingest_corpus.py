@@ -502,8 +502,9 @@ def test_blocks_of_a_few_bytes(tmp_path, monkeypatch, name, size):
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_lone_cr_line_ends_hold_bounded_blocks(tmp_path, monkeypatch, name):
     """A file whose lines end in a lone "\\r" has no "\\n" to end a block at:
-    it is read a block at a time all the same, by csv.reader, and loads as
-    the row-by-row loader loads it."""
+    it is read a block at a time all the same, each block ending after its
+    last lone "\\r" and split directly (_split_block ends a record there,
+    as csv.reader does), and loads as the row-by-row loader loads it."""
     monkeypatch.setattr(ingest, "BLOCK_BYTES", 64)
     held = []
     line_blocks = ingest._line_blocks
@@ -527,8 +528,8 @@ def test_lone_cr_line_ends_hold_bounded_blocks(tmp_path, monkeypatch, name):
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "lone_cr"])
 def test_line_ends_change_after_the_first_block(tmp_path, block_bytes, end):
     """Lines end in "\\n" through the first block, which has no "\\r" to
-    check, and in end after it: a "\\r\\n" block splits directly, and a lone
-    "\\r" hands the rest to csv.reader."""
+    check, and in end after it: a "\\r\\n" block and a lone-"\\r" block
+    both split directly, a lone "\\r" ending a record as in csv.reader."""
     lines = ["product_id,week,units,on_sale,in_stock"]
     size = 0
     while size <= ingest.BLOCK_BYTES:
